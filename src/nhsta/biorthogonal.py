@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchJump, DegenerateSpectrum, NonFinite
 from .grids import TimeGrid
@@ -66,6 +65,8 @@ def decompose(h, degeneracy_threshold: float = DEFAULT_DEGENERACY_THRESHOLD
     2-norm with its largest-magnitude component rotated real positive; the
     left partner is then scaled so <n~|n> = 1 exactly.
     """
+    import scipy.linalg  # deferred: the CLI's propagation path needs no scipy
+
     arr = as_square_complex(h)
     w, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
 

@@ -35,7 +35,7 @@ FIGURE1_DEFAULT_GAMMAS = (0.3, 3.0)
 FIGURE2_DEFAULT_GAMMAS = (0.3, 3.0, 0.0)
 FIGURE3_DEFAULT_GAMMAS = (0.1, 0.3, 1.0)
 FIGURE4_DEFAULT_GAMMAS = (1.0,)
-VERIFY_DEFAULT_GAMMAS = (0.1, 0.3, 1.0)
+VERIFY_DEFAULT_GAMMAS = (0.1, 0.3, 1.0, 3.0)
 
 
 def _fmt(value) -> str:

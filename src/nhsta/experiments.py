@@ -1,14 +1,14 @@
 """End-to-end shortcut pipelines used by the CLI and the test suite.
 
-A run builds the branch-continuous mixing-angle path on a half-step-refined
-grid (so RK4 stage midpoints are tabulated, not interpolated), synthesizes
-the requested supplement policy, propagates the bare-basis state, and
-extracts raw/modified amplitudes and populations.
+A run builds the branch-continuous mixing-angle path on a quarter-step grid
+(so the RK4 stages of the run and of its half-step certification rerun are
+all tabulated), synthesizes the requested supplement policy, propagates the
+bare-basis state, and extracts raw/modified amplitudes and populations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -17,16 +17,19 @@ from .gauges import GaugeFunctions, gauge_simple
 from .grids import TimeGrid
 from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
                           AmplitudeTrajectory, StateTrajectory, amplitudes,
-                          convergence_check, integrate)
+                          propagate, step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
                         NullificationReport, SupplementCoefficients,
                         assemble_h1_series, closed_form_gplus,
                         general_family_omega_zero, hermitian_realizable,
-                        matched_gauge, nullification_residual)
+                        matched_gauge, naive_cd, nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         PulseSpec, allen_eberly, branch_argument,
-                        classify_regime, eigenvalue_path, mixing_angle_path,
-                        mixing_angle_rate, radicand, theta_at)
+                        classify_regime, eigenvalue_path, hamiltonian,
+                        mixing_angle_path, radicand)
+# Not used here; bench/trace_child.py still patches these names on this module.
+from .propagation import convergence_check, integrate  # noqa: F401
+from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 
 #: general-family preset with zero coupling drive
 POLICY_OMEGA_ZERO = "general-omega-zero"
@@ -72,98 +75,21 @@ class ShortcutRun:
         }
 
 
-def _h0_entries(pulse: PulseSpec, ts: np.ndarray) -> np.ndarray:
-    om = np.asarray(pulse.omega_r(ts), dtype=float)
-    dl = np.asarray(pulse.delta(ts), dtype=float)
-    gm = np.asarray(pulse.gamma(ts), dtype=float)
-    out = np.empty((len(ts), 2, 2), dtype=complex)
-    out[:, 0, 0] = -0.5 * dl
-    out[:, 0, 1] = 0.5 * om
-    out[:, 1, 0] = 0.5 * om
-    out[:, 1, 1] = 0.5 * (dl - 1j * gm)
-    return out
-
-
-def _coefficients_fine(policy: str, theta_fine: MixingAnglePath
-                       ) -> Optional[SupplementCoefficients]:
+def _coefficients(policy: str, theta_path: MixingAnglePath
+                  ) -> Optional[SupplementCoefficients]:
     if policy == POLICY_HERMITIAN:
-        return hermitian_realizable(theta_fine)
+        return hermitian_realizable(theta_path)
     if policy == POLICY_OMEGA_ZERO:
-        return general_family_omega_zero(theta_fine)
+        return general_family_omega_zero(theta_path)
     if policy == POLICY_NAIVE:
         return None
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _naive_series(theta_path: MixingAnglePath) -> np.ndarray:
-    dth = theta_path.dtheta
-    n = theta_path.grid.n_points
-    out = np.zeros((n, 2, 2), dtype=complex)
-    out[:, 0, 1] = -0.5j * dth
-    out[:, 1, 0] = 0.5j * dth
-    return out
-
-
-def _slice_coeffs(coeffs: SupplementCoefficients, grid: TimeGrid
-                  ) -> SupplementCoefficients:
-    return SupplementCoefficients(
-        grid=grid,
-        delta_plus=np.asarray(coeffs.delta_plus)[::2].copy(),
-        delta_minus=np.asarray(coeffs.delta_minus)[::2].copy(),
-        omega=np.asarray(coeffs.omega)[::2].copy(),
-        policy=coeffs.policy,
-    )
-
-
-def _make_h_total(pulse: PulseSpec, fine: TimeGrid, h_stack: np.ndarray,
-                  theta_fine: MixingAnglePath, policy: str) -> Callable:
-    """Index lookup on the tabulated fine grid with an analytic fallback.
-
-    Stage times of the run grid hit fine-grid samples exactly; other times
-    (e.g. the half-step certification rerun) rebuild the Hamiltonian from
-    the pulse, branch-matching theta against the tabulated path.
-    """
-    fine_ts = fine.samples
-    th_tab = theta_fine.theta
-    analytic = pulse.has_analytic_derivatives
-    dth_tab = theta_fine.dtheta
-
-    def h_total(t: float) -> np.ndarray:
-        j = fine.index_of(t)
-        if j is not None:
-            return h_stack[j]
-        om = float(pulse.omega_r(t))
-        dl = float(pulse.delta(t))
-        gm = float(pulse.gamma(t))
-        h = 0.5 * np.array([[-dl, om], [om, dl - 1j * gm]], dtype=complex)
-        ref = complex(np.interp(t, fine_ts, th_tab.real),
-                      np.interp(t, fine_ts, th_tab.imag))
-        th = theta_at(pulse, t, ref)
-        if analytic:
-            dth = complex(mixing_angle_rate(pulse, t))
-        else:
-            dth = complex(np.interp(t, fine_ts, dth_tab.real),
-                          np.interp(t, fine_ts, dth_tab.imag))
-        if policy == POLICY_NAIVE:
-            h1 = np.array([[0.0, -0.5j * dth], [0.5j * dth, 0.0]], dtype=complex)
-        else:
-            sin_th, cos_th = np.sin(th), np.cos(th)
-            re_s = sin_th.real
-            num = dth.imag
-            if abs(re_s) < 1e-9:
-                delta = 0.0 if abs(num) < 1e-9 else num / re_s
-            else:
-                delta = num / re_s
-            if policy == POLICY_HERMITIAN:
-                omega_a = -dth.real - delta * sin_th.imag
-                h1 = 0.5 * np.array([[delta, 1j * omega_a],
-                                     [-1j * omega_a, -delta]], dtype=complex)
-            else:  # zero-drive family: complex diagonal split, no coupling
-                half = -1j * dth / sin_th if abs(sin_th) > 1e-12 else 0.0
-                h1 = 0.5 * np.array([[half, 0.0], [0.0, -half]], dtype=complex)
-        return h + h1
-
-    return h_total
+def _every(n: int, obj, grid: TimeGrid, fields: tuple):
+    """``obj`` on ``grid``, keeping every n-th sample of the named arrays."""
+    return replace(obj, grid=grid, **{
+        f: np.asarray(getattr(obj, f))[::n].copy() for f in fields})
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
@@ -172,29 +98,28 @@ def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
                  regime: Optional[BranchRegime] = None,
                  with_convergence: bool = False,
                  with_frame_check: bool = False) -> ShortcutRun:
-    """Full pipeline: angle path, supplement, propagation, amplitudes."""
+    """Full pipeline: angle path, supplement, propagation, amplitudes.
+
+    H0 + H1 is tabulated once on the quarter-step grid: the run propagates
+    on every second row, and certification reruns at half step on all rows.
+    """
     if initial_state not in INITIAL_STATES:
         raise ConfigError(
             f"unknown initial state {initial_state!r}; expected one of "
             f"{INITIAL_STATES}")
-    fine = grid.refine(2)
-    theta_fine = mixing_angle_path(pulse, fine, regime)
-    regime = theta_fine.regime
-    theta = MixingAnglePath(grid=grid, theta=theta_fine.theta[::2].copy(),
-                            dtheta=theta_fine.dtheta[::2].copy(), regime=regime,
-                            dtheta_provenance=theta_fine.dtheta_provenance)
+    quarter = grid.refine(4)
+    theta_q = mixing_angle_path(pulse, quarter, regime)
+    regime = theta_q.regime
+    theta = _every(4, theta_q, grid, ("theta", "dtheta"))
     e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
 
-    coeffs_fine = _coefficients_fine(policy, theta_fine)
-    if coeffs_fine is None:
-        h1_fine = _naive_series(theta_fine)
-        coeffs = None
+    coeffs_q = _coefficients(policy, theta_q)
+    if coeffs_q is None:
+        coeffs, h1_q = None, naive_cd(theta_q)
     else:
-        h1_fine = assemble_h1_series(coeffs_fine)
-        coeffs = _slice_coeffs(coeffs_fine, grid)
-
-    h_stack = _h0_entries(pulse, fine.samples) + h1_fine
-    h_total = _make_h_total(pulse, fine, h_stack, theta_fine, policy)
+        coeffs = _every(4, coeffs_q, grid, ("delta_plus", "delta_minus", "omega"))
+        h1_q = assemble_h1_series(coeffs_q)
+    h_quarter = hamiltonian(pulse, quarter.samples) + h1_q
 
     if initial_state == INITIAL_EIGEN_PLUS:
         th0 = theta.theta[0]
@@ -202,7 +127,7 @@ def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
     else:
         psi0 = np.array([1.0, 0.0], dtype=complex)
 
-    traj = integrate(h_total, psi0, grid, initial_condition=initial_state)
+    traj = propagate(h_quarter[::2], psi0, grid, initial_condition=initial_state)
 
     if coeffs is not None:
         gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
@@ -222,7 +147,7 @@ def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
 
     convergence = None
     if with_convergence:
-        convergence = convergence_check(h_total, psi0, grid)
+        convergence = step_halving_gap(traj, h_quarter)
 
     return ShortcutRun(pulse=pulse, grid=grid, regime=regime, policy=policy,
                        initial_state=initial_state, theta=theta,

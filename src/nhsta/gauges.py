@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NonFinite, SinThetaSingular, ZeroGauge
-from .grids import TimeGrid
+from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath, PulseSpec, eigenvalues
 
 #: below this, a vanishing Re[sin theta] is treated as removable iff the
@@ -52,7 +51,7 @@ class GaugeFunctions:
 def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:
     if not np.all(np.isfinite(np.asarray(integrand).view(float))):
         raise NonFinite("gauge integrand contains NaN/Inf")
-    return np.exp(cumulative_trapezoid(integrand, dx=step, initial=0.0))
+    return np.exp(cumulative_trapezoid(integrand, step))
 
 
 def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray, u_minus: np.ndarray,
@@ -93,8 +92,9 @@ def matched_delta(theta_path: MixingAnglePath,
     This is the half-difference (delta_+ - delta_-)/2 of the realizable
     supplement that removes the amplitude flow out of the reference
     eigenstate.  Points where Re[sin theta] and Im[dtheta] vanish together
-    are removable and set to 0; a vanishing denominator with a surviving
-    numerator raises SinThetaSingular.
+    are removable: they take the limit of their neighbours, interpolated
+    linearly over the unguarded samples (0 if every sample is guarded).  A
+    vanishing denominator with a surviving numerator raises SinThetaSingular.
     """
     re_sin = np.sin(theta_path.theta).real
     num = theta_path.dtheta.imag
@@ -106,8 +106,11 @@ def matched_delta(theta_path: MixingAnglePath,
             f"Re[sin theta] ~ 0 with Im[dtheta] = {num[k]:.3e} at "
             f"t={theta_path.grid.samples[k]:g}"
         )
-    safe = np.where(small, 1.0, re_sin)
-    return np.where(small, 0.0, num / safe)
+    delta = np.where(small, 0.0, num / np.where(small, 1.0, re_sin))
+    if np.any(small) and not np.all(small):
+        ts = theta_path.grid.samples
+        delta[small] = np.interp(ts[small], ts[~small], delta[~small])
+    return delta
 
 
 def gauge_shortcut(e_plus: np.ndarray, e_minus: np.ndarray,
@@ -133,28 +136,35 @@ class FrameRotation:
 
     R columns are f_n-scaled right eigenvectors; R~ columns are the
     1/conj(f_n)-scaled left partners, so R~^dag R = 1 even though R is not
-    unitary.
+    unitary.  ``r`` and ``r_tilde`` are (2, 2), or (n, 2, 2) for a path.
     """
 
     r: np.ndarray
     r_tilde: np.ndarray
 
     def inverse_defect(self) -> float:
-        return float(np.max(np.abs(self.r_tilde.conj().T @ self.r - np.eye(2))))
+        r_tilde_dag = self.r_tilde.conj().swapaxes(-1, -2)
+        return float(np.max(np.abs(r_tilde_dag @ self.r - np.eye(2))))
 
 
-def rotation(theta: complex, f: tuple) -> FrameRotation:
-    """Frame rotation for mixing angle theta and gauge pair f = (f_+, f_-)."""
+def _matrices(rows) -> np.ndarray:
+    """2x2 nested entries (scalars or equal-length arrays) -> (..., 2, 2)."""
+    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
+
+
+def rotation(theta, f: tuple) -> FrameRotation:
+    """Frame rotation for mixing angle theta and gauge pair f = (f_+, f_-).
+
+    Scalars give one rotation; equal-length arrays give one per sample.
+    """
     f_plus, f_minus = f
-    if f_plus == 0 or f_minus == 0:
+    if np.any(np.asarray(f_plus) == 0) or np.any(np.asarray(f_minus) == 0):
         raise ZeroGauge("cannot build rotation with a vanishing gauge factor")
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    r = np.array([[f_plus * c, f_minus * s],
-                  [f_plus * s, -f_minus * c]], dtype=complex)
+    r = _matrices([[f_plus * c, f_minus * s], [f_plus * s, -f_minus * c]])
     cs, ss = np.cos(np.conj(theta) / 2.0), np.sin(np.conj(theta) / 2.0)
-    r_tilde = np.array([[cs / np.conj(f_plus), ss / np.conj(f_minus)],
-                        [ss / np.conj(f_plus), -cs / np.conj(f_minus)]],
-                       dtype=complex)
+    r_tilde = _matrices([[cs / np.conj(f_plus), ss / np.conj(f_minus)],
+                         [ss / np.conj(f_plus), -cs / np.conj(f_minus)]])
     return FrameRotation(r=r, r_tilde=r_tilde)
 
 

@@ -48,3 +48,10 @@ class TimeGrid:
         if 0 <= j <= self.steps and abs(x - j) < tol:
             return j
         return None
+
+
+def cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoid integral of samples ``y`` spaced ``dx``, from 0; the
+    formula of scipy's ``cumulative_trapezoid(y, dx=dx, initial=0)``."""
+    y = np.asarray(y)
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))

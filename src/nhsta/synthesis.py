@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import InconsistentChoice, PolicyMismatch
 from .gauges import (EPS_SINGULAR, GaugeFunctions, gauge_from_integrands,
                      matched_delta, rotation)
-from .grids import TimeGrid
+from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath, PulseSpec, hamiltonian
 
 POLICY_NAIVE = "naive-cd"
@@ -107,7 +106,8 @@ def _as_array(value: ArrayOrFn, ts: np.ndarray) -> np.ndarray:
     return arr
 
 
-def naive_cd(theta_path: MixingAnglePath, gauges: GaugeFunctions,
+def naive_cd(theta_path: MixingAnglePath,
+             gauges: Optional[GaugeFunctions] = None,
              eps_plus: ArrayOrFn = 0.0, eps_minus: ArrayOrFn = 0.0) -> np.ndarray:
     """Counterdiabatic supplement in the bare frame, one 2x2 per grid point.
 
@@ -115,11 +115,12 @@ def naive_cd(theta_path: MixingAnglePath, gauges: GaugeFunctions,
         0.5i * [[e+ c^2 + e- s^2,  (sin(theta)/2)(e+ - e-) - dtheta],
                 [(sin(theta)/2)(e+ - e-) + dtheta,  e+ s^2 + e- c^2]]
     (c = cos(theta/2), s = sin(theta/2)); the gauge factors cancel in this
-    frame.  With e+/- = 0 this is the pure counterdiabatic term: Hermitian
-    exactly when dtheta is real, which fails once the decay makes theta
-    complex - the reason a realizable substitute is needed.
+    frame, so ``gauges`` is optional and only checked for a shared grid.
+    With e+/- = 0 this is the pure counterdiabatic term: Hermitian exactly
+    when dtheta is real, which fails once the decay makes theta complex -
+    the reason a realizable substitute is needed.
     """
-    if gauges.grid != theta_path.grid:
+    if gauges is not None and gauges.grid != theta_path.grid:
         raise ValueError("gauges and theta path must share the grid")
     ts = theta_path.grid.samples
     ep = _as_array(eps_plus, ts)
@@ -296,22 +297,18 @@ def _frame_coupling(theta_path, coeffs, pulse, gauges):
     """|(R~^dag (H0+H1) R - i R~^dag dR/dt)[1, 0]| with plain central and
     Richardson-extrapolated frame derivatives (interior points only)."""
     grid = theta_path.grid
-    ts = grid.samples
     h = grid.step
-    n = grid.n_points
-    rot = [rotation(theta_path.theta[k], (gauges.f_plus[k], gauges.f_minus[k]))
-           for k in range(n)]
-    plain = np.zeros(n)
-    rich = np.zeros(n)
-    h1 = assemble_h1_series(coeffs)
-    for k in range(2, n - 2):
-        d1 = (rot[k + 1].r - rot[k - 1].r) / (2.0 * h)
-        d2 = (rot[k + 2].r - rot[k - 2].r) / (4.0 * h)
-        d_rich = (4.0 * d1 - d2) / 3.0
-        rtd = rot[k].r_tilde.conj().T
-        static = rtd @ (hamiltonian(pulse, ts[k]) + h1[k]) @ rot[k].r
-        plain[k] = abs((static - 1j * rtd @ d1)[1, 0])
-        rich[k] = abs((static - 1j * rtd @ d_rich)[1, 0])
+    rot = rotation(theta_path.theta, (gauges.f_plus, gauges.f_minus))
+    r, inner = rot.r, slice(2, grid.n_points - 2)
+    d1 = (r[3:-1] - r[1:-3]) / (2.0 * h)
+    d2 = (r[4:] - r[:-4]) / (4.0 * h)
+    d_rich = (4.0 * d1 - d2) / 3.0
+    rtd = rot.r_tilde[inner].conj().swapaxes(-1, -2)
+    h_tot = hamiltonian(pulse, grid.samples) + assemble_h1_series(coeffs)
+    static = rtd @ h_tot[inner] @ r[inner]
+    plain, rich = np.zeros((2, grid.n_points))
+    plain[inner] = np.abs((static - 1j * rtd @ d1)[:, 1, 0])
+    rich[inner] = np.abs((static - 1j * rtd @ d_rich)[:, 1, 0])
     return plain, rich
 
 
@@ -337,5 +334,5 @@ def closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
     delta = np.asarray(coeffs.delta_plus)
     integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
                  + 0.5 * delta * np.cos(theta_path.theta))
-    phase = cumulative_trapezoid(integrand, dx=theta_path.grid.step, initial=0.0)
+    phase = cumulative_trapezoid(integrand, theta_path.grid.step)
     return np.exp(-1j * phase)

@@ -147,14 +147,19 @@ def classify_regime(omega0: float, gamma: float) -> BranchRegime:
     return BranchRegime.SUPER_CRITICAL
 
 
-def hamiltonian(pulse: PulseSpec, t: float) -> np.ndarray:
-    """Bare-basis Hamiltonian 0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t."""
-    om = float(pulse.omega_r(t))
-    dl = float(pulse.delta(t))
-    gm = float(pulse.gamma(t))
-    if not (np.isfinite(om) and np.isfinite(dl) and np.isfinite(gm)):
-        raise NonFinite(f"control value not finite at t={t}")
-    return 0.5 * np.array([[-dl, om], [om, dl - 1j * gm]], dtype=complex)
+def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
+    """Bare-basis Hamiltonian 0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t.
+
+    A scalar t gives one 2x2 matrix; an array of times gives a stack.
+    """
+    om = np.asarray(pulse.omega_r(t), dtype=float)
+    dl = np.asarray(pulse.delta(t), dtype=float)
+    gm = np.asarray(pulse.gamma(t), dtype=float)
+    bad = ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm))
+    if np.any(bad):
+        raise NonFinite(f"control value not finite at t={np.asarray(t)[bad][0]}")
+    h = 0.5 * np.array([[-dl, om], [om, dl - 1j * gm]], dtype=complex)
+    return np.moveaxis(h, (0, 1), (-2, -1))
 
 
 def radicand(pulse: PulseSpec, t):
@@ -248,7 +253,8 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
 
     Anchored at the principal representative at t0 (Re theta in (-pi/2, pi/2],
     the near-zero branch for Delta(t0) < 0); each later sample takes the
-    representative theta + m*pi closest to its predecessor.  The rate dtheta
+    representative theta + m*pi closest to its predecessor, i.e. m
+    accumulates minus the rounded principal steps.  The rate dtheta
     is analytic, (Omega*da/dt - dOmega/dt*a)/(a^2 + Omega^2) with
     a = Delta - i*gamma/2, when the pulse carries derivatives; otherwise
     central differences of the tracked samples.
@@ -269,23 +275,18 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
         raise TanPole(f"(Delta - i*gamma/2)^2 + Omega_R^2 ~ 0 at t={ts[k]:g}")
 
     principal = _principal_theta(om, a)
-    theta = np.empty_like(principal)
-    theta[0] = principal[0]
-    for k in range(1, len(ts)):
-        cand = principal[k] + np.pi * np.round((theta[k - 1] - principal[k]).real / np.pi)
-        if abs(cand - theta[k - 1]) >= 0.5 * np.pi:
-            raise BranchJump(
-                f"no representative of theta within pi/2 of the previous sample "
-                f"near t={ts[k]:g}; refine the grid"
-            )
-        theta[k] = cand
+    turns = -np.cumsum(np.round(np.diff(principal).real / np.pi))
+    theta = principal + np.pi * np.concatenate(([0.0], turns))
+    jump = np.abs(np.diff(theta)) >= 0.5 * np.pi
+    if np.any(jump):
+        k = int(np.argmax(jump)) + 1
+        raise BranchJump(
+            f"no representative of theta within pi/2 of the previous sample "
+            f"near t={ts[k]:g}; refine the grid"
+        )
 
     if pulse.has_analytic_derivatives:
-        d_om = np.asarray(pulse.d_omega_r(ts), dtype=float)
-        d_dl = np.asarray(pulse.d_delta(ts), dtype=float)
-        d_gm = np.asarray(pulse.d_gamma(ts), dtype=float)
-        da = d_dl - 0.5j * d_gm
-        dtheta = (om * da - d_om * a) / denom
+        dtheta = mixing_angle_rate(pulse, ts)
         provenance = "analytic"
     else:
         dtheta = np.gradient(theta, grid.step)

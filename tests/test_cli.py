@@ -24,6 +24,15 @@ def read_csv(path):
             for k, v in cols.items()}
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+    code = "import sys, nhsta.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 class TestConfig:
     def test_file_parsing_with_comments(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -150,6 +159,11 @@ class TestFigure4:
         assert data["p0"][0] == pytest.approx(overlap, abs=1e-12)
         assert data["p0"][0] > 0.95
 
+    def test_odd_step_count_is_certified(self, tmp_path):
+        assert main(["figure4", "--steps", "1001", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "figure4_manifest.json").read_text())
+        assert manifest["runs"][0]["convergence"] <= 1e-7
+
 
 class TestSweep:
     def test_rows_match_figure_pipelines_bitwise(self, tmp_path):
@@ -213,6 +227,12 @@ class TestVerify:
         assert "PASS" in out
         assert "FAIL" not in out
         assert "closed-form-vs-ode" in out
+
+    def test_default_gammas_include_super_critical(self, tmp_path, capsys):
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "PASS  convergence[gamma=3]" in out
+        assert "PASS  closed-form-vs-ode[gamma=3]" in out
 
     def test_coarse_grid_fails_convergence_gate(self, tmp_path, capsys):
         assert main(["verify", "--gamma", "0.3", "--steps", "100",

@@ -103,6 +103,18 @@ class TestGaugeShortcut:
         rel = abs(g.f_plus[-1].real - np.exp(exponent)) / np.exp(exponent)
         assert rel <= 1e-8
 
+    def test_removable_point_takes_the_neighbours_limit(self):
+        # gamma > 2*omega0 makes theta(0) purely imaginary: Re[sin theta]
+        # and Im[dtheta] vanish together there, but delta does not
+        pulse = allen_eberly(ae_params(3.0))
+        grid = TimeGrid(-1.0, 1.0, 4000)
+        path = mixing_angle_path(pulse, grid)
+        delta = matched_delta(path)
+        k = grid.index_of(0.0)
+        assert abs(np.sin(path.theta[k]).real) < 1e-9
+        assert delta[k] == pytest.approx(0.5 * (delta[k - 1] + delta[k + 1]))
+        assert delta[k] < -16.0
+
     def test_unguardable_singularity_raises(self):
         grid = TimeGrid(0.0, 1.0, 4)
         theta = np.zeros(5, dtype=complex)  # Re[sin theta] = 0 everywhere

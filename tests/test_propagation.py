@@ -6,13 +6,64 @@ from scipy.integrate import cumulative_trapezoid
 from conftest import ae_params
 from nhsta.errors import NonFinite
 
+from nhsta.experiments import run_allen_eberly
 from nhsta.gauges import gauge_simple
-from nhsta.grids import TimeGrid
+from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (StateTrajectory, amplitudes, convergence_check,
-                               integrate)
-from nhsta.two_level import allen_eberly, eigenvalue_path, mixing_angle_path
+                               integrate, propagate)
+from nhsta.two_level import (allen_eberly, eigenvalue_path, hamiltonian,
+                             mixing_angle_path, mixing_angle_rate, theta_at)
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def per_step_rk4(h_total, psi0, grid):
+    """Reference: the step-by-step RK4 loop with stage times t, t + h/2, t + h."""
+    psi = np.asarray(psi0, dtype=complex).copy()
+    ts, h = grid.samples, grid.step
+    out = np.empty((grid.n_points, len(psi)), dtype=complex)
+    out[0] = psi
+
+    def rhs(t, p):
+        return -1j * (h_total(t) @ p)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.steps):
+            t = ts[k]
+            k1 = rhs(t, psi)
+            k2 = rhs(t + 0.5 * h, psi + 0.5 * h * k1)
+            k3 = rhs(t + 0.5 * h, psi + 0.5 * h * k2)
+            k4 = rhs(t + h, psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(psi.view(float))):
+                raise NonFinite(f"state blew up near t={ts[k + 1]:g}")
+            out[k + 1] = psi
+    return out
+
+
+def lossy_chirp(gamma):
+    """Time-dependent non-Hermitian H(t): the bare generator of a pulse."""
+    pulse = allen_eberly(ae_params(gamma))
+    return lambda t: hamiltonian(pulse, t)
+
+
+def hermitian_shortcut_h(gamma, path):
+    """H0 + H1 of the hermitian-realizable policy evaluated from the pulse at
+    any t, with theta branch-matched to the tracked path."""
+    pulse = allen_eberly(ae_params(gamma))
+    ts = path.grid.samples
+
+    def h_total(t):
+        ref = complex(np.interp(t, ts, path.theta.real),
+                      np.interp(t, ts, path.theta.imag))
+        th = theta_at(pulse, t, ref)
+        dth = complex(mixing_angle_rate(pulse, t))
+        delta = dth.imag / np.sin(th).real
+        omega_a = -dth.real - delta * np.sin(th).imag
+        h1 = 0.5 * np.array([[delta, 1j * omega_a], [-1j * omega_a, -delta]])
+        return hamiltonian(pulse, t) + h1
+
+    return h_total
 
 
 class TestGrid:
@@ -78,6 +129,19 @@ class TestIntegrate:
             integrate(lambda t: h, np.array([0, 1], dtype=complex),
                       TimeGrid(0, 2, 2000))
 
+    @pytest.mark.parametrize("h_total", [
+        lambda t: np.array([[0, 0], [0, 2000j]], dtype=complex),
+        lambda t: np.array([[1.0, 0.5], [0.5, 900j * (1.0 + t)]]),
+    ])
+    def test_runaway_gain_names_the_per_step_sample(self, h_total):
+        grid = TimeGrid(0, 2, 2000)
+        psi0 = np.array([0, 1], dtype=complex)
+        with pytest.raises(NonFinite) as want:
+            per_step_rk4(h_total, psi0, grid)
+        with pytest.raises(NonFinite) as got:
+            integrate(h_total, psi0, grid)
+        assert str(got.value) == str(want.value)
+
     def test_norm_decay_balances_excited_population(self):
         # d/dt |psi|^2 = -gamma |psi_1|^2 for the lossy two-level generator
         gamma = 1.0
@@ -98,6 +162,35 @@ class TestIntegrate:
                                         dx=grid.step, initial=0.0)
         start = norm_sq[0]
         assert np.max(np.abs(norm_sq - (start - absorbed))) <= 1e-6
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_matches_per_step_rk4(self, gamma):
+        h_total = lossy_chirp(gamma)
+        grid = TimeGrid(-1.0, 1.0, 4000)
+        psi0 = np.array([0.6, 0.8j])
+        want = per_step_rk4(h_total, psi0, grid)
+        got = propagate(h_total(grid.refine(2).samples), psi0, grid)
+        assert np.max(np.abs(got.psi - want)) <= 1e-13
+
+    def test_block_boundaries_are_seamless(self):
+        # more steps than one batch of transfer matrices
+        h_total = lossy_chirp(1.0)
+        grid = TimeGrid(-1.0, 1.0, 5001)
+        psi0 = np.array([1, 0], dtype=complex)
+        want = per_step_rk4(h_total, psi0, grid)
+        assert np.max(np.abs(integrate(h_total, psi0, grid).psi - want)) <= 1e-13
+
+    def test_rejects_table_of_wrong_length(self):
+        grid = TimeGrid(0, 1, 10)
+        with pytest.raises(ValueError):
+            propagate(np.zeros((grid.n_points, 2, 2)), np.array([1, 0]), grid)
+
+    def test_trapezoid_helper_equals_scipy_bitwise(self):
+        y = np.exp(1j * np.linspace(0, 3, 1001)) + np.linspace(0, 1, 1001)
+        assert np.array_equal(trapezoid(y, 0.37),
+                              cumulative_trapezoid(y, dx=0.37, initial=0.0))
 
 
 class TestAmplitudes:
@@ -197,6 +290,19 @@ class TestConvergence:
 
     def test_engineered_run_step_halving(self, shortcut_run):
         assert shortcut_run(1.0).convergence <= 1e-7
+
+    def test_run_certification_equals_callable_check(self, shortcut_run):
+        run = shortcut_run(1.0)
+        h_total = hermitian_shortcut_h(1.0, run.theta)
+        want = convergence_check(h_total, run.trajectory.psi[0], run.grid)
+        assert abs(run.convergence - want) <= 1e-13
+
+    def test_super_critical_run_certifies(self):
+        # gamma > 2*omega0: the removable point at t = 0 must not spoil RK4
+        run = run_allen_eberly(ae_params(3.0), steps=4000,
+                               with_convergence=True)
+        assert run.convergence <= 1e-7
+        assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
 
     def test_odd_step_count_rejected(self):
         with pytest.raises(ValueError):

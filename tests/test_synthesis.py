@@ -167,6 +167,28 @@ class TestNullificationReport:
             - 1j * rots[1].r_tilde.conj().T @ d_r
         assert abs(frame[0, 1]) > 0.01
 
+    def test_frame_coupling_equals_pointwise_loop(self, shortcut_run):
+        from nhsta.gauges import rotation
+        from nhsta.synthesis import _frame_coupling
+        from nhsta.two_level import hamiltonian
+        run = shortcut_run(1.0)
+        th, g, coeffs = run.theta, run.gauges, run.coeffs
+        ts, h, n = th.grid.samples, th.grid.step, th.grid.n_points
+        rot = [rotation(th.theta[k], (g.f_plus[k], g.f_minus[k]))
+               for k in range(n)]
+        plain, rich = np.zeros(n), np.zeros(n)
+        for k in range(2, n - 2):
+            d1 = (rot[k + 1].r - rot[k - 1].r) / (2.0 * h)
+            d2 = (rot[k + 2].r - rot[k - 2].r) / (4.0 * h)
+            rtd = rot[k].r_tilde.conj().T
+            static = rtd @ (hamiltonian(run.pulse, ts[k])
+                            + assemble_h1(coeffs, k)) @ rot[k].r
+            plain[k] = abs((static - 1j * rtd @ d1)[1, 0])
+            rich[k] = abs((static - 1j * rtd @ ((4.0 * d1 - d2) / 3.0))[1, 0])
+        got_plain, got_rich = _frame_coupling(th, coeffs, run.pulse, g)
+        assert np.max(np.abs(got_plain - plain)) <= 1e-12
+        assert np.max(np.abs(got_rich - rich)) <= 1e-12
+
 
 class TestClosedForm:
     def test_lossless_amplitude_is_pure_phase(self, shortcut_run):

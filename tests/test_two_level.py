@@ -182,6 +182,22 @@ class TestMixingAngle:
                               TimeGrid(0.0, 1.0, 10),
                               regime=BranchRegime.SUB_CRITICAL)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 3.0])
+    def test_branch_tracking_equals_sample_by_sample_loop(self, gamma):
+        from nhsta.two_level import _principal_theta
+        pulse = allen_eberly(ae_params(gamma))
+        grid = TimeGrid(-1.0, 1.0, 16000)
+        ts = grid.samples
+        a = pulse.delta(ts) - 0.5j * pulse.gamma(ts)
+        principal = _principal_theta(pulse.omega_r(ts), a)
+        want = np.empty_like(principal)
+        want[0] = principal[0]
+        for k in range(1, len(ts)):
+            want[k] = principal[k] + np.pi * np.round(
+                (want[k - 1] - principal[k]).real / np.pi)
+        got = mixing_angle_path(pulse, grid).theta
+        assert np.array_equal(got.view(float), want.view(float))
+
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
         pulse = allen_eberly(ae_params(gamma=1.99))
         with pytest.raises(BranchJump):
