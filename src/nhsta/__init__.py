@@ -29,7 +29,8 @@ from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         PulseSpec, allen_eberly, branch_sqrt, classify_regime,
                         eigenvalue_path, eigenvalues, eigenvectors,
                         hamiltonian, mixing_angle_path, radicand)
-from .experiments import (ShortcutRun, run_allen_eberly, run_shortcut,
-                          theta_series, zplane_series)
+from .experiments import (ShortcutRun, ShortcutTable, run_allen_eberly,
+                          run_shortcut, shortcut_table, theta_series,
+                          zplane_series)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -65,13 +65,11 @@ def decompose(h, degeneracy_threshold: float = DEFAULT_DEGENERACY_THRESHOLD
     2-norm with its largest-magnitude component rotated real positive; the
     left partner is then scaled so <n~|n> = 1 exactly.
     """
-    import scipy.linalg  # deferred: the CLI's propagation path needs no scipy
-
     arr = as_square_complex(h)
-    w, vl, vr = scipy.linalg.eig(arr, left=True, right=True)
+    w, vr = np.linalg.eig(arr)
 
     order = np.lexsort((w.imag, w.real))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    w, vr = w[order], vr[:, order]
 
     n = len(w)
     for i in range(n):
@@ -85,10 +83,11 @@ def decompose(h, degeneracy_threshold: float = DEFAULT_DEGENERACY_THRESHOLD
     for i in range(n):
         v = vr[:, i] / np.linalg.norm(vr[:, i])
         k = int(np.argmax(np.abs(v)))
-        v = v * (np.conj(v[k]) / abs(v[k]))
-        vr[:, i] = v
-        s = vl[:, i].conj() @ v
-        vl[:, i] = vl[:, i] / np.conj(s)
+        vr[:, i] = v * (np.conj(v[k]) / abs(v[k]))
+    # the rows of inv(vr) are the left vectors' conjugates
+    vl = np.linalg.inv(vr).conj().T
+    for i in range(n):
+        vl[:, i] = vl[:, i] / np.conj(vl[:, i].conj() @ vr[:, i])
 
     return BiorthogonalSystem(eigenvalues=w, right=vr, left=vl)
 

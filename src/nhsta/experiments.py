@@ -1,13 +1,15 @@
 """End-to-end shortcut pipelines used by the CLI and the test suite.
 
-A run builds the branch-continuous mixing-angle path on a quarter-step grid
-(so the RK4 stages of the run and of its half-step certification rerun are
-all tabulated), synthesizes the requested supplement policy, propagates the
-bare-basis state, and extracts raw/modified amplitudes and populations.
+A table builds the branch-continuous mixing-angle path on a quarter-step
+grid (so the RK4 stages of the run and of its half-step certification rerun
+are all tabulated), synthesizes the requested supplement policy, and scans
+the RK4 transfer matrices.  A run applies a table to one initial state: it
+propagates the bare-basis state and extracts raw/modified amplitudes and
+populations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -16,8 +18,8 @@ from .errors import ConfigError
 from .gauges import GaugeFunctions, gauge_simple
 from .grids import TimeGrid
 from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
-                          AmplitudeTrajectory, StateTrajectory, amplitudes,
-                          propagate, step_halving_gap)
+                          AmplitudeTrajectory, PrefixScan, StateTrajectory,
+                          amplitudes, prefix_scan, step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
                         NullificationReport, SupplementCoefficients,
                         assemble_h1_series, closed_form_gplus,
@@ -37,41 +39,86 @@ POLICY_OMEGA_ZERO = "general-omega-zero"
 POLICIES = (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO)
 INITIAL_STATES = (INITIAL_EIGEN_PLUS, INITIAL_BARE_GROUND)
 
+#: a run is certified when its step-halving gap and, where the policy has
+#: one, its nullification residual are within these bounds
+CONVERGENCE_BOUND = 1e-7
+RESIDUAL_BOUND = 1e-10
 
-@dataclass(frozen=True)
-class ShortcutRun:
-    """Everything produced by one shortcut experiment."""
+
+@dataclass(frozen=True, eq=False)  # array fields: no field-wise equality
+class ShortcutTable:
+    """The state-independent part of a shortcut run for one pulse and policy.
+
+    Holds the angle path, the supplement, the gauges and checks on the run
+    grid, and the RK4 prefix products of the coarse run and of its half-step
+    certification rerun.  :meth:`run` applies them to one initial state;
+    every state run from the same table shares this work.
+    """
 
     pulse: PulseSpec
     grid: TimeGrid
     regime: BranchRegime
     policy: str
-    initial_state: str
     theta: MixingAnglePath
     e_plus: np.ndarray
     e_minus: np.ndarray
     gauges: GaugeFunctions
     coeffs: Optional[SupplementCoefficients]
-    trajectory: StateTrajectory
-    amps: AmplitudeTrajectory
     g_plus_closed: Optional[np.ndarray]
     residual: Optional[NullificationReport]
+    coarse: PrefixScan
+    fine: Optional[PrefixScan]
+
+    def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
+        """Propagate one initial state: trajectory, amplitudes, and the
+        step-halving gap when the table certifies."""
+        if initial_state not in INITIAL_STATES:
+            raise ConfigError(
+                f"unknown initial state {initial_state!r}; expected one of "
+                f"{INITIAL_STATES}")
+        if initial_state == INITIAL_EIGEN_PLUS:
+            th0 = self.theta.theta[0]
+            psi0 = np.array([np.cos(th0 / 2.0), np.sin(th0 / 2.0)], dtype=complex)
+        else:
+            psi0 = np.array([1.0, 0.0], dtype=complex)
+        traj = self.coarse.apply(psi0, initial_condition=initial_state)
+        amps = amplitudes(traj, self.theta, self.gauges)
+        convergence = (step_halving_gap(traj, self.fine)
+                       if self.fine is not None else None)
+        return ShortcutRun(
+            **{f.name: getattr(self, f.name) for f in fields(ShortcutTable)},
+            initial_state=initial_state, trajectory=traj, amps=amps,
+            convergence=convergence)
+
+
+@dataclass(frozen=True, eq=False)
+class ShortcutRun(ShortcutTable):
+    """A shortcut table run from one initial state: the table's fields plus
+    the trajectory, amplitudes and step-halving gap of that state."""
+
+    initial_state: str
+    trajectory: StateTrajectory
+    amps: AmplitudeTrajectory
     convergence: Optional[float]
 
     @property
     def metrics(self) -> dict:
         """End-of-run scalars for sweep tables and manifests."""
         g_plus_sq = float(np.abs(self.amps.g_plus[-1]) ** 2)
+        residual = (float(self.residual.max_abs_residual)
+                    if self.residual is not None else float("nan"))
+        convergence = (float(self.convergence)
+                       if self.convergence is not None else float("nan"))
         return {
             "regime": self.regime.value,
             "g_plus_sq_final": g_plus_sq,
             "p0_renorm_final": float(self.amps.pop_bare_0_renorm[-1]),
             "p1_final": float(self.amps.pop_bare_1[-1]),
             "max_abs_g_minus": float(np.max(np.abs(self.amps.g_minus))),
-            "max_residual": (float(self.residual.max_abs_residual)
-                             if self.residual is not None else float("nan")),
-            "convergence": (float(self.convergence)
-                            if self.convergence is not None else float("nan")),
+            "max_residual": residual,
+            "convergence": convergence,
+            "certified": bool(convergence <= CONVERGENCE_BOUND
+                              and not residual > RESIDUAL_BOUND),
         }
 
 
@@ -86,27 +133,22 @@ def _coefficients(policy: str, theta_path: MixingAnglePath
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _every(n: int, obj, grid: TimeGrid, fields: tuple):
+def _every(n: int, obj, grid: TimeGrid, names: tuple):
     """``obj`` on ``grid``, keeping every n-th sample of the named arrays."""
     return replace(obj, grid=grid, **{
-        f: np.asarray(getattr(obj, f))[::n].copy() for f in fields})
+        f: np.asarray(getattr(obj, f))[::n].copy() for f in names})
 
 
-def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
-                 policy: str = POLICY_HERMITIAN,
-                 initial_state: str = INITIAL_EIGEN_PLUS,
-                 regime: Optional[BranchRegime] = None,
-                 with_convergence: bool = False,
-                 with_frame_check: bool = False) -> ShortcutRun:
-    """Full pipeline: angle path, supplement, propagation, amplitudes.
+def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
+                   policy: str = POLICY_HERMITIAN,
+                   regime: Optional[BranchRegime] = None,
+                   with_convergence: bool = False,
+                   with_frame_check: bool = False) -> ShortcutTable:
+    """Angle path, supplement, gauges and RK4 prefix products of a run.
 
     H0 + H1 is tabulated once on the quarter-step grid: the run propagates
     on every second row, and certification reruns at half step on all rows.
     """
-    if initial_state not in INITIAL_STATES:
-        raise ConfigError(
-            f"unknown initial state {initial_state!r}; expected one of "
-            f"{INITIAL_STATES}")
     quarter = grid.refine(4)
     theta_q = mixing_angle_path(pulse, quarter, regime)
     regime = theta_q.regime
@@ -120,20 +162,13 @@ def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
         coeffs = _every(4, coeffs_q, grid, ("delta_plus", "delta_minus", "omega"))
         h1_q = assemble_h1_series(coeffs_q)
     h_quarter = hamiltonian(pulse, quarter.samples) + h1_q
-
-    if initial_state == INITIAL_EIGEN_PLUS:
-        th0 = theta.theta[0]
-        psi0 = np.array([np.cos(th0 / 2.0), np.sin(th0 / 2.0)], dtype=complex)
-    else:
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-
-    traj = propagate(h_quarter[::2], psi0, grid, initial_condition=initial_state)
+    coarse = prefix_scan(h_quarter[::2], grid)
+    fine = prefix_scan(h_quarter, grid.refine(2)) if with_convergence else None
 
     if coeffs is not None:
         gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
     else:
         gauges = gauge_simple(e_plus, e_minus, grid)
-    amps = amplitudes(traj, theta, gauges)
 
     g_plus_closed = None
     residual = None
@@ -145,16 +180,23 @@ def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
             pulse=pulse if with_frame_check else None,
             gauges=gauges if with_frame_check else None)
 
-    convergence = None
-    if with_convergence:
-        convergence = step_halving_gap(traj, h_quarter)
+    return ShortcutTable(pulse=pulse, grid=grid, regime=regime, policy=policy,
+                         theta=theta, e_plus=e_plus, e_minus=e_minus,
+                         gauges=gauges, coeffs=coeffs,
+                         g_plus_closed=g_plus_closed, residual=residual,
+                         coarse=coarse, fine=fine)
 
-    return ShortcutRun(pulse=pulse, grid=grid, regime=regime, policy=policy,
-                       initial_state=initial_state, theta=theta,
-                       e_plus=e_plus, e_minus=e_minus, gauges=gauges,
-                       coeffs=coeffs, trajectory=traj, amps=amps,
-                       g_plus_closed=g_plus_closed, residual=residual,
-                       convergence=convergence)
+
+def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
+                 policy: str = POLICY_HERMITIAN,
+                 initial_state: str = INITIAL_EIGEN_PLUS,
+                 regime: Optional[BranchRegime] = None,
+                 with_convergence: bool = False,
+                 with_frame_check: bool = False) -> ShortcutRun:
+    """Full pipeline for one initial state: :func:`shortcut_table`, then
+    :meth:`ShortcutTable.run`."""
+    return shortcut_table(pulse, grid, policy, regime, with_convergence,
+                          with_frame_check).run(initial_state)
 
 
 def ae_pulse_and_grid(params: AllenEberlyParams, steps: int
@@ -196,7 +238,8 @@ def theta_series(pulse: PulseSpec, grid: TimeGrid,
 
 
 __all__ = [
-    "POLICY_OMEGA_ZERO", "POLICIES", "INITIAL_STATES", "ShortcutRun",
-    "run_shortcut", "run_allen_eberly", "ae_pulse_and_grid",
-    "zplane_series", "theta_series",
+    "POLICY_OMEGA_ZERO", "POLICIES", "INITIAL_STATES", "CONVERGENCE_BOUND",
+    "RESIDUAL_BOUND", "ShortcutRun", "ShortcutTable", "shortcut_table",
+    "run_shortcut", "run_allen_eberly", "ae_pulse_and_grid", "zplane_series",
+    "theta_series",
 ]

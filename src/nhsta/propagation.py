@@ -3,9 +3,13 @@
 H is tabulated on the half-step grid, so step k reads its stage matrices
 at t_k, t_k + h/2, t_k + h from rows 2k, 2k+1, 2k+2.  RK4 is linear in psi:
 its stages collapse into one 2x2 transfer matrix per step, formed with
-batched numpy and applied in one sequential product.  Step adequacy is
-certified by a half-step rerun on the quarter-step table, compared at the
-shared samples.  Callables H(t) are sampled onto such tables first.
+batched numpy.  A blocked prefix scan multiplies them (Blelloch 1990): the
+products inside blocks of about sqrt(steps)/2 steps are vectorized across
+all blocks, and a state needs only a short scalar loop over the block ends.
+The scan does not depend on psi0, so several initial states share it.  Step
+adequacy is certified by a half-step rerun on the quarter-step table,
+compared at the shared samples.  Callables H(t) are sampled onto such
+tables first.
 """
 from __future__ import annotations
 
@@ -23,10 +27,6 @@ HamiltonianFn = Callable[[float], np.ndarray]
 
 INITIAL_BARE_GROUND = "bare-ground"
 INITIAL_EIGEN_PLUS = "eigen-plus"
-
-#: steps whose transfer matrices are formed in one batch; bounds temporaries
-_BLOCK_STEPS = 2048
-
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -64,26 +64,115 @@ class AmplitudeTrajectory:
     pop_bare_1_renorm: np.ndarray
 
 
-def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[k] @ y[k] for stacks of 2x2 matrices x and 2xm matrices y, written
-    out entry by entry (several times faster than matmul on 2x2 stacks)."""
-    out = np.empty(x.shape[:-1] + y.shape[-1:], dtype=complex)
-    for j in range(y.shape[-1]):
-        for i in (0, 1):
-            out[:, i, j] = x[:, i, 0] * y[:, 0, j] + x[:, i, 1] * y[:, 1, j]
-    return out
+def _apply(a, y):
+    """a @ y for 2x2 matrices a = (a00, a01, a10, a11) and columns
+    y = (y0, y1), each entry an array (or scalar) broadcast across steps."""
+    return a[0] * y[0] + a[1] * y[1], a[2] * y[0] + a[3] * y[1]
 
 
-def _rk4_stages(h_half: np.ndarray, h: float, y: np.ndarray) -> np.ndarray:
-    """One RK4 step from each y[k] (2x2 identities give the transfer
-    matrices; state columns give the next states) under the stage
-    Hamiltonians h_half[2k], h_half[2k+1], h_half[2k+2]."""
-    a0, a1, a2 = -1j * h_half[0:-1:2], -1j * h_half[1::2], -1j * h_half[2::2]
-    k1 = _mul(a0, y)
-    k2 = _mul(a1, y + 0.5 * h * k1)
-    k3 = _mul(a1, y + 0.5 * h * k2)
-    k4 = _mul(a2, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(a, h: float, y, k1):
+    """One RK4 step of column y under stage matrices a = (a0, a1, a2), the H
+    at t, t + h/2, t + h; ``k1`` is a0 @ y.  The stage slopes are -i*(a @ y):
+    the exact factor -i rides on the step scalars, so ``a`` can be views."""
+    half, full = -0.5j * h, -1j * h
+    k2 = _apply(a[1], [yi + half * ki for yi, ki in zip(y, k1)])
+    k3 = _apply(a[1], [yi + half * ki for yi, ki in zip(y, k2)])
+    k4 = _apply(a[2], [yi + full * ki for yi, ki in zip(y, k3)])
+    return [yi + (full / 6.0) * (ki1 + 2.0 * ki2 + 2.0 * ki3 + ki4)
+            for yi, ki1, ki2, ki3, ki4 in zip(y, k1, k2, k3, k4)]
+
+
+def _stages(h_half: np.ndarray):
+    """Views of H at each step's stage times: three component-major 2x2
+    matrices (rows 0, 2, ...; 1, 3, ...; 2, 4, ... of the table)."""
+    end = len(h_half)
+    return tuple(tuple(h_half[s:end - 2 + s:2, i, j] for i in (0, 1)
+                       for j in (0, 1)) for s in (0, 1, 2))
+
+
+def _block_size(steps: int) -> int:
+    """Block length b of the scan: about sqrt(steps)/2 balances its b
+    vectorized in-block iterations against a state's steps/b block ends."""
+    return max(1, round(np.sqrt(steps) / 2))
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixScan:
+    """RK4 transfer-matrix prefix products of one table, for any psi0.
+
+    Steps are cut into blocks of ``b``; ``prefix[:, :, i, j]`` is the product
+    of the transfer matrices of steps i*b .. i*b + j (identities pad the last
+    block).  A state is carried across the block ends by the last column,
+    then every sample is one product of a prefix with its block's start
+    state, so each state costs only about steps/b scalar products.
+    """
+
+    grid: TimeGrid
+    h_half: np.ndarray  # kept to name the failing step of a blow-up
+    prefix: np.ndarray  # (2, 2, blocks, b)
+
+    def apply(self, psi0: np.ndarray, initial_condition: str = "custom"
+              ) -> StateTrajectory:
+        """RK4 trajectory from a two-component psi0; see :func:`propagate`."""
+        psi = np.asarray(psi0, dtype=complex)
+        if psi.shape != (2,):
+            raise ValueError("psi0 must be a two-component vector")
+        pre = self.prefix.reshape(4, -1, self.prefix.shape[-1])
+        s0, s1 = complex(psi[0]), complex(psi[1])
+        start0, start1 = [s0], [s1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m00, m01, m10, m11 in zip(*pre[:, :-1, -1].tolist()):
+                s0, s1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
+                start0.append(s0)
+                start1.append(s1)
+            out = np.empty((self.grid.n_points, 2), dtype=complex)
+            out[0] = psi
+            for col, val in enumerate(_apply(pre, (np.array(start0)[:, None],
+                                                   np.array(start1)[:, None]))):
+                out[1:, col] = val.reshape(-1)[:self.grid.steps]
+        finite = np.all(np.isfinite(out), axis=1)
+        if not np.all(finite):
+            # The stage vectors outgrow the state, so a step-by-step RK4 loop
+            # overflows a few steps before the product does: rerun the stages
+            # from the finite samples to name the same step.
+            last = int(np.argmin(finite))
+            a = _stages(self.h_half[:2 * last + 1])
+            y = (out[:last, 0], out[:last, 1])
+            with np.errstate(over="ignore", invalid="ignore"):
+                nxt = _rk4_step(a, self.grid.step, y, _apply(a[0], y))
+            bad = ~(np.isfinite(nxt[0]) & np.isfinite(nxt[1]))
+            k = int(np.argmax(bad)) + 1 if np.any(bad) else last
+            raise NonFinite(f"state blew up near t={self.grid.samples[k]:g}")
+        return StateTrajectory(grid=self.grid, psi=out,
+                               initial_condition=initial_condition)
+
+
+def prefix_scan(h_half: np.ndarray, grid: TimeGrid) -> PrefixScan:
+    """Blocked prefix scan of the RK4 transfer matrices of a table.
+
+    ``h_half`` is H on ``grid.refine(2)``, shape (2*steps + 1, 2, 2): step k
+    reads its stages from rows 2k, 2k+1, 2k+2.  The in-block products take
+    b vectorized iterations, each across all blocks at once.
+    """
+    h_half = np.asarray(h_half)
+    if h_half.shape != (2 * grid.steps + 1, 2, 2):
+        raise ValueError("h_half must hold H at every half step of the grid")
+    n, h = grid.steps, grid.step
+    b = _block_size(n)
+    blocks = -(-n // b)
+    p = np.zeros((2, 2, blocks, b), dtype=complex)
+    m = p.reshape(4, -1)
+    m[0, n:] = m[3, n:] = 1.0
+    a = _stages(h_half)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m[0, :n], m[2, :n] = _rk4_step(a, h, (1.0, 0.0), (a[0][0], a[0][2]))
+        m[1, :n], m[3, :n] = _rk4_step(a, h, (0.0, 1.0), (a[0][1], a[0][3]))
+        for j in range(1, b):
+            x, y = p[..., j], p[..., j - 1]
+            r = x[:, 0, None] * y[0]
+            r += x[:, 1, None] * y[1]
+            p[..., j] = r
+    return PrefixScan(grid=grid, h_half=h_half, prefix=p)
 
 
 def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid,
@@ -94,38 +183,7 @@ def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid,
     NonFinite when the state blows up (e.g. runaway gain), naming the first
     sample at which a step's stages overflow.
     """
-    h_half = np.asarray(h_half)
-    if h_half.shape != (2 * grid.steps + 1, 2, 2):
-        raise ValueError("h_half must hold H at every half step of the grid")
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (2,):
-        raise ValueError("psi0 must be a two-component vector")
-    p0, p1 = complex(psi[0]), complex(psi[1])
-    out0, out1 = [p0], [p1]
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (_BLOCK_STEPS, 2, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, grid.steps, _BLOCK_STEPS):
-            stop = min(start + _BLOCK_STEPS, grid.steps)
-            m = _rk4_stages(h_half[2 * start:2 * stop + 1], grid.step,
-                            eye[:stop - start])
-            for a, b, c, d in zip(*m.reshape(-1, 4).T.tolist()):
-                p0, p1 = a * p0 + b * p1, c * p0 + d * p1
-                out0.append(p0)
-                out1.append(p1)
-    out = np.column_stack((out0, out1))
-    finite = np.all(np.isfinite(out), axis=1)
-    if not np.all(finite):
-        # The stage vectors outgrow the state, so a step-by-step RK4 loop
-        # overflows a few steps before the product does: rerun the stages
-        # from the finite samples to name the same step.
-        last = int(np.argmin(finite))
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = _rk4_stages(h_half[:2 * last + 1], grid.step,
-                              out[:last, :, None])
-        bad = ~np.all(np.isfinite(nxt), axis=(1, 2))
-        k = int(np.argmax(bad)) + 1 if np.any(bad) else last
-        raise NonFinite(f"state blew up near t={grid.samples[k]:g}")
-    return StateTrajectory(grid=grid, psi=out, initial_condition=initial_condition)
+    return prefix_scan(h_half, grid).apply(psi0, initial_condition)
 
 
 def _tabulate(h_total: HamiltonianFn, grid: TimeGrid) -> np.ndarray:
@@ -176,12 +234,12 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
     )
 
 
-def step_halving_gap(coarse: StateTrajectory, h_quarter: np.ndarray) -> float:
+def step_halving_gap(coarse: StateTrajectory, fine: PrefixScan) -> float:
     """Max-norm gap between ``coarse`` and its half-step rerun at the shared
-    samples.  ``h_quarter`` is H on ``coarse.grid.refine(4)``; the coarse run
-    must have used ``h_quarter[::2]``."""
-    fine = propagate(h_quarter, coarse.psi[0], coarse.grid.refine(2))
-    return float(np.max(np.abs(coarse.psi - fine.psi[::2])))
+    samples.  ``fine`` scans H on ``coarse.grid.refine(4)``; the coarse run
+    must have used every second row of that table."""
+    rerun = fine.apply(coarse.psi[0])
+    return float(np.max(np.abs(coarse.psi - rerun.psi[::2])))
 
 
 def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,
@@ -191,4 +249,5 @@ def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,
     if grid.steps % 2 != 0:
         raise ValueError("convergence check expects an even number of steps")
     h_quarter = _tabulate(h_total, grid.refine(4))
-    return step_halving_gap(propagate(h_quarter[::2], psi0, grid), h_quarter)
+    return step_halving_gap(propagate(h_quarter[::2], psi0, grid),
+                            prefix_scan(h_quarter, grid.refine(2)))

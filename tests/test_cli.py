@@ -33,6 +33,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_verify_leaves_scipy_unloaded(tmp_path):
+    import subprocess
+    import sys
+    code = ("import sys; from nhsta.cli import main; "
+            f"code = main(['verify', '--out', {str(tmp_path)!r}]); "
+            "print(code, 'scipy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 class TestConfig:
     def test_file_parsing_with_comments(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -180,6 +191,23 @@ class TestSweep:
             assert rows["max_abs_g_minus"][i] == meta["max_abs_g_minus"]
         fig4 = json.loads((fig_dir / "figure4_manifest.json").read_text())
         assert rows["p0_renorm_final"][2] == fig4["runs"][0]["p0_renorm_final"]
+        assert rows["certified"] == ["True"] * 3
+        sweep = json.loads((sweep_dir / "sweep_manifest.json").read_text())
+        assert [run["certified"] for run in sweep["runs"]] == [True] * 3
+
+    def test_uncertified_rows_flagged(self, tmp_path, capsys):
+        # just above gamma = 2*omega0 the default grid under-resolves the
+        # supplement: the rows are still written, but flagged
+        assert main(["sweep", "--gamma", "0.3,2.1", "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert rows["certified"] == ["True", "False"]
+        assert rows["convergence"][1] > 1e-7
+        runs = json.loads((tmp_path / "sweep_manifest.json").read_text())["runs"]
+        assert [run["certified"] for run in runs] == [True, False]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("uncertified: gamma=2.1 "
+                                 "policy=hermitian-realizable")
 
     def test_supercritical_row_emitted(self, tmp_path):
         assert main(["sweep", "--gamma", "3", "--steps", "1000",

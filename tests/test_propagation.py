@@ -6,11 +6,13 @@ from scipy.integrate import cumulative_trapezoid
 from conftest import ae_params
 from nhsta.errors import NonFinite
 
-from nhsta.experiments import run_allen_eberly
+from nhsta.experiments import (INITIAL_STATES, POLICIES, ae_pulse_and_grid,
+                               run_allen_eberly, run_shortcut, shortcut_table)
 from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
-from nhsta.propagation import (StateTrajectory, amplitudes, convergence_check,
-                               integrate, propagate)
+from nhsta.propagation import (StateTrajectory, _block_size, amplitudes,
+                               convergence_check, integrate, prefix_scan,
+                               propagate)
 from nhsta.two_level import (allen_eberly, eigenvalue_path, hamiltonian,
                              mixing_angle_path, mixing_angle_rate, theta_at)
 
@@ -175,12 +177,35 @@ class TestPropagate:
         assert np.max(np.abs(got.psi - want)) <= 1e-13
 
     def test_block_boundaries_are_seamless(self):
-        # more steps than one batch of transfer matrices
+        # the scan's last block is padded with identities
         h_total = lossy_chirp(1.0)
         grid = TimeGrid(-1.0, 1.0, 5001)
         psi0 = np.array([1, 0], dtype=complex)
         want = per_step_rk4(h_total, psi0, grid)
         assert np.max(np.abs(integrate(h_total, psi0, grid).psi - want)) <= 1e-13
+
+    # 2 and 3: one step per block; 899/900/901: one step short of a whole
+    # number of blocks, exactly, one past; 997 prime; 8000 the sweep's rerun.
+    @pytest.mark.parametrize("steps", [2, 3, 899, 900, 901, 997, 8000])
+    def test_blocked_scan_matches_per_step_rk4(self, steps):
+        assert 900 % _block_size(900) == 0
+        assert _block_size(899) == _block_size(901) == _block_size(900) > 1
+        h_total = lossy_chirp(3.0)
+        grid = TimeGrid(-1.0, 1.0, steps)
+        psi0 = np.array([0.6, 0.8j])
+        want = per_step_rk4(h_total, psi0, grid)
+        got = propagate(h_total(grid.refine(2).samples), psi0, grid)
+        assert np.max(np.abs(got.psi - want)) <= 1e-13
+
+    def test_states_sharing_a_scan_equal_single_runs_bitwise(self):
+        h_total = lossy_chirp(1.0)
+        grid = TimeGrid(-1.0, 1.0, 4001)
+        h_half = h_total(grid.refine(2).samples)
+        scan = prefix_scan(h_half, grid)
+        for psi0 in ([1, 0], [0, 1], [0.6, 0.8j], [1e-3, -2.0 + 1j]):
+            psi0 = np.array(psi0, dtype=complex)
+            assert np.array_equal(scan.apply(psi0).psi,
+                                  propagate(h_half, psi0, grid).psi)
 
     def test_rejects_table_of_wrong_length(self):
         grid = TimeGrid(0, 1, 10)
@@ -303,6 +328,21 @@ class TestConvergence:
                                with_convergence=True)
         assert run.convergence <= 1e-7
         assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_shared_table_equals_single_runs_bitwise(self, policy):
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(3.0), 1000)
+        table = shortcut_table(pulse, grid, policy=policy, regime=regime,
+                               with_convergence=True)
+        for state in INITIAL_STATES:
+            shared = table.run(state)
+            alone = run_shortcut(pulse, grid, policy=policy,
+                                 initial_state=state, regime=regime,
+                                 with_convergence=True)
+            assert np.array_equal(shared.trajectory.psi, alone.trajectory.psi)
+            assert np.array_equal(shared.amps.g_plus, alone.amps.g_plus)
+            assert shared.convergence == alone.convergence
+            assert repr(shared.metrics) == repr(alone.metrics)  # NaN-safe
 
     def test_odd_step_count_rejected(self):
         with pytest.raises(ValueError):
