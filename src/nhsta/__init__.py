@@ -30,7 +30,7 @@ from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         eigenvalue_path, eigenvalues, eigenvectors,
                         hamiltonian, mixing_angle_path, radicand)
 from .experiments import (ShortcutRun, ShortcutTable, run_allen_eberly,
-                          run_shortcut, shortcut_table, theta_series,
-                          zplane_series)
+                          run_shortcut, shortcut_table, shortcut_tables,
+                          theta_series, zplane_series)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

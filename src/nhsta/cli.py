@@ -1,7 +1,8 @@
 """Command-line driver: figure pipelines, verification suite, sweeps.
 
-Exit statuses: 0 success, 1 check failure, 2 configuration error,
-3 numerical error (non-finite values, branch tracking, degeneracy).
+Exit statuses: 0 success, 1 check failure or stdout closed early,
+2 configuration error, 3 numerical error (non-finite values, branch
+tracking, degeneracy).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .errors import (BranchJump, ConfigError, DegenerateRegime,
                      DegenerateSpectrum, InconsistentChoice, NonFinite,
                      SinThetaSingular, TanPole, ZeroGauge)
 from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
-                          shortcut_table, theta_series, zplane_series)
+                          shortcut_tables, theta_series, zplane_series)
 from .grids import TimeGrid
 from .propagation import integrate
 from .synthesis import POLICY_HERMITIAN
@@ -194,30 +195,41 @@ def cmd_figure4(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _shared_table_runs(cfg: ExperimentConfig, gamma: float, policy: str):
-    """(initial state, wall time, metrics) of every initial state, all run
-    from one certified table; each wall time includes an equal share of the
-    table's build time."""
+def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
+    """(policy, initial state, wall time, metrics) of every policy and
+    initial state of one decay rate.  The policies share one angle path and
+    H0, and each policy's initial states share one certified table.  Each
+    wall time includes an equal share of its table's build time and of the
+    decay rate's shared build time."""
     t0, t_f = cfg.window
     started = time.perf_counter()
-    table = shortcut_table(cfg.pulse_for(gamma), TimeGrid(t0, t_f, cfg.steps),
-                           policy=policy,
-                           regime=classify_regime(cfg.omega0, gamma),
-                           with_convergence=True)
-    share = (time.perf_counter() - started) / len(cfg.initial_states)
+    tables = shortcut_tables(cfg.pulse_for(gamma), TimeGrid(t0, t_f, cfg.steps),
+                             cfg.policies,
+                             regime=classify_regime(cfg.omega0, gamma),
+                             with_convergence=True)
+    n_states = len(cfg.initial_states)
+    gamma_share = ((time.perf_counter() - started)
+                   / (len(cfg.policies) * n_states))
     runs = []
-    for initial in cfg.initial_states:
+    for policy in cfg.policies:
         started = time.perf_counter()
-        metrics = table.run(initial).metrics
-        runs.append((initial, share + time.perf_counter() - started, metrics))
+        table = next(tables)
+        share = gamma_share + (time.perf_counter() - started) / n_states
+        for initial in cfg.initial_states:
+            started = time.perf_counter()
+            metrics = table.run(initial).metrics
+            runs.append((policy, initial, share + time.perf_counter() - started,
+                         metrics))
+        del table  # free it before the next policy's table is built
     return runs
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     """Cross-product gamma x policy x initial state, one metrics row each.
 
-    Each (gamma, policy) table is built once and run from every initial
-    state.  Uncertified rows are flagged in the table and on stderr.
+    The policies of each gamma share one angle path and H0; each (gamma,
+    policy) table is built once and run from every initial state.
+    Uncertified rows are flagged in the table and on stderr.
     """
     cfg.validate(require_gammas=True)
     out = OutputSet(cfg, "sweep")
@@ -226,19 +238,18 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
               "convergence", "certified"]
     rows: list = []
     for gamma in cfg.gammas():
-        for policy in cfg.policies:
-            for initial, elapsed, m in _shared_table_runs(cfg, gamma, policy):
-                rows.append([gamma, policy, initial]
-                            + [m[name] for name in header[3:]])
-                out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                            wall_time_s=elapsed, **m)
-                if not m["certified"]:
-                    print(f"uncertified: gamma={gamma:g} policy={policy} "
-                          f"initial_state={initial} "
-                          f"convergence={m['convergence']:.3e} "
-                          f"(bound {CONVERGENCE_BOUND:g}) "
-                          f"max_residual={m['max_residual']:.3e} "
-                          f"(bound {RESIDUAL_BOUND:g})", file=sys.stderr)
+        for policy, initial, elapsed, m in _shared_table_runs(cfg, gamma):
+            rows.append([gamma, policy, initial]
+                        + [m[name] for name in header[3:]])
+            out.add_run(gamma=gamma, policy=policy, initial_state=initial,
+                        wall_time_s=elapsed, **m)
+            if not m["certified"]:
+                print(f"uncertified: gamma={gamma:g} policy={policy} "
+                      f"initial_state={initial} "
+                      f"convergence={m['convergence']:.3e} "
+                      f"(bound {CONVERGENCE_BOUND:g}) "
+                      f"max_residual={m['max_residual']:.3e} "
+                      f"(bound {RESIDUAL_BOUND:g})", file=sys.stderr)
     out.emit("sweep", header, list(map(list, zip(*rows))))
     out.write_manifest()
     return 0
@@ -380,7 +391,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             out=args.out,
             format=args.format,
         )
-        return COMMANDS[args.command](cfg)
+        status = COMMANDS[args.command](cfg)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `nh-sta verify | head`): send
+        # what is still buffered to devnull so the exit flush stays quiet.
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -3,14 +3,16 @@
 A table builds the branch-continuous mixing-angle path on a quarter-step
 grid (so the RK4 stages of the run and of its half-step certification rerun
 are all tabulated), synthesizes the requested supplement policy, and scans
-the RK4 transfer matrices.  A run applies a table to one initial state: it
-propagates the bare-basis state and extracts raw/modified amplitudes and
-populations.
+the RK4 transfer matrices.  The angle path, its trigonometric functions, H0
+and the eigenvalues do not depend on the policy, so the tables of several
+policies for one pulse share them.  A run applies a table to one initial
+state: it propagates the bare-basis state and extracts raw/modified
+amplitudes and populations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -25,10 +27,10 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
                         assemble_h1_series, closed_form_gplus,
                         general_family_omega_zero, hermitian_realizable,
                         matched_gauge, naive_cd, nullification_residual)
-from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
-                        PulseSpec, allen_eberly, branch_argument,
-                        classify_regime, eigenvalue_path, hamiltonian,
-                        mixing_angle_path, radicand)
+from .two_level import (TRIG_FIELDS, AllenEberlyParams, BranchRegime,
+                        MixingAnglePath, PulseSpec, allen_eberly,
+                        branch_argument, classify_regime, eigenvalue_path,
+                        hamiltonian, mixing_angle_path, radicand)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
@@ -77,8 +79,8 @@ class ShortcutTable:
                 f"unknown initial state {initial_state!r}; expected one of "
                 f"{INITIAL_STATES}")
         if initial_state == INITIAL_EIGEN_PLUS:
-            th0 = self.theta.theta[0]
-            psi0 = np.array([np.cos(th0 / 2.0), np.sin(th0 / 2.0)], dtype=complex)
+            psi0 = np.array([self.theta.cos_half[0], self.theta.sin_half[0]],
+                            dtype=complex)
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
         traj = self.coarse.apply(psi0, initial_condition=initial_state)
@@ -122,46 +124,60 @@ class ShortcutRun(ShortcutTable):
         }
 
 
-def _coefficients(policy: str, theta_path: MixingAnglePath
-                  ) -> Optional[SupplementCoefficients]:
-    if policy == POLICY_HERMITIAN:
-        return hermitian_realizable(theta_path)
-    if policy == POLICY_OMEGA_ZERO:
-        return general_family_omega_zero(theta_path)
-    if policy == POLICY_NAIVE:
-        return None
-    raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-
-
 def _every(n: int, obj, grid: TimeGrid, names: tuple):
     """``obj`` on ``grid``, keeping every n-th sample of the named arrays."""
     return replace(obj, grid=grid, **{
         f: np.asarray(getattr(obj, f))[::n].copy() for f in names})
 
 
-def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
-                   policy: str = POLICY_HERMITIAN,
-                   regime: Optional[BranchRegime] = None,
-                   with_convergence: bool = False,
-                   with_frame_check: bool = False) -> ShortcutTable:
-    """Angle path, supplement, gauges and RK4 prefix products of a run.
+def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
+                    policies: tuple = POLICIES,
+                    regime: Optional[BranchRegime] = None,
+                    with_convergence: bool = False,
+                    with_frame_check: bool = False) -> Iterator[ShortcutTable]:
+    """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
-    H0 + H1 is tabulated once on the quarter-step grid: the run propagates
-    on every second row, and certification reruns at half step on all rows.
+    The policy-independent part is built here, once: the angle path and its
+    trigonometric functions and H0 on the quarter-step grid, and the
+    eigenvalues on the run grid.  Each policy's table is built only when the
+    returned generator is advanced, so at most one is alive at a time when
+    the caller drops each before asking for the next.
     """
     quarter = grid.refine(4)
     theta_q = mixing_angle_path(pulse, quarter, regime)
     regime = theta_q.regime
-    theta = _every(4, theta_q, grid, ("theta", "dtheta"))
+    theta = _every(4, theta_q, grid, ("theta", "dtheta") + TRIG_FIELDS)
     e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
+    h0_q = hamiltonian(pulse, quarter.samples)
+    return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
+                          with_convergence, with_frame_check)
+            for policy in policies)
 
-    coeffs_q = _coefficients(policy, theta_q)
-    if coeffs_q is None:
-        coeffs, h1_q = None, naive_cd(theta_q)
+
+def _supplement(policy: str, theta_q: MixingAnglePath, grid: TimeGrid
+                ) -> tuple[Optional[SupplementCoefficients], np.ndarray]:
+    """The policy's coefficients on the run grid (None for the naive term)
+    and its H1 on the quarter-step grid of ``theta_q``."""
+    if policy == POLICY_HERMITIAN:
+        coeffs_q = hermitian_realizable(theta_q)
+    elif policy == POLICY_OMEGA_ZERO:
+        coeffs_q = general_family_omega_zero(theta_q)
+    elif policy == POLICY_NAIVE:
+        return None, naive_cd(theta_q)
     else:
-        coeffs = _every(4, coeffs_q, grid, ("delta_plus", "delta_minus", "omega"))
-        h1_q = assemble_h1_series(coeffs_q)
-    h_quarter = hamiltonian(pulse, quarter.samples) + h1_q
+        raise ConfigError(
+            f"unknown policy {policy!r}; expected one of {POLICIES}")
+    return (_every(4, coeffs_q, grid, ("delta_plus", "delta_minus", "omega")),
+            assemble_h1_series(coeffs_q))
+
+
+def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
+                  with_convergence, with_frame_check) -> ShortcutTable:
+    """One policy's supplement, H0 + H1 table, scans, gauges and checks on
+    the run grid of ``theta`` (its temporaries are freed on return)."""
+    grid = theta.grid
+    coeffs, h_quarter = _supplement(policy, theta_q, grid)
+    h_quarter += h0_q  # H1 is this table's own array: add H0 in place
     coarse = prefix_scan(h_quarter[::2], grid)
     fine = prefix_scan(h_quarter, grid.refine(2)) if with_convergence else None
 
@@ -180,11 +196,27 @@ def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
             pulse=pulse if with_frame_check else None,
             gauges=gauges if with_frame_check else None)
 
-    return ShortcutTable(pulse=pulse, grid=grid, regime=regime, policy=policy,
+    return ShortcutTable(pulse=pulse, grid=grid, regime=theta.regime,
+                         policy=policy,
                          theta=theta, e_plus=e_plus, e_minus=e_minus,
                          gauges=gauges, coeffs=coeffs,
                          g_plus_closed=g_plus_closed, residual=residual,
                          coarse=coarse, fine=fine)
+
+
+def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
+                   policy: str = POLICY_HERMITIAN,
+                   regime: Optional[BranchRegime] = None,
+                   with_convergence: bool = False,
+                   with_frame_check: bool = False) -> ShortcutTable:
+    """Angle path, supplement, gauges and RK4 prefix products of a run.
+
+    H0 + H1 is tabulated once on the quarter-step grid: the run propagates
+    on every second row, and certification reruns at half step on all rows.
+    The one-policy case of :func:`shortcut_tables`.
+    """
+    return next(shortcut_tables(pulse, grid, (policy,), regime,
+                                with_convergence, with_frame_check))
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
@@ -240,6 +272,6 @@ def theta_series(pulse: PulseSpec, grid: TimeGrid,
 __all__ = [
     "POLICY_OMEGA_ZERO", "POLICIES", "INITIAL_STATES", "CONVERGENCE_BOUND",
     "RESIDUAL_BOUND", "ShortcutRun", "ShortcutTable", "shortcut_table",
-    "run_shortcut", "run_allen_eberly", "ae_pulse_and_grid", "zplane_series",
-    "theta_series",
+    "shortcut_tables", "run_shortcut", "run_allen_eberly", "ae_pulse_and_grid",
+    "zplane_series", "theta_series",
 ]

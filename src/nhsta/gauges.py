@@ -96,7 +96,7 @@ def matched_delta(theta_path: MixingAnglePath,
     linearly over the unguarded samples (0 if every sample is guarded).  A
     vanishing denominator with a surviving numerator raises SinThetaSingular.
     """
-    re_sin = np.sin(theta_path.theta).real
+    re_sin = theta_path.sin.real
     num = theta_path.dtheta.imag
     small = np.abs(re_sin) < eps_singular
     bad = small & (np.abs(num) >= eps_singular)
@@ -123,7 +123,7 @@ def gauge_shortcut(e_plus: np.ndarray, e_minus: np.ndarray,
     to the simple rule with h_- = 0.
     """
     delta = matched_delta(theta_path, eps_singular)
-    u_plus = np.asarray(e_plus).imag + 0.5 * delta * np.cos(theta_path.theta).imag
+    u_plus = np.asarray(e_plus).imag + 0.5 * delta * theta_path.cos.imag
     u_minus = np.asarray(e_minus).imag
     return gauge_from_integrands(grid, u_plus.astype(complex),
                                  u_minus.astype(complex),

@@ -210,8 +210,7 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
         raise ValueError("trajectory, theta path, and gauges must share the grid")
     if traj.psi.shape[1] != 2:
         raise ValueError("two-level trajectories only")
-    c = np.cos(theta_path.theta / 2.0)
-    s = np.sin(theta_path.theta / 2.0)
+    c, s = theta_path.cos_half, theta_path.sin_half
     psi0, psi1 = traj.psi[:, 0], traj.psi[:, 1]
     c_plus = c * psi0 + s * psi1
     c_minus = s * psi0 - c * psi1

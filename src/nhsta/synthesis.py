@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InconsistentChoice, PolicyMismatch
 from .gauges import (EPS_SINGULAR, GaugeFunctions, gauge_from_integrands,
-                     matched_delta, rotation)
+                     matched_delta)
 from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath, PulseSpec, hamiltonian
 
@@ -125,10 +125,10 @@ def naive_cd(theta_path: MixingAnglePath,
     ts = theta_path.grid.samples
     ep = _as_array(eps_plus, ts)
     em = _as_array(eps_minus, ts)
-    th, dth = theta_path.theta, theta_path.dtheta
-    c2 = np.cos(th / 2.0) ** 2
-    s2 = np.sin(th / 2.0) ** 2
-    half_sin = 0.5 * np.sin(th)
+    dth = theta_path.dtheta
+    c2 = theta_path.cos_half ** 2
+    s2 = theta_path.sin_half ** 2
+    half_sin = 0.5 * theta_path.sin
     out = np.empty((len(ts), 2, 2), dtype=complex)
     out[:, 0, 0] = 0.5j * (ep * c2 + em * s2)
     out[:, 0, 1] = 0.5j * (half_sin * (ep - em) - dth)
@@ -148,8 +148,7 @@ def hermitian_realizable(theta_path: MixingAnglePath, common_shift: float = 0.0,
     shift only adds a global phase to the surviving amplitude.
     """
     delta = matched_delta(theta_path, eps_singular)
-    sin_th = np.sin(theta_path.theta)
-    omega_a = -theta_path.dtheta.real - delta * sin_th.imag
+    omega_a = -theta_path.dtheta.real - delta * theta_path.sin.imag
     return SupplementCoefficients(
         grid=theta_path.grid,
         delta_plus=delta + common_shift,
@@ -173,8 +172,8 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
     ts = theta_path.grid.samples
     lam = _as_array(lambda_choice, ts)
     re_om = _as_array(re_omega, ts).real
-    th, dth = theta_path.theta, theta_path.dtheta
-    zeta = re_om * np.cos(th)
+    dth = theta_path.dtheta
+    zeta = re_om * theta_path.cos
 
     constraint = dth.imag - (lam.real - zeta.real)
     scale = 1.0 + np.abs(dth)
@@ -187,7 +186,7 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
         )
 
     im_om = -dth.real - lam.imag + zeta.imag
-    sin_th = np.sin(th)
+    sin_th = theta_path.sin
     tiny = np.abs(sin_th) < 1e-12
     if np.any(tiny & (np.abs(lam) >= 1e-12)):
         k = int(np.argmax(tiny & (np.abs(lam) >= 1e-12)))
@@ -243,12 +242,9 @@ def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
     Generalizes the shortcut gauge to any leak-cancelling policy:
     u_+ = Im[E_+ + (d+ cos^2(theta/2) + d- sin^2(theta/2) + Re[W] sin theta)/2].
     """
-    th = theta_path.theta
-    c2 = np.cos(th / 2.0) ** 2
-    s2 = np.sin(th / 2.0) ** 2
-    diag = 0.5 * (np.asarray(coeffs.delta_plus) * c2
-                  + np.asarray(coeffs.delta_minus) * s2
-                  + np.asarray(coeffs.omega).real * np.sin(th))
+    diag = 0.5 * (np.asarray(coeffs.delta_plus) * theta_path.cos_half ** 2
+                  + np.asarray(coeffs.delta_minus) * theta_path.sin_half ** 2
+                  + np.asarray(coeffs.omega).real * theta_path.sin)
     u_plus = (np.asarray(e_plus) + diag).imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
     return gauge_from_integrands(theta_path.grid, u_plus, u_minus,
@@ -271,11 +267,10 @@ def nullification_residual(theta_path: MixingAnglePath,
     """
     if coeffs.grid != theta_path.grid:
         raise ValueError("coefficients and theta path must share the grid")
-    th, dth = theta_path.theta, theta_path.dtheta
     split = np.asarray(coeffs.delta_plus) - np.asarray(coeffs.delta_minus)
     om = np.asarray(coeffs.omega)
-    residual = (0.5 * split * np.sin(th) + 1j * om.imag
-                - om.real * np.cos(th) + 1j * dth)
+    residual = (0.5 * split * theta_path.sin + 1j * om.imag
+                - om.real * theta_path.cos + 1j * theta_path.dtheta)
     report_kwargs = {}
     if pulse is not None and gauges is not None:
         plain, rich = _frame_coupling(theta_path, coeffs, pulse, gauges)
@@ -295,20 +290,29 @@ def nullification_residual(theta_path: MixingAnglePath,
 
 def _frame_coupling(theta_path, coeffs, pulse, gauges):
     """|(R~^dag (H0+H1) R - i R~^dag dR/dt)[1, 0]| with plain central and
-    Richardson-extrapolated frame derivatives (interior points only)."""
+    Richardson-extrapolated frame derivatives (interior points only).
+
+    Only what reaches entry (1, 0) is formed: column 0 of R, f_+ (c, s),
+    and row 1 of R~^dag, (s, -c)/f_- (R~ is built from conj(theta), so its
+    conjugate carries c = cos(theta/2) and s = sin(theta/2) again).
+    """
     grid = theta_path.grid
     h = grid.step
-    rot = rotation(theta_path.theta, (gauges.f_plus, gauges.f_minus))
-    r, inner = rot.r, slice(2, grid.n_points - 2)
-    d1 = (r[3:-1] - r[1:-3]) / (2.0 * h)
-    d2 = (r[4:] - r[:-4]) / (4.0 * h)
-    d_rich = (4.0 * d1 - d2) / 3.0
-    rtd = rot.r_tilde[inner].conj().swapaxes(-1, -2)
-    h_tot = hamiltonian(pulse, grid.samples) + assemble_h1_series(coeffs)
-    static = rtd @ h_tot[inner] @ r[inner]
+    inner = slice(2, grid.n_points - 2)
+    c, s = theta_path.cos_half, theta_path.sin_half
+    col = (gauges.f_plus * c, gauges.f_plus * s)
+    f_minus = gauges.f_minus[inner]
+    row = (s[inner] / f_minus, -c[inner] / f_minus)
+    h_tot = (hamiltonian(pulse, grid.samples) + assemble_h1_series(coeffs))[inner]
+    h_col = [h_tot[:, i, 0] * col[0][inner] + h_tot[:, i, 1] * col[1][inner]
+             for i in (0, 1)]
+    static = row[0] * h_col[0] + row[1] * h_col[1]
+    d1 = [(x[3:-1] - x[1:-3]) / (2.0 * h) for x in col]
+    d2 = [(x[4:] - x[:-4]) / (4.0 * h) for x in col]
     plain, rich = np.zeros((2, grid.n_points))
-    plain[inner] = np.abs((static - 1j * rtd @ d1)[:, 1, 0])
-    rich[inner] = np.abs((static - 1j * rtd @ d_rich)[:, 1, 0])
+    for out, d in ((plain, d1),
+                   (rich, [(4.0 * a - b) / 3.0 for a, b in zip(d1, d2)])):
+        out[inner] = np.abs(static - 1j * (row[0] * d[0] + row[1] * d[1]))
     return plain, rich
 
 
@@ -333,6 +337,6 @@ def closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
         raise ValueError("gauges and theta path must share the grid")
     delta = np.asarray(coeffs.delta_plus)
     integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
-                 + 0.5 * delta * np.cos(theta_path.theta))
+                 + 0.5 * delta * theta_path.cos)
     phase = cumulative_trapezoid(integrand, theta_path.grid.step)
     return np.exp(-1j * phase)

@@ -18,7 +18,7 @@ conj(theta).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -116,20 +116,43 @@ class BranchRegime(Enum):
         return "[0, 2pi)"
 
 
+#: the trigonometric functions of theta a path carries, in field order
+TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
+
+
 @dataclass(frozen=True)
 class MixingAnglePath:
-    """Branch-continuous complex mixing angle and its rate on a grid."""
+    """Branch-continuous complex mixing angle and its rate on a grid.
+
+    ``cos_half``, ``sin_half``, ``sin`` and ``cos`` hold cos(theta/2),
+    sin(theta/2), sin(theta) and cos(theta) on the grid, evaluated once per
+    path so every consumer reads the same values; when none is passed they
+    are computed from ``theta``.
+    """
 
     grid: TimeGrid
     theta: np.ndarray
     dtheta: np.ndarray
     regime: BranchRegime
     dtheta_provenance: str = "analytic"
+    cos_half: Optional[np.ndarray] = field(default=None, repr=False)
+    sin_half: Optional[np.ndarray] = field(default=None, repr=False)
+    sin: Optional[np.ndarray] = field(default=None, repr=False)
+    cos: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.grid.n_points
         if len(self.theta) != n or len(self.dtheta) != n:
             raise ValueError("theta/dtheta length must match grid")
+        trig = [getattr(self, name) for name in TRIG_FIELDS]
+        if all(value is None for value in trig):
+            th = self.theta
+            trig = [np.cos(th / 2.0), np.sin(th / 2.0), np.sin(th), np.cos(th)]
+            for name, value in zip(TRIG_FIELDS, trig):
+                object.__setattr__(self, name, value)
+        if any(value is None or len(value) != n for value in trig):
+            raise ValueError("pass all of cos_half/sin_half/sin/cos on the "
+                             "grid, or none")
 
 
 def classify_regime(omega0: float, gamma: float) -> BranchRegime:
@@ -239,12 +262,8 @@ def _principal_theta(omega, a):
     omega = np.asarray(omega, dtype=complex)
     a = np.asarray(a, dtype=complex)
     use_cot = np.abs(a) < np.abs(omega)
-    # guard the inactive denominator of each lane
-    safe_a = np.where(use_cot, 1.0, a)
-    safe_om = np.where(use_cot, omega, 1.0)
-    direct = np.arctan(-omega / safe_a)
-    cot = 0.5 * np.pi - np.arctan(-a / safe_om)
-    return np.where(use_cot, cot, direct)
+    at = np.arctan(-np.where(use_cot, a, omega) / np.where(use_cot, omega, a))
+    return np.where(use_cot, 0.5 * np.pi - at, at)
 
 
 def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,

@@ -44,6 +44,26 @@ def test_verify_leaves_scipy_unloaded(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered  # each print writes at once
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nhsta.cli", "verify", "--gamma", "0.3",
+         "--out", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before the first write
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in stderr
+    assert b"BrokenPipeError" not in stderr
+
+
 class TestConfig:
     def test_file_parsing_with_comments(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -1,4 +1,7 @@
 """RK4 integrator, amplitude extraction, and grid mechanics."""
+import weakref
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -7,14 +10,16 @@ from conftest import ae_params
 from nhsta.errors import NonFinite
 
 from nhsta.experiments import (INITIAL_STATES, POLICIES, ae_pulse_and_grid,
-                               run_allen_eberly, run_shortcut, shortcut_table)
+                               run_allen_eberly, run_shortcut, shortcut_table,
+                               shortcut_tables)
 from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
-from nhsta.propagation import (StateTrajectory, _block_size, amplitudes,
-                               convergence_check, integrate, prefix_scan,
-                               propagate)
-from nhsta.two_level import (allen_eberly, eigenvalue_path, hamiltonian,
-                             mixing_angle_path, mixing_angle_rate, theta_at)
+from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
+                               _block_size, amplitudes, convergence_check,
+                               integrate, prefix_scan, propagate)
+from nhsta.two_level import (TRIG_FIELDS, allen_eberly, eigenvalue_path,
+                             hamiltonian, mixing_angle_path, mixing_angle_rate,
+                             theta_at)
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -343,6 +348,56 @@ class TestConvergence:
             assert np.array_equal(shared.amps.g_plus, alone.amps.g_plus)
             assert shared.convergence == alone.convergence
             assert repr(shared.metrics) == repr(alone.metrics)  # NaN-safe
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
+    def test_policy_tables_of_one_pass_equal_single_runs_bitwise(self, gamma):
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
+        tables = shortcut_tables(pulse, grid, POLICIES, regime,
+                                 with_convergence=True, with_frame_check=True)
+        for policy, table in zip(POLICIES, tables):
+            assert table.policy == policy
+            for state in INITIAL_STATES:
+                shared = table.run(state)
+                alone = run_shortcut(pulse, grid, policy=policy,
+                                     initial_state=state, regime=regime,
+                                     with_convergence=True,
+                                     with_frame_check=True)
+                assert np.array_equal(shared.trajectory.psi,
+                                      alone.trajectory.psi)
+                for f in fields(AmplitudeTrajectory)[1:]:
+                    assert np.array_equal(getattr(shared.amps, f.name),
+                                          getattr(alone.amps, f.name))
+                assert shared.convergence == alone.convergence
+                if alone.residual is None:
+                    assert shared.residual is None
+                else:
+                    for name in ("residual", "frame_coupling",
+                                 "frame_coupling_plain"):
+                        assert np.array_equal(getattr(shared.residual, name),
+                                              getattr(alone.residual, name))
+                if alone.g_plus_closed is None:
+                    assert shared.g_plus_closed is None
+                else:
+                    assert np.array_equal(shared.g_plus_closed,
+                                          alone.g_plus_closed)
+
+    def test_one_policy_table_alive_at_a_time(self):
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), 1000)
+        tables = shortcut_tables(pulse, grid, POLICIES, regime,
+                                 with_convergence=True)
+        table = next(tables)
+        fine = weakref.ref(table.fine)
+        del table
+        next(tables)
+        assert fine() is None
+
+    def test_run_path_is_quarter_path_every_fourth_sample(self):
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(3.0), 1000)
+        path = shortcut_table(pulse, grid, regime=regime).theta
+        quarter = mixing_angle_path(pulse, grid.refine(4), regime)
+        for name in ("theta", "dtheta") + TRIG_FIELDS:
+            assert np.array_equal(getattr(path, name),
+                                  getattr(quarter, name)[::4])
 
     def test_odd_step_count_rejected(self):
         with pytest.raises(ValueError):

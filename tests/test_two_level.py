@@ -25,6 +25,18 @@ def constant_pulse(omega, delta, gamma):
     )
 
 
+def two_lane_principal_theta(omega, a):
+    """Reference: both arctangent lanes evaluated everywhere, one kept."""
+    omega = np.asarray(omega, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    use_cot = np.abs(a) < np.abs(omega)
+    safe_a = np.where(use_cot, 1.0, a)
+    safe_om = np.where(use_cot, omega, 1.0)
+    direct = np.arctan(-omega / safe_a)
+    cot = 0.5 * np.pi - np.arctan(-a / safe_om)
+    return np.where(use_cot, cot, direct)
+
+
 class TestHamiltonian:
     def test_all_controls_zero_gives_zero_matrix(self):
         h = hamiltonian(constant_pulse(0.0, 0.0, 0.0), 0.3)
@@ -197,6 +209,33 @@ class TestMixingAngle:
                 (want[k - 1] - principal[k]).real / np.pi)
         got = mixing_angle_path(pulse, grid).theta
         assert np.array_equal(got.view(float), want.view(float))
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_principal_theta_equals_two_lane_formula(self, gamma):
+        from nhsta.two_level import _principal_theta
+        pulse = allen_eberly(ae_params(gamma))
+        ts = TimeGrid(-1.0, 1.0, 16000).samples
+        a = pulse.delta(ts) - 0.5j * pulse.gamma(ts)
+        omega = pulse.omega_r(ts)
+        # add samples on the lane boundary |a| = |omega| (except a = -i|a|,
+        # a pole of the arctangent) and samples shrunk into the cot lane
+        off = a.real != 0
+        omega = np.concatenate((omega, np.abs(a[off]), omega))
+        a = np.concatenate((a, a[off], a / 4.0))
+        lanes = np.sign(np.abs(a) - np.abs(omega))
+        assert set(lanes) == {-1.0, 0.0, 1.0}
+        got = _principal_theta(omega, a)
+        assert np.array_equal(got, two_lane_principal_theta(omega, a))
+
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    def test_path_trig_equals_numpy_expressions(self, gamma):
+        path = mixing_angle_path(allen_eberly(ae_params(gamma)),
+                                 TimeGrid(-1.0, 1.0, 4000))
+        th = path.theta
+        assert np.array_equal(path.cos_half, np.cos(th / 2.0))
+        assert np.array_equal(path.sin_half, np.sin(th / 2.0))
+        assert np.array_equal(path.sin, np.sin(th))
+        assert np.array_equal(path.cos, np.cos(th))
 
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
         pulse = allen_eberly(ae_params(gamma=1.99))
