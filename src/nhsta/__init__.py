@@ -17,12 +17,12 @@ from .errors import (BranchJump, ConfigError, DegenerateRegime,
                      NonFinite, PolicyMismatch, SinThetaSingular, TanPole,
                      ZeroGauge)
 from .gauges import (FrameRotation, GaugeFunctions, adiabatic_frame_h0,
-                     gauge_shortcut, gauge_simple, matched_delta, rotation)
+                     gauge_simple, matched_delta, rotation)
 from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)
 from .synthesis import (SupplementCoefficients, NullificationReport,
-                        assemble_h1, closed_form_gplus, general_family,
+                        assemble_h1_series, closed_form_gplus, general_family,
                         general_family_omega_zero, hermitian_realizable,
                         matched_gauge, naive_cd, nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,

@@ -1,8 +1,8 @@
 """Command-line driver: figure pipelines, verification suite, sweeps.
 
-Exit statuses: 0 success, 1 check failure or stdout closed early,
-2 configuration error, 3 numerical error (non-finite values, branch
-tracking, degeneracy).
+Exit statuses: 0 success, 1 check failure, uncertified run or stdout
+closed early, 2 configuration error, 3 numerical error (non-finite values,
+branch tracking, degeneracy).
 """
 from __future__ import annotations
 
@@ -142,57 +142,66 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _run_for(cfg: ExperimentConfig, gamma: float, policy: str,
-             initial_state: str, with_convergence: bool = True):
-    pulse = cfg.pulse_for(gamma)
+def _flag_uncertified(gamma: float, policy: str, initial: str,
+                      metrics: dict) -> bool:
+    """Print one stderr line for an uncertified run; True if it was."""
+    if metrics["certified"]:
+        return False
+    print(f"uncertified: gamma={gamma:g} policy={policy} "
+          f"initial_state={initial} "
+          f"convergence={metrics['convergence']:.3e} "
+          f"(bound {CONVERGENCE_BOUND:g}) "
+          f"max_residual={metrics['max_residual']:.3e} "
+          f"(bound {RESIDUAL_BOUND:g})", file=sys.stderr)
+    return True
+
+
+def _population_figure(cfg: ExperimentConfig, command: str,
+                       default_gammas: tuple, header: Sequence[str],
+                       columns) -> int:
+    """One certified shortcut run per decay rate, emitted as ``header``
+    with t followed by ``columns(amps)``; status 1 if any run is
+    uncertified (every table and the manifest are still written)."""
+    cfg.validate(require_gammas=False)
+    out = OutputSet(cfg, command)
+    policy = _single(cfg.policies, "policy")
+    initial = _single(cfg.initial_states, "initial state")
     t0, t_f = cfg.window
     grid = TimeGrid(t0, t_f, cfg.steps)
-    regime = classify_regime(cfg.omega0, gamma)
-    started = time.perf_counter()
-    run = run_shortcut(pulse, grid, policy=policy, initial_state=initial_state,
-                       regime=regime, with_convergence=with_convergence)
-    elapsed = time.perf_counter() - started
-    return run, elapsed
+    uncertified = 0
+    for gamma in cfg.gammas(default_gammas):
+        pulse = cfg.pulse_for(gamma)
+        regime = classify_regime(cfg.omega0, gamma)
+        started = time.perf_counter()
+        run = run_shortcut(pulse, grid, policy=policy,
+                           initial_state=initial, regime=regime,
+                           with_convergence=True)
+        elapsed = time.perf_counter() - started
+        out.emit(f"{command}_gamma{_gamma_tag(gamma)}", header,
+                 [run.grid.samples] + columns(run.amps))
+        out.add_run(gamma=gamma, policy=policy, initial_state=initial,
+                    wall_time_s=elapsed, **run.metrics)
+        uncertified += _flag_uncertified(gamma, policy, initial, run.metrics)
+    out.write_manifest()
+    return 1 if uncertified else 0
 
 
 def cmd_figure3(cfg: ExperimentConfig) -> int:
     """Raw and modified eigenstate populations for the shortcut pipeline."""
-    cfg.validate(require_gammas=False)
-    out = OutputSet(cfg, "figure3")
-    policy = _single(cfg.policies, "policy")
-    initial = _single(cfg.initial_states, "initial state")
-    for gamma in cfg.gammas(FIGURE3_DEFAULT_GAMMAS):
-        run, elapsed = _run_for(cfg, gamma, policy, initial)
-        a = run.amps
-        out.emit(f"figure3_gamma{_gamma_tag(gamma)}",
-                 ["t", "c_plus_sq", "c_minus_sq", "g_plus_sq", "g_minus_sq"],
-                 [run.grid.samples,
-                  np.abs(a.c_plus) ** 2, np.abs(a.c_minus) ** 2,
-                  a.pop_phi_plus, a.pop_phi_minus])
-        out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                    wall_time_s=elapsed, **run.metrics)
-    out.write_manifest()
-    return 0
+    return _population_figure(
+        cfg, "figure3", FIGURE3_DEFAULT_GAMMAS,
+        ["t", "c_plus_sq", "c_minus_sq", "g_plus_sq", "g_minus_sq"],
+        lambda a: [np.abs(a.c_plus) ** 2, np.abs(a.c_minus) ** 2,
+                   a.pop_phi_plus, a.pop_phi_minus])
 
 
 def cmd_figure4(cfg: ExperimentConfig) -> int:
     """Bare-state populations, raw and renormalized."""
-    cfg.validate(require_gammas=False)
-    out = OutputSet(cfg, "figure4")
-    policy = _single(cfg.policies, "policy")
-    initial = _single(cfg.initial_states, "initial state")
-    for gamma in cfg.gammas(FIGURE4_DEFAULT_GAMMAS):
-        run, elapsed = _run_for(cfg, gamma, policy, initial)
-        a = run.amps
-        out.emit(f"figure4_gamma{_gamma_tag(gamma)}",
-                 ["t", "p0", "p1", "p0_plus_p1", "p0_renorm", "p1_renorm"],
-                 [run.grid.samples, a.pop_bare_0, a.pop_bare_1,
-                  a.pop_bare_0 + a.pop_bare_1,
-                  a.pop_bare_0_renorm, a.pop_bare_1_renorm])
-        out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                    wall_time_s=elapsed, **run.metrics)
-    out.write_manifest()
-    return 0
+    return _population_figure(
+        cfg, "figure4", FIGURE4_DEFAULT_GAMMAS,
+        ["t", "p0", "p1", "p0_plus_p1", "p0_renorm", "p1_renorm"],
+        lambda a: [a.pop_bare_0, a.pop_bare_1, a.pop_bare_0 + a.pop_bare_1,
+                   a.pop_bare_0_renorm, a.pop_bare_1_renorm])
 
 
 def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
@@ -229,7 +238,8 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 
     The policies of each gamma share one angle path and H0; each (gamma,
     policy) table is built once and run from every initial state.
-    Uncertified rows are flagged in the table and on stderr.
+    Uncertified rows are flagged in the table and on stderr, and make the
+    exit status 1 (the table and manifest are still written).
     """
     cfg.validate(require_gammas=True)
     out = OutputSet(cfg, "sweep")
@@ -237,22 +247,17 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
               "p0_renorm_final", "p1_final", "max_abs_g_minus", "max_residual",
               "convergence", "certified"]
     rows: list = []
+    uncertified = 0
     for gamma in cfg.gammas():
         for policy, initial, elapsed, m in _shared_table_runs(cfg, gamma):
             rows.append([gamma, policy, initial]
                         + [m[name] for name in header[3:]])
             out.add_run(gamma=gamma, policy=policy, initial_state=initial,
                         wall_time_s=elapsed, **m)
-            if not m["certified"]:
-                print(f"uncertified: gamma={gamma:g} policy={policy} "
-                      f"initial_state={initial} "
-                      f"convergence={m['convergence']:.3e} "
-                      f"(bound {CONVERGENCE_BOUND:g}) "
-                      f"max_residual={m['max_residual']:.3e} "
-                      f"(bound {RESIDUAL_BOUND:g})", file=sys.stderr)
+            uncertified += _flag_uncertified(gamma, policy, initial, m)
     out.emit("sweep", header, list(map(list, zip(*rows))))
     out.write_manifest()
-    return 0
+    return 1 if uncertified else 0
 
 
 def _verify_checks(cfg: ExperimentConfig):
@@ -374,24 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    overrides = vars(build_parser().parse_args(argv))
+    command = overrides.pop("command")
     try:
-        cfg = build_config(
-            config_path=args.config,
-            gamma=args.gamma,
-            steps=args.steps,
-            t_final=args.t_final,
-            t0=args.t0,
-            omega0=args.omega0,
-            delta0=args.delta0,
-            tau=args.tau,
-            policy=args.policy,
-            initial_state=args.initial_state,
-            pulse_file=args.pulse_file,
-            out=args.out,
-            format=args.format,
-        )
-        status = COMMANDS[args.command](cfg)
+        cfg = build_config(overrides.pop("config"), **overrides)
+        status = COMMANDS[command](cfg)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
     except BrokenPipeError:

@@ -167,7 +167,7 @@ def _supplement(policy: str, theta_q: MixingAnglePath, grid: TimeGrid
     else:
         raise ConfigError(
             f"unknown policy {policy!r}; expected one of {POLICIES}")
-    return (_every(4, coeffs_q, grid, ("delta_plus", "delta_minus", "omega")),
+    return (_every(4, coeffs_q, grid, ("delta", "omega")),
             assemble_h1_series(coeffs_q))
 
 
@@ -191,9 +191,10 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
     if coeffs is not None:
         if policy == POLICY_HERMITIAN:
             g_plus_closed = closed_form_gplus(e_plus, gauges, coeffs, theta)
+        # the run grid is every fourth row of the quarter-step table
         residual = nullification_residual(
             theta, coeffs,
-            pulse=pulse if with_frame_check else None,
+            h_total=h_quarter[::4] if with_frame_check else None,
             gauges=gauges if with_frame_check else None)
 
     return ShortcutTable(pulse=pulse, grid=grid, regime=theta.regime,

@@ -3,14 +3,13 @@
 Rescaling the eigenvector pair, phi_n = f_n |n> and phi_n~ = |n~>/conj(f_n),
 keeps the set biorthonormal while making the modified amplitudes
 g_n = <phi_n~|psi> behave like normalized populations for a decaying system.
-The "simple" gauge integrates Im[E_n]; the "shortcut-matched" gauge adds the
-diagonal shift of the supplementary Hamiltonian so |g_+| stays exactly one
-along the engineered evolution.
+The "simple" gauge integrates Im[E_n]; the "shortcut-matched" gauge
+(``synthesis.matched_gauge``) adds the diagonal shift of the supplementary
+Hamiltonian so |g_+| stays exactly one along the engineered evolution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,39 +66,33 @@ def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray, u_minus: np.ndarra
     )
 
 
-def gauge_simple(e_plus: np.ndarray, e_minus: np.ndarray, grid: TimeGrid,
-                 h_plus: Optional[Callable] = None,
-                 h_minus: Optional[Callable] = None) -> GaugeFunctions:
-    """f_n(t) = exp(int_{t0}^t Im[E_n] + i*h_n dt'), hbar = 1.
+def gauge_simple(e_plus: np.ndarray, e_minus: np.ndarray,
+                 grid: TimeGrid) -> GaugeFunctions:
+    """f_n(t) = exp(int_{t0}^t Im[E_n] dt'), hbar = 1.
 
-    With h_n = 0 (default) the factors are real positive and |g_n| is the
-    decay-compensated amplitude.
+    The factors are real positive and |g_n| is the decay-compensated
+    amplitude.
     """
-    ts = grid.samples
     u_plus = np.asarray(e_plus).imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
-    if h_plus is not None:
-        u_plus = u_plus + 1j * np.asarray(h_plus(ts), dtype=float)
-    if h_minus is not None:
-        u_minus = u_minus + 1j * np.asarray(h_minus(ts), dtype=float)
     return gauge_from_integrands(grid, u_plus, u_minus, kind="simple")
 
 
-def matched_delta(theta_path: MixingAnglePath,
-                  eps_singular: float = EPS_SINGULAR) -> np.ndarray:
+def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
     """Real diagonal split delta(t) = Im[dtheta]/Re[sin theta].
 
-    This is the half-difference (delta_+ - delta_-)/2 of the realizable
-    supplement that removes the amplitude flow out of the reference
-    eigenstate.  Points where Re[sin theta] and Im[dtheta] vanish together
-    are removable: they take the limit of their neighbours, interpolated
-    linearly over the unguarded samples (0 if every sample is guarded).  A
-    vanishing denominator with a surviving numerator raises SinThetaSingular.
+    This is the diagonal entry delta of the realizable supplement
+    0.5*[[delta, W], [conj(W), -delta]] that removes the amplitude flow out
+    of the reference eigenstate.  Points where Re[sin theta] and Im[dtheta]
+    vanish together are removable: they take the limit of their neighbours,
+    interpolated linearly over the unguarded samples (0 if every sample is
+    guarded).  A vanishing denominator with a surviving numerator raises
+    SinThetaSingular.
     """
     re_sin = theta_path.sin.real
     num = theta_path.dtheta.imag
-    small = np.abs(re_sin) < eps_singular
-    bad = small & (np.abs(num) >= eps_singular)
+    small = np.abs(re_sin) < EPS_SINGULAR
+    bad = small & (np.abs(num) >= EPS_SINGULAR)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SinThetaSingular(
@@ -111,23 +104,6 @@ def matched_delta(theta_path: MixingAnglePath,
         ts = theta_path.grid.samples
         delta[small] = np.interp(ts[small], ts[~small], delta[~small])
     return delta
-
-
-def gauge_shortcut(e_plus: np.ndarray, e_minus: np.ndarray,
-                   theta_path: MixingAnglePath, grid: TimeGrid,
-                   eps_singular: float = EPS_SINGULAR) -> GaugeFunctions:
-    """Gauge matched to the realizable supplement so |g_+(t)| = 1.
-
-    f_+ integrates Im[E_+] + delta*Im[cos theta]/2 with
-    delta = Im[dtheta]/Re[sin theta] (real positive result); f_- falls back
-    to the simple rule with h_- = 0.
-    """
-    delta = matched_delta(theta_path, eps_singular)
-    u_plus = np.asarray(e_plus).imag + 0.5 * delta * theta_path.cos.imag
-    u_minus = np.asarray(e_minus).imag
-    return gauge_from_integrands(grid, u_plus.astype(complex),
-                                 u_minus.astype(complex),
-                                 kind="shortcut-matched")
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,16 @@ Three constructions are provided for the two-level model:
 * ``naive_cd`` - the exact counterdiabatic term.  For complex mixing angles
   its off-diagonal entries are not conjugates of each other, so no single
   coherent drive realizes it.
-* ``hermitian_realizable`` - a Hermitian matrix 0.5*[[d+, i*W],[-i*W, d-]]
-  whose coefficients cancel only the coupling that feeds amplitude from the
-  reference eigenstate into the other one.  The evolution then stays pinned
-  to the (gauge-scaled) reference eigenstate even though the reverse
-  coupling survives.
+* ``hermitian_realizable`` - a Hermitian matrix
+  0.5*[[delta, i*W],[-i*W, -delta]] whose coefficients cancel only the
+  coupling that feeds amplitude from the reference eigenstate into the
+  other one.  The evolution then stays pinned to the (gauge-scaled)
+  reference eigenstate even though the reverse coupling survives.
 * ``general_family`` - the underdetermined family of such supplements,
   parameterized by a free complex function; includes the zero-coupling
   member that needs no extra drive field at all.
 
-The cancellation condition, written with lam = (d+ - d-)*sin(theta)/2 and
+The cancellation condition, written with lam = delta*sin(theta) and
 zeta = Re[W]*cos(theta), is
 
     lam + i*Im[W] - zeta = -i*dtheta,
@@ -30,10 +30,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InconsistentChoice, PolicyMismatch
-from .gauges import (EPS_SINGULAR, GaugeFunctions, gauge_from_integrands,
-                     matched_delta)
+from .gauges import GaugeFunctions, gauge_from_integrands, matched_delta
 from .grids import TimeGrid, cumulative_trapezoid
-from .two_level import MixingAnglePath, PulseSpec, hamiltonian
+from .two_level import MixingAnglePath
 
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
@@ -41,24 +40,27 @@ POLICY_GENERAL = "general-family"
 
 ArrayOrFn = Union[np.ndarray, Callable[[np.ndarray], np.ndarray], float, complex]
 
+#: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
+#: ``general_family`` accepts
+CONSISTENCY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SupplementCoefficients:
-    """Per-grid coefficients of H1 = 0.5*[[d+, W],[conj(W), d-]].
+    """Per-grid coefficients of H1 = 0.5*[[delta, W],[conj(W), -delta]].
 
-    For the hermitian-realizable policy d+/d- are real and Re[W] = 0, which
+    For the hermitian-realizable policy delta is real and Re[W] = 0, which
     makes the assembled matrix exactly self-adjoint.
     """
 
     grid: TimeGrid
-    delta_plus: np.ndarray
-    delta_minus: np.ndarray
+    delta: np.ndarray
     omega: np.ndarray
     policy: str
 
     def __post_init__(self):
         n = self.grid.n_points
-        for name in ("delta_plus", "delta_minus", "omega"):
+        for name in ("delta", "omega"):
             arr = np.asarray(getattr(self, name))
             if len(arr) != n:
                 raise ValueError(f"{name} length must match grid")
@@ -66,9 +68,8 @@ class SupplementCoefficients:
                                       else arr)):
                 raise ValueError(f"{name} contains NaN/Inf")
         if self.policy == POLICY_HERMITIAN:
-            if np.asarray(self.delta_plus).dtype.kind == "c" or \
-               np.asarray(self.delta_minus).dtype.kind == "c":
-                raise ValueError("hermitian policy requires real delta arrays")
+            if np.asarray(self.delta).dtype.kind == "c":
+                raise ValueError("hermitian policy requires a real delta array")
             if np.any(np.asarray(self.omega).real != 0):
                 raise ValueError("hermitian policy requires Re[omega] = 0")
 
@@ -78,9 +79,9 @@ class NullificationReport:
     """Residual of the cancellation condition, plus optional frame check.
 
     ``residual`` is the pointwise algebraic quantity
-    (d+ - d-)*sin(theta)/2 + i*Im[W] - Re[W]*cos(theta) + i*dtheta,
+    delta*sin(theta) + i*Im[W] - Re[W]*cos(theta) + i*dtheta,
     which vanishes identically for coefficients produced by the synthesis
-    routines.  When a pulse and gauges are supplied, ``frame_coupling`` holds
+    routines.  When H0 + H1 and gauges are supplied, ``frame_coupling`` holds
     |entry (2,1)| of the adiabatic-frame total Hamiltonian with the frame
     derivative taken by Richardson-extrapolated central differences, and
     ``frame_coupling_plain``/``frame_tolerance`` the plain central-difference
@@ -106,62 +107,39 @@ def _as_array(value: ArrayOrFn, ts: np.ndarray) -> np.ndarray:
     return arr
 
 
-def naive_cd(theta_path: MixingAnglePath,
-             gauges: Optional[GaugeFunctions] = None,
-             eps_plus: ArrayOrFn = 0.0, eps_minus: ArrayOrFn = 0.0) -> np.ndarray:
-    """Counterdiabatic supplement in the bare frame, one 2x2 per grid point.
+def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
+    """Counterdiabatic supplement in the bare frame, one 2x2 per grid point:
+    0.5i * [[0, -dtheta], [dtheta, 0]].
 
-    With diagonal freedom (e+, e-) the entries are
-        0.5i * [[e+ c^2 + e- s^2,  (sin(theta)/2)(e+ - e-) - dtheta],
-                [(sin(theta)/2)(e+ - e-) + dtheta,  e+ s^2 + e- c^2]]
-    (c = cos(theta/2), s = sin(theta/2)); the gauge factors cancel in this
-    frame, so ``gauges`` is optional and only checked for a shared grid.
-    With e+/- = 0 this is the pure counterdiabatic term: Hermitian exactly
-    when dtheta is real, which fails once the decay makes theta complex -
-    the reason a realizable substitute is needed.
+    Hermitian exactly when dtheta is real, which fails once the decay makes
+    theta complex - the reason a realizable substitute is needed.
     """
-    if gauges is not None and gauges.grid != theta_path.grid:
-        raise ValueError("gauges and theta path must share the grid")
-    ts = theta_path.grid.samples
-    ep = _as_array(eps_plus, ts)
-    em = _as_array(eps_minus, ts)
     dth = theta_path.dtheta
-    c2 = theta_path.cos_half ** 2
-    s2 = theta_path.sin_half ** 2
-    half_sin = 0.5 * theta_path.sin
-    out = np.empty((len(ts), 2, 2), dtype=complex)
-    out[:, 0, 0] = 0.5j * (ep * c2 + em * s2)
-    out[:, 0, 1] = 0.5j * (half_sin * (ep - em) - dth)
-    out[:, 1, 0] = 0.5j * (half_sin * (ep - em) + dth)
-    out[:, 1, 1] = 0.5j * (ep * s2 + em * c2)
+    out = np.zeros((len(dth), 2, 2), dtype=complex)
+    out[:, 0, 1] = -0.5j * dth
+    out[:, 1, 0] = 0.5j * dth
     return out
 
 
-def hermitian_realizable(theta_path: MixingAnglePath, common_shift: float = 0.0,
-                         eps_singular: float = EPS_SINGULAR
-                         ) -> SupplementCoefficients:
+def hermitian_realizable(theta_path: MixingAnglePath) -> SupplementCoefficients:
     """Hermitian supplement coefficients cancelling the reference-state leak.
 
-    delta = Im[dtheta]/Re[sin theta] gives d+ = delta + shift,
-    d- = -delta + shift, and the drive quadrature
-    Im[W] = -Re[dtheta] - delta*Im[sin theta] with Re[W] = 0.  The common
-    shift only adds a global phase to the surviving amplitude.
+    delta = Im[dtheta]/Re[sin theta] and the drive quadrature
+    Im[W] = -Re[dtheta] - delta*Im[sin theta] with Re[W] = 0.
     """
-    delta = matched_delta(theta_path, eps_singular)
+    delta = matched_delta(theta_path)
     omega_a = -theta_path.dtheta.real - delta * theta_path.sin.imag
     return SupplementCoefficients(
         grid=theta_path.grid,
-        delta_plus=delta + common_shift,
-        delta_minus=-delta + common_shift,
+        delta=delta,
         omega=1j * omega_a,
         policy=POLICY_HERMITIAN,
     )
 
 
 def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
-                   re_omega: ArrayOrFn = 0.0,
-                   consistency_tol: float = 1e-8) -> SupplementCoefficients:
-    """Family member for a chosen lam(t) = (d+ - d-)*sin(theta)/2 and Re[W].
+                   re_omega: ArrayOrFn = 0.0) -> SupplementCoefficients:
+    """Family member for a chosen lam(t) = delta*sin(theta) and Re[W].
 
     The imaginary drive quadrature follows from the cancellation condition;
     the chosen functions must satisfy its other component,
@@ -178,7 +156,7 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
     constraint = dth.imag - (lam.real - zeta.real)
     scale = 1.0 + np.abs(dth)
     worst = np.max(np.abs(constraint) / scale)
-    if worst > consistency_tol:
+    if worst > CONSISTENCY_TOL:
         k = int(np.argmax(np.abs(constraint) / scale))
         raise InconsistentChoice(
             f"Im[dtheta] - Re[lam] + Re[zeta] = {constraint[k]:.3e} at "
@@ -197,8 +175,7 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
     half_split = np.where(tiny, 0.0, lam / np.where(tiny, 1.0, sin_th))
     return SupplementCoefficients(
         grid=theta_path.grid,
-        delta_plus=half_split,
-        delta_minus=-half_split,
+        delta=half_split,
         omega=re_om + 1j * im_om,
         policy=POLICY_GENERAL,
     )
@@ -212,25 +189,16 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> SupplementCoeffici
                           re_omega=0.0)
 
 
-def assemble_h1(coeffs: SupplementCoefficients, k: int) -> np.ndarray:
-    """Bare-frame supplement 0.5*[[d+, W],[conj(W), d-]] at grid point k."""
-    n = coeffs.grid.n_points
-    if not 0 <= k < n:
-        raise IndexError(f"index {k} outside grid of {n} points")
-    dp = coeffs.delta_plus[k]
-    dm = coeffs.delta_minus[k]
-    om = coeffs.omega[k]
-    return 0.5 * np.array([[dp, om], [np.conj(om), dm]], dtype=complex)
-
-
 def assemble_h1_series(coeffs: SupplementCoefficients) -> np.ndarray:
-    """All grid points at once, shape (n, 2, 2)."""
-    n = coeffs.grid.n_points
-    out = np.empty((n, 2, 2), dtype=complex)
-    out[:, 0, 0] = 0.5 * np.asarray(coeffs.delta_plus)
-    out[:, 0, 1] = 0.5 * np.asarray(coeffs.omega)
-    out[:, 1, 0] = 0.5 * np.conj(np.asarray(coeffs.omega))
-    out[:, 1, 1] = 0.5 * np.asarray(coeffs.delta_minus)
+    """Bare-frame supplement 0.5*[[delta, W],[conj(W), -delta]] at every
+    grid point, shape (n, 2, 2)."""
+    delta = np.asarray(coeffs.delta)
+    omega = np.asarray(coeffs.omega)
+    out = np.empty((coeffs.grid.n_points, 2, 2), dtype=complex)
+    out[:, 0, 0] = 0.5 * delta
+    out[:, 0, 1] = 0.5 * omega
+    out[:, 1, 0] = 0.5 * np.conj(omega)
+    out[:, 1, 1] = 0.5 * -delta
     return out
 
 
@@ -240,10 +208,12 @@ def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
     """Gauge whose f_+ absorbs the supplement's diagonal so |g_+| = 1.
 
     Generalizes the shortcut gauge to any leak-cancelling policy:
-    u_+ = Im[E_+ + (d+ cos^2(theta/2) + d- sin^2(theta/2) + Re[W] sin theta)/2].
+    u_+ = Im[E_+ + (delta cos^2(theta/2) - delta sin^2(theta/2)
+                    + Re[W] sin theta)/2].
     """
-    diag = 0.5 * (np.asarray(coeffs.delta_plus) * theta_path.cos_half ** 2
-                  + np.asarray(coeffs.delta_minus) * theta_path.sin_half ** 2
+    delta = np.asarray(coeffs.delta)
+    diag = 0.5 * (delta * theta_path.cos_half ** 2
+                  - delta * theta_path.sin_half ** 2
                   + np.asarray(coeffs.omega).real * theta_path.sin)
     u_plus = (np.asarray(e_plus) + diag).imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
@@ -253,27 +223,29 @@ def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
 
 def nullification_residual(theta_path: MixingAnglePath,
                            coeffs: SupplementCoefficients,
-                           pulse: Optional[PulseSpec] = None,
+                           h_total: Optional[np.ndarray] = None,
                            gauges: Optional[GaugeFunctions] = None
                            ) -> NullificationReport:
     """Audit the leak-cancellation condition for given coefficients.
 
     Always evaluates the algebraic residual
-    (d+ - d-)*sin(theta)/2 + i*Im[W] - Re[W]*cos(theta) + i*dtheta.
-    When ``pulse`` and ``gauges`` are supplied, additionally transforms
-    H0 + H1 into the adiabatic frame with finite-difference frame
-    derivatives and records |entry (2,1)| (the cancelled coupling; the
-    reverse entry (1,2) is allowed to survive by design).
+    delta*sin(theta) + i*Im[W] - Re[W]*cos(theta) + i*dtheta.
+    When ``h_total`` (H0 + H1 on the grid, shape (n, 2, 2)) and ``gauges``
+    are supplied, additionally transforms it into the adiabatic frame with
+    finite-difference frame derivatives and records |entry (2,1)| (the
+    cancelled coupling; the reverse entry (1,2) is allowed to survive by
+    design).
     """
     if coeffs.grid != theta_path.grid:
         raise ValueError("coefficients and theta path must share the grid")
-    split = np.asarray(coeffs.delta_plus) - np.asarray(coeffs.delta_minus)
     om = np.asarray(coeffs.omega)
-    residual = (0.5 * split * theta_path.sin + 1j * om.imag
+    residual = (np.asarray(coeffs.delta) * theta_path.sin + 1j * om.imag
                 - om.real * theta_path.cos + 1j * theta_path.dtheta)
     report_kwargs = {}
-    if pulse is not None and gauges is not None:
-        plain, rich = _frame_coupling(theta_path, coeffs, pulse, gauges)
+    if h_total is not None and gauges is not None:
+        if len(h_total) != theta_path.grid.n_points:
+            raise ValueError("h_total must hold one 2x2 per grid point")
+        plain, rich = _frame_coupling(theta_path, h_total, gauges)
         fd_err = float(np.max(np.abs(plain - rich)))
         report_kwargs = dict(
             frame_coupling=rich,
@@ -288,9 +260,10 @@ def nullification_residual(theta_path: MixingAnglePath,
     )
 
 
-def _frame_coupling(theta_path, coeffs, pulse, gauges):
-    """|(R~^dag (H0+H1) R - i R~^dag dR/dt)[1, 0]| with plain central and
-    Richardson-extrapolated frame derivatives (interior points only).
+def _frame_coupling(theta_path, h_total, gauges):
+    """|(R~^dag H R - i R~^dag dR/dt)[1, 0]| for H = ``h_total`` with plain
+    central and Richardson-extrapolated frame derivatives (interior points
+    only).
 
     Only what reaches entry (1, 0) is formed: column 0 of R, f_+ (c, s),
     and row 1 of R~^dag, (s, -c)/f_- (R~ is built from conj(theta), so its
@@ -303,7 +276,7 @@ def _frame_coupling(theta_path, coeffs, pulse, gauges):
     col = (gauges.f_plus * c, gauges.f_plus * s)
     f_minus = gauges.f_minus[inner]
     row = (s[inner] / f_minus, -c[inner] / f_minus)
-    h_tot = (hamiltonian(pulse, grid.samples) + assemble_h1_series(coeffs))[inner]
+    h_tot = h_total[inner]
     h_col = [h_tot[:, i, 0] * col[0][inner] + h_tot[:, i, 1] * col[1][inner]
              for i in (0, 1)]
     static = row[0] * h_col[0] + row[1] * h_col[1]
@@ -320,7 +293,7 @@ def closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
                       coeffs: SupplementCoefficients,
                       theta_path: MixingAnglePath) -> np.ndarray:
     """Surviving amplitude g_+(t) = exp[-i int (E_+ - i (df_+/dt)/f_+ +
-    delta*cos(theta)/2) dt'] for a symmetric split d+ = -d- = delta.
+    delta*cos(theta)/2) dt'] for the hermitian-realizable supplement.
 
     The other amplitude stays zero, so this is the exact frame solution; with
     the matched gauge |g_+| = 1 for all t.
@@ -330,12 +303,9 @@ def closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
             f"closed form requires the {POLICY_HERMITIAN} policy, got "
             f"{coeffs.policy}"
         )
-    if np.max(np.abs(np.asarray(coeffs.delta_plus)
-                     + np.asarray(coeffs.delta_minus))) > 1e-12:
-        raise PolicyMismatch("closed form requires delta_+ = -delta_-")
     if gauges.grid != theta_path.grid:
         raise ValueError("gauges and theta path must share the grid")
-    delta = np.asarray(coeffs.delta_plus)
+    delta = np.asarray(coeffs.delta)
     integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
                  + 0.5 * delta * theta_path.cos)
     phase = cumulative_trapezoid(integrand, theta_path.grid.step)

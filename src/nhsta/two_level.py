@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from .grids import TimeGrid
 
-#: default spectral-gap threshold (units 1/tau) below which we refuse to track
+#: spectral-gap threshold (units 1/tau) below which we refuse to track
 DEGENERACY_THRESHOLD = 1e-8
 
 ControlFn = Callable[[np.ndarray], np.ndarray]
@@ -214,21 +214,22 @@ def branch_argument(z, regime: BranchRegime):
     return eta[()] if eta.ndim == 0 else eta
 
 
-def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime,
-                degeneracy_threshold: float = DEGENERACY_THRESHOLD):
-    """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) on the regime's branch."""
-    gm = np.asarray(pulse.gamma(t))
-    z = radicand(pulse, t)
-    sq = branch_sqrt(z, regime)
-    if np.any(np.abs(sq) <= 2.0 * degeneracy_threshold):
+def _eigenvalues_and_root(pulse: PulseSpec, t, regime: BranchRegime):
+    """(E_+, E_-, sqrt(Z)) on the regime's branch; refuses a gap
+    |E_+ - E_-| = |sqrt(Z)|/2 at or below DEGENERACY_THRESHOLD."""
+    gm = np.asarray(pulse.gamma(t), dtype=float)
+    sq = branch_sqrt(radicand(pulse, t), regime)
+    if np.any(np.abs(sq) <= 2.0 * DEGENERACY_THRESHOLD):
         raise DegenerateRegime("eigenvalue gap below degeneracy threshold")
-    e_plus = 0.25 * (-1j * gm + sq)
-    e_minus = 0.25 * (-1j * gm - sq)
-    return e_plus, e_minus
+    return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq), sq
 
 
-def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime,
-                    degeneracy_threshold: float = DEGENERACY_THRESHOLD):
+def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
+    """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) on the regime's branch."""
+    return _eigenvalues_and_root(pulse, t, regime)[:2]
+
+
+def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime):
     """Eigenvalue samples on a grid with a step-to-step continuity audit.
 
     The cut fixes the root; if consecutive roots are closer to each other's
@@ -236,19 +237,13 @@ def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime,
     and a BranchJump is raised.
     """
     ts = grid.samples
-    gm = np.asarray(pulse.gamma(ts), dtype=float)
-    z = radicand(pulse, ts)
-    sq = branch_sqrt(z, regime)
-    if np.any(np.abs(sq) <= 2.0 * degeneracy_threshold):
-        raise DegenerateRegime("eigenvalue gap below degeneracy threshold on grid")
+    e_plus, e_minus, sq = _eigenvalues_and_root(pulse, ts, regime)
     jump = np.abs(np.diff(sq)) > np.abs(sq[1:] + sq[:-1])
     if np.any(jump):
         k = int(np.argmax(jump)) + 1
         raise BranchJump(
             f"sqrt(Z) root flipped against the {regime.value} cut near t={ts[k]:g}"
         )
-    e_plus = 0.25 * (-1j * gm + sq)
-    e_minus = 0.25 * (-1j * gm - sq)
     return e_plus, e_minus
 
 

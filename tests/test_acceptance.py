@@ -208,8 +208,8 @@ def test_criterion_7_generic_and_closed_form_agree(theta_paths):
 
     coeffs = hermitian_realizable(lossless)
     realizable = np.zeros_like(cd0)
-    realizable[:, 0, 0] = 0.5 * coeffs.delta_plus[1:-1]
-    realizable[:, 1, 1] = 0.5 * coeffs.delta_minus[1:-1]
+    realizable[:, 0, 0] = 0.5 * coeffs.delta[1:-1]
+    realizable[:, 1, 1] = 0.5 * -coeffs.delta[1:-1]
     realizable[:, 0, 1] = 0.5 * coeffs.omega[1:-1]
     realizable[:, 1, 0] = 0.5 * np.conj(coeffs.omega[1:-1])
     want0 = np.zeros_like(cd0)

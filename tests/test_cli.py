@@ -171,6 +171,20 @@ class TestFigure3:
         run = manifest["runs"][0]
         assert run["convergence"] <= 1e-7
 
+    def test_uncertified_run_exits_one_and_still_writes(self, tmp_path,
+                                                       capsys):
+        assert main(["figure3", "--gamma", "2.1", "--out", str(tmp_path)]) == 1
+        data = read_csv(tmp_path / "figure3_gamma2.1.csv")
+        assert len(data["t"]) == 4001
+        manifest = json.loads((tmp_path / "figure3_manifest.json").read_text())
+        assert [run["certified"] for run in manifest["runs"]] == [False]
+        assert [e["path"] for e in manifest["files"]] == ["figure3_gamma2.1.csv"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("uncertified: gamma=2.1 "
+                                 "policy=hermitian-realizable "
+                                 "initial_state=eigen-plus ")
+
 
 class TestFigure4:
     def test_inversion_series(self, tmp_path):
@@ -217,8 +231,9 @@ class TestSweep:
 
     def test_uncertified_rows_flagged(self, tmp_path, capsys):
         # just above gamma = 2*omega0 the default grid under-resolves the
-        # supplement: the rows are still written, but flagged
-        assert main(["sweep", "--gamma", "0.3,2.1", "--out", str(tmp_path)]) == 0
+        # supplement: the rows are still written, but flagged, and the
+        # exit status is 1
+        assert main(["sweep", "--gamma", "0.3,2.1", "--out", str(tmp_path)]) == 1
         rows = read_csv(tmp_path / "sweep.csv")
         assert rows["certified"] == ["True", "False"]
         assert rows["convergence"][1] > 1e-7
@@ -230,12 +245,15 @@ class TestSweep:
                                  "policy=hermitian-realizable")
 
     def test_supercritical_row_emitted(self, tmp_path):
-        assert main(["sweep", "--gamma", "3", "--steps", "1000",
+        # 2000 steps certify gamma = 3 (1000 leave a step-halving gap of
+        # about 1.2e-7, above the bound)
+        assert main(["sweep", "--gamma", "3", "--steps", "2000",
                      "--initial-state", "eigen-plus,bare-ground",
                      "--out", str(tmp_path)]) == 0
         rows = read_csv(tmp_path / "sweep.csv")
         assert rows["regime"] == ["super-critical", "super-critical"]
         assert rows["initial_state"] == ["eigen-plus", "bare-ground"]
+        assert rows["certified"] == ["True", "True"]
 
     def test_policy_cross_product(self, tmp_path):
         assert main(["sweep", "--gamma", "0.3", "--steps", "1000",

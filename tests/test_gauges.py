@@ -6,11 +6,11 @@ from scipy.integrate import quad
 from conftest import ae_params, analytic_two_level_systems
 from nhsta.biorthogonal import BiorthogonalSystem, EigenPath, adiabatic_frame_generic
 from nhsta.errors import SinThetaSingular, ZeroGauge
-from nhsta.gauges import (adiabatic_frame_h0, gauge_shortcut, gauge_simple,
-                          matched_delta, rotation)
+from nhsta.gauges import (adiabatic_frame_h0, gauge_simple, matched_delta,
+                          rotation)
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
-from nhsta.synthesis import hermitian_realizable
+from nhsta.synthesis import hermitian_realizable, matched_gauge
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                              allen_eberly, eigenvalue_path, mixing_angle_path,
                              theta_at)
@@ -32,13 +32,6 @@ class TestGaugeSimple:
         assert abs(g.f_plus[-1] - np.exp(-gamma * t_end / 2)) < 1e-12
         assert g.f_plus[0] == 1.0
 
-    def test_phase_hook_changes_phase_only(self):
-        grid = TimeGrid(0.0, 1.0, 100)
-        e = np.zeros(grid.n_points, dtype=complex)
-        g = gauge_simple(e, e, grid, h_plus=lambda t: np.ones_like(t))
-        assert np.max(np.abs(np.abs(g.f_plus) - 1.0)) < 1e-12
-        assert abs(g.f_plus[-1] - np.exp(1j)) < 1e-12
-
     def test_lossy_upper_gauge_monotone_when_im_e_nonpositive(self, theta_paths):
         pulse, path = theta_paths(0.3)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
@@ -52,13 +45,13 @@ class TestGaugeShortcut:
     def test_lossless_limit_is_unit_gauge(self, theta_paths):
         pulse, path = theta_paths(0.0)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
-        g = gauge_shortcut(e_plus, e_minus, path, path.grid)
+        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
         assert np.max(np.abs(g.f_plus - 1.0)) < 1e-12
 
     def test_factor_is_real_positive(self, theta_paths):
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
-        g = gauge_shortcut(e_plus, e_minus, path, path.grid)
+        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
         assert np.max(np.abs(g.f_plus.imag)) == 0.0
         assert np.min(g.f_plus.real) > 0.0
         assert g.f_plus[0] == 1.0
@@ -67,8 +60,8 @@ class TestGaugeShortcut:
         # Im[E+ - i*(df+/f+) + delta*cos(theta)/2] == 0 with the synthesized delta
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
-        g = gauge_shortcut(e_plus, e_minus, path, path.grid)
-        delta = hermitian_realizable(path).delta_plus
+        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
+        delta = hermitian_realizable(path).delta
         cond = (e_plus - 1j * g.dlogf_plus
                 + 0.5 * delta * np.cos(path.theta)).imag
         assert np.max(np.abs(cond)) <= 1e-10
@@ -79,7 +72,7 @@ class TestGaugeShortcut:
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
-        g = gauge_shortcut(e_plus, e_minus, path, grid)
+        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
 
         ts = grid.samples
         theta_tab = path.theta
