@@ -27,10 +27,10 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
                         assemble_h1_series, closed_form_gplus,
                         general_family_omega_zero, hermitian_realizable,
                         matched_gauge, naive_cd, nullification_residual)
-from .two_level import (TRIG_FIELDS, AllenEberlyParams, BranchRegime,
-                        MixingAnglePath, PulseSpec, allen_eberly,
-                        branch_argument, classify_regime, eigenvalue_path,
-                        hamiltonian, mixing_angle_path, radicand)
+from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
+                        PulseSpec, allen_eberly, branch_argument,
+                        classify_regime, eigenvalue_path, hamiltonian,
+                        mixing_angle_path, radicand)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
@@ -146,7 +146,7 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     quarter = grid.refine(4)
     theta_q = mixing_angle_path(pulse, quarter, regime)
     regime = theta_q.regime
-    theta = _every(4, theta_q, grid, ("theta", "dtheta") + TRIG_FIELDS)
+    theta = _every(4, theta_q, grid, ("theta", "dtheta"))
     e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
     h0_q = hamiltonian(pulse, quarter.samples)
     return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,

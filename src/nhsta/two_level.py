@@ -18,8 +18,9 @@ conj(theta).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,7 +117,7 @@ class BranchRegime(Enum):
         return "[0, 2pi)"
 
 
-#: the trigonometric functions of theta a path carries, in field order
+#: the trigonometric functions of theta a path carries
 TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
 
 
@@ -124,10 +125,10 @@ TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
 class MixingAnglePath:
     """Branch-continuous complex mixing angle and its rate on a grid.
 
-    ``cos_half``, ``sin_half``, ``sin`` and ``cos`` hold cos(theta/2),
-    sin(theta/2), sin(theta) and cos(theta) on the grid, evaluated once per
-    path so every consumer reads the same values; when none is passed they
-    are computed from ``theta``.
+    ``cos_half``, ``sin_half``, ``sin`` and ``cos`` are cos(theta/2),
+    sin(theta/2), sin(theta) and cos(theta) on the grid.  Each is evaluated
+    on first read and kept, so every consumer of a path reads the same
+    values and a path pays only for the functions that are read.
     """
 
     grid: TimeGrid
@@ -135,24 +136,27 @@ class MixingAnglePath:
     dtheta: np.ndarray
     regime: BranchRegime
     dtheta_provenance: str = "analytic"
-    cos_half: Optional[np.ndarray] = field(default=None, repr=False)
-    sin_half: Optional[np.ndarray] = field(default=None, repr=False)
-    sin: Optional[np.ndarray] = field(default=None, repr=False)
-    cos: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         n = self.grid.n_points
         if len(self.theta) != n or len(self.dtheta) != n:
             raise ValueError("theta/dtheta length must match grid")
-        trig = [getattr(self, name) for name in TRIG_FIELDS]
-        if all(value is None for value in trig):
-            th = self.theta
-            trig = [np.cos(th / 2.0), np.sin(th / 2.0), np.sin(th), np.cos(th)]
-            for name, value in zip(TRIG_FIELDS, trig):
-                object.__setattr__(self, name, value)
-        if any(value is None or len(value) != n for value in trig):
-            raise ValueError("pass all of cos_half/sin_half/sin/cos on the "
-                             "grid, or none")
+
+    @cached_property
+    def cos_half(self) -> np.ndarray:
+        return np.cos(self.theta / 2.0)
+
+    @cached_property
+    def sin_half(self) -> np.ndarray:
+        return np.sin(self.theta / 2.0)
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return np.sin(self.theta)
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        return np.cos(self.theta)
 
 
 def classify_regime(omega0: float, gamma: float) -> BranchRegime:

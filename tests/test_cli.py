@@ -1,6 +1,7 @@
 """CLI commands: emission formats, manifests, exit codes, determinism."""
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,6 +63,63 @@ def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in stderr
     assert b"BrokenPipeError" not in stderr
+
+
+class TestProcessTuning:
+    SWEEP = ["sweep", "--gamma", "0.3", "--steps", "200", "--policy",
+             "hermitian-realizable,naive-cd,general-omega-zero",
+             "--initial-state", "eigen-plus,bare-ground"]
+
+    def sweep_bytes(self, out):
+        status = main(self.SWEEP + ["--out", str(out)])
+        return status, (out / "sweep.csv").read_bytes()
+
+    def test_import_freezes_nothing(self):
+        import subprocess
+        import sys
+        code = ("import nhsta, nhsta.cli, gc; "
+                "print(gc.get_freeze_count())")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
+
+    def test_child_process_sweep_matches_in_process(self, tmp_path):
+        import subprocess
+        import sys
+        code = ("import gc, sys; from nhsta.cli import main; "
+                "status = main(sys.argv[1:]); "
+                "print(status, gc.get_freeze_count() > 0)")
+        done = subprocess.run(
+            [sys.executable, "-c", code] + self.SWEEP
+            + ["--out", str(tmp_path / "child")],
+            capture_output=True, text=True, check=True)
+        status, data = self.sweep_bytes(tmp_path / "here")
+        assert done.stdout.split() == [str(status), "True"]
+        assert (tmp_path / "child" / "sweep.csv").read_bytes() == data
+
+    def test_mallopt_gets_the_thresholds(self, tmp_path, monkeypatch):
+        import nhsta.cli as cli
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        libc = SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        self.sweep_bytes(tmp_path)
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+    @pytest.mark.parametrize("missing", [OSError, AttributeError, TypeError])
+    def test_missing_mallopt_is_skipped(self, tmp_path, monkeypatch, missing):
+        import nhsta.cli as cli
+        expected = self.sweep_bytes(tmp_path / "with")
+
+        def cdll(name):
+            raise missing("no C library handle or no mallopt")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert self.sweep_bytes(tmp_path / "without") == expected
 
 
 class TestConfig:

@@ -8,10 +8,10 @@ from conftest import OMEGA0, ae_params
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (BranchRegime, PulseSpec, allen_eberly,
-                             branch_sqrt, classify_regime, eigenvalue_path,
-                             eigenvalues, eigenvectors, hamiltonian,
-                             mixing_angle_path, radicand)
+from nhsta.two_level import (TRIG_FIELDS, BranchRegime, PulseSpec,
+                             allen_eberly, branch_sqrt, classify_regime,
+                             eigenvalue_path, eigenvalues, eigenvectors,
+                             hamiltonian, mixing_angle_path, radicand)
 
 
 def constant_pulse(omega, delta, gamma):
@@ -232,10 +232,15 @@ class TestMixingAngle:
         path = mixing_angle_path(allen_eberly(ae_params(gamma)),
                                  TimeGrid(-1.0, 1.0, 4000))
         th = path.theta
-        assert np.array_equal(path.cos_half, np.cos(th / 2.0))
-        assert np.array_equal(path.sin_half, np.sin(th / 2.0))
-        assert np.array_equal(path.sin, np.sin(th))
-        assert np.array_equal(path.cos, np.cos(th))
+        expected = {"cos_half": np.cos(th / 2.0), "sin_half": np.sin(th / 2.0),
+                    "sin": np.sin(th), "cos": np.cos(th)}
+        assert not set(TRIG_FIELDS) & set(vars(path))
+        for k, name in enumerate(TRIG_FIELDS):
+            value = getattr(path, name)
+            # only the fields read so far have been evaluated, once each
+            assert set(TRIG_FIELDS) & set(vars(path)) == set(TRIG_FIELDS[:k + 1])
+            assert getattr(path, name) is value
+            assert np.array_equal(value, expected[name])
 
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
         pulse = allen_eberly(ae_params(gamma=1.99))
