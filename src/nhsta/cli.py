@@ -14,6 +14,7 @@ import ctypes
 import gc
 import hashlib
 import json
+import random
 import sys
 import time
 from dataclasses import asdict
@@ -31,7 +32,8 @@ from .errors import (BranchJump, ConfigError, DegenerateRegime,
 from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 from .grids import TimeGrid
-from .propagation import integrate
+from .propagation import integrate  # noqa: F401
+from .propagation import propagate
 from .synthesis import POLICY_HERMITIAN
 from .two_level import classify_regime
 
@@ -267,19 +269,55 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return 1 if uncertified else 0
 
 
-def _verify_checks(cfg: ExperimentConfig):
-    """Yield (name, measured, bound, ok) for the self-verification suite."""
-    rng = np.random.default_rng(7)
-    bio = comp = rtrip = 0.0
-    count = 0
-    while count < 60:
-        dim = int(rng.integers(2, 5))
-        m = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+H_RABI = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+H_DECAY = 0.5 * np.array([[0, 0], [0, -1j]], dtype=complex)
+
+
+def _propagate_constant(h: np.ndarray, psi0, grid: TimeGrid):
+    """RK4 trajectory of a constant H, read from one broadcast table."""
+    return propagate(np.broadcast_to(h, (2 * grid.steps + 1, 2, 2)), psi0,
+                     grid)
+
+
+def rabi_error(steps: int) -> float:
+    """Final-state error of RK4 for resonant Rabi flopping over t in [0, 10]."""
+    traj = _propagate_constant(H_RABI, [1, 0], TimeGrid(0.0, 10.0, steps))
+    exact = np.array([np.cos(5.0), -1j * np.sin(5.0)])
+    return float(np.max(np.abs(traj.psi[-1] - exact)))
+
+
+def decay_error(steps: int) -> float:
+    """Relative error of RK4 for pure exponential decay over t in [0, 2]."""
+    traj = _propagate_constant(H_DECAY, [0, 1], TimeGrid(0.0, 2.0, steps))
+    return abs(abs(traj.psi[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
+
+
+def random_corpus():
+    """Yield 60 (matrix, decomposition) pairs of random dense matrices.
+
+    Dimensions are uniform in 2..4 and entries uniform in [-1, 1] + i[-1, 1],
+    drawn from the stdlib ``random.Random(7)``: numpy's own imports load
+    ``random`` already, while importing ``numpy.random`` costs tens of
+    milliseconds.  Matrices with a near-degenerate spectrum are skipped.
+    """
+    rng = random.Random(7)
+    accepted = 0
+    while accepted < 60:
+        dim = rng.randint(2, 4)
+        m = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(dim * dim)]).reshape(dim, dim)
         try:
             sys_ = decompose(m, degeneracy_threshold=1e-6)
         except DegenerateSpectrum:
             continue
-        count += 1
+        accepted += 1
+        yield m, sys_
+
+
+def _verify_checks(cfg: ExperimentConfig):
+    """Yield (name, measured, bound, ok) for the self-verification suite."""
+    bio = comp = rtrip = 0.0
+    for m, sys_ in random_corpus():
         bio = max(bio, sys_.biorthogonality_defect())
         comp = max(comp, sys_.completeness_defect())
         rtrip = max(rtrip, float(np.max(np.abs(reconstruct(sys_) - m))))
@@ -287,22 +325,10 @@ def _verify_checks(cfg: ExperimentConfig):
     yield "completeness[random-corpus]", comp, 1e-10, comp <= 1e-10
     yield "round-trip[random-corpus]", rtrip, 1e-10, rtrip <= 1e-10
 
-    h_rabi = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
-    psi0 = np.array([1, 0], dtype=complex)
-
-    def rabi_error(steps):
-        grid = TimeGrid(0.0, 10.0, steps)
-        traj = integrate(lambda t: h_rabi, psi0, grid)
-        exact = np.array([np.cos(5.0), -1j * np.sin(5.0)])
-        return float(np.max(np.abs(traj.psi[-1] - exact)))
-
     ratio = rabi_error(500) / rabi_error(1000)
     yield "rk4-order[rabi]", ratio, "within [8, 32]", 8.0 <= ratio <= 32.0
 
-    h_decay = 0.5 * np.array([[0, 0], [0, -1j]], dtype=complex)
-    traj = integrate(lambda t: h_decay, np.array([0, 1], dtype=complex),
-                     TimeGrid(0.0, 2.0, 4000))
-    rel = abs(abs(traj.psi[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
+    rel = decay_error(4000)
     yield "decay-exact[relative]", rel, 1e-8, rel <= 1e-8
 
     for gamma in cfg.gammas(VERIFY_DEFAULT_GAMMAS):

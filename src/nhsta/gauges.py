@@ -1,4 +1,4 @@
-"""Gauge rescalings of the instantaneous eigenvectors and frame rotations.
+"""Gauge rescalings of the instantaneous eigenvectors.
 
 Rescaling the eigenvector pair, phi_n = f_n |n> and phi_n~ = |n~>/conj(f_n),
 keeps the set biorthonormal while making the modified amplitudes
@@ -15,14 +15,14 @@ import numpy as np
 
 from .errors import NonFinite, SinThetaSingular, ZeroGauge
 from .grids import TimeGrid, cumulative_trapezoid
-from .two_level import MixingAnglePath, PulseSpec, eigenvalues
+from .two_level import MixingAnglePath
 
 #: below this, a vanishing Re[sin theta] is treated as removable iff the
 #: numerator Im[dtheta] vanishes with it
 EPS_SINGULAR = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeFunctions:
     """Gauge factors on a grid plus their exact logarithmic derivatives.
 
@@ -104,70 +104,3 @@ def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
         ts = theta_path.grid.samples
         delta[small] = np.interp(ts[small], ts[~small], delta[~small])
     return delta
-
-
-@dataclass(frozen=True)
-class FrameRotation:
-    """Rotation pair (R, R~) between bare and adiabatic frames.
-
-    R columns are f_n-scaled right eigenvectors; R~ columns are the
-    1/conj(f_n)-scaled left partners, so R~^dag R = 1 even though R is not
-    unitary.  ``r`` and ``r_tilde`` are (2, 2), or (n, 2, 2) for a path.
-    """
-
-    r: np.ndarray
-    r_tilde: np.ndarray
-
-    def inverse_defect(self) -> float:
-        r_tilde_dag = self.r_tilde.conj().swapaxes(-1, -2)
-        return float(np.max(np.abs(r_tilde_dag @ self.r - np.eye(2))))
-
-
-def _matrices(rows) -> np.ndarray:
-    """2x2 nested entries (scalars or equal-length arrays) -> (..., 2, 2)."""
-    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
-
-
-def rotation(theta, f: tuple) -> FrameRotation:
-    """Frame rotation for mixing angle theta and gauge pair f = (f_+, f_-).
-
-    Scalars give one rotation; equal-length arrays give one per sample.
-    """
-    f_plus, f_minus = f
-    if np.any(np.asarray(f_plus) == 0) or np.any(np.asarray(f_minus) == 0):
-        raise ZeroGauge("cannot build rotation with a vanishing gauge factor")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    r = _matrices([[f_plus * c, f_minus * s], [f_plus * s, -f_minus * c]])
-    cs, ss = np.cos(np.conj(theta) / 2.0), np.sin(np.conj(theta) / 2.0)
-    r_tilde = _matrices([[cs / np.conj(f_plus), ss / np.conj(f_minus)],
-                         [ss / np.conj(f_plus), -cs / np.conj(f_minus)]])
-    return FrameRotation(r=r, r_tilde=r_tilde)
-
-
-def adiabatic_frame_h0(pulse: PulseSpec, theta_path: MixingAnglePath,
-                       gauges: GaugeFunctions, k: int) -> np.ndarray:
-    """Adiabatic-frame matrix of the bare Hamiltonian at grid point k.
-
-    diag(E_+, E_-) - i * [[u_+, dtheta*f_-/(2 f_+)],
-                          [-dtheta*f_+/(2 f_-), u_-]]
-    with u_n the exact gauge integrands (hbar = 1).  The off-diagonal
-    entries are the non-adiabatic couplings.
-    """
-    n = theta_path.grid.n_points
-    if not 0 <= k < n:
-        raise IndexError(f"index {k} outside grid of {n} points")
-    if gauges.grid != theta_path.grid:
-        raise ValueError("gauges and theta path must share the grid")
-    t = theta_path.grid.samples[k]
-    e_plus, e_minus = eigenvalues(pulse, t, theta_path.regime)
-    fp, fm = gauges.f_plus[k], gauges.f_minus[k]
-    if fp == 0 or fm == 0:
-        raise ZeroGauge("gauge factor vanished")
-    dth = theta_path.dtheta[k]
-    return np.array(
-        [
-            [e_plus - 1j * gauges.dlogf_plus[k], -0.5j * dth * fm / fp],
-            [0.5j * dth * fp / fm, e_minus - 1j * gauges.dlogf_minus[k]],
-        ],
-        dtype=complex,
-    )

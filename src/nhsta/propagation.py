@@ -28,7 +28,7 @@ HamiltonianFn = Callable[[float], np.ndarray]
 INITIAL_BARE_GROUND = "bare-ground"
 INITIAL_EIGEN_PLUS = "eigen-plus"
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """Bare-basis state samples psi(t_k) on a grid."""
 
@@ -41,7 +41,7 @@ class StateTrajectory:
             raise ValueError("one state per grid point required")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
     """Eigenstate amplitudes and populations derived from a trajectory.
 

@@ -45,7 +45,7 @@ ArrayOrFn = Union[np.ndarray, Callable[[np.ndarray], np.ndarray], float, complex
 CONSISTENCY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupplementCoefficients:
     """Per-grid coefficients of H1 = 0.5*[[delta, W],[conj(W), -delta]].
 
@@ -74,7 +74,7 @@ class SupplementCoefficients:
                 raise ValueError("hermitian policy requires Re[omega] = 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullificationReport:
     """Residual of the cancellation condition, plus optional frame check.
 

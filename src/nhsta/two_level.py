@@ -121,7 +121,7 @@ class BranchRegime(Enum):
 TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingAnglePath:
     """Branch-continuous complex mixing angle and its rate on a grid.
 
@@ -338,20 +338,6 @@ def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:
     gm = float(pulse.gamma(t))
     principal = complex(_principal_theta(np.array(om), np.array(dl - 0.5j * gm)))
     return principal + np.pi * round((reference - principal).real / np.pi)
-
-
-def eigenvectors(theta: complex):
-    """Right pair (|+>, |->) and left pair (|+~>, |-~>) for a mixing angle.
-
-    <n~|m> = delta_nm holds exactly for any complex theta.
-    """
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    plus = np.array([c, s], dtype=complex)
-    minus = np.array([s, -c], dtype=complex)
-    cs, ss = np.cos(np.conj(theta) / 2.0), np.sin(np.conj(theta) / 2.0)
-    plus_tilde = np.array([cs, ss], dtype=complex)
-    minus_tilde = np.array([ss, -cs], dtype=complex)
-    return (plus, minus), (plus_tilde, minus_tilde)
 
 
 def allen_eberly(params: AllenEberlyParams) -> PulseSpec:

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import analytic_two_level_systems, ae_params
-from nhsta.biorthogonal import (EigenPath, counterdiabatic_generic, decompose,
-                                left_right_derivative_identity, reconstruct)
+from nhsta.biorthogonal import decompose, reconstruct
 from nhsta.errors import DegenerateRegime, DegenerateSpectrum
-from nhsta.gauges import rotation
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import hermitian_realizable
 from nhsta.two_level import (allen_eberly, classify_regime, eigenvalue_path,
                              radicand)
+from oracles import (EigenPath, counterdiabatic_generic,
+                     left_right_derivative_identity, rotation)
 
 GAMMAS = (0.1, 0.3, 1.0)
 

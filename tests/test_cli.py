@@ -34,15 +34,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_verify_leaves_scipy_unloaded(tmp_path):
+def test_verify_leaves_scipy_and_numpy_random_unloaded(tmp_path):
     import subprocess
     import sys
     code = ("import sys; from nhsta.cli import main; "
             f"code = main(['verify', '--out', {str(tmp_path)!r}]); "
-            "print(code, 'scipy' in sys.modules)")
+            "print(code, 'scipy' in sys.modules, "
+            "'numpy.random' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stdout.splitlines()[-1] == "0 False False"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
@@ -369,6 +370,34 @@ class TestVerify:
         assert main(["verify", "--gamma", "2.0", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "DegenerateRegime" in err
+
+    def test_constant_h_tables_match_callable_integration(self, monkeypatch):
+        from nhsta import cli
+        from nhsta.grids import TimeGrid
+        from nhsta.propagation import integrate
+
+        def sampled(h, psi0, grid):
+            return integrate(lambda t: h, psi0, grid)
+
+        grid = TimeGrid(0.0, 10.0, 500)
+        assert (cli._propagate_constant(cli.H_RABI, [1, 0], grid).psi.tobytes()
+                == sampled(cli.H_RABI, [1, 0], grid).psi.tobytes())
+        errors = [cli.rabi_error(500), cli.rabi_error(1000),
+                  cli.decay_error(4000)]
+        monkeypatch.setattr(cli, "_propagate_constant", sampled)
+        assert [cli.rabi_error(500), cli.rabi_error(1000),
+                cli.decay_error(4000)] == errors
+
+    def test_corpus_keeps_its_coverage(self):
+        from nhsta.cli import random_corpus
+        corpus = list(random_corpus())
+        assert len(corpus) == 60
+        assert {m.shape for m, _ in corpus} == {(2, 2), (3, 3), (4, 4)}
+        entries = np.concatenate([m.ravel() for m, _ in corpus])
+        assert np.max(np.abs(entries.real)) <= 1.0
+        assert np.max(np.abs(entries.imag)) <= 1.0
+        again = list(random_corpus())
+        assert all(np.array_equal(m, n) for (m, _), (n, _) in zip(corpus, again))
 
 
 class TestFormatsAndPulseFile:

@@ -4,16 +4,17 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import ae_params, analytic_two_level_systems
-from nhsta.biorthogonal import BiorthogonalSystem, EigenPath, adiabatic_frame_generic
+from nhsta.biorthogonal import BiorthogonalSystem
 from nhsta.errors import SinThetaSingular, ZeroGauge
-from nhsta.gauges import (adiabatic_frame_h0, gauge_simple, matched_delta,
-                          rotation)
+from nhsta.gauges import gauge_simple, matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import hermitian_realizable, matched_gauge
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                              allen_eberly, eigenvalue_path, mixing_angle_path,
                              theta_at)
+from oracles import (EigenPath, adiabatic_frame_generic, adiabatic_frame_h0,
+                     rotation)
 
 
 class TestGaugeSimple:

@@ -4,7 +4,6 @@ import pytest
 
 from conftest import ae_params, analytic_two_level_systems
 from nhsta import synthesis
-from nhsta.biorthogonal import EigenPath, counterdiabatic_generic
 from nhsta.errors import InconsistentChoice, PolicyMismatch
 from nhsta.experiments import ae_pulse_and_grid, shortcut_table
 from nhsta.grids import TimeGrid
@@ -13,6 +12,7 @@ from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
                              hermitian_realizable, matched_gauge, naive_cd,
                              nullification_residual)
 from nhsta.two_level import eigenvalue_path, hamiltonian, mixing_angle_path
+from oracles import EigenPath, counterdiabatic_generic, rotation
 
 
 def assert_bitwise(got, want):
@@ -164,8 +164,6 @@ class TestNullificationReport:
         assert np.max(report.frame_coupling_plain) <= report.frame_tolerance
         # the reverse coupling is allowed to survive: rebuild it explicitly
         pulse, path = theta_paths(1.0)
-        from nhsta.gauges import rotation
-        from nhsta.two_level import hamiltonian
         k = path.grid.index_of(0.25)
         h = path.grid.step
         coeffs = run.coeffs
@@ -180,9 +178,7 @@ class TestNullificationReport:
         assert abs(frame[0, 1]) > 0.01
 
     def test_frame_coupling_equals_pointwise_loop(self, shortcut_run):
-        from nhsta.gauges import rotation
         from nhsta.synthesis import _frame_coupling
-        from nhsta.two_level import hamiltonian
         run = shortcut_run(1.0)
         th, g, coeffs = run.theta, run.gauges, run.coeffs
         ts, h, n = th.grid.samples, th.grid.step, th.grid.n_points

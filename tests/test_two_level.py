@@ -10,8 +10,9 @@ from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (TRIG_FIELDS, BranchRegime, PulseSpec,
                              allen_eberly, branch_sqrt, classify_regime,
-                             eigenvalue_path, eigenvalues, eigenvectors,
-                             hamiltonian, mixing_angle_path, radicand)
+                             eigenvalue_path, eigenvalues, hamiltonian,
+                             mixing_angle_path, radicand)
+from oracles import eigenvectors
 
 
 def constant_pulse(omega, delta, gamma):
@@ -344,3 +345,32 @@ class TestAllenEberly:
     def test_critical_decay_rejected_at_construction(self):
         with pytest.raises(DegenerateRegime):
             ae_params(gamma=2.0 * OMEGA0)
+
+
+class TestRecordIdentity:
+    """Records holding arrays compare and hash by identity: a field-wise
+    ``==`` would ask numpy for the truth value of an array."""
+
+    def test_equal_paths_hash_and_compare(self):
+        pulse = allen_eberly(ae_params(gamma=1.0))
+        grid = TimeGrid(-1.0, 1.0, 200)
+        a, b = mixing_angle_path(pulse, grid), mixing_angle_path(pulse, grid)
+        assert np.array_equal(a.theta, b.theta)
+        assert a == a
+        assert a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+        assert a in {a}
+        assert b not in {a}
+
+    @pytest.mark.parametrize("name", [
+        "propagation.StateTrajectory", "propagation.AmplitudeTrajectory",
+        "gauges.GaugeFunctions", "two_level.MixingAnglePath",
+        "synthesis.SupplementCoefficients", "synthesis.NullificationReport",
+        "biorthogonal.BiorthogonalSystem"])
+    def test_array_records_use_identity(self, name):
+        import importlib
+        module, _, cls = name.rpartition(".")
+        record = getattr(importlib.import_module(f"nhsta.{module}"), cls)
+        assert record.__eq__ is object.__eq__
+        assert record.__hash__ is object.__hash__
