@@ -2,12 +2,13 @@
 
 A table builds the branch-continuous mixing-angle path on a quarter-step
 grid (so the RK4 stages of the run and of its half-step certification rerun
-are all tabulated), synthesizes the requested supplement policy, and scans
-the RK4 transfer matrices.  The angle path, its trigonometric functions, H0
-and the eigenvalues do not depend on the policy, so the tables of several
-policies for one pulse share them.  A run applies a table to one initial
-state: it propagates the bare-basis state and extracts raw/modified
-amplitudes and populations.
+are all tabulated), synthesizes the requested supplement policy, writes
+H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
+matrices of the run and of its rerun together.  The angle path, its
+trigonometric functions, H0 and the eigenvalues do not depend on the
+policy, so the tables of several policies for one pulse share them.  A
+run applies a table to one initial state: it propagates the bare-basis
+state and extracts raw/modified amplitudes and populations.
 """
 from __future__ import annotations
 
@@ -21,18 +22,20 @@ from .gauges import GaugeFunctions, gauge_simple
 from .grids import TimeGrid
 from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
                           AmplitudeTrajectory, PrefixScan, StateTrajectory,
-                          amplitudes, prefix_scan, step_halving_gap)
+                          amplitudes, phase_table, scan_table,
+                          step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
                         NullificationReport, SupplementCoefficients,
-                        assemble_h1_series, closed_form_gplus,
-                        general_family_omega_zero, hermitian_realizable,
-                        matched_gauge, naive_cd, nullification_residual)
+                        closed_form_gplus, general_family_omega_zero,
+                        h1_entries, hermitian_realizable, matched_gauge,
+                        naive_cd_entries, nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         PulseSpec, allen_eberly, branch_argument,
-                        classify_regime, eigenvalue_path, hamiltonian,
+                        classify_regime, eigenvalue_path, hamiltonian_entries,
                         mixing_angle_path, radicand)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
+from .synthesis import assemble_h1_series  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 
 #: general-family preset with zero coupling drive
@@ -52,9 +55,10 @@ class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
     Holds the angle path, the supplement, the gauges and checks on the run
-    grid, and the RK4 prefix products of the coarse run and of its half-step
-    certification rerun.  :meth:`run` applies them to one initial state;
-    every state run from the same table shares this work.
+    grid, and the RK4 prefix scan of the run (with its half-step
+    certification rerun when the table certifies).  :meth:`run` applies it
+    to one initial state; every state run from the same table shares this
+    work.
     """
 
     pulse: PulseSpec
@@ -68,8 +72,7 @@ class ShortcutTable:
     coeffs: Optional[SupplementCoefficients]
     g_plus_closed: Optional[np.ndarray]
     residual: Optional[NullificationReport]
-    coarse: PrefixScan
-    fine: Optional[PrefixScan]
+    scan: PrefixScan
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
         """Propagate one initial state: trajectory, amplitudes, and the
@@ -83,10 +86,9 @@ class ShortcutTable:
                             dtype=complex)
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
-        traj = self.coarse.apply(psi0, initial_condition=initial_state)
+        traj, *rerun = self.scan.apply(psi0, initial_condition=initial_state)
         amps = amplitudes(traj, self.theta, self.gauges)
-        convergence = (step_halving_gap(traj, self.fine)
-                       if self.fine is not None else None)
+        convergence = step_halving_gap(traj, *rerun) if rerun else None
         return ShortcutRun(
             **{f.name: getattr(self, f.name) for f in fields(ShortcutTable)},
             initial_state=initial_state, trajectory=traj, amps=amps,
@@ -148,38 +150,37 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     regime = theta_q.regime
     theta = _every(4, theta_q, grid, ("theta", "dtheta"))
     e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
-    h0_q = hamiltonian(pulse, quarter.samples)
+    h0_q = hamiltonian_entries(pulse, quarter.samples)
     return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
                           with_convergence, with_frame_check)
             for policy in policies)
 
 
 def _supplement(policy: str, theta_q: MixingAnglePath, grid: TimeGrid
-                ) -> tuple[Optional[SupplementCoefficients], np.ndarray]:
+                ) -> tuple[Optional[SupplementCoefficients], tuple]:
     """The policy's coefficients on the run grid (None for the naive term)
-    and its H1 on the quarter-step grid of ``theta_q``."""
+    and the entries of its H1 on the quarter-step grid of ``theta_q``."""
     if policy == POLICY_HERMITIAN:
         coeffs_q = hermitian_realizable(theta_q)
     elif policy == POLICY_OMEGA_ZERO:
         coeffs_q = general_family_omega_zero(theta_q)
     elif policy == POLICY_NAIVE:
-        return None, naive_cd(theta_q)
+        return None, naive_cd_entries(theta_q)
     else:
         raise ConfigError(
             f"unknown policy {policy!r}; expected one of {POLICIES}")
-    return (_every(4, coeffs_q, grid, ("delta", "omega")),
-            assemble_h1_series(coeffs_q))
+    return _every(4, coeffs_q, grid, ("delta", "omega")), h1_entries(coeffs_q)
 
 
 def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
                   with_convergence, with_frame_check) -> ShortcutTable:
-    """One policy's supplement, H0 + H1 table, scans, gauges and checks on
+    """One policy's supplement, H0 + H1 table, scan, gauges and checks on
     the run grid of ``theta`` (its temporaries are freed on return)."""
     grid = theta.grid
-    coeffs, h_quarter = _supplement(policy, theta_q, grid)
-    h_quarter += h0_q  # H1 is this table's own array: add H0 in place
-    coarse = prefix_scan(h_quarter[::2], grid)
-    fine = prefix_scan(h_quarter, grid.refine(2)) if with_convergence else None
+    coeffs, h1_q = _supplement(policy, theta_q, grid)
+    h = phase_table(grid.steps, h0_q, h1_q)
+    del h1_q  # freed before the scan's temporaries are allocated
+    scan = scan_table(h, grid, certify=with_convergence)
 
     if coeffs is not None:
         gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
@@ -191,10 +192,11 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
     if coeffs is not None:
         if policy == POLICY_HERMITIAN:
             g_plus_closed = closed_form_gplus(e_plus, gauges, coeffs, theta)
-        # the run grid is every fourth row of the quarter-step table
+        # phase 0 of the table holds the run grid: view it as (n + 1, 2, 2)
         residual = nullification_residual(
             theta, coeffs,
-            h_total=h_quarter[::4] if with_frame_check else None,
+            h_total=(np.moveaxis(h[:, 0].reshape(2, 2, -1), -1, 0)
+                     if with_frame_check else None),
             gauges=gauges if with_frame_check else None)
 
     return ShortcutTable(pulse=pulse, grid=grid, regime=theta.regime,
@@ -202,7 +204,7 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
                          theta=theta, e_plus=e_plus, e_minus=e_minus,
                          gauges=gauges, coeffs=coeffs,
                          g_plus_closed=g_plus_closed, residual=residual,
-                         coarse=coarse, fine=fine)
+                         scan=scan)
 
 
 def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
@@ -213,8 +215,8 @@ def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
     """Angle path, supplement, gauges and RK4 prefix products of a run.
 
     H0 + H1 is tabulated once on the quarter-step grid: the run propagates
-    on every second row, and certification reruns at half step on all rows.
-    The one-policy case of :func:`shortcut_tables`.
+    on every second quarter step, and certification reruns at half step on
+    all of them.  The one-policy case of :func:`shortcut_tables`.
     """
     return next(shortcut_tables(pulse, grid, (policy,), regime,
                                 with_convergence, with_frame_check))

@@ -1,15 +1,17 @@
 """Fixed-step RK4 propagation of i*dpsi/dt = H(t)*psi with complex H.
 
-H is tabulated on the half-step grid, so step k reads its stage matrices
-at t_k, t_k + h/2, t_k + h from rows 2k, 2k+1, 2k+2.  RK4 is linear in psi:
-its stages collapse into one 2x2 transfer matrix per step, formed with
-batched numpy.  A blocked prefix scan multiplies them (Blelloch 1990): the
-products inside blocks of about sqrt(steps)/2 steps are vectorized across
-all blocks, and a state needs only a short scalar loop over the block ends.
+H is tabulated in the kernel's layout (:func:`phase_table`): entry c of H
+at t_k + p*h/P is ``h[c, p, k]``, so the stage matrices of every step, at
+t_k, t_k + h/2 and t_k + h, are contiguous rows.  RK4 is linear in psi: its
+stages collapse into one 2x2 transfer matrix per step, formed with batched
+numpy.  A blocked prefix scan multiplies them (Blelloch 1990): the products
+inside blocks of about sqrt(steps)/2 steps are vectorized across all
+blocks, and a state needs only a short scalar loop over the block ends.
 The scan does not depend on psi0, so several initial states share it.  Step
-adequacy is certified by a half-step rerun on the quarter-step table,
-compared at the shared samples.  Callables H(t) are sampled onto such
-tables first.
+adequacy is certified by a half-step rerun on a quarter-step table: its two
+steps per run interval are multiplied into one matrix, so the rerun shares
+the run's blocks, scan and state loop and yields the run's samples, where
+the two are compared.  Callables H(t) are sampled onto such tables first.
 """
 from __future__ import annotations
 
@@ -64,10 +66,26 @@ class AmplitudeTrajectory:
     pop_bare_1_renorm: np.ndarray
 
 
+# The kernels below sum into their own temporaries (np.add(x, t, out=t) is
+# x + t): fewer allocations, the same operations in the same order.
+
 def _apply(a, y):
     """a @ y for 2x2 matrices a = (a00, a01, a10, a11) and columns
     y = (y0, y1), each entry an array (or scalar) broadcast across steps."""
-    return a[0] * y[0] + a[1] * y[1], a[2] * y[0] + a[3] * y[1]
+    r0 = a[0] * y[0]
+    r0 += a[1] * y[1]
+    r1 = a[2] * y[0]
+    r1 += a[3] * y[1]
+    return r0, r1
+
+
+def _shift(y, s: complex, k):
+    """y + s*k per component."""
+    out = []
+    for yi, ki in zip(y, k):
+        t = s * ki
+        out.append(np.add(yi, t, out=t))
+    return out
 
 
 def _rk4_step(a, h: float, y, k1):
@@ -75,19 +93,62 @@ def _rk4_step(a, h: float, y, k1):
     at t, t + h/2, t + h; ``k1`` is a0 @ y.  The stage slopes are -i*(a @ y):
     the exact factor -i rides on the step scalars, so ``a`` can be views."""
     half, full = -0.5j * h, -1j * h
-    k2 = _apply(a[1], [yi + half * ki for yi, ki in zip(y, k1)])
-    k3 = _apply(a[1], [yi + half * ki for yi, ki in zip(y, k2)])
-    k4 = _apply(a[2], [yi + full * ki for yi, ki in zip(y, k3)])
-    return [yi + (full / 6.0) * (ki1 + 2.0 * ki2 + 2.0 * ki3 + ki4)
-            for yi, ki1, ki2, ki3, ki4 in zip(y, k1, k2, k3, k4)]
+    k2 = _apply(a[1], _shift(y, half, k1))
+    k3 = _apply(a[1], _shift(y, half, k2))
+    k4 = _apply(a[2], _shift(y, full, k3))
+    out = []
+    for yi, ki1, ki2, ki3, ki4 in zip(y, k1, k2, k3, k4):
+        s = 2.0 * ki2  # yi + (full/6)*(ki1 + 2*ki2 + 2*ki3 + ki4)
+        np.add(ki1, s, out=s)
+        s += 2.0 * ki3
+        s += ki4
+        np.multiply(full / 6.0, s, out=s)
+        out.append(np.add(yi, s, out=s))
+    return out
 
 
-def _stages(h_half: np.ndarray):
-    """Views of H at each step's stage times: three component-major 2x2
-    matrices (rows 0, 2, ...; 1, 3, ...; 2, 4, ... of the table)."""
-    end = len(h_half)
-    return tuple(tuple(h_half[s:end - 2 + s:2, i, j] for i in (0, 1)
-                       for j in (0, 1)) for s in (0, 1, 2))
+def phase_table(steps: int, h, h1=None) -> np.ndarray:
+    """H (plus H1 when given) in the kernel's layout, (4, phases, steps + 1).
+
+    ``h`` and ``h1`` are the entries (h00, h01, h10, h11) of 2x2 series on
+    ``grid.refine(phases)``, phases*steps + 1 samples each (an entry of
+    ``h1`` may be a scalar).  Entry c = 2i + j at t_k + p*step/phases lands
+    in ``[c, p, k]``; the phases past the last sample are zero, never read.
+    """
+    def by_phase(x):  # (phases, steps) view of all but the last sample
+        return x[:-1].reshape(steps, -1).T if np.ndim(x) else x
+
+    out = np.empty((4, (len(h[0]) - 1) // steps, steps + 1), dtype=complex)
+    out[:, 1:, steps] = 0.0
+    for dst, x, y in zip(out, h, h1 or (None,) * 4):
+        if y is None:
+            dst[:, :steps], dst[0, steps] = by_phase(x), x[-1]
+        else:
+            np.add(by_phase(x), by_phase(y), out=dst[:, :steps])
+            dst[0, steps] = x[-1] + (y[-1] if np.ndim(y) else y)
+    return out
+
+
+def _stages(h: np.ndarray, rows, count: int):
+    """Stage matrices of the first ``count`` steps: for each (phase, shift)
+    of ``rows``, the component rows h[:, phase, shift:shift + count]."""
+    return tuple(tuple(h[:, p, s:s + count]) for p, s in rows)
+
+
+def _transfer(h: np.ndarray, substeps, step: float, count: int):
+    """Entries (m00, m01, m10, m11) of the RK4 transfer matrices of the first
+    ``count`` intervals: the product of their substeps, latest on the left."""
+    m = None
+    for rows in substeps:
+        a = _stages(h, rows, count)
+        x = [_rk4_step(a, step / len(substeps), y, (a[0][c], a[0][c + 2]))
+             for c, y in enumerate(((1.0, 0.0), (0.0, 1.0)))]  # columns
+        if m is not None:  # x @ m, column by column
+            x = [_apply((x[0][0], x[1][0], x[0][1], x[1][1]), col)
+                 for col in m]
+        m = x
+    (m00, m10), (m01, m11) = m
+    return m00, m01, m10, m11
 
 
 def _block_size(steps: int) -> int:
@@ -100,79 +161,129 @@ def _block_size(steps: int) -> int:
 class PrefixScan:
     """RK4 transfer-matrix prefix products of one table, for any psi0.
 
-    Steps are cut into blocks of ``b``; ``prefix[:, :, i, j]`` is the product
-    of the transfer matrices of steps i*b .. i*b + j (identities pad the last
-    block).  A state is carried across the block ends by the last column,
-    then every sample is one product of a prefix with its block's start
-    state, so each state costs only about steps/b scalar products.
+    It holds one set of transfer matrices per trajectory: the run and, for a
+    certifying scan, its paired half-step rerun.  Each set's intervals are
+    cut into blocks of ``b``; ``prefix[j, :, :, s*blocks + i]`` is the
+    product of the matrices of intervals i*b .. i*b + j of set s (identities
+    pad the last block).  A state is carried across the block ends by the
+    last row, then every sample is one product of a prefix with its block's
+    start state, so each state costs only about steps/b scalar products per
+    set.
     """
 
     grid: TimeGrid
-    h_half: np.ndarray  # kept to name the failing step of a blow-up
-    prefix: np.ndarray  # (2, 2, blocks, b)
+    h: np.ndarray  # kept to name the failing step of a blow-up
+    sets: tuple  # per set, the (phase, shift) stage rows of its substeps
+    prefix: np.ndarray  # (b, 2, 2, len(sets) * blocks)
 
     def apply(self, psi0: np.ndarray, initial_condition: str = "custom"
-              ) -> StateTrajectory:
-        """RK4 trajectory from a two-component psi0; see :func:`propagate`."""
+              ) -> tuple[StateTrajectory, ...]:
+        """RK4 trajectory of each set from a two-component psi0 (the run
+        first); see :func:`propagate`."""
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (2,):
             raise ValueError("psi0 must be a two-component vector")
-        pre = self.prefix.reshape(4, -1, self.prefix.shape[-1])
-        s0, s1 = complex(psi[0]), complex(psi[1])
-        start0, start1 = [s0], [s1]
+        b, width = len(self.prefix), self.prefix.shape[-1]
+        blocks = width // len(self.sets)
+        pre = self.prefix.reshape(b, 4, width)
+        ends = pre[-1].tolist()
+        start0, start1 = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for m00, m01, m10, m11 in zip(*pre[:, :-1, -1].tolist()):
-                s0, s1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
+            for lo in range(0, width, blocks):
+                s0, s1 = complex(psi[0]), complex(psi[1])
                 start0.append(s0)
                 start1.append(s1)
-            out = np.empty((self.grid.n_points, 2), dtype=complex)
-            out[0] = psi
-            for col, val in enumerate(_apply(pre, (np.array(start0)[:, None],
-                                                   np.array(start1)[:, None]))):
-                out[1:, col] = val.reshape(-1)[:self.grid.steps]
+                for m00, m01, m10, m11 in zip(*(e[lo:lo + blocks - 1]
+                                                for e in ends)):
+                    s0, s1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
+                    start0.append(s0)
+                    start1.append(s1)
+            cols = _apply(pre.transpose(1, 0, 2),
+                          (np.array(start0), np.array(start1)))
+        runs = []
+        for lo, substeps in zip(range(0, width, blocks), self.sets):
+            # component-major, padded to whole blocks; psi is a view of it
+            out = np.empty((2, 1 + blocks * b), dtype=complex)
+            out[:, 0] = psi
+            for row, val in zip(out, cols):
+                row[1:].reshape(blocks, b)[...] = val[:, lo:lo + blocks].T
+            out = out[:, :self.grid.n_points].T
+            self._check_finite(out, substeps)
+            runs.append(StateTrajectory(grid=self.grid, psi=out,
+                                        initial_condition=initial_condition))
+        return tuple(runs)
+
+    def _check_finite(self, out: np.ndarray, substeps) -> None:
+        """Raise NonFinite naming the first sample at which a step's stages
+        overflow, if any state of ``out`` is not finite."""
+        if np.isfinite(out).all():
+            return
         finite = np.all(np.isfinite(out), axis=1)
-        if not np.all(finite):
-            # The stage vectors outgrow the state, so a step-by-step RK4 loop
-            # overflows a few steps before the product does: rerun the stages
-            # from the finite samples to name the same step.
-            last = int(np.argmin(finite))
-            a = _stages(self.h_half[:2 * last + 1])
-            y = (out[:last, 0], out[:last, 1])
-            with np.errstate(over="ignore", invalid="ignore"):
-                nxt = _rk4_step(a, self.grid.step, y, _apply(a[0], y))
-            bad = ~(np.isfinite(nxt[0]) & np.isfinite(nxt[1]))
-            k = int(np.argmax(bad)) + 1 if np.any(bad) else last
-            raise NonFinite(f"state blew up near t={self.grid.samples[k]:g}")
-        return StateTrajectory(grid=self.grid, psi=out,
-                               initial_condition=initial_condition)
+        # The stage vectors outgrow the state, so a step-by-step RK4 loop
+        # overflows a few steps before the product does: rerun the stages
+        # from the finite samples to name the same (sub)step.
+        last = int(np.argmin(finite))
+        per = len(substeps)
+        first = per * last  # on the substep grid
+        y = (out[:last, 0], out[:last, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, rows in enumerate(substeps):
+                a = _stages(self.h, rows, last)
+                y = _rk4_step(a, self.grid.step / per, y, _apply(a[0], y))
+                bad = ~(np.isfinite(y[0]) & np.isfinite(y[1]))
+                if np.any(bad):
+                    first = min(first, per * int(np.argmax(bad)) + i + 1)
+        t = self.grid.refine(per).samples[first]
+        raise NonFinite(f"state blew up near t={t:g}")
+
+
+def scan_table(h: np.ndarray, grid: TimeGrid, certify: bool = False
+               ) -> PrefixScan:
+    """Blocked prefix scan of the RK4 transfer matrices of a table.
+
+    ``h`` is H on ``grid`` in the kernel's layout (:func:`phase_table`),
+    with 2 phases (half steps) or 4 (quarter steps).  With ``certify`` (4
+    phases) the scan also holds the half-step rerun, its two steps per run
+    interval multiplied into one matrix, so both sets share the blocks and
+    the b - 1 vectorized in-block iterations.
+    """
+    n = grid.steps
+    phases = h.shape[1] if h.ndim == 3 else 0
+    if (h.shape != (4, phases, n + 1) or phases not in (2, 4)
+            or (certify and phases != 4)):
+        raise ValueError("h must hold H in the kernel's layout on the grid")
+    # each substep of a run interval reads rows at t, t + h/2, t + h of it
+    run = (((0, 0), (phases // 2, 0), (0, 1)),)
+    rerun = (((0, 0), (1, 0), (2, 0)), ((2, 0), (3, 0), (0, 1)))
+    sets = (run, rerun) if certify else (run,)
+    b = _block_size(n)
+    blocks, (full, rest) = -(-n // b), divmod(n, b)
+    p = np.empty((b, 4, len(sets) * blocks), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, substeps in zip(range(0, p.shape[-1], blocks), sets):
+            for c, m in enumerate(_transfer(h, substeps, grid.step, n)):
+                dst = p[:, c, lo:lo + blocks]
+                dst[:, :full] = m[:full * b].reshape(full, b).T
+                if rest:
+                    dst[:rest, full] = m[full * b:]
+                    dst[rest:, full] = 1.0 if c in (0, 3) else 0.0
+        q = p.reshape(b, 2, 2, -1)
+        r, t = np.empty_like(q[0]), np.empty_like(q[0])
+        for j in range(1, b):  # q[j] = q[j] @ q[j - 1], every block at once
+            x, y = q[j], q[j - 1]
+            np.multiply(x[:, 0, None], y[0], out=r)
+            np.multiply(x[:, 1, None], y[1], out=t)
+            np.add(r, t, out=x)
+    return PrefixScan(grid=grid, h=h, sets=sets, prefix=q)
 
 
 def prefix_scan(h_half: np.ndarray, grid: TimeGrid) -> PrefixScan:
-    """Blocked prefix scan of the RK4 transfer matrices of a table.
-
-    ``h_half`` is H on ``grid.refine(2)``, shape (2*steps + 1, 2, 2): step k
-    reads its stages from rows 2k, 2k+1, 2k+2.  The in-block products take
-    b vectorized iterations, each across all blocks at once.
-    """
+    """The one-set :func:`scan_table` of H on ``grid.refine(2)``, shape
+    (2*steps + 1, 2, 2): step k reads its stages from rows 2k, 2k+1, 2k+2."""
     h_half = np.asarray(h_half)
     if h_half.shape != (2 * grid.steps + 1, 2, 2):
         raise ValueError("h_half must hold H at every half step of the grid")
-    n, h = grid.steps, grid.step
-    b = _block_size(n)
-    blocks = -(-n // b)
-    p = np.zeros((2, 2, blocks, b), dtype=complex)
-    m = p.reshape(4, -1)
-    m[0, n:] = m[3, n:] = 1.0
-    a = _stages(h_half)
-    with np.errstate(over="ignore", invalid="ignore"):
-        m[0, :n], m[2, :n] = _rk4_step(a, h, (1.0, 0.0), (a[0][0], a[0][2]))
-        m[1, :n], m[3, :n] = _rk4_step(a, h, (0.0, 1.0), (a[0][1], a[0][3]))
-        for j in range(1, b):
-            x, y = p[..., j], p[..., j - 1]
-            r = x[:, 0, None] * y[0]
-            r += x[:, 1, None] * y[1]
-            p[..., j] = r
-    return PrefixScan(grid=grid, h_half=h_half, prefix=p)
+    return scan_table(phase_table(grid.steps, h_half.reshape(-1, 4).T), grid)
 
 
 def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid,
@@ -183,19 +294,23 @@ def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid,
     NonFinite when the state blows up (e.g. runaway gain), naming the first
     sample at which a step's stages overflow.
     """
-    return prefix_scan(h_half, grid).apply(psi0, initial_condition)
+    return prefix_scan(h_half, grid).apply(psi0, initial_condition)[0]
 
 
-def _tabulate(h_total: HamiltonianFn, grid: TimeGrid) -> np.ndarray:
-    return np.array([h_total(t) for t in grid.samples], dtype=complex)
+def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
+              ) -> np.ndarray:
+    """A callable H(t) on ``grid.refine(phases)``, in the kernel's layout."""
+    h = np.array([h_total(t) for t in grid.refine(phases).samples],
+                 dtype=complex)
+    return phase_table(grid.steps, h.reshape(-1, 4).T)
 
 
 def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid,
               initial_condition: str = "custom") -> StateTrajectory:
-    """RK4 for a callable H(t): sampled on the half-step grid, then
+    """RK4 for a callable H(t), sampled at the half steps; see
     :func:`propagate`."""
-    return propagate(_tabulate(h_total, grid.refine(2)), psi0, grid,
-                     initial_condition)
+    return scan_table(_tabulate(h_total, grid, 2), grid).apply(
+        psi0, initial_condition)[0]
 
 
 def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
@@ -233,12 +348,10 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
     )
 
 
-def step_halving_gap(coarse: StateTrajectory, fine: PrefixScan) -> float:
-    """Max-norm gap between ``coarse`` and its half-step rerun at the shared
-    samples.  ``fine`` scans H on ``coarse.grid.refine(4)``; the coarse run
-    must have used every second row of that table."""
-    rerun = fine.apply(coarse.psi[0])
-    return float(np.max(np.abs(coarse.psi - rerun.psi[::2])))
+def step_halving_gap(run: StateTrajectory, rerun: StateTrajectory) -> float:
+    """Max-norm gap between a run and its half-step rerun at the run's
+    samples (the two trajectories of a certifying scan)."""
+    return float(np.max(np.abs(run.psi - rerun.psi)))
 
 
 def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,
@@ -247,6 +360,5 @@ def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,
     refinement, sampled at the shared points.  Certifies step adequacy."""
     if grid.steps % 2 != 0:
         raise ValueError("convergence check expects an even number of steps")
-    h_quarter = _tabulate(h_total, grid.refine(4))
-    return step_halving_gap(propagate(h_quarter[::2], psi0, grid),
-                            prefix_scan(h_quarter, grid.refine(2)))
+    scan = scan_table(_tabulate(h_total, grid, 4), grid, certify=True)
+    return step_halving_gap(*scan.apply(psi0))

@@ -114,11 +114,13 @@ def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
     Hermitian exactly when dtheta is real, which fails once the decay makes
     theta complex - the reason a realizable substitute is needed.
     """
+    return _matrices(naive_cd_entries(theta_path), theta_path.grid.n_points)
+
+
+def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
+    """Entries (h00, h01, h10, h11) of :func:`naive_cd`."""
     dth = theta_path.dtheta
-    out = np.zeros((len(dth), 2, 2), dtype=complex)
-    out[:, 0, 1] = -0.5j * dth
-    out[:, 1, 0] = 0.5j * dth
-    return out
+    return 0.0, -0.5j * dth, 0.5j * dth, 0.0
 
 
 def hermitian_realizable(theta_path: MixingAnglePath) -> SupplementCoefficients:
@@ -149,9 +151,12 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
     """
     ts = theta_path.grid.samples
     lam = _as_array(lambda_choice, ts)
-    re_om = _as_array(re_omega, ts).real
     dth = theta_path.dtheta
-    zeta = re_om * theta_path.cos
+    if not callable(re_omega) and np.ndim(re_omega) == 0 and re_omega == 0:
+        re_om = zeta = 0.0  # no drive: cos(theta) is not needed
+    else:
+        re_om = _as_array(re_omega, ts).real
+        zeta = re_om * theta_path.cos
 
     constraint = dth.imag - (lam.real - zeta.real)
     scale = 1.0 + np.abs(dth)
@@ -189,17 +194,26 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> SupplementCoeffici
                           re_omega=0.0)
 
 
-def assemble_h1_series(coeffs: SupplementCoefficients) -> np.ndarray:
-    """Bare-frame supplement 0.5*[[delta, W],[conj(W), -delta]] at every
-    grid point, shape (n, 2, 2)."""
+def h1_entries(coeffs: SupplementCoefficients) -> tuple:
+    """Entries (h00, h01, h10, h11) of the bare-frame supplement
+    0.5*[[delta, W],[conj(W), -delta]], one series each."""
     delta = np.asarray(coeffs.delta)
     omega = np.asarray(coeffs.omega)
-    out = np.empty((coeffs.grid.n_points, 2, 2), dtype=complex)
-    out[:, 0, 0] = 0.5 * delta
-    out[:, 0, 1] = 0.5 * omega
-    out[:, 1, 0] = 0.5 * np.conj(omega)
-    out[:, 1, 1] = 0.5 * -delta
-    return out
+    return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
+
+
+def assemble_h1_series(coeffs: SupplementCoefficients) -> np.ndarray:
+    """The supplement of :func:`h1_entries` at every grid point, shape
+    (n, 2, 2)."""
+    return _matrices(h1_entries(coeffs), coeffs.grid.n_points)
+
+
+def _matrices(entries, n: int) -> np.ndarray:
+    """(n, 2, 2) stack of the entries (h00, h01, h10, h11)."""
+    out = np.empty((n, 4), dtype=complex)
+    for c, x in enumerate(entries):
+        out[:, c] = x
+    return out.reshape(n, 2, 2)
 
 
 def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,

@@ -174,19 +174,27 @@ def classify_regime(omega0: float, gamma: float) -> BranchRegime:
     return BranchRegime.SUPER_CRITICAL
 
 
-def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
-    """Bare-basis Hamiltonian 0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t.
-
-    A scalar t gives one 2x2 matrix; an array of times gives a stack.
-    """
+def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
+    """Entries (h00, h01, h10, h11) of :func:`hamiltonian` at t, each shaped
+    like t (h01 and h10 are one array)."""
     om = np.asarray(pulse.omega_r(t), dtype=float)
     dl = np.asarray(pulse.delta(t), dtype=float)
     gm = np.asarray(pulse.gamma(t), dtype=float)
     bad = ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm))
     if np.any(bad):
         raise NonFinite(f"control value not finite at t={np.asarray(t)[bad][0]}")
-    h = 0.5 * np.array([[-dl, om], [om, dl - 1j * gm]], dtype=complex)
-    return np.moveaxis(h, (0, 1), (-2, -1))
+    h01 = 0.5 * np.asarray(om, dtype=complex)
+    return (0.5 * np.asarray(-dl, dtype=complex), h01, h01,
+            0.5 * np.asarray(dl - 1j * gm, dtype=complex))
+
+
+def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
+    """Bare-basis Hamiltonian 0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t.
+
+    A scalar t gives one 2x2 matrix; an array of times gives a stack.
+    """
+    h = np.stack(hamiltonian_entries(pulse, t), axis=-1)
+    return h.reshape(h.shape[:-1] + (2, 2))
 
 
 def radicand(pulse: PulseSpec, t):

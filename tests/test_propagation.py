@@ -1,4 +1,6 @@
 """RK4 integrator, amplitude extraction, and grid mechanics."""
+import gc
+import tracemalloc
 import weakref
 from dataclasses import fields
 
@@ -16,7 +18,7 @@ from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                _block_size, amplitudes, convergence_check,
-                               integrate, prefix_scan, propagate)
+                               integrate, prefix_scan, propagate, scan_table)
 from nhsta.two_level import (TRIG_FIELDS, allen_eberly, eigenvalue_path,
                              hamiltonian, mixing_angle_path, mixing_angle_rate,
                              theta_at)
@@ -209,8 +211,8 @@ class TestPropagate:
         scan = prefix_scan(h_half, grid)
         for psi0 in ([1, 0], [0, 1], [0.6, 0.8j], [1e-3, -2.0 + 1j]):
             psi0 = np.array(psi0, dtype=complex)
-            assert np.array_equal(scan.apply(psi0).psi,
-                                  propagate(h_half, psi0, grid).psi)
+            run, = scan.apply(psi0)
+            assert np.array_equal(run.psi, propagate(h_half, psi0, grid).psi)
 
     def test_rejects_table_of_wrong_length(self):
         grid = TimeGrid(0, 1, 10)
@@ -386,10 +388,10 @@ class TestConvergence:
         tables = shortcut_tables(pulse, grid, POLICIES, regime,
                                  with_convergence=True)
         table = next(tables)
-        fine = weakref.ref(table.fine)
+        scan = weakref.ref(table.scan)
         del table
         next(tables)
-        assert fine() is None
+        assert scan() is None
 
     def test_run_path_is_quarter_path_every_fourth_sample(self):
         pulse, grid, regime = ae_pulse_and_grid(ae_params(3.0), 1000)
@@ -398,6 +400,68 @@ class TestConvergence:
         for name in ("theta", "dtheta") + TRIG_FIELDS:
             assert np.array_equal(getattr(path, name),
                                   getattr(quarter, name)[::4])
+
+    @pytest.mark.parametrize("steps", [1000, 1001])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0, 2.1])
+    def test_paired_gap_equals_unpaired_half_step_gap(self, gamma, steps):
+        # the rerun's two half steps per interval, multiplied into one
+        # matrix, against a separate scan of all half steps
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), steps)
+        table = shortcut_table(pulse, grid, regime=regime,
+                               with_convergence=True)
+        # [c, p, k] of the table is entry c of quarter-step row 4k + p
+        h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
+        h_quarter = h_quarter[:4 * steps + 1]
+        coarse = prefix_scan(h_quarter[::2], grid)
+        fine = prefix_scan(h_quarter, grid.refine(2))
+        for state in INITIAL_STATES:
+            run = table.run(state)
+            psi0 = run.trajectory.psi[0]
+            alone, = coarse.apply(psi0)
+            assert np.array_equal(run.trajectory.psi, alone.psi)
+            rerun, = fine.apply(psi0)
+            want = np.max(np.abs(run.trajectory.psi - rerun.psi[::2]))
+            assert abs(run.convergence - want) <= 1e-13
+
+    def test_runaway_gain_through_a_certified_table_raises(self):
+        h = np.array([[0, 0], [0, 2000j]], dtype=complex)
+        with pytest.raises(NonFinite, match="blew up near t="):
+            convergence_check(lambda t: h, np.array([0, 1], dtype=complex),
+                              TimeGrid(0, 2, 2000))
+
+    def test_blow_up_of_the_rerun_alone_raises(self):
+        # gain at the odd quarter steps only, which the run never reads
+        grid = TimeGrid(0, 2, 2000)
+        h = np.zeros((4, 4, grid.n_points), dtype=complex)
+        h[3, 1::2] = 2000j
+        psi0 = np.array([0, 1], dtype=complex)
+        run, = scan_table(h, grid).apply(psi0)
+        assert np.array_equal(run.psi[-1], psi0)
+        with pytest.raises(NonFinite, match="blew up near t="):
+            scan_table(h, grid, certify=True).apply(psi0)
+
+    def test_certified_table_memory_peak(self):
+        # The tracemalloc peak of building this table and running both
+        # states was 5,228,879 bytes with separate scans of the run and of
+        # all 8,000 half steps (Python 3.11, numpy 2.4); it must not grow.
+        previous_peak = 5_228_879
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), 4000)
+
+        def build_and_run():
+            table = shortcut_table(pulse, grid, regime=regime,
+                                   with_convergence=True)
+            return [table.run(state) for state in INITIAL_STATES]
+
+        build_and_run()  # one-time allocations stay out of the peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_and_run()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= previous_peak
 
     def test_odd_step_count_rejected(self):
         with pytest.raises(ValueError):

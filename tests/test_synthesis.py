@@ -17,7 +17,7 @@ from oracles import EigenPath, counterdiabatic_generic, rotation
 
 def assert_bitwise(got, want):
     """Equal bit for bit, signed zeros included."""
-    got, want = np.asarray(got), np.asarray(want)
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     g, w = got.view(float), want.view(float)
     assert np.array_equal(g, w)
@@ -123,6 +123,19 @@ class TestGeneralFamily:
         assert np.max(np.abs(coeffs.omega)) <= 1e-14
         report = nullification_residual(path, coeffs)
         assert report.max_abs_residual <= 1e-10
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
+    def test_zero_drive_skips_cos_theta_bitwise(self, gamma):
+        # a scalar zero Re[W] needs no cos(theta); the coefficients equal
+        # those of an explicit all-zero Re[W] bit for bit
+        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
+        path = mixing_angle_path(pulse, grid.refine(4), regime)
+        coeffs = general_family_omega_zero(path)
+        assert "cos" not in vars(path)
+        explicit = general_family(path, lambda_choice=-1j * path.dtheta,
+                                  re_omega=np.zeros(path.grid.n_points))
+        assert_bitwise(coeffs.delta, explicit.delta)
+        assert_bitwise(coeffs.omega, explicit.omega)
 
     def test_reduces_to_hermitian_choice(self, theta_paths):
         _, path = theta_paths(1.0)
@@ -266,7 +279,9 @@ class TestSingleDeltaForm:
         want += hamiltonian(pulse, quarter.samples)
         table = shortcut_table(pulse, grid, policy=policy, regime=regime,
                                with_convergence=True)
-        assert_bitwise(table.fine.h_half, want)
+        h = table.scan.h  # [c, p, k] is entry c of quarter-step row 4k + p
+        got = h.transpose(2, 1, 0).reshape(-1, 2, 2)[:4 * grid.steps + 1]
+        assert_bitwise(got, want)
 
     @pytest.mark.parametrize("steps", [1000, 1001])
     @pytest.mark.parametrize("policy", ["hermitian-realizable",

@@ -1,14 +1,19 @@
-"""The benchmark's tracing script still finds every name it wraps."""
+"""Structure guards: the benchmark's tracing script still finds every name
+it wraps, and every propagation goes through one RK4 scan."""
 import ast
 import importlib
 import importlib.util
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nhsta
 import nhsta.cli
+from nhsta import experiments, propagation
+from nhsta.grids import TimeGrid
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
 MODULES = [importlib.import_module(f"nhsta.{info.name}")
@@ -53,3 +58,53 @@ def test_unused_imports_are_traced_names(module):
 def test_kept_imports_are_found():
     # the guard above reads the imports it checks
     assert "integrate" in kept_imports(nhsta.cli)
+
+
+def test_one_propagation_path(monkeypatch):
+    tree = ast.parse(Path(propagation.__file__).read_text())
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    # one RK4 stage routine, one scan class, built in one function
+    assert [d.name for d in defs if "rk4" in d.name.lower()] == ["_rk4_step"]
+    assert [d.name for d in defs if "scan" in d.name.lower()
+            and isinstance(d, ast.ClassDef)] == ["PrefixScan"]
+    builders = [d.name for d in defs if isinstance(d, ast.FunctionDef)
+                and any(isinstance(c, ast.Call)
+                        and getattr(c.func, "id", None) == "PrefixScan"
+                        for c in ast.walk(d))]
+    assert builders == ["scan_table"]
+
+    # every entry point reaches that scan and its apply
+    assert experiments.scan_table is propagation.scan_table
+    calls = Counter()
+    scan, apply = propagation.scan_table, propagation.PrefixScan.apply
+
+    def counted_scan(*args, **kwargs):
+        calls["scan"] += 1
+        return scan(*args, **kwargs)
+
+    def counted_apply(*args, **kwargs):
+        calls["apply"] += 1
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "scan_table", counted_scan)
+    monkeypatch.setattr(experiments, "scan_table", counted_scan)
+    monkeypatch.setattr(propagation.PrefixScan, "apply", counted_apply)
+    grid = TimeGrid(0.0, 1.0, 100)
+    h = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+    psi0 = np.array([1, 0], dtype=complex)
+    pulse, run_grid, regime = experiments.ae_pulse_and_grid(
+        nhsta.AllenEberlyParams(omega0=1.0, delta0=9.0, gamma=1.0), 400)
+    entry_points = {
+        "propagate": lambda: propagation.propagate(
+            np.broadcast_to(h, (201, 2, 2)), psi0, grid),
+        "integrate": lambda: propagation.integrate(lambda t: h, psi0, grid),
+        "convergence_check": lambda: propagation.convergence_check(
+            lambda t: h, psi0, grid),
+        "ShortcutTable.run": lambda: experiments.shortcut_table(
+            pulse, run_grid, regime=regime, with_convergence=True).run(),
+    }
+    for name, call in entry_points.items():
+        calls.clear()
+        call()
+        assert calls == {"scan": 1, "apply": 1}, name
