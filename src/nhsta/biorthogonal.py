@@ -36,7 +36,6 @@ class BiorthogonalSystem:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    gauge_convention: str = "largest-component-real-positive"
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,8 @@
 """Command-line driver: figure pipelines, verification suite, sweeps.
 
 Exit statuses: 0 success, 1 check failure, uncertified run or stdout
-closed early, 2 configuration error, 3 numerical error (non-finite values,
-branch tracking, degeneracy).
+closed early, 2 configuration error (non-finite numbers included), 3 any
+other package error (non-finite values, branch tracking, degeneracy, ...).
 
 ``main`` also tunes its own process before the command runs (importing this
 module does not): see :func:`_tune_process`.
@@ -26,9 +26,7 @@ import numpy as np
 from . import __version__
 from .biorthogonal import decompose, reconstruct
 from .config import ExperimentConfig, build_config
-from .errors import (BranchJump, ConfigError, DegenerateRegime,
-                     DegenerateSpectrum, InconsistentChoice, NonFinite,
-                     SinThetaSingular, TanPole, ZeroGauge)
+from .errors import ConfigError, DegenerateSpectrum, NhStaError
 from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 from .grids import TimeGrid
@@ -36,9 +34,6 @@ from .propagation import integrate  # noqa: F401
 from .propagation import propagate
 from .synthesis import POLICY_HERMITIAN
 from .two_level import classify_regime
-
-NUMERICAL_ERRORS = (NonFinite, BranchJump, DegenerateRegime, DegenerateSpectrum,
-                    TanPole, SinThetaSingular, ZeroGauge, InconsistentChoice)
 
 FIGURE1_DEFAULT_GAMMAS = (0.3, 3.0)
 FIGURE2_DEFAULT_GAMMAS = (0.3, 3.0, 0.0)
@@ -140,9 +135,8 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
     t0, t_f = cfg.window
     grid = TimeGrid(t0, t_f, cfg.steps)
     for gamma in cfg.gammas(FIGURE2_DEFAULT_GAMMAS):
-        regime = classify_regime(cfg.omega0, gamma) if gamma > 0 else None
         pulse = cfg.pulse_for(gamma)
-        series = theta_series(pulse, grid, regime)
+        series = theta_series(pulse, grid, classify_regime(cfg.omega0, gamma))
         out.emit(f"figure2_gamma{_gamma_tag(gamma)}",
                  ["t", "re_theta", "im_theta"],
                  [series["t"], series["re_theta"], series["im_theta"]])
@@ -183,8 +177,7 @@ def _population_figure(cfg: ExperimentConfig, command: str,
         regime = classify_regime(cfg.omega0, gamma)
         started = time.perf_counter()
         run = run_shortcut(pulse, grid, policy=policy,
-                           initial_state=initial, regime=regime,
-                           with_convergence=True)
+                           initial_state=initial, regime=regime)
         elapsed = time.perf_counter() - started
         out.emit(f"{command}_gamma{_gamma_tag(gamma)}", header,
                  [run.grid.samples] + columns(run.amps))
@@ -223,8 +216,7 @@ def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
     started = time.perf_counter()
     tables = shortcut_tables(cfg.pulse_for(gamma), TimeGrid(t0, t_f, cfg.steps),
                              cfg.policies,
-                             regime=classify_regime(cfg.omega0, gamma),
-                             with_convergence=True)
+                             regime=classify_regime(cfg.omega0, gamma))
     n_states = len(cfg.initial_states)
     gamma_share = ((time.perf_counter() - started)
                    / (len(cfg.policies) * n_states))
@@ -337,8 +329,7 @@ def _verify_checks(cfg: ExperimentConfig):
         grid = TimeGrid(t0, t_f, cfg.steps)
         regime = classify_regime(cfg.omega0, gamma)
         run = run_shortcut(pulse, grid, policy=POLICY_HERMITIAN,
-                           regime=regime, with_convergence=True,
-                           with_frame_check=True)
+                           regime=regime, with_frame_check=True)
         tag = f"gamma={gamma:g}"
         res = run.residual.max_abs_residual
         yield (f"nullification-residual[{tag}]", res, RESIDUAL_BOUND,
@@ -451,7 +442,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NhStaError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -1,6 +1,7 @@
 """Experiment configuration: flat key=value files plus CLI overrides."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +89,13 @@ class ExperimentConfig:
                 raise ConfigError(f"gamma must be >= 0, got {g}")
             # surfaces DegenerateRegime for gamma on the critical line
             classify_regime(self.omega0, g)
+        # the comparisons above let NaN and +inf through
+        numbers = [("omega0", self.omega0), ("delta0", self.delta0),
+                   ("tau", self.tau), ("t0", t0), ("t_final", t_f)]
+        numbers += [("gamma", g) for g in self.gammas() or ()]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
     @property
     def policies(self) -> tuple:
@@ -107,7 +115,7 @@ class ExperimentConfig:
 
     def pulse_for(self, gamma: float) -> PulseSpec:
         """Pulse for one decay rate: sech/tanh by default, tabulated file
-        (piecewise linear, numeric-derivative provenance) when configured."""
+        (piecewise linear, no analytic derivatives) when configured."""
         if self.pulse_file is None:
             from .two_level import allen_eberly
             return allen_eberly(self.ae_params(gamma))
@@ -130,6 +138,8 @@ def load_pulse_file(path: str, gamma: float) -> PulseSpec:
         raise ConfigError("pulse file times must be strictly increasing")
     if np.any(oms < 0):
         raise ConfigError("pulse file Rabi frequencies must be >= 0")
+    if not np.all(np.isfinite(data[:, :3])):
+        raise ConfigError(f"pulse file {path!r} holds a non-finite value")
 
     def omega_r(t):
         return np.interp(t, ts, oms)
@@ -140,8 +150,7 @@ def load_pulse_file(path: str, gamma: float) -> PulseSpec:
     def gamma_fn(t):
         return np.full_like(np.asarray(t, dtype=float), gamma)
 
-    return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn,
-                     derivative_provenance="numeric")
+    return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn)
 
 
 def parse_config_file(path: str) -> dict:

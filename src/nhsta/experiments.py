@@ -55,10 +55,9 @@ class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
     Holds the angle path, the supplement, the gauges and checks on the run
-    grid, and the RK4 prefix scan of the run (with its half-step
-    certification rerun when the table certifies).  :meth:`run` applies it
-    to one initial state; every state run from the same table shares this
-    work.
+    grid, and the RK4 prefix scan of the run and of its half-step
+    certification rerun.  :meth:`run` applies it to one initial state;
+    every state run from the same table shares this work.
     """
 
     pulse: PulseSpec
@@ -76,7 +75,7 @@ class ShortcutTable:
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
         """Propagate one initial state: trajectory, amplitudes, and the
-        step-halving gap when the table certifies."""
+        step-halving gap."""
         if initial_state not in INITIAL_STATES:
             raise ConfigError(
                 f"unknown initial state {initial_state!r}; expected one of "
@@ -86,13 +85,12 @@ class ShortcutTable:
                             dtype=complex)
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
-        traj, *rerun = self.scan.apply(psi0, initial_condition=initial_state)
-        amps = amplitudes(traj, self.theta, self.gauges)
-        convergence = step_halving_gap(traj, *rerun) if rerun else None
+        traj, rerun = self.scan.apply(psi0)
         return ShortcutRun(
             **{f.name: getattr(self, f.name) for f in fields(ShortcutTable)},
-            initial_state=initial_state, trajectory=traj, amps=amps,
-            convergence=convergence)
+            initial_state=initial_state, trajectory=traj,
+            amps=amplitudes(traj, self.theta, self.gauges),
+            convergence=step_halving_gap(traj, rerun))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +101,7 @@ class ShortcutRun(ShortcutTable):
     initial_state: str
     trajectory: StateTrajectory
     amps: AmplitudeTrajectory
-    convergence: Optional[float]
+    convergence: float
 
     @property
     def metrics(self) -> dict:
@@ -111,8 +109,6 @@ class ShortcutRun(ShortcutTable):
         g_plus_sq = float(np.abs(self.amps.g_plus[-1]) ** 2)
         residual = (float(self.residual.max_abs_residual)
                     if self.residual is not None else float("nan"))
-        convergence = (float(self.convergence)
-                       if self.convergence is not None else float("nan"))
         return {
             "regime": self.regime.value,
             "g_plus_sq_final": g_plus_sq,
@@ -120,8 +116,8 @@ class ShortcutRun(ShortcutTable):
             "p1_final": float(self.amps.pop_bare_1[-1]),
             "max_abs_g_minus": float(np.max(np.abs(self.amps.g_minus))),
             "max_residual": residual,
-            "convergence": convergence,
-            "certified": bool(convergence <= CONVERGENCE_BOUND
+            "convergence": self.convergence,
+            "certified": bool(self.convergence <= CONVERGENCE_BOUND
                               and not residual > RESIDUAL_BOUND),
         }
 
@@ -135,7 +131,6 @@ def _every(n: int, obj, grid: TimeGrid, names: tuple):
 def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
                     policies: tuple = POLICIES,
                     regime: Optional[BranchRegime] = None,
-                    with_convergence: bool = False,
                     with_frame_check: bool = False) -> Iterator[ShortcutTable]:
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
@@ -152,7 +147,7 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
     h0_q = hamiltonian_entries(pulse, quarter.samples)
     return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
-                          with_convergence, with_frame_check)
+                          with_frame_check)
             for policy in policies)
 
 
@@ -173,14 +168,14 @@ def _supplement(policy: str, theta_q: MixingAnglePath, grid: TimeGrid
 
 
 def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
-                  with_convergence, with_frame_check) -> ShortcutTable:
+                  with_frame_check) -> ShortcutTable:
     """One policy's supplement, H0 + H1 table, scan, gauges and checks on
     the run grid of ``theta`` (its temporaries are freed on return)."""
     grid = theta.grid
     coeffs, h1_q = _supplement(policy, theta_q, grid)
     h = phase_table(grid.steps, h0_q, h1_q)
     del h1_q  # freed before the scan's temporaries are allocated
-    scan = scan_table(h, grid, certify=with_convergence)
+    scan = scan_table(h, grid, certify=True)
 
     if coeffs is not None:
         gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
@@ -210,7 +205,6 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
 def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
                    policy: str = POLICY_HERMITIAN,
                    regime: Optional[BranchRegime] = None,
-                   with_convergence: bool = False,
                    with_frame_check: bool = False) -> ShortcutTable:
     """Angle path, supplement, gauges and RK4 prefix products of a run.
 
@@ -219,18 +213,17 @@ def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
     all of them.  The one-policy case of :func:`shortcut_tables`.
     """
     return next(shortcut_tables(pulse, grid, (policy,), regime,
-                                with_convergence, with_frame_check))
+                                with_frame_check))
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
                  policy: str = POLICY_HERMITIAN,
                  initial_state: str = INITIAL_EIGEN_PLUS,
                  regime: Optional[BranchRegime] = None,
-                 with_convergence: bool = False,
                  with_frame_check: bool = False) -> ShortcutRun:
     """Full pipeline for one initial state: :func:`shortcut_table`, then
     :meth:`ShortcutTable.run`."""
-    return shortcut_table(pulse, grid, policy, regime, with_convergence,
+    return shortcut_table(pulse, grid, policy, regime,
                           with_frame_check).run(initial_state)
 
 

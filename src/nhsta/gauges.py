@@ -36,7 +36,6 @@ class GaugeFunctions:
     f_minus: np.ndarray
     dlogf_plus: np.ndarray
     dlogf_minus: np.ndarray
-    kind: str  # "simple" | "shortcut-matched"
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -53,8 +52,8 @@ def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:
     return np.exp(cumulative_trapezoid(integrand, step))
 
 
-def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray, u_minus: np.ndarray,
-                          kind: str) -> GaugeFunctions:
+def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
+                          u_minus: np.ndarray) -> GaugeFunctions:
     """Build gauge factors f_n = exp(cumulative trapezoid of u_n)."""
     return GaugeFunctions(
         grid=grid,
@@ -62,7 +61,6 @@ def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray, u_minus: np.ndarra
         f_minus=_cumexp(u_minus, grid.step),
         dlogf_plus=np.asarray(u_plus),
         dlogf_minus=np.asarray(u_minus),
-        kind=kind,
     )
 
 
@@ -75,7 +73,7 @@ def gauge_simple(e_plus: np.ndarray, e_minus: np.ndarray,
     """
     u_plus = np.asarray(e_plus).imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
-    return gauge_from_integrands(grid, u_plus, u_minus, kind="simple")
+    return gauge_from_integrands(grid, u_plus, u_minus)
 
 
 def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:

@@ -36,7 +36,6 @@ class StateTrajectory:
 
     grid: TimeGrid
     psi: np.ndarray  # (n_points, dim)
-    initial_condition: str = "custom"
 
     def __post_init__(self):
         if self.psi.shape[0] != self.grid.n_points:
@@ -176,8 +175,7 @@ class PrefixScan:
     sets: tuple  # per set, the (phase, shift) stage rows of its substeps
     prefix: np.ndarray  # (b, 2, 2, len(sets) * blocks)
 
-    def apply(self, psi0: np.ndarray, initial_condition: str = "custom"
-              ) -> tuple[StateTrajectory, ...]:
+    def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
         """RK4 trajectory of each set from a two-component psi0 (the run
         first); see :func:`propagate`."""
         psi = np.asarray(psi0, dtype=complex)
@@ -209,8 +207,7 @@ class PrefixScan:
                 row[1:].reshape(blocks, b)[...] = val[:, lo:lo + blocks].T
             out = out[:, :self.grid.n_points].T
             self._check_finite(out, substeps)
-            runs.append(StateTrajectory(grid=self.grid, psi=out,
-                                        initial_condition=initial_condition))
+            runs.append(StateTrajectory(grid=self.grid, psi=out))
         return tuple(runs)
 
     def _check_finite(self, out: np.ndarray, substeps) -> None:
@@ -286,15 +283,15 @@ def prefix_scan(h_half: np.ndarray, grid: TimeGrid) -> PrefixScan:
     return scan_table(phase_table(grid.steps, h_half.reshape(-1, 4).T), grid)
 
 
-def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid,
-              initial_condition: str = "custom") -> StateTrajectory:
+def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid
+              ) -> StateTrajectory:
     """Classical RK4 for i*dpsi/dt = H(t)*psi from a two-component psi0.
 
     ``h_half`` is H on ``grid.refine(2)``, shape (2*steps + 1, 2, 2).  Raises
     NonFinite when the state blows up (e.g. runaway gain), naming the first
     sample at which a step's stages overflow.
     """
-    return prefix_scan(h_half, grid).apply(psi0, initial_condition)[0]
+    return prefix_scan(h_half, grid).apply(psi0)[0]
 
 
 def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
@@ -305,12 +302,11 @@ def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
     return phase_table(grid.steps, h.reshape(-1, 4).T)
 
 
-def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid,
-              initial_condition: str = "custom") -> StateTrajectory:
+def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid
+              ) -> StateTrajectory:
     """RK4 for a callable H(t), sampled at the half steps; see
     :func:`propagate`."""
-    return scan_table(_tabulate(h_total, grid, 2), grid).apply(
-        psi0, initial_condition)[0]
+    return scan_table(_tabulate(h_total, grid, 2), grid).apply(psi0)[0]
 
 
 def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,

@@ -25,7 +25,7 @@ Im[W] = -Re[dtheta] - Im[lam] + Im[zeta].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .two_level import MixingAnglePath
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
 POLICY_GENERAL = "general-family"
-
-ArrayOrFn = Union[np.ndarray, Callable[[np.ndarray], np.ndarray], float, complex]
 
 #: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
 #: ``general_family`` accepts
@@ -96,17 +94,6 @@ class NullificationReport:
     frame_tolerance: Optional[float] = None
 
 
-def _as_array(value: ArrayOrFn, ts: np.ndarray) -> np.ndarray:
-    if callable(value):
-        return np.asarray(value(ts)) + np.zeros_like(ts, dtype=complex)
-    arr = np.asarray(value, dtype=complex)
-    if arr.ndim == 0:
-        return np.full(len(ts), complex(arr))
-    if len(arr) != len(ts):
-        raise ValueError("coefficient array length must match grid")
-    return arr
-
-
 def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
     """Counterdiabatic supplement in the bare frame, one 2x2 per grid point:
     0.5i * [[0, -dtheta], [dtheta, 0]].
@@ -139,9 +126,11 @@ def hermitian_realizable(theta_path: MixingAnglePath) -> SupplementCoefficients:
     )
 
 
-def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
-                   re_omega: ArrayOrFn = 0.0) -> SupplementCoefficients:
-    """Family member for a chosen lam(t) = delta*sin(theta) and Re[W].
+def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
+                   re_omega: Optional[np.ndarray] = None
+                   ) -> SupplementCoefficients:
+    """Family member for a chosen lam(t) = delta*sin(theta) and Re[W],
+    one value per grid point each (``re_omega=None``: no drive, Re[W] = 0).
 
     The imaginary drive quadrature follows from the cancellation condition;
     the chosen functions must satisfy its other component,
@@ -150,19 +139,22 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: ArrayOrFn,
     converted back to a diagonal split because sin(theta) vanishes.
     """
     ts = theta_path.grid.samples
-    lam = _as_array(lambda_choice, ts)
+    if np.shape(lambda_choice) != ts.shape or (
+            re_omega is not None and np.shape(re_omega) != ts.shape):
+        raise ValueError("lambda_choice and re_omega must hold one value per "
+                         "grid point")
+    lam = np.asarray(lambda_choice, dtype=complex)
     dth = theta_path.dtheta
-    if not callable(re_omega) and np.ndim(re_omega) == 0 and re_omega == 0:
+    if re_omega is None:
         re_om = zeta = 0.0  # no drive: cos(theta) is not needed
     else:
-        re_om = _as_array(re_omega, ts).real
+        re_om = np.asarray(re_omega).real
         zeta = re_om * theta_path.cos
 
     constraint = dth.imag - (lam.real - zeta.real)
-    scale = 1.0 + np.abs(dth)
-    worst = np.max(np.abs(constraint) / scale)
-    if worst > CONSISTENCY_TOL:
-        k = int(np.argmax(np.abs(constraint) / scale))
+    scaled = np.abs(constraint) / (1.0 + np.abs(dth))
+    k = int(np.argmax(scaled))
+    if scaled[k] > CONSISTENCY_TOL:
         raise InconsistentChoice(
             f"Im[dtheta] - Re[lam] + Re[zeta] = {constraint[k]:.3e} at "
             f"t={ts[k]:g}; the chosen lambda/Re[omega] cannot cancel the leak"
@@ -190,8 +182,7 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> SupplementCoeffici
     """The zero-drive member: lam = -i*dtheta makes W vanish identically, so
     the speed-up costs no extra coupling field (only complex diagonal
     shifts, i.e. engineered gain/loss)."""
-    return general_family(theta_path, lambda_choice=-1j * theta_path.dtheta,
-                          re_omega=0.0)
+    return general_family(theta_path, lambda_choice=-1j * theta_path.dtheta)
 
 
 def h1_entries(coeffs: SupplementCoefficients) -> tuple:
@@ -231,8 +222,7 @@ def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
                   + np.asarray(coeffs.omega).real * theta_path.sin)
     u_plus = (np.asarray(e_plus) + diag).imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
-    return gauge_from_integrands(theta_path.grid, u_plus, u_minus,
-                                 kind="shortcut-matched")
+    return gauge_from_integrands(theta_path.grid, u_plus, u_minus)
 
 
 def nullification_residual(theta_path: MixingAnglePath,

@@ -39,8 +39,7 @@ class PulseSpec:
     """Time-dependent controls; callables must accept scalar or ndarray t.
 
     ``d_*`` are analytic time derivatives.  When they are absent the angle
-    path falls back to central differences and ``derivative_provenance`` must
-    say ``"numeric"``.
+    path falls back to central differences.
     """
 
     omega_r: ControlFn
@@ -49,22 +48,10 @@ class PulseSpec:
     d_omega_r: Optional[ControlFn] = None
     d_delta: Optional[ControlFn] = None
     d_gamma: Optional[ControlFn] = None
-    derivative_provenance: str = "analytic"
 
     @property
     def has_analytic_derivatives(self) -> bool:
-        return (
-            self.d_omega_r is not None
-            and self.d_delta is not None
-            and self.d_gamma is not None
-        )
-
-    def __post_init__(self):
-        if not self.has_analytic_derivatives and self.derivative_provenance != "numeric":
-            raise ValueError(
-                "pulse without analytic derivatives must be flagged "
-                "derivative_provenance='numeric'"
-            )
+        return None not in (self.d_omega_r, self.d_delta, self.d_gamma)
 
 
 @dataclass(frozen=True)
@@ -174,15 +161,28 @@ def classify_regime(omega0: float, gamma: float) -> BranchRegime:
     return BranchRegime.SUPER_CRITICAL
 
 
-def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
-    """Entries (h00, h01, h10, h11) of :func:`hamiltonian` at t, each shaped
-    like t (h01 and h10 are one array)."""
+def _controls(pulse: PulseSpec, t) -> tuple:
+    """(Omega_R, Delta, gamma) at t as float arrays; raises NonFinite naming
+    the first t at which one of them is not finite."""
     om = np.asarray(pulse.omega_r(t), dtype=float)
     dl = np.asarray(pulse.delta(t), dtype=float)
     gm = np.asarray(pulse.gamma(t), dtype=float)
     bad = ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm))
     if np.any(bad):
-        raise NonFinite(f"control value not finite at t={np.asarray(t)[bad][0]}")
+        ts, bad = np.broadcast_arrays(t, bad)
+        raise NonFinite(f"control value not finite at t={ts[bad][0]:g}")
+    return om, dl, gm
+
+
+def _radicand(om, dl, gm):
+    """Z of :func:`radicand` from sampled controls."""
+    return -(gm + 2j * dl) ** 2 + 4.0 * om**2
+
+
+def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
+    """Entries (h00, h01, h10, h11) of :func:`hamiltonian` at t, each shaped
+    like t (h01 and h10 are one array)."""
+    om, dl, gm = _controls(pulse, t)
     h01 = 0.5 * np.asarray(om, dtype=complex)
     return (0.5 * np.asarray(-dl, dtype=complex), h01, h01,
             0.5 * np.asarray(dl - 1j * gm, dtype=complex))
@@ -199,10 +199,7 @@ def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
 
 def radicand(pulse: PulseSpec, t):
     """Z(t) = -(gamma + 2i*Delta)^2 + 4*Omega_R^2."""
-    om = np.asarray(pulse.omega_r(t))
-    dl = np.asarray(pulse.delta(t))
-    gm = np.asarray(pulse.gamma(t))
-    z = -(gm + 2j * dl) ** 2 + 4.0 * om**2
+    z = _radicand(*_controls(pulse, t))
     return z[()] if z.ndim == 0 else z
 
 
@@ -229,8 +226,8 @@ def branch_argument(z, regime: BranchRegime):
 def _eigenvalues_and_root(pulse: PulseSpec, t, regime: BranchRegime):
     """(E_+, E_-, sqrt(Z)) on the regime's branch; refuses a gap
     |E_+ - E_-| = |sqrt(Z)|/2 at or below DEGENERACY_THRESHOLD."""
-    gm = np.asarray(pulse.gamma(t), dtype=float)
-    sq = branch_sqrt(radicand(pulse, t), regime)
+    om, dl, gm = _controls(pulse, t)
+    sq = branch_sqrt(_radicand(om, dl, gm), regime)
     if np.any(np.abs(sq) <= 2.0 * DEGENERACY_THRESHOLD):
         raise DegenerateRegime("eigenvalue gap below degeneracy threshold")
     return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq), sq
@@ -286,11 +283,7 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
     central differences of the tracked samples.
     """
     ts = grid.samples
-    om = np.asarray(pulse.omega_r(ts), dtype=float)
-    dl = np.asarray(pulse.delta(ts), dtype=float)
-    gm = np.asarray(pulse.gamma(ts), dtype=float)
-    if not (np.all(np.isfinite(om)) and np.all(np.isfinite(dl)) and np.all(np.isfinite(gm))):
-        raise NonFinite("control values not finite on grid")
+    om, dl, gm = _controls(pulse, ts)
     if np.any(gm < 0):
         raise ValueError("gamma(t) must be non-negative on the grid")
 
@@ -326,9 +319,7 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
 
 def mixing_angle_rate(pulse: PulseSpec, t):
     """Analytic dtheta/dt at arbitrary t (requires analytic derivatives)."""
-    om = np.asarray(pulse.omega_r(t), dtype=float)
-    dl = np.asarray(pulse.delta(t), dtype=float)
-    gm = np.asarray(pulse.gamma(t), dtype=float)
+    om, dl, gm = _controls(pulse, t)
     d_om = np.asarray(pulse.d_omega_r(t), dtype=float)
     d_dl = np.asarray(pulse.d_delta(t), dtype=float)
     d_gm = np.asarray(pulse.d_gamma(t), dtype=float)
@@ -341,10 +332,8 @@ def mixing_angle_rate(pulse: PulseSpec, t):
 def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:
     """theta at arbitrary t: principal representative branch-matched to a
     nearby reference value from a tracked path."""
-    om = float(pulse.omega_r(t))
-    dl = float(pulse.delta(t))
-    gm = float(pulse.gamma(t))
-    principal = complex(_principal_theta(np.array(om), np.array(dl - 0.5j * gm)))
+    om, dl, gm = _controls(pulse, t)
+    principal = complex(_principal_theta(om, dl - 0.5j * gm))
     return principal + np.pi * round((reference - principal).real / np.pi)
 
 

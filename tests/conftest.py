@@ -28,7 +28,7 @@ def shortcut_run():
             cache[key] = run_allen_eberly(
                 ae_params(gamma), steps=steps, policy=policy,
                 initial_state=initial_state,
-                with_convergence=True, with_frame_check=True)
+                with_frame_check=True)
         return cache[key]
 
     return get
@@ -64,5 +64,5 @@ def analytic_two_level_systems(theta: MixingAnglePath, e_plus, e_minus):
         left = np.array([[cs, ss], [ss, -cs]], dtype=complex)
         systems.append(BiorthogonalSystem(
             eigenvalues=np.array([e_plus[k], e_minus[k]]),
-            right=right, left=left, gauge_convention="two-level-analytic"))
+            right=right, left=left))
     return systems

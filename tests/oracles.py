@@ -94,8 +94,7 @@ class EigenPath:
                 right[:, i] *= np.conj(phase)
                 left[:, i] *= np.conj(phase)
             matched.append(BiorthogonalSystem(
-                eigenvalues=vals, right=right, left=left,
-                gauge_convention="path-matched"))
+                eigenvalues=vals, right=right, left=left))
         return cls(grid=grid, systems=matched)
 
     @classmethod

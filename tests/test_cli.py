@@ -6,9 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhsta.cli import main
+from nhsta.cli import COMMANDS, main
 from nhsta.config import build_config, parse_config_file
-from nhsta.errors import ConfigError
+from nhsta.errors import ConfigError, NhStaError
 
 
 def read_csv(path):
@@ -196,6 +196,20 @@ class TestFigure2:
         sup = read_csv(tmp_path / "figure2_gamma3.csv")
         assert np.max(np.abs(sup["re_theta"] - sup["re_theta"][0])) < 0.5
 
+    def test_zero_decay_takes_the_regime_of_the_configured_omega0(self,
+                                                                  tmp_path):
+        # Omega_R = 0 on the whole grid: the pulse itself has no regime
+        ts = np.linspace(-1, 1, 200)
+        table = np.column_stack([ts, np.zeros_like(ts), 9.0 * np.tanh(ts) + 20])
+        pulse_file = tmp_path / "pulse.txt"
+        np.savetxt(pulse_file, table)
+        assert main(["figure2", "--gamma", "0", "--steps", "1000",
+                     "--pulse-file", str(pulse_file),
+                     "--out", str(tmp_path)]) == 0
+        data = read_csv(tmp_path / "figure2_gamma0.csv")
+        assert np.max(np.abs(data["re_theta"])) == 0.0
+        assert np.max(np.abs(data["im_theta"])) == 0.0
+
 
 class TestFigure3:
     def test_population_series(self, tmp_path):
@@ -343,6 +357,49 @@ class TestExitCodes:
     def test_inverted_window_exits_config(self, tmp_path):
         assert main(["figure1", "--t0", "2.0", "--t-final", "1.0",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--omega0", "--delta0", "--tau",
+                                      "--gamma", "--t-final"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_finite_number_exits_config(self, tmp_path, capsys, command,
+                                            flag, value):
+        # a later --gamma overrides the first
+        assert main([command, "--gamma", "0.3", "--steps", "100", flag, value,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("column", [1, 2])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_finite_pulse_file_entry_exits_config(self, tmp_path, capsys,
+                                                      command, column, value):
+        ts = np.linspace(-1, 1, 50)
+        table = np.column_stack([ts, 1.0 / np.cosh(ts), 9.0 * np.tanh(ts)])
+        table[20, column] = value
+        pulse_file = tmp_path / "pulse.txt"
+        np.savetxt(pulse_file, table)
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "error", [e for e in NhStaError.__subclasses__() if e is not ConfigError],
+        ids=lambda e: e.__name__)
+    def test_package_error_in_a_command_exits_numerical(self, tmp_path, capsys,
+                                                        monkeypatch, error):
+        from nhsta import cli
+
+        def command(cfg):
+            raise error("raised inside the command")
+
+        monkeypatch.setitem(cli.COMMANDS, "figure1", command)
+        assert main(["figure1", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"numerical error: {error.__name__}: raised inside the command"]
 
 
 class TestVerify:

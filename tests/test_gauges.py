@@ -153,7 +153,7 @@ class TestRotation:
         dead[1] = 0.0
         with pytest.raises(ZeroGauge):
             GaugeFunctions(grid=grid, f_plus=dead, f_minus=ones,
-                           dlogf_plus=ones, dlogf_minus=ones, kind="simple")
+                           dlogf_plus=ones, dlogf_minus=ones)
 
 
 class TestFrameMatrix:

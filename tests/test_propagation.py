@@ -301,9 +301,9 @@ class TestShortcutInvariants:
         assert run.amps.pop_bare_1[-1] > 0.0
 
     def test_initial_condition_recorded(self, shortcut_run):
-        assert shortcut_run(1.0).trajectory.initial_condition == "eigen-plus"
+        assert shortcut_run(1.0).initial_state == "eigen-plus"
         bare = shortcut_run(1.0, initial_state="bare-ground")
-        assert bare.trajectory.initial_condition == "bare-ground"
+        assert bare.initial_state == "bare-ground"
         assert bare.trajectory.psi[0, 0] == 1.0
 
 
@@ -331,21 +331,18 @@ class TestConvergence:
 
     def test_super_critical_run_certifies(self):
         # gamma > 2*omega0: the removable point at t = 0 must not spoil RK4
-        run = run_allen_eberly(ae_params(3.0), steps=4000,
-                               with_convergence=True)
+        run = run_allen_eberly(ae_params(3.0), steps=4000)
         assert run.convergence <= 1e-7
         assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_shared_table_equals_single_runs_bitwise(self, policy):
         pulse, grid, regime = ae_pulse_and_grid(ae_params(3.0), 1000)
-        table = shortcut_table(pulse, grid, policy=policy, regime=regime,
-                               with_convergence=True)
+        table = shortcut_table(pulse, grid, policy=policy, regime=regime)
         for state in INITIAL_STATES:
             shared = table.run(state)
             alone = run_shortcut(pulse, grid, policy=policy,
-                                 initial_state=state, regime=regime,
-                                 with_convergence=True)
+                                 initial_state=state, regime=regime)
             assert np.array_equal(shared.trajectory.psi, alone.trajectory.psi)
             assert np.array_equal(shared.amps.g_plus, alone.amps.g_plus)
             assert shared.convergence == alone.convergence
@@ -355,14 +352,13 @@ class TestConvergence:
     def test_policy_tables_of_one_pass_equal_single_runs_bitwise(self, gamma):
         pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
         tables = shortcut_tables(pulse, grid, POLICIES, regime,
-                                 with_convergence=True, with_frame_check=True)
+                                 with_frame_check=True)
         for policy, table in zip(POLICIES, tables):
             assert table.policy == policy
             for state in INITIAL_STATES:
                 shared = table.run(state)
                 alone = run_shortcut(pulse, grid, policy=policy,
                                      initial_state=state, regime=regime,
-                                     with_convergence=True,
                                      with_frame_check=True)
                 assert np.array_equal(shared.trajectory.psi,
                                       alone.trajectory.psi)
@@ -385,8 +381,7 @@ class TestConvergence:
 
     def test_one_policy_table_alive_at_a_time(self):
         pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), 1000)
-        tables = shortcut_tables(pulse, grid, POLICIES, regime,
-                                 with_convergence=True)
+        tables = shortcut_tables(pulse, grid, POLICIES, regime)
         table = next(tables)
         scan = weakref.ref(table.scan)
         del table
@@ -407,8 +402,7 @@ class TestConvergence:
         # the rerun's two half steps per interval, multiplied into one
         # matrix, against a separate scan of all half steps
         pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), steps)
-        table = shortcut_table(pulse, grid, regime=regime,
-                               with_convergence=True)
+        table = shortcut_table(pulse, grid, regime=regime)
         # [c, p, k] of the table is entry c of quarter-step row 4k + p
         h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
         h_quarter = h_quarter[:4 * steps + 1]
@@ -448,8 +442,7 @@ class TestConvergence:
         pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), 4000)
 
         def build_and_run():
-            table = shortcut_table(pulse, grid, regime=regime,
-                                   with_convergence=True)
+            table = shortcut_table(pulse, grid, regime=regime)
             return [table.run(state) for state in INITIAL_STATES]
 
         build_and_run()  # one-time allocations stay out of the peak

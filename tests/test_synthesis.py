@@ -126,7 +126,7 @@ class TestGeneralFamily:
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
     def test_zero_drive_skips_cos_theta_bitwise(self, gamma):
-        # a scalar zero Re[W] needs no cos(theta); the coefficients equal
+        # no drive (re_omega=None) needs no cos(theta); the coefficients equal
         # those of an explicit all-zero Re[W] bit for bit
         pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
         path = mixing_angle_path(pulse, grid.refine(4), regime)
@@ -141,19 +141,36 @@ class TestGeneralFamily:
         _, path = theta_paths(1.0)
         herm = hermitian_realizable(path)
         lam = np.asarray(herm.delta) * np.sin(path.theta)
-        coeffs = general_family(path, lambda_choice=lam, re_omega=0.0)
+        coeffs = general_family(path, lambda_choice=lam,
+                                re_omega=np.zeros(path.grid.n_points))
         assert np.max(np.abs(coeffs.delta - herm.delta)) < 1e-12
         assert np.max(np.abs(coeffs.omega - herm.omega)) < 1e-12
 
     def test_lossless_trivial_choice(self, theta_paths):
         _, path = theta_paths(0.0)
-        coeffs = general_family(path, lambda_choice=0.0, re_omega=0.0)
+        coeffs = general_family(path,
+                                lambda_choice=np.zeros(path.grid.n_points))
         assert np.max(np.abs(coeffs.omega - 1j * (-path.dtheta.real))) < 1e-14
+
+    @pytest.mark.parametrize("choice", [
+        {"lambda_choice": 0.0},
+        {"lambda_choice": lambda t: 0.0 * t},
+        {"lambda_choice": np.zeros(3)},
+        {"re_omega": 0.0},
+        {"re_omega": np.zeros(3)},
+    ], ids=["scalar-lambda", "callable-lambda", "short-lambda",
+            "scalar-re-omega", "short-re-omega"])
+    def test_inputs_off_the_grid_rejected(self, theta_paths, choice):
+        _, path = theta_paths(1.0)
+        args = {"lambda_choice": -1j * path.dtheta, **choice}
+        with pytest.raises(ValueError, match="one value per grid point"):
+            general_family(path, **args)
 
     def test_inconsistent_choice_rejected(self, theta_paths):
         _, path = theta_paths(1.0)
         with pytest.raises(InconsistentChoice):
-            general_family(path, lambda_choice=0.5, re_omega=0.0)
+            general_family(path,
+                           lambda_choice=np.full(path.grid.n_points, 0.5))
 
 
 class TestNullificationReport:
@@ -277,8 +294,7 @@ class TestSingleDeltaForm:
             want = self.two_field_h1(coeffs.delta, -coeffs.delta,
                                      coeffs.omega)
         want += hamiltonian(pulse, quarter.samples)
-        table = shortcut_table(pulse, grid, policy=policy, regime=regime,
-                               with_convergence=True)
+        table = shortcut_table(pulse, grid, policy=policy, regime=regime)
         h = table.scan.h  # [c, p, k] is entry c of quarter-step row 4k + p
         got = h.transpose(2, 1, 0).reshape(-1, 2, 2)[:4 * grid.steps + 1]
         assert_bitwise(got, want)

@@ -1,5 +1,6 @@
 """Structure guards: the benchmark's tracing script still finds every name
-it wraps, and every propagation goes through one RK4 scan."""
+it wraps, every propagation goes through one RK4 scan, and one routine
+samples a pulse's controls."""
 import ast
 import importlib
 import importlib.util
@@ -12,7 +13,7 @@ import pytest
 
 import nhsta
 import nhsta.cli
-from nhsta import experiments, propagation
+from nhsta import experiments, propagation, two_level
 from nhsta.grids import TimeGrid
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
@@ -102,9 +103,22 @@ def test_one_propagation_path(monkeypatch):
         "convergence_check": lambda: propagation.convergence_check(
             lambda t: h, psi0, grid),
         "ShortcutTable.run": lambda: experiments.shortcut_table(
-            pulse, run_grid, regime=regime, with_convergence=True).run(),
+            pulse, run_grid, regime=regime).run(),
     }
     for name, call in entry_points.items():
         calls.clear()
         call()
         assert calls == {"scan": 1, "apply": 1}, name
+
+
+def test_one_control_sampler():
+    # Omega_R, Delta and gamma are sampled in one place, so every reader
+    # gets the same finiteness check
+    tree = ast.parse(Path(two_level.__file__).read_text())
+    samplers = {fn.name for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("omega_r", "delta", "gamma")}
+    assert samplers == {"_controls"}

@@ -53,7 +53,7 @@ class TestHamiltonian:
         import math
         bad = PulseSpec(
             omega_r=lambda t: math.nan, delta=lambda t: 0.0,
-            gamma=lambda t: 0.0, derivative_provenance="numeric")
+            gamma=lambda t: 0.0)
         with pytest.raises(NonFinite):
             hamiltonian(bad, 0.0)
 
@@ -79,6 +79,25 @@ class TestRadicand:
         pulse = allen_eberly(ae_params(gamma=0.3))
         z = radicand(pulse, TimeGrid(-1.0, 1.0, 2000).samples)
         assert np.min(z.real) > 0.0
+
+
+class TestControlSampling:
+    @pytest.mark.parametrize("read", [
+        lambda p, g: hamiltonian(p, g.samples),
+        lambda p, g: radicand(p, g.samples),
+        lambda p, g: eigenvalues(p, g.samples, BranchRegime.SUB_CRITICAL),
+        lambda p, g: eigenvalue_path(p, g, BranchRegime.SUB_CRITICAL),
+        lambda p, g: mixing_angle_path(p, g),
+    ], ids=["hamiltonian", "radicand", "eigenvalues", "eigenvalue_path",
+            "mixing_angle_path"])
+    def test_non_finite_control_named_by_every_reader(self, read):
+        pulse = allen_eberly(ae_params(gamma=0.3))
+        bad = PulseSpec(
+            omega_r=lambda t: np.where(np.asarray(t) > 0.5, np.nan,
+                                       pulse.omega_r(t)),
+            delta=pulse.delta, gamma=pulse.gamma)
+        with pytest.raises(NonFinite, match=r"not finite at t=0\.51$"):
+            read(bad, TimeGrid(-1.0, 1.0, 200))
 
 
 class TestRegime:
@@ -183,11 +202,20 @@ class TestMixingAngle:
     def test_numeric_rate_provenance(self):
         pulse = allen_eberly(ae_params(gamma=0.3))
         bare = PulseSpec(omega_r=pulse.omega_r, delta=pulse.delta,
-                         gamma=pulse.gamma, derivative_provenance="numeric")
+                         gamma=pulse.gamma)
         path = mixing_angle_path(bare, TimeGrid(-1.0, 1.0, 4000))
         assert path.dtheta_provenance == "numeric"
         ref = mixing_angle_path(pulse, TimeGrid(-1.0, 1.0, 4000))
         assert np.max(np.abs(path.dtheta - ref.dtheta)) < 1e-3
+
+    @pytest.mark.parametrize("derivatives", [{}, {"d_omega_r": np.cos}])
+    def test_pulse_without_derivatives_needs_no_flag(self, derivatives):
+        pulse = allen_eberly(ae_params(gamma=0.3))
+        bare = PulseSpec(omega_r=pulse.omega_r, delta=pulse.delta,
+                         gamma=pulse.gamma, **derivatives)
+        assert not bare.has_analytic_derivatives
+        path = mixing_angle_path(bare, TimeGrid(-1.0, 1.0, 400))
+        assert path.dtheta_provenance == "numeric"
 
     def test_exceptional_point_raises_tan_pole(self):
         with pytest.raises(TanPole):
