@@ -5,15 +5,15 @@ closed early, 2 configuration error (non-finite numbers included), 3 any
 other package error (non-finite values, branch tracking, degeneracy, ...).
 
 ``main`` also tunes its own process before the command runs (importing this
-module does not): see :func:`_tune_process`.
+module does not): see :func:`_tune_process`.  ``hashlib`` (which loads
+OpenSSL) and ``json`` are imported where a file is written, so ``verify``
+loads neither.
 """
 from __future__ import annotations
 
 import argparse
 import ctypes
 import gc
-import hashlib
-import json
 import random
 import sys
 import time
@@ -63,6 +63,8 @@ class OutputSet:
         self.runs: list = []
 
     def emit(self, name: str, header: Sequence[str], columns: Sequence) -> Path:
+        import hashlib
+        import json
         cols = [np.asarray(c) if not isinstance(c, (list, tuple)) else c
                 for c in columns]
         path = self.dir / f"{name}.{self.fmt}"
@@ -86,6 +88,7 @@ class OutputSet:
         self.runs.append(meta)
 
     def write_manifest(self) -> Path:
+        import json
         path = self.dir / f"{self.command}_manifest.json"
         payload = {
             "command": self.command,
@@ -184,6 +187,7 @@ def _population_figure(cfg: ExperimentConfig, command: str,
         out.add_run(gamma=gamma, policy=policy, initial_state=initial,
                     wall_time_s=elapsed, **run.metrics)
         uncertified += _flag_uncertified(gamma, policy, initial, run.metrics)
+        del run  # free it before the next decay rate's run is built
     out.write_manifest()
     return 1 if uncertified else 0
 
@@ -345,6 +349,7 @@ def _verify_checks(cfg: ExperimentConfig):
         conv = run.convergence
         yield (f"convergence[{tag}]", conv, CONVERGENCE_BOUND,
                conv <= CONVERGENCE_BOUND)
+        del run  # free it before the next decay rate's run is built
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:

@@ -84,18 +84,19 @@ class ExperimentConfig:
                     f"unknown initial state {ini!r}; choose from {INITIAL_STATES}")
         if require_gammas and not self.gammas():
             raise ConfigError("gamma list must not be empty")
-        for g in self.gammas() or ():
-            if g < 0:
-                raise ConfigError(f"gamma must be >= 0, got {g}")
-            # surfaces DegenerateRegime for gamma on the critical line
-            classify_regime(self.omega0, g)
-        # the comparisons above let NaN and +inf through
+        # the comparisons above let NaN and +inf through, and classify_regime
+        # below raises ValueError on them
         numbers = [("omega0", self.omega0), ("delta0", self.delta0),
                    ("tau", self.tau), ("t0", t0), ("t_final", t_f)]
         numbers += [("gamma", g) for g in self.gammas() or ()]
         for name, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for g in self.gammas() or ():
+            if g < 0:
+                raise ConfigError(f"gamma must be >= 0, got {g}")
+            # surfaces DegenerateRegime for gamma on the critical line
+            classify_regime(self.omega0, g)
 
     @property
     def policies(self) -> tuple:
@@ -130,7 +131,11 @@ def load_pulse_file(path: str, gamma: float) -> PulseSpec:
     try:
         data = np.loadtxt(p, delimiter=",")
     except ValueError:
-        data = np.loadtxt(p)
+        try:
+            data = np.loadtxt(p)
+        except ValueError:
+            raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
+                              f"or a header row") from None
     if data.ndim != 2 or data.shape[1] < 3:
         raise ConfigError(f"pulse file {path!r} must have columns t, Omega_R, Delta")
     ts, oms, dls = data[:, 0], data[:, 1], data[:, 2]

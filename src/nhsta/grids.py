@@ -1,6 +1,7 @@
 """Uniform time grids shared by paths, gauges, and the integrator."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_f)):
+            raise ValueError(f"need a finite window, got [{self.t0}, {self.t_f}]")
         if not self.t0 < self.t_f:
             raise ValueError(f"need t0 < t_f, got [{self.t0}, {self.t_f}]")
         if self.steps < 2:

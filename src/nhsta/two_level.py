@@ -18,7 +18,8 @@ conj(theta).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Optional
@@ -71,6 +72,10 @@ class AllenEberlyParams:
     t_f: float = 1.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.omega0 <= 0:
             raise ValueError("omega0 must be positive")
         if self.tau <= 0:
@@ -148,6 +153,8 @@ class MixingAnglePath:
 
 def classify_regime(omega0: float, gamma: float) -> BranchRegime:
     """Pick the branch regime from the peak Rabi frequency and decay rate."""
+    if not (math.isfinite(omega0) and math.isfinite(gamma)):
+        raise ValueError(f"need finite omega0 and gamma, got {omega0}, {gamma}")
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
     if gamma < 0:

@@ -46,6 +46,47 @@ def test_verify_leaves_scipy_and_numpy_random_unloaded(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False False"
 
 
+def test_verify_loads_no_file_writing_modules(tmp_path):
+    # hashlib (OpenSSL) and json serve only the commands that write a file;
+    # compare with a child that imports numpy alone, so that a site hook
+    # loading them cannot fail the test
+    import subprocess
+    import sys
+    names = ("hashlib", "_hashlib", "json")
+    loaded = f"sorted(m for m in {names!r} if m in sys.modules)"
+    baseline = subprocess.run(
+        [sys.executable, "-c", f"import sys, numpy; print({loaded})"],
+        capture_output=True, text=True, check=True)
+    code = ("import sys; from nhsta.cli import main; "
+            "code = main(['verify', '--gamma', '0.3', "
+            f"'--out', {str(tmp_path)!r}]); "
+            f"print(code, {loaded})")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"0 {baseline.stdout.strip()}"
+
+
+@pytest.mark.parametrize("command", ["verify", "figure3"])
+def test_one_shortcut_run_alive_at_a_time(tmp_path, command):
+    # each decay rate's run is freed before the next is built, so a second
+    # decay rate adds nothing to the traced peak
+    import tracemalloc
+    from nhsta.cli import _verify_checks, cmd_figure3
+    call = {"verify": lambda cfg: list(_verify_checks(cfg)),
+            "figure3": cmd_figure3}[command]
+
+    def peak(gammas):
+        cfg = build_config(gamma=gammas, out=str(tmp_path / gammas))
+        tracemalloc.start()
+        try:
+            call(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("0.3,1") <= 1.05 * peak("0.3")
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
     import os
@@ -385,6 +426,28 @@ class TestExitCodes:
                      "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("first_line, cell", [
+        ("t,om,dl\n", "0.5"), ("", "abc")], ids=["header-row", "non-numeric"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unparseable_pulse_file_exits_config(self, tmp_path, capsys,
+                                                 command, first_line, cell):
+        pulse_file = tmp_path / "pulse.csv"
+        pulse_file.write_text(first_line + f"-1,0.4,-7\n0,{cell},0\n1,0.4,7\n")
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: pulse file {str(pulse_file)!r} holds a "
+            f"non-numeric cell or a header row"]
+        assert list(out.glob("*")) == []
+
+    def test_non_finite_omega0_names_the_value(self, tmp_path, capsys):
+        # the finiteness checks run before classify_regime, which would
+        # raise ValueError on NaN
+        assert main(["figure3", "--omega0", "nan", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: omega0 must be finite, got nan\n")
 
     @pytest.mark.parametrize(
         "error", [e for e in NhStaError.__subclasses__() if e is not ConfigError],

@@ -98,6 +98,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("t0, t_f", [(-1.0, np.inf), (-np.inf, 1.0),
+                                         (np.nan, 1.0), (-1.0, np.nan)])
+    def test_non_finite_window_rejected(self, t0, t_f):
+        # an infinite end passes t0 < t_f and would yield NaN samples
+        with pytest.raises(ValueError, match="need a finite window"):
+            TimeGrid(t0, t_f, 10)
+
 
 class TestIntegrate:
     def test_zero_hamiltonian_freezes_the_state(self):

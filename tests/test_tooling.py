@@ -122,3 +122,14 @@ def test_one_control_sampler():
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("omega_r", "delta", "gamma")}
     assert samplers == {"_controls"}
+
+
+def test_cli_imports_file_writers_lazily():
+    # hashlib (which loads OpenSSL) and json serve only the commands that
+    # write a file, so nhsta.cli imports them where a file is written
+    tree = ast.parse(Path(nhsta.cli.__file__).read_text())
+    top_level = {alias.name.split(".")[0] for node in tree.body
+                 if isinstance(node, ast.Import) for alias in node.names}
+    top_level |= {node.module.split(".")[0] for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.module}
+    assert top_level.isdisjoint({"hashlib", "json"})

@@ -1,5 +1,6 @@
 """Two-level model: Hamiltonian, radicand branches, mixing angle, pulse."""
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from conftest import OMEGA0, ae_params
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (TRIG_FIELDS, BranchRegime, PulseSpec,
+from nhsta.two_level import (TRIG_FIELDS, AllenEberlyParams, BranchRegime,
+                             PulseSpec,
                              allen_eberly, branch_sqrt, classify_regime,
                              eigenvalue_path, eigenvalues, hamiltonian,
                              mixing_angle_path, radicand)
@@ -114,6 +116,15 @@ class TestRegime:
     def test_critical_line_rejected(self):
         with pytest.raises(DegenerateRegime):
             classify_regime(OMEGA0, 2.0 * OMEGA0)
+
+    @pytest.mark.parametrize("omega0, gamma", [
+        (math.nan, 0.3), (math.inf, 0.3), (OMEGA0, math.nan),
+        (OMEGA0, math.inf)])
+    def test_non_finite_inputs_rejected(self, omega0, gamma):
+        # NaN fails every comparison and inf passes the sign checks, so
+        # either would otherwise pick a regime
+        with pytest.raises(ValueError, match="need finite omega0 and gamma"):
+            classify_regime(omega0, gamma)
 
     def test_branch_sqrt_obeys_each_cut(self):
         z = -5.0 + 0.0j
@@ -373,6 +384,16 @@ class TestAllenEberly:
     def test_critical_decay_rejected_at_construction(self):
         with pytest.raises(DegenerateRegime):
             ae_params(gamma=2.0 * OMEGA0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["omega0", "delta0", "tau", "gamma",
+                                      "t0", "t_f"])
+    def test_non_finite_parameter_rejected_at_construction(self, name, value):
+        kwargs = dict(omega0=1.0, delta0=9.0, tau=1.0, gamma=0.3,
+                      t0=-1.0, t_f=1.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            AllenEberlyParams(**kwargs)
 
 
 class TestRecordIdentity:
