@@ -31,7 +31,7 @@ from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 from .grids import TimeGrid
 from .propagation import integrate  # noqa: F401
-from .propagation import propagate
+from .propagation import phase_table, scan_table
 from .synthesis import POLICY_HERMITIAN
 from .two_level import classify_regime
 
@@ -111,21 +111,23 @@ def _single(values: tuple, what: str) -> str:
     return values[0]
 
 
+def _pulse(cfg: ExperimentConfig, gamma: float):
+    """The pulse of one decay rate and its branch regime, picked by the
+    peak Rabi frequency (:attr:`ExperimentConfig.peak_omega`)."""
+    return cfg.pulse_for(gamma), classify_regime(cfg.peak_omega, gamma)
+
+
 def cmd_figure1(cfg: ExperimentConfig) -> int:
     """Radicand trajectories (t, Re Z, Im Z, eta, regime) per decay rate."""
-    cfg.validate()
     out = OutputSet(cfg, "figure1")
-    t0, t_f = cfg.window
-    grid = TimeGrid(t0, t_f, cfg.steps)
+    grid = cfg.grid
     for gamma in cfg.gammas(FIGURE1_DEFAULT_GAMMAS):
-        regime = classify_regime(cfg.omega0, gamma)
-        pulse = cfg.pulse_for(gamma)
+        pulse, regime = _pulse(cfg, gamma)
         series = zplane_series(pulse, grid, regime)
-        n = grid.n_points
         out.emit(f"figure1_gamma{_gamma_tag(gamma)}",
                  ["t", "re_z", "im_z", "eta", "regime"],
                  [series["t"], series["re_z"], series["im_z"], series["eta"],
-                  [regime.value] * n])
+                  [regime.value] * grid.n_points])
         out.add_run(gamma=gamma, regime=regime.value)
     out.write_manifest()
     return 0
@@ -133,13 +135,11 @@ def cmd_figure1(cfg: ExperimentConfig) -> int:
 
 def cmd_figure2(cfg: ExperimentConfig) -> int:
     """Complex mixing angle (t, Re theta, Im theta) per decay rate."""
-    cfg.validate()
     out = OutputSet(cfg, "figure2")
-    t0, t_f = cfg.window
-    grid = TimeGrid(t0, t_f, cfg.steps)
+    grid = cfg.grid
     for gamma in cfg.gammas(FIGURE2_DEFAULT_GAMMAS):
-        pulse = cfg.pulse_for(gamma)
-        series = theta_series(pulse, grid, classify_regime(cfg.omega0, gamma))
+        pulse, regime = _pulse(cfg, gamma)
+        series = theta_series(pulse, grid, regime)
         out.emit(f"figure2_gamma{_gamma_tag(gamma)}",
                  ["t", "re_theta", "im_theta"],
                  [series["t"], series["re_theta"], series["im_theta"]])
@@ -168,16 +168,13 @@ def _population_figure(cfg: ExperimentConfig, command: str,
     """One certified shortcut run per decay rate, emitted as ``header``
     with t followed by ``columns(amps)``; status 1 if any run is
     uncertified (every table and the manifest are still written)."""
-    cfg.validate(require_gammas=False)
     out = OutputSet(cfg, command)
     policy = _single(cfg.policies, "policy")
     initial = _single(cfg.initial_states, "initial state")
-    t0, t_f = cfg.window
-    grid = TimeGrid(t0, t_f, cfg.steps)
+    grid = cfg.grid
     uncertified = 0
     for gamma in cfg.gammas(default_gammas):
-        pulse = cfg.pulse_for(gamma)
-        regime = classify_regime(cfg.omega0, gamma)
+        pulse, regime = _pulse(cfg, gamma)
         started = time.perf_counter()
         run = run_shortcut(pulse, grid, policy=policy,
                            initial_state=initial, regime=regime)
@@ -216,11 +213,9 @@ def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
     H0, and each policy's initial states share one certified table.  Each
     wall time includes an equal share of its table's build time and of the
     decay rate's shared build time."""
-    t0, t_f = cfg.window
     started = time.perf_counter()
-    tables = shortcut_tables(cfg.pulse_for(gamma), TimeGrid(t0, t_f, cfg.steps),
-                             cfg.policies,
-                             regime=classify_regime(cfg.omega0, gamma))
+    pulse, regime = _pulse(cfg, gamma)
+    tables = shortcut_tables(pulse, cfg.grid, cfg.policies, regime)
     n_states = len(cfg.initial_states)
     gamma_share = ((time.perf_counter() - started)
                    / (len(cfg.policies) * n_states))
@@ -246,14 +241,14 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     Uncertified rows are flagged in the table and on stderr, and make the
     exit status 1 (the table and manifest are still written).
     """
-    cfg.validate(require_gammas=True)
+    gammas = cfg.gammas()  # no default decay rates: refuses a missing list
     out = OutputSet(cfg, "sweep")
     header = ["gamma", "policy", "initial_state", "regime", "g_plus_sq_final",
               "p0_renorm_final", "p1_final", "max_abs_g_minus", "max_residual",
               "convergence", "certified"]
     rows: list = []
     uncertified = 0
-    for gamma in cfg.gammas():
+    for gamma in gammas:
         for policy, initial, elapsed, m in _shared_table_runs(cfg, gamma):
             rows.append([gamma, policy, initial]
                         + [m[name] for name in header[3:]])
@@ -270,9 +265,9 @@ H_DECAY = 0.5 * np.array([[0, 0], [0, -1j]], dtype=complex)
 
 
 def _propagate_constant(h: np.ndarray, psi0, grid: TimeGrid):
-    """RK4 trajectory of a constant H, read from one broadcast table."""
-    return propagate(np.broadcast_to(h, (2 * grid.steps + 1, 2, 2)), psi0,
-                     grid)
+    """RK4 trajectory of a constant H, tabulated from one broadcast view."""
+    rows = np.broadcast_to(h.reshape(4, 1), (4, 2 * grid.steps + 1))
+    return scan_table(phase_table(grid.steps, rows), grid).apply(psi0)[0]
 
 
 def rabi_error(steps: int) -> float:
@@ -328,17 +323,15 @@ def _verify_checks(cfg: ExperimentConfig):
     yield "decay-exact[relative]", rel, 1e-8, rel <= 1e-8
 
     for gamma in cfg.gammas(VERIFY_DEFAULT_GAMMAS):
-        pulse = cfg.pulse_for(gamma)
-        t0, t_f = cfg.window
-        grid = TimeGrid(t0, t_f, cfg.steps)
-        regime = classify_regime(cfg.omega0, gamma)
-        run = run_shortcut(pulse, grid, policy=POLICY_HERMITIAN,
-                           regime=regime, with_frame_check=True)
+        pulse, regime = _pulse(cfg, gamma)
+        run = run_shortcut(pulse, cfg.grid, policy=POLICY_HERMITIAN,
+                           regime=regime)
         tag = f"gamma={gamma:g}"
-        res = run.residual.max_abs_residual
+        report = run.frame_check()
+        res = report.max_abs_residual
         yield (f"nullification-residual[{tag}]", res, RESIDUAL_BOUND,
                res <= RESIDUAL_BOUND)
-        coupling = float(np.max(run.residual.frame_coupling))
+        coupling = float(np.max(report.frame_coupling))
         yield f"frame-coupling-21[{tag}]", coupling, 1e-6, coupling <= 1e-6
         gm = float(np.max(np.abs(run.amps.g_minus)))
         yield f"max-abs-g-minus[{tag}]", gm, 1e-5, gm <= 1e-5
@@ -349,12 +342,11 @@ def _verify_checks(cfg: ExperimentConfig):
         conv = run.convergence
         yield (f"convergence[{tag}]", conv, CONVERGENCE_BOUND,
                conv <= CONVERGENCE_BOUND)
-        del run  # free it before the next decay rate's run is built
+        del run, report  # free them before the next decay rate's run is built
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     """Run the invariant suite; nonzero exit status on any failure."""
-    cfg.validate()
     failures = 0
     for name, measured, bound, ok in _verify_checks(cfg):
         status = "PASS" if ok else "FAIL"
@@ -435,6 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     command = overrides.pop("command")
     try:
         cfg = build_config(overrides.pop("config"), **overrides)
+        cfg.validate()
         status = COMMANDS[command](cfg)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status

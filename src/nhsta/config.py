@@ -4,15 +4,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError
+from .grids import TimeGrid
 from .propagation import INITIAL_EIGEN_PLUS
 from .synthesis import POLICY_HERMITIAN
-from .two_level import AllenEberlyParams, PulseSpec, classify_regime
+from .two_level import (AllenEberlyParams, PulseSpec, allen_eberly,
+                        classify_regime)
 from .experiments import INITIAL_STATES, POLICIES
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -63,7 +66,12 @@ class ExperimentConfig:
         t0 = -self.t_final if self.t0 is None else self.t0
         return t0, self.t_final
 
-    def validate(self, require_gammas: bool = False) -> None:
+    @property
+    def grid(self) -> TimeGrid:
+        """The run grid: ``steps`` intervals on the window."""
+        return TimeGrid(*self.window, self.steps)
+
+    def validate(self) -> None:
         t0, t_f = self.window
         if not t0 < t_f:
             raise ConfigError(f"need t0 < t_final, got [{t0}, {t_f}]")
@@ -82,21 +90,21 @@ class ExperimentConfig:
             if ini not in INITIAL_STATES:
                 raise ConfigError(
                     f"unknown initial state {ini!r}; choose from {INITIAL_STATES}")
-        if require_gammas and not self.gammas():
-            raise ConfigError("gamma list must not be empty")
+        # gammas() refuses an explicit empty list; defaults need no check
+        gammas = () if self.gamma_list is None else self.gammas()
         # the comparisons above let NaN and +inf through, and classify_regime
         # below raises ValueError on them
         numbers = [("omega0", self.omega0), ("delta0", self.delta0),
                    ("tau", self.tau), ("t0", t0), ("t_final", t_f)]
-        numbers += [("gamma", g) for g in self.gammas() or ()]
+        numbers += [("gamma", g) for g in gammas]
         for name, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for g in self.gammas() or ():
+        for g in gammas:
             if g < 0:
                 raise ConfigError(f"gamma must be >= 0, got {g}")
             # surfaces DegenerateRegime for gamma on the critical line
-            classify_regime(self.omega0, g)
+            classify_regime(self.peak_omega, g)
 
     @property
     def policies(self) -> tuple:
@@ -107,7 +115,26 @@ class ExperimentConfig:
         return tuple(s.strip() for s in self.initial_state.split(",") if s.strip())
 
     def gammas(self, default: tuple = ()) -> tuple:
-        return self.gamma_list if self.gamma_list is not None else default
+        """The configured decay rates, else the command's ``default``;
+        raises ConfigError when that leaves none."""
+        gammas = self.gamma_list if self.gamma_list is not None else default
+        if not gammas:
+            raise ConfigError("gamma list must not be empty")
+        return gammas
+
+    @cached_property
+    def pulse_table(self) -> Optional[np.ndarray]:
+        """Columns (t, Omega_R, Delta) of the pulse file, read once."""
+        if self.pulse_file is None:
+            return None
+        return load_pulse_file(self.pulse_file)
+
+    @property
+    def peak_omega(self) -> float:
+        """The peak Rabi frequency that picks the branch regime: the largest
+        Omega_R sample of a pulse file, else (or if all are 0) omega0."""
+        peak = 0.0 if self.pulse_file is None else np.max(self.pulse_table[1])
+        return float(peak) if peak > 0 else self.omega0
 
     def ae_params(self, gamma: float) -> AllenEberlyParams:
         t0, t_f = self.window
@@ -115,16 +142,27 @@ class ExperimentConfig:
                                  tau=self.tau, gamma=gamma, t0=t0, t_f=t_f)
 
     def pulse_for(self, gamma: float) -> PulseSpec:
-        """Pulse for one decay rate: sech/tanh by default, tabulated file
-        (piecewise linear, no analytic derivatives) when configured."""
+        """Pulse for one decay rate: sech/tanh by default, else the pulse
+        file interpolated piecewise linearly (no analytic derivatives)."""
         if self.pulse_file is None:
-            from .two_level import allen_eberly
             return allen_eberly(self.ae_params(gamma))
-        return load_pulse_file(self.pulse_file, gamma)
+        ts, oms, dls = self.pulse_table
+
+        def omega_r(t):
+            return np.interp(t, ts, oms)
+
+        def delta(t):
+            return np.interp(t, ts, dls)
+
+        def gamma_fn(t):
+            return np.full_like(np.asarray(t, dtype=float), gamma)
+
+        return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn)
 
 
-def load_pulse_file(path: str, gamma: float) -> PulseSpec:
-    """Three-column table (t, Omega_R, Delta) -> piecewise-linear PulseSpec."""
+def load_pulse_file(path: str) -> np.ndarray:
+    """The checked columns (t, Omega_R, Delta) of a three-column pulse
+    table, shape (3, rows)."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"pulse file {path!r} not found")
@@ -145,17 +183,7 @@ def load_pulse_file(path: str, gamma: float) -> PulseSpec:
         raise ConfigError("pulse file Rabi frequencies must be >= 0")
     if not np.all(np.isfinite(data[:, :3])):
         raise ConfigError(f"pulse file {path!r} holds a non-finite value")
-
-    def omega_r(t):
-        return np.interp(t, ts, oms)
-
-    def delta(t):
-        return np.interp(t, ts, dls)
-
-    def gamma_fn(t):
-        return np.full_like(np.asarray(t, dtype=float), gamma)
-
-    return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn)
+    return data[:, :3].T
 
 
 def parse_config_file(path: str) -> dict:

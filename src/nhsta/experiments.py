@@ -92,6 +92,15 @@ class ShortcutTable:
             amps=amplitudes(traj, self.theta, self.gauges),
             convergence=step_halving_gap(traj, rerun))
 
+    def frame_check(self) -> Optional[NullificationReport]:
+        """The residual report with the adiabatic-frame coupling (2,1),
+        formed from the table's own H0 + H1 on the run grid (None for the
+        naive term, as :attr:`residual`)."""
+        if self.coeffs is None:
+            return None
+        return nullification_residual(self.theta, self.coeffs,
+                                      self.scan.h[:, 0], self.gauges)
+
 
 @dataclass(frozen=True, eq=False)
 class ShortcutRun(ShortcutTable):
@@ -130,8 +139,8 @@ def _every(n: int, obj, grid: TimeGrid, names: tuple):
 
 def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
                     policies: tuple = POLICIES,
-                    regime: Optional[BranchRegime] = None,
-                    with_frame_check: bool = False) -> Iterator[ShortcutTable]:
+                    regime: Optional[BranchRegime] = None
+                    ) -> Iterator[ShortcutTable]:
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
     The policy-independent part is built here, once: the angle path and its
@@ -146,8 +155,7 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     theta = _every(4, theta_q, grid, ("theta", "dtheta"))
     e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
     h0_q = hamiltonian_entries(pulse, quarter.samples)
-    return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
-                          with_frame_check)
+    return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q)
             for policy in policies)
 
 
@@ -167,8 +175,8 @@ def _supplement(policy: str, theta_q: MixingAnglePath, grid: TimeGrid
     return _every(4, coeffs_q, grid, ("delta", "omega")), h1_entries(coeffs_q)
 
 
-def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
-                  with_frame_check) -> ShortcutTable:
+def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
+                  ) -> ShortcutTable:
     """One policy's supplement, H0 + H1 table, scan, gauges and checks on
     the run grid of ``theta`` (its temporaries are freed on return)."""
     grid = theta.grid
@@ -177,22 +185,14 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
     del h1_q  # freed before the scan's temporaries are allocated
     scan = scan_table(h, grid, certify=True)
 
-    if coeffs is not None:
-        gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
-    else:
+    g_plus_closed = residual = None
+    if coeffs is None:
         gauges = gauge_simple(e_plus, e_minus, grid)
-
-    g_plus_closed = None
-    residual = None
-    if coeffs is not None:
+    else:
+        gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
         if policy == POLICY_HERMITIAN:
             g_plus_closed = closed_form_gplus(e_plus, gauges, coeffs, theta)
-        # phase 0 of the table holds the run grid: view it as (n + 1, 2, 2)
-        residual = nullification_residual(
-            theta, coeffs,
-            h_total=(np.moveaxis(h[:, 0].reshape(2, 2, -1), -1, 0)
-                     if with_frame_check else None),
-            gauges=gauges if with_frame_check else None)
+        residual = nullification_residual(theta, coeffs)
 
     return ShortcutTable(pulse=pulse, grid=grid, regime=theta.regime,
                          policy=policy,
@@ -204,27 +204,23 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q,
 
 def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
                    policy: str = POLICY_HERMITIAN,
-                   regime: Optional[BranchRegime] = None,
-                   with_frame_check: bool = False) -> ShortcutTable:
+                   regime: Optional[BranchRegime] = None) -> ShortcutTable:
     """Angle path, supplement, gauges and RK4 prefix products of a run.
 
     H0 + H1 is tabulated once on the quarter-step grid: the run propagates
     on every second quarter step, and certification reruns at half step on
     all of them.  The one-policy case of :func:`shortcut_tables`.
     """
-    return next(shortcut_tables(pulse, grid, (policy,), regime,
-                                with_frame_check))
+    return next(shortcut_tables(pulse, grid, (policy,), regime))
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
                  policy: str = POLICY_HERMITIAN,
                  initial_state: str = INITIAL_EIGEN_PLUS,
-                 regime: Optional[BranchRegime] = None,
-                 with_frame_check: bool = False) -> ShortcutRun:
+                 regime: Optional[BranchRegime] = None) -> ShortcutRun:
     """Full pipeline for one initial state: :func:`shortcut_table`, then
     :meth:`ShortcutTable.run`."""
-    return shortcut_table(pulse, grid, policy, regime,
-                          with_frame_check).run(initial_state)
+    return shortcut_table(pulse, grid, policy, regime).run(initial_state)
 
 
 def ae_pulse_and_grid(params: AllenEberlyParams, steps: int

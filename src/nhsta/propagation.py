@@ -177,7 +177,7 @@ class PrefixScan:
 
     def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
         """RK4 trajectory of each set from a two-component psi0 (the run
-        first); see :func:`propagate`."""
+        first); a blow-up raises NonFinite naming the step where it starts."""
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (2,):
             raise ValueError("psi0 must be a two-component vector")
@@ -274,26 +274,6 @@ def scan_table(h: np.ndarray, grid: TimeGrid, certify: bool = False
     return PrefixScan(grid=grid, h=h, sets=sets, prefix=q)
 
 
-def prefix_scan(h_half: np.ndarray, grid: TimeGrid) -> PrefixScan:
-    """The one-set :func:`scan_table` of H on ``grid.refine(2)``, shape
-    (2*steps + 1, 2, 2): step k reads its stages from rows 2k, 2k+1, 2k+2."""
-    h_half = np.asarray(h_half)
-    if h_half.shape != (2 * grid.steps + 1, 2, 2):
-        raise ValueError("h_half must hold H at every half step of the grid")
-    return scan_table(phase_table(grid.steps, h_half.reshape(-1, 4).T), grid)
-
-
-def propagate(h_half: np.ndarray, psi0: np.ndarray, grid: TimeGrid
-              ) -> StateTrajectory:
-    """Classical RK4 for i*dpsi/dt = H(t)*psi from a two-component psi0.
-
-    ``h_half`` is H on ``grid.refine(2)``, shape (2*steps + 1, 2, 2).  Raises
-    NonFinite when the state blows up (e.g. runaway gain), naming the first
-    sample at which a step's stages overflow.
-    """
-    return prefix_scan(h_half, grid).apply(psi0)[0]
-
-
 def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
               ) -> np.ndarray:
     """A callable H(t) on ``grid.refine(phases)``, in the kernel's layout."""
@@ -305,7 +285,7 @@ def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
 def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid
               ) -> StateTrajectory:
     """RK4 for a callable H(t), sampled at the half steps; see
-    :func:`propagate`."""
+    :meth:`PrefixScan.apply`."""
     return scan_table(_tabulate(h_total, grid, 2), grid).apply(psi0)[0]
 
 

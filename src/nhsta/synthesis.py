@@ -81,17 +81,13 @@ class NullificationReport:
     which vanishes identically for coefficients produced by the synthesis
     routines.  When H0 + H1 and gauges are supplied, ``frame_coupling`` holds
     |entry (2,1)| of the adiabatic-frame total Hamiltonian with the frame
-    derivative taken by Richardson-extrapolated central differences, and
-    ``frame_coupling_plain``/``frame_tolerance`` the plain central-difference
-    value with its error-aware bound max(1e-8, 10*|plain - richardson|).
+    derivative taken by Richardson-extrapolated central differences.
     """
 
     grid: TimeGrid
     residual: np.ndarray
     max_abs_residual: float
     frame_coupling: Optional[np.ndarray] = None
-    frame_coupling_plain: Optional[np.ndarray] = None
-    frame_tolerance: Optional[float] = None
 
 
 def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
@@ -234,40 +230,33 @@ def nullification_residual(theta_path: MixingAnglePath,
 
     Always evaluates the algebraic residual
     delta*sin(theta) + i*Im[W] - Re[W]*cos(theta) + i*dtheta.
-    When ``h_total`` (H0 + H1 on the grid, shape (n, 2, 2)) and ``gauges``
-    are supplied, additionally transforms it into the adiabatic frame with
-    finite-difference frame derivatives and records |entry (2,1)| (the
-    cancelled coupling; the reverse entry (1,2) is allowed to survive by
-    design).
+    When ``h_total`` (the entries (h00, h01, h10, h11) of H0 + H1 on the
+    grid, shape (4, n)) and ``gauges`` are supplied, additionally transforms
+    it into the adiabatic frame with finite-difference frame derivatives and
+    records |entry (2,1)| (the cancelled coupling; the reverse entry (1,2) is
+    allowed to survive by design).
     """
     if coeffs.grid != theta_path.grid:
         raise ValueError("coefficients and theta path must share the grid")
     om = np.asarray(coeffs.omega)
     residual = (np.asarray(coeffs.delta) * theta_path.sin + 1j * om.imag
                 - om.real * theta_path.cos + 1j * theta_path.dtheta)
-    report_kwargs = {}
+    frame = None
     if h_total is not None and gauges is not None:
-        if len(h_total) != theta_path.grid.n_points:
-            raise ValueError("h_total must hold one 2x2 per grid point")
-        plain, rich = _frame_coupling(theta_path, h_total, gauges)
-        fd_err = float(np.max(np.abs(plain - rich)))
-        report_kwargs = dict(
-            frame_coupling=rich,
-            frame_coupling_plain=plain,
-            frame_tolerance=max(1e-8, 10.0 * fd_err),
-        )
+        if np.shape(h_total) != (4, theta_path.grid.n_points):
+            raise ValueError("h_total must hold H's 4 entries per grid point")
+        frame = _frame_coupling(theta_path, h_total, gauges)
     return NullificationReport(
         grid=theta_path.grid,
         residual=residual,
         max_abs_residual=float(np.max(np.abs(residual))),
-        **report_kwargs,
+        frame_coupling=frame,
     )
 
 
 def _frame_coupling(theta_path, h_total, gauges):
-    """|(R~^dag H R - i R~^dag dR/dt)[1, 0]| for H = ``h_total`` with plain
-    central and Richardson-extrapolated frame derivatives (interior points
-    only).
+    """|(R~^dag H R - i R~^dag dR/dt)[1, 0]| for H with entries ``h_total``
+    and a Richardson-extrapolated frame derivative (interior points only).
 
     Only what reaches entry (1, 0) is formed: column 0 of R, f_+ (c, s),
     and row 1 of R~^dag, (s, -c)/f_- (R~ is built from conj(theta), so its
@@ -280,17 +269,15 @@ def _frame_coupling(theta_path, h_total, gauges):
     col = (gauges.f_plus * c, gauges.f_plus * s)
     f_minus = gauges.f_minus[inner]
     row = (s[inner] / f_minus, -c[inner] / f_minus)
-    h_tot = h_total[inner]
-    h_col = [h_tot[:, i, 0] * col[0][inner] + h_tot[:, i, 1] * col[1][inner]
+    h_tot = h_total[:, inner]
+    h_col = [h_tot[2 * i] * col[0][inner] + h_tot[2 * i + 1] * col[1][inner]
              for i in (0, 1)]
     static = row[0] * h_col[0] + row[1] * h_col[1]
-    d1 = [(x[3:-1] - x[1:-3]) / (2.0 * h) for x in col]
-    d2 = [(x[4:] - x[:-4]) / (4.0 * h) for x in col]
-    plain, rich = np.zeros((2, grid.n_points))
-    for out, d in ((plain, d1),
-                   (rich, [(4.0 * a - b) / 3.0 for a, b in zip(d1, d2)])):
-        out[inner] = np.abs(static - 1j * (row[0] * d[0] + row[1] * d[1]))
-    return plain, rich
+    d = [(4.0 * ((x[3:-1] - x[1:-3]) / (2.0 * h))
+          - (x[4:] - x[:-4]) / (4.0 * h)) / 3.0 for x in col]
+    out = np.zeros(grid.n_points)
+    out[inner] = np.abs(static - 1j * (row[0] * d[0] + row[1] * d[1]))
+    return out
 
 
 def closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,

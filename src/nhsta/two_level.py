@@ -102,12 +102,6 @@ class BranchRegime(Enum):
     SUB_CRITICAL = "sub-critical"
     SUPER_CRITICAL = "super-critical"
 
-    @property
-    def cut_convention(self) -> str:
-        if self is BranchRegime.SUB_CRITICAL:
-            return "(-pi, pi]"
-        return "[0, 2pi)"
-
 
 #: the trigonometric functions of theta a path carries
 TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")

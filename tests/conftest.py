@@ -27,8 +27,7 @@ def shortcut_run():
         if key not in cache:
             cache[key] = run_allen_eberly(
                 ae_params(gamma), steps=steps, policy=policy,
-                initial_state=initial_state,
-                with_frame_check=True)
+                initial_state=initial_state)
         return cache[key]
 
     return get

@@ -27,9 +27,9 @@ def report(name, measured, bound):
 def test_criterion_1_supplement_cancels_the_leak_exactly(shortcut_run):
     """Algebraic residual <= 1e-10 and frame coupling entry <= 1e-6."""
     for gamma in GAMMAS:
-        run = shortcut_run(gamma)
-        residual = run.residual.max_abs_residual
-        coupling = float(np.max(run.residual.frame_coupling))
+        check = shortcut_run(gamma).frame_check()
+        residual = check.max_abs_residual
+        coupling = float(np.max(check.frame_coupling))
         report(f"gamma={gamma} residual", residual, 1e-10)
         report(f"gamma={gamma} frame coupling (2,1)", coupling, 1e-6)
         assert residual <= 1e-10

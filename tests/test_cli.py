@@ -1,6 +1,7 @@
 """CLI commands: emission formats, manifests, exit codes, determinism."""
 import hashlib
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -442,6 +443,23 @@ class TestExitCodes:
             f"non-numeric cell or a header row"]
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("source, text", [
+        ("--gamma", ""), ("--gamma", " , "), ("--config", "gamma =\n")],
+        ids=["empty-flag", "commas-only", "empty-config-line"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_explicit_empty_gamma_list_exits_config(self, tmp_path, capsys,
+                                                    command, source, text):
+        # an empty list would check and write nothing, then exit 0
+        value = text
+        if source == "--config":
+            value = str(tmp_path / "exp.cfg")
+            Path(value).write_text(text)
+        out = tmp_path / "out"
+        assert main([command, source, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: gamma list must not be empty"]
+        assert list(out.glob("*")) == []
+
     def test_non_finite_omega0_names_the_value(self, tmp_path, capsys):
         # the finiteness checks run before classify_regime, which would
         # raise ValueError on NaN
@@ -539,6 +557,57 @@ class TestFormatsAndPulseFile:
         data = read_csv(tmp_path / "figure2_gamma0.3.csv")
         assert abs(data["re_theta"][0]) <= 0.2
         assert abs(data["re_theta"][-1] - np.pi) <= 0.2
+
+    @staticmethod
+    def strong_pulse(path, delimiter=" "):
+        """801-point table of Omega_R = 2 sech t, Delta = 9 tanh t: at
+        gamma = 3, Re Z(0) = 16 - 9 > 0, so the pulse is sub-critical although
+        the default omega0 = 1 would call gamma = 3 super-critical."""
+        ts = np.linspace(-1, 1, 801)
+        np.savetxt(path, np.column_stack([ts, 2 / np.cosh(ts), 9 * np.tanh(ts)]),
+                   delimiter=delimiter)
+        return str(path)
+
+    def test_tabulated_regime_comes_from_the_largest_omega(self, tmp_path):
+        pulse = self.strong_pulse(tmp_path / "pulse.txt")
+        for omega0 in ("1", "0.5"):  # not read with a pulse file
+            out = tmp_path / omega0
+            assert main(["figure1", "--pulse-file", pulse, "--gamma", "3",
+                         "--omega0", omega0, "--out", str(out)]) == 0
+        data = read_csv(tmp_path / "1" / "figure1_gamma3.csv")
+        assert set(data["regime"]) == {"sub-critical"}
+        assert np.min(data["re_z"]) > 0.0
+        assert np.max(np.abs(data["eta"])) < 0.5 * np.pi  # principal branch
+        assert ((tmp_path / "1" / "figure1_gamma3.csv").read_bytes()
+                == (tmp_path / "0.5" / "figure1_gamma3.csv").read_bytes())
+
+    def test_tabulated_sub_critical_runs_certify(self, tmp_path):
+        # gamma = 2 is below 2*max(Omega_R) = 4, not on the critical line
+        pulse = self.strong_pulse(tmp_path / "pulse.txt")
+        assert main(["figure3", "--pulse-file", pulse, "--gamma", "2,3",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--pulse-file", pulse, "--gamma", "2,3",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert rows["regime"] == ["sub-critical"] * 2
+        assert rows["certified"] == ["True"] * 2
+
+    def test_pulse_file_parsed_once_per_command(self, tmp_path, monkeypatch):
+        # comma-separated, so each parse is one np.loadtxt call
+        pulse = self.strong_pulse(tmp_path / "pulse.csv", delimiter=",")
+        loadtxt, reads = np.loadtxt, []
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        # verify builds a pulse for each of its four default decay rates;
+        # its status depends on the pulse (piecewise-linear tables fail
+        # checks), so only the number of reads is asserted
+        assert main(["verify", "--pulse-file", pulse, "--steps", "1000",
+                     "--out", str(tmp_path)]) in (0, 1)
+        assert len(reads) == 1
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NH_STA_OUT", str(tmp_path / "env_out"))

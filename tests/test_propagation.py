@@ -18,12 +18,17 @@ from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                _block_size, amplitudes, convergence_check,
-                               integrate, prefix_scan, propagate, scan_table)
+                               integrate, phase_table, scan_table)
 from nhsta.two_level import (TRIG_FIELDS, allen_eberly, eigenvalue_path,
                              hamiltonian, mixing_angle_path, mixing_angle_rate,
                              theta_at)
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def half_step_scan(h_half, grid):
+    """scan_table of H at the half steps, shape (2*steps + 1, 2, 2)."""
+    return scan_table(phase_table(grid.steps, h_half.reshape(-1, 4).T), grid)
 
 
 def per_step_rk4(h_total, psi0, grid):
@@ -187,7 +192,8 @@ class TestPropagate:
         grid = TimeGrid(-1.0, 1.0, 4000)
         psi0 = np.array([0.6, 0.8j])
         want = per_step_rk4(h_total, psi0, grid)
-        got = propagate(h_total(grid.refine(2).samples), psi0, grid)
+        scan = half_step_scan(h_total(grid.refine(2).samples), grid)
+        got, = scan.apply(psi0)
         assert np.max(np.abs(got.psi - want)) <= 1e-13
 
     def test_block_boundaries_are_seamless(self):
@@ -208,23 +214,27 @@ class TestPropagate:
         grid = TimeGrid(-1.0, 1.0, steps)
         psi0 = np.array([0.6, 0.8j])
         want = per_step_rk4(h_total, psi0, grid)
-        got = propagate(h_total(grid.refine(2).samples), psi0, grid)
+        scan = half_step_scan(h_total(grid.refine(2).samples), grid)
+        got, = scan.apply(psi0)
         assert np.max(np.abs(got.psi - want)) <= 1e-13
 
     def test_states_sharing_a_scan_equal_single_runs_bitwise(self):
         h_total = lossy_chirp(1.0)
         grid = TimeGrid(-1.0, 1.0, 4001)
         h_half = h_total(grid.refine(2).samples)
-        scan = prefix_scan(h_half, grid)
+        scan = half_step_scan(h_half, grid)
         for psi0 in ([1, 0], [0, 1], [0.6, 0.8j], [1e-3, -2.0 + 1j]):
             psi0 = np.array(psi0, dtype=complex)
             run, = scan.apply(psi0)
-            assert np.array_equal(run.psi, propagate(h_half, psi0, grid).psi)
+            alone, = half_step_scan(h_half, grid).apply(psi0)
+            assert np.array_equal(run.psi, alone.psi)
 
     def test_rejects_table_of_wrong_length(self):
+        # H on the run grid alone, where the half steps are needed
         grid = TimeGrid(0, 1, 10)
-        with pytest.raises(ValueError):
-            propagate(np.zeros((grid.n_points, 2, 2)), np.array([1, 0]), grid)
+        with pytest.raises(ValueError, match="kernel's layout"):
+            scan_table(phase_table(grid.steps, np.zeros((4, grid.n_points))),
+                       grid)
 
     def test_trapezoid_helper_equals_scipy_bitwise(self):
         y = np.exp(1j * np.linspace(0, 3, 1001)) + np.linspace(0, 1, 1001)
@@ -358,15 +368,13 @@ class TestConvergence:
     @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
     def test_policy_tables_of_one_pass_equal_single_runs_bitwise(self, gamma):
         pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
-        tables = shortcut_tables(pulse, grid, POLICIES, regime,
-                                 with_frame_check=True)
+        tables = shortcut_tables(pulse, grid, POLICIES, regime)
         for policy, table in zip(POLICIES, tables):
             assert table.policy == policy
             for state in INITIAL_STATES:
                 shared = table.run(state)
                 alone = run_shortcut(pulse, grid, policy=policy,
-                                     initial_state=state, regime=regime,
-                                     with_frame_check=True)
+                                     initial_state=state, regime=regime)
                 assert np.array_equal(shared.trajectory.psi,
                                       alone.trajectory.psi)
                 for f in fields(AmplitudeTrajectory)[1:]:
@@ -375,11 +383,12 @@ class TestConvergence:
                 assert shared.convergence == alone.convergence
                 if alone.residual is None:
                     assert shared.residual is None
+                    assert shared.frame_check() is None
                 else:
-                    for name in ("residual", "frame_coupling",
-                                 "frame_coupling_plain"):
-                        assert np.array_equal(getattr(shared.residual, name),
-                                              getattr(alone.residual, name))
+                    checks = shared.frame_check(), alone.frame_check()
+                    for name in ("residual", "frame_coupling"):
+                        assert np.array_equal(getattr(checks[0], name),
+                                              getattr(checks[1], name))
                 if alone.g_plus_closed is None:
                     assert shared.g_plus_closed is None
                 else:
@@ -413,8 +422,8 @@ class TestConvergence:
         # [c, p, k] of the table is entry c of quarter-step row 4k + p
         h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
         h_quarter = h_quarter[:4 * steps + 1]
-        coarse = prefix_scan(h_quarter[::2], grid)
-        fine = prefix_scan(h_quarter, grid.refine(2))
+        coarse = half_step_scan(h_quarter[::2], grid)
+        fine = half_step_scan(h_quarter, grid.refine(2))
         for state in INITIAL_STATES:
             run = table.run(state)
             psi0 = run.trajectory.psi[0]

@@ -188,10 +188,9 @@ class TestNullificationReport:
     def test_frame_coupling_cancelled_but_reverse_entry_survives(
             self, shortcut_run, theta_paths):
         run = shortcut_run(1.0)
-        report = run.residual
+        report = run.frame_check()
         assert report.frame_coupling is not None
         assert np.max(report.frame_coupling) <= 1e-6
-        assert np.max(report.frame_coupling_plain) <= report.frame_tolerance
         # the reverse coupling is allowed to survive: rebuild it explicitly
         pulse, path = theta_paths(1.0)
         k = path.grid.index_of(0.25)
@@ -215,17 +214,16 @@ class TestNullificationReport:
         rot = [rotation(th.theta[k], (g.f_plus[k], g.f_minus[k]))
                for k in range(n)]
         h1 = assemble_h1_series(coeffs)
-        plain, rich = np.zeros(n), np.zeros(n)
+        rich = np.zeros(n)
         for k in range(2, n - 2):
             d1 = (rot[k + 1].r - rot[k - 1].r) / (2.0 * h)
             d2 = (rot[k + 2].r - rot[k - 2].r) / (4.0 * h)
             rtd = rot[k].r_tilde.conj().T
             static = rtd @ (hamiltonian(run.pulse, ts[k]) + h1[k]) @ rot[k].r
-            plain[k] = abs((static - 1j * rtd @ d1)[1, 0])
             rich[k] = abs((static - 1j * rtd @ ((4.0 * d1 - d2) / 3.0))[1, 0])
-        h_total = hamiltonian(run.pulse, ts) + h1
-        got_plain, got_rich = _frame_coupling(th, h_total, g)
-        assert np.max(np.abs(got_plain - plain)) <= 1e-12
+        # entries (h00, h01, h10, h11) of H0 + H1, one row each
+        h_total = (hamiltonian(run.pulse, ts) + h1).reshape(n, 4).T
+        got_rich = _frame_coupling(th, h_total, g)
         assert np.max(np.abs(got_rich - rich)) <= 1e-12
 
 
@@ -313,9 +311,10 @@ class TestSingleDeltaForm:
 
         monkeypatch.setattr(synthesis, "_frame_coupling", record)
         pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), steps)
-        table = shortcut_table(pulse, grid, policy=policy, regime=regime,
-                               with_frame_check=True)
+        table = shortcut_table(pulse, grid, policy=policy, regime=regime)
+        assert seen == []  # the frame check runs on request only
+        table.frame_check()
         assert len(seen) == 1
         want = (hamiltonian(pulse, grid.samples)
                 + assemble_h1_series(table.coeffs))
-        assert_bitwise(seen[0], want)
+        assert_bitwise(seen[0], want.reshape(-1, 4).T)

@@ -1,6 +1,6 @@
 """Structure guards: the benchmark's tracing script still finds every name
-it wraps, every propagation goes through one RK4 scan, and one routine
-samples a pulse's controls."""
+it wraps, every propagation goes through one RK4 scan, one routine samples
+a pulse's controls, and a configuration is validated in one place."""
 import ast
 import importlib
 import importlib.util
@@ -77,6 +77,7 @@ def test_one_propagation_path(monkeypatch):
 
     # every entry point reaches that scan and its apply
     assert experiments.scan_table is propagation.scan_table
+    assert nhsta.cli.scan_table is propagation.scan_table
     calls = Counter()
     scan, apply = propagation.scan_table, propagation.PrefixScan.apply
 
@@ -90,6 +91,7 @@ def test_one_propagation_path(monkeypatch):
 
     monkeypatch.setattr(propagation, "scan_table", counted_scan)
     monkeypatch.setattr(experiments, "scan_table", counted_scan)
+    monkeypatch.setattr(nhsta.cli, "scan_table", counted_scan)
     monkeypatch.setattr(propagation.PrefixScan, "apply", counted_apply)
     grid = TimeGrid(0.0, 1.0, 100)
     h = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,8 +99,7 @@ def test_one_propagation_path(monkeypatch):
     pulse, run_grid, regime = experiments.ae_pulse_and_grid(
         nhsta.AllenEberlyParams(omega0=1.0, delta0=9.0, gamma=1.0), 400)
     entry_points = {
-        "propagate": lambda: propagation.propagate(
-            np.broadcast_to(h, (201, 2, 2)), psi0, grid),
+        "cli.rabi_error": lambda: nhsta.cli.rabi_error(100),
         "integrate": lambda: propagation.integrate(lambda t: h, psi0, grid),
         "convergence_check": lambda: propagation.convergence_check(
             lambda t: h, psi0, grid),
@@ -122,6 +123,18 @@ def test_one_control_sampler():
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("omega_r", "delta", "gamma")}
     assert samplers == {"_controls"}
+
+
+def test_one_validation_site():
+    # a configuration is validated once, by main, before any command runs
+    callers = {(module.__name__, fn.name) for module in MODULES
+               for fn in ast.walk(ast.parse(Path(module.__file__).read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "validate"}
+    assert callers == {("nhsta.cli", "main")}
 
 
 def test_cli_imports_file_writers_lazily():

@@ -106,12 +106,10 @@ class TestRegime:
     def test_subcritical_classification_and_cut(self):
         regime = classify_regime(OMEGA0, 0.3)
         assert regime is BranchRegime.SUB_CRITICAL
-        assert regime.cut_convention == "(-pi, pi]"
 
     def test_supercritical_classification_and_cut(self):
         regime = classify_regime(OMEGA0, 3.0)
         assert regime is BranchRegime.SUPER_CRITICAL
-        assert regime.cut_convention == "[0, 2pi)"
 
     def test_critical_line_rejected(self):
         with pytest.raises(DegenerateRegime):
