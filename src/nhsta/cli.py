@@ -5,9 +5,10 @@ closed early, 2 configuration error (non-finite numbers included), 3 any
 other package error (non-finite values, branch tracking, degeneracy, ...).
 
 ``main`` also tunes its own process before the command runs (importing this
-module does not): see :func:`_tune_process`.  ``hashlib`` (which loads
-OpenSSL) and ``json`` are imported where a file is written, so ``verify``
-loads neither.
+module does not): see :func:`_tune_process`.  ``json`` and the SHA-256 of
+the manifest (:func:`_sha256`, the interpreter's built-in module, so
+OpenSSL is never loaded) are imported where a file is written, so
+``verify`` loads neither.
 """
 from __future__ import annotations
 
@@ -50,12 +51,34 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _sha256(data: bytes) -> str:
+    """Hex SHA-256 digest of ``data``.
+
+    Taken from the interpreter's built-in module (``_sha2`` on Python
+    3.12+, ``_sha256`` before): ``hashlib`` maps OpenSSL's libcrypto, about
+    3.5 MB of resident memory, to hash a few kilobytes.  ``hashlib`` serves
+    only an interpreter built without either module; the digest is the same.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
 class OutputSet:
     """Collects emitted tables plus run metadata into a manifest."""
 
     def __init__(self, cfg: ExperimentConfig, command: str):
         self.dir = Path(cfg.out)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise ConfigError(f"cannot create output directory {cfg.out!r}: "
+                              f"{exc.strerror}") from None
         self.fmt = cfg.format
         self.command = command
         self.config_echo = asdict(cfg)
@@ -63,7 +86,6 @@ class OutputSet:
         self.runs: list = []
 
     def emit(self, name: str, header: Sequence[str], columns: Sequence) -> Path:
-        import hashlib
         import json
         cols = [np.asarray(c) if not isinstance(c, (list, tuple)) else c
                 for c in columns]
@@ -81,7 +103,7 @@ class OutputSet:
         data = text.encode()
         path.write_bytes(data)
         self.files.append({"path": path.name,
-                           "sha256": hashlib.sha256(data).hexdigest()})
+                           "sha256": _sha256(data)})
         return path
 
     def add_run(self, **meta) -> None:

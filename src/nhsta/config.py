@@ -100,6 +100,14 @@ class ExperimentConfig:
         for name, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        if self.pulse_file is not None:
+            # np.interp would hold Omega_R and Delta constant outside the table
+            ts = self.pulse_table[0]
+            if ts[0] > t0 or ts[-1] < t_f:
+                raise ConfigError(
+                    f"pulse file {self.pulse_file!r} covers t in "
+                    f"[{float(ts[0])}, {float(ts[-1])}], not the run window "
+                    f"[{t0}, {t_f}]")
         for g in gammas:
             if g < 0:
                 raise ConfigError(f"gamma must be >= 0, got {g}")
@@ -166,14 +174,19 @@ def load_pulse_file(path: str) -> np.ndarray:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"pulse file {path!r} not found")
+    if not p.is_file():
+        raise ConfigError(f"pulse file {path!r} is not a file")
     try:
-        data = np.loadtxt(p, delimiter=",")
-    except ValueError:
         try:
-            data = np.loadtxt(p)
+            data = np.loadtxt(p, delimiter=",")
         except ValueError:
-            raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
-                              f"or a header row") from None
+            data = np.loadtxt(p)
+    except ValueError:
+        raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
+                          f"or a header row") from None
+    except OSError as exc:
+        raise ConfigError(f"pulse file {path!r} cannot be read: "
+                          f"{exc.strerror}") from None
     if data.ndim != 2 or data.shape[1] < 3:
         raise ConfigError(f"pulse file {path!r} must have columns t, Omega_R, Delta")
     ts, oms, dls = data[:, 0], data[:, 1], data[:, 2]
@@ -191,8 +204,15 @@ def parse_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path!r} not found")
+    if not p.is_file():
+        raise ConfigError(f"config file {path!r} is not a file")
+    try:
+        lines = p.read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"config file {path!r} cannot be read: "
+                          f"{exc.strerror}") from None
     values: dict = {}
-    for lineno, raw in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

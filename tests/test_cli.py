@@ -1,6 +1,8 @@
 """CLI commands: emission formats, manifests, exit codes, determinism."""
 import hashlib
 import json
+import sys
+from hashlib import sha256
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -67,6 +69,48 @@ def test_verify_loads_no_file_writing_modules(tmp_path):
     assert done.stdout.splitlines()[-1] == f"0 {baseline.stdout.strip()}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gamma", "0.3", "--steps", "200"], ["figure1"]],
+    ids=["sweep", "figure1"])
+def test_file_writing_commands_load_no_openssl(tmp_path, argv):
+    # the manifest digest comes from the interpreter's built-in SHA-256;
+    # compared with a numpy-only child, as for verify above
+    import subprocess
+    names = ("hashlib", "_hashlib")
+    loaded = f"sorted(m for m in {names!r} if m in sys.modules)"
+    baseline = subprocess.run(
+        [sys.executable, "-c", f"import sys, numpy; print({loaded})"],
+        capture_output=True, text=True, check=True)
+    code = ("import sys; from nhsta.cli import main; "
+            f"code = main({argv + ['--out', str(tmp_path)]!r}); "
+            f"print(code, {loaded})")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"0 {baseline.stdout.strip()}"
+    assert list(tmp_path.glob(f"{argv[0]}_manifest.json"))
+
+
+def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
+    from nhsta import cli
+    argv = ["figure3", "--gamma", "0.3", "--steps", "200"]
+    assert main(argv + ["--out", str(tmp_path / "builtin")]) == 0
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    hashed = []
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda data: hashed.append(data) or sha256(data))
+    assert cli._sha256(b"abc") == sha256(b"abc").hexdigest()
+    assert main(argv + ["--out", str(tmp_path / "fallback")]) == 0
+    assert len(hashed) == 2  # b"abc" and the one table
+
+    def digests(name):
+        manifest = json.loads(
+            (tmp_path / name / "figure3_manifest.json").read_text())
+        return manifest["files"]
+
+    assert digests("fallback") == digests("builtin")
+
+
 @pytest.mark.parametrize("command", ["verify", "figure3"])
 def test_one_shortcut_run_alive_at_a_time(tmp_path, command):
     # each decay rate's run is freed before the next is built, so a second
@@ -106,6 +150,24 @@ def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
     assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in stderr
     assert b"BrokenPipeError" not in stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+def test_manifest_lists_files_with_checksums(tmp_path, command, fmt):
+    assert main([command, "--gamma", "0.3", "--steps", "1000", "--format", fmt,
+                 "--out", str(tmp_path)]) == 0
+    manifest_name = f"{command}_manifest.json"
+    manifest = json.loads((tmp_path / manifest_name).read_text())
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != manifest_name)
+    assert written
+    assert sorted(entry["path"] for entry in manifest["files"]) == written
+    assert all(name.endswith(f".{fmt}") for name in written)
+    for entry in manifest["files"]:
+        digest = sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
+        assert digest == entry["sha256"]
+    for run in manifest["runs"]:
+        assert run.get("convergence", 0.0) <= 1e-7
 
 
 class TestProcessTuning:
@@ -273,18 +335,6 @@ class TestFigure3:
         f1 = (out1 / "figure3_gamma0.3.csv").read_bytes()
         f2 = (out2 / "figure3_gamma0.3.csv").read_bytes()
         assert f1 == f2
-
-    def test_manifest_lists_files_with_checksums(self, tmp_path):
-        assert main(["figure3", "--gamma", "0.3", "--steps", "1000",
-                     "--out", str(tmp_path)]) == 0
-        manifest = json.loads((tmp_path / "figure3_manifest.json").read_text())
-        assert manifest["files"]
-        for entry in manifest["files"]:
-            digest = hashlib.sha256(
-                (tmp_path / entry["path"]).read_bytes()).hexdigest()
-            assert digest == entry["sha256"]
-        run = manifest["runs"][0]
-        assert run["convergence"] <= 1e-7
 
     def test_uncertified_run_exits_one_and_still_writes(self, tmp_path,
                                                        capsys):
@@ -459,6 +509,80 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: gamma list must not be empty"]
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("flag", ["--pulse-file", "--config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_as_input_file_exits_config(self, tmp_path, capsys,
+                                                  command, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        assert main([command, flag, str(folder), "--gamma", "0.3",
+                     "--steps", "100", "--out", str(out)]) == 2
+        kind = "pulse" if flag == "--pulse-file" else "config"
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {kind} file {str(folder)!r} is not a file"]
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("flag", ["--pulse-file", "--config"])
+    def test_unreadable_input_file_exits_config(self, tmp_path, capsys,
+                                                monkeypatch, flag):
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        if flag == "--pulse-file":
+            monkeypatch.setattr(np, "loadtxt", refused)
+        else:
+            monkeypatch.setattr(Path, "read_text", refused)
+        source = tmp_path / "input.txt"
+        source.write_text("-1,1,-9\n1,1,9\n")
+        out = tmp_path / "out"
+        assert main(["figure1", flag, str(source), "--gamma", "0.3",
+                     "--out", str(out)]) == 2
+        kind = "pulse" if flag == "--pulse-file" else "config"
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {kind} file {str(source)!r} cannot be read: "
+            f"Permission denied"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+    def test_out_naming_a_file_exits_config(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: cannot create output directory "
+            f"{str(taken)!r}: File exists"]
+        assert list(tmp_path.iterdir()) == [taken]
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("first, last", [(-0.5, 0.5), (-1.0, 0.9),
+                                             (-0.9, 1.0)])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pulse_file_not_covering_the_window_exits_config(
+            self, tmp_path, capsys, command, first, last):
+        # np.interp would hold the table's end values outside its range
+        ts = np.linspace(first, last, 101)
+        pulse_file = tmp_path / "pulse.csv"
+        np.savetxt(pulse_file, np.column_stack(
+            [ts, 1.0 / np.cosh(ts), 9.0 * np.tanh(ts)]), delimiter=",")
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: pulse file {str(pulse_file)!r} covers t in "
+            f"[{first}, {last}], not the run window [-1.0, 1.0]"]
+        assert list(out.glob("*")) == []
+
+    def test_pulse_file_on_a_wider_window_runs(self, tmp_path):
+        ts = np.linspace(-2.0, 2.0, 401)
+        pulse_file = tmp_path / "pulse.csv"
+        np.savetxt(pulse_file, np.column_stack(
+            [ts, 1.0 / np.cosh(ts), 9.0 * np.tanh(ts)]), delimiter=",")
+        assert main(["figure1", "--gamma", "0.3", "--steps", "100",
+                     "--t0", "-2", "--t-final", "1.5", "--pulse-file",
+                     str(pulse_file), "--out", str(tmp_path)]) == 0
 
     def test_non_finite_omega0_names_the_value(self, tmp_path, capsys):
         # the finiteness checks run before classify_regime, which would

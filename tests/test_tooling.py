@@ -1,6 +1,7 @@
 """Structure guards: the benchmark's tracing script still finds every name
 it wraps, every propagation goes through one RK4 scan, one routine samples
-a pulse's controls, and a configuration is validated in one place."""
+a pulse's controls, a configuration is validated in one place, and no
+module loads OpenSSL."""
 import ast
 import importlib
 import importlib.util
@@ -137,12 +138,35 @@ def test_one_validation_site():
     assert callers == {("nhsta.cli", "main")}
 
 
-def test_cli_imports_file_writers_lazily():
-    # hashlib (which loads OpenSSL) and json serve only the commands that
-    # write a file, so nhsta.cli imports them where a file is written
-    tree = ast.parse(Path(nhsta.cli.__file__).read_text())
-    top_level = {alias.name.split(".")[0] for node in tree.body
-                 if isinstance(node, ast.Import) for alias in node.names}
-    top_level |= {node.module.split(".")[0] for node in tree.body
-                  if isinstance(node, ast.ImportFrom) and node.module}
-    assert top_level.isdisjoint({"hashlib", "json"})
+def imports(module):
+    """(top-level imported name, innermost enclosing function or None) of
+    every absolute import in a module."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    enclosing = {}
+    for fn in ast.walk(tree):  # breadth first: inner functions come later
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                enclosing[node] = fn.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield name.split(".")[0], enclosing.get(node)
+
+
+def test_file_writers_are_imported_lazily():
+    # json and the manifest digest serve only the commands that write a
+    # file; hashlib maps OpenSSL's libcrypto, so it is imported only as the
+    # fallback of the one digest site, after the interpreter's built-ins
+    found = [(module.__name__, name, fn) for module in [nhsta] + MODULES
+             for name, fn in imports(module)]
+    assert [entry for entry in found if entry[2] is None
+            and entry[1] in ("hashlib", "_hashlib", "json")] == []
+    assert [(module, fn) for module, name, fn in found
+            if name in ("hashlib", "_hashlib")] == [("nhsta.cli", "_sha256")]
+    assert [name for name, fn in imports(nhsta.cli) if fn == "_sha256"] == [
+        "_sha2", "_sha256", "hashlib"]
