@@ -101,7 +101,11 @@ class OutputSet:
             text = json.dumps({"columns": list(header), "rows": rows},
                               indent=1) + "\n"
         data = text.encode()
-        path.write_bytes(data)
+        try:
+            path.write_bytes(data)
+        except OSError as exc:  # e.g. a directory already sits at the path
+            raise ConfigError(f"cannot write table {str(path)!r}: "
+                              f"{exc.strerror}") from None
         self.files.append({"path": path.name,
                            "sha256": _sha256(data)})
         return path

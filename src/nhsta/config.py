@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional
 
@@ -101,7 +101,7 @@ class ExperimentConfig:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.pulse_file is not None:
-            # np.interp would hold Omega_R and Delta constant outside the table
+            # the splines would extrapolate Omega_R and Delta outside the table
             ts = self.pulse_table[0]
             if ts[0] > t0 or ts[-1] < t_f:
                 raise ConfigError(
@@ -149,23 +149,64 @@ class ExperimentConfig:
         return AllenEberlyParams(omega0=self.omega0, delta0=self.delta0,
                                  tau=self.tau, gamma=gamma, t0=t0, t_f=t_f)
 
+    @cached_property
+    def pulse_splines(self) -> tuple:
+        """(value, rate) of the splines through Omega_R and Delta, fitted once."""
+        ts, oms, dls = self.pulse_table
+        return cubic_spline(ts, oms), cubic_spline(ts, dls)
+
     def pulse_for(self, gamma: float) -> PulseSpec:
         """Pulse for one decay rate: sech/tanh by default, else the pulse
-        file interpolated piecewise linearly (no analytic derivatives)."""
+        file's cubic splines with their exact derivatives, and constant gamma."""
         if self.pulse_file is None:
             return allen_eberly(self.ae_params(gamma))
-        ts, oms, dls = self.pulse_table
-
-        def omega_r(t):
-            return np.interp(t, ts, oms)
-
-        def delta(t):
-            return np.interp(t, ts, dls)
+        (omega_r, d_omega_r), (delta, d_delta) = self.pulse_splines
 
         def gamma_fn(t):
             return np.full_like(np.asarray(t, dtype=float), gamma)
 
-        return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn)
+        return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn,
+                         d_omega_r=d_omega_r, d_delta=d_delta,
+                         d_gamma=np.zeros_like)
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(value, rate) functions of the not-a-knot cubic spline through (x, y),
+    for at least four increasing knots (de Boor, *A Practical Guide to
+    Splines*, 1978).  A Thomas recurrence solves the tridiagonal system for
+    the knot slopes s; its pivots stay positive for any knot spacing."""
+    h = np.diff(x)
+    m = np.diff(y) / h  # chord slopes
+    d0, d1 = h[0] + h[1], h[-1] + h[-2]
+    sub = np.r_[h[1:], d1].tolist()  # coefficient of s[i - 1] in row i
+    diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]].tolist()
+    sup = np.r_[d0, h[:-1]].tolist()  # coefficient of s[i + 1] in row i
+    s = np.r_[((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
+              3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+              (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+              ].tolist()
+    for i in range(1, len(s)):
+        w = sub[i - 1] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(len(s) - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    # piece k is y[k] + s[k]*u + c2[k]*u**2 + c3[k]*u**3 with u = t - x[k];
+    # the last knot's piece is its tangent, so every knot is read at u = 0
+    c2 = np.r_[(3.0 * m - 2.0 * s[:-1] - s[1:]) / h, 0.0]
+    c3 = np.r_[(s[:-1] + s[1:] - 2.0 * m) / h**2, 0.0]
+
+    def spline(t, order):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(h))
+        u = t - x[k]
+        if order:
+            return s[k] + u * (2.0 * c2[k] + 3.0 * u * c3[k])
+        return y[k] + u * (s[k] + u * (c2[k] + u * c3[k]))
+
+    return partial(spline, order=0), partial(spline, order=1)
 
 
 def load_pulse_file(path: str) -> np.ndarray:
@@ -178,17 +219,20 @@ def load_pulse_file(path: str) -> np.ndarray:
         raise ConfigError(f"pulse file {path!r} is not a file")
     try:
         try:
-            data = np.loadtxt(p, delimiter=",")
+            data = np.loadtxt(p, delimiter=",", ndmin=2)
         except ValueError:
-            data = np.loadtxt(p)
+            data = np.loadtxt(p, ndmin=2)
     except ValueError:
         raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
                           f"or a header row") from None
     except OSError as exc:
         raise ConfigError(f"pulse file {path!r} cannot be read: "
                           f"{exc.strerror}") from None
-    if data.ndim != 2 or data.shape[1] < 3:
+    if data.shape[1] < 3:
         raise ConfigError(f"pulse file {path!r} must have columns t, Omega_R, Delta")
+    if len(data) < 4:  # a not-a-knot cubic spline needs four knots
+        raise ConfigError(f"pulse file {path!r} needs at least 4 rows for a "
+                          f"cubic spline, got {len(data)}")
     ts, oms, dls = data[:, 0], data[:, 1], data[:, 2]
     if np.any(np.diff(ts) <= 0):
         raise ConfigError("pulse file times must be strictly increasing")
@@ -207,10 +251,12 @@ def parse_config_file(path: str) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file {path!r} is not a file")
     try:
-        lines = p.read_text().splitlines()
+        lines = p.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError(f"config file {path!r} cannot be read: "
                           f"{exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text") from None
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -37,22 +37,16 @@ ControlFn = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Time-dependent controls; callables must accept scalar or ndarray t.
-
-    ``d_*`` are analytic time derivatives.  When they are absent the angle
-    path falls back to central differences.
-    """
+    """Time-dependent controls and their exact time derivatives ``d_*``,
+    which give the mixing angle's rate; callables must accept scalar or
+    ndarray t."""
 
     omega_r: ControlFn
     delta: ControlFn
     gamma: ControlFn
-    d_omega_r: Optional[ControlFn] = None
-    d_delta: Optional[ControlFn] = None
-    d_gamma: Optional[ControlFn] = None
-
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return None not in (self.d_omega_r, self.d_delta, self.d_gamma)
+    d_omega_r: ControlFn
+    d_delta: ControlFn
+    d_gamma: ControlFn
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,6 @@ class MixingAnglePath:
     theta: np.ndarray
     dtheta: np.ndarray
     regime: BranchRegime
-    dtheta_provenance: str = "analytic"
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -162,16 +155,18 @@ def classify_regime(omega0: float, gamma: float) -> BranchRegime:
     return BranchRegime.SUPER_CRITICAL
 
 
-def _controls(pulse: PulseSpec, t) -> tuple:
-    """(Omega_R, Delta, gamma) at t as float arrays; raises NonFinite naming
-    the first t at which one of them is not finite."""
-    om = np.asarray(pulse.omega_r(t), dtype=float)
-    dl = np.asarray(pulse.delta(t), dtype=float)
-    gm = np.asarray(pulse.gamma(t), dtype=float)
+def _controls(pulse: PulseSpec, t, rates: bool = False) -> tuple:
+    """(Omega_R, Delta, gamma) at t as float arrays, or with ``rates`` their
+    time derivatives; raises NonFinite naming the first t at which one of
+    them is not finite."""
+    fns = ((pulse.d_omega_r, pulse.d_delta, pulse.d_gamma) if rates
+           else (pulse.omega_r, pulse.delta, pulse.gamma))
+    om, dl, gm = (np.asarray(fn(t), dtype=float) for fn in fns)
     bad = ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm))
     if np.any(bad):
         ts, bad = np.broadcast_arrays(t, bad)
-        raise NonFinite(f"control value not finite at t={ts[bad][0]:g}")
+        raise NonFinite(f"control {'rate' if rates else 'value'} not finite "
+                        f"at t={ts[bad][0]:g}")
     return om, dl, gm
 
 
@@ -278,10 +273,8 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
     Anchored at the principal representative at t0 (Re theta in (-pi/2, pi/2],
     the near-zero branch for Delta(t0) < 0); each later sample takes the
     representative theta + m*pi closest to its predecessor, i.e. m
-    accumulates minus the rounded principal steps.  The rate dtheta
-    is analytic, (Omega*da/dt - dOmega/dt*a)/(a^2 + Omega^2) with
-    a = Delta - i*gamma/2, when the pulse carries derivatives; otherwise
-    central differences of the tracked samples.
+    accumulates minus the rounded principal steps.  The rate dtheta is
+    :func:`mixing_angle_rate`'s, from the pulse's derivatives.
     """
     ts = grid.samples
     om, dl, gm = _controls(pulse, ts)
@@ -305,25 +298,17 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
             f"near t={ts[k]:g}; refine the grid"
         )
 
-    if pulse.has_analytic_derivatives:
-        dtheta = mixing_angle_rate(pulse, ts)
-        provenance = "analytic"
-    else:
-        dtheta = np.gradient(theta, grid.step)
-        provenance = "numeric"
-
     if regime is None:
         regime = classify_regime(float(np.max(om)), float(np.max(gm)))
-    return MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta, regime=regime,
-                           dtheta_provenance=provenance)
+    return MixingAnglePath(grid=grid, theta=theta,
+                           dtheta=mixing_angle_rate(pulse, ts), regime=regime)
 
 
 def mixing_angle_rate(pulse: PulseSpec, t):
-    """Analytic dtheta/dt at arbitrary t (requires analytic derivatives)."""
+    """dtheta/dt = (Omega*da/dt - dOmega/dt*a)/(a^2 + Omega^2) with
+    a = Delta - i*gamma/2, at arbitrary t, from the pulse's derivatives."""
     om, dl, gm = _controls(pulse, t)
-    d_om = np.asarray(pulse.d_omega_r(t), dtype=float)
-    d_dl = np.asarray(pulse.d_delta(t), dtype=float)
-    d_gm = np.asarray(pulse.d_gamma(t), dtype=float)
+    d_om, d_dl, d_gm = _controls(pulse, t, rates=True)
     a = dl - 0.5j * gm
     da = d_dl - 0.5j * d_gm
     out = (om * da - d_om * a) / (a * a + om**2)

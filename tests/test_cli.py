@@ -575,6 +575,49 @@ class TestExitCodes:
             f"[{first}, {last}], not the run window [-1.0, 1.0]"]
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pulse_file_with_fewer_than_four_rows_exits_config(
+            self, tmp_path, capsys, command, rows):
+        # a not-a-knot cubic spline needs four knots
+        ts = np.linspace(-1.0, 1.0, rows)
+        pulse_file = tmp_path / "pulse.csv"
+        np.savetxt(pulse_file, np.column_stack(
+            [ts, 1.0 / np.cosh(ts), 9.0 * np.tanh(ts)]), delimiter=",")
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: pulse file {str(pulse_file)!r} needs at "
+            f"least 4 rows for a cubic spline, got {rows}"]
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_file_not_utf8_exits_config(self, tmp_path, capsys,
+                                               command):
+        config_file = tmp_path / "exp.cfg"
+        config_file.write_bytes(b"\xff\xfegamma = 0.3\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_file),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: config file {str(config_file)!r} is not "
+            f"UTF-8 text"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+    def test_directory_at_a_table_path_exits_config(self, tmp_path, capsys,
+                                                    command):
+        name = "sweep" if command == "sweep" else f"{command}_gamma0.3"
+        table = tmp_path / f"{name}.csv"
+        table.mkdir()
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"configuration error: cannot write table {str(table)!r}: "
+            f"Is a directory")
+        assert list(table.iterdir()) == []
+
     def test_pulse_file_on_a_wider_window_runs(self, tmp_path):
         ts = np.linspace(-2.0, 2.0, 401)
         pulse_file = tmp_path / "pulse.csv"
@@ -683,14 +726,44 @@ class TestFormatsAndPulseFile:
         assert abs(data["re_theta"][-1] - np.pi) <= 0.2
 
     @staticmethod
-    def strong_pulse(path, delimiter=" "):
+    def sech_tanh_table(path, omega0=1.0, points=801, delimiter=" "):
+        """Table of Omega_R = omega0 sech t, Delta = 9 tanh t on [-1, 1]."""
+        ts = np.linspace(-1, 1, points)
+        np.savetxt(path, np.column_stack(
+            [ts, omega0 / np.cosh(ts), 9 * np.tanh(ts)]), delimiter=delimiter)
+        return str(path)
+
+    @classmethod
+    def strong_pulse(cls, path, delimiter=" "):
         """801-point table of Omega_R = 2 sech t, Delta = 9 tanh t: at
         gamma = 3, Re Z(0) = 16 - 9 > 0, so the pulse is sub-critical although
         the default omega0 = 1 would call gamma = 3 super-critical."""
-        ts = np.linspace(-1, 1, 801)
-        np.savetxt(path, np.column_stack([ts, 2 / np.cosh(ts), 9 * np.tanh(ts)]),
-                   delimiter=delimiter)
-        return str(path)
+        return cls.sech_tanh_table(path, omega0=2.0, delimiter=delimiter)
+
+    @pytest.mark.parametrize("points", [801, 201])
+    def test_tabulated_default_pulse_passes_verify(self, tmp_path, capsys,
+                                                   points):
+        # piecewise-linear Omega_R and Delta with a differenced theta rate
+        # failed the frame coupling at every gamma and three checks at 3
+        pulse = self.sech_tanh_table(tmp_path / "pulse.txt", points=points)
+        assert main(["verify", "--pulse-file", pulse,
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("verify: all checks passed\n")
+
+    def test_tabulated_default_pulse_reproduces_figure3(self, tmp_path):
+        # the spline and its derivative stand in for sech/tanh so closely
+        # that the tables agree to round-off (linear: up to 7e-7 apart)
+        pulse = self.sech_tanh_table(tmp_path / "pulse.txt")
+        gammas = ("0.1", "0.3", "1", "3")
+        for out, extra in (("file", ["--pulse-file", pulse]), ("sech", [])):
+            assert main(["figure3", "--gamma", ",".join(gammas),
+                         "--out", str(tmp_path / out)] + extra) == 0
+        for gamma in gammas:
+            name = f"figure3_gamma{gamma}.csv"
+            file, sech = (read_csv(tmp_path / out / name)
+                          for out in ("file", "sech"))
+            for column, values in sech.items():
+                assert np.max(np.abs(file[column] - values)) < 1e-12, column
 
     def test_tabulated_regime_comes_from_the_largest_omega(self, tmp_path):
         pulse = self.strong_pulse(tmp_path / "pulse.txt")
@@ -717,21 +790,30 @@ class TestFormatsAndPulseFile:
         assert rows["certified"] == ["True"] * 2
 
     def test_pulse_file_parsed_once_per_command(self, tmp_path, monkeypatch):
+        from nhsta import config
+
         # comma-separated, so each parse is one np.loadtxt call
         pulse = self.strong_pulse(tmp_path / "pulse.csv", delimiter=",")
         loadtxt, reads = np.loadtxt, []
+        cubic_spline, fits = config.cubic_spline, []
 
         def counted(*args, **kwargs):
             reads.append(args[0])
             return loadtxt(*args, **kwargs)
 
+        def counted_fit(*args):
+            fits.append(args)
+            return cubic_spline(*args)
+
         monkeypatch.setattr(np, "loadtxt", counted)
-        # verify builds a pulse for each of its four default decay rates;
-        # its status depends on the pulse (piecewise-linear tables fail
-        # checks), so only the number of reads is asserted
-        assert main(["verify", "--pulse-file", pulse, "--steps", "1000",
-                     "--out", str(tmp_path)]) in (0, 1)
+        monkeypatch.setattr(config, "cubic_spline", counted_fit)
+        # verify builds a pulse for each of its four default decay rates,
+        # all from one read and one spline fit per column; the splines
+        # carry exact derivatives, so the tabulated pulse passes every check
+        assert main(["verify", "--pulse-file", pulse,
+                     "--out", str(tmp_path)]) == 0
         assert len(reads) == 1
+        assert len(fits) == 2
 
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NH_STA_OUT", str(tmp_path / "env_out"))

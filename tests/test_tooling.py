@@ -1,7 +1,7 @@
 """Structure guards: the benchmark's tracing script still finds every name
 it wraps, every propagation goes through one RK4 scan, one routine samples
-a pulse's controls, a configuration is validated in one place, and no
-module loads OpenSSL."""
+a pulse's controls and their rates, a configuration is validated in one
+place, no module loads OpenSSL, and theta's rate has one formula."""
 import ast
 import importlib
 import importlib.util
@@ -114,16 +114,17 @@ def test_one_propagation_path(monkeypatch):
 
 
 def test_one_control_sampler():
-    # Omega_R, Delta and gamma are sampled in one place, so every reader
-    # gets the same finiteness check
+    # Omega_R, Delta, gamma and their rates are read off a pulse in one
+    # place, so every reader gets the same finiteness check
     tree = ast.parse(Path(two_level.__file__).read_text())
-    samplers = {fn.name for fn in ast.walk(tree)
+    controls = ("omega_r", "delta", "gamma", "d_omega_r", "d_delta", "d_gamma")
+    samplers = {(fn.name, node.attr) for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef)
                 for node in ast.walk(fn)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("omega_r", "delta", "gamma")}
-    assert samplers == {"_controls"}
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "pulse" and node.attr in controls}
+    assert samplers == {("_controls", name) for name in controls}
 
 
 def test_one_validation_site():
@@ -170,3 +171,15 @@ def test_file_writers_are_imported_lazily():
             if name in ("hashlib", "_hashlib")] == [("nhsta.cli", "_sha256")]
     assert [name for name, fn in imports(nhsta.cli) if fn == "_sha256"] == [
         "_sha2", "_sha256", "hashlib"]
+
+
+def test_no_numeric_theta_rate_and_no_scipy():
+    # theta's rate has one formula, mixing_angle_rate, fed by each pulse's
+    # exact derivatives (a pulse file's through its cubic spline); scipy is
+    # a test-only oracle
+    found = [(module.__name__, name) for module in [nhsta] + MODULES
+             for name, _ in imports(module) if name == "scipy"]
+    found += [(module.__name__, node.attr) for module in MODULES
+              for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+              if isinstance(node, ast.Attribute) and node.attr == "gradient"]
+    assert found == []

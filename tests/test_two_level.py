@@ -1,5 +1,6 @@
 """Two-level model: Hamiltonian, radicand branches, mixing angle, pulse."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from conftest import OMEGA0, ae_params
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
+from nhsta.experiments import POLICIES, run_shortcut
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (TRIG_FIELDS, AllenEberlyParams, BranchRegime,
                              PulseSpec,
                              allen_eberly, branch_sqrt, classify_regime,
                              eigenvalue_path, eigenvalues, hamiltonian,
-                             mixing_angle_path, radicand)
+                             mixing_angle_path, mixing_angle_rate, radicand)
 from oracles import eigenvectors
 
 
@@ -53,9 +55,8 @@ class TestHamiltonian:
 
     def test_non_finite_control_rejected(self):
         import math
-        bad = PulseSpec(
-            omega_r=lambda t: math.nan, delta=lambda t: 0.0,
-            gamma=lambda t: 0.0)
+        bad = dataclasses.replace(constant_pulse(0.0, 0.0, 0.0),
+                                  omega_r=lambda t: math.nan)
         with pytest.raises(NonFinite):
             hamiltonian(bad, 0.0)
 
@@ -94,12 +95,35 @@ class TestControlSampling:
             "mixing_angle_path"])
     def test_non_finite_control_named_by_every_reader(self, read):
         pulse = allen_eberly(ae_params(gamma=0.3))
-        bad = PulseSpec(
-            omega_r=lambda t: np.where(np.asarray(t) > 0.5, np.nan,
-                                       pulse.omega_r(t)),
-            delta=pulse.delta, gamma=pulse.gamma)
-        with pytest.raises(NonFinite, match=r"not finite at t=0\.51$"):
+        bad = dataclasses.replace(pulse, omega_r=lambda t: np.where(
+            np.asarray(t) > 0.5, np.nan, pulse.omega_r(t)))
+        with pytest.raises(NonFinite, match=r"value not finite at t=0\.51$"):
             read(bad, TimeGrid(-1.0, 1.0, 200))
+
+    @staticmethod
+    def nan_rate_pulse(name):
+        pulse = allen_eberly(ae_params(gamma=0.3))
+        rate = getattr(pulse, name)
+        return dataclasses.replace(pulse, **{name: lambda t: np.where(
+            np.asarray(t) > 0.5, np.nan, rate(t))})
+
+    @pytest.mark.parametrize("name", ["d_omega_r", "d_delta", "d_gamma"])
+    @pytest.mark.parametrize("read", [
+        lambda p, g: mixing_angle_rate(p, g.samples),
+        lambda p, g: mixing_angle_path(p, g),
+    ], ids=["mixing_angle_rate", "mixing_angle_path"])
+    def test_non_finite_rate_named_by_every_reader(self, read, name):
+        with pytest.raises(NonFinite, match=r"rate not finite at t=0\.51$"):
+            read(self.nan_rate_pulse(name), TimeGrid(-1.0, 1.0, 200))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_non_finite_rate_stops_every_policy(self, policy):
+        # the first bad sample of the run's quarter-step grid is named; before,
+        # two policies raised a bare ValueError from the supplement and
+        # naive-cd a NonFinite blaming the state near t=0.51
+        grid = TimeGrid(-1.0, 1.0, 200)
+        with pytest.raises(NonFinite, match=r"rate not finite at t=0\.5025$"):
+            run_shortcut(self.nan_rate_pulse("d_omega_r"), grid, policy)
 
 
 class TestRegime:
@@ -207,24 +231,6 @@ class TestMixingAngle:
         h = path.grid.step
         fd = (path.theta[2:] - path.theta[:-2]) / (2 * h)
         assert np.max(np.abs(fd - path.dtheta[1:-1])) < 5e-4
-
-    def test_numeric_rate_provenance(self):
-        pulse = allen_eberly(ae_params(gamma=0.3))
-        bare = PulseSpec(omega_r=pulse.omega_r, delta=pulse.delta,
-                         gamma=pulse.gamma)
-        path = mixing_angle_path(bare, TimeGrid(-1.0, 1.0, 4000))
-        assert path.dtheta_provenance == "numeric"
-        ref = mixing_angle_path(pulse, TimeGrid(-1.0, 1.0, 4000))
-        assert np.max(np.abs(path.dtheta - ref.dtheta)) < 1e-3
-
-    @pytest.mark.parametrize("derivatives", [{}, {"d_omega_r": np.cos}])
-    def test_pulse_without_derivatives_needs_no_flag(self, derivatives):
-        pulse = allen_eberly(ae_params(gamma=0.3))
-        bare = PulseSpec(omega_r=pulse.omega_r, delta=pulse.delta,
-                         gamma=pulse.gamma, **derivatives)
-        assert not bare.has_analytic_derivatives
-        path = mixing_angle_path(bare, TimeGrid(-1.0, 1.0, 400))
-        assert path.dtheta_provenance == "numeric"
 
     def test_exceptional_point_raises_tan_pole(self):
         with pytest.raises(TanPole):
