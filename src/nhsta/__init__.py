@@ -18,15 +18,13 @@ from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)
 from .synthesis import (SupplementCoefficients, NullificationReport,
-                        assemble_h1_series, closed_form_gplus, general_family,
+                        assemble_h1_series, closed_form_gplus,
                         general_family_omega_zero, hermitian_realizable,
-                        matched_gauge, naive_cd, nullification_residual)
+                        matched_gauge, nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         PulseSpec, allen_eberly, branch_sqrt, classify_regime,
-                        eigenvalue_path, eigenvalues, hamiltonian,
-                        mixing_angle_path, radicand)
-from .experiments import (ShortcutRun, ShortcutTable, run_allen_eberly,
-                          run_shortcut, shortcut_table, shortcut_tables,
-                          theta_series, zplane_series)
+                        eigenvalue_path, mixing_angle_path, radicand)
+from .experiments import (ShortcutRun, ShortcutTable, run_shortcut,
+                          shortcut_tables, theta_series, zplane_series)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

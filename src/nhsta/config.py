@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
@@ -83,13 +84,15 @@ class ExperimentConfig:
             raise ConfigError("tau must be positive")
         if self.format not in OUTPUT_FORMATS:
             raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
-        for pol in self.policies:
-            if pol not in POLICIES:
-                raise ConfigError(f"unknown policy {pol!r}; choose from {POLICIES}")
-        for ini in self.initial_states:
-            if ini not in INITIAL_STATES:
-                raise ConfigError(
-                    f"unknown initial state {ini!r}; choose from {INITIAL_STATES}")
+        for what, values, known in (
+                ("policy", self.policies, POLICIES),
+                ("initial state", self.initial_states, INITIAL_STATES)):
+            if not values:
+                raise ConfigError(f"{what} list must not be empty")
+            for value in values:
+                if value not in known:
+                    raise ConfigError(
+                        f"unknown {what} {value!r}; choose from {known}")
         # gammas() refuses an explicit empty list; defaults need no check
         gammas = () if self.gamma_list is None else self.gammas()
         # the comparisons above let NaN and +inf through, and classify_regime
@@ -218,16 +221,20 @@ def load_pulse_file(path: str) -> np.ndarray:
     if not p.is_file():
         raise ConfigError(f"pulse file {path!r} is not a file")
     try:
-        try:
-            data = np.loadtxt(p, delimiter=",", ndmin=2)
-        except ValueError:
-            data = np.loadtxt(p, ndmin=2)
+        with warnings.catch_warnings():  # an empty table is refused below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(p, delimiter=",", ndmin=2)
+            except ValueError:
+                data = np.loadtxt(p, ndmin=2)
     except ValueError:
         raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
                           f"or a header row") from None
     except OSError as exc:
         raise ConfigError(f"pulse file {path!r} cannot be read: "
                           f"{exc.strerror}") from None
+    if data.size == 0:
+        raise ConfigError(f"pulse file {path!r} holds no rows")
     if data.shape[1] < 3:
         raise ConfigError(f"pulse file {path!r} must have columns t, Omega_R, Delta")
     if len(data) < 4:  # a not-a-knot cubic spline needs four knots

@@ -29,9 +29,8 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
                         closed_form_gplus, general_family_omega_zero,
                         h1_entries, hermitian_realizable, matched_gauge,
                         naive_cd_entries, nullification_residual)
-from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
-                        PulseSpec, allen_eberly, branch_argument,
-                        classify_regime, eigenvalue_path, hamiltonian_entries,
+from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
+                        branch_argument, eigenvalue_path, hamiltonian_entries,
                         mixing_angle_path, radicand)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
@@ -202,40 +201,14 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
                          scan=scan)
 
 
-def shortcut_table(pulse: PulseSpec, grid: TimeGrid,
-                   policy: str = POLICY_HERMITIAN,
-                   regime: Optional[BranchRegime] = None) -> ShortcutTable:
-    """Angle path, supplement, gauges and RK4 prefix products of a run.
-
-    H0 + H1 is tabulated once on the quarter-step grid: the run propagates
-    on every second quarter step, and certification reruns at half step on
-    all of them.  The one-policy case of :func:`shortcut_tables`.
-    """
-    return next(shortcut_tables(pulse, grid, (policy,), regime))
-
-
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
                  policy: str = POLICY_HERMITIAN,
                  initial_state: str = INITIAL_EIGEN_PLUS,
                  regime: Optional[BranchRegime] = None) -> ShortcutRun:
-    """Full pipeline for one initial state: :func:`shortcut_table`, then
-    :meth:`ShortcutTable.run`."""
-    return shortcut_table(pulse, grid, policy, regime).run(initial_state)
-
-
-def ae_pulse_and_grid(params: AllenEberlyParams, steps: int
-                      ) -> tuple[PulseSpec, TimeGrid, BranchRegime]:
-    """Convenience: pulse, grid, and regime for sech/tanh parameters."""
-    pulse = allen_eberly(params)
-    grid = TimeGrid(params.t0, params.t_f, steps)
-    regime = classify_regime(params.omega0, params.gamma)
-    return pulse, grid, regime
-
-
-def run_allen_eberly(params: AllenEberlyParams, steps: int = 4000,
-                     **kwargs) -> ShortcutRun:
-    pulse, grid, regime = ae_pulse_and_grid(params, steps)
-    return run_shortcut(pulse, grid, regime=regime, **kwargs)
+    """Full pipeline for one policy and initial state: the policy's
+    :class:`ShortcutTable`, then :meth:`ShortcutTable.run`."""
+    return next(shortcut_tables(pulse, grid, (policy,), regime)).run(
+        initial_state)
 
 
 def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime) -> dict:
@@ -263,7 +236,6 @@ def theta_series(pulse: PulseSpec, grid: TimeGrid,
 
 __all__ = [
     "POLICY_OMEGA_ZERO", "POLICIES", "INITIAL_STATES", "CONVERGENCE_BOUND",
-    "RESIDUAL_BOUND", "ShortcutRun", "ShortcutTable", "shortcut_table",
-    "shortcut_tables", "run_shortcut", "run_allen_eberly", "ae_pulse_and_grid",
-    "zplane_series", "theta_series",
+    "RESIDUAL_BOUND", "ShortcutRun", "ShortcutTable", "shortcut_tables",
+    "run_shortcut", "zplane_series", "theta_series",
 ]

@@ -1,18 +1,18 @@
 """Supplementary Hamiltonians that suppress non-adiabatic amplitude flow.
 
-Three constructions are provided for the two-level model:
+Three policies are provided for the two-level model, each in closed form:
 
-* ``naive_cd`` - the exact counterdiabatic term.  For complex mixing angles
-  its off-diagonal entries are not conjugates of each other, so no single
-  coherent drive realizes it.
+* the counterdiabatic term ``0.5i*[[0, -dtheta], [dtheta, 0]]``
+  (``naive_cd_entries``).  For complex mixing angles its off-diagonal
+  entries are not conjugates of each other, so no single coherent drive
+  realizes it.
 * ``hermitian_realizable`` - a Hermitian matrix
   0.5*[[delta, i*W],[-i*W, -delta]] whose coefficients cancel only the
   coupling that feeds amplitude from the reference eigenstate into the
   other one.  The evolution then stays pinned to the (gauge-scaled)
   reference eigenstate even though the reverse coupling survives.
-* ``general_family`` - the underdetermined family of such supplements,
-  parameterized by a free complex function; includes the zero-coupling
-  member that needs no extra drive field at all.
+* ``general_family_omega_zero`` - the member of the underdetermined family
+  of such supplements that needs no extra drive field at all.
 
 The cancellation condition, written with lam = delta*sin(theta) and
 zeta = Re[W]*cos(theta), is
@@ -37,10 +37,6 @@ from .two_level import MixingAnglePath
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
 POLICY_GENERAL = "general-family"
-
-#: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
-#: ``general_family`` accepts
-CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,18 +86,9 @@ class NullificationReport:
     frame_coupling: Optional[np.ndarray] = None
 
 
-def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
-    """Counterdiabatic supplement in the bare frame, one 2x2 per grid point:
-    0.5i * [[0, -dtheta], [dtheta, 0]].
-
-    Hermitian exactly when dtheta is real, which fails once the decay makes
-    theta complex - the reason a realizable substitute is needed.
-    """
-    return _matrices(naive_cd_entries(theta_path), theta_path.grid.n_points)
-
-
 def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
-    """Entries (h00, h01, h10, h11) of :func:`naive_cd`."""
+    """Entries (h00, h01, h10, h11) of the counterdiabatic supplement
+    0.5i*[[0, -dtheta], [dtheta, 0]], Hermitian exactly when dtheta is real."""
     dth = theta_path.dtheta
     return 0.0, -0.5j * dth, 0.5j * dth, 0.0
 
@@ -122,63 +109,29 @@ def hermitian_realizable(theta_path: MixingAnglePath) -> SupplementCoefficients:
     )
 
 
-def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
-                   re_omega: Optional[np.ndarray] = None
-                   ) -> SupplementCoefficients:
-    """Family member for a chosen lam(t) = delta*sin(theta) and Re[W],
-    one value per grid point each (``re_omega=None``: no drive, Re[W] = 0).
-
-    The imaginary drive quadrature follows from the cancellation condition;
-    the chosen functions must satisfy its other component,
-    Im[dtheta] = Re[lam] - Re[Re[W]*cos(theta)], pointwise.  Raises
-    InconsistentChoice when that constraint fails or when lam cannot be
-    converted back to a diagonal split because sin(theta) vanishes.
-    """
-    ts = theta_path.grid.samples
-    if np.shape(lambda_choice) != ts.shape or (
-            re_omega is not None and np.shape(re_omega) != ts.shape):
-        raise ValueError("lambda_choice and re_omega must hold one value per "
-                         "grid point")
-    lam = np.asarray(lambda_choice, dtype=complex)
-    dth = theta_path.dtheta
-    if re_omega is None:
-        re_om = zeta = 0.0  # no drive: cos(theta) is not needed
-    else:
-        re_om = np.asarray(re_omega).real
-        zeta = re_om * theta_path.cos
-
-    constraint = dth.imag - (lam.real - zeta.real)
-    scaled = np.abs(constraint) / (1.0 + np.abs(dth))
-    k = int(np.argmax(scaled))
-    if scaled[k] > CONSISTENCY_TOL:
-        raise InconsistentChoice(
-            f"Im[dtheta] - Re[lam] + Re[zeta] = {constraint[k]:.3e} at "
-            f"t={ts[k]:g}; the chosen lambda/Re[omega] cannot cancel the leak"
-        )
-
-    im_om = -dth.real - lam.imag + zeta.imag
-    sin_th = theta_path.sin
-    tiny = np.abs(sin_th) < 1e-12
-    if np.any(tiny & (np.abs(lam) >= 1e-12)):
-        k = int(np.argmax(tiny & (np.abs(lam) >= 1e-12)))
-        raise InconsistentChoice(
-            f"sin(theta) ~ 0 with lam != 0 at t={ts[k]:g}: diagonal split "
-            f"underdetermined"
-        )
-    half_split = np.where(tiny, 0.0, lam / np.where(tiny, 1.0, sin_th))
-    return SupplementCoefficients(
-        grid=theta_path.grid,
-        delta=half_split,
-        omega=re_om + 1j * im_om,
-        policy=POLICY_GENERAL,
-    )
-
-
 def general_family_omega_zero(theta_path: MixingAnglePath) -> SupplementCoefficients:
     """The zero-drive member: lam = -i*dtheta makes W vanish identically, so
-    the speed-up costs no extra coupling field (only complex diagonal
-    shifts, i.e. engineered gain/loss)."""
-    return general_family(theta_path, lambda_choice=-1j * theta_path.dtheta)
+    the speed-up costs no extra coupling field, only the complex diagonal
+    split delta = -i*dtheta/sin(theta) (engineered gain/loss).
+
+    Raises InconsistentChoice where sin(theta) vanishes but dtheta does not,
+    since no diagonal split cancels the leak there.
+    """
+    dth, sin_th = theta_path.dtheta, theta_path.sin
+    tiny = np.abs(sin_th) < 1e-12
+    bad = tiny & (np.abs(dth) >= 1e-12)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InconsistentChoice(
+            f"sin(theta) ~ 0 with lam != 0 at t={theta_path.grid.samples[k]:g}: "
+            f"diagonal split underdetermined"
+        )
+    return SupplementCoefficients(
+        grid=theta_path.grid,
+        delta=np.where(tiny, 0.0, -1j * dth / np.where(tiny, 1.0, sin_th)),
+        omega=np.zeros(theta_path.grid.n_points, dtype=complex),
+        policy=POLICY_GENERAL,
+    )
 
 
 def h1_entries(coeffs: SupplementCoefficients) -> tuple:

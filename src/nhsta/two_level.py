@@ -97,10 +97,6 @@ class BranchRegime(Enum):
     SUPER_CRITICAL = "super-critical"
 
 
-#: the trigonometric functions of theta a path carries
-TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
-
-
 @dataclass(frozen=True, eq=False)
 class MixingAnglePath:
     """Branch-continuous complex mixing angle and its rate on a grid.
@@ -176,21 +172,13 @@ def _radicand(om, dl, gm):
 
 
 def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
-    """Entries (h00, h01, h10, h11) of :func:`hamiltonian` at t, each shaped
-    like t (h01 and h10 are one array)."""
+    """Entries (h00, h01, h10, h11) of the bare-basis Hamiltonian
+    0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t, each shaped like t (h01
+    and h10 are one array)."""
     om, dl, gm = _controls(pulse, t)
     h01 = 0.5 * np.asarray(om, dtype=complex)
     return (0.5 * np.asarray(-dl, dtype=complex), h01, h01,
             0.5 * np.asarray(dl - 1j * gm, dtype=complex))
-
-
-def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
-    """Bare-basis Hamiltonian 0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t.
-
-    A scalar t gives one 2x2 matrix; an array of times gives a stack.
-    """
-    h = np.stack(hamiltonian_entries(pulse, t), axis=-1)
-    return h.reshape(h.shape[:-1] + (2, 2))
 
 
 def radicand(pulse: PulseSpec, t):
@@ -219,37 +207,27 @@ def branch_argument(z, regime: BranchRegime):
     return eta[()] if eta.ndim == 0 else eta
 
 
-def _eigenvalues_and_root(pulse: PulseSpec, t, regime: BranchRegime):
-    """(E_+, E_-, sqrt(Z)) on the regime's branch; refuses a gap
-    |E_+ - E_-| = |sqrt(Z)|/2 at or below DEGENERACY_THRESHOLD."""
-    om, dl, gm = _controls(pulse, t)
+def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime):
+    """(E_+, E_-) = (-i*gamma ± sqrt(Z))/4 on a grid, the root on the
+    regime's branch, with a step-to-step continuity audit.
+
+    A gap |E_+ - E_-| = |sqrt(Z)|/2 at or below DEGENERACY_THRESHOLD is
+    refused.  The cut fixes the root; if consecutive roots are closer to each
+    other's negatives than to each other, the declared cut conflicts with
+    continuity and a BranchJump is raised.
+    """
+    ts = grid.samples
+    om, dl, gm = _controls(pulse, ts)
     sq = branch_sqrt(_radicand(om, dl, gm), regime)
     if np.any(np.abs(sq) <= 2.0 * DEGENERACY_THRESHOLD):
         raise DegenerateRegime("eigenvalue gap below degeneracy threshold")
-    return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq), sq
-
-
-def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
-    """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) on the regime's branch."""
-    return _eigenvalues_and_root(pulse, t, regime)[:2]
-
-
-def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime):
-    """Eigenvalue samples on a grid with a step-to-step continuity audit.
-
-    The cut fixes the root; if consecutive roots are closer to each other's
-    negatives than to each other, the declared cut conflicts with continuity
-    and a BranchJump is raised.
-    """
-    ts = grid.samples
-    e_plus, e_minus, sq = _eigenvalues_and_root(pulse, ts, regime)
     jump = np.abs(np.diff(sq)) > np.abs(sq[1:] + sq[:-1])
     if np.any(jump):
         k = int(np.argmax(jump)) + 1
         raise BranchJump(
             f"sqrt(Z) root flipped against the {regime.value} cut near t={ts[k]:g}"
         )
-    return e_plus, e_minus
+    return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq)
 
 
 def _principal_theta(omega, a):

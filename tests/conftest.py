@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from nhsta.experiments import run_allen_eberly
+from nhsta.experiments import run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (AllenEberlyParams, MixingAnglePath, allen_eberly,
                              classify_regime, mixing_angle_path)
@@ -16,6 +16,19 @@ def ae_params(gamma: float, t_f: float = 1.0) -> AllenEberlyParams:
                              gamma=gamma, t0=-t_f, t_f=t_f)
 
 
+def ae_setup(gamma: float, steps: int, t_f: float = 1.0):
+    """(pulse, run grid, branch regime) of the sech/tanh pulse at one decay
+    rate on [-t_f, t_f]."""
+    params = ae_params(gamma, t_f)
+    return (allen_eberly(params), TimeGrid(params.t0, params.t_f, steps),
+            classify_regime(OMEGA0, gamma))
+
+
+def shortcut_table(pulse, grid, policy="hermitian-realizable", regime=None):
+    """The one table of ``shortcut_tables`` for a single policy."""
+    return next(shortcut_tables(pulse, grid, (policy,), regime))
+
+
 @pytest.fixture(scope="session")
 def shortcut_run():
     """Memoized full pipeline runs keyed by (gamma, policy, steps, initial)."""
@@ -25,9 +38,10 @@ def shortcut_run():
             initial_state="eigen-plus"):
         key = (gamma, policy, steps, initial_state)
         if key not in cache:
-            cache[key] = run_allen_eberly(
-                ae_params(gamma), steps=steps, policy=policy,
-                initial_state=initial_state)
+            pulse, grid, regime = ae_setup(gamma, steps)
+            cache[key] = run_shortcut(pulse, grid, policy=policy,
+                                      initial_state=initial_state,
+                                      regime=regime)
         return cache[key]
 
     return get

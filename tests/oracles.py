@@ -4,22 +4,31 @@ None of these runs in a command.  They build the same objects the package
 builds in closed, vectorized form, but the slow and generic way: matched
 eigenvector paths decomposed point by point, counterdiabatic and
 adiabatic-frame matrices from finite differences of those paths, explicit
-frame rotations (R, R~), the per-index closed-form frame matrix of H0, and
-the closed-form eigenvector pair of a mixing angle.
+frame rotations (R, R~), the per-index closed-form frame matrix of H0, the
+closed-form eigenvector pair of a mixing angle, the bare Hamiltonian and
+its eigenvalues at any t, the counterdiabatic matrices, and the general
+supplement family for any lam(t) and Re[W](t).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from nhsta.biorthogonal import (DEFAULT_DEGENERACY_THRESHOLD,
                                 BiorthogonalSystem, decompose)
-from nhsta.errors import BranchJump, ZeroGauge
+from nhsta.errors import BranchJump, InconsistentChoice, ZeroGauge
 from nhsta.gauges import GaugeFunctions
 from nhsta.grids import TimeGrid
-from nhsta.two_level import MixingAnglePath, PulseSpec, eigenvalues
+from nhsta.synthesis import (POLICY_GENERAL, SupplementCoefficients,
+                             naive_cd_entries)
+from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
+                             branch_sqrt, hamiltonian_entries, radicand)
+
+#: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
+#: :func:`general_family` accepts
+CONSISTENCY_TOL = 1e-8
 
 
 # ------------------------------------------------- generic biorthogonal paths
@@ -160,6 +169,92 @@ def left_right_derivative_identity(path: EigenPath, k: int, n: int, m: int):
 
 
 # ------------------------------------------------ two-level closed forms
+
+
+def entry_matrices(entries) -> np.ndarray:
+    """(h00, h01, h10, h11), scalars or equal-shape arrays -> (..., 2, 2)."""
+    stacked = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return stacked.reshape(stacked.shape[:-1] + (2, 2))
+
+
+def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
+    """Bare-basis Hamiltonian 0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t.
+
+    A scalar t gives one 2x2 matrix; an array of times gives a stack.
+    """
+    return entry_matrices(hamiltonian_entries(pulse, t))
+
+
+def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
+    """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) at any t, the root on the
+    regime's branch."""
+    sq = branch_sqrt(radicand(pulse, t), regime)
+    gm = pulse.gamma(t)
+    return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq)
+
+
+def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
+    """Counterdiabatic supplement in the bare frame, one 2x2 per grid point:
+    0.5i * [[0, -dtheta], [dtheta, 0]], from the entries the pipeline
+    tabulates.
+
+    Hermitian exactly when dtheta is real, which fails once the decay makes
+    theta complex - the reason a realizable substitute is needed.
+    """
+    return entry_matrices(naive_cd_entries(theta_path))
+
+
+def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
+                   re_omega: Optional[np.ndarray] = None
+                   ) -> SupplementCoefficients:
+    """Family member for a chosen lam(t) = delta*sin(theta) and Re[W],
+    one value per grid point each (``re_omega=None``: no drive, Re[W] = 0).
+
+    The imaginary drive quadrature follows from the cancellation condition;
+    the chosen functions must satisfy its other component,
+    Im[dtheta] = Re[lam] - Re[Re[W]*cos(theta)], pointwise.  Raises
+    InconsistentChoice when that constraint fails or when lam cannot be
+    converted back to a diagonal split because sin(theta) vanishes.
+    """
+    ts = theta_path.grid.samples
+    if np.shape(lambda_choice) != ts.shape or (
+            re_omega is not None and np.shape(re_omega) != ts.shape):
+        raise ValueError("lambda_choice and re_omega must hold one value per "
+                         "grid point")
+    lam = np.asarray(lambda_choice, dtype=complex)
+    dth = theta_path.dtheta
+    if re_omega is None:
+        re_om = zeta = 0.0  # no drive: cos(theta) is not needed
+    else:
+        re_om = np.asarray(re_omega).real
+        zeta = re_om * theta_path.cos
+
+    constraint = dth.imag - (lam.real - zeta.real)
+    scaled = np.abs(constraint) / (1.0 + np.abs(dth))
+    k = int(np.argmax(scaled))
+    if scaled[k] > CONSISTENCY_TOL:
+        raise InconsistentChoice(
+            f"Im[dtheta] - Re[lam] + Re[zeta] = {constraint[k]:.3e} at "
+            f"t={ts[k]:g}; the chosen lambda/Re[omega] cannot cancel the leak"
+        )
+
+    im_om = -dth.real - lam.imag + zeta.imag
+    sin_th = theta_path.sin
+    tiny = np.abs(sin_th) < 1e-12
+    if np.any(tiny & (np.abs(lam) >= 1e-12)):
+        k = int(np.argmax(tiny & (np.abs(lam) >= 1e-12)))
+        raise InconsistentChoice(
+            f"sin(theta) ~ 0 with lam != 0 at t={ts[k]:g}: diagonal split "
+            f"underdetermined"
+        )
+    half_split = np.where(tiny, 0.0, lam / np.where(tiny, 1.0, sin_th))
+    return SupplementCoefficients(
+        grid=theta_path.grid,
+        delta=half_split,
+        omega=re_om + 1j * im_om,
+        policy=POLICY_GENERAL,
+    )
+
 
 
 def eigenvectors(theta: complex):

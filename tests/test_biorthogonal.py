@@ -6,9 +6,10 @@ from conftest import ae_params, analytic_two_level_systems
 from nhsta.biorthogonal import BiorthogonalSystem, decompose, reconstruct
 from nhsta.errors import DegenerateSpectrum, NonFinite
 from nhsta.grids import TimeGrid
-from nhsta.two_level import allen_eberly, eigenvalue_path, hamiltonian
+from nhsta.two_level import allen_eberly, eigenvalue_path
 from oracles import (EigenPath, adiabatic_frame_generic,
-                     counterdiabatic_generic, left_right_derivative_identity)
+                     counterdiabatic_generic, hamiltonian,
+                     left_right_derivative_identity)
 
 
 def random_matrix(rng, dim):

@@ -510,6 +510,37 @@ class TestExitCodes:
             "configuration error: gamma list must not be empty"]
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("flag, what", [
+        ("--policy", "policy"), ("--initial-state", "initial state")])
+    @pytest.mark.parametrize("text", [",", " , ", ""],
+                             ids=["comma", "spaced-comma", "empty"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_policy_or_initial_state_list_exits_config(
+            self, tmp_path, capsys, command, flag, what, text):
+        # sweep divided its shared build time by the empty product
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100", flag, text,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {what} list must not be empty"]
+        assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# t, Omega_R, Delta\n"],
+                             ids=["empty", "blank-lines", "comment-only"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pulse_file_without_rows_exits_config(self, tmp_path, capsys,
+                                                  recwarn, command, text):
+        pulse_file = tmp_path / "pulse.csv"
+        pulse_file.write_text(text)
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: pulse file {str(pulse_file)!r} holds no "
+            f"rows"]
+        assert [str(w.message) for w in recwarn] == []  # numpy's loadtxt
+        assert list(out.glob("*")) == []
+
     @pytest.mark.parametrize("flag", ["--pulse-file", "--config"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_directory_as_input_file_exits_config(self, tmp_path, capsys,
@@ -648,6 +679,22 @@ class TestExitCodes:
         assert main(["figure1", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"numerical error: {error.__name__}: raised inside the command"]
+
+
+    def test_zero_drive_where_sin_theta_vanishes_exits_numerical(
+            self, tmp_path, capsys):
+        # Omega_R = 0 at t = -1 makes sin(theta) = 0 while dtheta is not, so
+        # no diagonal split delta = -i*dtheta/sin(theta) cancels the leak
+        ts = np.linspace(-1.0, 1.0, 401)
+        pulse_file = tmp_path / "ramp.csv"
+        np.savetxt(pulse_file, np.column_stack([ts, 0.5 * (1.0 + ts), 9.0 * ts]),
+                   delimiter=",")
+        assert main(["figure3", "--gamma", "0.3", "--policy",
+                     "general-omega-zero", "--pulse-file", str(pulse_file),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: InconsistentChoice: sin(theta) ~ 0 with lam != 0 "
+            "at t=-1: diagonal split underdetermined"]
 
 
 class TestVerify:

@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from conftest import ae_params
+from conftest import ae_params, ae_setup, shortcut_table
 from nhsta.errors import NonFinite
 
-from nhsta.experiments import (INITIAL_STATES, POLICIES, ae_pulse_and_grid,
-                               run_allen_eberly, run_shortcut, shortcut_table,
+from nhsta.experiments import (INITIAL_STATES, POLICIES, run_shortcut,
                                shortcut_tables)
 from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                _block_size, amplitudes, convergence_check,
                                integrate, phase_table, scan_table)
-from nhsta.two_level import (TRIG_FIELDS, allen_eberly, eigenvalue_path,
-                             hamiltonian, mixing_angle_path, mixing_angle_rate,
-                             theta_at)
+from nhsta.two_level import (allen_eberly, eigenvalue_path, mixing_angle_path,
+                             mixing_angle_rate, theta_at)
+from oracles import hamiltonian
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -348,13 +347,14 @@ class TestConvergence:
 
     def test_super_critical_run_certifies(self):
         # gamma > 2*omega0: the removable point at t = 0 must not spoil RK4
-        run = run_allen_eberly(ae_params(3.0), steps=4000)
+        pulse, grid, regime = ae_setup(3.0, 4000)
+        run = run_shortcut(pulse, grid, regime=regime)
         assert run.convergence <= 1e-7
         assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_shared_table_equals_single_runs_bitwise(self, policy):
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(3.0), 1000)
+        pulse, grid, regime = ae_setup(3.0, 1000)
         table = shortcut_table(pulse, grid, policy=policy, regime=regime)
         for state in INITIAL_STATES:
             shared = table.run(state)
@@ -367,7 +367,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
     def test_policy_tables_of_one_pass_equal_single_runs_bitwise(self, gamma):
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
+        pulse, grid, regime = ae_setup(gamma, 1000)
         tables = shortcut_tables(pulse, grid, POLICIES, regime)
         for policy, table in zip(POLICIES, tables):
             assert table.policy == policy
@@ -396,7 +396,7 @@ class TestConvergence:
                                           alone.g_plus_closed)
 
     def test_one_policy_table_alive_at_a_time(self):
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), 1000)
+        pulse, grid, regime = ae_setup(1.0, 1000)
         tables = shortcut_tables(pulse, grid, POLICIES, regime)
         table = next(tables)
         scan = weakref.ref(table.scan)
@@ -405,10 +405,10 @@ class TestConvergence:
         assert scan() is None
 
     def test_run_path_is_quarter_path_every_fourth_sample(self):
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(3.0), 1000)
+        pulse, grid, regime = ae_setup(3.0, 1000)
         path = shortcut_table(pulse, grid, regime=regime).theta
         quarter = mixing_angle_path(pulse, grid.refine(4), regime)
-        for name in ("theta", "dtheta") + TRIG_FIELDS:
+        for name in ("theta", "dtheta", "cos_half", "sin_half", "sin", "cos"):
             assert np.array_equal(getattr(path, name),
                                   getattr(quarter, name)[::4])
 
@@ -417,7 +417,7 @@ class TestConvergence:
     def test_paired_gap_equals_unpaired_half_step_gap(self, gamma, steps):
         # the rerun's two half steps per interval, multiplied into one
         # matrix, against a separate scan of all half steps
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), steps)
+        pulse, grid, regime = ae_setup(gamma, steps)
         table = shortcut_table(pulse, grid, regime=regime)
         # [c, p, k] of the table is entry c of quarter-step row 4k + p
         h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
@@ -455,7 +455,7 @@ class TestConvergence:
         # states was 5,228,879 bytes with separate scans of the run and of
         # all 8,000 half steps (Python 3.11, numpy 2.4); it must not grow.
         previous_peak = 5_228_879
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), 4000)
+        pulse, grid, regime = ae_setup(1.0, 4000)
 
         def build_and_run():
             table = shortcut_table(pulse, grid, regime=regime)

@@ -2,17 +2,16 @@
 import numpy as np
 import pytest
 
-from conftest import ae_params, analytic_two_level_systems
+from conftest import ae_setup, analytic_two_level_systems, shortcut_table
 from nhsta import synthesis
 from nhsta.errors import InconsistentChoice, PolicyMismatch
-from nhsta.experiments import ae_pulse_and_grid, shortcut_table
 from nhsta.grids import TimeGrid
 from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
-                             general_family, general_family_omega_zero,
-                             hermitian_realizable, matched_gauge, naive_cd,
-                             nullification_residual)
-from nhsta.two_level import eigenvalue_path, hamiltonian, mixing_angle_path
-from oracles import EigenPath, counterdiabatic_generic, rotation
+                             general_family_omega_zero, hermitian_realizable,
+                             matched_gauge, nullification_residual)
+from nhsta.two_level import eigenvalue_path, mixing_angle_path
+from oracles import (EigenPath, counterdiabatic_generic, general_family,
+                     hamiltonian, naive_cd, rotation)
 
 
 def assert_bitwise(got, want):
@@ -124,18 +123,21 @@ class TestGeneralFamily:
         report = nullification_residual(path, coeffs)
         assert report.max_abs_residual <= 1e-10
 
-    @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
-    def test_zero_drive_skips_cos_theta_bitwise(self, gamma):
-        # no drive (re_omega=None) needs no cos(theta); the coefficients equal
-        # those of an explicit all-zero Re[W] bit for bit
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
-        path = mixing_angle_path(pulse, grid.refine(4), regime)
-        coeffs = general_family_omega_zero(path)
-        assert "cos" not in vars(path)
-        explicit = general_family(path, lambda_choice=-1j * path.dtheta,
-                                  re_omega=np.zeros(path.grid.n_points))
-        assert_bitwise(coeffs.delta, explicit.delta)
-        assert_bitwise(coeffs.omega, explicit.omega)
+    @pytest.mark.parametrize("steps", [1000, 1001, 4000, 16000])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 2.1, 3.0, 10.0])
+    def test_closed_form_equals_generic_member_bitwise(self, gamma, steps):
+        # delta = -i*dtheta/sin(theta) and W = 0 are the generic family
+        # member lam = -i*dtheta, bit for bit, on the run and quarter grids;
+        # the closed form needs no cos(theta)
+        pulse, grid, regime = ae_setup(gamma, steps)
+        for g in (grid, grid.refine(4)):
+            path = mixing_angle_path(pulse, g, regime)
+            got = general_family_omega_zero(path)
+            assert "cos" not in vars(path)
+            want = general_family(path, lambda_choice=-1j * path.dtheta)
+            assert got.policy == want.policy
+            assert_bitwise(got.delta, want.delta)
+            assert_bitwise(got.omega, want.omega)
 
     def test_reduces_to_hermitian_choice(self, theta_paths):
         _, path = theta_paths(1.0)
@@ -145,32 +147,6 @@ class TestGeneralFamily:
                                 re_omega=np.zeros(path.grid.n_points))
         assert np.max(np.abs(coeffs.delta - herm.delta)) < 1e-12
         assert np.max(np.abs(coeffs.omega - herm.omega)) < 1e-12
-
-    def test_lossless_trivial_choice(self, theta_paths):
-        _, path = theta_paths(0.0)
-        coeffs = general_family(path,
-                                lambda_choice=np.zeros(path.grid.n_points))
-        assert np.max(np.abs(coeffs.omega - 1j * (-path.dtheta.real))) < 1e-14
-
-    @pytest.mark.parametrize("choice", [
-        {"lambda_choice": 0.0},
-        {"lambda_choice": lambda t: 0.0 * t},
-        {"lambda_choice": np.zeros(3)},
-        {"re_omega": 0.0},
-        {"re_omega": np.zeros(3)},
-    ], ids=["scalar-lambda", "callable-lambda", "short-lambda",
-            "scalar-re-omega", "short-re-omega"])
-    def test_inputs_off_the_grid_rejected(self, theta_paths, choice):
-        _, path = theta_paths(1.0)
-        args = {"lambda_choice": -1j * path.dtheta, **choice}
-        with pytest.raises(ValueError, match="one value per grid point"):
-            general_family(path, **args)
-
-    def test_inconsistent_choice_rejected(self, theta_paths):
-        _, path = theta_paths(1.0)
-        with pytest.raises(InconsistentChoice):
-            general_family(path,
-                           lambda_choice=np.full(path.grid.n_points, 0.5))
 
 
 class TestNullificationReport:
@@ -277,7 +253,7 @@ class TestSingleDeltaForm:
                                         "general-omega-zero", "naive-cd"])
     def test_quarter_table_equals_two_field_formula_bitwise(self, gamma,
                                                             policy):
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(gamma), 1000)
+        pulse, grid, regime = ae_setup(gamma, 1000)
         quarter = grid.refine(4)
         theta_q = mixing_angle_path(pulse, quarter, regime)
         if policy == "naive-cd":
@@ -310,7 +286,7 @@ class TestSingleDeltaForm:
             return frame_coupling(theta_path, h_total, gauges)
 
         monkeypatch.setattr(synthesis, "_frame_coupling", record)
-        pulse, grid, regime = ae_pulse_and_grid(ae_params(1.0), steps)
+        pulse, grid, regime = ae_setup(1.0, steps)
         table = shortcut_table(pulse, grid, policy=policy, regime=regime)
         assert seen == []  # the frame check runs on request only
         table.frame_check()

@@ -11,12 +11,14 @@ from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.experiments import POLICIES, run_shortcut
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (TRIG_FIELDS, AllenEberlyParams, BranchRegime,
-                             PulseSpec,
+from nhsta.two_level import (AllenEberlyParams, BranchRegime, PulseSpec,
                              allen_eberly, branch_sqrt, classify_regime,
-                             eigenvalue_path, eigenvalues, hamiltonian,
+                             eigenvalue_path, hamiltonian_entries,
                              mixing_angle_path, mixing_angle_rate, radicand)
-from oracles import eigenvectors
+from oracles import eigenvalues, eigenvectors, hamiltonian
+
+#: the trigonometric functions of theta a path carries
+TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
 
 
 def constant_pulse(omega, delta, gamma):
@@ -28,6 +30,12 @@ def constant_pulse(omega, delta, gamma):
         d_delta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         d_gamma=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     )
+
+
+def eigenvalues_at(pulse, t, regime):
+    """(E_+, E_-) of :func:`eigenvalue_path` at its first sample, t."""
+    e_plus, e_minus = eigenvalue_path(pulse, TimeGrid(t, t + 1.0, 2), regime)
+    return e_plus[0], e_minus[0]
 
 
 def two_lane_principal_theta(omega, a):
@@ -86,12 +94,11 @@ class TestRadicand:
 
 class TestControlSampling:
     @pytest.mark.parametrize("read", [
-        lambda p, g: hamiltonian(p, g.samples),
+        lambda p, g: hamiltonian_entries(p, g.samples),
         lambda p, g: radicand(p, g.samples),
-        lambda p, g: eigenvalues(p, g.samples, BranchRegime.SUB_CRITICAL),
         lambda p, g: eigenvalue_path(p, g, BranchRegime.SUB_CRITICAL),
         lambda p, g: mixing_angle_path(p, g),
-    ], ids=["hamiltonian", "radicand", "eigenvalues", "eigenvalue_path",
+    ], ids=["hamiltonian_entries", "radicand", "eigenvalue_path",
             "mixing_angle_path"])
     def test_non_finite_control_named_by_every_reader(self, read):
         pulse = allen_eberly(ae_params(gamma=0.3))
@@ -164,14 +171,14 @@ class TestRegime:
 
 class TestEigenvalues:
     def test_lossless_resonant_pair(self):
-        e_plus, e_minus = eigenvalues(constant_pulse(2.0, 0.0, 0.0), 0.0,
-                                      BranchRegime.SUB_CRITICAL)
+        e_plus, e_minus = eigenvalues_at(constant_pulse(2.0, 0.0, 0.0), 0.0,
+                                         BranchRegime.SUB_CRITICAL)
         assert e_plus == pytest.approx(1.0)
         assert e_minus == pytest.approx(-1.0)
 
     def test_chirp_center_values(self):
         pulse = allen_eberly(ae_params(gamma=0.3))
-        e_plus, e_minus = eigenvalues(pulse, 0.0, BranchRegime.SUB_CRITICAL)
+        e_plus, e_minus = eigenvalues_at(pulse, 0.0, BranchRegime.SUB_CRITICAL)
         expected = 0.25 * cmath.sqrt(3.91)  # = 0.494343
         assert abs(e_plus - (expected - 0.075j)) < 1e-12
         assert abs(e_minus - (-expected - 0.075j)) < 1e-12
@@ -181,7 +188,8 @@ class TestEigenvalues:
         for _ in range(50):
             om, dl, gm = rng.uniform(0.1, 3), rng.uniform(-3, 3), rng.uniform(0, 1.9)
             pulse = constant_pulse(om, dl, gm)
-            e_plus, e_minus = eigenvalues(pulse, 0.0, BranchRegime.SUB_CRITICAL)
+            e_plus, e_minus = eigenvalues_at(pulse, 0.0,
+                                             BranchRegime.SUB_CRITICAL)
             assert abs((e_plus + e_minus) - (-0.5j * gm)) < 1e-14
 
     def test_path_continuity_supercritical(self):
