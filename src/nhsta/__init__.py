@@ -11,16 +11,16 @@ __version__ = "0.1.0"
 from .biorthogonal import BiorthogonalSystem, decompose, reconstruct
 from .errors import (BranchJump, ConfigError, DegenerateRegime,
                      DegenerateSpectrum, InconsistentChoice, NhStaError,
-                     NonFinite, PolicyMismatch, SinThetaSingular, TanPole,
-                     ZeroGauge)
+                     NonFinite, SinThetaSingular, TanPole, ZeroGauge)
 from .gauges import GaugeFunctions, gauge_simple, matched_delta
 from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)
 from .synthesis import (SupplementCoefficients, NullificationReport,
                         assemble_h1_series, closed_form_gplus,
-                        general_family_omega_zero, hermitian_realizable,
-                        matched_gauge, nullification_residual)
+                        frame_diagonal, general_family_omega_zero,
+                        hermitian_realizable, matched_gauge,
+                        nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         PulseSpec, allen_eberly, branch_sqrt, classify_regime,
                         eigenvalue_path, mixing_angle_path, radicand)

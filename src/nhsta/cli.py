@@ -397,6 +397,26 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)  # every command's options
+    common.add_argument("--config", help="flat key = value configuration file")
+    common.add_argument("--gamma", help="comma-separated decay rates (1/tau)")
+    common.add_argument("--steps", type=int, help="grid intervals (>= 100)")
+    common.add_argument("--t-final", dest="t_final", type=float,
+                        help="window end; start defaults to -t_final")
+    common.add_argument("--t0", type=float, help="window start")
+    common.add_argument("--omega0", type=float, help="pulse amplitude (1/tau)")
+    common.add_argument("--delta0", type=float, help="chirp range (1/tau)")
+    common.add_argument("--tau", type=float, help="characteristic duration")
+    common.add_argument("--policy", help=f"supplement policy; sweep accepts a "
+                                         f"comma list (default {POLICY_HERMITIAN})")
+    common.add_argument("--initial-state", dest="initial_state",
+                        help="eigen-plus | bare-ground; sweep accepts a comma "
+                             "list")
+    common.add_argument("--pulse-file", dest="pulse_file",
+                        help="tabulated pulse (columns t, Omega_R, Delta)")
+    common.add_argument("--out", help="output directory (or env NH_STA_OUT)")
+    common.add_argument("--format", choices=["csv", "json"],
+                        help="table format")
     parser = argparse.ArgumentParser(
         prog="nh-sta",
         description="Engineered fast passage for a decaying two-level system: "
@@ -404,24 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--gamma", help="comma-separated decay rates (1/tau)")
-        p.add_argument("--steps", type=int, help="grid intervals (>= 100)")
-        p.add_argument("--t-final", dest="t_final", type=float,
-                       help="window end; start defaults to -t_final")
-        p.add_argument("--t0", type=float, help="window start")
-        p.add_argument("--omega0", type=float, help="pulse amplitude (1/tau)")
-        p.add_argument("--delta0", type=float, help="chirp range (1/tau)")
-        p.add_argument("--tau", type=float, help="characteristic duration")
-        p.add_argument("--policy", help=f"supplement policy; sweep accepts a "
-                                        f"comma list (default {POLICY_HERMITIAN})")
-        p.add_argument("--initial-state", dest="initial_state",
-                       help="eigen-plus | bare-ground; sweep accepts a comma list")
-        p.add_argument("--pulse-file", dest="pulse_file",
-                       help="tabulated pulse (columns t, Omega_R, Delta)")
-        p.add_argument("--out", help="output directory (or env NH_STA_OUT)")
-        p.add_argument("--format", choices=["csv", "json"], help="table format")
+        sub.add_parser(name, help=fn.__doc__, parents=[common])
     return parser
 
 

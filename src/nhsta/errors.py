@@ -33,10 +33,6 @@ class ZeroGauge(NhStaError):
     """A gauge function vanished; frame rotation not invertible."""
 
 
-class PolicyMismatch(NhStaError):
-    """Supplement coefficients do not satisfy the policy a routine requires."""
-
-
 class InconsistentChoice(NhStaError):
     """User-supplied family functions make the pointwise system unsolvable."""
 

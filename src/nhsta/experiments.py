@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .gauges import GaugeFunctions, gauge_simple
+from .gauges import GaugeFunctions
 from .grids import TimeGrid
 from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
                           AmplitudeTrajectory, PrefixScan, StateTrajectory,
@@ -34,6 +34,7 @@ from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                         mixing_angle_path, radicand)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
+from .gauges import gauge_simple  # noqa: F401
 from .synthesis import assemble_h1_series  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 
@@ -68,7 +69,7 @@ class ShortcutTable:
     e_minus: np.ndarray
     gauges: GaugeFunctions
     coeffs: Optional[SupplementCoefficients]
-    g_plus_closed: Optional[np.ndarray]
+    g_plus_closed: np.ndarray
     residual: Optional[NullificationReport]
     scan: PrefixScan
 
@@ -184,21 +185,14 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
     del h1_q  # freed before the scan's temporaries are allocated
     scan = scan_table(h, grid, certify=True)
 
-    g_plus_closed = residual = None
-    if coeffs is None:
-        gauges = gauge_simple(e_plus, e_minus, grid)
-    else:
-        gauges = matched_gauge(e_plus, e_minus, coeffs, theta)
-        if policy == POLICY_HERMITIAN:
-            g_plus_closed = closed_form_gplus(e_plus, gauges, coeffs, theta)
-        residual = nullification_residual(theta, coeffs)
-
-    return ShortcutTable(pulse=pulse, grid=grid, regime=theta.regime,
-                         policy=policy,
-                         theta=theta, e_plus=e_plus, e_minus=e_minus,
-                         gauges=gauges, coeffs=coeffs,
-                         g_plus_closed=g_plus_closed, residual=residual,
-                         scan=scan)
+    return ShortcutTable(
+        pulse=pulse, grid=grid, regime=theta.regime, policy=policy,
+        theta=theta, e_plus=e_plus, e_minus=e_minus,
+        gauges=matched_gauge(e_plus, e_minus, coeffs, theta), coeffs=coeffs,
+        g_plus_closed=closed_form_gplus(e_plus, coeffs, theta),
+        residual=(None if coeffs is None
+                  else nullification_residual(theta, coeffs)),
+        scan=scan)
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,

@@ -5,7 +5,8 @@ keeps the set biorthonormal while making the modified amplitudes
 g_n = <phi_n~|psi> behave like normalized populations for a decaying system.
 The "simple" gauge integrates Im[E_n]; the "shortcut-matched" gauge
 (``synthesis.matched_gauge``) adds the diagonal shift of the supplementary
-Hamiltonian so |g_+| stays exactly one along the engineered evolution.
+Hamiltonian so |g_+| stays exactly one along the engineered evolution, and
+equals the simple one bit for bit when there is no shift.
 """
 from __future__ import annotations
 

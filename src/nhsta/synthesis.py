@@ -14,6 +14,10 @@ Three policies are provided for the two-level model, each in closed form:
 * ``general_family_omega_zero`` - the member of the underdetermined family
   of such supplements that needs no extra drive field at all.
 
+Every policy's gauge and closed-form surviving amplitude follow from one
+quantity, E_+ + d_+, with d_+ the supplement's adiabatic-frame diagonal
+(``frame_diagonal``).
+
 The cancellation condition, written with lam = delta*sin(theta) and
 zeta = Re[W]*cos(theta), is
 
@@ -29,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InconsistentChoice, PolicyMismatch
+from .errors import InconsistentChoice, NonFinite
 from .gauges import GaugeFunctions, gauge_from_integrands, matched_delta
 from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath
@@ -58,9 +62,10 @@ class SupplementCoefficients:
             arr = np.asarray(getattr(self, name))
             if len(arr) != n:
                 raise ValueError(f"{name} length must match grid")
-            if not np.all(np.isfinite(arr.view(float) if arr.dtype.kind == "c"
-                                      else arr)):
-                raise ValueError(f"{name} contains NaN/Inf")
+            bad = ~np.isfinite(arr)
+            if np.any(bad):
+                t = self.grid.samples[np.argmax(bad)]
+                raise NonFinite(f"{name} not finite at t={t:g}")
         if self.policy == POLICY_HERMITIAN:
             if np.asarray(self.delta).dtype.kind == "c":
                 raise ValueError("hermitian policy requires a real delta array")
@@ -156,20 +161,27 @@ def _matrices(entries, n: int) -> np.ndarray:
     return out.reshape(n, 2, 2)
 
 
-def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
-                  coeffs: SupplementCoefficients,
-                  theta_path: MixingAnglePath) -> GaugeFunctions:
-    """Gauge whose f_+ absorbs the supplement's diagonal so |g_+| = 1.
-
-    Generalizes the shortcut gauge to any leak-cancelling policy:
-    u_+ = Im[E_+ + (delta cos^2(theta/2) - delta sin^2(theta/2)
-                    + Re[W] sin theta)/2].
-    """
+def frame_diagonal(coeffs: Optional[SupplementCoefficients],
+                   theta_path: MixingAnglePath):
+    """d_+ = (delta cos^2(theta/2) - delta sin^2(theta/2) + Re[W] sin theta)/2,
+    the supplement's (+,+) entry in the adiabatic frame; 0 when ``coeffs``
+    is None, since the naive term has no diagonal in that frame."""
+    if coeffs is None:
+        return 0.0
     delta = np.asarray(coeffs.delta)
-    diag = 0.5 * (delta * theta_path.cos_half ** 2
+    return 0.5 * (delta * theta_path.cos_half ** 2
                   - delta * theta_path.sin_half ** 2
                   + np.asarray(coeffs.omega).real * theta_path.sin)
-    u_plus = (np.asarray(e_plus) + diag).imag.astype(complex)
+
+
+def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
+                  coeffs: Optional[SupplementCoefficients],
+                  theta_path: MixingAnglePath) -> GaugeFunctions:
+    """Gauge whose f_+ absorbs the decay of E_+ + d_+ (:func:`frame_diagonal`)
+    so |g_+| = 1 along a leak-cancelling evolution: u_+ = Im[E_+ + d_+] and
+    u_- = Im[E_-]."""
+    level = np.asarray(e_plus) + frame_diagonal(coeffs, theta_path)
+    u_plus = level.imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
     return gauge_from_integrands(theta_path.grid, u_plus, u_minus)
 
@@ -233,24 +245,14 @@ def _frame_coupling(theta_path, h_total, gauges):
     return out
 
 
-def closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
-                      coeffs: SupplementCoefficients,
+def closed_form_gplus(e_plus: np.ndarray,
+                      coeffs: Optional[SupplementCoefficients],
                       theta_path: MixingAnglePath) -> np.ndarray:
-    """Surviving amplitude g_+(t) = exp[-i int (E_+ - i (df_+/dt)/f_+ +
-    delta*cos(theta)/2) dt'] for the hermitian-realizable supplement.
+    """Surviving amplitude g_+(t) = exp[-i int Re(E_+ + d_+) dt'] of any
+    leak-cancelling supplement, d_+ its :func:`frame_diagonal`.
 
-    The other amplitude stays zero, so this is the exact frame solution; with
-    the matched gauge |g_+| = 1 for all t.
+    The other amplitude stays zero, so in the matched gauge, whose f_+
+    absorbs Im(E_+ + d_+), this is the exact frame solution, a pure phase.
     """
-    if coeffs.policy != POLICY_HERMITIAN:
-        raise PolicyMismatch(
-            f"closed form requires the {POLICY_HERMITIAN} policy, got "
-            f"{coeffs.policy}"
-        )
-    if gauges.grid != theta_path.grid:
-        raise ValueError("gauges and theta path must share the grid")
-    delta = np.asarray(coeffs.delta)
-    integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
-                 + 0.5 * delta * theta_path.cos)
-    phase = cumulative_trapezoid(integrand, theta_path.grid.step)
-    return np.exp(-1j * phase)
+    level = np.asarray(e_plus) + frame_diagonal(coeffs, theta_path)
+    return np.exp(-1j * cumulative_trapezoid(level.real, theta_path.grid.step))

@@ -166,9 +166,16 @@ def _controls(pulse: PulseSpec, t, rates: bool = False) -> tuple:
     return om, dl, gm
 
 
-def _radicand(om, dl, gm):
-    """Z of :func:`radicand` from sampled controls."""
-    return -(gm + 2j * dl) ** 2 + 4.0 * om**2
+def _radicand(t, om, dl, gm):
+    """Z of :func:`radicand` from the controls sampled at t; raises NonFinite
+    naming the first t at which Z overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -(gm + 2j * dl) ** 2 + 4.0 * om**2
+    bad = ~np.isfinite(z)
+    if np.any(bad):
+        ts, bad = np.broadcast_arrays(t, bad)
+        raise NonFinite(f"radicand not finite at t={ts[bad][0]:g}")
+    return z
 
 
 def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
@@ -183,7 +190,7 @@ def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
 
 def radicand(pulse: PulseSpec, t):
     """Z(t) = -(gamma + 2i*Delta)^2 + 4*Omega_R^2."""
-    z = _radicand(*_controls(pulse, t))
+    z = _radicand(t, *_controls(pulse, t))
     return z[()] if z.ndim == 0 else z
 
 
@@ -218,7 +225,7 @@ def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime):
     """
     ts = grid.samples
     om, dl, gm = _controls(pulse, ts)
-    sq = branch_sqrt(_radicand(om, dl, gm), regime)
+    sq = branch_sqrt(_radicand(ts, om, dl, gm), regime)
     if np.any(np.abs(sq) <= 2.0 * DEGENERACY_THRESHOLD):
         raise DegenerateRegime("eigenvalue gap below degeneracy threshold")
     jump = np.abs(np.diff(sq)) > np.abs(sq[1:] + sq[:-1])
@@ -260,7 +267,7 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
         raise ValueError("gamma(t) must be non-negative on the grid")
 
     a = dl - 0.5j * gm
-    denom = a * a + om**2
+    denom = 0.25 * _radicand(ts, om, dl, gm)  # a^2 + Omega_R^2
     if np.any(np.abs(denom) < 1e-14):
         k = int(np.argmin(np.abs(denom)))
         raise TanPole(f"(Delta - i*gamma/2)^2 + Omega_R^2 ~ 0 at t={ts[k]:g}")

@@ -6,8 +6,9 @@ eigenvector paths decomposed point by point, counterdiabatic and
 adiabatic-frame matrices from finite differences of those paths, explicit
 frame rotations (R, R~), the per-index closed-form frame matrix of H0, the
 closed-form eigenvector pair of a mixing angle, the bare Hamiltonian and
-its eigenvalues at any t, the counterdiabatic matrices, and the general
-supplement family for any lam(t) and Re[W](t).
+its eigenvalues at any t, the counterdiabatic matrices, the general
+supplement family for any lam(t) and Re[W](t), and the hermitian-only
+closed form of the surviving amplitude.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from nhsta.biorthogonal import (DEFAULT_DEGENERACY_THRESHOLD,
                                 BiorthogonalSystem, decompose)
 from nhsta.errors import BranchJump, InconsistentChoice, ZeroGauge
 from nhsta.gauges import GaugeFunctions
-from nhsta.grids import TimeGrid
+from nhsta.grids import TimeGrid, cumulative_trapezoid
 from nhsta.synthesis import (POLICY_GENERAL, SupplementCoefficients,
                              naive_cd_entries)
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
@@ -255,6 +256,16 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
         policy=POLICY_GENERAL,
     )
 
+
+def hermitian_closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
+                                coeffs: SupplementCoefficients,
+                                theta_path: MixingAnglePath) -> np.ndarray:
+    """g_+(t) = exp[-i int (E_+ - i (df_+/dt)/f_+ + delta*cos(theta)/2) dt']
+    of a hermitian-realizable supplement in the matched gauge: the
+    hermitian-only closed form the frame-diagonal one generalizes."""
+    integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
+                 + 0.5 * np.asarray(coeffs.delta) * theta_path.cos)
+    return np.exp(-1j * cumulative_trapezoid(integrand, theta_path.grid.step))
 
 
 def eigenvectors(theta: complex):

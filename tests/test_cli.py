@@ -681,6 +681,31 @@ class TestExitCodes:
             f"numerical error: {error.__name__}: raised inside the command"]
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--policy", "hermitian-realizable"],
+        ["sweep", "--policy", "naive-cd"],
+        ["sweep", "--policy", "general-omega-zero"],
+        ["verify"],
+    ], ids=["sweep-hermitian-realizable", "sweep-naive-cd",
+            "sweep-general-omega-zero", "verify"])
+    def test_overflowing_decay_rate_exits_numerical(self, tmp_path, capsys,
+                                                    argv):
+        # gamma^2 overflows the radicand: every policy stops at the first
+        # sample with one line, no numpy warning and no traceback
+        assert main(argv + ["--gamma", "1e308", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: NonFinite: radicand not finite at t=-1"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_radicand_writes_no_figure1_row(self, tmp_path,
+                                                        capsys):
+        assert main(["figure1", "--gamma", "1e160", "--steps", "100",
+                     "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: NonFinite: radicand not finite at t=-1"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_zero_drive_where_sin_theta_vanishes_exits_numerical(
             self, tmp_path, capsys):
         # Omega_R = 0 at t = -1 makes sin(theta) = 0 while dtheta is not, so

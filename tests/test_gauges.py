@@ -42,6 +42,22 @@ class TestGaugeSimple:
         assert np.all(np.diff(np.abs(g.f_plus)) <= 1e-15)
 
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 3.0, 10.0])
+    def test_matched_gauge_without_supplement_equals_it_bitwise(
+            self, theta_paths, gamma):
+        # the naive term has no frame diagonal, so its matched gauge is the
+        # simple one, signed zeros included
+        pulse, path = theta_paths(gamma)
+        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        got = matched_gauge(e_plus, e_minus, None, path)
+        want = gauge_simple(e_plus, e_minus, path.grid)
+        for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
+            g = np.asarray(getattr(got, name)).view(float)
+            w = np.asarray(getattr(want, name)).view(float)
+            assert np.array_equal(g, w), name
+            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+
+
 class TestGaugeShortcut:
     def test_lossless_limit_is_unit_gauge(self, theta_paths):
         pulse, path = theta_paths(0.0)

@@ -389,11 +389,8 @@ class TestConvergence:
                     for name in ("residual", "frame_coupling"):
                         assert np.array_equal(getattr(checks[0], name),
                                               getattr(checks[1], name))
-                if alone.g_plus_closed is None:
-                    assert shared.g_plus_closed is None
-                else:
-                    assert np.array_equal(shared.g_plus_closed,
-                                          alone.g_plus_closed)
+                assert np.array_equal(shared.g_plus_closed,
+                                      alone.g_plus_closed)
 
     def test_one_policy_table_alive_at_a_time(self):
         pulse, grid, regime = ae_setup(1.0, 1000)

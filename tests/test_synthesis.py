@@ -4,14 +4,17 @@ import pytest
 
 from conftest import ae_setup, analytic_two_level_systems, shortcut_table
 from nhsta import synthesis
-from nhsta.errors import InconsistentChoice, PolicyMismatch
+from nhsta.errors import InconsistentChoice, NonFinite
+from nhsta.experiments import POLICIES
 from nhsta.grids import TimeGrid
-from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
-                             general_family_omega_zero, hermitian_realizable,
-                             matched_gauge, nullification_residual)
+from nhsta.synthesis import (SupplementCoefficients, assemble_h1_series,
+                             closed_form_gplus, general_family_omega_zero,
+                             hermitian_realizable, matched_gauge,
+                             nullification_residual)
 from nhsta.two_level import eigenvalue_path, mixing_angle_path
 from oracles import (EigenPath, counterdiabatic_generic, general_family,
-                     hamiltonian, naive_cd, rotation)
+                     hamiltonian, hermitian_closed_form_gplus, naive_cd,
+                     rotation)
 
 
 def assert_bitwise(got, want):
@@ -149,10 +152,21 @@ class TestGeneralFamily:
         assert np.max(np.abs(coeffs.omega - herm.omega)) < 1e-12
 
 
+class TestCoefficients:
+    @pytest.mark.parametrize("name", ["delta", "omega"])
+    def test_non_finite_entry_names_the_first_bad_t(self, name):
+        grid = TimeGrid(-1.0, 1.0, 200)
+        values = {"delta": np.zeros(grid.n_points),
+                  "omega": np.zeros(grid.n_points, dtype=complex)}
+        values[name][[101, 150]] = [np.inf, np.nan]
+        with pytest.raises(NonFinite, match=rf"^{name} not finite at t=0\.01$"):
+            SupplementCoefficients(grid=grid, policy="general-omega-zero",
+                                   **values)
+
+
 class TestNullificationReport:
     def test_zero_coefficients_leave_the_full_rate(self, theta_paths):
         _, path = theta_paths(0.3)
-        from nhsta.synthesis import SupplementCoefficients
         n = path.grid.n_points
         coeffs = SupplementCoefficients(
             grid=path.grid, delta=np.zeros(n),
@@ -213,24 +227,25 @@ class TestClosedForm:
                                                  initial=0.0))
         assert np.max(np.abs(g - want)) < 1e-12
 
-    def test_unit_modulus_with_matched_gauge(self, shortcut_run):
-        for gamma in (0.3, 1.0):
-            g = shortcut_run(gamma).g_plus_closed
-            assert np.max(np.abs(np.abs(g) - 1.0)) <= 1e-8
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_matches_propagated_amplitude(self, shortcut_run, policy, gamma):
+        # one frame-diagonal formula gives every policy a pure phase that
+        # the propagated amplitude follows
+        run = shortcut_run(gamma, policy)
+        assert np.max(np.abs(np.abs(run.g_plus_closed) - 1.0)) <= 1e-15
+        assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
 
-    def test_matches_propagated_amplitude(self, shortcut_run):
-        for gamma in (0.0, 0.3, 1.0):
-            run = shortcut_run(gamma)
-            dev = np.max(np.abs(run.amps.g_plus - run.g_plus_closed))
-            assert dev <= 1e-5
-
-    def test_policy_guard(self, theta_paths):
-        pulse, path = theta_paths(0.3)
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 1.0, 3.0, 10.0])
+    def test_hermitian_equals_delta_cos_theta_form(self, theta_paths, gamma):
+        # the frame diagonal d_+ reduces to delta*cos(theta)/2 when Re[W] = 0
+        pulse, path = theta_paths(gamma)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
-        coeffs = general_family_omega_zero(path)
-        g = matched_gauge(e_plus, e_minus, coeffs, path)
-        with pytest.raises(PolicyMismatch):
-            closed_form_gplus(e_plus, g, coeffs, path)
+        coeffs = hermitian_realizable(path)
+        gauges = matched_gauge(e_plus, e_minus, coeffs, path)
+        want = hermitian_closed_form_gplus(e_plus, gauges, coeffs, path)
+        got = closed_form_gplus(e_plus, coeffs, path)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 class TestSingleDeltaForm:

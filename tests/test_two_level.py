@@ -92,6 +92,21 @@ class TestRadicand:
         assert np.min(z.real) > 0.0
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("read", [
+        lambda p, g: radicand(p, g.samples),
+        lambda p, g: eigenvalue_path(p, g, BranchRegime.SUPER_CRITICAL),
+        lambda p, g: mixing_angle_path(p, g),
+    ], ids=["radicand", "eigenvalue_path", "mixing_angle_path"])
+    def test_overflow_named_by_every_reader(self, read):
+        # (gamma + 2i*Delta)^2 overflows once gamma exceeds about 1.3e154
+        pulse = allen_eberly(ae_params(gamma=0.3))
+        huge = dataclasses.replace(pulse, gamma=lambda t: np.where(
+            np.asarray(t) > 0.5, 1e160, pulse.gamma(t)))
+        with pytest.raises(NonFinite, match=r"^radicand not finite at t=0\.51$"):
+            read(huge, TimeGrid(-1.0, 1.0, 200))
+
+
 class TestControlSampling:
     @pytest.mark.parametrize("read", [
         lambda p, g: hamiltonian_entries(p, g.samples),
