@@ -16,10 +16,10 @@ from .gauges import GaugeFunctions, gauge_simple, matched_delta
 from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)
-from .synthesis import (SupplementCoefficients, NullificationReport,
-                        assemble_h1_series, closed_form_gplus,
-                        frame_diagonal, general_family_omega_zero,
-                        hermitian_realizable, matched_gauge,
+from .synthesis import (NullificationReport, assemble_h1_series,
+                        closed_form_gplus, frame_diagonal,
+                        general_family_omega_zero, hermitian_realizable,
+                        matched_gauge, naive_cd_entries,
                         nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
                         PulseSpec, allen_eberly, branch_sqrt, classify_regime,

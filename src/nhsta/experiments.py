@@ -24,11 +24,11 @@ from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
                           AmplitudeTrajectory, PrefixScan, StateTrajectory,
                           amplitudes, phase_table, scan_table,
                           step_halving_gap)
-from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE,
-                        NullificationReport, SupplementCoefficients,
-                        closed_form_gplus, general_family_omega_zero,
-                        h1_entries, hermitian_realizable, matched_gauge,
-                        naive_cd_entries, nullification_residual)
+from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
+                        NullificationReport, closed_form_gplus,
+                        general_family_omega_zero, hermitian_realizable,
+                        matched_gauge, naive_cd_entries,
+                        nullification_residual)
 from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                         branch_argument, eigenvalue_path, hamiltonian_entries,
                         mixing_angle_path, radicand)
@@ -38,14 +38,11 @@ from .gauges import gauge_simple  # noqa: F401
 from .synthesis import assemble_h1_series  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 
-#: general-family preset with zero coupling drive
-POLICY_OMEGA_ZERO = "general-omega-zero"
-
 POLICIES = (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO)
 INITIAL_STATES = (INITIAL_EIGEN_PLUS, INITIAL_BARE_GROUND)
 
-#: a run is certified when its step-halving gap and, where the policy has
-#: one, its nullification residual are within these bounds
+#: a run is certified when its step-halving gap and its nullification
+#: residual are within these bounds
 CONVERGENCE_BOUND = 1e-7
 RESIDUAL_BOUND = 1e-10
 
@@ -54,10 +51,11 @@ RESIDUAL_BOUND = 1e-10
 class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
-    Holds the angle path, the supplement, the gauges and checks on the run
-    grid, and the RK4 prefix scan of the run and of its half-step
-    certification rerun.  :meth:`run` applies it to one initial state;
-    every state run from the same table shares this work.
+    Holds the angle path, the supplement's entries (h00, h01, h10, h11),
+    the gauges and checks on the run grid, and the RK4 prefix scan of the
+    run and of its half-step certification rerun.  :meth:`run` applies it
+    to one initial state; every state run from the same table shares this
+    work.
     """
 
     pulse: PulseSpec
@@ -68,9 +66,9 @@ class ShortcutTable:
     e_plus: np.ndarray
     e_minus: np.ndarray
     gauges: GaugeFunctions
-    coeffs: Optional[SupplementCoefficients]
+    h1: tuple
     g_plus_closed: np.ndarray
-    residual: Optional[NullificationReport]
+    residual: NullificationReport
     scan: PrefixScan
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
@@ -92,13 +90,10 @@ class ShortcutTable:
             amps=amplitudes(traj, self.theta, self.gauges),
             convergence=step_halving_gap(traj, rerun))
 
-    def frame_check(self) -> Optional[NullificationReport]:
+    def frame_check(self) -> NullificationReport:
         """The residual report with the adiabatic-frame coupling (2,1),
-        formed from the table's own H0 + H1 on the run grid (None for the
-        naive term, as :attr:`residual`)."""
-        if self.coeffs is None:
-            return None
-        return nullification_residual(self.theta, self.coeffs,
+        formed from the table's own H0 + H1 on the run grid."""
+        return nullification_residual(self.theta, self.h1,
                                       self.scan.h[:, 0], self.gauges)
 
 
@@ -116,8 +111,7 @@ class ShortcutRun(ShortcutTable):
     def metrics(self) -> dict:
         """End-of-run scalars for sweep tables and manifests."""
         g_plus_sq = float(np.abs(self.amps.g_plus[-1]) ** 2)
-        residual = (float(self.residual.max_abs_residual)
-                    if self.residual is not None else float("nan"))
+        residual = float(self.residual.max_abs_residual)
         return {
             "regime": self.regime.value,
             "g_plus_sq_final": g_plus_sq,
@@ -127,7 +121,7 @@ class ShortcutRun(ShortcutTable):
             "max_residual": residual,
             "convergence": self.convergence,
             "certified": bool(self.convergence <= CONVERGENCE_BOUND
-                              and not residual > RESIDUAL_BOUND),
+                              and residual <= RESIDUAL_BOUND),
         }
 
 
@@ -159,20 +153,15 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
             for policy in policies)
 
 
-def _supplement(policy: str, theta_q: MixingAnglePath, grid: TimeGrid
-                ) -> tuple[Optional[SupplementCoefficients], tuple]:
-    """The policy's coefficients on the run grid (None for the naive term)
-    and the entries of its H1 on the quarter-step grid of ``theta_q``."""
+def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
+    """The entries of the policy's H1 on the grid of ``theta_q``."""
     if policy == POLICY_HERMITIAN:
-        coeffs_q = hermitian_realizable(theta_q)
-    elif policy == POLICY_OMEGA_ZERO:
-        coeffs_q = general_family_omega_zero(theta_q)
-    elif policy == POLICY_NAIVE:
-        return None, naive_cd_entries(theta_q)
-    else:
-        raise ConfigError(
-            f"unknown policy {policy!r}; expected one of {POLICIES}")
-    return _every(4, coeffs_q, grid, ("delta", "omega")), h1_entries(coeffs_q)
+        return hermitian_realizable(theta_q)
+    if policy == POLICY_OMEGA_ZERO:
+        return general_family_omega_zero(theta_q)
+    if policy == POLICY_NAIVE:
+        return naive_cd_entries(theta_q)
+    raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
 def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
@@ -180,7 +169,8 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
     """One policy's supplement, H0 + H1 table, scan, gauges and checks on
     the run grid of ``theta`` (its temporaries are freed on return)."""
     grid = theta.grid
-    coeffs, h1_q = _supplement(policy, theta_q, grid)
+    h1_q = _supplement(policy, theta_q)
+    h1 = tuple(x[::4].copy() if np.ndim(x) else x for x in h1_q)
     h = phase_table(grid.steps, h0_q, h1_q)
     del h1_q  # freed before the scan's temporaries are allocated
     scan = scan_table(h, grid, certify=True)
@@ -188,11 +178,9 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
     return ShortcutTable(
         pulse=pulse, grid=grid, regime=theta.regime, policy=policy,
         theta=theta, e_plus=e_plus, e_minus=e_minus,
-        gauges=matched_gauge(e_plus, e_minus, coeffs, theta), coeffs=coeffs,
-        g_plus_closed=closed_form_gplus(e_plus, coeffs, theta),
-        residual=(None if coeffs is None
-                  else nullification_residual(theta, coeffs)),
-        scan=scan)
+        gauges=matched_gauge(e_plus, e_minus, h1, theta), h1=h1,
+        g_plus_closed=closed_form_gplus(e_plus, h1, theta),
+        residual=nullification_residual(theta, h1), scan=scan)
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
@@ -229,7 +217,7 @@ def theta_series(pulse: PulseSpec, grid: TimeGrid,
 
 
 __all__ = [
-    "POLICY_OMEGA_ZERO", "POLICIES", "INITIAL_STATES", "CONVERGENCE_BOUND",
+    "POLICIES", "INITIAL_STATES", "CONVERGENCE_BOUND",
     "RESIDUAL_BOUND", "ShortcutRun", "ShortcutTable", "shortcut_tables",
     "run_shortcut", "zplane_series", "theta_series",
 ]

@@ -43,8 +43,11 @@ class GaugeFunctions:
         for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length must match grid")
-        if np.any(self.f_plus == 0) or np.any(self.f_minus == 0):
-            raise ZeroGauge("gauge function vanished on the grid")
+        for name in ("f_plus", "f_minus"):
+            zero = getattr(self, name) == 0
+            if np.any(zero):
+                raise ZeroGauge(f"{name} vanished at "
+                                f"t={self.grid.samples[np.argmax(zero)]:g}")
 
 
 def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:

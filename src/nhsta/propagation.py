@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite, ZeroGauge
+from .errors import NonFinite
 from .gauges import GaugeFunctions
 from .grids import TimeGrid
 from .two_level import MixingAnglePath
@@ -305,8 +305,6 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
     psi0, psi1 = traj.psi[:, 0], traj.psi[:, 1]
     c_plus = c * psi0 + s * psi1
     c_minus = s * psi0 - c * psi1
-    if np.any(gauges.f_plus == 0) or np.any(gauges.f_minus == 0):
-        raise ZeroGauge("gauge factor vanished")
     g_plus = c_plus / gauges.f_plus
     g_minus = c_minus / gauges.f_minus
     p0 = np.abs(psi0) ** 2

@@ -1,6 +1,8 @@
 """Supplementary Hamiltonians that suppress non-adiabatic amplitude flow.
 
-Three policies are provided for the two-level model, each in closed form:
+Three policies are provided for the two-level model, each in closed form
+and each returning the entries (h00, h01, h10, h11) of its H1 on the grid
+of the angle path it is given:
 
 * the counterdiabatic term ``0.5i*[[0, -dtheta], [dtheta, 0]]``
   (``naive_cd_entries``).  For complex mixing angles its off-diagonal
@@ -14,12 +16,13 @@ Three policies are provided for the two-level model, each in closed form:
 * ``general_family_omega_zero`` - the member of the underdetermined family
   of such supplements that needs no extra drive field at all.
 
-Every policy's gauge and closed-form surviving amplitude follow from one
-quantity, E_+ + d_+, with d_+ the supplement's adiabatic-frame diagonal
-(``frame_diagonal``).
-
-The cancellation condition, written with lam = delta*sin(theta) and
-zeta = Re[W]*cos(theta), is
+The last two have the form 0.5*[[delta, W],[conj(W), -delta]], so
+delta = 2*h00 and W = 2*h01.  Every policy's gauge, closed-form surviving
+amplitude, leak residual and frame check read those four entries: the gauge
+and the closed form follow from E_+ + d_+, with d_+ the supplement's
+adiabatic-frame diagonal (``frame_diagonal``), and the residual is twice
+the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  For that form, with
+lam = delta*sin(theta) and zeta = Re[W]*cos(theta), the condition reads
 
     lam + i*Im[W] - zeta = -i*dtheta,
 
@@ -40,37 +43,8 @@ from .two_level import MixingAnglePath
 
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
-POLICY_GENERAL = "general-family"
-
-
-@dataclass(frozen=True, eq=False)
-class SupplementCoefficients:
-    """Per-grid coefficients of H1 = 0.5*[[delta, W],[conj(W), -delta]].
-
-    For the hermitian-realizable policy delta is real and Re[W] = 0, which
-    makes the assembled matrix exactly self-adjoint.
-    """
-
-    grid: TimeGrid
-    delta: np.ndarray
-    omega: np.ndarray
-    policy: str
-
-    def __post_init__(self):
-        n = self.grid.n_points
-        for name in ("delta", "omega"):
-            arr = np.asarray(getattr(self, name))
-            if len(arr) != n:
-                raise ValueError(f"{name} length must match grid")
-            bad = ~np.isfinite(arr)
-            if np.any(bad):
-                t = self.grid.samples[np.argmax(bad)]
-                raise NonFinite(f"{name} not finite at t={t:g}")
-        if self.policy == POLICY_HERMITIAN:
-            if np.asarray(self.delta).dtype.kind == "c":
-                raise ValueError("hermitian policy requires a real delta array")
-            if np.any(np.asarray(self.omega).real != 0):
-                raise ValueError("hermitian policy requires Re[omega] = 0")
+#: general-family preset with zero coupling drive
+POLICY_OMEGA_ZERO = "general-omega-zero"
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,11 +52,11 @@ class NullificationReport:
     """Residual of the cancellation condition, plus optional frame check.
 
     ``residual`` is the pointwise algebraic quantity
-    delta*sin(theta) + i*Im[W] - Re[W]*cos(theta) + i*dtheta,
-    which vanishes identically for coefficients produced by the synthesis
-    routines.  When H0 + H1 and gauges are supplied, ``frame_coupling`` holds
-    |entry (2,1)| of the adiabatic-frame total Hamiltonian with the frame
-    derivative taken by Richardson-extrapolated central differences.
+    (h00 - h11)*sin(theta) + (h01 - h10) - (h01 + h10)*cos(theta) + i*dtheta,
+    which vanishes for the entries every policy produces.  When H0 + H1
+    and gauges are supplied, ``frame_coupling`` holds |entry (2,1)| of the
+    adiabatic-frame total Hamiltonian with the frame derivative taken by
+    Richardson-extrapolated central differences.
     """
 
     grid: TimeGrid
@@ -98,23 +72,29 @@ def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
     return 0.0, -0.5j * dth, 0.5j * dth, 0.0
 
 
-def hermitian_realizable(theta_path: MixingAnglePath) -> SupplementCoefficients:
-    """Hermitian supplement coefficients cancelling the reference-state leak.
+def _entries(grid: TimeGrid, delta: np.ndarray, omega: np.ndarray) -> tuple:
+    """Entries (h00, h01, h10, h11) of 0.5*[[delta, W],[conj(W), -delta]];
+    a non-finite coefficient raises NonFinite naming its first t."""
+    for name, arr in (("delta", delta), ("omega", omega)):
+        bad = ~np.isfinite(arr)
+        if np.any(bad):
+            raise NonFinite(
+                f"{name} not finite at t={grid.samples[np.argmax(bad)]:g}")
+    return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
+
+
+def hermitian_realizable(theta_path: MixingAnglePath) -> tuple:
+    """Entries of the Hermitian supplement cancelling the reference-state leak.
 
     delta = Im[dtheta]/Re[sin theta] and the drive quadrature
     Im[W] = -Re[dtheta] - delta*Im[sin theta] with Re[W] = 0.
     """
     delta = matched_delta(theta_path)
     omega_a = -theta_path.dtheta.real - delta * theta_path.sin.imag
-    return SupplementCoefficients(
-        grid=theta_path.grid,
-        delta=delta,
-        omega=1j * omega_a,
-        policy=POLICY_HERMITIAN,
-    )
+    return _entries(theta_path.grid, delta, 1j * omega_a)
 
 
-def general_family_omega_zero(theta_path: MixingAnglePath) -> SupplementCoefficients:
+def general_family_omega_zero(theta_path: MixingAnglePath) -> tuple:
     """The zero-drive member: lam = -i*dtheta makes W vanish identically, so
     the speed-up costs no extra coupling field, only the complex diagonal
     split delta = -i*dtheta/sin(theta) (engineered gain/loss).
@@ -131,81 +111,60 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> SupplementCoeffici
             f"sin(theta) ~ 0 with lam != 0 at t={theta_path.grid.samples[k]:g}: "
             f"diagonal split underdetermined"
         )
-    return SupplementCoefficients(
-        grid=theta_path.grid,
-        delta=np.where(tiny, 0.0, -1j * dth / np.where(tiny, 1.0, sin_th)),
-        omega=np.zeros(theta_path.grid.n_points, dtype=complex),
-        policy=POLICY_GENERAL,
-    )
+    delta = np.where(tiny, 0.0, -1j * dth / np.where(tiny, 1.0, sin_th))
+    return _entries(theta_path.grid, delta,
+                    np.zeros(theta_path.grid.n_points, dtype=complex))
 
 
-def h1_entries(coeffs: SupplementCoefficients) -> tuple:
-    """Entries (h00, h01, h10, h11) of the bare-frame supplement
-    0.5*[[delta, W],[conj(W), -delta]], one series each."""
-    delta = np.asarray(coeffs.delta)
-    omega = np.asarray(coeffs.omega)
-    return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
-
-
-def assemble_h1_series(coeffs: SupplementCoefficients) -> np.ndarray:
-    """The supplement of :func:`h1_entries` at every grid point, shape
+def assemble_h1_series(h1: tuple) -> np.ndarray:
+    """The supplement with entries ``h1`` at every grid point, shape
     (n, 2, 2)."""
-    return _matrices(h1_entries(coeffs), coeffs.grid.n_points)
-
-
-def _matrices(entries, n: int) -> np.ndarray:
-    """(n, 2, 2) stack of the entries (h00, h01, h10, h11)."""
+    n = np.broadcast(*h1).size
     out = np.empty((n, 4), dtype=complex)
-    for c, x in enumerate(entries):
+    for c, x in enumerate(h1):
         out[:, c] = x
     return out.reshape(n, 2, 2)
 
 
-def frame_diagonal(coeffs: Optional[SupplementCoefficients],
-                   theta_path: MixingAnglePath):
-    """d_+ = (delta cos^2(theta/2) - delta sin^2(theta/2) + Re[W] sin theta)/2,
-    the supplement's (+,+) entry in the adiabatic frame; 0 when ``coeffs``
-    is None, since the naive term has no diagonal in that frame."""
-    if coeffs is None:
-        return 0.0
-    delta = np.asarray(coeffs.delta)
-    return 0.5 * (delta * theta_path.cos_half ** 2
-                  - delta * theta_path.sin_half ** 2
-                  + np.asarray(coeffs.omega).real * theta_path.sin)
+def frame_diagonal(h1: tuple, theta_path: MixingAnglePath):
+    """The (+,+) entry of the supplement with entries ``h1`` in the
+    adiabatic frame,
+    d_+ = h00 cos^2(theta/2) + h11 sin^2(theta/2) + (h01 + h10) sin(theta)/2
+    (0 for the naive term, which has no diagonal there)."""
+    h00, h01, h10, h11 = h1
+    return (h00 * theta_path.cos_half ** 2 + h11 * theta_path.sin_half ** 2
+            + (h01 + h10) * (0.5 * theta_path.sin))
 
 
-def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray,
-                  coeffs: Optional[SupplementCoefficients],
+def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray, h1: tuple,
                   theta_path: MixingAnglePath) -> GaugeFunctions:
     """Gauge whose f_+ absorbs the decay of E_+ + d_+ (:func:`frame_diagonal`)
     so |g_+| = 1 along a leak-cancelling evolution: u_+ = Im[E_+ + d_+] and
     u_- = Im[E_-]."""
-    level = np.asarray(e_plus) + frame_diagonal(coeffs, theta_path)
+    level = np.asarray(e_plus) + frame_diagonal(h1, theta_path)
     u_plus = level.imag.astype(complex)
     u_minus = np.asarray(e_minus).imag.astype(complex)
     return gauge_from_integrands(theta_path.grid, u_plus, u_minus)
 
 
-def nullification_residual(theta_path: MixingAnglePath,
-                           coeffs: SupplementCoefficients,
+def nullification_residual(theta_path: MixingAnglePath, h1: tuple,
                            h_total: Optional[np.ndarray] = None,
                            gauges: Optional[GaugeFunctions] = None
                            ) -> NullificationReport:
-    """Audit the leak-cancellation condition for given coefficients.
+    """Audit the leak-cancellation condition for a supplement's entries.
 
     Always evaluates the algebraic residual
-    delta*sin(theta) + i*Im[W] - Re[W]*cos(theta) + i*dtheta.
+    (h00 - h11)*sin(theta) + (h01 - h10) - (h01 + h10)*cos(theta) + i*dtheta,
+    twice <-~|H1|+> + i*dtheta/2.
     When ``h_total`` (the entries (h00, h01, h10, h11) of H0 + H1 on the
     grid, shape (4, n)) and ``gauges`` are supplied, additionally transforms
     it into the adiabatic frame with finite-difference frame derivatives and
     records |entry (2,1)| (the cancelled coupling; the reverse entry (1,2) is
     allowed to survive by design).
     """
-    if coeffs.grid != theta_path.grid:
-        raise ValueError("coefficients and theta path must share the grid")
-    om = np.asarray(coeffs.omega)
-    residual = (np.asarray(coeffs.delta) * theta_path.sin + 1j * om.imag
-                - om.real * theta_path.cos + 1j * theta_path.dtheta)
+    h00, h01, h10, h11 = h1
+    residual = ((h00 - h11) * theta_path.sin + (h01 - h10)
+                - (h01 + h10) * theta_path.cos + 1j * theta_path.dtheta)
     frame = None
     if h_total is not None and gauges is not None:
         if np.shape(h_total) != (4, theta_path.grid.n_points):
@@ -245,8 +204,7 @@ def _frame_coupling(theta_path, h_total, gauges):
     return out
 
 
-def closed_form_gplus(e_plus: np.ndarray,
-                      coeffs: Optional[SupplementCoefficients],
+def closed_form_gplus(e_plus: np.ndarray, h1: tuple,
                       theta_path: MixingAnglePath) -> np.ndarray:
     """Surviving amplitude g_+(t) = exp[-i int Re(E_+ + d_+) dt'] of any
     leak-cancelling supplement, d_+ its :func:`frame_diagonal`.
@@ -254,5 +212,5 @@ def closed_form_gplus(e_plus: np.ndarray,
     The other amplitude stays zero, so in the matched gauge, whose f_+
     absorbs Im(E_+ + d_+), this is the exact frame solution, a pure phase.
     """
-    level = np.asarray(e_plus) + frame_diagonal(coeffs, theta_path)
+    level = np.asarray(e_plus) + frame_diagonal(h1, theta_path)
     return np.exp(-1j * cumulative_trapezoid(level.real, theta_path.grid.step))

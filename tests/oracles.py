@@ -22,8 +22,7 @@ from nhsta.biorthogonal import (DEFAULT_DEGENERACY_THRESHOLD,
 from nhsta.errors import BranchJump, InconsistentChoice, ZeroGauge
 from nhsta.gauges import GaugeFunctions
 from nhsta.grids import TimeGrid, cumulative_trapezoid
-from nhsta.synthesis import (POLICY_GENERAL, SupplementCoefficients,
-                             naive_cd_entries)
+from nhsta.synthesis import naive_cd_entries
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                              branch_sqrt, hamiltonian_entries, radicand)
 
@@ -206,10 +205,10 @@ def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
 
 
 def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
-                   re_omega: Optional[np.ndarray] = None
-                   ) -> SupplementCoefficients:
-    """Family member for a chosen lam(t) = delta*sin(theta) and Re[W],
-    one value per grid point each (``re_omega=None``: no drive, Re[W] = 0).
+                   re_omega: Optional[np.ndarray] = None) -> tuple:
+    """Entries (h00, h01, h10, h11) of 0.5*[[delta, W],[conj(W), -delta]]
+    for a chosen lam(t) = delta*sin(theta) and Re[W], one value per grid
+    point each (``re_omega=None``: no drive, Re[W] = 0).
 
     The imaginary drive quadrature follows from the cancellation condition;
     the chosen functions must satisfy its other component,
@@ -248,23 +247,19 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
             f"sin(theta) ~ 0 with lam != 0 at t={ts[k]:g}: diagonal split "
             f"underdetermined"
         )
-    half_split = np.where(tiny, 0.0, lam / np.where(tiny, 1.0, sin_th))
-    return SupplementCoefficients(
-        grid=theta_path.grid,
-        delta=half_split,
-        omega=re_om + 1j * im_om,
-        policy=POLICY_GENERAL,
-    )
+    delta = np.where(tiny, 0.0, lam / np.where(tiny, 1.0, sin_th))
+    omega = re_om + 1j * im_om
+    return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
 
 
 def hermitian_closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
-                                coeffs: SupplementCoefficients,
+                                h1: tuple,
                                 theta_path: MixingAnglePath) -> np.ndarray:
     """g_+(t) = exp[-i int (E_+ - i (df_+/dt)/f_+ + delta*cos(theta)/2) dt']
     of a hermitian-realizable supplement in the matched gauge: the
     hermitian-only closed form the frame-diagonal one generalizes."""
     integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
-                 + 0.5 * np.asarray(coeffs.delta) * theta_path.cos)
+                 + h1[0] * theta_path.cos)
     return np.exp(-1j * cumulative_trapezoid(integrand, theta_path.grid.step))
 
 

@@ -11,7 +11,7 @@ from nhsta.biorthogonal import decompose, reconstruct
 from nhsta.errors import DegenerateRegime, DegenerateSpectrum
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
-from nhsta.synthesis import hermitian_realizable
+from nhsta.synthesis import assemble_h1_series, hermitian_realizable
 from nhsta.two_level import (allen_eberly, classify_regime, eigenvalue_path,
                              radicand)
 from oracles import (EigenPath, counterdiabatic_generic,
@@ -206,12 +206,7 @@ def test_criterion_7_generic_and_closed_form_agree(theta_paths):
     report("lossless hermiticity (generic)", herm_defect, 1e-8)
     assert herm_defect <= 1e-8
 
-    coeffs = hermitian_realizable(lossless)
-    realizable = np.zeros_like(cd0)
-    realizable[:, 0, 0] = 0.5 * coeffs.delta[1:-1]
-    realizable[:, 1, 1] = 0.5 * -coeffs.delta[1:-1]
-    realizable[:, 0, 1] = 0.5 * coeffs.omega[1:-1]
-    realizable[:, 1, 0] = 0.5 * np.conj(coeffs.omega[1:-1])
+    realizable = assemble_h1_series(hermitian_realizable(lossless))[1:-1]
     want0 = np.zeros_like(cd0)
     want0[:, 0, 1] = -0.5j * lossless.dtheta[1:-1]
     want0[:, 1, 0] = 0.5j * lossless.dtheta[1:-1]

@@ -429,11 +429,27 @@ class TestSweep:
                                   "general-omega-zero"]
         # every leak-cancelling policy traps the reference amplitude
         assert np.max(rows["max_abs_g_minus"]) <= 1e-5
-        assert np.isnan(rows["max_residual"][1])  # matrix-valued policy
+        assert rows["max_residual"][1] == 0.0  # naive-cd cancels exactly
         assert np.max(np.abs(rows["g_plus_sq_final"] - 1.0)) <= 1e-3
 
     def test_empty_gamma_list_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == 2
+
+    def test_json_tables_of_every_policy_are_valid_json(self, tmp_path):
+        # every row, naive-cd's included, holds finite numbers: NaN or
+        # Infinity would make the files unreadable for strict JSON parsers
+        assert main(["sweep", "--gamma", "0.3", "--steps", "1000",
+                     "--policy", "hermitian-realizable,naive-cd,general-omega-zero",
+                     "--format", "json", "--out", str(tmp_path)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        for name in ("sweep.json", "sweep_manifest.json"):
+            json.loads((tmp_path / name).read_text(), parse_constant=refuse)
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert [row[1] for row in rows] == ["hermitian-realizable",
+                                            "naive-cd", "general-omega-zero"]
 
 
 class TestExitCodes:
@@ -705,6 +721,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "numerical error: NonFinite: radicand not finite at t=-1"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_vanishing_gauge_names_its_factor_and_time(self, tmp_path,
+                                                       capsys):
+        # exp(int Im E_-) underflows to 0 part-way through the window
+        assert main(["figure3", "--gamma", "1000",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical error: ZeroGauge: f_minus vanished at "
+                       "t=0.4905"]
 
     def test_zero_drive_where_sin_theta_vanishes_exits_numerical(
             self, tmp_path, capsys):

@@ -9,7 +9,8 @@ from nhsta.errors import SinThetaSingular, ZeroGauge
 from nhsta.gauges import gauge_simple, matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
-from nhsta.synthesis import hermitian_realizable, matched_gauge
+from nhsta.synthesis import (hermitian_realizable, matched_gauge,
+                             naive_cd_entries)
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                              allen_eberly, eigenvalue_path, mixing_angle_path,
                              theta_at)
@@ -43,13 +44,13 @@ class TestGaugeSimple:
 
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 3.0, 10.0])
-    def test_matched_gauge_without_supplement_equals_it_bitwise(
+    def test_matched_gauge_of_naive_term_equals_it_bitwise(
             self, theta_paths, gamma):
         # the naive term has no frame diagonal, so its matched gauge is the
         # simple one, signed zeros included
         pulse, path = theta_paths(gamma)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
-        got = matched_gauge(e_plus, e_minus, None, path)
+        got = matched_gauge(e_plus, e_minus, naive_cd_entries(path), path)
         want = gauge_simple(e_plus, e_minus, path.grid)
         for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
             g = np.asarray(getattr(got, name)).view(float)
@@ -78,7 +79,7 @@ class TestGaugeShortcut:
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
         g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
-        delta = hermitian_realizable(path).delta
+        delta = 2 * hermitian_realizable(path)[0]
         cond = (e_plus - 1j * g.dlogf_plus
                 + 0.5 * delta * np.cos(path.theta)).imag
         assert np.max(np.abs(cond)) <= 1e-10
@@ -167,7 +168,7 @@ class TestRotation:
         ones = np.ones(3, dtype=complex)
         dead = ones.copy()
         dead[1] = 0.0
-        with pytest.raises(ZeroGauge):
+        with pytest.raises(ZeroGauge, match=r"^f_plus vanished at t=0\.5$"):
             GaugeFunctions(grid=grid, f_plus=dead, f_minus=ones,
                            dlogf_plus=ones, dlogf_minus=ones)
 

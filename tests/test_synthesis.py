@@ -1,4 +1,4 @@
-"""Supplement synthesis: coefficients, residuals, closed-form amplitude."""
+"""Supplement synthesis: H1 entries, residuals, closed-form amplitude."""
 import numpy as np
 import pytest
 
@@ -7,10 +7,9 @@ from nhsta import synthesis
 from nhsta.errors import InconsistentChoice, NonFinite
 from nhsta.experiments import POLICIES
 from nhsta.grids import TimeGrid
-from nhsta.synthesis import (SupplementCoefficients, assemble_h1_series,
-                             closed_form_gplus, general_family_omega_zero,
-                             hermitian_realizable, matched_gauge,
-                             nullification_residual)
+from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
+                             general_family_omega_zero, hermitian_realizable,
+                             matched_gauge, nullification_residual)
 from nhsta.two_level import eigenvalue_path, mixing_angle_path
 from oracles import (EigenPath, counterdiabatic_generic, general_family,
                      hamiltonian, hermitian_closed_form_gplus, naive_cd,
@@ -78,11 +77,11 @@ class TestNaiveCounterdiabatic:
 class TestHermitianRealizable:
     def test_lossless_limit_reduces_to_standard_counterdiabatic(self, theta_paths):
         _, path = theta_paths(0.0)
-        coeffs = hermitian_realizable(path)
-        assert np.max(np.abs(coeffs.delta)) == 0.0
-        assert np.max(np.abs(coeffs.omega - 1j * (-path.dtheta.real))) < 1e-14
+        entries = hermitian_realizable(path)
+        assert np.max(np.abs(2 * entries[0])) == 0.0  # delta
+        assert np.max(np.abs(2 * entries[1] - 1j * (-path.dtheta.real))) < 1e-14
         naive = naive_cd(path)
-        h1 = assemble_h1_series(coeffs)
+        h1 = assemble_h1_series(entries)
         for k in (0, 1500, 4000):
             assert np.max(np.abs(h1[k] - naive[k])) <= 1e-10
 
@@ -90,16 +89,30 @@ class TestHermitianRealizable:
         from test_two_level import constant_pulse
         path = mixing_angle_path(constant_pulse(1.2, 0.5, 0.3),
                                  TimeGrid(0.0, 1.0, 100))
-        coeffs = hermitian_realizable(path)
-        assert np.max(np.abs(coeffs.delta)) == 0.0
-        assert np.max(np.abs(coeffs.omega)) == 0.0
-        assert np.max(np.abs(assemble_h1_series(coeffs)[50])) == 0.0
+        entries = hermitian_realizable(path)
+        assert [np.max(np.abs(x)) for x in entries] == [0.0] * 4
+        assert np.max(np.abs(assemble_h1_series(entries)[50])) == 0.0
 
     def test_cancellation_residual_tiny(self, theta_paths):
         _, path = theta_paths(1.0)
-        coeffs = hermitian_realizable(path)
-        report = nullification_residual(path, coeffs)
+        report = nullification_residual(path, hermitian_realizable(path))
         assert report.max_abs_residual <= 1e-10
+
+    @pytest.mark.parametrize("steps", [1000, 4000])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, 2.1, 3.0, 10.0])
+    def test_entries_are_hermitian_bitwise(self, gamma, steps):
+        # a real diagonal, opposite on the two sites, and a purely
+        # imaginary drive W whose conjugate is the lower entry (equal in
+        # value: the zero real parts of h01 and h10 may differ in sign)
+        pulse, grid, regime = ae_setup(gamma, steps)
+        for g in (grid, grid.refine(4)):
+            h00, h01, h10, h11 = hermitian_realizable(
+                mixing_angle_path(pulse, g, regime))
+            assert h00.dtype.kind == "f" and h11.dtype.kind == "f"
+            assert np.all(h00.imag == 0)
+            assert np.all(h01.real == 0)
+            assert np.array_equal(h10, np.conj(h01))
+            assert_bitwise(h11, -h00)
 
     def test_assembled_matrix_exactly_self_adjoint(self, theta_paths):
         _, path = theta_paths(1.0)
@@ -109,21 +122,21 @@ class TestHermitianRealizable:
 
     def test_center_matrix_consistent_with_coefficients(self, theta_paths):
         _, path = theta_paths(1.0)
-        coeffs = hermitian_realizable(path)
+        entries = hermitian_realizable(path)
         k = path.grid.index_of(0.0)
-        delta = coeffs.delta[k]
-        omega_a = coeffs.omega[k].imag
+        delta = 2 * entries[0][k]
+        omega_a = (2 * entries[1][k]).imag
         want = 0.5 * np.array([[delta, 1j * omega_a],
                                [-1j * omega_a, -delta]], dtype=complex)
-        assert np.max(np.abs(assemble_h1_series(coeffs)[k] - want)) == 0.0
+        assert np.max(np.abs(assemble_h1_series(entries)[k] - want)) == 0.0
 
 
 class TestGeneralFamily:
     def test_zero_drive_member(self, theta_paths):
         _, path = theta_paths(1.0)
-        coeffs = general_family_omega_zero(path)
-        assert np.max(np.abs(coeffs.omega)) <= 1e-14
-        report = nullification_residual(path, coeffs)
+        entries = general_family_omega_zero(path)
+        assert np.max(np.abs(entries[1])) <= 1e-14  # W/2
+        report = nullification_residual(path, entries)
         assert report.max_abs_residual <= 1e-10
 
     @pytest.mark.parametrize("steps", [1000, 1001, 4000, 16000])
@@ -138,18 +151,17 @@ class TestGeneralFamily:
             got = general_family_omega_zero(path)
             assert "cos" not in vars(path)
             want = general_family(path, lambda_choice=-1j * path.dtheta)
-            assert got.policy == want.policy
-            assert_bitwise(got.delta, want.delta)
-            assert_bitwise(got.omega, want.omega)
+            for g_entry, w_entry in zip(got, want, strict=True):
+                assert_bitwise(g_entry, w_entry)
 
     def test_reduces_to_hermitian_choice(self, theta_paths):
         _, path = theta_paths(1.0)
         herm = hermitian_realizable(path)
-        lam = np.asarray(herm.delta) * np.sin(path.theta)
-        coeffs = general_family(path, lambda_choice=lam,
+        lam = 2 * herm[0] * np.sin(path.theta)  # delta*sin(theta)
+        family = general_family(path, lambda_choice=lam,
                                 re_omega=np.zeros(path.grid.n_points))
-        assert np.max(np.abs(coeffs.delta - herm.delta)) < 1e-12
-        assert np.max(np.abs(coeffs.omega - herm.omega)) < 1e-12
+        for f_entry, h_entry in zip(family, herm, strict=True):
+            assert np.max(np.abs(f_entry - h_entry)) < 1e-12
 
 
 class TestCoefficients:
@@ -160,20 +172,30 @@ class TestCoefficients:
                   "omega": np.zeros(grid.n_points, dtype=complex)}
         values[name][[101, 150]] = [np.inf, np.nan]
         with pytest.raises(NonFinite, match=rf"^{name} not finite at t=0\.01$"):
-            SupplementCoefficients(grid=grid, policy="general-omega-zero",
-                                   **values)
+            synthesis._entries(grid, values["delta"], values["omega"])
 
 
 class TestNullificationReport:
     def test_zero_coefficients_leave_the_full_rate(self, theta_paths):
         _, path = theta_paths(0.3)
         n = path.grid.n_points
-        coeffs = SupplementCoefficients(
-            grid=path.grid, delta=np.zeros(n),
-            omega=np.zeros(n, dtype=complex), policy="hermitian-realizable")
-        report = nullification_residual(path, coeffs)
+        zeros = (np.zeros(n), np.zeros(n, dtype=complex),
+                 np.zeros(n, dtype=complex), np.zeros(n))
+        report = nullification_residual(path, zeros)
         assert np.max(np.abs(report.residual - 1j * path.dtheta)) < 1e-14
         assert report.max_abs_residual > 0.1
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_every_policy_gets_the_frame_check(self, shortcut_run, policy,
+                                               gamma):
+        # the residual and the frame coupling read every policy's entries;
+        # the naive term cancels the leak exactly, so its residual is 0
+        check = shortcut_run(gamma, policy).frame_check()
+        assert check.max_abs_residual <= 1e-10
+        assert np.max(check.frame_coupling) <= 1e-6
+        if policy == "naive-cd":
+            assert check.max_abs_residual == 0.0
 
     def test_frame_coupling_cancelled_but_reverse_entry_survives(
             self, shortcut_run, theta_paths):
@@ -185,13 +207,12 @@ class TestNullificationReport:
         pulse, path = theta_paths(1.0)
         k = path.grid.index_of(0.25)
         h = path.grid.step
-        coeffs = run.coeffs
         rots = [rotation(path.theta[j], (run.gauges.f_plus[j],
                                          run.gauges.f_minus[j]))
                 for j in (k - 1, k, k + 1)]
         d_r = (rots[2].r - rots[0].r) / (2 * h)
         h_tot = (hamiltonian(pulse, path.grid.samples[k])
-                 + assemble_h1_series(coeffs)[k])
+                 + assemble_h1_series(run.h1)[k])
         frame = rots[1].r_tilde.conj().T @ h_tot @ rots[1].r \
             - 1j * rots[1].r_tilde.conj().T @ d_r
         assert abs(frame[0, 1]) > 0.01
@@ -199,11 +220,11 @@ class TestNullificationReport:
     def test_frame_coupling_equals_pointwise_loop(self, shortcut_run):
         from nhsta.synthesis import _frame_coupling
         run = shortcut_run(1.0)
-        th, g, coeffs = run.theta, run.gauges, run.coeffs
+        th, g = run.theta, run.gauges
         ts, h, n = th.grid.samples, th.grid.step, th.grid.n_points
         rot = [rotation(th.theta[k], (g.f_plus[k], g.f_minus[k]))
                for k in range(n)]
-        h1 = assemble_h1_series(coeffs)
+        h1 = assemble_h1_series(run.h1)
         rich = np.zeros(n)
         for k in range(2, n - 2):
             d1 = (rot[k + 1].r - rot[k - 1].r) / (2.0 * h)
@@ -241,10 +262,10 @@ class TestClosedForm:
         # the frame diagonal d_+ reduces to delta*cos(theta)/2 when Re[W] = 0
         pulse, path = theta_paths(gamma)
         e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
-        coeffs = hermitian_realizable(path)
-        gauges = matched_gauge(e_plus, e_minus, coeffs, path)
-        want = hermitian_closed_form_gplus(e_plus, gauges, coeffs, path)
-        got = closed_form_gplus(e_plus, coeffs, path)
+        h1 = hermitian_realizable(path)
+        gauges = matched_gauge(e_plus, e_minus, h1, path)
+        want = hermitian_closed_form_gplus(e_plus, gauges, h1, path)
+        got = closed_form_gplus(e_plus, h1, path)
         assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -274,14 +295,14 @@ class TestSingleDeltaForm:
         if policy == "naive-cd":
             want = diagonal_freedom_cd(theta_q)
         elif policy == "hermitian-realizable":
-            coeffs = hermitian_realizable(theta_q)
+            h1 = hermitian_realizable(theta_q)
+            delta, omega = 2 * h1[0], 2 * h1[1]
             # the two-field form carried a common diagonal shift of 0.0
-            want = self.two_field_h1(coeffs.delta + 0.0, -coeffs.delta + 0.0,
-                                     coeffs.omega)
+            want = self.two_field_h1(delta + 0.0, -delta + 0.0, omega)
         else:
-            coeffs = general_family_omega_zero(theta_q)
-            want = self.two_field_h1(coeffs.delta, -coeffs.delta,
-                                     coeffs.omega)
+            h1 = general_family_omega_zero(theta_q)
+            delta, omega = 2 * h1[0], 2 * h1[1]
+            want = self.two_field_h1(delta, -delta, omega)
         want += hamiltonian(pulse, quarter.samples)
         table = shortcut_table(pulse, grid, policy=policy, regime=regime)
         h = table.scan.h  # [c, p, k] is entry c of quarter-step row 4k + p
@@ -290,7 +311,7 @@ class TestSingleDeltaForm:
 
     @pytest.mark.parametrize("steps", [1000, 1001])
     @pytest.mark.parametrize("policy", ["hermitian-realizable",
-                                        "general-omega-zero"])
+                                        "general-omega-zero", "naive-cd"])
     def test_frame_check_reads_the_table_h_bitwise(self, monkeypatch, steps,
                                                    policy):
         seen = []
@@ -307,5 +328,5 @@ class TestSingleDeltaForm:
         table.frame_check()
         assert len(seen) == 1
         want = (hamiltonian(pulse, grid.samples)
-                + assemble_h1_series(table.coeffs))
+                + assemble_h1_series(table.h1))
         assert_bitwise(seen[0], want.reshape(-1, 4).T)

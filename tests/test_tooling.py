@@ -1,7 +1,8 @@
 """Structure guards: the benchmark's tracing script still finds every name
 it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
-place, no module loads OpenSSL, and theta's rate has one formula."""
+place, no module loads OpenSSL, theta's rate has one formula, and the
+policy names are spelled in one module."""
 import ast
 import importlib
 import importlib.util
@@ -107,6 +108,17 @@ def test_public_names_are_used_or_traced():
     assert [name for name in unused if name not in traced] == []
     assert unused == ["assemble_h1_series", "convergence_check",
                       "gauge_simple", "integrate", "theta_at"]
+
+
+def test_policy_names_are_spelled_once():
+    # the three policy names are string literals in synthesis, next to the
+    # formulas they select, and every other module imports the constants
+    names = ("hermitian-realizable", "naive-cd", "general-omega-zero")
+    found = [(module.__name__, node.value) for module in [nhsta] + MODULES
+             for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(name in node.value for name in names)]
+    assert sorted(found) == sorted(("nhsta.synthesis", name) for name in names)
 
 
 def test_one_propagation_path(monkeypatch):

@@ -442,7 +442,7 @@ class TestRecordIdentity:
     @pytest.mark.parametrize("name", [
         "propagation.StateTrajectory", "propagation.AmplitudeTrajectory",
         "gauges.GaugeFunctions", "two_level.MixingAnglePath",
-        "synthesis.SupplementCoefficients", "synthesis.NullificationReport",
+        "experiments.ShortcutTable", "synthesis.NullificationReport",
         "biorthogonal.BiorthogonalSystem"])
     def test_array_records_use_identity(self, name):
         import importlib
