@@ -17,13 +17,13 @@ from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)
 from .synthesis import (NullificationReport, assemble_h1_series,
-                        closed_form_gplus, frame_diagonal,
-                        general_family_omega_zero, hermitian_realizable,
-                        matched_gauge, naive_cd_entries,
+                        closed_form_gplus, general_family_omega_zero,
+                        hermitian_realizable, matched_gauge, naive_cd_entries,
                         nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
-                        PulseSpec, allen_eberly, branch_sqrt, classify_regime,
-                        eigenvalue_path, mixing_angle_path, radicand)
+                        PulseSpec, allen_eberly, classify_regime,
+                        eigenvalue_path, frame_diagonal, mixing_angle_path,
+                        radicand)
 from .experiments import (ShortcutRun, ShortcutTable, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 

@@ -127,8 +127,19 @@ class OutputSet:
         return path
 
 
-def _gamma_tag(gamma: float) -> str:
-    return f"{gamma:g}".replace("-", "m")
+def _tables(cfg: ExperimentConfig, command: str, default: tuple) -> dict:
+    """Table name -> decay rate of a figure command, in order.  A name
+    carries the rate at %g precision, so two rates that print alike would
+    write one file: ConfigError names both, before any file is written."""
+    tables: dict = {}
+    for gamma in cfg.gammas(default):
+        name = f"{command}_gamma{gamma:g}".replace("-", "m")
+        if name in tables:
+            raise ConfigError(
+                f"decay rates {tables[name]!r} and {gamma!r} would both "
+                f"write {name}.{cfg.format}")
+        tables[name] = gamma
+    return tables
 
 
 def _single(values: tuple, what: str) -> str:
@@ -138,20 +149,20 @@ def _single(values: tuple, what: str) -> str:
 
 
 def _pulse(cfg: ExperimentConfig, gamma: float):
-    """The pulse of one decay rate and its branch regime, picked by the
-    peak Rabi frequency (:attr:`ExperimentConfig.peak_omega`)."""
+    """The pulse of one decay rate and the branch regime that labels it,
+    picked by the peak Rabi frequency (:attr:`ExperimentConfig.peak_omega`)."""
     return cfg.pulse_for(gamma), classify_regime(cfg.peak_omega, gamma)
 
 
 def cmd_figure1(cfg: ExperimentConfig) -> int:
     """Radicand trajectories (t, Re Z, Im Z, eta, regime) per decay rate."""
+    tables = _tables(cfg, "figure1", FIGURE1_DEFAULT_GAMMAS)
     out = OutputSet(cfg, "figure1")
     grid = cfg.grid
-    for gamma in cfg.gammas(FIGURE1_DEFAULT_GAMMAS):
+    for name, gamma in tables.items():
         pulse, regime = _pulse(cfg, gamma)
         series = zplane_series(pulse, grid, regime)
-        out.emit(f"figure1_gamma{_gamma_tag(gamma)}",
-                 ["t", "re_z", "im_z", "eta", "regime"],
+        out.emit(name, ["t", "re_z", "im_z", "eta", "regime"],
                  [series["t"], series["re_z"], series["im_z"], series["eta"],
                   [regime.value] * grid.n_points])
         out.add_run(gamma=gamma, regime=regime.value)
@@ -161,13 +172,12 @@ def cmd_figure1(cfg: ExperimentConfig) -> int:
 
 def cmd_figure2(cfg: ExperimentConfig) -> int:
     """Complex mixing angle (t, Re theta, Im theta) per decay rate."""
+    tables = _tables(cfg, "figure2", FIGURE2_DEFAULT_GAMMAS)
     out = OutputSet(cfg, "figure2")
     grid = cfg.grid
-    for gamma in cfg.gammas(FIGURE2_DEFAULT_GAMMAS):
-        pulse, regime = _pulse(cfg, gamma)
-        series = theta_series(pulse, grid, regime)
-        out.emit(f"figure2_gamma{_gamma_tag(gamma)}",
-                 ["t", "re_theta", "im_theta"],
+    for name, gamma in tables.items():
+        series = theta_series(cfg.pulse_for(gamma), grid)
+        out.emit(name, ["t", "re_theta", "im_theta"],
                  [series["t"], series["re_theta"], series["im_theta"]])
         out.add_run(gamma=gamma)
     out.write_manifest()
@@ -194,21 +204,20 @@ def _population_figure(cfg: ExperimentConfig, command: str,
     """One certified shortcut run per decay rate, emitted as ``header``
     with t followed by ``columns(amps)``; status 1 if any run is
     uncertified (every table and the manifest are still written)."""
+    tables = _tables(cfg, command, default_gammas)
     out = OutputSet(cfg, command)
     policy = _single(cfg.policies, "policy")
     initial = _single(cfg.initial_states, "initial state")
     grid = cfg.grid
     uncertified = 0
-    for gamma in cfg.gammas(default_gammas):
+    for name, gamma in tables.items():
         pulse, regime = _pulse(cfg, gamma)
         started = time.perf_counter()
-        run = run_shortcut(pulse, grid, policy=policy,
-                           initial_state=initial, regime=regime)
+        run = run_shortcut(pulse, grid, policy=policy, initial_state=initial)
         elapsed = time.perf_counter() - started
-        out.emit(f"{command}_gamma{_gamma_tag(gamma)}", header,
-                 [run.grid.samples] + columns(run.amps))
+        out.emit(name, header, [run.grid.samples] + columns(run.amps))
         out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                    wall_time_s=elapsed, **run.metrics)
+                    wall_time_s=elapsed, regime=regime.value, **run.metrics)
         uncertified += _flag_uncertified(gamma, policy, initial, run.metrics)
         del run  # free it before the next decay rate's run is built
     out.write_manifest()
@@ -234,14 +243,14 @@ def cmd_figure4(cfg: ExperimentConfig) -> int:
 
 
 def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
-    """(policy, initial state, wall time, metrics) of every policy and
-    initial state of one decay rate.  The policies share one angle path and
-    H0, and each policy's initial states share one certified table.  Each
-    wall time includes an equal share of its table's build time and of the
-    decay rate's shared build time."""
+    """(policy, initial state, wall time, metrics led by the regime label)
+    of every policy and initial state of one decay rate.  The policies
+    share one angle path and H0, and each policy's initial states share one
+    certified table.  Each wall time includes an equal share of its table's
+    build time and of the decay rate's shared build time."""
     started = time.perf_counter()
     pulse, regime = _pulse(cfg, gamma)
-    tables = shortcut_tables(pulse, cfg.grid, cfg.policies, regime)
+    tables = shortcut_tables(pulse, cfg.grid, cfg.policies)
     n_states = len(cfg.initial_states)
     gamma_share = ((time.perf_counter() - started)
                    / (len(cfg.policies) * n_states))
@@ -252,7 +261,7 @@ def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
         share = gamma_share + (time.perf_counter() - started) / n_states
         for initial in cfg.initial_states:
             started = time.perf_counter()
-            metrics = table.run(initial).metrics
+            metrics = {"regime": regime.value, **table.run(initial).metrics}
             runs.append((policy, initial, share + time.perf_counter() - started,
                          metrics))
         del table  # free it before the next policy's table is built
@@ -349,9 +358,8 @@ def _verify_checks(cfg: ExperimentConfig):
     yield "decay-exact[relative]", rel, 1e-8, rel <= 1e-8
 
     for gamma in cfg.gammas(VERIFY_DEFAULT_GAMMAS):
-        pulse, regime = _pulse(cfg, gamma)
-        run = run_shortcut(pulse, cfg.grid, policy=POLICY_HERMITIAN,
-                           regime=regime)
+        run = run_shortcut(cfg.pulse_for(gamma), cfg.grid,
+                           policy=POLICY_HERMITIAN)
         tag = f"gamma={gamma:g}"
         report = run.frame_check()
         res = report.max_abs_residual

@@ -5,15 +5,16 @@ grid (so the RK4 stages of the run and of its half-step certification rerun
 are all tabulated), synthesizes the requested supplement policy, writes
 H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
 matrices of the run and of its rerun together.  The angle path, its
-trigonometric functions, H0 and the eigenvalues do not depend on the
-policy, so the tables of several policies for one pulse share them.  A
-run applies a table to one initial state: it propagates the bare-basis
-state and extracts raw/modified amplitudes and populations.
+trigonometric functions and H0 do not depend on the policy, so the tables
+of several policies for one pulse share them; each table reads the
+eigenvalues off that angle and H0 after its scan.  A run applies a table
+to one initial state: it propagates the bare-basis state and extracts
+raw/modified amplitudes and populations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -60,7 +61,6 @@ class ShortcutTable:
 
     pulse: PulseSpec
     grid: TimeGrid
-    regime: BranchRegime
     policy: str
     theta: MixingAnglePath
     e_plus: np.ndarray
@@ -113,7 +113,6 @@ class ShortcutRun(ShortcutTable):
         g_plus_sq = float(np.abs(self.amps.g_plus[-1]) ** 2)
         residual = float(self.residual.max_abs_residual)
         return {
-            "regime": self.regime.value,
             "g_plus_sq_final": g_plus_sq,
             "p0_renorm_final": float(self.amps.pop_bare_0_renorm[-1]),
             "p1_final": float(self.amps.pop_bare_1[-1]),
@@ -132,24 +131,20 @@ def _every(n: int, obj, grid: TimeGrid, names: tuple):
 
 
 def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
-                    policies: tuple = POLICIES,
-                    regime: Optional[BranchRegime] = None
-                    ) -> Iterator[ShortcutTable]:
+                    policies: tuple = POLICIES) -> Iterator[ShortcutTable]:
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
     The policy-independent part is built here, once: the angle path and its
-    trigonometric functions and H0 on the quarter-step grid, and the
-    eigenvalues on the run grid.  Each policy's table is built only when the
-    returned generator is advanced, so at most one is alive at a time when
-    the caller drops each before asking for the next.
+    trigonometric functions and H0 on the quarter-step grid.  Each policy's
+    table is built only when the returned generator is advanced, so at
+    most one is alive at a time when the caller drops each before asking
+    for the next.
     """
     quarter = grid.refine(4)
-    theta_q = mixing_angle_path(pulse, quarter, regime)
-    regime = theta_q.regime
+    theta_q = mixing_angle_path(pulse, quarter)
     theta = _every(4, theta_q, grid, ("theta", "dtheta"))
-    e_plus, e_minus = eigenvalue_path(pulse, grid, regime)
     h0_q = hamiltonian_entries(pulse, quarter.samples)
-    return (_policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q)
+    return (_policy_table(pulse, policy, theta_q, theta, h0_q)
             for policy in policies)
 
 
@@ -164,19 +159,22 @@ def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
-                  ) -> ShortcutTable:
-    """One policy's supplement, H0 + H1 table, scan, gauges and checks on
-    the run grid of ``theta`` (its temporaries are freed on return)."""
+def _policy_table(pulse, policy, theta_q, theta, h0_q) -> ShortcutTable:
+    """One policy's supplement, H0 + H1 table, scan, eigenvalues (from
+    every 4th sample of ``h0_q``), gauges and checks on the run grid of
+    ``theta`` (its temporaries are freed on return)."""
     grid = theta.grid
     h1_q = _supplement(policy, theta_q)
     h1 = tuple(x[::4].copy() if np.ndim(x) else x for x in h1_q)
     h = phase_table(grid.steps, h0_q, h1_q)
     del h1_q  # freed before the scan's temporaries are allocated
     scan = scan_table(h, grid, certify=True)
+    # after the scan, so the run-grid cos/sin of theta that the eigenvalues
+    # cache on the shared path are not held through the first scan
+    e_plus, e_minus = eigenvalue_path(tuple(x[::4] for x in h0_q), theta)
 
     return ShortcutTable(
-        pulse=pulse, grid=grid, regime=theta.regime, policy=policy,
+        pulse=pulse, grid=grid, policy=policy,
         theta=theta, e_plus=e_plus, e_minus=e_minus,
         gauges=matched_gauge(e_plus, e_minus, h1, theta), h1=h1,
         g_plus_closed=closed_form_gplus(e_plus, h1, theta),
@@ -185,12 +183,10 @@ def _policy_table(pulse, policy, theta_q, theta, e_plus, e_minus, h0_q
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
                  policy: str = POLICY_HERMITIAN,
-                 initial_state: str = INITIAL_EIGEN_PLUS,
-                 regime: Optional[BranchRegime] = None) -> ShortcutRun:
+                 initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
     """Full pipeline for one policy and initial state: the policy's
     :class:`ShortcutTable`, then :meth:`ShortcutTable.run`."""
-    return next(shortcut_tables(pulse, grid, (policy,), regime)).run(
-        initial_state)
+    return next(shortcut_tables(pulse, grid, (policy,))).run(initial_state)
 
 
 def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime) -> dict:
@@ -205,10 +201,9 @@ def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime) -> dic
     }
 
 
-def theta_series(pulse: PulseSpec, grid: TimeGrid,
-                 regime: Optional[BranchRegime] = None) -> dict:
+def theta_series(pulse: PulseSpec, grid: TimeGrid) -> dict:
     """Mixing-angle trajectory columns for the complex-angle figure."""
-    path = mixing_angle_path(pulse, grid, regime)
+    path = mixing_angle_path(pulse, grid)
     return {
         "t": grid.samples,
         "re_theta": path.theta.real,

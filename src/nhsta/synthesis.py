@@ -20,7 +20,8 @@ The last two have the form 0.5*[[delta, W],[conj(W), -delta]], so
 delta = 2*h00 and W = 2*h01.  Every policy's gauge, closed-form surviving
 amplitude, leak residual and frame check read those four entries: the gauge
 and the closed form follow from E_+ + d_+, with d_+ the supplement's
-adiabatic-frame diagonal (``frame_diagonal``), and the residual is twice
+adiabatic-frame diagonal (``two_level.frame_diagonal``, the formula that
+also gives E_+ from H0), and the residual is twice
 the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  For that form, with
 lam = delta*sin(theta) and zeta = Re[W]*cos(theta), the condition reads
 
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import InconsistentChoice, NonFinite
 from .gauges import GaugeFunctions, gauge_from_integrands, matched_delta
 from .grids import TimeGrid, cumulative_trapezoid
-from .two_level import MixingAnglePath
+from .two_level import MixingAnglePath, frame_diagonal
 
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
@@ -124,16 +125,6 @@ def assemble_h1_series(h1: tuple) -> np.ndarray:
     for c, x in enumerate(h1):
         out[:, c] = x
     return out.reshape(n, 2, 2)
-
-
-def frame_diagonal(h1: tuple, theta_path: MixingAnglePath):
-    """The (+,+) entry of the supplement with entries ``h1`` in the
-    adiabatic frame,
-    d_+ = h00 cos^2(theta/2) + h11 sin^2(theta/2) + (h01 + h10) sin(theta)/2
-    (0 for the naive term, which has no diagonal there)."""
-    h00, h01, h10, h11 = h1
-    return (h00 * theta_path.cos_half ** 2 + h11 * theta_path.sin_half ** 2
-            + (h01 + h10) * (0.5 * theta_path.sin))
 
 
 def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray, h1: tuple,

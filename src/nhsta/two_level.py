@@ -14,7 +14,9 @@ where tan(theta) = -Omega_R / (Delta - i*gamma/2).  With this sign the vectors
 above are exact eigenvectors of H0 and theta sweeps 0 -> pi across a chirped
 level crossing, carrying |+> from the bare ground state to the bare excited
 state.  Left (biorthogonal) partners are the same expressions evaluated at
-conj(theta).
+conj(theta).  The tracked angle fixes which root is E_+: the one of |+>,
+E_+ = <+~|H0|+> (:func:`eigenvalue_path`), so no branch cut of sqrt(Z)
+enters a run; the cut only places eta = arg Z for the branch-cut figure.
 """
 from __future__ import annotations
 
@@ -22,15 +24,12 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from .grids import TimeGrid
-
-#: spectral-gap threshold (units 1/tau) below which we refuse to track
-DEGENERACY_THRESHOLD = 1e-8
 
 ControlFn = Callable[[np.ndarray], np.ndarray]
 
@@ -85,7 +84,8 @@ class AllenEberlyParams:
 
 
 class BranchRegime(Enum):
-    """Square-root branch placement for the radicand trajectory.
+    """Branch-cut placement for the radicand's argument eta, which figure1
+    plots and whose name labels a run's row.
 
     Sub-critical decay keeps Re[Z] > 0, so the cut sits just below the
     negative real axis (argument in (-pi, pi]).  Super-critical trajectories
@@ -110,7 +110,6 @@ class MixingAnglePath:
     grid: TimeGrid
     theta: np.ndarray
     dtheta: np.ndarray
-    regime: BranchRegime
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -132,6 +131,17 @@ class MixingAnglePath:
     @cached_property
     def cos(self) -> np.ndarray:
         return np.cos(self.theta)
+
+
+def frame_diagonal(h: tuple, theta_path: MixingAnglePath):
+    """The (+,+) entry <+~|H|+> of the matrix with entries ``h`` = (h00,
+    h01, h10, h11) in the adiabatic frame,
+    h00 cos^2(theta/2) + h11 sin^2(theta/2) + (h01 + h10) sin(theta)/2:
+    E_+ for H0 and the diagonal shift d_+ for a supplement (0 for the naive
+    term, which has no diagonal there)."""
+    h00, h01, h10, h11 = h
+    return (h00 * theta_path.cos_half ** 2 + h11 * theta_path.sin_half ** 2
+            + (h01 + h10) * (0.5 * theta_path.sin))
 
 
 def classify_regime(omega0: float, gamma: float) -> BranchRegime:
@@ -194,17 +204,6 @@ def radicand(pulse: PulseSpec, t):
     return z[()] if z.ndim == 0 else z
 
 
-def branch_sqrt(z, regime: BranchRegime):
-    """sqrt(Z) = |Z|^(1/2) exp(i*eta/2) with eta taken in the regime's cut."""
-    z = np.asarray(z, dtype=complex)
-    if regime is BranchRegime.SUB_CRITICAL:
-        out = np.sqrt(z)
-    else:
-        eta = np.mod(np.angle(z), 2.0 * np.pi)
-        out = np.sqrt(np.abs(z)) * np.exp(0.5j * eta)
-    return out[()] if out.ndim == 0 else out
-
-
 def branch_argument(z, regime: BranchRegime):
     """Argument eta of Z in the regime's range ((-pi, pi] or [0, 2pi))."""
     z = np.asarray(z, dtype=complex)
@@ -214,27 +213,13 @@ def branch_argument(z, regime: BranchRegime):
     return eta[()] if eta.ndim == 0 else eta
 
 
-def eigenvalue_path(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime):
-    """(E_+, E_-) = (-i*gamma ± sqrt(Z))/4 on a grid, the root on the
-    regime's branch, with a step-to-step continuity audit.
-
-    A gap |E_+ - E_-| = |sqrt(Z)|/2 at or below DEGENERACY_THRESHOLD is
-    refused.  The cut fixes the root; if consecutive roots are closer to each
-    other's negatives than to each other, the declared cut conflicts with
-    continuity and a BranchJump is raised.
-    """
-    ts = grid.samples
-    om, dl, gm = _controls(pulse, ts)
-    sq = branch_sqrt(_radicand(ts, om, dl, gm), regime)
-    if np.any(np.abs(sq) <= 2.0 * DEGENERACY_THRESHOLD):
-        raise DegenerateRegime("eigenvalue gap below degeneracy threshold")
-    jump = np.abs(np.diff(sq)) > np.abs(sq[1:] + sq[:-1])
-    if np.any(jump):
-        k = int(np.argmax(jump)) + 1
-        raise BranchJump(
-            f"sqrt(Z) root flipped against the {regime.value} cut near t={ts[k]:g}"
-        )
-    return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq)
+def eigenvalue_path(h0: tuple, path: MixingAnglePath) -> tuple:
+    """(E_+, E_-) on the grid of ``path``: E_+ = <+~|H0|+> is the
+    :func:`frame_diagonal` of H0's entries ``h0`` at the tracked angle, so it
+    belongs to the eigenvector |+> the path carries, and E_- follows from the
+    trace, h00 + h11 - E_+."""
+    e_plus = frame_diagonal(h0, path)
+    return e_plus, h0[0] + h0[3] - e_plus
 
 
 def _principal_theta(omega, a):
@@ -251,18 +236,18 @@ def _principal_theta(omega, a):
     return np.where(use_cot, 0.5 * np.pi - at, at)
 
 
-def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
-                      regime: Optional[BranchRegime] = None) -> MixingAnglePath:
+def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid) -> MixingAnglePath:
     """Branch-continuous theta(t) with tan(theta) = -Omega_R/(Delta - i*gamma/2).
 
     Anchored at the principal representative at t0 (Re theta in (-pi/2, pi/2],
     the near-zero branch for Delta(t0) < 0); each later sample takes the
     representative theta + m*pi closest to its predecessor, i.e. m
     accumulates minus the rounded principal steps.  The rate dtheta is
-    :func:`mixing_angle_rate`'s, from the pulse's derivatives.
+    :func:`mixing_angle_rate`'s, from the same control samples and the
+    pulse's derivatives.
     """
     ts = grid.samples
-    om, dl, gm = _controls(pulse, ts)
+    controls = om, dl, gm = _controls(pulse, ts)
     if np.any(gm < 0):
         raise ValueError("gamma(t) must be non-negative on the grid")
 
@@ -282,17 +267,15 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
             f"no representative of theta within pi/2 of the previous sample "
             f"near t={ts[k]:g}; refine the grid"
         )
-
-    if regime is None:
-        regime = classify_regime(float(np.max(om)), float(np.max(gm)))
     return MixingAnglePath(grid=grid, theta=theta,
-                           dtheta=mixing_angle_rate(pulse, ts), regime=regime)
+                           dtheta=mixing_angle_rate(pulse, ts, controls))
 
 
-def mixing_angle_rate(pulse: PulseSpec, t):
+def mixing_angle_rate(pulse: PulseSpec, t, controls: tuple):
     """dtheta/dt = (Omega*da/dt - dOmega/dt*a)/(a^2 + Omega^2) with
-    a = Delta - i*gamma/2, at arbitrary t, from the pulse's derivatives."""
-    om, dl, gm = _controls(pulse, t)
+    a = Delta - i*gamma/2, at arbitrary t, from ``controls`` = (Omega_R,
+    Delta, gamma) sampled at t and the pulse's derivatives."""
+    om, dl, gm = controls
     d_om, d_dl, d_gm = _controls(pulse, t, rates=True)
     a = dl - 0.5j * gm
     da = d_dl - 0.5j * d_gm

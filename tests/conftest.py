@@ -4,8 +4,9 @@ import pytest
 
 from nhsta.experiments import run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (AllenEberlyParams, MixingAnglePath, allen_eberly,
-                             classify_regime, mixing_angle_path)
+from nhsta.two_level import (AllenEberlyParams, MixingAnglePath, PulseSpec,
+                             allen_eberly, eigenvalue_path,
+                             hamiltonian_entries, mixing_angle_path)
 
 OMEGA0 = 1.0
 DELTA0 = 9.0
@@ -17,16 +18,21 @@ def ae_params(gamma: float, t_f: float = 1.0) -> AllenEberlyParams:
 
 
 def ae_setup(gamma: float, steps: int, t_f: float = 1.0):
-    """(pulse, run grid, branch regime) of the sech/tanh pulse at one decay
-    rate on [-t_f, t_f]."""
+    """(pulse, run grid) of the sech/tanh pulse at one decay rate on
+    [-t_f, t_f]."""
     params = ae_params(gamma, t_f)
-    return (allen_eberly(params), TimeGrid(params.t0, params.t_f, steps),
-            classify_regime(OMEGA0, gamma))
+    return allen_eberly(params), TimeGrid(params.t0, params.t_f, steps)
 
 
-def shortcut_table(pulse, grid, policy="hermitian-realizable", regime=None):
+def shortcut_table(pulse, grid, policy="hermitian-realizable"):
     """The one table of ``shortcut_tables`` for a single policy."""
-    return next(shortcut_tables(pulse, grid, (policy,), regime))
+    return next(shortcut_tables(pulse, grid, (policy,)))
+
+
+def path_eigenvalues(pulse: PulseSpec, path: MixingAnglePath) -> tuple:
+    """(E_+, E_-) of ``eigenvalue_path`` on the grid of ``path``, from H0
+    sampled there."""
+    return eigenvalue_path(hamiltonian_entries(pulse, path.grid.samples), path)
 
 
 @pytest.fixture(scope="session")
@@ -38,10 +44,9 @@ def shortcut_run():
             initial_state="eigen-plus"):
         key = (gamma, policy, steps, initial_state)
         if key not in cache:
-            pulse, grid, regime = ae_setup(gamma, steps)
+            pulse, grid = ae_setup(gamma, steps)
             cache[key] = run_shortcut(pulse, grid, policy=policy,
-                                      initial_state=initial_state,
-                                      regime=regime)
+                                      initial_state=initial_state)
         return cache[key]
 
     return get
@@ -57,8 +62,7 @@ def theta_paths():
         if key not in cache:
             pulse = allen_eberly(ae_params(gamma))
             grid = TimeGrid(-1.0, 1.0, steps)
-            regime = classify_regime(OMEGA0, gamma) if gamma > 0 else None
-            cache[key] = (pulse, mixing_angle_path(pulse, grid, regime))
+            cache[key] = (pulse, mixing_angle_path(pulse, grid))
         return cache[key]
 
     return get

@@ -6,7 +6,8 @@ eigenvector paths decomposed point by point, counterdiabatic and
 adiabatic-frame matrices from finite differences of those paths, explicit
 frame rotations (R, R~), the per-index closed-form frame matrix of H0, the
 closed-form eigenvector pair of a mixing angle, the bare Hamiltonian and
-its eigenvalues at any t, the counterdiabatic matrices, the general
+its eigenvalues at any t on either square-root cut (``branch_sqrt``, the
+reference root), the counterdiabatic matrices, the general
 supplement family for any lam(t) and Re[W](t), and the hermitian-only
 closed form of the surviving amplitude.
 """
@@ -24,7 +25,7 @@ from nhsta.gauges import GaugeFunctions
 from nhsta.grids import TimeGrid, cumulative_trapezoid
 from nhsta.synthesis import naive_cd_entries
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                             branch_sqrt, hamiltonian_entries, radicand)
+                             hamiltonian_entries, radicand)
 
 #: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
 #: :func:`general_family` accepts
@@ -185,12 +186,33 @@ def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
     return entry_matrices(hamiltonian_entries(pulse, t))
 
 
+def branch_sqrt(z, regime: BranchRegime):
+    """sqrt(Z) = |Z|^(1/2) exp(i*eta/2) with eta taken in the regime's cut."""
+    z = np.asarray(z, dtype=complex)
+    if regime is BranchRegime.SUB_CRITICAL:
+        out = np.sqrt(z)
+    else:
+        eta = np.mod(np.angle(z), 2.0 * np.pi)
+        out = np.sqrt(np.abs(z)) * np.exp(0.5j * eta)
+    return out[()] if out.ndim == 0 else out
+
+
 def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
     """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) at any t, the root on the
     regime's branch."""
     sq = branch_sqrt(radicand(pulse, t), regime)
     gm = pulse.gamma(t)
     return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq)
+
+
+def paired_eigenvalues(pulse: PulseSpec, t: float, theta: complex) -> tuple:
+    """(E_+, E_-) at one t: the two roots (-i*gamma ± sqrt(Z))/4, ordered so
+    that E_+ is the one whose eigenvector is |+> of ``theta``."""
+    roots = eigenvalues(pulse, t, BranchRegime.SUB_CRITICAL)
+    (plus, _), _ = eigenvectors(theta)
+    h = hamiltonian(pulse, t)
+    misfit = [np.linalg.norm(h @ plus - e * plus) for e in roots]
+    return roots if misfit[0] <= misfit[1] else roots[::-1]
 
 
 def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
@@ -330,7 +352,7 @@ def adiabatic_frame_h0(pulse: PulseSpec, theta_path: MixingAnglePath,
     if gauges.grid != theta_path.grid:
         raise ValueError("gauges and theta path must share the grid")
     t = theta_path.grid.samples[k]
-    e_plus, e_minus = eigenvalues(pulse, t, theta_path.regime)
+    e_plus, e_minus = paired_eigenvalues(pulse, t, theta_path.theta[k])
     fp, fm = gauges.f_plus[k], gauges.f_minus[k]
     if fp == 0 or fm == 0:
         raise ZeroGauge("gauge factor vanished")

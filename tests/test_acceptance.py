@@ -6,14 +6,13 @@ verbose run reads as a pass/fail report.
 import numpy as np
 import pytest
 
-from conftest import analytic_two_level_systems, ae_params
+from conftest import analytic_two_level_systems, ae_params, path_eigenvalues
 from nhsta.biorthogonal import decompose, reconstruct
 from nhsta.errors import DegenerateRegime, DegenerateSpectrum
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import assemble_h1_series, hermitian_realizable
-from nhsta.two_level import (allen_eberly, classify_regime, eigenvalue_path,
-                             radicand)
+from nhsta.two_level import allen_eberly, classify_regime, radicand
 from oracles import (EigenPath, counterdiabatic_generic,
                      left_right_derivative_identity, rotation)
 
@@ -136,7 +135,7 @@ def test_criterion_6_biorthogonal_formalism(shortcut_run, theta_paths):
     assert rtrip <= 1e-10
 
     pulse, path = theta_paths(1.0)
-    e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+    e_plus, e_minus = path_eigenvalues(pulse, path)
     gpath = EigenPath.from_systems(
         path.grid, analytic_two_level_systems(path, e_plus, e_minus))
     bound = 10.0 * path.grid.step**2
@@ -192,7 +191,7 @@ def test_criterion_7_generic_and_closed_form_agree(theta_paths):
 
     # the vectorized series equals the per-index generic op
     pulse4, path4 = theta_paths(1.0, steps=4000)
-    ep4, em4 = eigenvalue_path(pulse4, path4.grid, path4.regime)
+    ep4, em4 = path_eigenvalues(pulse4, path4)
     gpath = EigenPath.from_systems(
         path4.grid, analytic_two_level_systems(path4, ep4, em4))
     cd4 = _cd_series_two_level(path4)

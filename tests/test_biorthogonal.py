@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from conftest import ae_params, analytic_two_level_systems
+from conftest import ae_params, analytic_two_level_systems, path_eigenvalues
 from nhsta.biorthogonal import BiorthogonalSystem, decompose, reconstruct
 from nhsta.errors import DegenerateSpectrum, NonFinite
 from nhsta.grids import TimeGrid
-from nhsta.two_level import allen_eberly, eigenvalue_path
+from nhsta.two_level import allen_eberly
 from oracles import (EigenPath, adiabatic_frame_generic,
                      counterdiabatic_generic, hamiltonian,
                      left_right_derivative_identity)
@@ -131,7 +131,7 @@ class TestEigenPath:
 
     def test_counterdiabatic_matches_two_level_closed_form(self, theta_paths):
         pulse, path = theta_paths(1.0, steps=4000)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         systems = analytic_two_level_systems(path, e_plus, e_minus)
         gpath = EigenPath.from_systems(path.grid, systems)
         for k in (700, 2000, 3100):
@@ -195,7 +195,7 @@ class TestDerivativePairIdentity:
 
     def test_adjoint_pair_agrees_on_lossy_two_level_path(self, theta_paths):
         pulse, path = theta_paths(1.0)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         gpath = EigenPath.from_systems(
             path.grid, analytic_two_level_systems(path, e_plus, e_minus))
         bound = 10.0 * path.grid.step**2
@@ -213,7 +213,7 @@ class TestDerivativePairIdentity:
         # the conjugated cross-overlap equals the adjoint pair only for
         # effectively Hermitian derivative overlaps; a lossy path breaks it
         pulse, path = theta_paths(1.0)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         gpath = EigenPath.from_systems(
             path.grid, analytic_two_level_systems(path, e_plus, e_minus))
         k = 2400

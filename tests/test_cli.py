@@ -350,6 +350,19 @@ class TestFigure3:
                                  "policy=hermitian-realizable "
                                  "initial_state=eigen-plus ")
 
+    def test_window_after_the_crossing_keeps_g_plus_at_one(self, tmp_path,
+                                                          capsys):
+        # Delta > 0 on the whole window: theta starts near 0, so |+> is the
+        # bare ground state and E_+ the root near -Delta/2, which the
+        # sub-critical cut of sqrt(Z) would call E_-
+        flags = ["--t0", "0.5", "--t-final", "1", "--gamma", "0.3,1.9"]
+        assert main(["figure3", *flags, "--out", str(tmp_path)]) == 0
+        for gamma in ("0.3", "1.9"):
+            data = read_csv(tmp_path / f"figure3_gamma{gamma}.csv")
+            assert abs(data["g_plus_sq"][-1] - 1.0) <= 1e-6, gamma
+        assert main(["verify", *flags, "--out", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
 
 class TestFigure4:
     def test_inversion_series(self, tmp_path):
@@ -435,6 +448,13 @@ class TestSweep:
     def test_empty_gamma_list_is_config_error(self, tmp_path):
         assert main(["sweep", "--out", str(tmp_path)]) == 2
 
+    def test_decay_rates_that_print_alike_keep_their_rows(self, tmp_path):
+        # a sweep row carries the full decay rate, so nothing collides
+        assert main(["sweep", "--gamma", "0.1,0.1000001", "--steps", "1000",
+                     "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert list(rows["gamma"]) == [0.1, 0.1000001]
+
     def test_json_tables_of_every_policy_are_valid_json(self, tmp_path):
         # every row, naive-cd's included, holds finite numbers: NaN or
         # Infinity would make the files unreadable for strict JSON parsers
@@ -453,6 +473,20 @@ class TestSweep:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command",
+                             ["figure1", "figure2", "figure3", "figure4"])
+    def test_decay_rates_sharing_a_table_name_exit_config(self, tmp_path,
+                                                           capsys, command):
+        # both rates print as 0.1 at %g, so the second table would overwrite
+        # the first under one file name
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.1,0.1000001", "--steps", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: decay rates 0.1 and 0.1000001 would both "
+            f"write {command}_gamma0.1.csv"]
+        assert not out.exists()
+
     def test_critical_decay_rate_exits_numerical(self, tmp_path):
         assert main(["figure3", "--gamma", "2.0", "--out", str(tmp_path)]) == 3
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import ae_params, analytic_two_level_systems
+from conftest import ae_params, analytic_two_level_systems, path_eigenvalues
 from nhsta.biorthogonal import BiorthogonalSystem
 from nhsta.errors import SinThetaSingular, ZeroGauge
 from nhsta.gauges import gauge_simple, matched_delta
@@ -11,9 +11,8 @@ from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import (hermitian_realizable, matched_gauge,
                              naive_cd_entries)
-from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                             allen_eberly, eigenvalue_path, mixing_angle_path,
-                             theta_at)
+from nhsta.two_level import (MixingAnglePath, PulseSpec, allen_eberly,
+                             mixing_angle_path, theta_at)
 from oracles import (EigenPath, adiabatic_frame_generic, adiabatic_frame_h0,
                      rotation)
 
@@ -36,7 +35,7 @@ class TestGaugeSimple:
 
     def test_lossy_upper_gauge_monotone_when_im_e_nonpositive(self, theta_paths):
         pulse, path = theta_paths(0.3)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         assert np.max(e_plus.imag) <= 1e-12  # sign audit of the integrand
         g = gauge_simple(e_plus, e_minus, path.grid)
         assert np.max(np.abs(g.f_plus.imag)) == 0.0
@@ -49,7 +48,7 @@ class TestGaugeSimple:
         # the naive term has no frame diagonal, so its matched gauge is the
         # simple one, signed zeros included
         pulse, path = theta_paths(gamma)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         got = matched_gauge(e_plus, e_minus, naive_cd_entries(path), path)
         want = gauge_simple(e_plus, e_minus, path.grid)
         for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
@@ -62,13 +61,13 @@ class TestGaugeSimple:
 class TestGaugeShortcut:
     def test_lossless_limit_is_unit_gauge(self, theta_paths):
         pulse, path = theta_paths(0.0)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
         assert np.max(np.abs(g.f_plus - 1.0)) < 1e-12
 
     def test_factor_is_real_positive(self, theta_paths):
         pulse, path = theta_paths(1.0)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
         assert np.max(np.abs(g.f_plus.imag)) == 0.0
         assert np.min(g.f_plus.real) > 0.0
@@ -77,7 +76,7 @@ class TestGaugeShortcut:
     def test_unit_modulus_condition_holds_pointwise(self, theta_paths):
         # Im[E+ - i*(df+/f+) + delta*cos(theta)/2] == 0 with the synthesized delta
         pulse, path = theta_paths(1.0)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
         delta = 2 * hermitian_realizable(path)[0]
         cond = (e_plus - 1j * g.dlogf_plus
@@ -89,7 +88,7 @@ class TestGaugeShortcut:
         pulse = allen_eberly(ae_params(gamma))
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
-        e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
 
         ts = grid.samples
@@ -130,8 +129,7 @@ class TestGaugeShortcut:
         grid = TimeGrid(0.0, 1.0, 4)
         theta = np.zeros(5, dtype=complex)  # Re[sin theta] = 0 everywhere
         dtheta = np.full(5, 1j, dtype=complex)  # with a surviving numerator
-        path = MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta,
-                               regime=BranchRegime.SUB_CRITICAL)
+        path = MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta)
         with pytest.raises(SinThetaSingular):
             matched_delta(path)
 
@@ -185,7 +183,7 @@ class TestFrameMatrix:
         )
         grid = TimeGrid(0.0, 1.0, 100)
         path = mixing_angle_path(pulse, grid)
-        e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
         frame = adiabatic_frame_h0(pulse, path, g, 50)
         assert abs(frame[0, 1]) == 0.0
@@ -194,7 +192,7 @@ class TestFrameMatrix:
 
     def test_coupling_antisymmetry_pattern_exact(self, theta_paths):
         pulse, path = theta_paths(1.0)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, path.grid)
         for k in (100, 2000, 3900):
             frame = adiabatic_frame_h0(pulse, path, g, k)
@@ -208,7 +206,7 @@ class TestFrameMatrix:
         pulse = allen_eberly(ae_params(gamma))
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
-        e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
         systems = analytic_two_level_systems(path, e_plus, e_minus)
         scaled = []
@@ -236,7 +234,7 @@ class TestFrameMatrix:
         pulse = allen_eberly(replace(ae_params(gamma=0.1), omega0=50.0))
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
-        e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
 
         coupling = np.abs(0.5 * path.dtheta * g.f_minus / g.f_plus)

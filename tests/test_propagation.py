@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from conftest import ae_params, ae_setup, shortcut_table
+from conftest import ae_params, ae_setup, path_eigenvalues, shortcut_table
 from nhsta.errors import NonFinite
 
 from nhsta.experiments import (INITIAL_STATES, POLICIES, run_shortcut,
@@ -18,7 +18,7 @@ from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                _block_size, amplitudes, convergence_check,
                                integrate, phase_table, scan_table)
-from nhsta.two_level import (allen_eberly, eigenvalue_path, mixing_angle_path,
+from nhsta.two_level import (_controls, allen_eberly, mixing_angle_path,
                              mixing_angle_rate, theta_at)
 from oracles import hamiltonian
 
@@ -70,7 +70,7 @@ def hermitian_shortcut_h(gamma, path):
         ref = complex(np.interp(t, ts, path.theta.real),
                       np.interp(t, ts, path.theta.imag))
         th = theta_at(pulse, t, ref)
-        dth = complex(mixing_angle_rate(pulse, t))
+        dth = complex(mixing_angle_rate(pulse, t, _controls(pulse, t)))
         delta = dth.imag / np.sin(th).real
         omega_a = -dth.real - delta * np.sin(th).imag
         h1 = 0.5 * np.array([[delta, 1j * omega_a], [-1j * omega_a, -delta]])
@@ -244,7 +244,7 @@ class TestPropagate:
 class TestAmplitudes:
     def test_reference_state_form_projects_cleanly(self, theta_paths):
         pulse, path = theta_paths(0.3)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, path.grid)
         rng = np.random.default_rng(77)
         gp = np.exp(1j * rng.uniform(0, 2 * np.pi, path.grid.n_points))
@@ -262,7 +262,7 @@ class TestAmplitudes:
         pulse = allen_eberly(replace(ae_params(gamma=0.0), omega0=20.0))
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
-        e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
 
         def h_total(t):
@@ -281,7 +281,7 @@ class TestAmplitudes:
         gamma = 1.0
         pulse, path = theta_paths(gamma)
         grid = path.grid
-        e_plus, e_minus = eigenvalue_path(pulse, grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
 
         def h_total(t):
@@ -347,19 +347,19 @@ class TestConvergence:
 
     def test_super_critical_run_certifies(self):
         # gamma > 2*omega0: the removable point at t = 0 must not spoil RK4
-        pulse, grid, regime = ae_setup(3.0, 4000)
-        run = run_shortcut(pulse, grid, regime=regime)
+        pulse, grid = ae_setup(3.0, 4000)
+        run = run_shortcut(pulse, grid)
         assert run.convergence <= 1e-7
         assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_shared_table_equals_single_runs_bitwise(self, policy):
-        pulse, grid, regime = ae_setup(3.0, 1000)
-        table = shortcut_table(pulse, grid, policy=policy, regime=regime)
+        pulse, grid = ae_setup(3.0, 1000)
+        table = shortcut_table(pulse, grid, policy=policy)
         for state in INITIAL_STATES:
             shared = table.run(state)
             alone = run_shortcut(pulse, grid, policy=policy,
-                                 initial_state=state, regime=regime)
+                                 initial_state=state)
             assert np.array_equal(shared.trajectory.psi, alone.trajectory.psi)
             assert np.array_equal(shared.amps.g_plus, alone.amps.g_plus)
             assert shared.convergence == alone.convergence
@@ -367,14 +367,14 @@ class TestConvergence:
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
     def test_policy_tables_of_one_pass_equal_single_runs_bitwise(self, gamma):
-        pulse, grid, regime = ae_setup(gamma, 1000)
-        tables = shortcut_tables(pulse, grid, POLICIES, regime)
+        pulse, grid = ae_setup(gamma, 1000)
+        tables = shortcut_tables(pulse, grid, POLICIES)
         for policy, table in zip(POLICIES, tables):
             assert table.policy == policy
             for state in INITIAL_STATES:
                 shared = table.run(state)
                 alone = run_shortcut(pulse, grid, policy=policy,
-                                     initial_state=state, regime=regime)
+                                     initial_state=state)
                 assert np.array_equal(shared.trajectory.psi,
                                       alone.trajectory.psi)
                 for f in fields(AmplitudeTrajectory)[1:]:
@@ -389,8 +389,8 @@ class TestConvergence:
                                       alone.g_plus_closed)
 
     def test_one_policy_table_alive_at_a_time(self):
-        pulse, grid, regime = ae_setup(1.0, 1000)
-        tables = shortcut_tables(pulse, grid, POLICIES, regime)
+        pulse, grid = ae_setup(1.0, 1000)
+        tables = shortcut_tables(pulse, grid, POLICIES)
         table = next(tables)
         scan = weakref.ref(table.scan)
         del table
@@ -398,9 +398,9 @@ class TestConvergence:
         assert scan() is None
 
     def test_run_path_is_quarter_path_every_fourth_sample(self):
-        pulse, grid, regime = ae_setup(3.0, 1000)
-        path = shortcut_table(pulse, grid, regime=regime).theta
-        quarter = mixing_angle_path(pulse, grid.refine(4), regime)
+        pulse, grid = ae_setup(3.0, 1000)
+        path = shortcut_table(pulse, grid).theta
+        quarter = mixing_angle_path(pulse, grid.refine(4))
         for name in ("theta", "dtheta", "cos_half", "sin_half", "sin", "cos"):
             assert np.array_equal(getattr(path, name),
                                   getattr(quarter, name)[::4])
@@ -410,8 +410,8 @@ class TestConvergence:
     def test_paired_gap_equals_unpaired_half_step_gap(self, gamma, steps):
         # the rerun's two half steps per interval, multiplied into one
         # matrix, against a separate scan of all half steps
-        pulse, grid, regime = ae_setup(gamma, steps)
-        table = shortcut_table(pulse, grid, regime=regime)
+        pulse, grid = ae_setup(gamma, steps)
+        table = shortcut_table(pulse, grid)
         # [c, p, k] of the table is entry c of quarter-step row 4k + p
         h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
         h_quarter = h_quarter[:4 * steps + 1]
@@ -448,10 +448,10 @@ class TestConvergence:
         # states was 5,228,879 bytes with separate scans of the run and of
         # all 8,000 half steps (Python 3.11, numpy 2.4); it must not grow.
         previous_peak = 5_228_879
-        pulse, grid, regime = ae_setup(1.0, 4000)
+        pulse, grid = ae_setup(1.0, 4000)
 
         def build_and_run():
-            table = shortcut_table(pulse, grid, regime=regime)
+            table = shortcut_table(pulse, grid)
             return [table.run(state) for state in INITIAL_STATES]
 
         build_and_run()  # one-time allocations stay out of the peak

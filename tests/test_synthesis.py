@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from conftest import ae_setup, analytic_two_level_systems, shortcut_table
+from conftest import (ae_setup, analytic_two_level_systems, path_eigenvalues,
+                      shortcut_table)
 from nhsta import synthesis
 from nhsta.errors import InconsistentChoice, NonFinite
 from nhsta.experiments import POLICIES
@@ -10,7 +11,7 @@ from nhsta.grids import TimeGrid
 from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
                              general_family_omega_zero, hermitian_realizable,
                              matched_gauge, nullification_residual)
-from nhsta.two_level import eigenvalue_path, mixing_angle_path
+from nhsta.two_level import mixing_angle_path
 from oracles import (EigenPath, counterdiabatic_generic, general_family,
                      hamiltonian, hermitian_closed_form_gplus, naive_cd,
                      rotation)
@@ -57,7 +58,7 @@ class TestNaiveCounterdiabatic:
 
     def test_matches_generic_finite_difference_construction(self, theta_paths):
         pulse, path = theta_paths(1.0, steps=64000)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         h1 = naive_cd(path)
         gpath = EigenPath.from_systems(
             path.grid, analytic_two_level_systems(path, e_plus, e_minus))
@@ -104,10 +105,10 @@ class TestHermitianRealizable:
         # a real diagonal, opposite on the two sites, and a purely
         # imaginary drive W whose conjugate is the lower entry (equal in
         # value: the zero real parts of h01 and h10 may differ in sign)
-        pulse, grid, regime = ae_setup(gamma, steps)
+        pulse, grid = ae_setup(gamma, steps)
         for g in (grid, grid.refine(4)):
             h00, h01, h10, h11 = hermitian_realizable(
-                mixing_angle_path(pulse, g, regime))
+                mixing_angle_path(pulse, g))
             assert h00.dtype.kind == "f" and h11.dtype.kind == "f"
             assert np.all(h00.imag == 0)
             assert np.all(h01.real == 0)
@@ -145,9 +146,9 @@ class TestGeneralFamily:
         # delta = -i*dtheta/sin(theta) and W = 0 are the generic family
         # member lam = -i*dtheta, bit for bit, on the run and quarter grids;
         # the closed form needs no cos(theta)
-        pulse, grid, regime = ae_setup(gamma, steps)
+        pulse, grid = ae_setup(gamma, steps)
         for g in (grid, grid.refine(4)):
-            path = mixing_angle_path(pulse, g, regime)
+            path = mixing_angle_path(pulse, g)
             got = general_family_omega_zero(path)
             assert "cos" not in vars(path)
             want = general_family(path, lambda_choice=-1j * path.dtheta)
@@ -261,7 +262,7 @@ class TestClosedForm:
     def test_hermitian_equals_delta_cos_theta_form(self, theta_paths, gamma):
         # the frame diagonal d_+ reduces to delta*cos(theta)/2 when Re[W] = 0
         pulse, path = theta_paths(gamma)
-        e_plus, e_minus = eigenvalue_path(pulse, path.grid, path.regime)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
         h1 = hermitian_realizable(path)
         gauges = matched_gauge(e_plus, e_minus, h1, path)
         want = hermitian_closed_form_gplus(e_plus, gauges, h1, path)
@@ -289,9 +290,9 @@ class TestSingleDeltaForm:
                                         "general-omega-zero", "naive-cd"])
     def test_quarter_table_equals_two_field_formula_bitwise(self, gamma,
                                                             policy):
-        pulse, grid, regime = ae_setup(gamma, 1000)
+        pulse, grid = ae_setup(gamma, 1000)
         quarter = grid.refine(4)
-        theta_q = mixing_angle_path(pulse, quarter, regime)
+        theta_q = mixing_angle_path(pulse, quarter)
         if policy == "naive-cd":
             want = diagonal_freedom_cd(theta_q)
         elif policy == "hermitian-realizable":
@@ -304,7 +305,7 @@ class TestSingleDeltaForm:
             delta, omega = 2 * h1[0], 2 * h1[1]
             want = self.two_field_h1(delta, -delta, omega)
         want += hamiltonian(pulse, quarter.samples)
-        table = shortcut_table(pulse, grid, policy=policy, regime=regime)
+        table = shortcut_table(pulse, grid, policy=policy)
         h = table.scan.h  # [c, p, k] is entry c of quarter-step row 4k + p
         got = h.transpose(2, 1, 0).reshape(-1, 2, 2)[:4 * grid.steps + 1]
         assert_bitwise(got, want)
@@ -322,8 +323,8 @@ class TestSingleDeltaForm:
             return frame_coupling(theta_path, h_total, gauges)
 
         monkeypatch.setattr(synthesis, "_frame_coupling", record)
-        pulse, grid, regime = ae_setup(1.0, steps)
-        table = shortcut_table(pulse, grid, policy=policy, regime=regime)
+        pulse, grid = ae_setup(1.0, steps)
+        table = shortcut_table(pulse, grid, policy=policy)
         assert seen == []  # the frame check runs on request only
         table.frame_check()
         assert len(seen) == 1

@@ -1,9 +1,10 @@
 """Structure guards: the benchmark's tracing script still finds every name
 it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
-place, no module loads OpenSSL, theta's rate has one formula, and the
-policy names are spelled in one module."""
+place, no module loads OpenSSL, theta's rate has one formula, the policy
+names are spelled in one module, and no run takes a branch regime."""
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -156,14 +157,14 @@ def test_one_propagation_path(monkeypatch):
     grid = TimeGrid(0.0, 1.0, 100)
     h = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
     psi0 = np.array([1, 0], dtype=complex)
-    pulse, run_grid, regime = ae_setup(1.0, 400)
+    pulse, run_grid = ae_setup(1.0, 400)
     entry_points = {
         "cli.rabi_error": lambda: nhsta.cli.rabi_error(100),
         "integrate": lambda: propagation.integrate(lambda t: h, psi0, grid),
         "convergence_check": lambda: propagation.convergence_check(
             lambda t: h, psi0, grid),
         "run_shortcut": lambda: experiments.run_shortcut(
-            pulse, run_grid, regime=regime),
+            pulse, run_grid),
     }
     for name, call in entry_points.items():
         calls.clear()
@@ -183,6 +184,48 @@ def test_one_control_sampler():
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "pulse" and node.attr in controls}
     assert samplers == {("_controls", name) for name in controls}
+
+
+def test_controls_sampled_twice_per_pulse():
+    # the angle path and its rate read one sample of the controls, H0 a
+    # second, both on the quarter-step grid; the run grid reads none
+    pulse, grid = ae_setup(1.0, 400)
+    shapes = []
+
+    def omega_r(t):
+        shapes.append(np.shape(t))
+        return pulse.omega_r(t)
+
+    counted = dataclasses.replace(pulse, omega_r=omega_r)
+    for table in experiments.shortcut_tables(counted, grid):
+        for state in experiments.INITIAL_STATES:
+            table.run(state)
+    assert shapes == [(4 * grid.steps + 1,)] * 2
+
+
+def function_defs(paths):
+    """(file name, FunctionDef) of every function defined in ``paths``."""
+    for path in paths:
+        for node in ast.walk(ast.parse(Path(path).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield Path(path).name, node
+
+
+def test_regime_is_a_parameter_of_the_branch_cut_figure_only():
+    # the tracked angle picks E_+, so no run takes a regime; it only places
+    # figure1's eta (the CLI labels rows with classify_regime's result)
+    found = sorted(fn.name for _, fn in function_defs(
+                       module.__file__ for module in MODULES)
+                   if "regime" in [arg.arg for arg in fn.args.posonlyargs
+                                   + fn.args.args + fn.args.kwonlyargs])
+    assert found == ["branch_argument", "zplane_series"]
+
+
+def test_branch_sqrt_is_the_test_oracle_only():
+    paths = [module.__file__ for module in [nhsta] + MODULES]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    assert [name for name, fn in function_defs(paths)
+            if fn.name == "branch_sqrt"] == ["oracles.py"]
 
 
 def test_one_validation_site():

@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, ae_params
+from conftest import OMEGA0, ae_params, path_eigenvalues
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.experiments import POLICIES, run_shortcut
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (AllenEberlyParams, BranchRegime, PulseSpec,
-                             allen_eberly, branch_sqrt, classify_regime,
-                             eigenvalue_path, hamiltonian_entries,
-                             mixing_angle_path, mixing_angle_rate, radicand)
-from oracles import eigenvalues, eigenvectors, hamiltonian
+                             _controls, allen_eberly, classify_regime,
+                             hamiltonian_entries, mixing_angle_path,
+                             mixing_angle_rate, radicand)
+from oracles import branch_sqrt, eigenvalues, eigenvectors, hamiltonian
 
 #: the trigonometric functions of theta a path carries
 TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
@@ -32,9 +32,10 @@ def constant_pulse(omega, delta, gamma):
     )
 
 
-def eigenvalues_at(pulse, t, regime):
+def eigenvalues_at(pulse, t):
     """(E_+, E_-) of :func:`eigenvalue_path` at its first sample, t."""
-    e_plus, e_minus = eigenvalue_path(pulse, TimeGrid(t, t + 1.0, 2), regime)
+    path = mixing_angle_path(pulse, TimeGrid(t, t + 1.0, 2))
+    e_plus, e_minus = path_eigenvalues(pulse, path)
     return e_plus[0], e_minus[0]
 
 
@@ -95,9 +96,8 @@ class TestRadicand:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("read", [
         lambda p, g: radicand(p, g.samples),
-        lambda p, g: eigenvalue_path(p, g, BranchRegime.SUPER_CRITICAL),
         lambda p, g: mixing_angle_path(p, g),
-    ], ids=["radicand", "eigenvalue_path", "mixing_angle_path"])
+    ], ids=["radicand", "mixing_angle_path"])
     def test_overflow_named_by_every_reader(self, read):
         # (gamma + 2i*Delta)^2 overflows once gamma exceeds about 1.3e154
         pulse = allen_eberly(ae_params(gamma=0.3))
@@ -111,10 +111,8 @@ class TestControlSampling:
     @pytest.mark.parametrize("read", [
         lambda p, g: hamiltonian_entries(p, g.samples),
         lambda p, g: radicand(p, g.samples),
-        lambda p, g: eigenvalue_path(p, g, BranchRegime.SUB_CRITICAL),
         lambda p, g: mixing_angle_path(p, g),
-    ], ids=["hamiltonian_entries", "radicand", "eigenvalue_path",
-            "mixing_angle_path"])
+    ], ids=["hamiltonian_entries", "radicand", "mixing_angle_path"])
     def test_non_finite_control_named_by_every_reader(self, read):
         pulse = allen_eberly(ae_params(gamma=0.3))
         bad = dataclasses.replace(pulse, omega_r=lambda t: np.where(
@@ -131,7 +129,8 @@ class TestControlSampling:
 
     @pytest.mark.parametrize("name", ["d_omega_r", "d_delta", "d_gamma"])
     @pytest.mark.parametrize("read", [
-        lambda p, g: mixing_angle_rate(p, g.samples),
+        lambda p, g: mixing_angle_rate(p, g.samples,
+                                       _controls(p, g.samples)),
         lambda p, g: mixing_angle_path(p, g),
     ], ids=["mixing_angle_rate", "mixing_angle_path"])
     def test_non_finite_rate_named_by_every_reader(self, read, name):
@@ -186,14 +185,13 @@ class TestRegime:
 
 class TestEigenvalues:
     def test_lossless_resonant_pair(self):
-        e_plus, e_minus = eigenvalues_at(constant_pulse(2.0, 0.0, 0.0), 0.0,
-                                         BranchRegime.SUB_CRITICAL)
+        e_plus, e_minus = eigenvalues_at(constant_pulse(2.0, 0.0, 0.0), 0.0)
         assert e_plus == pytest.approx(1.0)
         assert e_minus == pytest.approx(-1.0)
 
     def test_chirp_center_values(self):
         pulse = allen_eberly(ae_params(gamma=0.3))
-        e_plus, e_minus = eigenvalues_at(pulse, 0.0, BranchRegime.SUB_CRITICAL)
+        e_plus, e_minus = eigenvalues_at(pulse, 0.0)
         expected = 0.25 * cmath.sqrt(3.91)  # = 0.494343
         assert abs(e_plus - (expected - 0.075j)) < 1e-12
         assert abs(e_minus - (-expected - 0.075j)) < 1e-12
@@ -203,14 +201,14 @@ class TestEigenvalues:
         for _ in range(50):
             om, dl, gm = rng.uniform(0.1, 3), rng.uniform(-3, 3), rng.uniform(0, 1.9)
             pulse = constant_pulse(om, dl, gm)
-            e_plus, e_minus = eigenvalues_at(pulse, 0.0,
-                                             BranchRegime.SUB_CRITICAL)
+            e_plus, e_minus = eigenvalues_at(pulse, 0.0)
             assert abs((e_plus + e_minus) - (-0.5j * gm)) < 1e-14
 
     def test_path_continuity_supercritical(self):
         pulse = allen_eberly(ae_params(gamma=3.0))
         grid = TimeGrid(-1.0, 1.0, 4000)
-        e_plus, e_minus = eigenvalue_path(pulse, grid, BranchRegime.SUPER_CRITICAL)
+        e_plus, e_minus = path_eigenvalues(pulse,
+                                           mixing_angle_path(pulse, grid))
         assert np.max(np.abs(np.diff(e_plus))) < 0.05
         assert np.max(np.abs(np.diff(e_minus))) < 0.05
 
@@ -258,8 +256,7 @@ class TestMixingAngle:
     def test_exceptional_point_raises_tan_pole(self):
         with pytest.raises(TanPole):
             mixing_angle_path(constant_pulse(1.0, 0.0, 2.0),
-                              TimeGrid(0.0, 1.0, 10),
-                              regime=BranchRegime.SUB_CRITICAL)
+                              TimeGrid(0.0, 1.0, 10))
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 3.0])
     def test_branch_tracking_equals_sample_by_sample_loop(self, gamma):
@@ -312,8 +309,7 @@ class TestMixingAngle:
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
         pulse = allen_eberly(ae_params(gamma=1.99))
         with pytest.raises(BranchJump):
-            mixing_angle_path(pulse, TimeGrid(-1.0, 1.0, 4),
-                              regime=BranchRegime.SUB_CRITICAL)
+            mixing_angle_path(pulse, TimeGrid(-1.0, 1.0, 4))
 
 
 class TestEigenvectors:
@@ -350,8 +346,7 @@ class TestEigenConsistency:
                 continue
             checked += 1
             pulse = constant_pulse(om, dl, gm)
-            path = mixing_angle_path(pulse, TimeGrid(0.0, 1.0, 2),
-                                     regime=BranchRegime.SUB_CRITICAL)
+            path = mixing_angle_path(pulse, TimeGrid(0.0, 1.0, 2))
             th = path.theta[0]
             (plus, minus), _ = eigenvectors(th)
             h = hamiltonian(pulse, 0.0)
@@ -367,7 +362,7 @@ class TestEigenConsistency:
 
     def test_matches_generic_decomposition(self, theta_paths):
         pulse, path = theta_paths(1.0)
-        ep, em = eigenvalue_path(pulse, path.grid, path.regime)
+        ep, em = path_eigenvalues(pulse, path)
         for k in range(0, path.grid.n_points, 500):
             sys_ = decompose(hamiltonian(pulse, path.grid.samples[k]))
             got = sorted(sys_.eigenvalues, key=lambda z: z.real)
@@ -377,7 +372,7 @@ class TestEigenConsistency:
     def test_angle_branch_pairs_with_plus_eigenvalue_everywhere(self, theta_paths):
         for gamma in (0.3, 3.0):
             pulse, path = theta_paths(gamma)
-            ep, _ = eigenvalue_path(pulse, path.grid, path.regime)
+            ep, _ = path_eigenvalues(pulse, path)
             ts = path.grid.samples
             worst = 0.0
             for k in range(0, len(ts), 100):
@@ -385,6 +380,45 @@ class TestEigenConsistency:
                 h = hamiltonian(pulse, ts[k])
                 worst = max(worst, np.max(np.abs(h @ plus - ep[k] * plus)))
             assert worst < 1e-10
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 1.0, 1.9, 2.05, 2.1,
+                                       3.0, 10.0, 30.0])
+    def test_angle_eigenvalues_equal_the_cut_roots_on_the_default_window(
+            self, gamma):
+        # on [-1, 1] the tracked angle and the regime's cut of sqrt(Z) pick
+        # the same root, so reading E_+- off theta moves them by round-off
+        pulse = allen_eberly(ae_params(gamma))
+        grid = TimeGrid(-1.0, 1.0, 4000)
+        ep, em = path_eigenvalues(pulse, mixing_angle_path(pulse, grid))
+        want_p, want_m = eigenvalues(pulse, grid.samples,
+                                     classify_regime(OMEGA0, gamma))
+        gap = np.abs(want_p - want_m)
+        assert np.max(np.abs(ep - want_p) / gap) <= 1e-14
+        assert np.max(np.abs(em - want_m) / gap) <= 1e-14
+
+    @pytest.mark.parametrize("t0", [0.2, 0.5])
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 1.0, 1.9, 3.0])
+    def test_angle_eigenvalues_belong_to_its_vectors_after_the_crossing(
+            self, gamma, t0):
+        # a window that starts at Delta > 0 anchors theta near 0: |+> is
+        # the bare ground state and E_+ the root near -Delta/2, which the
+        # sub-critical cut of sqrt(Z) would call E_-
+        pulse = allen_eberly(ae_params(gamma))
+        grid = TimeGrid(t0, 1.0, 400)
+        path = mixing_angle_path(pulse, grid)
+        ep, em = path_eigenvalues(pulse, path)
+        worst = 0.0
+        for k, t in enumerate(grid.samples):
+            (plus, minus), _ = eigenvectors(path.theta[k])
+            h = hamiltonian(pulse, t)
+            worst = max(worst, np.max(np.abs(h @ plus - ep[k] * plus)),
+                        np.max(np.abs(h @ minus - em[k] * minus)))
+        assert worst <= 1e-12
+        if gamma < 2.0:
+            cut_p, cut_m = eigenvalues(pulse, grid.samples,
+                                       BranchRegime.SUB_CRITICAL)
+            assert np.max(np.abs(ep - cut_m)) <= 1e-12
+            assert np.max(np.abs(em - cut_p)) <= 1e-12
 
 
 class TestAllenEberly:
