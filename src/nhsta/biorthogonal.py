@@ -6,8 +6,6 @@ This module provides the decomposition and its inverse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateSpectrum, NonFinite
@@ -25,7 +23,6 @@ def as_square_complex(m) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class BiorthogonalSystem:
     """Eigenvalues with right eigenvectors and their left partners.
 
@@ -33,9 +30,11 @@ class BiorthogonalSystem:
     H^dag left_n = conj(E_n) left_n, and left_n^dag right_m = delta_nm.
     """
 
-    eigenvalues: np.ndarray
-    right: np.ndarray
-    left: np.ndarray
+    __slots__ = ("eigenvalues", "right", "left")
+
+    def __init__(self, eigenvalues: np.ndarray, right: np.ndarray,
+                 left: np.ndarray):
+        self.eigenvalues, self.right, self.left = eigenvalues, right, left
 
     @property
     def dim(self) -> int:

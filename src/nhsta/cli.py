@@ -18,7 +18,6 @@ import gc
 import random
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -81,7 +80,8 @@ class OutputSet:
                               f"{exc.strerror}") from None
         self.fmt = cfg.format
         self.command = command
-        self.config_echo = asdict(cfg)
+        self.config_echo = {name: getattr(cfg, name)
+                            for name in cfg.FIELDS}
         self.files: list = []
         self.runs: list = []
 
@@ -405,34 +405,36 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)  # every command's options
-    common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--gamma", help="comma-separated decay rates (1/tau)")
-    common.add_argument("--steps", type=int, help="grid intervals (>= 100)")
-    common.add_argument("--t-final", dest="t_final", type=float,
-                        help="window end; start defaults to -t_final")
-    common.add_argument("--t0", type=float, help="window start")
-    common.add_argument("--omega0", type=float, help="pulse amplitude (1/tau)")
-    common.add_argument("--delta0", type=float, help="chirp range (1/tau)")
-    common.add_argument("--tau", type=float, help="characteristic duration")
-    common.add_argument("--policy", help=f"supplement policy; sweep accepts a "
-                                         f"comma list (default {POLICY_HERMITIAN})")
-    common.add_argument("--initial-state", dest="initial_state",
-                        help="eigen-plus | bare-ground; sweep accepts a comma "
-                             "list")
-    common.add_argument("--pulse-file", dest="pulse_file",
-                        help="tabulated pulse (columns t, Omega_R, Delta)")
-    common.add_argument("--out", help="output directory (or env NH_STA_OUT)")
-    common.add_argument("--format", choices=["csv", "json"],
-                        help="table format")
+    """One parser: the command, then options shared by every command, which
+    may stand before or after it."""
     parser = argparse.ArgumentParser(
         prog="nh-sta",
         description="Engineered fast passage for a decaying two-level system: "
                     "figure pipelines, parameter sweeps, and self-verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in COMMANDS.items():
-        sub.add_parser(name, help=fn.__doc__, parents=[common])
+    parser.add_argument("command", choices=COMMANDS,
+                        help="figure1-figure4 write the figure tables, sweep "
+                             "a metrics row per decay rate, policy and "
+                             "initial state, verify runs the checks")
+    parser.add_argument("--config", help="flat key = value configuration file")
+    parser.add_argument("--gamma", help="comma-separated decay rates (1/tau)")
+    parser.add_argument("--steps", type=int, help="grid intervals (>= 100)")
+    parser.add_argument("--t-final", dest="t_final", type=float,
+                        help="window end; start defaults to -t_final")
+    parser.add_argument("--t0", type=float, help="window start")
+    parser.add_argument("--omega0", type=float, help="pulse amplitude (1/tau)")
+    parser.add_argument("--delta0", type=float, help="chirp range (1/tau)")
+    parser.add_argument("--tau", type=float, help="characteristic duration")
+    parser.add_argument("--policy", help=f"supplement policy; sweep accepts a "
+                                         f"comma list (default {POLICY_HERMITIAN})")
+    parser.add_argument("--initial-state", dest="initial_state",
+                        help="eigen-plus | bare-ground; sweep accepts a comma "
+                             "list")
+    parser.add_argument("--pulse-file", dest="pulse_file",
+                        help="tabulated pulse (columns t, Omega_R, Delta)")
+    parser.add_argument("--out", help="output directory (or env NH_STA_OUT)")
+    parser.add_argument("--format", choices=["csv", "json"],
+                        help="table format")
     return parser
 
 
@@ -441,13 +443,16 @@ def _tune_process() -> None:
 
     ``gc.freeze()`` moves every object alive now (numpy, argparse and the
     package, about 22k objects) into the permanent generation, so neither
-    the run's own collections nor the final one at exit traverse them.  On
-    glibc, raising the trim and mmap thresholds keeps the pages freed with
-    one table mapped for the next, instead of returning them to the kernel
-    and faulting them in again.  Where the C library has no ``mallopt``
-    that step is skipped.
+    the run's own collections nor the final one at exit traverse them.  It
+    runs only while nothing is frozen: a second ``main`` in one process
+    would otherwise freeze whatever its caller left alive, garbage
+    included, never to be collected.  On glibc, raising the trim and mmap
+    thresholds keeps the pages freed with one table mapped for the next,
+    instead of returning them to the kernel and faulting them in again.
+    Where the C library has no ``mallopt`` that step is skipped.
     """
-    gc.freeze()
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # TypeError: on Windows

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional
@@ -45,22 +44,30 @@ def _parse_gamma_list(text: str) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment parameters shared by all CLI commands."""
+    """Validated experiment parameters shared by all CLI commands.
 
-    omega0: float = 1.0
-    delta0: float = 9.0
-    tau: float = 1.0
-    t0: Optional[float] = None  # default: -t_final (symmetric window)
-    t_final: float = 1.0
-    steps: int = 4000
-    gamma_list: Optional[tuple] = None  # commands fill their own defaults
-    policy: str = POLICY_HERMITIAN
-    initial_state: str = INITIAL_EIGEN_PLUS
-    out: str = "."
-    format: str = "csv"
-    pulse_file: Optional[str] = None
+    ``FIELDS`` names the constructor's parameters in order; a manifest
+    echoes them in that order.
+    """
+
+    FIELDS = ("omega0", "delta0", "tau", "t0", "t_final", "steps",
+              "gamma_list", "policy", "initial_state", "out", "format",
+              "pulse_file")
+
+    def __init__(self, omega0: float = 1.0, delta0: float = 9.0,
+                 tau: float = 1.0,
+                 t0: Optional[float] = None,  # default: -t_final (symmetric)
+                 t_final: float = 1.0, steps: int = 4000,
+                 gamma_list: Optional[tuple] = None,  # commands' defaults
+                 policy: str = POLICY_HERMITIAN,
+                 initial_state: str = INITIAL_EIGEN_PLUS, out: str = ".",
+                 format: str = "csv", pulse_file: Optional[str] = None):
+        self.omega0, self.delta0, self.tau = omega0, delta0, tau
+        self.t0, self.t_final, self.steps = t0, t_final, steps
+        self.gamma_list, self.policy = gamma_list, policy
+        self.initial_state, self.out = initial_state, out
+        self.format, self.pulse_file = format, pulse_file
 
     @property
     def window(self) -> tuple:

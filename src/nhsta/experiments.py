@@ -13,7 +13,6 @@ raw/modified amplitudes and populations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +47,6 @@ CONVERGENCE_BOUND = 1e-7
 RESIDUAL_BOUND = 1e-10
 
 
-@dataclass(frozen=True, eq=False)  # array fields: no field-wise equality
 class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
@@ -59,17 +57,19 @@ class ShortcutTable:
     work.
     """
 
-    pulse: PulseSpec
-    grid: TimeGrid
-    policy: str
-    theta: MixingAnglePath
-    e_plus: np.ndarray
-    e_minus: np.ndarray
-    gauges: GaugeFunctions
-    h1: tuple
-    g_plus_closed: np.ndarray
-    residual: NullificationReport
-    scan: PrefixScan
+    __slots__ = ("pulse", "grid", "policy", "theta", "e_plus", "e_minus",
+                 "gauges", "h1", "g_plus_closed", "residual", "scan")
+
+    def __init__(self, pulse: PulseSpec, grid: TimeGrid, policy: str,
+                 theta: MixingAnglePath, e_plus: np.ndarray,
+                 e_minus: np.ndarray, gauges: GaugeFunctions, h1: tuple,
+                 g_plus_closed: np.ndarray, residual: NullificationReport,
+                 scan: PrefixScan):
+        self.pulse, self.grid, self.policy = pulse, grid, policy
+        self.theta, self.e_plus, self.e_minus = theta, e_plus, e_minus
+        self.gauges, self.h1 = gauges, h1
+        self.g_plus_closed, self.residual = g_plus_closed, residual
+        self.scan = scan
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
         """Propagate one initial state: trajectory, amplitudes, and the
@@ -85,9 +85,10 @@ class ShortcutTable:
             psi0 = np.array([1.0, 0.0], dtype=complex)
         traj, rerun = self.scan.apply(psi0)
         return ShortcutRun(
-            **{f.name: getattr(self, f.name) for f in fields(ShortcutTable)},
-            initial_state=initial_state, trajectory=traj,
-            amps=amplitudes(traj, self.theta, self.gauges),
+            self.pulse, self.grid, self.policy, self.theta, self.e_plus,
+            self.e_minus, self.gauges, self.h1, self.g_plus_closed,
+            self.residual, self.scan, initial_state=initial_state,
+            trajectory=traj, amps=amplitudes(traj, self.theta, self.gauges),
             convergence=step_halving_gap(traj, rerun))
 
     def frame_check(self) -> NullificationReport:
@@ -97,15 +98,23 @@ class ShortcutTable:
                                       self.scan.h[:, 0], self.gauges)
 
 
-@dataclass(frozen=True, eq=False)
 class ShortcutRun(ShortcutTable):
-    """A shortcut table run from one initial state: the table's fields plus
-    the trajectory, amplitudes and step-halving gap of that state."""
+    """A shortcut table run from one initial state: the table's attributes
+    plus the trajectory, amplitudes and step-halving gap of that state."""
 
-    initial_state: str
-    trajectory: StateTrajectory
-    amps: AmplitudeTrajectory
-    convergence: float
+    __slots__ = ("initial_state", "trajectory", "amps", "convergence")
+
+    def __init__(self, pulse: PulseSpec, grid: TimeGrid, policy: str,
+                 theta: MixingAnglePath, e_plus: np.ndarray,
+                 e_minus: np.ndarray, gauges: GaugeFunctions, h1: tuple,
+                 g_plus_closed: np.ndarray, residual: NullificationReport,
+                 scan: PrefixScan, initial_state: str,
+                 trajectory: StateTrajectory, amps: AmplitudeTrajectory,
+                 convergence: float):
+        super().__init__(pulse, grid, policy, theta, e_plus, e_minus, gauges,
+                         h1, g_plus_closed, residual, scan)
+        self.initial_state, self.trajectory = initial_state, trajectory
+        self.amps, self.convergence = amps, convergence
 
     @property
     def metrics(self) -> dict:
@@ -124,12 +133,6 @@ class ShortcutRun(ShortcutTable):
         }
 
 
-def _every(n: int, obj, grid: TimeGrid, names: tuple):
-    """``obj`` on ``grid``, keeping every n-th sample of the named arrays."""
-    return replace(obj, grid=grid, **{
-        f: np.asarray(getattr(obj, f))[::n].copy() for f in names})
-
-
 def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
                     policies: tuple = POLICIES) -> Iterator[ShortcutTable]:
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
@@ -142,7 +145,8 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     """
     quarter = grid.refine(4)
     theta_q = mixing_angle_path(pulse, quarter)
-    theta = _every(4, theta_q, grid, ("theta", "dtheta"))
+    theta = MixingAnglePath(grid, theta_q.theta[::4].copy(),
+                            theta_q.dtheta[::4].copy())
     h0_q = hamiltonian_entries(pulse, quarter.samples)
     return (_policy_table(pulse, policy, theta_q, theta, h0_q)
             for policy in policies)

@@ -10,8 +10,6 @@ equals the simple one bit for bit when there is no shift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFinite, SinThetaSingular, ZeroGauge
@@ -23,7 +21,6 @@ from .two_level import MixingAnglePath
 EPS_SINGULAR = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
 class GaugeFunctions:
     """Gauge factors on a grid plus their exact logarithmic derivatives.
 
@@ -32,22 +29,23 @@ class GaugeFunctions:
     f_+(t0) = f_-(t0) = 1 exactly.
     """
 
-    grid: TimeGrid
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    dlogf_plus: np.ndarray
-    dlogf_minus: np.ndarray
+    __slots__ = ("grid", "f_plus", "f_minus", "dlogf_plus", "dlogf_minus")
 
-    def __post_init__(self):
-        n = self.grid.n_points
-        for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
-            if len(getattr(self, name)) != n:
+    def __init__(self, grid: TimeGrid, f_plus: np.ndarray,
+                 f_minus: np.ndarray, dlogf_plus: np.ndarray,
+                 dlogf_minus: np.ndarray):
+        arrays = f_plus, f_minus, dlogf_plus, dlogf_minus
+        for name, arr in zip(self.__slots__[1:], arrays):
+            if len(arr) != grid.n_points:
                 raise ValueError(f"{name} length must match grid")
-        for name in ("f_plus", "f_minus"):
-            zero = getattr(self, name) == 0
+        for name, arr in (("f_plus", f_plus), ("f_minus", f_minus)):
+            zero = arr == 0
             if np.any(zero):
                 raise ZeroGauge(f"{name} vanished at "
-                                f"t={self.grid.samples[np.argmax(zero)]:g}")
+                                f"t={grid.samples[np.argmax(zero)]:g}")
+        self.grid = grid
+        self.f_plus, self.f_minus = f_plus, f_minus
+        self.dlogf_plus, self.dlogf_minus = dlogf_plus, dlogf_minus
 
 
 def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:

@@ -2,30 +2,43 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of ``steps`` intervals (``steps + 1`` samples) on [t0, t_f].
 
     Samples are built as the exact affine blend ((steps-k)*t0 + k*t_f)/steps so
-    that a symmetric window [-T, T] contains t = 0.0 exactly.
+    that a symmetric window [-T, T] contains t = 0.0 exactly.  Grids compare
+    and hash by value, so records built separately on one window match.
     """
 
-    t0: float
-    t_f: float
-    steps: int
+    __slots__ = ("t0", "t_f", "steps")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t_f)):
-            raise ValueError(f"need a finite window, got [{self.t0}, {self.t_f}]")
-        if not self.t0 < self.t_f:
-            raise ValueError(f"need t0 < t_f, got [{self.t0}, {self.t_f}]")
-        if self.steps < 2:
-            raise ValueError(f"need steps >= 2, got {self.steps}")
+    def __init__(self, t0: float, t_f: float, steps: int):
+        if not (math.isfinite(t0) and math.isfinite(t_f)):
+            raise ValueError(f"need a finite window, got [{t0}, {t_f}]")
+        if not t0 < t_f:
+            raise ValueError(f"need t0 < t_f, got [{t0}, {t_f}]")
+        if steps < 2:
+            raise ValueError(f"need steps >= 2, got {steps}")
+        self.t0, self.t_f, self.steps = t0, t_f, steps
+
+    def _key(self) -> tuple:
+        return self.t0, self.t_f, self.steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"TimeGrid(t0={self.t0!r}, t_f={self.t_f!r}, "
+                f"steps={self.steps!r})")
 
     @property
     def step(self) -> float:

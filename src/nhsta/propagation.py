@@ -15,7 +15,6 @@ the two are compared.  Callables H(t) are sampled onto such tables first.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,19 +29,18 @@ HamiltonianFn = Callable[[float], np.ndarray]
 INITIAL_BARE_GROUND = "bare-ground"
 INITIAL_EIGEN_PLUS = "eigen-plus"
 
-@dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """Bare-basis state samples psi(t_k) on a grid."""
 
-    grid: TimeGrid
-    psi: np.ndarray  # (n_points, dim)
+    __slots__ = ("grid", "psi")
 
-    def __post_init__(self):
-        if self.psi.shape[0] != self.grid.n_points:
+    def __init__(self, grid: TimeGrid, psi: np.ndarray):
+        if psi.shape[0] != grid.n_points:
             raise ValueError("one state per grid point required")
+        self.grid = grid
+        self.psi = psi  # (n_points, dim)
 
 
-@dataclass(frozen=True, eq=False)
 class AmplitudeTrajectory:
     """Eigenstate amplitudes and populations derived from a trajectory.
 
@@ -52,17 +50,23 @@ class AmplitudeTrajectory:
     P_m = |<m|psi>|^2 are emitted raw and renormalized by their sum.
     """
 
-    grid: TimeGrid
-    c_plus: np.ndarray
-    c_minus: np.ndarray
-    g_plus: np.ndarray
-    g_minus: np.ndarray
-    pop_phi_plus: np.ndarray
-    pop_phi_minus: np.ndarray
-    pop_bare_0: np.ndarray
-    pop_bare_1: np.ndarray
-    pop_bare_0_renorm: np.ndarray
-    pop_bare_1_renorm: np.ndarray
+    __slots__ = ("grid", "c_plus", "c_minus", "g_plus", "g_minus",
+                 "pop_phi_plus", "pop_phi_minus", "pop_bare_0", "pop_bare_1",
+                 "pop_bare_0_renorm", "pop_bare_1_renorm")
+
+    def __init__(self, grid: TimeGrid, c_plus: np.ndarray,
+                 c_minus: np.ndarray, g_plus: np.ndarray, g_minus: np.ndarray,
+                 pop_phi_plus: np.ndarray, pop_phi_minus: np.ndarray,
+                 pop_bare_0: np.ndarray, pop_bare_1: np.ndarray,
+                 pop_bare_0_renorm: np.ndarray,
+                 pop_bare_1_renorm: np.ndarray):
+        self.grid = grid
+        self.c_plus, self.c_minus = c_plus, c_minus
+        self.g_plus, self.g_minus = g_plus, g_minus
+        self.pop_phi_plus, self.pop_phi_minus = pop_phi_plus, pop_phi_minus
+        self.pop_bare_0, self.pop_bare_1 = pop_bare_0, pop_bare_1
+        self.pop_bare_0_renorm = pop_bare_0_renorm
+        self.pop_bare_1_renorm = pop_bare_1_renorm
 
 
 # The kernels below sum into their own temporaries (np.add(x, t, out=t) is
@@ -156,7 +160,6 @@ def _block_size(steps: int) -> int:
     return max(1, round(np.sqrt(steps) / 2))
 
 
-@dataclass(frozen=True, eq=False)
 class PrefixScan:
     """RK4 transfer-matrix prefix products of one table, for any psi0.
 
@@ -170,10 +173,16 @@ class PrefixScan:
     set.
     """
 
-    grid: TimeGrid
-    h: np.ndarray  # kept to name the failing step of a blow-up
-    sets: tuple  # per set, the (phase, shift) stage rows of its substeps
-    prefix: np.ndarray  # (b, 2, 2, len(sets) * blocks)
+    # weak references let a caller check that a dropped table frees its scan
+    __slots__ = ("grid", "h", "sets", "prefix", "__weakref__")
+
+    def __init__(self, grid: TimeGrid, h: np.ndarray, sets: tuple,
+                 prefix: np.ndarray):
+        self.grid = grid
+        self.h = h  # kept to name the failing step of a blow-up
+        # per set, the (phase, shift) stage rows of its substeps
+        self.sets = sets
+        self.prefix = prefix  # (b, 2, 2, len(sets) * blocks)
 
     def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
         """RK4 trajectory of each set from a two-component psi0 (the run

@@ -32,7 +32,6 @@ Im[W] = -Re[dtheta] - Im[lam] + Im[zeta].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,7 +47,6 @@ POLICY_HERMITIAN = "hermitian-realizable"
 POLICY_OMEGA_ZERO = "general-omega-zero"
 
 
-@dataclass(frozen=True, eq=False)
 class NullificationReport:
     """Residual of the cancellation condition, plus optional frame check.
 
@@ -60,10 +58,14 @@ class NullificationReport:
     Richardson-extrapolated central differences.
     """
 
-    grid: TimeGrid
-    residual: np.ndarray
-    max_abs_residual: float
-    frame_coupling: Optional[np.ndarray] = None
+    __slots__ = ("grid", "residual", "max_abs_residual", "frame_coupling")
+
+    def __init__(self, grid: TimeGrid, residual: np.ndarray,
+                 max_abs_residual: float,
+                 frame_coupling: Optional[np.ndarray] = None):
+        self.grid, self.residual = grid, residual
+        self.max_abs_residual = max_abs_residual
+        self.frame_coupling = frame_coupling
 
 
 def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:

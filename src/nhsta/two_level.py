@@ -21,7 +21,6 @@ enters a run; the cut only places eta = arg Z for the branch-cut figure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -34,21 +33,22 @@ from .grids import TimeGrid
 ControlFn = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
 class PulseSpec:
     """Time-dependent controls and their exact time derivatives ``d_*``,
     which give the mixing angle's rate; callables must accept scalar or
     ndarray t."""
 
-    omega_r: ControlFn
-    delta: ControlFn
-    gamma: ControlFn
-    d_omega_r: ControlFn
-    d_delta: ControlFn
-    d_gamma: ControlFn
+    __slots__ = ("omega_r", "delta", "gamma", "d_omega_r", "d_delta",
+                 "d_gamma")
+
+    def __init__(self, omega_r: ControlFn, delta: ControlFn, gamma: ControlFn,
+                 d_omega_r: ControlFn, d_delta: ControlFn,
+                 d_gamma: ControlFn):
+        self.omega_r, self.delta, self.gamma = omega_r, delta, gamma
+        self.d_omega_r, self.d_delta = d_omega_r, d_delta
+        self.d_gamma = d_gamma
 
 
-@dataclass(frozen=True)
 class AllenEberlyParams:
     """Sech-amplitude / tanh-chirp pulse with constant decay rate.
 
@@ -57,30 +57,28 @@ class AllenEberlyParams:
     [t0, t_f]: integration window in units of tau.
     """
 
-    omega0: float
-    delta0: float
-    tau: float = 1.0
-    gamma: float = 0.0
-    t0: float = -1.0
-    t_f: float = 1.0
+    __slots__ = ("omega0", "delta0", "tau", "gamma", "t0", "t_f")
 
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __init__(self, omega0: float, delta0: float, tau: float = 1.0,
+                 gamma: float = 0.0, t0: float = -1.0, t_f: float = 1.0):
+        for name, value in zip(self.__slots__,
+                               (omega0, delta0, tau, gamma, t0, t_f)):
             if not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
-        if self.omega0 <= 0:
+                raise ValueError(f"{name} must be finite, got {value}")
+        if omega0 <= 0:
             raise ValueError("omega0 must be positive")
-        if self.tau <= 0:
+        if tau <= 0:
             raise ValueError("tau must be positive")
-        if self.gamma < 0:
+        if gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if not self.t0 < self.t_f:
+        if not t0 < t_f:
             raise ValueError("need t0 < t_f")
-        if abs(self.gamma - 2.0 * self.omega0) <= 1e-12:
+        if abs(gamma - 2.0 * omega0) <= 1e-12:
             raise DegenerateRegime(
-                f"gamma = 2*omega0 = {self.gamma}: spectrum degenerates at t = 0"
+                f"gamma = 2*omega0 = {gamma}: spectrum degenerates at t = 0"
             )
+        self.omega0, self.delta0, self.tau = omega0, delta0, tau
+        self.gamma, self.t0, self.t_f = gamma, t0, t_f
 
 
 class BranchRegime(Enum):
@@ -97,7 +95,6 @@ class BranchRegime(Enum):
     SUPER_CRITICAL = "super-critical"
 
 
-@dataclass(frozen=True, eq=False)
 class MixingAnglePath:
     """Branch-continuous complex mixing angle and its rate on a grid.
 
@@ -107,14 +104,11 @@ class MixingAnglePath:
     values and a path pays only for the functions that are read.
     """
 
-    grid: TimeGrid
-    theta: np.ndarray
-    dtheta: np.ndarray
-
-    def __post_init__(self):
-        n = self.grid.n_points
-        if len(self.theta) != n or len(self.dtheta) != n:
+    def __init__(self, grid: TimeGrid, theta: np.ndarray, dtheta: np.ndarray):
+        n = grid.n_points
+        if len(theta) != n or len(dtheta) != n:
             raise ValueError("theta/dtheta length must match grid")
+        self.grid, self.theta, self.dtheta = grid, theta, dtheta
 
     @cached_property
     def cos_half(self) -> np.ndarray:
@@ -293,11 +287,14 @@ def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:
 
 def allen_eberly(params: AllenEberlyParams) -> PulseSpec:
     """Pulse Omega_R = omega0*sech(t/tau), Delta = delta0*tanh(t/tau), constant
-    gamma, with analytic derivatives."""
+    gamma, with analytic derivatives.  Past |t|/tau of about 355 (710 for
+    Omega_R) cosh, or its square, overflows to inf on the way to the exact
+    limit sech = 0, so those overflows are not warned about."""
     om0, dl0, tau, gm = params.omega0, params.delta0, params.tau, params.gamma
 
     def omega_r(t):
-        return om0 / np.cosh(np.asarray(t) / tau)
+        with np.errstate(over="ignore"):
+            return om0 / np.cosh(np.asarray(t) / tau)
 
     def delta(t):
         return dl0 * np.tanh(np.asarray(t) / tau)
@@ -307,11 +304,13 @@ def allen_eberly(params: AllenEberlyParams) -> PulseSpec:
 
     def d_omega_r(t):
         x = np.asarray(t) / tau
-        return -(om0 / tau) * np.tanh(x) / np.cosh(x)
+        with np.errstate(over="ignore"):
+            return -(om0 / tau) * np.tanh(x) / np.cosh(x)
 
     def d_delta(t):
         x = np.asarray(t) / tau
-        return (dl0 / tau) / np.cosh(x) ** 2
+        with np.errstate(over="ignore"):
+            return (dl0 / tau) / np.cosh(x) ** 2
 
     def d_gamma(t):
         return np.zeros_like(np.asarray(t, dtype=float))

@@ -12,9 +12,16 @@ OMEGA0 = 1.0
 DELTA0 = 9.0
 
 
-def ae_params(gamma: float, t_f: float = 1.0) -> AllenEberlyParams:
-    return AllenEberlyParams(omega0=OMEGA0, delta0=DELTA0, tau=1.0,
+def ae_params(gamma: float, t_f: float = 1.0,
+              omega0: float = OMEGA0) -> AllenEberlyParams:
+    return AllenEberlyParams(omega0=omega0, delta0=DELTA0, tau=1.0,
                              gamma=gamma, t0=-t_f, t_f=t_f)
+
+
+def with_controls(pulse: PulseSpec, **controls) -> PulseSpec:
+    """``pulse`` with the named control or rate functions swapped."""
+    kept = {name: getattr(pulse, name) for name in PulseSpec.__slots__}
+    return PulseSpec(**{**kept, **controls})
 
 
 def ae_setup(gamma: float, steps: int, t_f: float = 1.0):

@@ -202,6 +202,20 @@ class TestProcessTuning:
         assert done.stdout.split() == [str(status), "True"]
         assert (tmp_path / "child" / "sweep.csv").read_bytes() == data
 
+    def test_second_call_freezes_nothing_more(self, tmp_path):
+        # one CLI process freezes once; a second main in the same process
+        # must not freeze what its caller left alive
+        import subprocess
+        import sys
+        argv = self.SWEEP + ["--out", str(tmp_path)]
+        code = ("import gc, sys; from nhsta.cli import main; "
+                f"main({argv!r}); first = gc.get_freeze_count(); "
+                f"main({argv!r}); "
+                "print(first > 0, gc.get_freeze_count() == first)")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["True", "True"]
+
     def test_mallopt_gets_the_thresholds(self, tmp_path, monkeypatch):
         import nhsta.cli as cli
         calls = []
@@ -225,6 +239,74 @@ class TestProcessTuning:
 
         monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
         assert self.sweep_bytes(tmp_path / "without") == expected
+
+
+class TestParser:
+    """One parser: a command and the options every command shares, in
+    either order."""
+
+    OPTIONS = {"--config": "run.cfg", "--gamma": "0.5,2", "--steps": "123",
+               "--t-final": "2.5", "--t0": "-1.5", "--omega0": "1.25",
+               "--delta0": "8", "--tau": "0.75", "--policy": "naive-cd",
+               "--initial-state": "bare-ground", "--pulse-file": "p.csv",
+               "--out": "outdir", "--format": "json"}
+    EXPECTED = {"gamma": "0.5,2", "steps": 123, "t_final": 2.5, "t0": -1.5,
+                "omega0": 1.25, "delta0": 8.0, "tau": 0.75,
+                "policy": "naive-cd", "initial_state": "bare-ground",
+                "pulse_file": "p.csv", "out": "outdir", "format": "json"}
+
+    def forwarded(self, monkeypatch, argv):
+        """(config path, overrides) that main hands to build_config."""
+        import nhsta.cli as cli
+        seen = []
+
+        def build_config(config_path=None, **overrides):
+            seen.append((config_path, overrides))
+            raise ConfigError("stop before the command")
+
+        monkeypatch.setattr(cli, "build_config", build_config)
+        assert main(argv) == 2
+        return seen[0]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_option_reaches_build_config(self, monkeypatch, command):
+        options = [x for item in self.OPTIONS.items() for x in item]
+        for argv in ([command] + options, options + [command]):
+            assert self.forwarded(monkeypatch, argv) == ("run.cfg",
+                                                         self.EXPECTED)
+
+    def test_absent_options_reach_build_config_as_none(self, monkeypatch):
+        assert self.forwarded(monkeypatch, ["verify"]) == (
+            None, dict.fromkeys(self.EXPECTED))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: nh-sta ")
+        assert all(option in out for option in self.OPTIONS)
+
+    @pytest.mark.parametrize("argv", [
+        ["figure9"], ["sweep", "--gamma", "0.3", "--bogus", "1"], [],
+        ["--bogus", "verify"], ["verify", "sweep"]],
+        ids=["unknown-command", "unknown-option", "no-command",
+             "unknown-option-first", "two-commands"])
+    def test_bad_command_line_exits_two_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: nh-sta ")
+        assert err[-1].startswith("nh-sta: error: ")
+
+    def test_options_before_the_command(self, tmp_path):
+        options = ["--gamma", "0.3", "--steps", "200"]
+        assert main(options + ["sweep", "--out", str(tmp_path / "a")]) == 0
+        assert main(["sweep"] + options + ["--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "sweep.csv").read_bytes()
+                == (tmp_path / "b" / "sweep.csv").read_bytes())
 
 
 class TestConfig:
@@ -755,6 +837,19 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "numerical error: NonFinite: radicand not finite at t=-1"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["figure1", "--gamma", "1", "--tau", "1e-3"],
+        ["figure2", "--gamma", "1", "--tau", "1e-3"],
+        ["figure1", "--t-final", "800", "--steps", "1000"],
+    ], ids=["figure1-short-tau", "figure2-short-tau", "figure1-long-window"])
+    def test_sech_pulse_far_from_its_centre_warns_nothing(self, tmp_path,
+                                                         capsys, argv):
+        # past |t|/tau ~ 355 cosh (or its square) overflows to inf on the way
+        # to sech's exact limit 0, which the tables hold
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_vanishing_gauge_names_its_factor_and_time(self, tmp_path,
                                                        capsys):

@@ -230,8 +230,7 @@ class TestFrameMatrix:
     def test_adiabatic_prediction_reproduced_by_frame_propagation(self):
         # slow strong pulse: couplings under 1% of the diagonal gap, so the
         # decoupled exponential solution should track |g+| to within 2%
-        from dataclasses import replace
-        pulse = allen_eberly(replace(ae_params(gamma=0.1), omega0=50.0))
+        pulse = allen_eberly(ae_params(gamma=0.1, omega0=50.0))
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)

@@ -4,7 +4,6 @@ a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
 names are spelled in one module, and no run takes a branch regime."""
 import ast
-import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ae_setup
+from conftest import ae_setup, with_controls
 import nhsta
 import nhsta.cli
 from nhsta import experiments, propagation, two_level
@@ -39,6 +38,22 @@ def test_trace_patches_resolve():
                if not callable(getattr(owner, attr, None))]
     assert patches
     assert missing == []
+
+
+def test_import_runs_no_generated_code():
+    # records are plain classes: importing the CLI never loads dataclasses,
+    # whose generated methods cost more than the rest of the package import
+    import subprocess
+    import sys
+    code = "import sys, nhsta.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
+    records = [f"{module.__name__}.{name}" for module in [nhsta] + MODULES
+               for name, value in vars(module).items()
+               if isinstance(value, type)
+               and hasattr(value, "__dataclass_fields__")]
+    assert records == []
 
 
 def kept_imports(module):
@@ -196,7 +211,7 @@ def test_controls_sampled_twice_per_pulse():
         shapes.append(np.shape(t))
         return pulse.omega_r(t)
 
-    counted = dataclasses.replace(pulse, omega_r=omega_r)
+    counted = with_controls(pulse, omega_r=omega_r)
     for table in experiments.shortcut_tables(counted, grid):
         for state in experiments.INITIAL_STATES:
             table.run(state)

@@ -1,12 +1,11 @@
 """Two-level model: Hamiltonian, radicand branches, mixing angle, pulse."""
 import cmath
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, ae_params, path_eigenvalues
+from conftest import OMEGA0, ae_params, path_eigenvalues, with_controls
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.experiments import POLICIES, run_shortcut
@@ -64,8 +63,8 @@ class TestHamiltonian:
 
     def test_non_finite_control_rejected(self):
         import math
-        bad = dataclasses.replace(constant_pulse(0.0, 0.0, 0.0),
-                                  omega_r=lambda t: math.nan)
+        bad = with_controls(constant_pulse(0.0, 0.0, 0.0),
+                            omega_r=lambda t: math.nan)
         with pytest.raises(NonFinite):
             hamiltonian(bad, 0.0)
 
@@ -101,7 +100,7 @@ class TestRadicand:
     def test_overflow_named_by_every_reader(self, read):
         # (gamma + 2i*Delta)^2 overflows once gamma exceeds about 1.3e154
         pulse = allen_eberly(ae_params(gamma=0.3))
-        huge = dataclasses.replace(pulse, gamma=lambda t: np.where(
+        huge = with_controls(pulse, gamma=lambda t: np.where(
             np.asarray(t) > 0.5, 1e160, pulse.gamma(t)))
         with pytest.raises(NonFinite, match=r"^radicand not finite at t=0\.51$"):
             read(huge, TimeGrid(-1.0, 1.0, 200))
@@ -115,7 +114,7 @@ class TestControlSampling:
     ], ids=["hamiltonian_entries", "radicand", "mixing_angle_path"])
     def test_non_finite_control_named_by_every_reader(self, read):
         pulse = allen_eberly(ae_params(gamma=0.3))
-        bad = dataclasses.replace(pulse, omega_r=lambda t: np.where(
+        bad = with_controls(pulse, omega_r=lambda t: np.where(
             np.asarray(t) > 0.5, np.nan, pulse.omega_r(t)))
         with pytest.raises(NonFinite, match=r"value not finite at t=0\.51$"):
             read(bad, TimeGrid(-1.0, 1.0, 200))
@@ -124,7 +123,7 @@ class TestControlSampling:
     def nan_rate_pulse(name):
         pulse = allen_eberly(ae_params(gamma=0.3))
         rate = getattr(pulse, name)
-        return dataclasses.replace(pulse, **{name: lambda t: np.where(
+        return with_controls(pulse, **{name: lambda t: np.where(
             np.asarray(t) > 0.5, np.nan, rate(t))})
 
     @pytest.mark.parametrize("name", ["d_omega_r", "d_delta", "d_gamma"])
