@@ -6,8 +6,8 @@ are all tabulated), synthesizes the requested supplement policy, writes
 H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
 matrices of the run and of its rerun together.  The angle path, its
 trigonometric functions and H0 do not depend on the policy, so the tables
-of several policies for one pulse share them; each table reads the
-eigenvalues off that angle and H0 after its scan.  A run applies a table
+of several policies for one pulse share them, and the eigenvalues the first
+table reads off that angle and H0 after its scan.  A run applies a table
 to one initial state: it propagates the bare-basis state and extracts
 raw/modified amplitudes and populations.
 """
@@ -30,8 +30,8 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
                         matched_gauge, naive_cd_entries,
                         nullification_residual)
 from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                        branch_argument, eigenvalue_path, hamiltonian_entries,
-                        mixing_angle_path, radicand)
+                        branch_argument, eigenvalue_path, frame_diagonal,
+                        hamiltonian_entries, mixing_angle_path, radicand)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
 from .gauges import gauge_simple  # noqa: F401
@@ -138,7 +138,8 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
     The policy-independent part is built here, once: the angle path and its
-    trigonometric functions and H0 on the quarter-step grid.  Each policy's
+    trigonometric functions and H0 on the quarter-step grid, and E_+, E_-
+    on the run grid (read after the first table's scan).  Each policy's
     table is built only when the returned generator is advanced, so at
     most one is alive at a time when the caller drops each before asking
     for the next.
@@ -148,7 +149,8 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     theta = MixingAnglePath(grid, theta_q.theta[::4].copy(),
                             theta_q.dtheta[::4].copy())
     h0_q = hamiltonian_entries(pulse, quarter.samples)
-    return (_policy_table(pulse, policy, theta_q, theta, h0_q)
+    eigen: list = []  # (E_+, E_-), filled by the first table
+    return (_policy_table(pulse, policy, theta_q, theta, h0_q, eigen)
             for policy in policies)
 
 
@@ -163,25 +165,33 @@ def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _policy_table(pulse, policy, theta_q, theta, h0_q) -> ShortcutTable:
-    """One policy's supplement, H0 + H1 table, scan, eigenvalues (from
-    every 4th sample of ``h0_q``), gauges and checks on the run grid of
-    ``theta`` (its temporaries are freed on return)."""
+def _policy_table(pulse, policy, theta_q, theta, h0_q, eigen) -> ShortcutTable:
+    """One policy's supplement, H0 + H1 table, scan, gauges and checks on
+    the run grid of ``theta`` (its temporaries are freed on return).  The
+    eigenvalues, from every 4th sample of ``h0_q``, are read into the
+    empty list ``eigen`` by the first table of a pulse and shared by the
+    rest."""
     grid = theta.grid
     h1_q = _supplement(policy, theta_q)
     h1 = tuple(x[::4].copy() if np.ndim(x) else x for x in h1_q)
     h = phase_table(grid.steps, h0_q, h1_q)
     del h1_q  # freed before the scan's temporaries are allocated
     scan = scan_table(h, grid, certify=True)
-    # after the scan, so the run-grid cos/sin of theta that the eigenvalues
-    # cache on the shared path are not held through the first scan
-    e_plus, e_minus = eigenvalue_path(tuple(x[::4] for x in h0_q), theta)
+    if not eigen:
+        # after the scan, so the run-grid cos/sin of theta that the
+        # eigenvalues cache on the shared path are not held through it
+        eigen.extend(eigenvalue_path(tuple(x[::4] for x in h0_q), theta))
+    e_plus, e_minus = eigen
+    # E_+ + d_+, formed once for the gauge and the closed form; the naive
+    # term has no adiabatic-frame diagonal, d_+ = 0
+    level = (e_plus if policy == POLICY_NAIVE
+             else e_plus + frame_diagonal(h1, theta))
 
     return ShortcutTable(
         pulse=pulse, grid=grid, policy=policy,
         theta=theta, e_plus=e_plus, e_minus=e_minus,
-        gauges=matched_gauge(e_plus, e_minus, h1, theta), h1=h1,
-        g_plus_closed=closed_form_gplus(e_plus, h1, theta),
+        gauges=matched_gauge(level, e_minus, grid), h1=h1,
+        g_plus_closed=closed_form_gplus(level, grid),
         residual=nullification_residual(theta, h1), scan=scan)
 
 

@@ -17,12 +17,12 @@ from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath
 
 #: below this, a vanishing Re[sin theta] is treated as removable iff the
-#: numerator Im[dtheta] vanishes with it
+#: numerator Im[dtheta] vanishes with it: below this times max|dtheta|
 EPS_SINGULAR = 1e-9
 
 
 class GaugeFunctions:
-    """Gauge factors on a grid plus their exact logarithmic derivatives.
+    """Real gauge factors on a grid plus their exact logarithmic derivatives.
 
     ``dlogf_*`` hold the defining integrands (d/dt f)/f, kept separately so
     frame matrices never differentiate the sampled f numerically.
@@ -49,14 +49,15 @@ class GaugeFunctions:
 
 
 def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:
-    if not np.all(np.isfinite(np.asarray(integrand).view(float))):
+    if not np.all(np.isfinite(integrand)):
         raise NonFinite("gauge integrand contains NaN/Inf")
     return np.exp(cumulative_trapezoid(integrand, step))
 
 
 def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
                           u_minus: np.ndarray) -> GaugeFunctions:
-    """Build gauge factors f_n = exp(cumulative trapezoid of u_n)."""
+    """Build gauge factors f_n = exp(cumulative trapezoid of u_n) from real
+    integrands u_n, so the factors are real."""
     return GaugeFunctions(
         grid=grid,
         f_plus=_cumexp(u_plus, grid.step),
@@ -70,12 +71,11 @@ def gauge_simple(e_plus: np.ndarray, e_minus: np.ndarray,
                  grid: TimeGrid) -> GaugeFunctions:
     """f_n(t) = exp(int_{t0}^t Im[E_n] dt'), hbar = 1.
 
-    The factors are real positive and |g_n| is the decay-compensated
-    amplitude.
+    The factors are real positive (float64) and |g_n| is the
+    decay-compensated amplitude.
     """
-    u_plus = np.asarray(e_plus).imag.astype(complex)
-    u_minus = np.asarray(e_minus).imag.astype(complex)
-    return gauge_from_integrands(grid, u_plus, u_minus)
+    return gauge_from_integrands(grid, np.asarray(e_plus).imag,
+                                 np.asarray(e_minus).imag)
 
 
 def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
@@ -86,21 +86,26 @@ def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
     of the reference eigenstate.  Points where Re[sin theta] and Im[dtheta]
     vanish together are removable: they take the limit of their neighbours,
     interpolated linearly over the unguarded samples (0 if every sample is
-    guarded).  A vanishing denominator with a surviving numerator raises
+    guarded).  Im[dtheta] vanishes when it is below EPS_SINGULAR times
+    max|dtheta|, the rate's own scale, which grows as the pulse shortens.
+    A vanishing denominator with a surviving numerator raises
     SinThetaSingular.
     """
     re_sin = theta_path.sin.real
     num = theta_path.dtheta.imag
     small = np.abs(re_sin) < EPS_SINGULAR
-    bad = small & (np.abs(num) >= EPS_SINGULAR)
+    delta = np.where(small, 0.0, num / np.where(small, 1.0, re_sin))
+    if not np.any(small):
+        return delta
+    scale = np.max(np.abs(theta_path.dtheta))
+    bad = small & (np.abs(num) > EPS_SINGULAR * scale)
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SinThetaSingular(
             f"Re[sin theta] ~ 0 with Im[dtheta] = {num[k]:.3e} at "
             f"t={theta_path.grid.samples[k]:g}"
         )
-    delta = np.where(small, 0.0, num / np.where(small, 1.0, re_sin))
-    if np.any(small) and not np.all(small):
+    if not np.all(small):
         ts = theta_path.grid.samples
         delta[small] = np.interp(ts[small], ts[~small], delta[~small])
     return delta

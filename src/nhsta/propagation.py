@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NonFinite
 from .gauges import GaugeFunctions
 from .grids import TimeGrid
-from .two_level import MixingAnglePath
+from .two_level import MixingAnglePath, complex_array
 
 HamiltonianFn = Callable[[float], np.ndarray]
 
@@ -303,8 +303,8 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
     """Project a trajectory onto the instantaneous eigenbasis.
 
     Uses the left eigenvectors, so c_+ = cos(theta/2)psi_0 + sin(theta/2)psi_1
-    and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise, then divides by
-    the gauge factors.
+    and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise, then divides
+    their parts by the real gauge factors.
     """
     if traj.grid != theta_path.grid or traj.grid != gauges.grid:
         raise ValueError("trajectory, theta path, and gauges must share the grid")
@@ -314,8 +314,10 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
     psi0, psi1 = traj.psi[:, 0], traj.psi[:, 1]
     c_plus = c * psi0 + s * psi1
     c_minus = s * psi0 - c * psi1
-    g_plus = c_plus / gauges.f_plus
-    g_minus = c_minus / gauges.f_minus
+    g_plus = complex_array(c_plus.real / gauges.f_plus,
+                           c_plus.imag / gauges.f_plus)
+    g_minus = complex_array(c_minus.real / gauges.f_minus,
+                            c_minus.imag / gauges.f_minus)
     p0 = np.abs(psi0) ** 2
     p1 = np.abs(psi1) ** 2
     total = p0 + p1

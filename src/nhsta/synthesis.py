@@ -19,9 +19,10 @@ of the angle path it is given:
 The last two have the form 0.5*[[delta, W],[conj(W), -delta]], so
 delta = 2*h00 and W = 2*h01.  Every policy's gauge, closed-form surviving
 amplitude, leak residual and frame check read those four entries: the gauge
-and the closed form follow from E_+ + d_+, with d_+ the supplement's
-adiabatic-frame diagonal (``two_level.frame_diagonal``, the formula that
-also gives E_+ from H0), and the residual is twice
+and the closed form follow from one level E_+ + d_+, with d_+ the
+supplement's adiabatic-frame diagonal (``two_level.frame_diagonal``, the
+formula that also gives E_+ from H0; 0 for the naive term), and the
+residual is twice
 the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  For that form, with
 lam = delta*sin(theta) and zeta = Re[W]*cos(theta), the condition reads
 
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import InconsistentChoice, NonFinite
 from .gauges import GaugeFunctions, gauge_from_integrands, matched_delta
 from .grids import TimeGrid, cumulative_trapezoid
-from .two_level import MixingAnglePath, frame_diagonal
+from .two_level import MixingAnglePath, complex_array
 
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
@@ -129,15 +130,13 @@ def assemble_h1_series(h1: tuple) -> np.ndarray:
     return out.reshape(n, 2, 2)
 
 
-def matched_gauge(e_plus: np.ndarray, e_minus: np.ndarray, h1: tuple,
-                  theta_path: MixingAnglePath) -> GaugeFunctions:
-    """Gauge whose f_+ absorbs the decay of E_+ + d_+ (:func:`frame_diagonal`)
-    so |g_+| = 1 along a leak-cancelling evolution: u_+ = Im[E_+ + d_+] and
-    u_- = Im[E_-]."""
-    level = np.asarray(e_plus) + frame_diagonal(h1, theta_path)
-    u_plus = level.imag.astype(complex)
-    u_minus = np.asarray(e_minus).imag.astype(complex)
-    return gauge_from_integrands(theta_path.grid, u_plus, u_minus)
+def matched_gauge(level: np.ndarray, e_minus: np.ndarray,
+                  grid: TimeGrid) -> GaugeFunctions:
+    """Gauge whose f_+ absorbs the decay of ``level`` = E_+ + d_+, d_+ the
+    supplement's ``two_level.frame_diagonal``, so |g_+| = 1 along a
+    leak-cancelling evolution: u_+ = Im[E_+ + d_+] and u_- = Im[E_-]."""
+    return gauge_from_integrands(grid, np.asarray(level).imag,
+                                 np.asarray(e_minus).imag)
 
 
 def nullification_residual(theta_path: MixingAnglePath, h1: tuple,
@@ -197,13 +196,13 @@ def _frame_coupling(theta_path, h_total, gauges):
     return out
 
 
-def closed_form_gplus(e_plus: np.ndarray, h1: tuple,
-                      theta_path: MixingAnglePath) -> np.ndarray:
-    """Surviving amplitude g_+(t) = exp[-i int Re(E_+ + d_+) dt'] of any
-    leak-cancelling supplement, d_+ its :func:`frame_diagonal`.
+def closed_form_gplus(level: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Surviving amplitude g_+(t) = exp[-i*phi], phi = int Re(E_+ + d_+) dt',
+    of any leak-cancelling supplement, from ``level`` = E_+ + d_+ with d_+
+    its ``two_level.frame_diagonal``; formed as cos(phi) - i*sin(phi).
 
     The other amplitude stays zero, so in the matched gauge, whose f_+
     absorbs Im(E_+ + d_+), this is the exact frame solution, a pure phase.
     """
-    level = np.asarray(e_plus) + frame_diagonal(h1, theta_path)
-    return np.exp(-1j * cumulative_trapezoid(level.real, theta_path.grid.step))
+    phi = cumulative_trapezoid(np.asarray(level).real, grid.step)
+    return complex_array(np.cos(phi), -np.sin(phi))

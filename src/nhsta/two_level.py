@@ -17,6 +17,8 @@ state.  Left (biorthogonal) partners are the same expressions evaluated at
 conj(theta).  The tracked angle fixes which root is E_+: the one of |+>,
 E_+ = <+~|H0|+> (:func:`eigenvalue_path`), so no branch cut of sqrt(Z)
 enters a run; the cut only places eta = arg Z for the branch-cut figure.
+The angle, its rate and its trigonometric functions are formed from real
+parts, never with numpy's complex transcendental functions.
 """
 from __future__ import annotations
 
@@ -99,9 +101,11 @@ class MixingAnglePath:
     """Branch-continuous complex mixing angle and its rate on a grid.
 
     ``cos_half``, ``sin_half``, ``sin`` and ``cos`` are cos(theta/2),
-    sin(theta/2), sin(theta) and cos(theta) on the grid.  Each is evaluated
-    on first read and kept, so every consumer of a path reads the same
-    values and a path pays only for the functions that are read.
+    sin(theta/2), sin(theta) and cos(theta) on the grid, from the real
+    functions of theta = x + iy: sin(theta) = sin x cosh y + i cos x sinh y
+    and cos(theta) = cos x cosh y - i sin x sinh y.  Each is evaluated on
+    first read and kept, so every consumer of a path reads the same values
+    and a path pays only for the functions that are read.
     """
 
     def __init__(self, grid: TimeGrid, theta: np.ndarray, dtheta: np.ndarray):
@@ -112,19 +116,43 @@ class MixingAnglePath:
 
     @cached_property
     def cos_half(self) -> np.ndarray:
-        return np.cos(self.theta / 2.0)
+        return _cos(0.5 * self.theta.real, 0.5 * self.theta.imag)
 
     @cached_property
     def sin_half(self) -> np.ndarray:
-        return np.sin(self.theta / 2.0)
+        return _sin(0.5 * self.theta.real, 0.5 * self.theta.imag)
 
     @cached_property
     def sin(self) -> np.ndarray:
-        return np.sin(self.theta)
+        return _sin(self.theta.real, self.theta.imag)
 
     @cached_property
     def cos(self) -> np.ndarray:
-        return np.cos(self.theta)
+        return _cos(self.theta.real, self.theta.imag)
+
+
+def complex_array(re, im) -> np.ndarray:
+    """The complex array re + i*im, assembled part by part."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _sin(x, y) -> np.ndarray:
+    """sin(x + iy) from real functions, each part written in place."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.multiply(np.sin(x), np.cosh(y), out=out.real)
+    np.multiply(np.cos(x), np.sinh(y), out=out.imag)
+    return out
+
+
+def _cos(x, y) -> np.ndarray:
+    """cos(x + iy) from real functions, each part written in place."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.multiply(np.cos(x), np.cosh(y), out=out.real)
+    np.multiply(np.sin(x), np.sinh(y), out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 def frame_diagonal(h: tuple, theta_path: MixingAnglePath):
@@ -162,24 +190,9 @@ def _controls(pulse: PulseSpec, t, rates: bool = False) -> tuple:
     fns = ((pulse.d_omega_r, pulse.d_delta, pulse.d_gamma) if rates
            else (pulse.omega_r, pulse.delta, pulse.gamma))
     om, dl, gm = (np.asarray(fn(t), dtype=float) for fn in fns)
-    bad = ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm))
-    if np.any(bad):
-        ts, bad = np.broadcast_arrays(t, bad)
-        raise NonFinite(f"control {'rate' if rates else 'value'} not finite "
-                        f"at t={ts[bad][0]:g}")
+    _raise_at_first(t, ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm)),
+                    f"control {'rate' if rates else 'value'}")
     return om, dl, gm
-
-
-def _radicand(t, om, dl, gm):
-    """Z of :func:`radicand` from the controls sampled at t; raises NonFinite
-    naming the first t at which Z overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = -(gm + 2j * dl) ** 2 + 4.0 * om**2
-    bad = ~np.isfinite(z)
-    if np.any(bad):
-        ts, bad = np.broadcast_arrays(t, bad)
-        raise NonFinite(f"radicand not finite at t={ts[bad][0]:g}")
-    return z
 
 
 def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
@@ -192,9 +205,20 @@ def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
             0.5 * np.asarray(dl - 1j * gm, dtype=complex))
 
 
+def _raise_at_first(t, bad, what: str) -> None:
+    """Raise NonFinite naming the first t at which ``bad`` holds, if any."""
+    if np.any(bad):
+        ts, bad = np.broadcast_arrays(t, bad)
+        raise NonFinite(f"{what} not finite at t={ts[bad][0]:g}")
+
+
 def radicand(pulse: PulseSpec, t):
-    """Z(t) = -(gamma + 2i*Delta)^2 + 4*Omega_R^2."""
-    z = _radicand(t, *_controls(pulse, t))
+    """Z(t) = -(gamma + 2i*Delta)^2 + 4*Omega_R^2; raises NonFinite naming
+    the first t at which Z overflows."""
+    om, dl, gm = _controls(pulse, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = -(gm + 2j * dl) ** 2 + 4.0 * om**2
+    _raise_at_first(t, ~np.isfinite(z), "radicand")
     return z[()] if z.ndim == 0 else z
 
 
@@ -216,18 +240,53 @@ def eigenvalue_path(h0: tuple, path: MixingAnglePath) -> tuple:
     return e_plus, h0[0] + h0[3] - e_plus
 
 
-def _principal_theta(omega, a):
-    """One representative of tan(theta) = -omega/a, safe at either pole.
+def _factors(t, om, dl, gm) -> tuple:
+    """(Im P, Im Q, |P|^2, |Q|^2) of the factors P = a - i*Omega_R and
+    Q = a + i*Omega_R of a^2 + Omega_R^2 = P*Q = Z/4, a = Delta - i*gamma/2,
+    from the controls sampled at t; Re P = Re Q = Delta.  Raises NonFinite
+    naming the first t at which they overflow, as Z does."""
+    half = 0.5 * gm
+    p_im = np.negative(om + half)
+    q_im = np.subtract(om, half, out=half)
+    with np.errstate(over="ignore"):
+        dl2 = dl * dl
+        d1 = p_im * p_im
+        d1 += dl2
+        d2 = q_im * q_im
+        d2 += dl2
+        _raise_at_first(t, ~np.isfinite(d1 + d2), "radicand")
+    return p_im, q_im, d1, d2
 
-    Uses arctan(-omega/a) for |a| >= |omega| and the cotangent form
-    pi/2 - arctan(-a/omega) otherwise, keeping the arctangent argument inside
-    the unit disc (away from its branch points at +/- i).
+
+def _principal_theta(om, dl, gm, factors) -> tuple:
+    """Parts (x, y) of one representative theta = x + iy of
+    tan(theta) = -Omega_R/a, from the controls and their :func:`_factors`.
+
+    theta = ln(P/Q)/(2i), so x = arg(P conj(Q))/2, in [-pi/4, pi/4] or,
+    where Re(P conj(Q)) < 0 (|Omega_R| > |a|), moved into (0, pi).  One
+    arctangent of the product, not a difference of two, keeps x's relative
+    accuracy where theta is small.  y = ln(|Q|^2/|P|^2)/4, as
+    log1p(-2*Omega_R*gamma/|P|^2)/4 only where that argument is below 1/2
+    in magnitude: near the exceptional point |Q|^2 is tiny and only the
+    ratio keeps its digits.
     """
-    omega = np.asarray(omega, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    use_cot = np.abs(a) < np.abs(omega)
-    at = np.arctan(-np.where(use_cot, a, omega) / np.where(use_cot, omega, a))
-    return np.where(use_cot, 0.5 * np.pi - at, at)
+    p_im, q_im, d1, d2 = factors
+    re = p_im * q_im
+    re += dl * dl
+    x = om * dl
+    x *= -2.0
+    np.arctan2(x, re, out=x)
+    x *= 0.5
+    x[(re < 0) & (x <= 0)] += np.pi
+    r = np.multiply(om, gm, out=re)
+    r *= -2.0
+    r /= d1
+    y = np.log1p(r)
+    far = (r <= -0.5) | (r >= 0.5)
+    y[far] = np.log(d2[far] / d1[far])
+    y *= 0.25
+    y += 0.0  # turns a lossless sample's y = log1p(-0.0)/4 into 0.0
+    return x, y
 
 
 def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid) -> MixingAnglePath:
@@ -245,43 +304,72 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid) -> MixingAnglePath:
     if np.any(gm < 0):
         raise ValueError("gamma(t) must be non-negative on the grid")
 
-    a = dl - 0.5j * gm
-    denom = 0.25 * _radicand(ts, om, dl, gm)  # a^2 + Omega_R^2
-    if np.any(np.abs(denom) < 1e-14):
-        k = int(np.argmin(np.abs(denom)))
+    factors = _factors(ts, om, dl, gm)
+    with np.errstate(over="ignore"):  # |a^2 + Omega_R^2|^2 = |P|^2 |Q|^2
+        modulus_sq = factors[2] * factors[3]
+    if np.any(modulus_sq < 1e-28):
+        k = int(np.argmin(modulus_sq))
         raise TanPole(f"(Delta - i*gamma/2)^2 + Omega_R^2 ~ 0 at t={ts[k]:g}")
+    del modulus_sq
 
-    principal = _principal_theta(om, a)
-    turns = -np.cumsum(np.round(np.diff(principal).real / np.pi))
-    theta = principal + np.pi * np.concatenate(([0.0], turns))
-    jump = np.abs(np.diff(theta)) >= 0.5 * np.pi
+    x, y = _principal_theta(om, dl, gm, factors)
+    del factors
+    turns = -np.cumsum(np.round(np.diff(x) / np.pi))
+    x += np.pi * np.concatenate(([0.0], turns))
+    jump = np.hypot(np.diff(x), np.diff(y)) >= 0.5 * np.pi
     if np.any(jump):
         k = int(np.argmax(jump)) + 1
         raise BranchJump(
             f"no representative of theta within pi/2 of the previous sample "
             f"near t={ts[k]:g}; refine the grid"
         )
+    theta = complex_array(x, y)
+    del x, y  # freed before the rate's temporaries are allocated
     return MixingAnglePath(grid=grid, theta=theta,
                            dtheta=mixing_angle_rate(pulse, ts, controls))
 
 
 def mixing_angle_rate(pulse: PulseSpec, t, controls: tuple):
-    """dtheta/dt = (Omega*da/dt - dOmega/dt*a)/(a^2 + Omega^2) with
-    a = Delta - i*gamma/2, at arbitrary t, from ``controls`` = (Omega_R,
-    Delta, gamma) sampled at t and the pulse's derivatives."""
-    om, dl, gm = controls
-    d_om, d_dl, d_gm = _controls(pulse, t, rates=True)
-    a = dl - 0.5j * gm
-    da = d_dl - 0.5j * d_gm
-    out = (om * da - d_om * a) / (a * a + om**2)
-    return out[()] if out.ndim == 0 else out
+    """dtheta/dt = N/D with N = Omega*da/dt - dOmega/dt*a, D = a^2 + Omega^2
+    and a = Delta - i*gamma/2, at arbitrary t, from ``controls`` = (Omega_R,
+    Delta, gamma) sampled at t and the pulse's derivatives.  N and D are
+    formed part by part, Re D in factored form for its digits near the
+    exceptional point, and N/D = N*conj(D)/|D|^2 with D scaled by its
+    larger part against overflow; a lossless rate is real exactly."""
+    om, dl, gm = np.atleast_1d(*controls)
+    d_om, d_dl, d_gm = np.atleast_1d(*_controls(pulse, t, rates=True))
+    n_re = om * d_dl
+    n_re -= d_om * dl
+    n_im = d_om * gm
+    n_im -= om * d_gm
+    n_im *= 0.5
+    del d_om, d_dl, d_gm
+    half = 0.5 * gm
+    d_re = om + half
+    d_re *= om - half
+    d_re += dl * dl
+    d_im = gm * dl
+    np.negative(d_im, out=d_im)
+    scale = np.maximum(np.abs(d_re), np.abs(d_im))
+    d_re /= scale
+    d_im /= scale
+    scale *= d_re * d_re + d_im * d_im
+    out = np.empty(np.shape(d_re), dtype=complex)
+    np.multiply(n_re, d_re, out=out.real)
+    out.real += n_im * d_im
+    np.multiply(n_im, d_re, out=out.imag)
+    out.imag -= n_re * d_im
+    out.real /= scale
+    out.imag /= scale
+    return out if np.ndim(t) else out[0]
 
 
 def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:
     """theta at arbitrary t: principal representative branch-matched to a
     nearby reference value from a tracked path."""
-    om, dl, gm = _controls(pulse, t)
-    principal = complex(_principal_theta(om, dl - 0.5j * gm))
+    om, dl, gm = (np.atleast_1d(c) for c in _controls(pulse, t))
+    x, y = _principal_theta(om, dl, gm, _factors(t, om, dl, gm))
+    principal = complex(x[0], y[0])
     return principal + np.pi * round((reference - principal).real / np.pi)
 
 

@@ -5,7 +5,7 @@ import pytest
 from nhsta.experiments import run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (AllenEberlyParams, MixingAnglePath, PulseSpec,
-                             allen_eberly, eigenvalue_path,
+                             allen_eberly, eigenvalue_path, frame_diagonal,
                              hamiltonian_entries, mixing_angle_path)
 
 OMEGA0 = 1.0
@@ -40,6 +40,12 @@ def path_eigenvalues(pulse: PulseSpec, path: MixingAnglePath) -> tuple:
     """(E_+, E_-) of ``eigenvalue_path`` on the grid of ``path``, from H0
     sampled there."""
     return eigenvalue_path(hamiltonian_entries(pulse, path.grid.samples), path)
+
+
+def shifted_level(e_plus, h1: tuple, path: MixingAnglePath):
+    """E_+ + d_+, with d_+ the frame diagonal of a supplement's entries
+    ``h1``: the level the matched gauge and the closed form read."""
+    return e_plus + frame_diagonal(h1, path)
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,9 @@ frame rotations (R, R~), the per-index closed-form frame matrix of H0, the
 closed-form eigenvector pair of a mixing angle, the bare Hamiltonian and
 its eigenvalues at any t on either square-root cut (``branch_sqrt``, the
 reference root), the counterdiabatic matrices, the general
-supplement family for any lam(t) and Re[W](t), and the hermitian-only
-closed form of the surviving amplitude.
+supplement family for any lam(t) and Re[W](t), the hermitian-only
+closed form of the surviving amplitude, and the mixing angle, its rate and
+its trigonometric functions in mpmath's extended precision.
 """
 from __future__ import annotations
 
@@ -59,7 +60,8 @@ class EigenPath:
                          grid: TimeGrid,
                          degeneracy_threshold: float = DEFAULT_DEGENERACY_THRESHOLD
                          ) -> "EigenPath":
-        """Decompose H(t_k) at every sample and match adjacent systems.
+        """Decompose the stack of H(t_k) at every sample in one call and
+        match adjacent systems.
 
         Matching is a greedy assignment maximizing |<n~(t_k)|n(t_{k+1})>|;
         an assignment whose best overlap is <= 0.5 aborts with BranchJump.
@@ -67,7 +69,11 @@ class EigenPath:
         so the matching overlap is real positive.
         """
         ts = grid.samples
-        systems = [decompose(h_of_t(t), degeneracy_threshold) for t in ts]
+        stack = decompose(np.array([h_of_t(t) for t in ts]),
+                          degeneracy_threshold)
+        systems = [BiorthogonalSystem(eigenvalues=w, right=r, left=l)
+                   for w, r, l in zip(stack.eigenvalues, stack.right,
+                                      stack.left)]
         matched = [systems[0]]
         for k in range(1, len(ts)):
             prev, cur = matched[-1], systems[k]
@@ -283,6 +289,37 @@ def hermitian_closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
     integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
                  + h1[0] * theta_path.cos)
     return np.exp(-1j * cumulative_trapezoid(integrand, theta_path.grid.step))
+
+
+def angle_functions_mp(pulse: PulseSpec, ts: np.ndarray,
+                       theta: np.ndarray, digits: int = 40) -> dict:
+    """theta, dtheta and sin/cos of theta and theta/2 at the samples ``ts``,
+    evaluated with mpmath at ``digits`` significant digits from the float64
+    controls and rates the pulse returns there.  theta = ln(P/Q)/(2i),
+    P, Q = a -/+ i*Omega_R, is taken on the branch of the tracked ``theta``
+    (nearest multiple of pi); dtheta = (Omega*da - dOmega*a)/(a^2 + Omega^2).
+    Each entry is a complex array, rounded once from the exact value."""
+    import mpmath
+
+    columns = [np.asarray(fn(ts), dtype=float) for fn in (
+        pulse.omega_r, pulse.delta, pulse.gamma,
+        pulse.d_omega_r, pulse.d_delta, pulse.d_gamma)]
+    names = ("theta", "dtheta", "sin", "cos", "sin_half", "cos_half")
+    out = {name: np.empty(len(ts), dtype=complex) for name in names}
+    with mpmath.workdps(digits):
+        for k in range(len(ts)):
+            om, dl, gm, d_om, d_dl, d_gm = (mpmath.mpf(float(c[k]))
+                                            for c in columns)
+            a = dl - 0.5j * gm
+            th = mpmath.log((a - 1j * om) / (a + 1j * om)) / 2j
+            th += mpmath.pi * mpmath.nint(
+                (mpmath.mpc(complex(theta[k])) - th).real / mpmath.pi)
+            dth = (om * (d_dl - 0.5j * d_gm) - d_om * a) / (a * a + om * om)
+            values = (th, dth, mpmath.sin(th), mpmath.cos(th),
+                      mpmath.sin(th / 2), mpmath.cos(th / 2))
+            for name, value in zip(names, values):
+                out[name][k] = complex(value)
+    return out
 
 
 def eigenvectors(theta: complex):

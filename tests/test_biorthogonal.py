@@ -81,6 +81,46 @@ class TestDecompose:
         with pytest.raises(NonFinite):
             decompose(m)
 
+    def test_stack_members_equal_single_decompositions(self):
+        rng = np.random.default_rng(17)
+        for dim in (2, 3, 4):
+            stack = np.array([random_matrix(rng, dim) for _ in range(7)])
+            sys_ = decompose(stack, degeneracy_threshold=1e-6)
+            assert sys_.dim == dim
+            for k, m in enumerate(stack):
+                one = decompose(m, degeneracy_threshold=1e-6)
+                for name in ("eigenvalues", "right", "left"):
+                    gap = np.max(np.abs(getattr(sys_, name)[k]
+                                        - getattr(one, name)))
+                    assert gap <= 1e-14, (dim, k, name)
+
+    def test_stack_defects_are_the_worst_member(self):
+        rng = np.random.default_rng(19)
+        stack = np.array([random_matrix(rng, 3) for _ in range(9)])
+        sys_ = decompose(stack)
+        members = [decompose(m) for m in stack]
+        assert sys_.biorthogonality_defect() == pytest.approx(
+            max(s.biorthogonality_defect() for s in members), abs=1e-16)
+        assert sys_.completeness_defect() == pytest.approx(
+            max(s.completeness_defect() for s in members), abs=1e-16)
+        back = reconstruct(sys_)
+        assert back.shape == stack.shape
+        assert np.max(np.abs(back - stack)) <= 1e-13
+
+    def test_degenerate_member_is_named(self):
+        rng = np.random.default_rng(23)
+        stack = np.array([random_matrix(rng, 3) for _ in range(5)])
+        stack[3] = np.diag([0.5, 0.5, 2.0])
+        with pytest.raises(DegenerateSpectrum,
+                           match=r"^member 3: eigenvalues \(0\.5\+0j\) and "
+                                 r"\(0\.5\+0j\) closer than 1e-08$"):
+            decompose(stack)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 3), (2, 2, 2, 2)])
+    def test_non_square_or_empty_stack_rejected(self, shape):
+        with pytest.raises(ValueError):
+            decompose(np.ones(shape))
+
     def test_swapped_partner_breaks_reconstruction(self):
         rng = np.random.default_rng(9)
         m = random_matrix(rng, 3)

@@ -851,6 +851,25 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["figure3", "figure4", "sweep",
+                                         "verify"])
+    def test_short_pulse_fails_its_certificate_not_its_gauge(
+            self, tmp_path, capsys, command):
+        # with tau = 1e-3, |dtheta| reaches 1.2e4 while Re[sin theta] and
+        # Im[dtheta] ~ 1e-9 vanish together far from the centre: removable
+        # on the rate's own scale.  4000 steps do not resolve the pulse, so
+        # the run is flagged uncertified (status 1), never SinThetaSingular
+        assert main([command, "--gamma", "1", "--tau", "1e-3",
+                     "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        if command == "verify":
+            assert err == ""
+            assert "FAIL  convergence[gamma=1]" in out
+        else:
+            assert err.splitlines() and all(
+                line.startswith("uncertified: gamma=1 ")
+                for line in err.splitlines())
+
     def test_vanishing_gauge_names_its_factor_and_time(self, tmp_path,
                                                        capsys):
         # exp(int Im E_-) underflows to 0 part-way through the window
@@ -919,11 +938,27 @@ class TestVerify:
         assert [cli.rabi_error(500), cli.rabi_error(1000),
                 cli.decay_error(4000)] == errors
 
+    def test_corpus_decomposes_one_stack_per_dimension(self, tmp_path,
+                                                        monkeypatch):
+        from nhsta import cli
+        from nhsta.biorthogonal import decompose
+        shapes = []
+
+        def counted(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return decompose(m, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", counted)
+        assert main(["verify", "--gamma", "0.3", "--out", str(tmp_path)]) == 0
+        assert [shape[1:] for shape in shapes] == [(2, 2), (3, 3), (4, 4)]
+        assert sum(shape[0] for shape in shapes) == 60
+
     def test_corpus_keeps_its_coverage(self):
         from nhsta.cli import random_corpus
         corpus = list(random_corpus())
-        assert len(corpus) == 60
-        assert {m.shape for m, _ in corpus} == {(2, 2), (3, 3), (4, 4)}
+        # one stack per dimension, 60 matrices in all
+        assert [m.shape[1:] for m, _ in corpus] == [(2, 2), (3, 3), (4, 4)]
+        assert sum(len(m) for m, _ in corpus) == 60
         entries = np.concatenate([m.ravel() for m, _ in corpus])
         assert np.max(np.abs(entries.real)) <= 1.0
         assert np.max(np.abs(entries.imag)) <= 1.0

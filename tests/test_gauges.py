@@ -3,16 +3,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import ae_params, analytic_two_level_systems, path_eigenvalues
+from conftest import (ae_params, ae_setup, analytic_two_level_systems,
+                      path_eigenvalues, shifted_level, shortcut_table)
 from nhsta.biorthogonal import BiorthogonalSystem
 from nhsta.errors import SinThetaSingular, ZeroGauge
 from nhsta.gauges import gauge_simple, matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
-from nhsta.synthesis import (hermitian_realizable, matched_gauge,
-                             naive_cd_entries)
+from nhsta.synthesis import POLICY_NAIVE, hermitian_realizable, matched_gauge
 from nhsta.two_level import (MixingAnglePath, PulseSpec, allen_eberly,
-                             mixing_angle_path, theta_at)
+                             frame_diagonal, mixing_angle_path, theta_at)
 from oracles import (EigenPath, adiabatic_frame_generic, adiabatic_frame_h0,
                      rotation)
 
@@ -43,16 +43,15 @@ class TestGaugeSimple:
 
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 3.0, 10.0])
-    def test_matched_gauge_of_naive_term_equals_it_bitwise(
-            self, theta_paths, gamma):
-        # the naive term has no frame diagonal, so its matched gauge is the
-        # simple one, signed zeros included
-        pulse, path = theta_paths(gamma)
-        e_plus, e_minus = path_eigenvalues(pulse, path)
-        got = matched_gauge(e_plus, e_minus, naive_cd_entries(path), path)
-        want = gauge_simple(e_plus, e_minus, path.grid)
+    def test_matched_gauge_of_naive_term_equals_it_bitwise(self, gamma):
+        # the naive term has no frame diagonal, so its table's matched gauge
+        # is the simple one, signed zeros included
+        pulse, grid = ae_setup(gamma, 1000)
+        table = shortcut_table(pulse, grid, POLICY_NAIVE)
+        assert np.all(frame_diagonal(table.h1, table.theta) == 0)
+        want = gauge_simple(table.e_plus, table.e_minus, grid)
         for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
-            g = np.asarray(getattr(got, name)).view(float)
+            g = np.asarray(getattr(table.gauges, name)).view(float)
             w = np.asarray(getattr(want, name)).view(float)
             assert np.array_equal(g, w), name
             assert np.array_equal(np.signbit(g), np.signbit(w)), name
@@ -62,13 +61,15 @@ class TestGaugeShortcut:
     def test_lossless_limit_is_unit_gauge(self, theta_paths):
         pulse, path = theta_paths(0.0)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
+        level = shifted_level(e_plus, hermitian_realizable(path), path)
+        g = matched_gauge(level, e_minus, path.grid)
         assert np.max(np.abs(g.f_plus - 1.0)) < 1e-12
 
     def test_factor_is_real_positive(self, theta_paths):
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
+        level = shifted_level(e_plus, hermitian_realizable(path), path)
+        g = matched_gauge(level, e_minus, path.grid)
         assert np.max(np.abs(g.f_plus.imag)) == 0.0
         assert np.min(g.f_plus.real) > 0.0
         assert g.f_plus[0] == 1.0
@@ -77,7 +78,8 @@ class TestGaugeShortcut:
         # Im[E+ - i*(df+/f+) + delta*cos(theta)/2] == 0 with the synthesized delta
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
+        level = shifted_level(e_plus, hermitian_realizable(path), path)
+        g = matched_gauge(level, e_minus, path.grid)
         delta = 2 * hermitian_realizable(path)[0]
         cond = (e_plus - 1j * g.dlogf_plus
                 + 0.5 * delta * np.cos(path.theta)).imag
@@ -89,7 +91,8 @@ class TestGaugeShortcut:
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, hermitian_realizable(path), path)
+        level = shifted_level(e_plus, hermitian_realizable(path), path)
+        g = matched_gauge(level, e_minus, path.grid)
 
         ts = grid.samples
         theta_tab = path.theta
@@ -125,13 +128,34 @@ class TestGaugeShortcut:
         assert delta[k] == pytest.approx(0.5 * (delta[k - 1] + delta[k + 1]))
         assert delta[k] < -16.0
 
-    def test_unguardable_singularity_raises(self):
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    def test_unguardable_singularity_raises(self, scale):
         grid = TimeGrid(0.0, 1.0, 4)
         theta = np.zeros(5, dtype=complex)  # Re[sin theta] = 0 everywhere
-        dtheta = np.full(5, 1j, dtype=complex)  # with a surviving numerator
+        # with a surviving numerator, however small or large the rate
+        dtheta = np.full(5, 1j * scale, dtype=complex)
         path = MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta)
         with pytest.raises(SinThetaSingular):
             matched_delta(path)
+
+    @pytest.mark.parametrize("im_dtheta, removable", [(1e-6, True),
+                                                      (1e-4, False)])
+    def test_vanishing_numerator_is_measured_against_the_rate(
+            self, im_dtheta, removable):
+        # beside a rate of 1e4, Im[dtheta] = 1e-6 vanishes with Re[sin theta]
+        # (below 1e-9 * 1e4) and the point takes its neighbours' mean; 1e-4
+        # survives and raises
+        grid = TimeGrid(0.0, 1.0, 4)
+        theta = np.array([0.1, 0.2, 0.0, 0.2, 0.1], dtype=complex)
+        dtheta = np.array([1e4, 0.5j, 1j * im_dtheta, 0.3j, 1e4])
+        path = MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta)
+        if not removable:
+            with pytest.raises(SinThetaSingular, match="t=0.5$"):
+                matched_delta(path)
+            return
+        delta = matched_delta(path)
+        assert delta[2] == pytest.approx(0.5 * (delta[1] + delta[3]))
+        assert delta[1] == pytest.approx(0.5 / np.sin(0.2))
 
 
 class TestRotation:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from conftest import (ae_setup, analytic_two_level_systems, path_eigenvalues,
-                      shortcut_table)
+                      shifted_level, shortcut_table)
 from nhsta import synthesis
 from nhsta.errors import InconsistentChoice, NonFinite
 from nhsta.experiments import POLICIES
@@ -264,9 +264,10 @@ class TestClosedForm:
         pulse, path = theta_paths(gamma)
         e_plus, e_minus = path_eigenvalues(pulse, path)
         h1 = hermitian_realizable(path)
-        gauges = matched_gauge(e_plus, e_minus, h1, path)
+        level = shifted_level(e_plus, h1, path)
+        gauges = matched_gauge(level, e_minus, path.grid)
         want = hermitian_closed_form_gplus(e_plus, gauges, h1, path)
-        got = closed_form_gplus(e_plus, h1, path)
+        got = closed_form_gplus(level, path.grid)
         assert np.max(np.abs(got - want)) <= 1e-15
 
 

@@ -13,8 +13,9 @@ from nhsta.grids import TimeGrid
 from nhsta.two_level import (AllenEberlyParams, BranchRegime, PulseSpec,
                              _controls, allen_eberly, classify_regime,
                              hamiltonian_entries, mixing_angle_path,
-                             mixing_angle_rate, radicand)
-from oracles import branch_sqrt, eigenvalues, eigenvectors, hamiltonian
+                             mixing_angle_rate, radicand, theta_at)
+from oracles import (angle_functions_mp, branch_sqrt, eigenvalues,
+                     eigenvectors, hamiltonian)
 
 #: the trigonometric functions of theta a path carries
 TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
@@ -38,8 +39,29 @@ def eigenvalues_at(pulse, t):
     return e_plus[0], e_minus[0]
 
 
+#: (gamma, t0, t_f) of the accuracy checks against mpmath: the default
+#: window across both regimes, the exceptional point's neighbourhood, and a
+#: window that starts in the cotangent lane (|Omega_R| > |a| at t0 = 0)
+ACCURACY_WINDOWS = ([(g, -1.0, 1.0) for g in (0.0, 0.1, 0.3, 1.0, 3.0, 10.0)]
+                    + [(g, -0.01, 0.01) for g in (1.99, 2.05)]
+                    + [(0.3, 0.0, 1.0)])
+
+
+def max_scaled_error(got, want):
+    """max |got - want| / max(1, |want|)."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+def assert_accurate(name, got, want):
+    """Within 4e-15*max(1, |x|) of the extended-precision value x: a few
+    units in the last place of float64."""
+    err = max_scaled_error(got, want)
+    assert err <= 4e-15, f"{name}: {err:.2e}"
+
+
 def two_lane_principal_theta(omega, a):
-    """Reference: both arctangent lanes evaluated everywhere, one kept."""
+    """The complex-arctangent formula the real one replaced: both lanes
+    evaluated everywhere, one kept."""
     omega = np.asarray(omega, dtype=complex)
     a = np.asarray(a, dtype=complex)
     use_cot = np.abs(a) < np.abs(omega)
@@ -259,12 +281,13 @@ class TestMixingAngle:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 3.0])
     def test_branch_tracking_equals_sample_by_sample_loop(self, gamma):
-        from nhsta.two_level import _principal_theta
+        from nhsta.two_level import _factors, _principal_theta
         pulse = allen_eberly(ae_params(gamma))
         grid = TimeGrid(-1.0, 1.0, 16000)
         ts = grid.samples
-        a = pulse.delta(ts) - 0.5j * pulse.gamma(ts)
-        principal = _principal_theta(pulse.omega_r(ts), a)
+        om, dl, gm = pulse.omega_r(ts), pulse.delta(ts), pulse.gamma(ts)
+        x, y = _principal_theta(om, dl, gm, _factors(ts, om, dl, gm))
+        principal = x + 1j * y
         want = np.empty_like(principal)
         want[0] = principal[0]
         for k in range(1, len(ts)):
@@ -273,37 +296,48 @@ class TestMixingAngle:
         got = mixing_angle_path(pulse, grid).theta
         assert np.array_equal(got.view(float), want.view(float))
 
-    @pytest.mark.parametrize("gamma", [0.3, 3.0])
-    def test_principal_theta_equals_two_lane_formula(self, gamma):
-        from nhsta.two_level import _principal_theta
+    @pytest.mark.parametrize("gamma, t0, t_f", ACCURACY_WINDOWS)
+    def test_angle_and_rate_match_mpmath(self, gamma, t0, t_f):
         pulse = allen_eberly(ae_params(gamma))
-        ts = TimeGrid(-1.0, 1.0, 16000).samples
+        path = mixing_angle_path(pulse, TimeGrid(t0, t_f, 200))
+        ts = path.grid.samples
+        ref = angle_functions_mp(pulse, ts, path.theta)
+        for name, got in (("theta", path.theta), ("dtheta", path.dtheta)):
+            assert_accurate(name, got, ref[name])
+        at = [theta_at(pulse, t, th) for t, th in zip(ts[::20], path.theta[::20])]
+        assert_accurate("theta_at", np.array(at), ref["theta"][::20])
+        # the complex two-lane arctangent this replaced, for comparison
         a = pulse.delta(ts) - 0.5j * pulse.gamma(ts)
-        omega = pulse.omega_r(ts)
-        # add samples on the lane boundary |a| = |omega| (except a = -i|a|,
-        # a pole of the arctangent) and samples shrunk into the cot lane
-        off = a.real != 0
-        omega = np.concatenate((omega, np.abs(a[off]), omega))
-        a = np.concatenate((a, a[off], a / 4.0))
-        lanes = np.sign(np.abs(a) - np.abs(omega))
-        assert set(lanes) == {-1.0, 0.0, 1.0}
-        got = _principal_theta(omega, a)
-        assert np.array_equal(got, two_lane_principal_theta(omega, a))
+        old = two_lane_principal_theta(pulse.omega_r(ts), a)
+        old += np.pi * np.round((path.theta - old).real / np.pi)
+        print(f"  [diagnostic] gamma={gamma:g} t0={t0:g}: theta error "
+              f"{max_scaled_error(path.theta, ref['theta']):.1e}, complex "
+              f"arctangent {max_scaled_error(old, ref['theta']):.1e}")
 
-    @pytest.mark.parametrize("gamma", [0.0, 3.0])
-    def test_path_trig_equals_numpy_expressions(self, gamma):
-        path = mixing_angle_path(allen_eberly(ae_params(gamma)),
-                                 TimeGrid(-1.0, 1.0, 4000))
-        th = path.theta
-        expected = {"cos_half": np.cos(th / 2.0), "sin_half": np.sin(th / 2.0),
-                    "sin": np.sin(th), "cos": np.cos(th)}
+    @pytest.mark.parametrize("delta, gamma", [(1.0, 0.0), (-1.0, 0.0),
+                                              (0.3, 3.0), (-2.0, 1.0)])
+    def test_angle_on_the_lane_boundary_matches_mpmath(self, delta, gamma):
+        # |Omega_R| = |a| puts tan(theta) on the unit circle, where the
+        # arctangent lane and the cotangent lane meet
+        pulse = constant_pulse(float(np.hypot(delta, 0.5 * gamma)), delta,
+                               gamma)
+        path = mixing_angle_path(pulse, TimeGrid(0.0, 1.0, 2))
+        ref = angle_functions_mp(pulse, path.grid.samples, path.theta)
+        for name in ("theta", "dtheta", "sin", "cos"):
+            assert_accurate(name, getattr(path, name), ref[name])
+
+    @pytest.mark.parametrize("gamma, t0, t_f", ACCURACY_WINDOWS)
+    def test_path_trig_matches_mpmath(self, gamma, t0, t_f):
+        pulse = allen_eberly(ae_params(gamma))
+        path = mixing_angle_path(pulse, TimeGrid(t0, t_f, 200))
+        ref = angle_functions_mp(pulse, path.grid.samples, path.theta)
         assert not set(TRIG_FIELDS) & set(vars(path))
         for k, name in enumerate(TRIG_FIELDS):
             value = getattr(path, name)
             # only the fields read so far have been evaluated, once each
             assert set(TRIG_FIELDS) & set(vars(path)) == set(TRIG_FIELDS[:k + 1])
             assert getattr(path, name) is value
-            assert np.array_equal(value, expected[name])
+            assert_accurate(name, value, ref[name])
 
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
         pulse = allen_eberly(ae_params(gamma=1.99))
