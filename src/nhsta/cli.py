@@ -215,7 +215,7 @@ def _population_figure(cfg: ExperimentConfig, command: str,
         started = time.perf_counter()
         run = run_shortcut(pulse, grid, policy=policy, initial_state=initial)
         elapsed = time.perf_counter() - started
-        out.emit(name, header, [run.grid.samples] + columns(run.amps))
+        out.emit(name, header, [run.table.grid.samples] + columns(run.amps))
         out.add_run(gamma=gamma, policy=policy, initial_state=initial,
                     wall_time_s=elapsed, regime=regime.value, **run.metrics)
         uncertified += _flag_uncertified(gamma, policy, initial, run.metrics)
@@ -360,7 +360,7 @@ def _verify_checks(cfg: ExperimentConfig):
         run = run_shortcut(cfg.pulse_for(gamma), cfg.grid,
                            policy=POLICY_HERMITIAN)
         tag = f"gamma={gamma:g}"
-        report = run.frame_check()
+        report = run.table.frame_check()
         res = report.max_abs_residual
         yield (f"nullification-residual[{tag}]", res, RESIDUAL_BOUND,
                res <= RESIDUAL_BOUND)
@@ -370,7 +370,8 @@ def _verify_checks(cfg: ExperimentConfig):
         yield f"max-abs-g-minus[{tag}]", gm, 1e-5, gm <= 1e-5
         gp_dev = float(np.max(np.abs(run.amps.pop_phi_plus - 1.0)))
         yield f"g-plus-sq-dev[{tag}]", gp_dev, 0.05, gp_dev <= 0.05
-        closed = float(np.max(np.abs(run.amps.g_plus - run.g_plus_closed)))
+        closed = float(np.max(np.abs(run.amps.g_plus
+                                     - run.table.closed_form())))
         yield f"closed-form-vs-ode[{tag}]", closed, 1e-5, closed <= 1e-5
         conv = run.convergence
         yield (f"convergence[{tag}]", conv, CONVERGENCE_BOUND,

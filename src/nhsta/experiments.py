@@ -51,24 +51,24 @@ class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
     Holds the angle path, the supplement's entries (h00, h01, h10, h11),
-    the gauges and checks on the run grid, and the RK4 prefix scan of the
-    run and of its half-step certification rerun.  :meth:`run` applies it
-    to one initial state; every state run from the same table shares this
-    work.
+    the level E_+ + d_+ and the gauges and residual on the run grid, and
+    the RK4 prefix scan of the run and of its half-step certification
+    rerun.  :meth:`run` applies it to one initial state; every state run
+    from the same table shares this work.
     """
 
     __slots__ = ("pulse", "grid", "policy", "theta", "e_plus", "e_minus",
-                 "gauges", "h1", "g_plus_closed", "residual", "scan")
+                 "gauges", "h1", "level", "residual", "scan")
 
     def __init__(self, pulse: PulseSpec, grid: TimeGrid, policy: str,
                  theta: MixingAnglePath, e_plus: np.ndarray,
                  e_minus: np.ndarray, gauges: GaugeFunctions, h1: tuple,
-                 g_plus_closed: np.ndarray, residual: NullificationReport,
+                 level: np.ndarray, residual: NullificationReport,
                  scan: PrefixScan):
         self.pulse, self.grid, self.policy = pulse, grid, policy
         self.theta, self.e_plus, self.e_minus = theta, e_plus, e_minus
         self.gauges, self.h1 = gauges, h1
-        self.g_plus_closed, self.residual = g_plus_closed, residual
+        self.level, self.residual = level, residual
         self.scan = scan
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
@@ -84,12 +84,9 @@ class ShortcutTable:
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
         traj, rerun = self.scan.apply(psi0)
-        return ShortcutRun(
-            self.pulse, self.grid, self.policy, self.theta, self.e_plus,
-            self.e_minus, self.gauges, self.h1, self.g_plus_closed,
-            self.residual, self.scan, initial_state=initial_state,
-            trajectory=traj, amps=amplitudes(traj, self.theta, self.gauges),
-            convergence=step_halving_gap(traj, rerun))
+        return ShortcutRun(self, initial_state, traj,
+                           amplitudes(traj, self.theta, self.gauges),
+                           step_halving_gap(traj, rerun))
 
     def frame_check(self) -> NullificationReport:
         """The residual report with the adiabatic-frame coupling (2,1),
@@ -97,32 +94,32 @@ class ShortcutTable:
         return nullification_residual(self.theta, self.h1,
                                       self.scan.h[:, 0], self.gauges)
 
+    def closed_form(self) -> np.ndarray:
+        """g_+ in closed form from the table's level on the run grid, which
+        the ODE's g_+ is checked against; formed on each call."""
+        return closed_form_gplus(self.level, self.grid)
 
-class ShortcutRun(ShortcutTable):
-    """A shortcut table run from one initial state: the table's attributes
-    plus the trajectory, amplitudes and step-halving gap of that state."""
 
-    __slots__ = ("initial_state", "trajectory", "amps", "convergence")
+class ShortcutRun:
+    """A shortcut table run from one initial state: the table, and the
+    trajectory, amplitudes and step-halving gap of that state."""
 
-    def __init__(self, pulse: PulseSpec, grid: TimeGrid, policy: str,
-                 theta: MixingAnglePath, e_plus: np.ndarray,
-                 e_minus: np.ndarray, gauges: GaugeFunctions, h1: tuple,
-                 g_plus_closed: np.ndarray, residual: NullificationReport,
-                 scan: PrefixScan, initial_state: str,
+    __slots__ = ("table", "initial_state", "trajectory", "amps",
+                 "convergence")
+
+    def __init__(self, table: ShortcutTable, initial_state: str,
                  trajectory: StateTrajectory, amps: AmplitudeTrajectory,
                  convergence: float):
-        super().__init__(pulse, grid, policy, theta, e_plus, e_minus, gauges,
-                         h1, g_plus_closed, residual, scan)
-        self.initial_state, self.trajectory = initial_state, trajectory
-        self.amps, self.convergence = amps, convergence
+        self.table, self.initial_state = table, initial_state
+        self.trajectory, self.amps = trajectory, amps
+        self.convergence = convergence
 
     @property
     def metrics(self) -> dict:
         """End-of-run scalars for sweep tables and manifests."""
-        g_plus_sq = float(np.abs(self.amps.g_plus[-1]) ** 2)
-        residual = float(self.residual.max_abs_residual)
+        residual = float(self.table.residual.max_abs_residual)
         return {
-            "g_plus_sq_final": g_plus_sq,
+            "g_plus_sq_final": float(np.abs(self.amps.g_plus[-1]) ** 2),
             "p0_renorm_final": float(self.amps.pop_bare_0_renorm[-1]),
             "p1_final": float(self.amps.pop_bare_1[-1]),
             "max_abs_g_minus": float(np.max(np.abs(self.amps.g_minus))),
@@ -182,16 +179,15 @@ def _policy_table(pulse, policy, theta_q, theta, h0_q, eigen) -> ShortcutTable:
         # eigenvalues cache on the shared path are not held through it
         eigen.extend(eigenvalue_path(tuple(x[::4] for x in h0_q), theta))
     e_plus, e_minus = eigen
-    # E_+ + d_+, formed once for the gauge and the closed form; the naive
-    # term has no adiabatic-frame diagonal, d_+ = 0
+    # E_+ + d_+, formed once for the gauge and kept for the closed form;
+    # the naive term has no adiabatic-frame diagonal, d_+ = 0
     level = (e_plus if policy == POLICY_NAIVE
              else e_plus + frame_diagonal(h1, theta))
 
     return ShortcutTable(
         pulse=pulse, grid=grid, policy=policy,
         theta=theta, e_plus=e_plus, e_minus=e_minus,
-        gauges=matched_gauge(level, e_minus, grid), h1=h1,
-        g_plus_closed=closed_form_gplus(level, grid),
+        gauges=matched_gauge(level, e_minus, grid), h1=h1, level=level,
         residual=nullification_residual(theta, h1), scan=scan)
 
 

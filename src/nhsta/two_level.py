@@ -103,9 +103,10 @@ class MixingAnglePath:
     ``cos_half``, ``sin_half``, ``sin`` and ``cos`` are cos(theta/2),
     sin(theta/2), sin(theta) and cos(theta) on the grid, from the real
     functions of theta = x + iy: sin(theta) = sin x cosh y + i cos x sinh y
-    and cos(theta) = cos x cosh y - i sin x sinh y.  Each is evaluated on
-    first read and kept, so every consumer of a path reads the same values
-    and a path pays only for the functions that are read.
+    and cos(theta) = cos x cosh y - i sin x sinh y, each part written in
+    place.  Each is evaluated on first read (the half angle's two together)
+    and kept, so every consumer of a path reads the same values and a path
+    pays only for the functions that are read.
     """
 
     def __init__(self, grid: TimeGrid, theta: np.ndarray, dtheta: np.ndarray):
@@ -115,43 +116,44 @@ class MixingAnglePath:
         self.grid, self.theta, self.dtheta = grid, theta, dtheta
 
     @cached_property
-    def cos_half(self) -> np.ndarray:
-        return _cos(0.5 * self.theta.real, 0.5 * self.theta.imag)
+    def _half(self) -> tuple:
+        """cos and sin of theta/2 from one pass of each real function."""
+        x, y = 0.5 * self.theta.real, 0.5 * self.theta.imag
+        sin_x, sinh_y = np.sin(x), np.sinh(y)
+        cos_x, cosh_y = np.cos(x, out=x), np.cosh(y, out=y)
+        c, s = np.empty((2,) + x.shape, dtype=complex)
+        np.multiply(cos_x, cosh_y, out=c.real)
+        np.multiply(sin_x, sinh_y, out=c.imag)
+        np.negative(c.imag, out=c.imag)
+        np.multiply(sin_x, cosh_y, out=s.real)
+        np.multiply(cos_x, sinh_y, out=s.imag)
+        return c, s
 
-    @cached_property
-    def sin_half(self) -> np.ndarray:
-        return _sin(0.5 * self.theta.real, 0.5 * self.theta.imag)
+    cos_half = property(lambda self: self._half[0])
+    sin_half = property(lambda self: self._half[1])
 
     @cached_property
     def sin(self) -> np.ndarray:
-        return _sin(self.theta.real, self.theta.imag)
+        x, y = self.theta.real, self.theta.imag
+        out = np.empty(np.shape(x), dtype=complex)
+        np.multiply(np.sin(x), np.cosh(y), out=out.real)
+        np.multiply(np.cos(x), np.sinh(y), out=out.imag)
+        return out
 
     @cached_property
     def cos(self) -> np.ndarray:
-        return _cos(self.theta.real, self.theta.imag)
+        x, y = self.theta.real, self.theta.imag
+        out = np.empty(np.shape(x), dtype=complex)
+        np.multiply(np.cos(x), np.cosh(y), out=out.real)
+        np.multiply(np.sin(x), np.sinh(y), out=out.imag)
+        np.negative(out.imag, out=out.imag)
+        return out
 
 
 def complex_array(re, im) -> np.ndarray:
     """The complex array re + i*im, assembled part by part."""
     out = np.empty(np.shape(re), dtype=complex)
     out.real, out.imag = re, im
-    return out
-
-
-def _sin(x, y) -> np.ndarray:
-    """sin(x + iy) from real functions, each part written in place."""
-    out = np.empty(np.shape(x), dtype=complex)
-    np.multiply(np.sin(x), np.cosh(y), out=out.real)
-    np.multiply(np.cos(x), np.sinh(y), out=out.imag)
-    return out
-
-
-def _cos(x, y) -> np.ndarray:
-    """cos(x + iy) from real functions, each part written in place."""
-    out = np.empty(np.shape(x), dtype=complex)
-    np.multiply(np.cos(x), np.cosh(y), out=out.real)
-    np.multiply(np.sin(x), np.sinh(y), out=out.imag)
-    np.negative(out.imag, out=out.imag)
     return out
 
 

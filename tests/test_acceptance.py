@@ -26,7 +26,7 @@ def report(name, measured, bound):
 def test_criterion_1_supplement_cancels_the_leak_exactly(shortcut_run):
     """Algebraic residual <= 1e-10 and frame coupling entry <= 1e-6."""
     for gamma in GAMMAS:
-        check = shortcut_run(gamma).frame_check()
+        check = shortcut_run(gamma).table.frame_check()
         residual = check.max_abs_residual
         coupling = float(np.max(check.frame_coupling))
         report(f"gamma={gamma} residual", residual, 1e-10)
@@ -42,7 +42,8 @@ def test_criterion_2_reference_amplitude_trapped(shortcut_run):
         run = shortcut_run(gamma)
         g_minus = float(np.max(np.abs(run.amps.g_minus)))
         g_plus_sq = run.amps.pop_phi_plus
-        closed_dev = float(np.max(np.abs(run.amps.g_plus - run.g_plus_closed)))
+        closed_dev = float(np.max(np.abs(run.amps.g_plus
+                                         - run.table.closed_form())))
         report(f"gamma={gamma} max |g-|", g_minus, 1e-5)
         report(f"gamma={gamma} closed-form deviation", closed_dev, 1e-5)
         print(f"  gamma={gamma} |g+|^2 range "
@@ -149,10 +150,10 @@ def test_criterion_6_biorthogonal_formalism(shortcut_run, theta_paths):
 
     worst_inv = 0.0
     for gamma in GAMMAS:
-        run = shortcut_run(gamma)
-        for k in range(0, run.grid.n_points, 10):
-            fr = rotation(run.theta.theta[k],
-                          (run.gauges.f_plus[k], run.gauges.f_minus[k]))
+        table = shortcut_run(gamma).table
+        for k in range(0, table.grid.n_points, 10):
+            fr = rotation(table.theta.theta[k],
+                          (table.gauges.f_plus[k], table.gauges.f_minus[k]))
             worst_inv = max(worst_inv, fr.inverse_defect())
     report("frame inverse defect", worst_inv, 1e-12)
     assert worst_inv <= 1e-12

@@ -28,6 +28,20 @@ def read_csv(path):
             for k, v in cols.items()}
 
 
+def closed_form_callers(monkeypatch):
+    """The names of the functions that call ``closed_form_gplus`` through
+    ``nhsta.experiments`` (where the benchmark tracer wraps it), in order."""
+    from nhsta import experiments
+    closed_form_gplus, callers = experiments.closed_form_gplus, []
+
+    def counted(level, grid):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return closed_form_gplus(level, grid)
+
+    monkeypatch.setattr(experiments, "closed_form_gplus", counted)
+    return callers
+
+
 def test_cli_import_leaves_scipy_unloaded():
     import subprocess
     import sys
@@ -488,6 +502,17 @@ class TestSweep:
         assert rows["certified"] == ["True"] * 3
         sweep = json.loads((sweep_dir / "sweep_manifest.json").read_text())
         assert [run["certified"] for run in sweep["runs"]] == [True] * 3
+
+    def test_rows_form_no_closed_form(self, tmp_path, monkeypatch):
+        # only verify checks g_+ against its closed form, so a sweep over
+        # every policy and state never forms it
+        callers = closed_form_callers(monkeypatch)
+        assert main(["sweep", "--gamma", "1", "--policy",
+                     "hermitian-realizable,naive-cd,general-omega-zero",
+                     "--initial-state", "eigen-plus,bare-ground",
+                     "--out", str(tmp_path)]) == 0
+        assert len(read_csv(tmp_path / "sweep.csv")["policy"]) == 6
+        assert callers == []
 
     def test_uncertified_rows_flagged(self, tmp_path, capsys):
         # just above gamma = 2*omega0 the default grid under-resolves the
@@ -952,6 +977,15 @@ class TestVerify:
         assert main(["verify", "--gamma", "0.3", "--out", str(tmp_path)]) == 0
         assert [shape[1:] for shape in shapes] == [(2, 2), (3, 3), (4, 4)]
         assert sum(shape[0] for shape in shapes) == 60
+
+    def test_closed_form_formed_once_per_decay_rate(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # where the check reads it, from the run's table
+        from nhsta.cli import VERIFY_DEFAULT_GAMMAS
+        callers = closed_form_callers(monkeypatch)
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        assert "closed-form-vs-ode[gamma=1]" in capsys.readouterr().out
+        assert callers == ["closed_form"] * len(VERIFY_DEFAULT_GAMMAS)
 
     def test_corpus_keeps_its_coverage(self):
         from nhsta.cli import random_corpus

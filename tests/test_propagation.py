@@ -1,4 +1,5 @@
 """RK4 integrator, amplitude extraction, and grid mechanics."""
+import cmath
 import gc
 import tracemalloc
 import weakref
@@ -10,8 +11,8 @@ from scipy.integrate import cumulative_trapezoid
 from conftest import ae_params, ae_setup, path_eigenvalues, shortcut_table
 from nhsta.errors import NonFinite
 
-from nhsta.experiments import (INITIAL_STATES, POLICIES, run_shortcut,
-                               shortcut_tables)
+from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
+                               run_shortcut, shortcut_tables)
 from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
@@ -29,28 +30,49 @@ def half_step_scan(h_half, grid):
     return scan_table(phase_table(grid.steps, h_half.reshape(-1, 4).T), grid)
 
 
-def per_step_rk4(h_total, psi0, grid):
-    """Reference: the step-by-step RK4 loop with stage times t, t + h/2, t + h."""
-    psi = np.asarray(psi0, dtype=complex).copy()
+def half_step_samples(h_total, grid):
+    """H at the RK4 stage times t_k and t_k + h/2 in order, shape
+    (2*steps + 1, 2, 2): one call with the array of times where ``h_total``
+    takes one, else one call per time."""
     ts, h = grid.samples, grid.step
-    out = np.empty((grid.n_points, len(psi)), dtype=complex)
-    out[0] = psi
-
-    def rhs(t, p):
-        return -1j * (h_total(t) @ p)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            t = ts[k]
-            k1 = rhs(t, psi)
-            k2 = rhs(t + 0.5 * h, psi + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, psi + 0.5 * h * k2)
-            k4 = rhs(t + h, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(psi.view(float))):
-                raise NonFinite(f"state blew up near t={ts[k + 1]:g}")
-            out[k + 1] = psi
+    t = np.empty(2 * grid.steps + 1)
+    t[0::2], t[1::2] = ts, ts[:-1] + 0.5 * h
+    try:
+        out = np.asarray(h_total(t), dtype=complex)
+    except ValueError:  # the callable builds one matrix from scalar entries
+        out = None
+    if out is None or out.shape != (len(t), 2, 2):
+        out = np.array([h_total(s) for s in t], dtype=complex)
     return out
+
+
+def per_step_rk4(h_total, psi0, grid):
+    """Reference: the step-by-step RK4 loop with stage times t, t + h/2,
+    t + h, on Python complex scalars over H sampled once."""
+    a00, a01, a10, a11 = (x.tolist() for x in
+                          half_step_samples(h_total, grid).reshape(-1, 4).T)
+    ts, h = grid.samples, grid.step
+    p0, p1 = (complex(x) for x in psi0)
+    out = [(p0, p1)]
+    for k in range(grid.steps):
+        j = 2 * k  # stage samples j, j + 1 (twice) and j + 2
+        k10 = -1j * (a00[j] * p0 + a01[j] * p1)
+        k11 = -1j * (a10[j] * p0 + a11[j] * p1)
+        q0, q1 = p0 + 0.5 * h * k10, p1 + 0.5 * h * k11
+        k20 = -1j * (a00[j + 1] * q0 + a01[j + 1] * q1)
+        k21 = -1j * (a10[j + 1] * q0 + a11[j + 1] * q1)
+        q0, q1 = p0 + 0.5 * h * k20, p1 + 0.5 * h * k21
+        k30 = -1j * (a00[j + 1] * q0 + a01[j + 1] * q1)
+        k31 = -1j * (a10[j + 1] * q0 + a11[j + 1] * q1)
+        q0, q1 = p0 + h * k30, p1 + h * k31
+        k40 = -1j * (a00[j + 2] * q0 + a01[j + 2] * q1)
+        k41 = -1j * (a10[j + 2] * q0 + a11[j + 2] * q1)
+        p0 = p0 + (h / 6.0) * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
+        p1 = p1 + (h / 6.0) * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
+        if not (cmath.isfinite(p0) and cmath.isfinite(p1)):
+            raise NonFinite(f"state blew up near t={ts[k + 1]:g}")
+        out.append((p0, p1))
+    return np.array(out, dtype=complex)
 
 
 def lossy_chirp(gamma):
@@ -339,8 +361,9 @@ class TestConvergence:
 
     def test_run_certification_equals_callable_check(self, shortcut_run):
         run = shortcut_run(1.0)
-        h_total = hermitian_shortcut_h(1.0, run.theta)
-        want = convergence_check(h_total, run.trajectory.psi[0], run.grid)
+        h_total = hermitian_shortcut_h(1.0, run.table.theta)
+        want = convergence_check(h_total, run.trajectory.psi[0],
+                                 run.table.grid)
         assert abs(run.convergence - want) <= 1e-13
 
     def test_super_critical_run_certifies(self):
@@ -348,7 +371,8 @@ class TestConvergence:
         pulse, grid = ae_setup(3.0, 4000)
         run = run_shortcut(pulse, grid)
         assert run.convergence <= 1e-7
-        assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
+        closed = run.table.closed_form()
+        assert np.max(np.abs(run.amps.g_plus - closed)) <= 1e-5
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_shared_table_equals_single_runs_bitwise(self, policy):
@@ -362,6 +386,17 @@ class TestConvergence:
             assert np.array_equal(shared.amps.g_plus, alone.amps.g_plus)
             assert shared.convergence == alone.convergence
             assert shared.metrics == alone.metrics
+
+    def test_run_holds_its_table(self):
+        pulse, grid = ae_setup(1.0, 1000)
+        table = shortcut_table(pulse, grid)
+        run = table.run(INITIAL_STATES[0])
+        # a run reads every table field through ``run.table``
+        assert not isinstance(run, ShortcutTable)
+        slots = {name for cls in type(run).__mro__
+                 for name in getattr(cls, "__slots__", ())}
+        assert not slots & set(ShortcutTable.__slots__)
+        assert run.table is table
 
     @pytest.mark.parametrize("gamma", [0.3, 3.0, 2.1])
     def test_policy_tables_of_one_pass_equal_single_runs_bitwise(self, gamma):
@@ -379,12 +414,12 @@ class TestConvergence:
                     assert np.array_equal(getattr(shared.amps, name),
                                           getattr(alone.amps, name))
                 assert shared.convergence == alone.convergence
-                checks = shared.frame_check(), alone.frame_check()
+                checks = shared.table.frame_check(), alone.table.frame_check()
                 for name in ("residual", "frame_coupling"):
                     assert np.array_equal(getattr(checks[0], name),
                                           getattr(checks[1], name))
-                assert np.array_equal(shared.g_plus_closed,
-                                      alone.g_plus_closed)
+                assert np.array_equal(shared.table.closed_form(),
+                                      alone.table.closed_form())
 
     def test_one_policy_table_alive_at_a_time(self):
         pulse, grid = ae_setup(1.0, 1000)

@@ -192,7 +192,7 @@ class TestNullificationReport:
                                                gamma):
         # the residual and the frame coupling read every policy's entries;
         # the naive term cancels the leak exactly, so its residual is 0
-        check = shortcut_run(gamma, policy).frame_check()
+        check = shortcut_run(gamma, policy).table.frame_check()
         assert check.max_abs_residual <= 1e-10
         assert np.max(check.frame_coupling) <= 1e-6
         if policy == "naive-cd":
@@ -200,52 +200,53 @@ class TestNullificationReport:
 
     def test_frame_coupling_cancelled_but_reverse_entry_survives(
             self, shortcut_run, theta_paths):
-        run = shortcut_run(1.0)
-        report = run.frame_check()
+        table = shortcut_run(1.0).table
+        report = table.frame_check()
         assert report.frame_coupling is not None
         assert np.max(report.frame_coupling) <= 1e-6
         # the reverse coupling is allowed to survive: rebuild it explicitly
         pulse, path = theta_paths(1.0)
         k = path.grid.index_of(0.25)
         h = path.grid.step
-        rots = [rotation(path.theta[j], (run.gauges.f_plus[j],
-                                         run.gauges.f_minus[j]))
+        rots = [rotation(path.theta[j], (table.gauges.f_plus[j],
+                                         table.gauges.f_minus[j]))
                 for j in (k - 1, k, k + 1)]
         d_r = (rots[2].r - rots[0].r) / (2 * h)
         h_tot = (hamiltonian(pulse, path.grid.samples[k])
-                 + assemble_h1_series(run.h1)[k])
+                 + assemble_h1_series(table.h1)[k])
         frame = rots[1].r_tilde.conj().T @ h_tot @ rots[1].r \
             - 1j * rots[1].r_tilde.conj().T @ d_r
         assert abs(frame[0, 1]) > 0.01
 
     def test_frame_coupling_equals_pointwise_loop(self, shortcut_run):
         from nhsta.synthesis import _frame_coupling
-        run = shortcut_run(1.0)
-        th, g = run.theta, run.gauges
+        table = shortcut_run(1.0).table
+        th, g = table.theta, table.gauges
         ts, h, n = th.grid.samples, th.grid.step, th.grid.n_points
         rot = [rotation(th.theta[k], (g.f_plus[k], g.f_minus[k]))
                for k in range(n)]
-        h1 = assemble_h1_series(run.h1)
+        h1 = assemble_h1_series(table.h1)
         rich = np.zeros(n)
         for k in range(2, n - 2):
             d1 = (rot[k + 1].r - rot[k - 1].r) / (2.0 * h)
             d2 = (rot[k + 2].r - rot[k - 2].r) / (4.0 * h)
             rtd = rot[k].r_tilde.conj().T
-            static = rtd @ (hamiltonian(run.pulse, ts[k]) + h1[k]) @ rot[k].r
+            static = rtd @ (hamiltonian(table.pulse, ts[k]) + h1[k]) @ rot[k].r
             rich[k] = abs((static - 1j * rtd @ ((4.0 * d1 - d2) / 3.0))[1, 0])
         # entries (h00, h01, h10, h11) of H0 + H1, one row each
-        h_total = (hamiltonian(run.pulse, ts) + h1).reshape(n, 4).T
+        h_total = (hamiltonian(table.pulse, ts) + h1).reshape(n, 4).T
         got_rich = _frame_coupling(th, h_total, g)
         assert np.max(np.abs(got_rich - rich)) <= 1e-12
 
 
 class TestClosedForm:
     def test_lossless_amplitude_is_pure_phase(self, shortcut_run):
-        run = shortcut_run(0.0)
-        g = run.g_plus_closed
+        table = shortcut_run(0.0).table
+        g = table.closed_form()
         assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-12
         from scipy.integrate import cumulative_trapezoid
-        want = np.exp(-1j * cumulative_trapezoid(run.e_plus, dx=run.grid.step,
+        want = np.exp(-1j * cumulative_trapezoid(table.e_plus,
+                                                 dx=table.grid.step,
                                                  initial=0.0))
         assert np.max(np.abs(g - want)) < 1e-12
 
@@ -255,8 +256,9 @@ class TestClosedForm:
         # one frame-diagonal formula gives every policy a pure phase that
         # the propagated amplitude follows
         run = shortcut_run(gamma, policy)
-        assert np.max(np.abs(np.abs(run.g_plus_closed) - 1.0)) <= 1e-15
-        assert np.max(np.abs(run.amps.g_plus - run.g_plus_closed)) <= 1e-5
+        closed = run.table.closed_form()
+        assert np.max(np.abs(np.abs(closed) - 1.0)) <= 1e-15
+        assert np.max(np.abs(run.amps.g_plus - closed)) <= 1e-5
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 1.0, 3.0, 10.0])
     def test_hermitian_equals_delta_cos_theta_form(self, theta_paths, gamma):

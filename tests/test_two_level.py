@@ -12,13 +12,16 @@ from nhsta.experiments import POLICIES, run_shortcut
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (AllenEberlyParams, BranchRegime, PulseSpec,
                              _controls, allen_eberly, classify_regime,
-                             hamiltonian_entries, mixing_angle_path,
-                             mixing_angle_rate, radicand, theta_at)
+                             complex_array, hamiltonian_entries,
+                             mixing_angle_path, mixing_angle_rate, radicand,
+                             theta_at)
 from oracles import (angle_functions_mp, branch_sqrt, eigenvalues,
                      eigenvectors, hamiltonian)
 
-#: the trigonometric functions of theta a path carries
-TRIG_FIELDS = ("cos_half", "sin_half", "sin", "cos")
+#: the trigonometric functions of theta a path carries, each with the cached
+#: value it is read from: the half angle's two are evaluated together
+TRIG_FIELDS = {"cos_half": "_half", "sin_half": "_half", "sin": "sin",
+               "cos": "cos"}
 
 
 def constant_pulse(omega, delta, gamma):
@@ -331,13 +334,36 @@ class TestMixingAngle:
         pulse = allen_eberly(ae_params(gamma))
         path = mixing_angle_path(pulse, TimeGrid(t0, t_f, 200))
         ref = angle_functions_mp(pulse, path.grid.samples, path.theta)
-        assert not set(TRIG_FIELDS) & set(vars(path))
+        cached = list(TRIG_FIELDS.values())
+        assert not set(cached) & set(vars(path))
         for k, name in enumerate(TRIG_FIELDS):
             value = getattr(path, name)
             # only the fields read so far have been evaluated, once each
-            assert set(TRIG_FIELDS) & set(vars(path)) == set(TRIG_FIELDS[:k + 1])
+            assert set(cached) & set(vars(path)) == set(cached[:k + 1])
             assert getattr(path, name) is value
             assert_accurate(name, value, ref[name])
+
+    def test_half_angle_functions_share_one_evaluation(self, monkeypatch):
+        path = mixing_angle_path(allen_eberly(ae_params(3.0)),
+                                 TimeGrid(-1.0, 1.0, 400))
+        x, y = 0.5 * path.theta.real, 0.5 * path.theta.imag
+        # each function evaluated on its own, as sin(theta/2) and
+        # cos(theta/2) are written part by part
+        want_cos = complex_array(np.cos(x) * np.cosh(y),
+                                 -(np.sin(x) * np.sinh(y)))
+        want_sin = complex_array(np.sin(x) * np.cosh(y),
+                                 np.cos(x) * np.sinh(y))
+        calls = dict.fromkeys(("sin", "cos", "sinh", "cosh"), 0)
+        for name in calls:
+            def counted(*args, _fn=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        cos_half, sin_half = path.cos_half, path.sin_half
+        assert calls == {"sin": 1, "cos": 1, "sinh": 1, "cosh": 1}
+        monkeypatch.undo()
+        assert np.array_equal(cos_half, want_cos)
+        assert np.array_equal(sin_half, want_sin)
 
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
         pulse = allen_eberly(ae_params(gamma=1.99))
