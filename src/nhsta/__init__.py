@@ -16,8 +16,8 @@ from .gauges import GaugeFunctions, gauge_simple, matched_delta
 from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)
-from .synthesis import (NullificationReport, assemble_h1_series,
-                        closed_form_gplus, general_family_omega_zero,
+from .synthesis import (assemble_h1_series, closed_form_gplus,
+                        frame_coupling, general_family_omega_zero,
                         hermitian_realizable, matched_gauge, naive_cd_entries,
                         nullification_residual)
 from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,

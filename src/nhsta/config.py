@@ -155,9 +155,8 @@ class ExperimentConfig:
         return float(peak) if peak > 0 else self.omega0
 
     def ae_params(self, gamma: float) -> AllenEberlyParams:
-        t0, t_f = self.window
         return AllenEberlyParams(omega0=self.omega0, delta0=self.delta0,
-                                 tau=self.tau, gamma=gamma, t0=t0, t_f=t_f)
+                                 tau=self.tau, gamma=gamma)
 
     @cached_property
     def pulse_splines(self) -> tuple:

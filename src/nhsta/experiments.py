@@ -8,8 +8,8 @@ matrices of the run and of its rerun together.  The angle path, its
 trigonometric functions and H0 do not depend on the policy, so the tables
 of several policies for one pulse share them, and the eigenvalues the first
 table reads off that angle and H0 after its scan.  A run applies a table
-to one initial state: it propagates the bare-basis state and extracts
-raw/modified amplitudes and populations.
+to one initial state: it propagates the bare-basis state and keeps the
+raw/modified amplitudes and populations projected from it.
 """
 from __future__ import annotations
 
@@ -21,11 +21,10 @@ from .errors import ConfigError
 from .gauges import GaugeFunctions
 from .grids import TimeGrid
 from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
-                          AmplitudeTrajectory, PrefixScan, StateTrajectory,
-                          amplitudes, phase_table, scan_table,
-                          step_halving_gap)
+                          AmplitudeTrajectory, PrefixScan, amplitudes,
+                          phase_table, scan_table, step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
-                        NullificationReport, closed_form_gplus,
+                        closed_form_gplus, frame_coupling,
                         general_family_omega_zero, hermitian_realizable,
                         matched_gauge, naive_cd_entries,
                         nullification_residual)
@@ -50,30 +49,25 @@ RESIDUAL_BOUND = 1e-10
 class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
-    Holds the angle path, the supplement's entries (h00, h01, h10, h11),
-    the level E_+ + d_+ and the gauges and residual on the run grid, and
-    the RK4 prefix scan of the run and of its half-step certification
-    rerun.  :meth:`run` applies it to one initial state; every state run
-    from the same table shares this work.
+    Holds the angle path, the level E_+ + d_+, the gauges and the largest
+    leak residual of the supplement on the run grid, and the RK4 prefix
+    scan of the run and of its half-step certification rerun.
+    :meth:`run` applies it to one initial state; every state run from the
+    same table shares this work.
     """
 
-    __slots__ = ("pulse", "grid", "policy", "theta", "e_plus", "e_minus",
-                 "gauges", "h1", "level", "residual", "scan")
+    __slots__ = ("theta", "gauges", "level", "residual", "scan")
 
-    def __init__(self, pulse: PulseSpec, grid: TimeGrid, policy: str,
-                 theta: MixingAnglePath, e_plus: np.ndarray,
-                 e_minus: np.ndarray, gauges: GaugeFunctions, h1: tuple,
-                 level: np.ndarray, residual: NullificationReport,
-                 scan: PrefixScan):
-        self.pulse, self.grid, self.policy = pulse, grid, policy
-        self.theta, self.e_plus, self.e_minus = theta, e_plus, e_minus
-        self.gauges, self.h1 = gauges, h1
-        self.level, self.residual = level, residual
-        self.scan = scan
+    def __init__(self, theta: MixingAnglePath, gauges: GaugeFunctions,
+                 level: np.ndarray, residual: float, scan: PrefixScan):
+        self.theta, self.gauges, self.level = theta, gauges, level
+        self.residual, self.scan = residual, scan
+
+    grid = property(lambda self: self.theta.grid)  # the run grid
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
-        """Propagate one initial state: trajectory, amplitudes, and the
-        step-halving gap."""
+        """Propagate one initial state: its amplitudes and the step-halving
+        gap."""
         if initial_state not in INITIAL_STATES:
             raise ConfigError(
                 f"unknown initial state {initial_state!r}; expected one of "
@@ -84,15 +78,13 @@ class ShortcutTable:
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
         traj, rerun = self.scan.apply(psi0)
-        return ShortcutRun(self, initial_state, traj,
-                           amplitudes(traj, self.theta, self.gauges),
+        return ShortcutRun(self, amplitudes(traj, self.theta, self.gauges),
                            step_halving_gap(traj, rerun))
 
-    def frame_check(self) -> NullificationReport:
-        """The residual report with the adiabatic-frame coupling (2,1),
-        formed from the table's own H0 + H1 on the run grid."""
-        return nullification_residual(self.theta, self.h1,
-                                      self.scan.h[:, 0], self.gauges)
+    def frame_check(self) -> float:
+        """The largest adiabatic-frame coupling (2,1), formed from the
+        table's own H0 + H1 on the run grid on each call."""
+        return frame_coupling(self.theta, self.scan.h[:, 0], self.gauges)
 
     def closed_form(self) -> np.ndarray:
         """g_+ in closed form from the table's level on the run grid, which
@@ -102,22 +94,18 @@ class ShortcutTable:
 
 class ShortcutRun:
     """A shortcut table run from one initial state: the table, and the
-    trajectory, amplitudes and step-halving gap of that state."""
+    amplitudes and step-halving gap of that state."""
 
-    __slots__ = ("table", "initial_state", "trajectory", "amps",
-                 "convergence")
+    __slots__ = ("table", "amps", "convergence")
 
-    def __init__(self, table: ShortcutTable, initial_state: str,
-                 trajectory: StateTrajectory, amps: AmplitudeTrajectory,
+    def __init__(self, table: ShortcutTable, amps: AmplitudeTrajectory,
                  convergence: float):
-        self.table, self.initial_state = table, initial_state
-        self.trajectory, self.amps = trajectory, amps
-        self.convergence = convergence
+        self.table, self.amps, self.convergence = table, amps, convergence
 
     @property
     def metrics(self) -> dict:
         """End-of-run scalars for sweep tables and manifests."""
-        residual = float(self.table.residual.max_abs_residual)
+        residual = self.table.residual
         return {
             "g_plus_sq_final": float(np.abs(self.amps.g_plus[-1]) ** 2),
             "p0_renorm_final": float(self.amps.pop_bare_0_renorm[-1]),
@@ -147,7 +135,7 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
                             theta_q.dtheta[::4].copy())
     h0_q = hamiltonian_entries(pulse, quarter.samples)
     eigen: list = []  # (E_+, E_-), filled by the first table
-    return (_policy_table(pulse, policy, theta_q, theta, h0_q, eigen)
+    return (_policy_table(policy, theta_q, theta, h0_q, eigen)
             for policy in policies)
 
 
@@ -162,7 +150,7 @@ def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _policy_table(pulse, policy, theta_q, theta, h0_q, eigen) -> ShortcutTable:
+def _policy_table(policy, theta_q, theta, h0_q, eigen) -> ShortcutTable:
     """One policy's supplement, H0 + H1 table, scan, gauges and checks on
     the run grid of ``theta`` (its temporaries are freed on return).  The
     eigenvalues, from every 4th sample of ``h0_q``, are read into the
@@ -185,9 +173,7 @@ def _policy_table(pulse, policy, theta_q, theta, h0_q, eigen) -> ShortcutTable:
              else e_plus + frame_diagonal(h1, theta))
 
     return ShortcutTable(
-        pulse=pulse, grid=grid, policy=policy,
-        theta=theta, e_plus=e_plus, e_minus=e_minus,
-        gauges=matched_gauge(level, e_minus, grid), h1=h1, level=level,
+        theta=theta, gauges=matched_gauge(level, e_minus, grid), level=level,
         residual=nullification_residual(theta, h1), scan=scan)
 
 

@@ -6,7 +6,9 @@ g_n = <phi_n~|psi> behave like normalized populations for a decaying system.
 The "simple" gauge integrates Im[E_n]; the "shortcut-matched" gauge
 (``synthesis.matched_gauge``) adds the diagonal shift of the supplementary
 Hamiltonian so |g_+| stays exactly one along the engineered evolution, and
-equals the simple one bit for bit when there is no shift.
+equals the simple one bit for bit when there is no shift.  Both integrate a
+real integrand u_n into f_n = exp(int u_n dt); a gauge keeps only the
+factors, since nothing downstream reads u_n.
 """
 from __future__ import annotations
 
@@ -22,30 +24,22 @@ EPS_SINGULAR = 1e-9
 
 
 class GaugeFunctions:
-    """Real gauge factors on a grid plus their exact logarithmic derivatives.
+    """Real gauge factors f_+ and f_- on a grid, f_+(t0) = f_-(t0) = 1
+    exactly."""
 
-    ``dlogf_*`` hold the defining integrands (d/dt f)/f, kept separately so
-    frame matrices never differentiate the sampled f numerically.
-    f_+(t0) = f_-(t0) = 1 exactly.
-    """
-
-    __slots__ = ("grid", "f_plus", "f_minus", "dlogf_plus", "dlogf_minus")
+    __slots__ = ("grid", "f_plus", "f_minus")
 
     def __init__(self, grid: TimeGrid, f_plus: np.ndarray,
-                 f_minus: np.ndarray, dlogf_plus: np.ndarray,
-                 dlogf_minus: np.ndarray):
-        arrays = f_plus, f_minus, dlogf_plus, dlogf_minus
-        for name, arr in zip(self.__slots__[1:], arrays):
+                 f_minus: np.ndarray):
+        for name, arr in (("f_plus", f_plus), ("f_minus", f_minus)):
             if len(arr) != grid.n_points:
                 raise ValueError(f"{name} length must match grid")
-        for name, arr in (("f_plus", f_plus), ("f_minus", f_minus)):
             zero = arr == 0
             if np.any(zero):
                 raise ZeroGauge(f"{name} vanished at "
                                 f"t={grid.samples[np.argmax(zero)]:g}")
         self.grid = grid
         self.f_plus, self.f_minus = f_plus, f_minus
-        self.dlogf_plus, self.dlogf_minus = dlogf_plus, dlogf_minus
 
 
 def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:
@@ -58,13 +52,8 @@ def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
                           u_minus: np.ndarray) -> GaugeFunctions:
     """Build gauge factors f_n = exp(cumulative trapezoid of u_n) from real
     integrands u_n, so the factors are real."""
-    return GaugeFunctions(
-        grid=grid,
-        f_plus=_cumexp(u_plus, grid.step),
-        f_minus=_cumexp(u_minus, grid.step),
-        dlogf_plus=np.asarray(u_plus),
-        dlogf_minus=np.asarray(u_minus),
-    )
+    return GaugeFunctions(grid, _cumexp(u_plus, grid.step),
+                          _cumexp(u_minus, grid.step))
 
 
 def gauge_simple(e_plus: np.ndarray, e_minus: np.ndarray,

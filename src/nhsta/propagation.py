@@ -47,26 +47,26 @@ class AmplitudeTrajectory:
     c_n = <n~|psi> are the raw biorthogonal amplitudes (|c_n|^2 is not
     bounded by one under decay); g_n = c_n/f_n are the gauge-modified
     amplitudes whose squared moduli act as populations.  Bare populations
-    P_m = |<m|psi>|^2 are emitted raw and renormalized by their sum.
+    P_m = |<m|psi>|^2 are kept raw; the populations |g_n|^2 and P_m
+    renormalized by their sum are formed on each read.
     """
 
-    __slots__ = ("grid", "c_plus", "c_minus", "g_plus", "g_minus",
-                 "pop_phi_plus", "pop_phi_minus", "pop_bare_0", "pop_bare_1",
-                 "pop_bare_0_renorm", "pop_bare_1_renorm")
+    __slots__ = ("c_plus", "c_minus", "g_plus", "g_minus", "pop_bare_0",
+                 "pop_bare_1")
 
-    def __init__(self, grid: TimeGrid, c_plus: np.ndarray,
-                 c_minus: np.ndarray, g_plus: np.ndarray, g_minus: np.ndarray,
-                 pop_phi_plus: np.ndarray, pop_phi_minus: np.ndarray,
-                 pop_bare_0: np.ndarray, pop_bare_1: np.ndarray,
-                 pop_bare_0_renorm: np.ndarray,
-                 pop_bare_1_renorm: np.ndarray):
-        self.grid = grid
+    def __init__(self, c_plus: np.ndarray, c_minus: np.ndarray,
+                 g_plus: np.ndarray, g_minus: np.ndarray,
+                 pop_bare_0: np.ndarray, pop_bare_1: np.ndarray):
         self.c_plus, self.c_minus = c_plus, c_minus
         self.g_plus, self.g_minus = g_plus, g_minus
-        self.pop_phi_plus, self.pop_phi_minus = pop_phi_plus, pop_phi_minus
         self.pop_bare_0, self.pop_bare_1 = pop_bare_0, pop_bare_1
-        self.pop_bare_0_renorm = pop_bare_0_renorm
-        self.pop_bare_1_renorm = pop_bare_1_renorm
+
+    pop_phi_plus = property(lambda self: np.abs(self.g_plus) ** 2)
+    pop_phi_minus = property(lambda self: np.abs(self.g_minus) ** 2)
+    pop_bare_0_renorm = property(
+        lambda self: self.pop_bare_0 / (self.pop_bare_0 + self.pop_bare_1))
+    pop_bare_1_renorm = property(
+        lambda self: self.pop_bare_1 / (self.pop_bare_0 + self.pop_bare_1))
 
 
 # The kernels below sum into their own temporaries (np.add(x, t, out=t) is
@@ -318,19 +318,8 @@ def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
                            c_plus.imag / gauges.f_plus)
     g_minus = complex_array(c_minus.real / gauges.f_minus,
                             c_minus.imag / gauges.f_minus)
-    p0 = np.abs(psi0) ** 2
-    p1 = np.abs(psi1) ** 2
-    total = p0 + p1
-    return AmplitudeTrajectory(
-        grid=traj.grid,
-        c_plus=c_plus, c_minus=c_minus,
-        g_plus=g_plus, g_minus=g_minus,
-        pop_phi_plus=np.abs(g_plus) ** 2,
-        pop_phi_minus=np.abs(g_minus) ** 2,
-        pop_bare_0=p0, pop_bare_1=p1,
-        pop_bare_0_renorm=p0 / total,
-        pop_bare_1_renorm=p1 / total,
-    )
+    return AmplitudeTrajectory(c_plus, c_minus, g_plus, g_minus,
+                               np.abs(psi0) ** 2, np.abs(psi1) ** 2)
 
 
 def step_halving_gap(run: StateTrajectory, rerun: StateTrajectory) -> float:

@@ -18,13 +18,14 @@ of the angle path it is given:
 
 The last two have the form 0.5*[[delta, W],[conj(W), -delta]], so
 delta = 2*h00 and W = 2*h01.  Every policy's gauge, closed-form surviving
-amplitude, leak residual and frame check read those four entries: the gauge
-and the closed form follow from one level E_+ + d_+, with d_+ the
-supplement's adiabatic-frame diagonal (``two_level.frame_diagonal``, the
-formula that also gives E_+ from H0; 0 for the naive term), and the
-residual is twice
-the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  For that form, with
-lam = delta*sin(theta) and zeta = Re[W]*cos(theta), the condition reads
+amplitude and leak residual read those four entries: the gauge and the
+closed form follow from one level E_+ + d_+, with d_+ the supplement's
+adiabatic-frame diagonal (``two_level.frame_diagonal``, the formula that
+also gives E_+ from H0; 0 for the naive term), and the residual is twice
+the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  The frame check
+(``frame_coupling``) reads H0 + H1 as the propagation table holds it.  For
+the form above, with lam = delta*sin(theta) and zeta = Re[W]*cos(theta),
+the condition reads
 
     lam + i*Im[W] - zeta = -i*dtheta,
 
@@ -32,8 +33,6 @@ whose real/imag split gives Im[dtheta] = Re[lam] - Re[zeta] and
 Im[W] = -Re[dtheta] - Im[lam] + Im[zeta].
 """
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -46,27 +45,6 @@ POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
 #: general-family preset with zero coupling drive
 POLICY_OMEGA_ZERO = "general-omega-zero"
-
-
-class NullificationReport:
-    """Residual of the cancellation condition, plus optional frame check.
-
-    ``residual`` is the pointwise algebraic quantity
-    (h00 - h11)*sin(theta) + (h01 - h10) - (h01 + h10)*cos(theta) + i*dtheta,
-    which vanishes for the entries every policy produces.  When H0 + H1
-    and gauges are supplied, ``frame_coupling`` holds |entry (2,1)| of the
-    adiabatic-frame total Hamiltonian with the frame derivative taken by
-    Richardson-extrapolated central differences.
-    """
-
-    __slots__ = ("grid", "residual", "max_abs_residual", "frame_coupling")
-
-    def __init__(self, grid: TimeGrid, residual: np.ndarray,
-                 max_abs_residual: float,
-                 frame_coupling: Optional[np.ndarray] = None):
-        self.grid, self.residual = grid, residual
-        self.max_abs_residual = max_abs_residual
-        self.frame_coupling = frame_coupling
 
 
 def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
@@ -139,35 +117,25 @@ def matched_gauge(level: np.ndarray, e_minus: np.ndarray,
                                  np.asarray(e_minus).imag)
 
 
-def nullification_residual(theta_path: MixingAnglePath, h1: tuple,
-                           h_total: Optional[np.ndarray] = None,
-                           gauges: Optional[GaugeFunctions] = None
-                           ) -> NullificationReport:
-    """Audit the leak-cancellation condition for a supplement's entries.
-
-    Always evaluates the algebraic residual
+def nullification_residual(theta_path: MixingAnglePath, h1: tuple) -> float:
+    """Largest |residual| of the leak-cancellation condition for a
+    supplement's entries ``h1``: the residual
     (h00 - h11)*sin(theta) + (h01 - h10) - (h01 + h10)*cos(theta) + i*dtheta,
-    twice <-~|H1|+> + i*dtheta/2.
-    When ``h_total`` (the entries (h00, h01, h10, h11) of H0 + H1 on the
-    grid, shape (4, n)) and ``gauges`` are supplied, additionally transforms
-    it into the adiabatic frame with finite-difference frame derivatives and
-    records |entry (2,1)| (the cancelled coupling; the reverse entry (1,2) is
-    allowed to survive by design).
-    """
+    twice <-~|H1|+> + i*dtheta/2, vanishes for every policy's entries."""
     h00, h01, h10, h11 = h1
     residual = ((h00 - h11) * theta_path.sin + (h01 - h10)
                 - (h01 + h10) * theta_path.cos + 1j * theta_path.dtheta)
-    frame = None
-    if h_total is not None and gauges is not None:
-        if np.shape(h_total) != (4, theta_path.grid.n_points):
-            raise ValueError("h_total must hold H's 4 entries per grid point")
-        frame = _frame_coupling(theta_path, h_total, gauges)
-    return NullificationReport(
-        grid=theta_path.grid,
-        residual=residual,
-        max_abs_residual=float(np.max(np.abs(residual))),
-        frame_coupling=frame,
-    )
+    return float(np.max(np.abs(residual)))
+
+
+def frame_coupling(theta_path: MixingAnglePath, h_total: np.ndarray,
+                   gauges: GaugeFunctions) -> float:
+    """Largest |entry (2,1)| of H0 + H1 in the adiabatic frame, the cancelled
+    coupling (the reverse entry (1,2) survives by design), from the entries
+    ``h_total`` (h00, h01, h10, h11) of H0 + H1 on the grid, shape (4, n)."""
+    if np.shape(h_total) != (4, theta_path.grid.n_points):
+        raise ValueError("h_total must hold H's 4 entries per grid point")
+    return float(np.max(_frame_coupling(theta_path, h_total, gauges)))
 
 
 def _frame_coupling(theta_path, h_total, gauges):

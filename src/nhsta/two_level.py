@@ -55,16 +55,15 @@ class AllenEberlyParams:
     """Sech-amplitude / tanh-chirp pulse with constant decay rate.
 
     omega0: pulse amplitude (1/tau), delta0: chirp range (1/tau),
-    tau: characteristic duration, gamma: decay rate (1/tau),
-    [t0, t_f]: integration window in units of tau.
+    tau: characteristic duration, gamma: decay rate (1/tau).  The window
+    a pulse is run on is the run grid's (``grids.TimeGrid``).
     """
 
-    __slots__ = ("omega0", "delta0", "tau", "gamma", "t0", "t_f")
+    __slots__ = ("omega0", "delta0", "tau", "gamma")
 
     def __init__(self, omega0: float, delta0: float, tau: float = 1.0,
-                 gamma: float = 0.0, t0: float = -1.0, t_f: float = 1.0):
-        for name, value in zip(self.__slots__,
-                               (omega0, delta0, tau, gamma, t0, t_f)):
+                 gamma: float = 0.0):
+        for name, value in zip(self.__slots__, (omega0, delta0, tau, gamma)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if omega0 <= 0:
@@ -73,14 +72,12 @@ class AllenEberlyParams:
             raise ValueError("tau must be positive")
         if gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if not t0 < t_f:
-            raise ValueError("need t0 < t_f")
         if abs(gamma - 2.0 * omega0) <= 1e-12:
             raise DegenerateRegime(
                 f"gamma = 2*omega0 = {gamma}: spectrum degenerates at t = 0"
             )
         self.omega0, self.delta0, self.tau = omega0, delta0, tau
-        self.gamma, self.t0, self.t_f = gamma, t0, t_f
+        self.gamma = gamma
 
 
 class BranchRegime(Enum):

@@ -12,10 +12,9 @@ OMEGA0 = 1.0
 DELTA0 = 9.0
 
 
-def ae_params(gamma: float, t_f: float = 1.0,
-              omega0: float = OMEGA0) -> AllenEberlyParams:
+def ae_params(gamma: float, omega0: float = OMEGA0) -> AllenEberlyParams:
     return AllenEberlyParams(omega0=omega0, delta0=DELTA0, tau=1.0,
-                             gamma=gamma, t0=-t_f, t_f=t_f)
+                             gamma=gamma)
 
 
 def with_controls(pulse: PulseSpec, **controls) -> PulseSpec:
@@ -27,8 +26,7 @@ def with_controls(pulse: PulseSpec, **controls) -> PulseSpec:
 def ae_setup(gamma: float, steps: int, t_f: float = 1.0):
     """(pulse, run grid) of the sech/tanh pulse at one decay rate on
     [-t_f, t_f]."""
-    params = ae_params(gamma, t_f)
-    return allen_eberly(params), TimeGrid(params.t0, params.t_f, steps)
+    return allen_eberly(ae_params(gamma)), TimeGrid(-t_f, t_f, steps)
 
 
 def shortcut_table(pulse, grid, policy="hermitian-realizable"):
@@ -36,10 +34,39 @@ def shortcut_table(pulse, grid, policy="hermitian-realizable"):
     return next(shortcut_tables(pulse, grid, (policy,)))
 
 
+def state_trajectory(table, initial_state: str = "eigen-plus"):
+    """The run-grid trajectory behind ``table.run(initial_state)``, which a
+    run does not keep: the table's scan applied to the state's psi0.
+    Mirrors the choice of psi0 in ``ShortcutTable.run``; change the two
+    together."""
+    th = table.theta
+    psi0 = ([th.cos_half[0], th.sin_half[0]]
+            if initial_state == "eigen-plus" else [1.0, 0.0])
+    return table.scan.apply(np.array(psi0, dtype=complex))[0]
+
+
+def table_entries(pulse, grid, policy="hermitian-realizable") -> tuple:
+    """The run-grid entries (h00, h01, h10, h11) of a policy's H1 as its
+    table reads them: every 4th sample of the quarter-grid supplement.
+    Mirrors the sampling in ``experiments._policy_table``; change the two
+    together."""
+    from nhsta.experiments import _supplement
+    h1 = _supplement(policy, mixing_angle_path(pulse, grid.refine(4)))
+    return tuple(x[::4] if np.ndim(x) else x for x in h1)
+
+
 def path_eigenvalues(pulse: PulseSpec, path: MixingAnglePath) -> tuple:
     """(E_+, E_-) of ``eigenvalue_path`` on the grid of ``path``, from H0
     sampled there."""
     return eigenvalue_path(hamiltonian_entries(pulse, path.grid.samples), path)
+
+
+def table_eigenvalues(pulse: PulseSpec, table) -> tuple:
+    """(E_+, E_-) as a table reads them: from H0 at every 4th sample of the
+    quarter grid, on the table's angle path.  Mirrors the eigenvalue read
+    in ``experiments._policy_table``; change the two together."""
+    h0 = hamiltonian_entries(pulse, table.grid.refine(4).samples)
+    return eigenvalue_path(tuple(x[::4] for x in h0), table.theta)
 
 
 def shifted_level(e_plus, h1: tuple, path: MixingAnglePath):

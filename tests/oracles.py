@@ -211,14 +211,18 @@ def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
     return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq)
 
 
-def paired_eigenvalues(pulse: PulseSpec, t: float, theta: complex) -> tuple:
-    """(E_+, E_-) at one t: the two roots (-i*gamma ± sqrt(Z))/4, ordered so
-    that E_+ is the one whose eigenvector is |+> of ``theta``."""
-    roots = eigenvalues(pulse, t, BranchRegime.SUB_CRITICAL)
-    (plus, _), _ = eigenvectors(theta)
+def paired_eigenvalues(pulse: PulseSpec, t, theta) -> tuple:
+    """(E_+, E_-) at t: the two roots (-i*gamma ± sqrt(Z))/4, ordered so
+    that E_+ is the one whose eigenvector is |+> of ``theta``.  Equal-length
+    arrays t and theta pair every sample at once."""
+    e_a, e_b = eigenvalues(pulse, t, BranchRegime.SUB_CRITICAL)
+    (plus, _), _ = eigenvectors(theta)  # components first: (2,) or (2, n)
     h = hamiltonian(pulse, t)
-    misfit = [np.linalg.norm(h @ plus - e * plus) for e in roots]
-    return roots if misfit[0] <= misfit[1] else roots[::-1]
+    h_plus = np.einsum("...ij,j...->i...", h, plus)
+    misfit_a, misfit_b = (np.linalg.norm(h_plus - e * plus, axis=0)
+                          for e in (e_a, e_b))
+    first = misfit_a <= misfit_b
+    return np.where(first, e_a, e_b), np.where(first, e_b, e_a)
 
 
 def naive_cd(theta_path: MixingAnglePath) -> np.ndarray:
@@ -280,13 +284,14 @@ def general_family(theta_path: MixingAnglePath, lambda_choice: np.ndarray,
     return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
 
 
-def hermitian_closed_form_gplus(e_plus: np.ndarray, gauges: GaugeFunctions,
+def hermitian_closed_form_gplus(e_plus: np.ndarray, u_plus: np.ndarray,
                                 h1: tuple,
                                 theta_path: MixingAnglePath) -> np.ndarray:
     """g_+(t) = exp[-i int (E_+ - i (df_+/dt)/f_+ + delta*cos(theta)/2) dt']
-    of a hermitian-realizable supplement in the matched gauge: the
-    hermitian-only closed form the frame-diagonal one generalizes."""
-    integrand = (np.asarray(e_plus) - 1j * np.asarray(gauges.dlogf_plus)
+    of a hermitian-realizable supplement in the matched gauge, whose
+    integrand (df_+/dt)/f_+ is ``u_plus``: the hermitian-only closed form
+    the frame-diagonal one generalizes."""
+    integrand = (np.asarray(e_plus) - 1j * np.asarray(u_plus)
                  + h1[0] * theta_path.cos)
     return np.exp(-1j * cumulative_trapezoid(integrand, theta_path.grid.step))
 
@@ -375,29 +380,27 @@ def rotation(theta, f: tuple) -> FrameRotation:
 
 
 def adiabatic_frame_h0(pulse: PulseSpec, theta_path: MixingAnglePath,
-                       gauges: GaugeFunctions, k: int) -> np.ndarray:
+                       gauges: GaugeFunctions, u: tuple, k) -> np.ndarray:
     """Adiabatic-frame matrix of the bare Hamiltonian at grid point k.
 
     diag(E_+, E_-) - i * [[u_+, dtheta*f_-/(2 f_+)],
                           [-dtheta*f_+/(2 f_-), u_-]]
-    with u_n the exact gauge integrands (hbar = 1).  The off-diagonal
-    entries are the non-adiabatic couplings.
+    with u = (u_+, u_-) the exact integrands (df_n/dt)/f_n the gauges were
+    built from (hbar = 1).  The off-diagonal entries are the non-adiabatic
+    couplings.  An index array k gives one (2, 2) matrix per index.
     """
     n = theta_path.grid.n_points
-    if not 0 <= k < n:
+    if np.any(np.asarray(k) < 0) or np.any(np.asarray(k) >= n):
         raise IndexError(f"index {k} outside grid of {n} points")
     if gauges.grid != theta_path.grid:
         raise ValueError("gauges and theta path must share the grid")
     t = theta_path.grid.samples[k]
     e_plus, e_minus = paired_eigenvalues(pulse, t, theta_path.theta[k])
     fp, fm = gauges.f_plus[k], gauges.f_minus[k]
-    if fp == 0 or fm == 0:
+    if np.any(fp == 0) or np.any(fm == 0):
         raise ZeroGauge("gauge factor vanished")
     dth = theta_path.dtheta[k]
-    return np.array(
-        [
-            [e_plus - 1j * gauges.dlogf_plus[k], -0.5j * dth * fm / fp],
-            [0.5j * dth * fp / fm, e_minus - 1j * gauges.dlogf_minus[k]],
-        ],
-        dtype=complex,
-    )
+    return _matrices([
+        [e_plus - 1j * u[0][k], -0.5j * dth * fm / fp],
+        [0.5j * dth * fp / fm, e_minus - 1j * u[1][k]],
+    ])

@@ -806,6 +806,21 @@ class TestExitCodes:
             f"Is a directory")
         assert list(table.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+    def test_directory_at_the_manifest_path_exits_config(self, tmp_path,
+                                                         capsys, command):
+        # the tables are written first; the manifest's failure is a
+        # configuration error too, not a traceback with status 1
+        manifest = tmp_path / f"{command}_manifest.json"
+        manifest.mkdir()
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"configuration error: cannot write manifest {str(manifest)!r}: "
+            f"Is a directory")
+        assert list(manifest.iterdir()) == []
+        assert len(list(tmp_path.glob("*.csv"))) == 1
+
     def test_pulse_file_on_a_wider_window_runs(self, tmp_path):
         ts = np.linspace(-2.0, 2.0, 401)
         pulse_file = tmp_path / "pulse.csv"

@@ -1,10 +1,11 @@
 """Gauge factors, frame rotations, and the gauge-matched frame matrix."""
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 
 from conftest import (ae_params, ae_setup, analytic_two_level_systems,
-                      path_eigenvalues, shifted_level, shortcut_table)
+                      path_eigenvalues, shifted_level, shortcut_table,
+                      table_eigenvalues, table_entries)
 from nhsta.biorthogonal import BiorthogonalSystem
 from nhsta.errors import SinThetaSingular, ZeroGauge
 from nhsta.gauges import gauge_simple, matched_delta
@@ -48,9 +49,12 @@ class TestGaugeSimple:
         # is the simple one, signed zeros included
         pulse, grid = ae_setup(gamma, 1000)
         table = shortcut_table(pulse, grid, POLICY_NAIVE)
-        assert np.all(frame_diagonal(table.h1, table.theta) == 0)
-        want = gauge_simple(table.e_plus, table.e_minus, grid)
-        for name in ("f_plus", "f_minus", "dlogf_plus", "dlogf_minus"):
+        h1 = table_entries(pulse, grid, POLICY_NAIVE)
+        assert np.all(frame_diagonal(h1, table.theta) == 0)
+        e_plus, e_minus = table_eigenvalues(pulse, table)
+        assert np.array_equal(table.level, e_plus)
+        want = gauge_simple(e_plus, e_minus, grid)
+        for name in ("f_plus", "f_minus"):
             g = np.asarray(getattr(table.gauges, name)).view(float)
             w = np.asarray(getattr(want, name)).view(float)
             assert np.array_equal(g, w), name
@@ -75,15 +79,20 @@ class TestGaugeShortcut:
         assert g.f_plus[0] == 1.0
 
     def test_unit_modulus_condition_holds_pointwise(self, theta_paths):
-        # Im[E+ - i*(df+/f+) + delta*cos(theta)/2] == 0 with the synthesized delta
+        # Im[E+ - i*(df+/f+) + delta*cos(theta)/2] == 0 with the synthesized
+        # delta; df+/f+ is the matched gauge's integrand, Im[level]
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = path_eigenvalues(pulse, path)
         level = shifted_level(e_plus, hermitian_realizable(path), path)
         g = matched_gauge(level, e_minus, path.grid)
         delta = 2 * hermitian_realizable(path)[0]
-        cond = (e_plus - 1j * g.dlogf_plus
+        cond = (e_plus - 1j * level.imag
                 + 0.5 * delta * np.cos(path.theta)).imag
         assert np.max(np.abs(cond)) <= 1e-10
+        # and f+ integrates that integrand: ln f+ is its running trapezoid
+        integral = cumulative_trapezoid(level.imag, dx=path.grid.step,
+                                        initial=0.0)
+        assert np.max(np.abs(np.log(g.f_plus) - integral)) <= 1e-10
 
     def test_endpoint_matches_adaptive_quadrature(self):
         gamma = 1.0
@@ -191,8 +200,7 @@ class TestRotation:
         dead = ones.copy()
         dead[1] = 0.0
         with pytest.raises(ZeroGauge, match=r"^f_plus vanished at t=0\.5$"):
-            GaugeFunctions(grid=grid, f_plus=dead, f_minus=ones,
-                           dlogf_plus=ones, dlogf_minus=ones)
+            GaugeFunctions(grid=grid, f_plus=dead, f_minus=ones)
 
 
 class TestFrameMatrix:
@@ -209,7 +217,8 @@ class TestFrameMatrix:
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
-        frame = adiabatic_frame_h0(pulse, path, g, 50)
+        frame = adiabatic_frame_h0(pulse, path, g, (e_plus.imag, e_minus.imag),
+                                   50)
         assert abs(frame[0, 1]) == 0.0
         assert abs(frame[1, 0]) == 0.0
         assert abs(frame[0, 0] - (e_plus[50] - 1j * e_plus[50].imag)) < 1e-14
@@ -218,10 +227,28 @@ class TestFrameMatrix:
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, path.grid)
+        u = e_plus.imag, e_minus.imag
         for k in (100, 2000, 3900):
-            frame = adiabatic_frame_h0(pulse, path, g, k)
+            frame = adiabatic_frame_h0(pulse, path, g, u, k)
             ratio = (g.f_plus[k] / g.f_minus[k]) ** 2
             assert abs(frame[1, 0] + frame[0, 1] * ratio) < 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.3, 3.0])
+    def test_index_array_gives_the_single_index_matrices(self, theta_paths,
+                                                         gamma):
+        # the oracle pairs E_+ with |+> sample by sample either way
+        pulse, path = theta_paths(gamma)
+        e_plus, e_minus = path_eigenvalues(pulse, path)
+        g = gauge_simple(e_plus, e_minus, path.grid)
+        u = e_plus.imag, e_minus.imag
+        ks = np.array([0, 1, 1999, 2000, 2001, 3999, 4000])
+        frames = adiabatic_frame_h0(pulse, path, g, u, ks)
+        assert frames.shape == (len(ks), 2, 2)
+        for frame, k in zip(frames, ks):
+            want = adiabatic_frame_h0(pulse, path, g, u, int(k))
+            assert np.max(np.abs(frame - want)) <= 1e-15
+        assert np.max(np.abs(frames[:, 0, 0] - e_plus[ks] + 1j * u[0][ks])
+                      ) <= 1e-12
 
     def test_matches_generic_frame_on_scaled_eigenvector_path(self, theta_paths):
         # generic finite-difference frame on the f_n-scaled vectors agrees
@@ -245,9 +272,10 @@ class TestFrameMatrix:
                                              right=right, left=left))
         gpath = EigenPath.from_systems(grid, scaled)
         worst = 0.0
+        u = e_plus.imag, e_minus.imag
         for k in (16000, 32000, 48000):
             got = adiabatic_frame_generic(gpath, k)
-            want = adiabatic_frame_h0(pulse, path, g, k)
+            want = adiabatic_frame_h0(pulse, path, g, u, k)
             worst = max(worst, np.max(np.abs(got - want)))
         assert worst < 1e-6
 
@@ -260,12 +288,14 @@ class TestFrameMatrix:
         e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
 
+        u = e_plus.imag, e_minus.imag  # the simple gauge's integrands
         coupling = np.abs(0.5 * path.dtheta * g.f_minus / g.f_plus)
-        gap = np.abs(e_plus - 1j * g.dlogf_plus)
+        gap = np.abs(e_plus - 1j * u[0])
         assert np.max(coupling / gap) < 0.01
 
-        frames = [adiabatic_frame_h0(pulse, path, g, k)
-                  for k in range(grid.n_points)]
+        frames = adiabatic_frame_h0(pulse, path, g, u,
+                                    np.arange(grid.n_points))
+        ts = grid.samples
 
         def h_frame(t):
             j = grid.index_of(t)
@@ -273,12 +303,11 @@ class TestFrameMatrix:
                 return frames[j]
             lo = int(np.floor((t - grid.t0) / grid.step))
             lo = min(max(lo, 0), grid.steps - 1)
-            w = (t - grid.samples[lo]) / grid.step
+            w = (t - ts[lo]) / grid.step
             return (1 - w) * frames[lo] + w * frames[lo + 1]
 
         traj = integrate(h_frame, np.array([1.0, 0.0], dtype=complex), grid)
-        from scipy.integrate import cumulative_trapezoid
-        exponent = cumulative_trapezoid(e_plus - 1j * g.dlogf_plus,
+        exponent = cumulative_trapezoid(e_plus - 1j * u[0],
                                         dx=grid.step, initial=0.0)
         predicted = np.abs(np.exp(-1j * exponent))
         assert np.max(np.abs(np.abs(traj.psi[:, 0]) - predicted)) < 0.02
