@@ -30,7 +30,8 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
                         nullification_residual)
 from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                         branch_argument, eigenvalue_path, frame_diagonal,
-                        hamiltonian_entries, mixing_angle_path, radicand)
+                        hamiltonian_entries, mixing_angle_path, radicand,
+                        sample_controls)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
 from .gauges import gauge_simple  # noqa: F401
@@ -78,8 +79,10 @@ class ShortcutTable:
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
         traj, rerun = self.scan.apply(psi0)
+        gap = step_halving_gap(traj, rerun)
+        del rerun  # freed before the amplitudes are allocated
         return ShortcutRun(self, amplitudes(traj, self.theta, self.gauges),
-                           step_halving_gap(traj, rerun))
+                           gap)
 
     def frame_check(self) -> float:
         """The largest adiabatic-frame coupling (2,1), formed from the
@@ -123,17 +126,18 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
     The policy-independent part is built here, once: the angle path and its
-    trigonometric functions and H0 on the quarter-step grid, and E_+, E_-
-    on the run grid (read after the first table's scan).  Each policy's
-    table is built only when the returned generator is advanced, so at
-    most one is alive at a time when the caller drops each before asking
-    for the next.
+    trigonometric functions and H0 on the quarter-step grid, both from one
+    sample of the pulse's values, and E_+, E_- on the run grid (read after
+    the first table's scan).  Each policy's table is built only when the
+    returned generator is advanced, so at most one is alive at a time when
+    the caller drops each before asking for the next.
     """
     quarter = grid.refine(4)
-    theta_q = mixing_angle_path(pulse, quarter)
+    samples = sample_controls(pulse, quarter)
+    theta_q = mixing_angle_path(pulse, quarter, samples)
     theta = MixingAnglePath(grid, theta_q.theta[::4].copy(),
                             theta_q.dtheta[::4].copy())
-    h0_q = hamiltonian_entries(pulse, quarter.samples)
+    h0_q = hamiltonian_entries(samples[1:])
     eigen: list = []  # (E_+, E_-), filled by the first table
     return (_policy_table(policy, theta_q, theta, h0_q, eigen)
             for policy in policies)

@@ -205,6 +205,7 @@ class PrefixScan:
                     s0, s1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
                     start0.append(s0)
                     start1.append(s1)
+            del ends  # freed before the state columns are allocated
             cols = _apply(pre.transpose(1, 0, 2),
                           (np.array(start0), np.array(start1)))
         runs = []

@@ -55,8 +55,9 @@ def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
 
 
 def _entries(grid: TimeGrid, delta: np.ndarray, omega: np.ndarray) -> tuple:
-    """Entries (h00, h01, h10, h11) of 0.5*[[delta, W],[conj(W), -delta]];
-    a non-finite coefficient raises NonFinite naming its first t."""
+    """Entries (h00, h01, h10, h11) of 0.5*[[delta, W],[conj(W), -delta]],
+    W an array or a scalar; a non-finite coefficient raises NonFinite
+    naming its first t."""
     for name, arr in (("delta", delta), ("omega", omega)):
         bad = ~np.isfinite(arr)
         if np.any(bad):
@@ -79,7 +80,10 @@ def hermitian_realizable(theta_path: MixingAnglePath) -> tuple:
 def general_family_omega_zero(theta_path: MixingAnglePath) -> tuple:
     """The zero-drive member: lam = -i*dtheta makes W vanish identically, so
     the speed-up costs no extra coupling field, only the complex diagonal
-    split delta = -i*dtheta/sin(theta) (engineered gain/loss).
+    split delta = -i*dtheta/sin(theta) (engineered gain/loss).  The
+    vanishing drive entries h01 = h10 are the scalar 0.0, as the naive
+    term's diagonal is; added into H0 + H1 they give the bits of a zero
+    array.
 
     Raises InconsistentChoice where sin(theta) vanishes but dtheta does not,
     since no diagonal split cancels the leak there.
@@ -94,8 +98,7 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> tuple:
             f"diagonal split underdetermined"
         )
     delta = np.where(tiny, 0.0, -1j * dth / np.where(tiny, 1.0, sin_th))
-    return _entries(theta_path.grid, delta,
-                    np.zeros(theta_path.grid.n_points, dtype=complex))
+    return _entries(theta_path.grid, delta, 0.0)
 
 
 def assemble_h1_series(h1: tuple) -> np.ndarray:

@@ -194,14 +194,24 @@ def _controls(pulse: PulseSpec, t, rates: bool = False) -> tuple:
     return om, dl, gm
 
 
-def hamiltonian_entries(pulse: PulseSpec, t) -> tuple:
+def sample_controls(pulse: PulseSpec, grid: TimeGrid) -> tuple:
+    """(t, Omega_R, Delta, gamma) on the samples t of ``grid``: one
+    evaluation of the pulse's values, which :func:`mixing_angle_path` and
+    :func:`hamiltonian_entries` can share."""
+    ts = grid.samples
+    return (ts,) + _controls(pulse, ts)
+
+
+def hamiltonian_entries(controls: tuple) -> tuple:
     """Entries (h00, h01, h10, h11) of the bare-basis Hamiltonian
-    0.5*[[-Delta, Om],[Om, Delta - i*gamma]] at t, each shaped like t (h01
-    and h10 are one array)."""
-    om, dl, gm = _controls(pulse, t)
-    h01 = 0.5 * np.asarray(om, dtype=complex)
-    return (0.5 * np.asarray(-dl, dtype=complex), h01, h01,
-            0.5 * np.asarray(dl - 1j * gm, dtype=complex))
+    0.5*[[-Delta, Om],[Om, Delta - i*gamma]] from ``controls`` = (Omega_R,
+    Delta, gamma) sampled at some t, each shaped like t.  The real entries
+    stay real: h00 = -Delta/2 and h01 = h10 = Om/2 (one array) are float,
+    and only h11 is complex; adding them to complex values gives the same
+    bits as their complex form, whose imaginary parts are +0."""
+    om, dl, gm = controls
+    h01 = 0.5 * om
+    return -0.5 * dl, h01, h01, 0.5 * (dl - 1j * gm)
 
 
 def _raise_at_first(t, bad, what: str) -> None:
@@ -288,7 +298,8 @@ def _principal_theta(om, dl, gm, factors) -> tuple:
     return x, y
 
 
-def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid) -> MixingAnglePath:
+def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
+                      samples: tuple | None = None) -> MixingAnglePath:
     """Branch-continuous theta(t) with tan(theta) = -Omega_R/(Delta - i*gamma/2).
 
     Anchored at the principal representative at t0 (Re theta in (-pi/2, pi/2],
@@ -296,10 +307,11 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid) -> MixingAnglePath:
     representative theta + m*pi closest to its predecessor, i.e. m
     accumulates minus the rounded principal steps.  The rate dtheta is
     :func:`mixing_angle_rate`'s, from the same control samples and the
-    pulse's derivatives.
+    pulse's derivatives.  ``samples``, the :func:`sample_controls` of the
+    pulse on ``grid``, are read in place of sampling the pulse again.
     """
-    ts = grid.samples
-    controls = om, dl, gm = _controls(pulse, ts)
+    ts, om, dl, gm = samples or sample_controls(pulse, grid)
+    controls = om, dl, gm
     if np.any(gm < 0):
         raise ValueError("gamma(t) must be non-negative on the grid")
 

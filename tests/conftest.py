@@ -6,7 +6,8 @@ from nhsta.experiments import run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
 from nhsta.two_level import (AllenEberlyParams, MixingAnglePath, PulseSpec,
                              allen_eberly, eigenvalue_path, frame_diagonal,
-                             hamiltonian_entries, mixing_angle_path)
+                             hamiltonian_entries, mixing_angle_path,
+                             sample_controls)
 
 OMEGA0 = 1.0
 DELTA0 = 9.0
@@ -58,14 +59,15 @@ def table_entries(pulse, grid, policy="hermitian-realizable") -> tuple:
 def path_eigenvalues(pulse: PulseSpec, path: MixingAnglePath) -> tuple:
     """(E_+, E_-) of ``eigenvalue_path`` on the grid of ``path``, from H0
     sampled there."""
-    return eigenvalue_path(hamiltonian_entries(pulse, path.grid.samples), path)
+    return eigenvalue_path(
+        hamiltonian_entries(sample_controls(pulse, path.grid)[1:]), path)
 
 
 def table_eigenvalues(pulse: PulseSpec, table) -> tuple:
     """(E_+, E_-) as a table reads them: from H0 at every 4th sample of the
     quarter grid, on the table's angle path.  Mirrors the eigenvalue read
     in ``experiments._policy_table``; change the two together."""
-    h0 = hamiltonian_entries(pulse, table.grid.refine(4).samples)
+    h0 = hamiltonian_entries(sample_controls(pulse, table.grid.refine(4))[1:])
     return eigenvalue_path(tuple(x[::4] for x in h0), table.theta)
 
 
@@ -73,6 +75,19 @@ def shifted_level(e_plus, h1: tuple, path: MixingAnglePath):
     """E_+ + d_+, with d_+ the frame diagonal of a supplement's entries
     ``h1``: the level the matched gauge and the closed form read."""
     return e_plus + frame_diagonal(h1, path)
+
+
+@pytest.fixture(scope="session")
+def cli_import_modules():
+    """The modules a fresh interpreter holds after ``import nhsta.cli``:
+    one child serves every check of what that import loads."""
+    import ast
+    import subprocess
+    import sys
+    code = "import sys, nhsta.cli; print(sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return set(ast.literal_eval(done.stdout))
 
 
 @pytest.fixture(scope="session")

@@ -26,7 +26,7 @@ from nhsta.gauges import GaugeFunctions
 from nhsta.grids import TimeGrid, cumulative_trapezoid
 from nhsta.synthesis import naive_cd_entries
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                             hamiltonian_entries, radicand)
+                             _controls, hamiltonian_entries, radicand)
 
 #: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
 #: :func:`general_family` accepts
@@ -189,7 +189,7 @@ def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
 
     A scalar t gives one 2x2 matrix; an array of times gives a stack.
     """
-    return entry_matrices(hamiltonian_entries(pulse, t))
+    return entry_matrices(hamiltonian_entries(_controls(pulse, t)))
 
 
 def branch_sqrt(z, regime: BranchRegime):

@@ -1,4 +1,5 @@
 """CLI commands: emission formats, manifests, exit codes, determinism."""
+import ast
 import hashlib
 import json
 import sys
@@ -42,13 +43,20 @@ def closed_form_callers(monkeypatch):
     return callers
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(cli_import_modules):
+    assert "scipy" not in cli_import_modules
+
+
+@pytest.fixture(scope="module")
+def numpy_only_modules():
+    """The modules a child interpreter holds after importing numpy alone.
+    The import checks below compare with it, so that a site hook loading
+    a module cannot fail them."""
     import subprocess
-    import sys
-    code = "import sys, nhsta.cli; print('scipy' in sys.modules)"
+    code = "import sys, numpy; print(sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return set(ast.literal_eval(done.stdout))
 
 
 def test_verify_leaves_scipy_and_numpy_random_unloaded(tmp_path):
@@ -63,44 +71,39 @@ def test_verify_leaves_scipy_and_numpy_random_unloaded(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False False"
 
 
-def test_verify_loads_no_file_writing_modules(tmp_path):
+def test_verify_loads_no_file_writing_modules(tmp_path, numpy_only_modules):
     # hashlib (OpenSSL) and json serve only the commands that write a file;
-    # compare with a child that imports numpy alone, so that a site hook
-    # loading them cannot fail the test
+    # compared with the numpy-only child
     import subprocess
-    import sys
     names = ("hashlib", "_hashlib", "json")
     loaded = f"sorted(m for m in {names!r} if m in sys.modules)"
-    baseline = subprocess.run(
-        [sys.executable, "-c", f"import sys, numpy; print({loaded})"],
-        capture_output=True, text=True, check=True)
     code = ("import sys; from nhsta.cli import main; "
             "code = main(['verify', '--gamma', '0.3', "
             f"'--out', {str(tmp_path)!r}]); "
             f"print(code, {loaded})")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == f"0 {baseline.stdout.strip()}"
+    baseline = sorted(m for m in names if m in numpy_only_modules)
+    assert done.stdout.splitlines()[-1] == f"0 {baseline}"
 
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--gamma", "0.3", "--steps", "200"], ["figure1"]],
     ids=["sweep", "figure1"])
-def test_file_writing_commands_load_no_openssl(tmp_path, argv):
+def test_file_writing_commands_load_no_openssl(tmp_path, argv,
+                                               numpy_only_modules):
     # the manifest digest comes from the interpreter's built-in SHA-256;
-    # compared with a numpy-only child, as for verify above
+    # compared with the numpy-only child, as for verify above
     import subprocess
     names = ("hashlib", "_hashlib")
     loaded = f"sorted(m for m in {names!r} if m in sys.modules)"
-    baseline = subprocess.run(
-        [sys.executable, "-c", f"import sys, numpy; print({loaded})"],
-        capture_output=True, text=True, check=True)
     code = ("import sys; from nhsta.cli import main; "
             f"code = main({argv + ['--out', str(tmp_path)]!r}); "
             f"print(code, {loaded})")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert done.stdout.splitlines()[-1] == f"0 {baseline.stdout.strip()}"
+    baseline = sorted(m for m in names if m in numpy_only_modules)
+    assert done.stdout.splitlines()[-1] == f"0 {baseline}"
     assert list(tmp_path.glob(f"{argv[0]}_manifest.json"))
 
 

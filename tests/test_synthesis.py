@@ -12,7 +12,9 @@ from nhsta.grids import TimeGrid
 from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
                              frame_coupling, general_family_omega_zero,
                              hermitian_realizable, nullification_residual)
-from nhsta.two_level import mixing_angle_path
+from nhsta.propagation import phase_table
+from nhsta.two_level import (hamiltonian_entries, mixing_angle_path,
+                             sample_controls)
 from oracles import (EigenPath, counterdiabatic_generic, general_family,
                      hamiltonian, hermitian_closed_form_gplus, naive_cd,
                      rotation)
@@ -144,15 +146,22 @@ class TestGeneralFamily:
     def test_closed_form_equals_generic_member_bitwise(self, gamma, steps):
         # delta = -i*dtheta/sin(theta) and W = 0 are the generic family
         # member lam = -i*dtheta, bit for bit, on the run and quarter grids;
-        # the closed form needs no cos(theta)
+        # the closed form needs no cos(theta).  Its zero drive entries are
+        # the scalar 0.0 where the reference has arrays of zeros, so H0 + H1
+        # as the kernel reads it is compared as well
         pulse, grid = ae_setup(gamma, steps)
         for g in (grid, grid.refine(4)):
-            path = mixing_angle_path(pulse, g)
+            samples = sample_controls(pulse, g)
+            path = mixing_angle_path(pulse, g, samples)
             got = general_family_omega_zero(path)
             assert "cos" not in vars(path)
             want = general_family(path, lambda_choice=-1j * path.dtheta)
-            for g_entry, w_entry in zip(got, want, strict=True):
-                assert_bitwise(g_entry, w_entry)
+            for i in (0, 3):
+                assert_bitwise(got[i], want[i])
+            assert got[1:3] == (0.0, 0.0)
+            h0 = hamiltonian_entries(samples[1:])
+            assert_bitwise(phase_table(g.steps, h0, got),
+                           phase_table(g.steps, h0, want))
 
     def test_reduces_to_hermitian_choice(self, theta_paths):
         _, path = theta_paths(1.0)
@@ -309,9 +318,10 @@ class TestSingleDeltaForm:
             # the two-field form carried a common diagonal shift of 0.0
             want = self.two_field_h1(delta + 0.0, -delta + 0.0, omega)
         else:
-            h1 = general_family_omega_zero(theta_q)
-            delta, omega = 2 * h1[0], 2 * h1[1]
-            want = self.two_field_h1(delta, -delta, omega)
+            # the two-field form's zero drive was an array of complex zeros
+            delta = 2 * general_family_omega_zero(theta_q)[0]
+            want = self.two_field_h1(delta, -delta,
+                                     np.zeros(quarter.n_points, dtype=complex))
         want += hamiltonian(pulse, quarter.samples)
         table = shortcut_table(pulse, grid, policy=policy)
         h = table.scan.h  # [c, p, k] is entry c of quarter-step row 4k + p

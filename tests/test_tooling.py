@@ -41,15 +41,38 @@ def test_trace_patches_resolve():
     assert missing == []
 
 
-def test_import_runs_no_generated_code():
-    # records are plain classes: importing the CLI never loads dataclasses,
-    # whose generated methods cost more than the rest of the package import
+# Wrapped names a certified table build and its runs call.
+TABLE_BUILD_SPANS = {
+    "two_level.mixing_angle_path", "two_level.eigenvalue_path",
+    "synthesis.hermitian_realizable", "synthesis.general_family_omega_zero",
+    "synthesis.matched_gauge", "gauges.gauge_from_integrands",
+    "synthesis.nullification_residual", "propagation.amplitudes"}
+
+
+def test_trace_wraps_the_table_build(tmp_path):
+    # the tracer's wrappers accept the package's call forms: a traced sweep
+    # over every policy exits 0, counts the angle path's samples and has a
+    # span for every wrapped name of the table build
+    import json
+    import os
     import subprocess
     import sys
-    code = "import sys, nhsta.cli; print('dataclasses' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert TABLE_BUILD_SPANS <= {name for _, _, name in load_patches()}
+    env = dict(os.environ, PYTHONPATH=str(Path(nhsta.__file__).parents[1]))
+    trace = tmp_path / "trace.json"
+    subprocess.run([sys.executable, str(TRACE_CHILD), str(trace), "sweep",
+                    "--gamma", "0.3", "--steps", "200", "--policy",
+                    ",".join(experiments.POLICIES), "--out", str(tmp_path)],
+                   env=env, capture_output=True, check=True)
+    report = json.loads(trace.read_text())
+    assert report["counters"]["two_level.mixing_angle_path_points"] == 801
+    assert TABLE_BUILD_SPANS <= {span[0] for span in report["spans"]}
+
+
+def test_import_runs_no_generated_code(cli_import_modules):
+    # records are plain classes: importing the CLI never loads dataclasses,
+    # whose generated methods cost more than the rest of the package import
+    assert "dataclasses" not in cli_import_modules
     records = [f"{module.__name__}.{name}" for module in [nhsta] + MODULES
                for name, value in vars(module).items()
                if isinstance(value, type)
@@ -266,9 +289,9 @@ def test_one_control_sampler():
     assert samplers == {("_controls", name) for name in controls}
 
 
-def test_controls_sampled_twice_per_pulse():
-    # the angle path and its rate read one sample of the controls, H0 a
-    # second, both on the quarter-step grid; the run grid reads none
+def test_controls_sampled_once_per_pulse():
+    # the angle path, its rate and H0 read one sample of the controls, on
+    # the quarter-step grid; the run grid reads none
     pulse, grid = ae_setup(1.0, 400)
     shapes = []
 
@@ -280,7 +303,7 @@ def test_controls_sampled_twice_per_pulse():
     for table in experiments.shortcut_tables(counted, grid):
         for state in experiments.INITIAL_STATES:
             table.run(state)
-    assert shapes == [(4 * grid.steps + 1,)] * 2
+    assert shapes == [(4 * grid.steps + 1,)]
 
 
 @pytest.mark.parametrize("gamma", [0.3, 3.0])

@@ -14,7 +14,7 @@ from nhsta.two_level import (AllenEberlyParams, BranchRegime, PulseSpec,
                              _controls, allen_eberly, classify_regime,
                              complex_array, hamiltonian_entries,
                              mixing_angle_path, mixing_angle_rate, radicand,
-                             theta_at)
+                             sample_controls, theta_at)
 from oracles import (angle_functions_mp, branch_sqrt, eigenvalues,
                      eigenvectors, hamiltonian)
 
@@ -133,7 +133,7 @@ class TestRadicand:
 
 class TestControlSampling:
     @pytest.mark.parametrize("read", [
-        lambda p, g: hamiltonian_entries(p, g.samples),
+        lambda p, g: hamiltonian_entries(sample_controls(p, g)[1:]),
         lambda p, g: radicand(p, g.samples),
         lambda p, g: mixing_angle_path(p, g),
     ], ids=["hamiltonian_entries", "radicand", "mixing_angle_path"])
