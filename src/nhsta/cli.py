@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .biorthogonal import decompose, reconstruct
-from .config import ExperimentConfig, build_config
+from .config import OPTIONS, ExperimentConfig, build_config
 from .errors import ConfigError, NhStaError
 from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
@@ -89,8 +89,7 @@ class OutputSet:
                               f"{exc.strerror}") from None
         self.fmt = cfg.format
         self.command = command
-        self.config_echo = {name: getattr(cfg, name)
-                            for name in cfg.FIELDS}
+        self.config_echo = {name: getattr(cfg, name) for name in cfg.FIELDS}
         self.files: list = []
         self.runs: list = []
 
@@ -422,24 +421,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "a metrics row per decay rate, policy and "
                              "initial state, verify runs the checks")
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--gamma", help="comma-separated decay rates (1/tau)")
-    parser.add_argument("--steps", type=int, help="grid intervals (>= 100)")
-    parser.add_argument("--t-final", dest="t_final", type=float,
-                        help="window end; start defaults to -t_final")
-    parser.add_argument("--t0", type=float, help="window start")
-    parser.add_argument("--omega0", type=float, help="pulse amplitude (1/tau)")
-    parser.add_argument("--delta0", type=float, help="chirp range (1/tau)")
-    parser.add_argument("--tau", type=float, help="characteristic duration")
-    parser.add_argument("--policy", help=f"supplement policy; sweep accepts a "
-                                         f"comma list (default {POLICY_HERMITIAN})")
-    parser.add_argument("--initial-state", dest="initial_state",
-                        help="eigen-plus | bare-ground; sweep accepts a comma "
-                             "list")
-    parser.add_argument("--pulse-file", dest="pulse_file",
-                        help="tabulated pulse (columns t, Omega_R, Delta)")
-    parser.add_argument("--out", help="output directory (or env NH_STA_OUT)")
-    parser.add_argument("--format", choices=["csv", "json"],
-                        help="table format")
+    for name, kind, default, text in OPTIONS:
+        # a malformed number is a usage error; a gamma list is read later
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=kind if kind in (int, float) else None,
+            help=text if default is None else f"{text}; default {default}")
     return parser
 
 

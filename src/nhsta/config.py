@@ -1,4 +1,6 @@
-"""Experiment configuration: flat key=value files plus CLI overrides."""
+"""Experiment configuration.  ``OPTIONS`` declares each option once; the
+CLI's flags, the keys of a flat ``key = value`` file, ``ExperimentConfig``'s
+fields and the manifest's echo of them all come from it."""
 from __future__ import annotations
 
 import math
@@ -19,55 +21,59 @@ from .two_level import (AllenEberlyParams, PulseSpec, allen_eberly,
 from .experiments import INITIAL_STATES, POLICIES
 
 OUTPUT_FORMATS = ("csv", "json")
+MIN_STEPS = 100
+#: numpy cannot size a longer quarter grid: 4 * steps + 1 complex samples
+MAX_STEPS = (np.iinfo(np.intp).max // 16 - 1) // 4
 
-#: config-file keys and their parsers
-_SCALAR_KEYS = {
-    "omega0": float,
-    "delta0": float,
-    "tau": float,
-    "t0": float,
-    "t_final": float,
-    "steps": int,
-    "policy": str,
-    "initial_state": str,
-    "out": str,
-    "format": str,
-    "pulse_file": str,
-}
+
+def _comma_list(text: str) -> tuple:
+    """The stripped, non-blank items of a comma-separated list."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_gamma_list(text: str) -> tuple:
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
+        return tuple(float(part) for part in _comma_list(text))
     except ValueError as exc:
         raise ConfigError(f"bad gamma list {text!r}: {exc}") from None
-    return values
+
+
+#: Each option as (name, type of its text, default, help), in the order a
+#: manifest echoes them.  The name is the config-file key, the flag with "-"
+#: for "_" and the field of ``ExperimentConfig``, but gamma's is gamma_list.
+OPTIONS = (
+    ("omega0", float, 1.0, "pulse amplitude (1/tau)"),
+    ("delta0", float, 9.0, "chirp range (1/tau)"),
+    ("tau", float, 1.0, "characteristic duration"),
+    ("t0", float, None, "window start, -t_final if not given"),
+    ("t_final", float, 1.0, "window end"),
+    ("steps", int, 4000, f"grid intervals (>= {MIN_STEPS})"),
+    ("gamma", _parse_gamma_list, None,
+     "comma-separated decay rates (1/tau), the command's own if not given"),
+    ("policy", str, POLICY_HERMITIAN,
+     f"supplement policy, {' | '.join(POLICIES)}; sweep accepts a comma list"),
+    ("initial_state", str, INITIAL_EIGEN_PLUS,
+     f"{' | '.join(INITIAL_STATES)}; sweep accepts a comma list"),
+    ("out", str, ".", "output directory (or env NH_STA_OUT)"),
+    ("format", str, "csv", f"table format, {' | '.join(OUTPUT_FORMATS)}"),
+    ("pulse_file", str, None, "tabulated pulse (columns t, Omega_R, Delta)"),
+)
 
 
 class ExperimentConfig:
-    """Validated experiment parameters shared by all CLI commands.
+    """Validated experiment parameters shared by all CLI commands: one
+    attribute per option, named in ``FIELDS`` in the manifest's order."""
 
-    ``FIELDS`` names the constructor's parameters in order; a manifest
-    echoes them in that order.
-    """
+    #: option name -> (its field, the type of its text)
+    READERS = {name: ("gamma_list" if name == "gamma" else name, kind)
+               for name, kind, *_ in OPTIONS}
+    FIELDS = tuple(field for field, _ in READERS.values())
 
-    FIELDS = ("omega0", "delta0", "tau", "t0", "t_final", "steps",
-              "gamma_list", "policy", "initial_state", "out", "format",
-              "pulse_file")
-
-    def __init__(self, omega0: float = 1.0, delta0: float = 9.0,
-                 tau: float = 1.0,
-                 t0: Optional[float] = None,  # default: -t_final (symmetric)
-                 t_final: float = 1.0, steps: int = 4000,
-                 gamma_list: Optional[tuple] = None,  # commands' defaults
-                 policy: str = POLICY_HERMITIAN,
-                 initial_state: str = INITIAL_EIGEN_PLUS, out: str = ".",
-                 format: str = "csv", pulse_file: Optional[str] = None):
-        self.omega0, self.delta0, self.tau = omega0, delta0, tau
-        self.t0, self.t_final, self.steps = t0, t_final, steps
-        self.gamma_list, self.policy = gamma_list, policy
-        self.initial_state, self.out = initial_state, out
-        self.format, self.pulse_file = format, pulse_file
+    def __init__(self, **values):
+        for field, (_, _, default, _) in zip(self.FIELDS, OPTIONS):
+            setattr(self, field, values.pop(field, default))
+        if values:
+            raise ConfigError(f"unknown option {next(iter(values))!r}")
 
     @property
     def window(self) -> tuple:
@@ -83,8 +89,10 @@ class ExperimentConfig:
         t0, t_f = self.window
         if not t0 < t_f:
             raise ConfigError(f"need t0 < t_final, got [{t0}, {t_f}]")
-        if self.steps < 100:
-            raise ConfigError(f"steps must be >= 100, got {self.steps}")
+        if self.steps < MIN_STEPS:
+            raise ConfigError(f"steps must be >= {MIN_STEPS}, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ConfigError(f"steps must be <= {MAX_STEPS}, got {self.steps}")
         if self.omega0 <= 0:
             raise ConfigError("omega0 must be positive")
         if self.tau <= 0:
@@ -126,11 +134,11 @@ class ExperimentConfig:
 
     @property
     def policies(self) -> tuple:
-        return tuple(p.strip() for p in self.policy.split(",") if p.strip())
+        return _comma_list(self.policy)
 
     @property
     def initial_states(self) -> tuple:
-        return tuple(s.strip() for s in self.initial_state.split(",") if s.strip())
+        return _comma_list(self.initial_state)
 
     def gammas(self, default: tuple = ()) -> tuple:
         """The configured decay rates, else the command's ``default``;
@@ -141,10 +149,8 @@ class ExperimentConfig:
         return gammas
 
     @cached_property
-    def pulse_table(self) -> Optional[np.ndarray]:
+    def pulse_table(self) -> np.ndarray:
         """Columns (t, Omega_R, Delta) of the pulse file, read once."""
-        if self.pulse_file is None:
-            return None
         return load_pulse_file(self.pulse_file)
 
     @property
@@ -153,10 +159,6 @@ class ExperimentConfig:
         Omega_R sample of a pulse file, else (or if all are 0) omega0."""
         peak = 0.0 if self.pulse_file is None else np.max(self.pulse_table[1])
         return float(peak) if peak > 0 else self.omega0
-
-    def ae_params(self, gamma: float) -> AllenEberlyParams:
-        return AllenEberlyParams(omega0=self.omega0, delta0=self.delta0,
-                                 tau=self.tau, gamma=gamma)
 
     @cached_property
     def pulse_splines(self) -> tuple:
@@ -168,7 +170,8 @@ class ExperimentConfig:
         """Pulse for one decay rate: sech/tanh by default, else the pulse
         file's cubic splines with their exact derivatives, and constant gamma."""
         if self.pulse_file is None:
-            return allen_eberly(self.ae_params(gamma))
+            return allen_eberly(AllenEberlyParams(self.omega0, self.delta0,
+                                                  self.tau, gamma))
         (omega_r, d_omega_r), (delta, d_delta) = self.pulse_splines
 
         def gamma_fn(t):
@@ -277,37 +280,32 @@ def parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, text = line.partition("=")
-        key, text = key.strip(), text.strip()
-        if key == "gamma":
-            values["gamma_list"] = _parse_gamma_list(text)
-        elif key in _SCALAR_KEYS:
-            try:
-                values[key] = _SCALAR_KEYS[key](text)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
-                    from None
-        else:
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in ExperimentConfig.READERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        field, kind = ExperimentConfig.READERS[key]
+        try:
+            values[field] = kind(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
+                from None
     return values
 
 
 def build_config(config_path: Optional[str] = None, **overrides) -> ExperimentConfig:
-    """File values, then NH_STA_OUT, then explicit (non-None) overrides."""
+    """File values, then NH_STA_OUT, then explicit (non-None) overrides,
+    each named by its option and read as its type when given as text."""
     values: dict = {}
     if config_path is not None:
         values.update(parse_config_file(config_path))
     env_out = os.environ.get("NH_STA_OUT")
     if env_out:
         values["out"] = env_out
-    for key, val in overrides.items():
-        if val is None:
+    for name, value in overrides.items():
+        if value is None:
             continue
-        if key == "gamma" and isinstance(val, str):
-            values["gamma_list"] = _parse_gamma_list(val)
-        else:
-            values[key] = val
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        if name not in ExperimentConfig.READERS:
+            raise ConfigError(f"unknown option {name!r}")
+        field, kind = ExperimentConfig.READERS[name]
+        values[field] = kind(value) if isinstance(value, str) else value
+    return ExperimentConfig(**values)

@@ -232,12 +232,12 @@ def radicand(pulse: PulseSpec, t):
 
 
 def branch_argument(z, regime: BranchRegime):
-    """Argument eta of Z in the regime's range ((-pi, pi] or [0, 2pi))."""
+    """Argument eta of array Z in the regime's range ((-pi, pi] or [0, 2pi))."""
     z = np.asarray(z, dtype=complex)
     eta = np.angle(z)
     if regime is BranchRegime.SUPER_CRITICAL:
         eta = np.mod(eta, 2.0 * np.pi)
-    return eta[()] if eta.ndim == 0 else eta
+    return eta
 
 
 def eigenvalue_path(h0: tuple, path: MixingAnglePath) -> tuple:
@@ -342,13 +342,13 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
 
 def mixing_angle_rate(pulse: PulseSpec, t, controls: tuple):
     """dtheta/dt = N/D with N = Omega*da/dt - dOmega/dt*a, D = a^2 + Omega^2
-    and a = Delta - i*gamma/2, at arbitrary t, from ``controls`` = (Omega_R,
-    Delta, gamma) sampled at t and the pulse's derivatives.  N and D are
-    formed part by part, Re D in factored form for its digits near the
-    exceptional point, and N/D = N*conj(D)/|D|^2 with D scaled by its
+    and a = Delta - i*gamma/2, on an array of times t, from ``controls`` =
+    (Omega_R, Delta, gamma) sampled there and the pulse's derivatives.  N
+    and D are formed part by part, Re D in factored form for its digits near
+    the exceptional point, and N/D = N*conj(D)/|D|^2 with D scaled by its
     larger part against overflow; a lossless rate is real exactly."""
-    om, dl, gm = np.atleast_1d(*controls)
-    d_om, d_dl, d_gm = np.atleast_1d(*_controls(pulse, t, rates=True))
+    om, dl, gm = controls
+    d_om, d_dl, d_gm = _controls(pulse, t, rates=True)
     n_re = om * d_dl
     n_re -= d_om * dl
     n_im = d_om * gm
@@ -372,7 +372,7 @@ def mixing_angle_rate(pulse: PulseSpec, t, controls: tuple):
     out.imag -= n_re * d_im
     out.real /= scale
     out.imag /= scale
-    return out if np.ndim(t) else out[0]
+    return out
 
 
 def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:

@@ -123,18 +123,23 @@ def theta_paths():
     return get
 
 
-def analytic_two_level_systems(theta: MixingAnglePath, e_plus, e_minus):
-    """Biorthonormal systems built from the closed-form eigenvector pair."""
+def analytic_two_level_systems(theta: MixingAnglePath, e_plus, e_minus,
+                               gauge=None):
+    """Biorthonormal systems built from the closed-form eigenvector pair,
+    one per sample, as views of stacks built in one array pass.  With a
+    ``gauge``, the right vectors are scaled by its (f_plus, f_minus) and
+    the left ones by the inverse conjugates, so they stay biorthonormal."""
     from nhsta.biorthogonal import BiorthogonalSystem
 
-    systems = []
-    for k in range(theta.grid.n_points):
-        th = theta.theta[k]
+    def pairs(th):  # [[c, s], [s, -c]] of th / 2 at every sample
         c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-        right = np.array([[c, s], [s, -c]], dtype=complex)
-        cs, ss = np.cos(np.conj(th) / 2.0), np.sin(np.conj(th) / 2.0)
-        left = np.array([[cs, ss], [ss, -cs]], dtype=complex)
-        systems.append(BiorthogonalSystem(
-            eigenvalues=np.array([e_plus[k], e_minus[k]]),
-            right=right, left=left))
-    return systems
+        return np.stack([c, s, s, -c], axis=-1).reshape(-1, 2, 2)
+
+    th = np.asarray(theta.theta, dtype=complex)
+    right, left = pairs(th), pairs(np.conj(th))
+    if gauge is not None:
+        f = np.stack([gauge.f_plus, gauge.f_minus], axis=-1)[:, None, :]
+        right, left = right * f, left / np.conj(f)
+    eigenvalues = np.stack([e_plus, e_minus], axis=-1)
+    return [BiorthogonalSystem(eigenvalues=w, right=r, left=l)
+            for w, r, l in zip(eigenvalues, right, left)]

@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhsta.cli import COMMANDS, main
-from nhsta.config import build_config, parse_config_file
+from nhsta.cli import COMMANDS, build_parser, main
+from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
+                          parse_config_file)
 from nhsta.errors import ConfigError, NhStaError
 
 
@@ -361,6 +362,70 @@ class TestConfig:
     def test_window_defaults_symmetric(self):
         cfg = build_config(t_final=2.5)
         assert cfg.window == (-2.5, 2.5)
+
+
+class TestOptionTable:
+    """``config.OPTIONS`` is the one source of the flags, the config-file
+    keys, the configuration's fields and the manifest's echo."""
+
+    TEXTS = {"omega0": "1.25", "delta0": "8", "tau": "0.75", "t0": "-1.5",
+             "t_final": "2.5", "steps": "123", "gamma": "0.5, 2",
+             "policy": "naive-cd", "initial_state": "bare-ground",
+             "out": "outdir", "format": "json", "pulse_file": "p.csv"}
+
+    @pytest.mark.parametrize("name", [name for name, *_ in OPTIONS])
+    def test_flag_and_config_line_give_equal_fields(self, tmp_path,
+                                                    monkeypatch, name):
+        monkeypatch.delenv("NH_STA_OUT", raising=False)
+        text = self.TEXTS[name]
+        args = vars(build_parser().parse_args(
+            ["verify", "--" + name.replace("_", "-"), text]))
+        del args["command"]
+        from_flag = build_config(args.pop("config"), **args)
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"{name} = {text}\n")
+        from_file = build_config(str(cfg_file))
+        assert ([getattr(from_flag, f) for f in ExperimentConfig.FIELDS]
+                == [getattr(from_file, f) for f in ExperimentConfig.FIELDS])
+        # the value was set, not left at its default
+        assert vars(from_flag) != vars(ExperimentConfig())
+
+    def test_every_option_has_a_sample_text(self):
+        assert list(self.TEXTS) == [name for name, *_ in OPTIONS]
+
+    def test_manifest_echoes_the_fields_in_order(self, tmp_path):
+        assert ExperimentConfig.FIELDS == (
+            "omega0", "delta0", "tau", "t0", "t_final", "steps", "gamma_list",
+            "policy", "initial_state", "out", "format", "pulse_file")
+        assert main(["figure2", "--gamma", "0.3", "--steps", "200",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "figure2_manifest.json").read_text())
+        assert list(manifest["config"]) == list(ExperimentConfig.FIELDS)
+        assert manifest["config"]["gamma_list"] == [0.3]
+        assert manifest["config"]["steps"] == 200
+
+    def test_unknown_format_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["figure1", "--format", "xml", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: format must be one of ('csv', 'json')"]
+        assert not out.exists()
+
+    def test_steps_numpy_cannot_size_exit_config(self, tmp_path, capsys):
+        # numpy refuses a 4 * 10**20 + 1 sample grid before allocating
+        out = tmp_path / "out"
+        assert main(["figure2", "--gamma", "0.3", "--steps", str(10**20),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: steps must be <= ")
+        assert not out.exists()
+
+    def test_unknown_names_are_refused(self):
+        with pytest.raises(ConfigError, match="unknown option 'gamma_list'"):
+            build_config(gamma_list=(0.3,))
+        with pytest.raises(ConfigError, match="unknown option 'gamma'"):
+            ExperimentConfig(gamma=(0.3,))
 
 
 class TestFigure1:

@@ -6,7 +6,6 @@ from scipy.integrate import cumulative_trapezoid, quad
 from conftest import (ae_params, ae_setup, analytic_two_level_systems,
                       path_eigenvalues, shifted_level, shortcut_table,
                       table_eigenvalues, table_entries)
-from nhsta.biorthogonal import BiorthogonalSystem
 from nhsta.errors import SinThetaSingular, ZeroGauge
 from nhsta.gauges import gauge_simple, matched_delta
 from nhsta.grids import TimeGrid
@@ -259,18 +258,8 @@ class TestFrameMatrix:
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
         g = gauge_simple(e_plus, e_minus, grid)
-        systems = analytic_two_level_systems(path, e_plus, e_minus)
-        scaled = []
-        for k, sys_ in enumerate(systems):
-            right = sys_.right.copy()
-            left = sys_.left.copy()
-            right[:, 0] *= g.f_plus[k]
-            right[:, 1] *= g.f_minus[k]
-            left[:, 0] /= np.conj(g.f_plus[k])
-            left[:, 1] /= np.conj(g.f_minus[k])
-            scaled.append(BiorthogonalSystem(eigenvalues=sys_.eigenvalues,
-                                             right=right, left=left))
-        gpath = EigenPath.from_systems(grid, scaled)
+        gpath = EigenPath.from_systems(
+            grid, analytic_two_level_systems(path, e_plus, e_minus, gauge=g))
         worst = 0.0
         u = e_plus.imag, e_minus.imag
         for k in (16000, 32000, 48000):

@@ -1,4 +1,5 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its example
+configuration file is one the CLI reads."""
 import contextlib
 import io
 import re
@@ -24,3 +25,15 @@ def test_library_quick_start_runs_as_written():
     assert g_minus <= 1e-10
     assert 1e-3 <= p0_renorm <= 3e-3
     assert closed_gap <= 1e-5
+
+
+def test_example_config_parses_validates_and_names_options(tmp_path):
+    from nhsta.config import OPTIONS, ExperimentConfig, parse_config_file
+    text = README.read_text()
+    block = re.search(r"```\n(# example\.cfg\n.*?)```", text, re.DOTALL)
+    path = tmp_path / "example.cfg"
+    path.write_text(block.group(1))
+    ExperimentConfig(**parse_config_file(str(path))).validate()
+    keys = [line.split("=", 1)[0].strip()
+            for line in block.group(1).splitlines()[1:] if line.strip()]
+    assert keys and set(keys) <= {name for name, *_ in OPTIONS}
