@@ -31,6 +31,14 @@ def _comma_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _refuse_repeats(what: str, values: tuple) -> None:
+    """Raise ConfigError naming the first item of ``values`` that repeats
+    an earlier one: a run would build and write it again."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{what} list repeats {value!r}")
+
+
 def _parse_gamma_list(text: str) -> tuple:
     try:
         return tuple(float(part) for part in _comma_list(text))
@@ -108,6 +116,7 @@ class ExperimentConfig:
                 if value not in known:
                     raise ConfigError(
                         f"unknown {what} {value!r}; choose from {known}")
+            _refuse_repeats(what, values)
         # gammas() refuses an explicit empty list; defaults need no check
         gammas = () if self.gamma_list is None else self.gammas()
         # the comparisons above let NaN and +inf through, and classify_regime
@@ -118,6 +127,7 @@ class ExperimentConfig:
         for name, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        _refuse_repeats("gamma", gammas)
         if self.pulse_file is not None:
             # the splines would extrapolate Omega_R and Delta outside the table
             ts = self.pulse_table[0]

@@ -7,7 +7,10 @@ H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
 matrices of the run and of its rerun together.  The angle path, its
 trigonometric functions and H0 do not depend on the policy, so the tables
 of several policies for one pulse share them, and the eigenvalues the first
-table reads off that angle and H0 after its scan.  A run applies a table
+table reads off that angle and H0 after its scan.  The last table of a
+pulse frees the quarter-grid angle path once its supplement is formed and
+H0 once its kernel table is written, so its scan and runs hold only
+run-grid data and that table.  A run applies a table
 to one initial state: it propagates the bare-basis state and keeps the
 raw/modified amplitudes and populations projected from it.
 """
@@ -130,17 +133,20 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     sample of the pulse's values, and E_+, E_- on the run grid (read after
     the first table's scan).  Each policy's table is built only when the
     returned generator is advanced, so at most one is alive at a time when
-    the caller drops each before asking for the next.
+    the caller drops each before asking for the next.  The quarter-grid
+    angle path lives until the last table's supplement is formed, and H0
+    until its kernel table is written; neither is held through its scan.
     """
     quarter = grid.refine(4)
     samples = sample_controls(pulse, quarter)
     theta_q = mixing_angle_path(pulse, quarter, samples)
     theta = MixingAnglePath(grid, theta_q.theta[::4].copy(),
                             theta_q.dtheta[::4].copy())
-    h0_q = hamiltonian_entries(samples[1:])
+    shared = [theta_q, hamiltonian_entries(samples[1:])]
     eigen: list = []  # (E_+, E_-), filled by the first table
-    return (_policy_table(policy, theta_q, theta, h0_q, eigen)
-            for policy in policies)
+    last = len(policies) - 1
+    return (_policy_table(policy, theta, shared, eigen, i == last)
+            for i, policy in enumerate(policies))
 
 
 def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
@@ -154,22 +160,38 @@ def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _policy_table(policy, theta_q, theta, h0_q, eigen) -> ShortcutTable:
+def _policy_table(policy, theta, shared, eigen, last) -> ShortcutTable:
     """One policy's supplement, H0 + H1 table, scan, gauges and checks on
-    the run grid of ``theta`` (its temporaries are freed on return).  The
-    eigenvalues, from every 4th sample of ``h0_q``, are read into the
-    empty list ``eigen`` by the first table of a pulse and shared by the
+    the run grid of ``theta``.  The quarter-grid supplement is freed before
+    the scan, and the other temporaries on return.
+
+    ``shared`` holds the pulse's quarter-grid angle path and H0 entries.
+    The ``last`` table of a pulse empties it, so it frees the path once
+    its supplement is formed and H0 once its phase table is written, and
+    its scan, runs and checks hold only run-grid data and the kernel table.
+    The eigenvalues are read into the empty list ``eigen`` by the first
+    table of a pulse, from every 4th sample of H0, and shared by the
     rest."""
     grid = theta.grid
+    theta_q, h0_q = shared
+    if last:
+        shared.clear()
     h1_q = _supplement(policy, theta_q)
+    del theta_q
     h1 = tuple(x[::4].copy() if np.ndim(x) else x for x in h1_q)
     h = phase_table(grid.steps, h0_q, h1_q)
-    del h1_q  # freed before the scan's temporaries are allocated
+    # the eigenvalues' run-grid samples of H0: views while ``shared`` keeps
+    # H0 for the next table, copies when this table frees it
+    h0 = None if eigen else tuple(x[::4].copy() if last else x[::4]
+                                  for x in h0_q)
+    del h0_q, h1_q  # H1, and a last table's H0, go before the scan
     scan = scan_table(h, grid, certify=True)
-    if not eigen:
-        # after the scan, so the run-grid cos/sin of theta that the
-        # eigenvalues cache on the shared path are not held through it
-        eigen.extend(eigenvalue_path(tuple(x[::4] for x in h0_q), theta))
+    if h0 is not None:
+        # after the scan: the run-grid cos/sin of theta that the
+        # eigenvalues cache on the shared path, and E_+, E_- themselves,
+        # outweigh the copies of H0 a last table holds through it
+        eigen.extend(eigenvalue_path(h0, theta))
+        del h0
     e_plus, e_minus = eigen
     # E_+ + d_+, formed once for the gauge and kept for the closed form;
     # the naive term has no adiabatic-frame diagonal, d_+ = 0

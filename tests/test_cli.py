@@ -662,6 +662,27 @@ class TestExitCodes:
             f"write {command}_gamma0.1.csv"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--policy", "naive-cd,hermitian-realizable,naive-cd",
+         "policy list repeats 'naive-cd'"),
+        ("--initial-state", "bare-ground, bare-ground",
+         "initial state list repeats 'bare-ground'"),
+        ("--gamma", "0.3,1,0.30", "gamma list repeats 0.3")],
+        ids=["policy", "initial-state", "gamma"])
+    def test_repeated_list_item_exits_config(self, tmp_path, capsys, flag,
+                                             text, message):
+        # a repeat would build and write the same rows again
+        out = tmp_path / "out"
+        args = {"--gamma": "0.3,1", "--policy": "naive-cd",
+                "--initial-state": "eigen-plus", flag: text}
+        argv = ["sweep", "--steps", "200", "--out", str(out)]
+        for item in args.items():
+            argv += item
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {message}"]
+        assert not out.exists()
+
     def test_critical_decay_rate_exits_numerical(self, tmp_path):
         assert main(["figure3", "--gamma", "2.0", "--out", str(tmp_path)]) == 3
 

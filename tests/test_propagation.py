@@ -10,6 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from conftest import (ae_params, ae_setup, path_eigenvalues, shortcut_table,
                       state_trajectory)
+from nhsta import experiments
 from nhsta.errors import NonFinite
 
 from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
@@ -109,6 +110,14 @@ def build_one_table(pulse, grid):
     """One hermitian table run from both states."""
     table = shortcut_table(pulse, grid)
     return [table.run(state) for state in INITIAL_STATES]
+
+
+def build_verify_run(pulse, grid):
+    """One hermitian table run from eigen-plus, with its frame check and
+    closed form, as ``verify`` takes them."""
+    table = shortcut_table(pulse, grid)
+    run = table.run(INITIAL_STATES[0])
+    return run, table.frame_check(), table.closed_form()
 
 
 def build_three_tables(pulse, grid):
@@ -469,6 +478,60 @@ class TestConvergence:
         next(tables)
         assert scan() is None
 
+    @pytest.mark.parametrize("policies", [POLICIES[:1], POLICIES],
+                             ids=["one-policy", "three-policies"])
+    def test_last_scan_holds_no_quarter_grid_array(self, monkeypatch,
+                                                   policies):
+        # the quarter-grid angle path and H0 are built once per pulse and
+        # shared by its tables; the last table frees the path once its
+        # supplement is formed and H0 once its phase table is written, so
+        # they are dead when its scan starts.  Only weak references are kept.
+        refs = {}
+
+        def record(name, arrays):
+            fn = getattr(experiments, name)
+
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                assert name not in refs  # built once per pulse
+                refs[name] = [weakref.ref(x) for x in arrays(out)]
+                return out
+            monkeypatch.setattr(experiments, name, call)
+
+        record("mixing_angle_path", lambda path: (path, path.theta,
+                                                  path.dtheta))
+        record("hamiltonian_entries", lambda entries: entries)
+        supplements, phases, scans = [], [], []
+        original_supplement = experiments._supplement
+        original_phase_table = experiments.phase_table
+        original_scan = experiments.scan_table
+
+        def supplement(policy, theta_q):
+            supplements.append(theta_q is refs["mixing_angle_path"][0]())
+            return original_supplement(policy, theta_q)
+
+        def phase(steps, h0, h1):
+            phases.append(all(x is r() for x, r in
+                              zip(h0, refs["hamiltonian_entries"])))
+            return original_phase_table(steps, h0, h1)
+
+        def scan(*args, **kwargs):
+            scans.append([r() is not None
+                          for found in refs.values() for r in found])
+            return original_scan(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_supplement", supplement)
+        monkeypatch.setattr(experiments, "phase_table", phase)
+        monkeypatch.setattr(experiments, "scan_table", scan)
+        pulse, grid = ae_setup(1.0, 400)
+        for table in shortcut_tables(pulse, grid, policies):
+            table.run(INITIAL_STATES[0])
+            del table
+        assert supplements == phases == [True] * len(policies)
+        assert len(scans) == len(policies)
+        assert all(all(alive) for alive in scans[:-1])
+        assert not any(scans[-1])
+
     def test_run_path_is_quarter_path_every_fourth_sample(self):
         pulse, grid = ae_setup(3.0, 1000)
         path = shortcut_table(pulse, grid).theta
@@ -518,16 +581,20 @@ class TestConvergence:
             scan_table(h, grid, certify=True).apply(psi0)
 
     @pytest.mark.parametrize("build_and_run, bound", [
-        (build_one_table, 4_255_139), (build_three_tables, 4_584_929)],
-        ids=["hermitian", "three-policies"])
+        (build_one_table, 3_112_151), (build_verify_run, 3_240_685),
+        (build_three_tables, 4_583_674)],
+        ids=["hermitian", "verify-run", "three-policies"])
     def test_certified_table_memory_peak(self, build_and_run, bound):
         # The tracemalloc peaks of building one hermitian table, or the
         # three policies' tables of one decay rate, and running both states
         # from each were 4,427,721 and 4,879,187 bytes with complex H0 and
         # omega-zero drive entries, and 4,171,705 and 4,495,029 bytes once
         # they are real and scalar and a run frees its rerun before its
-        # amplitudes (Python 3.11, numpy 2.4); each bound is the later peak
-        # plus 2%.
+        # amplitudes.  With the last table of a pulse freeing the quarter-
+        # grid angle path and H0 before its scan they are 3,051,129 and
+        # 4,493,799 bytes, and 3,177,143 bytes for verify's one run with
+        # its frame check and closed form (Python 3.11, numpy 2.4); each
+        # bound is the latest peak plus 2%.
         pulse, grid = ae_setup(1.0, 4000)
         build_and_run(pulse, grid)  # one-time allocations stay out of the peak
         gc.collect()
