@@ -210,9 +210,9 @@ def _population_figure(cfg: ExperimentConfig, command: str,
     with t followed by ``columns(amps)``; status 1 if any run is
     uncertified (every table and the manifest are still written)."""
     tables = _tables(cfg, command, default_gammas)
-    out = OutputSet(cfg, command)
     policy = _single(cfg.policies, "policy")
     initial = _single(cfg.initial_states, "initial state")
+    out = OutputSet(cfg, command)
     grid = cfg.grid
     uncertified = 0
     for name, gamma in tables.items():
@@ -370,6 +370,8 @@ def _verify_checks(cfg: ExperimentConfig):
                res <= RESIDUAL_BOUND)
         coupling = run.table.frame_check()
         yield f"frame-coupling-21[{tag}]", coupling, 1e-6, coupling <= 1e-6
+        rate = run.table.angle_rate
+        yield f"angle-rate[{tag}]", rate, 1e-8, rate <= 1e-8
         gm = float(np.max(np.abs(run.amps.g_minus)))
         yield f"max-abs-g-minus[{tag}]", gm, 1e-5, gm <= 1e-5
         gp_dev = float(np.max(np.abs(run.amps.pop_phi_plus - 1.0)))
@@ -389,10 +391,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     for name, measured, bound, ok in _verify_checks(cfg):
         status = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
-        if isinstance(measured, float):
-            print(f"{status}  {name}  measured={measured:.3e}  bound={bound}")
-        else:
-            print(f"{status}  {name}  measured={measured}  bound={bound}")
+        print(f"{status}  {name}  measured={measured:.3e}  bound={bound}")
     total = "all checks passed" if failures == 0 else f"{failures} check(s) FAILED"
     print(f"verify: {total}")
     return 0 if failures == 0 else 1

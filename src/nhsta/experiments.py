@@ -32,9 +32,9 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
                         matched_gauge, naive_cd_entries,
                         nullification_residual)
 from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                        branch_argument, eigenvalue_path, frame_diagonal,
-                        hamiltonian_entries, mixing_angle_path, radicand,
-                        sample_controls)
+                        angle_rate_defect, branch_argument, eigenvalue_path,
+                        frame_diagonal, hamiltonian_entries,
+                        mixing_angle_path, radicand, sample_controls)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
 from .gauges import gauge_simple  # noqa: F401
@@ -54,18 +54,19 @@ class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
     Holds the angle path, the level E_+ + d_+, the gauges and the largest
-    leak residual of the supplement on the run grid, and the RK4 prefix
-    scan of the run and of its half-step certification rerun.
+    leak residual of the supplement on the run grid, the angle-rate defect,
+    and the RK4 prefix scan of the run and of its certification rerun.
     :meth:`run` applies it to one initial state; every state run from the
     same table shares this work.
     """
 
-    __slots__ = ("theta", "gauges", "level", "residual", "scan")
+    __slots__ = ("theta", "gauges", "level", "residual", "angle_rate", "scan")
 
     def __init__(self, theta: MixingAnglePath, gauges: GaugeFunctions,
-                 level: np.ndarray, residual: float, scan: PrefixScan):
+                 level: np.ndarray, residual: float, angle_rate: float,
+                 scan: PrefixScan):
         self.theta, self.gauges, self.level = theta, gauges, level
-        self.residual, self.scan = residual, scan
+        self.residual, self.angle_rate, self.scan = residual, angle_rate, scan
 
     grid = property(lambda self: self.theta.grid)  # the run grid
 
@@ -88,8 +89,8 @@ class ShortcutTable:
                            gap)
 
     def frame_check(self) -> float:
-        """The largest adiabatic-frame coupling (2,1), formed from the
-        table's own H0 + H1 on the run grid on each call."""
+        """The largest adiabatic-frame coupling (2,1), in closed form from
+        the table's own H0 + H1 on the run grid on each call."""
         return frame_coupling(self.theta, self.scan.h[:, 0], self.gauges)
 
     def closed_form(self) -> np.ndarray:
@@ -129,23 +130,24 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
     The policy-independent part is built here, once: the angle path and its
-    trigonometric functions and H0 on the quarter-step grid, both from one
-    sample of the pulse's values, and E_+, E_- on the run grid (read after
-    the first table's scan).  Each policy's table is built only when the
-    returned generator is advanced, so at most one is alive at a time when
-    the caller drops each before asking for the next.  The quarter-grid
-    angle path lives until the last table's supplement is formed, and H0
-    until its kernel table is written; neither is held through its scan.
+    trigonometric functions and H0 on the quarter-step grid, from one sample
+    of the pulse, the path's angle-rate defect, and E_+, E_- on the run grid
+    (after the first table's scan).  Each policy's table is built only when
+    the generator is advanced, so at most one is alive at a time when the
+    caller drops each before asking for the next.  The quarter-grid angle
+    path lives until the last table's supplement is formed, and H0 until
+    its kernel table is written; neither is held through its scan.
     """
     quarter = grid.refine(4)
     samples = sample_controls(pulse, quarter)
     theta_q = mixing_angle_path(pulse, quarter, samples)
+    angle_rate = angle_rate_defect(theta_q)
     theta = MixingAnglePath(grid, theta_q.theta[::4].copy(),
                             theta_q.dtheta[::4].copy())
     shared = [theta_q, hamiltonian_entries(samples[1:])]
     eigen: list = []  # (E_+, E_-), filled by the first table
     last = len(policies) - 1
-    return (_policy_table(policy, theta, shared, eigen, i == last)
+    return (_policy_table(policy, theta, shared, eigen, i == last, angle_rate)
             for i, policy in enumerate(policies))
 
 
@@ -160,7 +162,8 @@ def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _policy_table(policy, theta, shared, eigen, last) -> ShortcutTable:
+def _policy_table(policy, theta, shared, eigen, last,
+                  angle_rate) -> ShortcutTable:
     """One policy's supplement, H0 + H1 table, scan, gauges and checks on
     the run grid of ``theta``.  The quarter-grid supplement is freed before
     the scan, and the other temporaries on return.
@@ -200,7 +203,8 @@ def _policy_table(policy, theta, shared, eigen, last) -> ShortcutTable:
 
     return ShortcutTable(
         theta=theta, gauges=matched_gauge(level, e_minus, grid), level=level,
-        residual=nullification_residual(theta, h1), scan=scan)
+        residual=nullification_residual(theta, h1), angle_rate=angle_rate,
+        scan=scan)
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,

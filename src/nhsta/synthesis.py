@@ -23,8 +23,8 @@ closed form follow from one level E_+ + d_+, with d_+ the supplement's
 adiabatic-frame diagonal (``two_level.frame_diagonal``, the formula that
 also gives E_+ from H0; 0 for the naive term), and the residual is twice
 the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  The frame check
-(``frame_coupling``) reads H0 + H1 as the propagation table holds it.  For
-the form above, with lam = delta*sin(theta) and zeta = Re[W]*cos(theta),
+(``frame_coupling``) is that expression for H0 + H1 times f_+/(2 f_-).
+For the form above, with lam = delta*sin(theta) and zeta = Re[W]*cos(theta),
 the condition reads
 
     lam + i*Im[W] - zeta = -i*dtheta,
@@ -120,15 +120,20 @@ def matched_gauge(level: np.ndarray, e_minus: np.ndarray,
                                  np.asarray(e_minus).imag)
 
 
+def _leak(theta_path: MixingAnglePath, h: tuple):
+    """(h00 - h11)*sin(theta) + (h01 - h10) - (h01 + h10)*cos(theta)
+    + i*dtheta for the entries ``h`` = (h00, h01, h10, h11) of a matrix H:
+    twice <-~|H|+> + i*dtheta/2, since <-~|d/dt|+> = -dtheta/2 exactly."""
+    h00, h01, h10, h11 = h
+    return ((h00 - h11) * theta_path.sin + (h01 - h10)
+            - (h01 + h10) * theta_path.cos + 1j * theta_path.dtheta)
+
+
 def nullification_residual(theta_path: MixingAnglePath, h1: tuple) -> float:
     """Largest |residual| of the leak-cancellation condition for a
-    supplement's entries ``h1``: the residual
-    (h00 - h11)*sin(theta) + (h01 - h10) - (h01 + h10)*cos(theta) + i*dtheta,
-    twice <-~|H1|+> + i*dtheta/2, vanishes for every policy's entries."""
-    h00, h01, h10, h11 = h1
-    residual = ((h00 - h11) * theta_path.sin + (h01 - h10)
-                - (h01 + h10) * theta_path.cos + 1j * theta_path.dtheta)
-    return float(np.max(np.abs(residual)))
+    supplement's entries ``h1``: the :func:`_leak` of H1, which vanishes
+    for every policy's entries."""
+    return float(np.max(np.abs(_leak(theta_path, h1))))
 
 
 def frame_coupling(theta_path: MixingAnglePath, h_total: np.ndarray,
@@ -142,29 +147,12 @@ def frame_coupling(theta_path: MixingAnglePath, h_total: np.ndarray,
 
 
 def _frame_coupling(theta_path, h_total, gauges):
-    """|(R~^dag H R - i R~^dag dR/dt)[1, 0]| for H with entries ``h_total``
-    and a Richardson-extrapolated frame derivative (interior points only).
-
-    Only what reaches entry (1, 0) is formed: column 0 of R, f_+ (c, s),
-    and row 1 of R~^dag, (s, -c)/f_- (R~ is built from conj(theta), so its
-    conjugate carries c = cos(theta/2) and s = sin(theta/2) again).
-    """
-    grid = theta_path.grid
-    h = grid.step
-    inner = slice(2, grid.n_points - 2)
-    c, s = theta_path.cos_half, theta_path.sin_half
-    col = (gauges.f_plus * c, gauges.f_plus * s)
-    f_minus = gauges.f_minus[inner]
-    row = (s[inner] / f_minus, -c[inner] / f_minus)
-    h_tot = h_total[:, inner]
-    h_col = [h_tot[2 * i] * col[0][inner] + h_tot[2 * i + 1] * col[1][inner]
-             for i in (0, 1)]
-    static = row[0] * h_col[0] + row[1] * h_col[1]
-    d = [(4.0 * ((x[3:-1] - x[1:-3]) / (2.0 * h))
-          - (x[4:] - x[:-4]) / (4.0 * h)) / 3.0 for x in col]
-    out = np.zeros(grid.n_points)
-    out[inner] = np.abs(static - 1j * (row[0] * d[0] + row[1] * d[1]))
-    return out
+    """|(R~^dag H R - i R~^dag dR/dt)[1, 0]| per sample for H with entries
+    ``h_total``: column 0 of R is f_+ |+> and row 1 of R~^dag is <-~|/f_-,
+    and <-~|+> = 0, so the entry is (f_+/f_-)(<-~|H|+> + i*dtheta/2), half
+    the :func:`_leak` of H times f_+/f_-."""
+    return (np.abs(_leak(theta_path, h_total)) * gauges.f_plus
+            / (2.0 * gauges.f_minus))
 
 
 def closed_form_gplus(level: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -375,6 +375,18 @@ def mixing_angle_rate(pulse: PulseSpec, t, controls: tuple):
     return out
 
 
+def angle_rate_defect(path: MixingAnglePath) -> float:
+    """Largest |D6 theta - dtheta| over the interior samples relative to
+    max|dtheta| (absolute if that is 0), D6 the 6th-order central difference
+    (45(th[k+1] - th[k-1]) - 9(th[k+2] - th[k-2]) + th[k+3] - th[k-3])/(60h)
+    (Fornberg 1988): where the grid resolves theta, dtheta is its rate."""
+    th, dth = path.theta, path.dtheta
+    d6 = (45.0 * (th[4:-2] - th[2:-4]) - 9.0 * (th[5:-1] - th[1:-5])
+          + (th[6:] - th[:-6])) / (60.0 * path.grid.step)
+    scale = np.max(np.abs(dth)) or 1.0
+    return float(np.max(np.abs(d6 - dth[3:-3])) / scale)
+
+
 def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:
     """theta at arbitrary t: principal representative branch-matched to a
     nearby reference value from a tracked path."""

@@ -9,7 +9,8 @@ closed-form eigenvector pair of a mixing angle, the bare Hamiltonian and
 its eigenvalues at any t on either square-root cut (``branch_sqrt``, the
 reference root), the counterdiabatic matrices, the general
 supplement family for any lam(t) and Re[W](t), the hermitian-only
-closed form of the surviving amplitude, and the mixing angle, its rate and
+closed form of the surviving amplitude, the differenced frame coupling
+(the frame check before its closed form), and the mixing angle, its rate and
 its trigonometric functions in mpmath's extended precision.
 """
 from __future__ import annotations
@@ -404,3 +405,33 @@ def adiabatic_frame_h0(pulse: PulseSpec, theta_path: MixingAnglePath,
         [e_plus - 1j * u[0][k], -0.5j * dth * fm / fp],
         [0.5j * dth * fp / fm, e_minus - 1j * u[1][k]],
     ])
+
+
+def differenced_frame_coupling(theta_path: MixingAnglePath,
+                               h_total: np.ndarray,
+                               gauges: GaugeFunctions) -> np.ndarray:
+    """|K_21| per sample with the frame derivative differenced: the frame
+    check's earlier form, kept as a reference for the closed form.
+
+    Column 0 of R, f_+ (c, s), is differentiated by a 4th-order Richardson
+    extrapolation of central differences on the grid, so only the interior
+    samples 2 .. n-3 are formed and the two samples at each edge read 0.
+    Row 1 of R~^dag is (s, -c)/f_-; H has the entries ``h_total``, shape
+    (4, n).
+    """
+    grid = theta_path.grid
+    h = grid.step
+    inner = slice(2, grid.n_points - 2)
+    c, s = theta_path.cos_half, theta_path.sin_half
+    col = (gauges.f_plus * c, gauges.f_plus * s)
+    f_minus = gauges.f_minus[inner]
+    row = (s[inner] / f_minus, -c[inner] / f_minus)
+    h_tot = h_total[:, inner]
+    h_col = [h_tot[2 * i] * col[0][inner] + h_tot[2 * i + 1] * col[1][inner]
+             for i in (0, 1)]
+    static = row[0] * h_col[0] + row[1] * h_col[1]
+    d = [(4.0 * ((x[3:-1] - x[1:-3]) / (2.0 * h))
+          - (x[4:] - x[:-4]) / (4.0 * h)) / 3.0 for x in col]
+    out = np.zeros(grid.n_points)
+    out[inner] = np.abs(static - 1j * (row[0] * d[0] + row[1] * d[1]))
+    return out

@@ -662,6 +662,18 @@ class TestExitCodes:
             f"write {command}_gamma0.1.csv"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, text", [
+        ("figure3", "--policy", "naive-cd,hermitian-realizable"),
+        ("figure4", "--initial-state", "eigen-plus,bare-ground")])
+    def test_second_policy_or_state_creates_no_output_directory(
+            self, tmp_path, capsys, command, flag, text):
+        out = tmp_path / "o"
+        assert main([command, flag, text, "--steps", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: this command takes a single ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, text, message", [
         ("--policy", "naive-cd,hermitian-realizable,naive-cd",
          "policy list repeats 'naive-cd'"),
@@ -1037,6 +1049,22 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS  convergence[gamma=3]" in out
         assert "PASS  closed-form-vs-ode[gamma=3]" in out
+
+    def test_angle_rate_follows_the_frame_coupling(self, tmp_path, capsys):
+        # one angle-rate line per decay rate, right after its frame check,
+        # against the fixed bound 1e-8; gamma = 1.99 is not resolved by the
+        # quarter grid of 4000 steps and fails it (its gap fails as well)
+        assert main(["verify", "--gamma", "0.3,1.99",
+                     "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        for tag, status in (("0.3", "PASS"), ("1.99", "FAIL")):
+            k = next(i for i, line in enumerate(lines)
+                     if f"frame-coupling-21[gamma={tag}]" in line)
+            name, measured, bound = lines[k + 1].split("  ")[1:]
+            assert lines[k + 1].startswith(status)
+            assert name == f"angle-rate[gamma={tag}]"
+            assert measured.startswith("measured=")
+            assert bound == "bound=1e-08"
 
     def test_coarse_grid_fails_convergence_gate(self, tmp_path, capsys):
         assert main(["verify", "--gamma", "0.3", "--steps", "100",

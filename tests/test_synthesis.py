@@ -15,9 +15,9 @@ from nhsta.synthesis import (assemble_h1_series, closed_form_gplus,
 from nhsta.propagation import phase_table
 from nhsta.two_level import (hamiltonian_entries, mixing_angle_path,
                              sample_controls)
-from oracles import (EigenPath, counterdiabatic_generic, general_family,
-                     hamiltonian, hermitian_closed_form_gplus, naive_cd,
-                     rotation)
+from oracles import (EigenPath, counterdiabatic_generic,
+                     differenced_frame_coupling, general_family, hamiltonian,
+                     hermitian_closed_form_gplus, naive_cd, rotation)
 
 
 def assert_bitwise(got, want):
@@ -228,28 +228,67 @@ class TestNullificationReport:
             - 1j * rots[1].r_tilde.conj().T @ d_r
         assert abs(frame[0, 1]) > 0.01
 
-    def test_frame_coupling_equals_pointwise_loop(self, shortcut_run):
-        from nhsta.synthesis import _frame_coupling
-        table = shortcut_run(1.0).table
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_frame_coupling_equals_pointwise_oracle(self, shortcut_run,
+                                                    gamma):
+        # K_21 = (R~^dag H R - i R~^dag dR/dt)[1, 0] at every sample, with
+        # column 0 of R, f_+ (c, s), differentiated analytically:
+        # f_+' (c, s) + f_+ (dtheta/2) (-s, c), f_+' = Im(level) f_+
+        table = shortcut_run(gamma).table
         th, g = table.theta, table.gauges
-        h, n = th.grid.step, th.grid.n_points
-        rot = [rotation(th.theta[k], (g.f_plus[k], g.f_minus[k]))
-               for k in range(n)]
-        # entries (h00, h01, h10, h11) of H0 + H1, one row each
-        h_total = table.scan.h[:, 0]
-        rich = np.zeros(n)
-        for k in range(2, n - 2):
-            d1 = (rot[k + 1].r - rot[k - 1].r) / (2.0 * h)
-            d2 = (rot[k + 2].r - rot[k - 2].r) / (4.0 * h)
-            rtd = rot[k].r_tilde.conj().T
-            static = rtd @ h_total[:, k].reshape(2, 2) @ rot[k].r
-            rich[k] = abs((static - 1j * rtd @ ((4.0 * d1 - d2) / 3.0))[1, 0])
-        got_rich = _frame_coupling(th, h_total, g)
-        assert np.max(np.abs(got_rich - rich)) <= 1e-12
-        # the frame check reports the largest of them
-        assert frame_coupling(th, h_total, g) == np.max(got_rich)
+        rot = rotation(th.theta, (g.f_plus, g.f_minus))
+        c, s = np.cos(th.theta / 2.0), np.sin(th.theta / 2.0)
+        d_col = (np.stack([c, s], -1) * (table.level.imag * g.f_plus)[:, None]
+                 + np.stack([-s, c], -1)
+                 * (0.5 * g.f_plus * th.dtheta)[:, None])
+        row = rot.r_tilde.conj()[:, :, 1]  # row 1 of R~^dag
+        pulse, grid = ae_setup(gamma, 4000)
+        h0 = np.array(np.broadcast_arrays(*hamiltonian_entries(
+            sample_controls(pulse, grid)[1:])), dtype=complex)
+        # H0 + H1 of the table, whose coupling cancels, and H0 alone, whose
+        # coupling is the full (f_+/f_-) dtheta/2
+        for h_total in (table.scan.h[:, 0], h0):
+            h_mat = h_total.T.reshape(-1, 2, 2)
+            image = (h_mat @ rot.r[:, :, :1])[:, :, 0] - 1j * d_col
+            want = np.abs(np.sum(row * image, axis=-1))
+            got = synthesis._frame_coupling(th, h_total, g)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0,
+                                                             np.max(want))
+            # the frame check reports the largest of them
+            assert frame_coupling(th, h_total, g) == np.max(got)
+        assert np.max(want) > 1.0
         with pytest.raises(ValueError, match="4 entries per grid point"):
-            frame_coupling(th, h_total[:, 1:], g)
+            frame_coupling(th, h0[:, 1:], g)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.9, 3.0])
+    def test_differenced_coupling_converges_to_closed_form(self, gamma):
+        # The frame check's earlier reading, a 4th-order difference of the
+        # frame derivative, minus the closed form falls 16x per step
+        # doubling (2000 -> 4000 -> 8000) while the closed form stays at
+        # round-off: the closed form is the limit the old check approached.
+        errors = []
+        for steps in (2000, 4000, 8000):
+            table = shortcut_table(*ae_setup(gamma, steps))
+            h_total = table.scan.h[:, 0]
+            closed = synthesis._frame_coupling(table.theta, h_total,
+                                               table.gauges)
+            old = differenced_frame_coupling(table.theta, h_total,
+                                             table.gauges)
+            assert np.max(closed) <= 1e-13
+            errors.append(np.max(np.abs(old - closed)[2:-2]))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all(np.abs(orders - 4.0) <= 0.2)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
+    def test_shifted_drive_fails_the_frame_check(self, shortcut_run, gamma):
+        # W -> W + 4e-6 i leaves a leak 4e-6 i, a coupling of about
+        # 2e-6 f_+/f_- against the bound 1e-6
+        table = shortcut_run(gamma).table
+        h_total = np.array(table.scan.h[:, 0])
+        assert frame_coupling(table.theta, h_total, table.gauges) <= 1e-6
+        h_total[1] += 2e-6j  # h01 = W/2
+        h_total[2] -= 2e-6j  # h10 = conj(W)/2
+        assert frame_coupling(table.theta, h_total, table.gauges) > 1e-6
 
 
 class TestClosedForm:

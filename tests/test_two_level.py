@@ -8,10 +8,11 @@ import pytest
 from conftest import OMEGA0, ae_params, path_eigenvalues, with_controls
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
-from nhsta.experiments import POLICIES, run_shortcut
+from nhsta.experiments import POLICIES, run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (AllenEberlyParams, BranchRegime, PulseSpec,
-                             _controls, allen_eberly, classify_regime,
+from nhsta.two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
+                             PulseSpec, _controls, allen_eberly,
+                             angle_rate_defect, classify_regime,
                              complex_array, hamiltonian_entries,
                              mixing_angle_path, mixing_angle_rate, radicand,
                              sample_controls, theta_at)
@@ -369,6 +370,54 @@ class TestMixingAngle:
         pulse = allen_eberly(ae_params(gamma=1.99))
         with pytest.raises(BranchJump):
             mixing_angle_path(pulse, TimeGrid(-1.0, 1.0, 4))
+
+
+class TestAngleRateDefect:
+    """The angle-rate check: a 6th-order central difference of the tracked
+    theta against its rate dtheta, relative to max|dtheta|."""
+
+    @staticmethod
+    def smooth_path(n):
+        grid = TimeGrid(0.0, 1.0, n)
+        t = grid.samples
+        return MixingAnglePath(grid, np.sin(3 * t) + 0.3j * np.cos(2 * t),
+                               3 * np.cos(3 * t) - 0.6j * np.sin(2 * t))
+
+    def test_stencil_is_sixth_order(self):
+        coarse, fine = (angle_rate_defect(self.smooth_path(n))
+                        for n in (50, 100))
+        assert abs(np.log2(coarse / fine) - 6.0) <= 0.1
+        # a rate that vanishes identically reads the absolute defect, 0
+        frozen = MixingAnglePath(TimeGrid(0.0, 1.0, 10), np.full(11, 0.5j),
+                                 np.zeros(11, dtype=complex))
+        assert angle_rate_defect(frozen) == 0.0
+
+    def test_quarter_grid_defect_converges_at_sixth_order(self):
+        # near critical decay the crossing needs many samples; from 1000
+        # run steps on, the defect falls 64x per doubling
+        pulse = allen_eberly(ae_params(1.9))
+        defects = [angle_rate_defect(mixing_angle_path(
+            pulse, TimeGrid(-1.0, 1.0, 4 * steps)))
+            for steps in (1000, 2000, 4000)]
+        orders = np.log2(np.array(defects[:-1]) / defects[1:])
+        assert np.all(np.abs(orders - 6.0) <= 0.2)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
+    def test_scaled_rate_fails_the_check(self, gamma):
+        # dtheta off by a factor 1 + 1e-6 reads about 1e-6 against the
+        # verify bound 1e-8; the tracked rate reads round-off
+        path = mixing_angle_path(allen_eberly(ae_params(gamma)),
+                                 TimeGrid(-1.0, 1.0, 16000))
+        assert angle_rate_defect(path) <= 1e-12
+        scaled = MixingAnglePath(path.grid, path.theta,
+                                 path.dtheta * (1.0 + 1e-6))
+        assert 0.5e-6 <= angle_rate_defect(scaled) <= 2e-6
+
+    def test_every_table_keeps_the_quarter_grid_defect(self):
+        pulse, grid = allen_eberly(ae_params(1.0)), TimeGrid(-1.0, 1.0, 400)
+        want = angle_rate_defect(mixing_angle_path(pulse, grid.refine(4)))
+        assert [table.angle_rate for table in shortcut_tables(pulse, grid)
+                ] == [want] * len(POLICIES)
 
 
 class TestEigenvectors:
