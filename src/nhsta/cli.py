@@ -6,9 +6,10 @@ other package error (non-finite values, branch tracking, degeneracy, ...).
 
 ``main`` also tunes its own process before the command runs (importing this
 module does not): see :func:`_tune_process`.  ``json`` and the SHA-256 of
-the manifest (:func:`_sha256`, the interpreter's built-in module, so
-OpenSSL is never loaded) are imported where a file is written, so
-``verify`` loads neither.
+the tables the manifest lists (:func:`_sha256`, the interpreter's built-in
+module, so OpenSSL is never loaded) are imported where a file is written,
+so ``verify`` loads neither.  A CSV table is formatted, written and hashed
+in blocks of rows, so its text is never held whole.
 """
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ import gc
 import random
 import sys
 import time
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,8 +52,8 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _sha256(data: bytes) -> str:
-    """Hex SHA-256 digest of ``data``.
+def _sha256():
+    """A new SHA-256 hasher.
 
     Taken from the interpreter's built-in module (``_sha2`` on Python
     3.12+, ``_sha256`` before): ``hashlib`` maps OpenSSL's libcrypto, about
@@ -65,13 +67,37 @@ def _sha256(data: bytes) -> str:
             from _sha256 import sha256
         except ImportError:
             from hashlib import sha256
-    return sha256(data).hexdigest()
+    return sha256()
 
 
-def _write(path: Path, data: bytes, what: str) -> None:
-    """Write ``data`` to ``path``, raising an OSError as a ConfigError."""
+#: rows of a CSV table formatted, written and hashed at a time
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_blocks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
+    """The bytes of a CSV table in blocks of up to CSV_BLOCK_ROWS rows, the
+    header line leading the first, so no block is empty."""
+    rows = zip(*columns)
+    lines = [",".join(header)]
+    while True:
+        lines += (",".join(_fmt(v) for v in row)
+                  for row in islice(rows, CSV_BLOCK_ROWS))
+        if not lines:
+            return
+        yield ("\n".join(lines) + "\n").encode()
+        lines = []
+
+
+def _write(path: Path, blocks: Iterable[bytes], what: str,
+           digest=None) -> None:
+    """Write ``blocks`` to ``path`` in order, each also fed to the hasher
+    ``digest`` if one is given, raising an OSError as a ConfigError."""
     try:
-        path.write_bytes(data)
+        with path.open("wb") as f:
+            for block in blocks:
+                f.write(block)
+                if digest is not None:
+                    digest.update(block)
     except OSError as exc:
         raise ConfigError(f"cannot write {what} {str(path)!r}: "
                           f"{exc.strerror}") from None
@@ -94,24 +120,23 @@ class OutputSet:
         self.runs: list = []
 
     def emit(self, name: str, header: Sequence[str], columns: Sequence) -> Path:
-        import json
+        """Write one table, a CSV streamed in blocks, and record its
+        SHA-256 for the manifest."""
         cols = [np.asarray(c) if not isinstance(c, (list, tuple)) else c
                 for c in columns]
         path = self.dir / f"{name}.{self.fmt}"
         if self.fmt == "csv":
-            lines = [",".join(header)]
-            for row in zip(*cols):
-                lines.append(",".join(_fmt(v) for v in row))
-            text = "\n".join(lines) + "\n"
+            blocks = _csv_blocks(header, cols)
         else:
+            import json
             rows = [[v if isinstance(v, (str, bool)) else float(v)
                      for v in row] for row in zip(*cols)]
-            text = json.dumps({"columns": list(header), "rows": rows},
-                              indent=1) + "\n"
-        data = text.encode()
-        _write(path, data, "table")
+            blocks = [(json.dumps({"columns": list(header), "rows": rows},
+                                  indent=1) + "\n").encode()]
+        digest = _sha256()
+        _write(path, blocks, "table", digest)
         self.files.append({"path": path.name,
-                           "sha256": _sha256(data)})
+                           "sha256": digest.hexdigest()})
         return path
 
     def add_run(self, **meta) -> None:
@@ -127,8 +152,8 @@ class OutputSet:
             "runs": self.runs,
             "files": self.files,
         }
-        _write(path, (json.dumps(payload, indent=1, default=str)
-                      + "\n").encode(), "manifest")
+        _write(path, [(json.dumps(payload, indent=1, default=str)
+                       + "\n").encode()], "manifest")
         return path
 
 

@@ -299,6 +299,8 @@ def parse_config_file(path: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
                 from None
+        except ConfigError as exc:  # a list reader names its own fault
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

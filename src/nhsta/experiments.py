@@ -7,12 +7,15 @@ H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
 matrices of the run and of its rerun together.  The angle path, its
 trigonometric functions and H0 do not depend on the policy, so the tables
 of several policies for one pulse share them, and the eigenvalues the first
-table reads off that angle and H0 after its scan.  The last table of a
-pulse frees the quarter-grid angle path once its supplement is formed and
-H0 once its kernel table is written, so its scan and runs hold only
-run-grid data and that table.  A run applies a table
-to one initial state: it propagates the bare-basis state and keeps the
-raw/modified amplitudes and populations projected from it.
+table reads off that angle and H0 after its scan.  The shared quarter-grid
+path keeps only dtheta and, if a requested policy reads it, sin(theta);
+the later tables form their checks before their scan, so their run-grid
+H1 is freed first.  The last table of a pulse frees the quarter-grid angle
+path once its supplement is formed and H0 once its kernel table is
+written, so its scan and runs hold only run-grid data and that table.  A
+run applies a table to one initial state: it propagates the bare-basis
+state and keeps the raw/modified amplitudes and populations projected
+from it.
 """
 from __future__ import annotations
 
@@ -135,8 +138,9 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     (after the first table's scan).  Each policy's table is built only when
     the generator is advanced, so at most one is alive at a time when the
     caller drops each before asking for the next.  The quarter-grid angle
-    path lives until the last table's supplement is formed, and H0 until
-    its kernel table is written; neither is held through its scan.
+    path drops theta once its defect and run-grid samples are taken, and
+    lives until the last table's supplement is formed, and H0 until its
+    kernel table is written; neither is held through its scan.
     """
     quarter = grid.refine(4)
     samples = sample_controls(pulse, quarter)
@@ -144,6 +148,8 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
     angle_rate = angle_rate_defect(theta_q)
     theta = MixingAnglePath(grid, theta_q.theta[::4].copy(),
                             theta_q.dtheta[::4].copy())
+    # every supplement but the naive one reads sin(theta); none reads theta
+    theta_q.free_theta(keep_sin=any(p != POLICY_NAIVE for p in policies))
     shared = [theta_q, hamiltonian_entries(samples[1:])]
     eigen: list = []  # (E_+, E_-), filled by the first table
     last = len(policies) - 1
@@ -173,8 +179,9 @@ def _policy_table(policy, theta, shared, eigen, last,
     its supplement is formed and H0 once its phase table is written, and
     its scan, runs and checks hold only run-grid data and the kernel table.
     The eigenvalues are read into the empty list ``eigen`` by the first
-    table of a pulse, from every 4th sample of H0, and shared by the
-    rest."""
+    table of a pulse, from every 4th sample of H0, after its scan, and
+    shared by the rest, which form their level, gauges and residual before
+    their scan and so hold no run-grid H1 through it."""
     grid = theta.grid
     theta_q, h0_q = shared
     if last:
@@ -188,23 +195,31 @@ def _policy_table(policy, theta, shared, eigen, last,
     h0 = None if eigen else tuple(x[::4].copy() if last else x[::4]
                                   for x in h0_q)
     del h0_q, h1_q  # H1, and a last table's H0, go before the scan
-    scan = scan_table(h, grid, certify=True)
-    if h0 is not None:
+    if eigen:
+        checks = _checks(policy, theta, h1, eigen)
+        del h1
+        scan = scan_table(h, grid, certify=True)
+    else:
+        scan = scan_table(h, grid, certify=True)
         # after the scan: the run-grid cos/sin of theta that the
         # eigenvalues cache on the shared path, and E_+, E_- themselves,
         # outweigh the copies of H0 a last table holds through it
         eigen.extend(eigenvalue_path(h0, theta))
         del h0
+        checks = _checks(policy, theta, h1, eigen)
+    return ShortcutTable(theta, *checks, angle_rate, scan)
+
+
+def _checks(policy, theta, h1, eigen) -> tuple:
+    """(gauges, level, residual) of a policy's run-grid H1 entries ``h1``
+    and the pulse's ``eigen`` = (E_+, E_-): the level E_+ + d_+, formed
+    once for the gauge and kept for the closed form (the naive term has no
+    adiabatic-frame diagonal, d_+ = 0)."""
     e_plus, e_minus = eigen
-    # E_+ + d_+, formed once for the gauge and kept for the closed form;
-    # the naive term has no adiabatic-frame diagonal, d_+ = 0
     level = (e_plus if policy == POLICY_NAIVE
              else e_plus + frame_diagonal(h1, theta))
-
-    return ShortcutTable(
-        theta=theta, gauges=matched_gauge(level, e_minus, grid), level=level,
-        residual=nullification_residual(theta, h1), angle_rate=angle_rate,
-        scan=scan)
+    return (matched_gauge(level, e_minus, theta.grid), level,
+            nullification_residual(theta, h1))
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,

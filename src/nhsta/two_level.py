@@ -112,6 +112,14 @@ class MixingAnglePath:
             raise ValueError("theta/dtheta length must match grid")
         self.grid, self.theta, self.dtheta = grid, theta, dtheta
 
+    def free_theta(self, keep_sin: bool) -> None:
+        """Drop theta, first forming sin(theta) if ``keep_sin``: the path
+        keeps dtheta and the functions of theta formed so far, and can
+        form no other."""
+        if keep_sin:
+            self.sin  # noqa: B018 - cached before theta goes
+        self.theta = None
+
     @cached_property
     def _half(self) -> tuple:
         """cos and sin of theta/2 from one pass of each real function."""

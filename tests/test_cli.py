@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhsta.cli import COMMANDS, build_parser, main
+from nhsta.cli import COMMANDS, _fmt, build_parser, main
 from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
                           parse_config_file)
 from nhsta.errors import ConfigError, NhStaError
@@ -116,10 +116,12 @@ def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, "_sha256", None)
     hashed = []
     monkeypatch.setattr(hashlib, "sha256",
-                        lambda data: hashed.append(data) or sha256(data))
-    assert cli._sha256(b"abc") == sha256(b"abc").hexdigest()
+                        lambda *data: hashed.append(data) or sha256(*data))
+    digest = cli._sha256()
+    digest.update(b"abc")
+    assert digest.hexdigest() == sha256(b"abc").hexdigest()
     assert main(argv + ["--out", str(tmp_path / "fallback")]) == 0
-    assert len(hashed) == 2  # b"abc" and the one table
+    assert len(hashed) == 2  # the hasher above and the one table's
 
     def digests(name):
         manifest = json.loads(
@@ -127,6 +129,69 @@ def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
         return manifest["files"]
 
     assert digests("fallback") == digests("builtin")
+
+
+class TestStreamedTables:
+    """A CSV table is formatted, written and hashed in blocks of rows; its
+    bytes and digest are those of the whole table encoded at once."""
+
+    HEADER = ["t", "x", "label"]
+
+    @staticmethod
+    def columns(rows):
+        t = np.linspace(-1.0, 1.0, rows)
+        return [t, np.sin(7.0 * t) * 1e-3, ["sub-critical"] * rows]
+
+    def one_shot(self, columns):
+        lines = [",".join(self.HEADER)]
+        lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("blocks", [0, 1, 2, 2.5],
+                             ids=["header-only", "one-block", "two-blocks",
+                                  "longer"])
+    def test_blocks_equal_the_one_shot_table(self, tmp_path, monkeypatch,
+                                             blocks):
+        from nhsta import cli
+        cfg = build_config(out=str(tmp_path))
+        rows = int(blocks * cli.CSV_BLOCK_ROWS)
+        columns = self.columns(rows)
+        writes = []
+        original = cli._write
+
+        def counted(path, parts, what, digest=None):
+            parts = list(parts)
+            writes.append([len(part) for part in parts])
+            return original(path, parts, what, digest)
+
+        monkeypatch.setattr(cli, "_write", counted)
+        out = cli.OutputSet(cfg, "stream")
+        path = out.emit("table", self.HEADER, columns)
+        want = self.one_shot(columns)
+        assert path.read_bytes() == want
+        assert out.files == [{"path": "table.csv",
+                              "sha256": sha256(want).hexdigest()}]
+        # a whole number of blocks leaves no empty write behind
+        assert len(writes[0]) == max(1, -(-rows // cli.CSV_BLOCK_ROWS))
+        assert all(writes[0])
+
+    def test_emit_peak_does_not_grow_with_the_rows(self, tmp_path):
+        import tracemalloc
+        from nhsta import cli
+        cfg = build_config(out=str(tmp_path))
+        out = cli.OutputSet(cfg, "stream")
+
+        def peak(rows):
+            columns = self.columns(rows)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out.emit(f"rows{rows}", self.HEADER, columns)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= 1.5 * peak(5_000)
 
 
 @pytest.mark.parametrize("command", ["verify", "figure3"])
@@ -703,6 +768,29 @@ class TestExitCodes:
         bad.write_text("nonsense_key = 3\n")
         assert main(["figure1", "--config", str(bad),
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line, message", [
+        ("gamma = 0.3,abc", "bad gamma list '0.3,abc': could not convert "
+                            "string to float: 'abc'"),
+        ("steps = 2x", "bad value for steps: invalid literal for int() "
+                       "with base 10: '2x'")], ids=["gamma", "steps"])
+    def test_bad_config_value_names_its_file_and_line(self, tmp_path, capsys,
+                                                      line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"steps = 200\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["figure3", "--config", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {bad}:2: {message}"]
+        assert not out.exists()
+
+    def test_bad_gamma_flag_keeps_its_message(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["figure3", "--gamma", "0.3,abc", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: bad gamma list '0.3,abc': could not "
+            "convert string to float: 'abc'"]
+        assert not out.exists()
 
     def test_inverted_window_exits_config(self, tmp_path):
         assert main(["figure1", "--t0", "2.0", "--t-final", "1.0",

@@ -483,10 +483,14 @@ class TestConvergence:
     def test_last_scan_holds_no_quarter_grid_array(self, monkeypatch,
                                                    policies):
         # the quarter-grid angle path and H0 are built once per pulse and
-        # shared by its tables; the last table frees the path once its
-        # supplement is formed and H0 once its phase table is written, so
-        # they are dead when its scan starts.  Only weak references are kept.
-        refs = {}
+        # shared by its tables.  The path drops theta before the first
+        # supplement, since none reads it; the last table frees the path
+        # once its supplement is formed and H0 once its phase table is
+        # written, so they are dead when its scan starts.  Every table
+        # after a pulse's first forms its checks before its scan, so its
+        # run-grid copies of H1 are dead through it.  Only weak references
+        # are kept.
+        refs, theta_q, h1_copies = {}, [], []
 
         def record(name, arrays):
             fn = getattr(experiments, name)
@@ -498,30 +502,42 @@ class TestConvergence:
                 return out
             monkeypatch.setattr(experiments, name, call)
 
-        record("mixing_angle_path", lambda path: (path, path.theta,
-                                                  path.dtheta))
+        def path_arrays(path):
+            theta_q.append(weakref.ref(path.theta))
+            return path, path.dtheta
+
+        record("mixing_angle_path", path_arrays)
         record("hamiltonian_entries", lambda entries: entries)
         supplements, phases, scans = [], [], []
         original_supplement = experiments._supplement
         original_phase_table = experiments.phase_table
         original_scan = experiments.scan_table
+        original_checks = experiments._checks
 
-        def supplement(policy, theta_q):
-            supplements.append(theta_q is refs["mixing_angle_path"][0]())
-            return original_supplement(policy, theta_q)
+        def supplement(policy, path):
+            supplements.append(path is refs["mixing_angle_path"][0]())
+            return original_supplement(policy, path)
 
         def phase(steps, h0, h1):
             phases.append(all(x is r() for x, r in
                               zip(h0, refs["hamiltonian_entries"])))
             return original_phase_table(steps, h0, h1)
 
+        def checks(policy, theta, h1, eigen):
+            h1_copies.append([weakref.ref(x) for x in h1 if np.ndim(x)])
+            return original_checks(policy, theta, h1, eigen)
+
         def scan(*args, **kwargs):
-            scans.append([r() is not None
-                          for found in refs.values() for r in found])
+            scans.append(([r() is not None
+                           for found in refs.values() for r in found],
+                          theta_q[0]() is not None, len(h1_copies),
+                          any(r() is not None
+                              for copies in h1_copies for r in copies)))
             return original_scan(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "_supplement", supplement)
         monkeypatch.setattr(experiments, "phase_table", phase)
+        monkeypatch.setattr(experiments, "_checks", checks)
         monkeypatch.setattr(experiments, "scan_table", scan)
         pulse, grid = ae_setup(1.0, 400)
         for table in shortcut_tables(pulse, grid, policies):
@@ -529,8 +545,15 @@ class TestConvergence:
             del table
         assert supplements == phases == [True] * len(policies)
         assert len(scans) == len(policies)
-        assert all(all(alive) for alive in scans[:-1])
-        assert not any(scans[-1])
+        shared, theta_alive, checked, h1_alive = zip(*scans)
+        assert all(all(alive) for alive in shared[:-1])
+        assert not any(shared[-1])
+        assert not any(theta_alive)
+        # the first table forms its checks after its scan, the rest before
+        assert checked == (0,) + tuple(range(2, len(policies) + 1))
+        assert not any(h1_alive)
+        assert len(h1_copies) == len(policies)
+        assert all(h1_copies)
 
     def test_run_path_is_quarter_path_every_fourth_sample(self):
         pulse, grid = ae_setup(3.0, 1000)
@@ -582,7 +605,7 @@ class TestConvergence:
 
     @pytest.mark.parametrize("build_and_run, bound", [
         (build_one_table, 3_112_151), (build_verify_run, 3_112_201),
-        (build_three_tables, 4_583_674)],
+        (build_three_tables, 4_285_100)],
         ids=["hermitian", "verify-run", "three-policies"])
     def test_certified_table_memory_peak(self, build_and_run, bound):
         # The tracemalloc peaks of building one hermitian table, or the
@@ -592,7 +615,10 @@ class TestConvergence:
         # they are real and scalar and a run frees its rerun before its
         # amplitudes.  With the last table of a pulse freeing the quarter-
         # grid angle path and H0 before its scan they are 3,051,129 and
-        # 4,493,799 bytes.  Verify's one run with its frame check and
+        # 4,493,799 bytes.  With the shared quarter-grid path dropping theta
+        # before the first supplement, and every table after the first
+        # freeing its run-grid H1 before its scan, the three tables peak at
+        # 4,201,079 bytes.  Verify's one run with its frame check and
         # closed form peaked at 3,177,143 bytes in the differenced frame
         # check, and at 3,051,177 bytes with the check in closed form
         # (Python 3.11, numpy 2.4); each bound is the latest peak plus 2%.
