@@ -12,7 +12,7 @@ from .biorthogonal import BiorthogonalSystem, decompose, reconstruct
 from .errors import (BranchJump, ConfigError, DegenerateRegime,
                      DegenerateSpectrum, InconsistentChoice, NhStaError,
                      NonFinite, SinThetaSingular, TanPole, ZeroGauge)
-from .gauges import GaugeFunctions, gauge_simple, matched_delta
+from .gauges import GaugeFunctions, matched_delta
 from .grids import TimeGrid
 from .propagation import (AmplitudeTrajectory, StateTrajectory, amplitudes,
                           convergence_check, integrate)

@@ -33,7 +33,7 @@ from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 from .grids import TimeGrid
 from .propagation import integrate  # noqa: F401
-from .propagation import phase_table, scan_table
+from .propagation import scan_table
 from .synthesis import POLICY_HERMITIAN
 from .two_level import classify_regime
 
@@ -330,9 +330,9 @@ H_DECAY = 0.5 * np.array([[0, 0], [0, -1j]], dtype=complex)
 
 
 def _propagate_constant(h: np.ndarray, psi0, grid: TimeGrid):
-    """RK4 trajectory of a constant H, tabulated from one broadcast view."""
-    rows = np.broadcast_to(h.reshape(4, 1), (4, 2 * grid.steps + 1))
-    return scan_table(phase_table(grid.steps, rows), grid).apply(psi0)[0]
+    """RK4 trajectory of a constant H from one broadcast kernel table."""
+    table = np.broadcast_to(h.reshape(4, 1, 1), (4, 2, grid.steps + 1))
+    return scan_table(table, grid).apply(psi0)[0]
 
 
 def rabi_error(steps: int) -> float:

@@ -40,8 +40,8 @@ from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                         mixing_angle_path, radicand, sample_controls)
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .propagation import convergence_check, integrate  # noqa: F401
-from .gauges import gauge_simple  # noqa: F401
 from .synthesis import assemble_h1_series  # noqa: F401
+from .synthesis import matched_gauge as gauge_simple  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 
 POLICIES = (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO)

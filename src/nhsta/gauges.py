@@ -3,12 +3,14 @@
 Rescaling the eigenvector pair, phi_n = f_n |n> and phi_n~ = |n~>/conj(f_n),
 keeps the set biorthonormal while making the modified amplitudes
 g_n = <phi_n~|psi> behave like normalized populations for a decaying system.
-The "simple" gauge integrates Im[E_n]; the "shortcut-matched" gauge
-(``synthesis.matched_gauge``) adds the diagonal shift of the supplementary
-Hamiltonian so |g_+| stays exactly one along the engineered evolution, and
-equals the simple one bit for bit when there is no shift.  Both integrate a
-real integrand u_n into f_n = exp(int u_n dt); a gauge keeps only the
-factors, since nothing downstream reads u_n.
+The package has one gauge, ``synthesis.matched_gauge``: it integrates
+Im[E_+ + d_+] and Im[E_-], d_+ the diagonal shift of the supplementary
+Hamiltonian, so |g_+| stays exactly one along the engineered evolution;
+with no shift it is the simple gauge, Im[E_n] for each n.
+(``experiments.gauge_simple`` is that function under the name the
+benchmark tracer wraps.)  Real integrands u_n become the factors
+f_n = exp(int u_n dt) here; a gauge keeps only the factors, since nothing
+downstream reads u_n.
 """
 from __future__ import annotations
 
@@ -54,17 +56,6 @@ def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
     integrands u_n, so the factors are real."""
     return GaugeFunctions(grid, _cumexp(u_plus, grid.step),
                           _cumexp(u_minus, grid.step))
-
-
-def gauge_simple(e_plus: np.ndarray, e_minus: np.ndarray,
-                 grid: TimeGrid) -> GaugeFunctions:
-    """f_n(t) = exp(int_{t0}^t Im[E_n] dt'), hbar = 1.
-
-    The factors are real positive (float64) and |g_n| is the
-    decay-compensated amplitude.
-    """
-    return gauge_from_integrands(grid, np.asarray(e_plus).imag,
-                                 np.asarray(e_minus).imag)
 
 
 def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:

@@ -21,8 +21,11 @@ delta = 2*h00 and W = 2*h01.  Every policy's gauge, closed-form surviving
 amplitude and leak residual read those four entries: the gauge and the
 closed form follow from one level E_+ + d_+, with d_+ the supplement's
 adiabatic-frame diagonal (``two_level.frame_diagonal``, the formula that
-also gives E_+ from H0; 0 for the naive term), and the residual is twice
-the cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  The frame check
+also gives E_+ from H0; 0 for the naive term).  That gauge,
+``matched_gauge``, is the package's only one: for the naive term it is the
+simple gauge, and ``experiments.gauge_simple`` is its alias for the
+benchmark tracer.  The residual is twice the cancellation condition
+<-~|H1|+> + i*dtheta/2 = 0.  The frame check
 (``frame_coupling``) is that expression for H0 + H1 times f_+/(2 f_-).
 For the form above, with lam = delta*sin(theta) and zeta = Re[W]*cos(theta),
 the condition reads
@@ -36,10 +39,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistentChoice, NonFinite
+from .errors import InconsistentChoice
 from .gauges import GaugeFunctions, gauge_from_integrands, matched_delta
 from .grids import TimeGrid, cumulative_trapezoid
-from .two_level import MixingAnglePath, complex_array
+from .two_level import MixingAnglePath, _raise_at_first, complex_array
 
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
@@ -59,10 +62,7 @@ def _entries(grid: TimeGrid, delta: np.ndarray, omega: np.ndarray) -> tuple:
     W an array or a scalar; a non-finite coefficient raises NonFinite
     naming its first t."""
     for name, arr in (("delta", delta), ("omega", omega)):
-        bad = ~np.isfinite(arr)
-        if np.any(bad):
-            raise NonFinite(
-                f"{name} not finite at t={grid.samples[np.argmax(bad)]:g}")
+        _raise_at_first(grid.samples, ~np.isfinite(arr), name)
     return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
 
 
@@ -115,7 +115,8 @@ def matched_gauge(level: np.ndarray, e_minus: np.ndarray,
                   grid: TimeGrid) -> GaugeFunctions:
     """Gauge whose f_+ absorbs the decay of ``level`` = E_+ + d_+, d_+ the
     supplement's ``two_level.frame_diagonal``, so |g_+| = 1 along a
-    leak-cancelling evolution: u_+ = Im[E_+ + d_+] and u_- = Im[E_-]."""
+    leak-cancelling evolution: u_+ = Im[E_+ + d_+] and u_- = Im[E_-].
+    With ``level`` = E_+ it is the simple gauge."""
     return gauge_from_integrands(grid, np.asarray(level).imag,
                                  np.asarray(e_minus).imag)
 

@@ -71,6 +71,15 @@ def table_eigenvalues(pulse: PulseSpec, table) -> tuple:
     return eigenvalue_path(tuple(x[::4] for x in h0), table.theta)
 
 
+def assert_bitwise(got, want):
+    """Equal bit for bit, signed zeros included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    g, w = got.view(float), want.view(float)
+    assert np.array_equal(g, w)
+    assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
 def shifted_level(e_plus, h1: tuple, path: MixingAnglePath):
     """E_+ + d_+, with d_+ the frame diagonal of a supplement's entries
     ``h1``: the level the matched gauge and the closed form read."""

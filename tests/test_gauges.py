@@ -4,10 +4,11 @@ import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
 from conftest import (ae_params, ae_setup, analytic_two_level_systems,
-                      path_eigenvalues, shifted_level, shortcut_table,
-                      table_eigenvalues, table_entries)
+                      assert_bitwise, path_eigenvalues, shifted_level,
+                      shortcut_table, table_eigenvalues, table_entries)
+from nhsta import experiments, gauges
 from nhsta.errors import SinThetaSingular, ZeroGauge
-from nhsta.gauges import gauge_simple, matched_delta
+from nhsta.gauges import matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import POLICY_NAIVE, hermitian_realizable, matched_gauge
@@ -21,7 +22,7 @@ class TestGaugeSimple:
     def test_real_spectrum_gives_unit_gauge(self):
         grid = TimeGrid(0.0, 1.0, 100)
         e = np.ones(grid.n_points) * 0.5  # purely real eigenvalue samples
-        g = gauge_simple(e, -e, grid)
+        g = matched_gauge(e, -e, grid)
         assert np.all(g.f_plus == 1.0)
         assert np.all(g.f_minus == 1.0)
 
@@ -29,7 +30,7 @@ class TestGaugeSimple:
         gamma, t_end = 0.8, 2.0
         grid = TimeGrid(0.0, t_end, 200)
         e = np.full(grid.n_points, -0.5j * gamma)
-        g = gauge_simple(e, e, grid)
+        g = matched_gauge(e, e, grid)
         assert abs(g.f_plus[-1] - np.exp(-gamma * t_end / 2)) < 1e-12
         assert g.f_plus[0] == 1.0
 
@@ -37,27 +38,31 @@ class TestGaugeSimple:
         pulse, path = theta_paths(0.3)
         e_plus, e_minus = path_eigenvalues(pulse, path)
         assert np.max(e_plus.imag) <= 1e-12  # sign audit of the integrand
-        g = gauge_simple(e_plus, e_minus, path.grid)
+        g = matched_gauge(e_plus, e_minus, path.grid)
         assert np.max(np.abs(g.f_plus.imag)) == 0.0
         assert np.all(np.diff(np.abs(g.f_plus)) <= 1e-15)
 
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 1.0, 3.0, 10.0])
     def test_matched_gauge_of_naive_term_equals_it_bitwise(self, gamma):
-        # the naive term has no frame diagonal, so its table's matched gauge
-        # is the simple one, signed zeros included
+        # the naive term has no frame diagonal, so its table's gauge is the
+        # simple one, the matched gauge of the recomputed E_+ itself, signed
+        # zeros included
         pulse, grid = ae_setup(gamma, 1000)
         table = shortcut_table(pulse, grid, POLICY_NAIVE)
         h1 = table_entries(pulse, grid, POLICY_NAIVE)
         assert np.all(frame_diagonal(h1, table.theta) == 0)
         e_plus, e_minus = table_eigenvalues(pulse, table)
         assert np.array_equal(table.level, e_plus)
-        want = gauge_simple(e_plus, e_minus, grid)
-        for name in ("f_plus", "f_minus"):
-            g = np.asarray(getattr(table.gauges, name)).view(float)
-            w = np.asarray(getattr(want, name)).view(float)
-            assert np.array_equal(g, w), name
-            assert np.array_equal(np.signbit(g), np.signbit(w)), name
+        want = matched_gauge(e_plus, e_minus, grid)
+        assert_bitwise(table.gauges.f_plus, want.f_plus)
+        assert_bitwise(table.gauges.f_minus, want.f_minus)
+
+    def test_one_gauge_under_the_traced_name(self):
+        # the benchmark tracer wraps ``experiments.gauge_simple``; it names
+        # the package's one gauge, and ``gauges`` defines no second formula
+        assert experiments.gauge_simple is matched_gauge
+        assert not hasattr(gauges, "gauge_simple")
 
 
 class TestGaugeShortcut:
@@ -215,7 +220,7 @@ class TestFrameMatrix:
         grid = TimeGrid(0.0, 1.0, 100)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, grid)
+        g = matched_gauge(e_plus, e_minus, grid)
         frame = adiabatic_frame_h0(pulse, path, g, (e_plus.imag, e_minus.imag),
                                    50)
         assert abs(frame[0, 1]) == 0.0
@@ -225,7 +230,7 @@ class TestFrameMatrix:
     def test_coupling_antisymmetry_pattern_exact(self, theta_paths):
         pulse, path = theta_paths(1.0)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, path.grid)
+        g = matched_gauge(e_plus, e_minus, path.grid)
         u = e_plus.imag, e_minus.imag
         for k in (100, 2000, 3900):
             frame = adiabatic_frame_h0(pulse, path, g, u, k)
@@ -238,7 +243,7 @@ class TestFrameMatrix:
         # the oracle pairs E_+ with |+> sample by sample either way
         pulse, path = theta_paths(gamma)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, path.grid)
+        g = matched_gauge(e_plus, e_minus, path.grid)
         u = e_plus.imag, e_minus.imag
         ks = np.array([0, 1, 1999, 2000, 2001, 3999, 4000])
         frames = adiabatic_frame_h0(pulse, path, g, u, ks)
@@ -257,7 +262,7 @@ class TestFrameMatrix:
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, grid)
+        g = matched_gauge(e_plus, e_minus, grid)
         gpath = EigenPath.from_systems(
             grid, analytic_two_level_systems(path, e_plus, e_minus, gauge=g))
         worst = 0.0
@@ -275,7 +280,7 @@ class TestFrameMatrix:
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, grid)
+        g = matched_gauge(e_plus, e_minus, grid)
 
         u = e_plus.imag, e_minus.imag  # the simple gauge's integrands
         coupling = np.abs(0.5 * path.dtheta * g.f_minus / g.f_plus)

@@ -8,21 +8,21 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from conftest import (ae_params, ae_setup, path_eigenvalues, shortcut_table,
-                      state_trajectory)
+from conftest import (DELTA0, OMEGA0, ae_params, ae_setup, assert_bitwise,
+                      path_eigenvalues, shortcut_table, state_trajectory)
 from nhsta import experiments
 from nhsta.errors import NonFinite
 
 from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
                                run_shortcut, shortcut_tables)
-from nhsta.gauges import gauge_simple
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                _block_size, amplitudes, convergence_check,
                                integrate, phase_table, scan_table)
-from nhsta.two_level import (_controls, _factors, _principal_theta,
-                             allen_eberly, mixing_angle_path,
-                             mixing_angle_rate)
+from nhsta.synthesis import matched_gauge
+from nhsta.two_level import (AllenEberlyParams, _controls, _factors,
+                             _principal_theta, allen_eberly,
+                             mixing_angle_path, mixing_angle_rate)
 from oracles import hamiltonian
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -296,7 +296,7 @@ class TestAmplitudes:
     def test_reference_state_form_projects_cleanly(self, theta_paths):
         pulse, path = theta_paths(0.3)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, path.grid)
+        g = matched_gauge(e_plus, e_minus, path.grid)
         rng = np.random.default_rng(77)
         gp = np.exp(1j * rng.uniform(0, 2 * np.pi, path.grid.n_points))
         c, s = np.cos(path.theta / 2), np.sin(path.theta / 2)
@@ -330,7 +330,7 @@ class TestAmplitudes:
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, grid)
+        g = matched_gauge(e_plus, e_minus, grid)
 
         def h_total(t):
             om, dl = float(pulse.omega_r(t)), float(pulse.delta(t))
@@ -349,7 +349,7 @@ class TestAmplitudes:
         pulse, path = theta_paths(gamma)
         grid = path.grid
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = gauge_simple(e_plus, e_minus, grid)
+        g = matched_gauge(e_plus, e_minus, grid)
 
         def h_total(t):
             om, dl = float(pulse.omega_r(t)), float(pulse.delta(t))
@@ -387,6 +387,42 @@ class TestShortcutInvariants:
         bare = shortcut_run(1.0, initial_state="bare-ground")
         assert bare.amps.pop_bare_0[0] == 1.0
         assert bare.amps.pop_bare_1[0] == 0.0
+
+
+def stretched_tables(gamma, lam):
+    """(table, its runs from each initial state, its frame check) of every
+    policy at 1000 steps, for the default pulse with time stretched by
+    ``lam``: tau and the window times lam, omega0, delta0 and gamma over
+    lam."""
+    pulse = allen_eberly(AllenEberlyParams(
+        omega0=OMEGA0 / lam, delta0=DELTA0 / lam, tau=lam, gamma=gamma / lam))
+    return [(table, [table.run(s) for s in INITIAL_STATES],
+             table.frame_check())
+            for table in shortcut_tables(pulse, TimeGrid(-lam, lam, 1000))]
+
+
+class TestStretchedPulse:
+    """A pulse stretched by a power of two is the same physics in units of
+    tau, and every sample and rate scales exactly in binary.  So the angle,
+    the amplitudes, the step-halving gap and the angle-rate defect keep
+    their bits, and the residual and the frame check, which are rates,
+    divide by the stretch exactly."""
+
+    @pytest.mark.parametrize("lam", [2.0 ** -20, 2.0 ** -10, 2.0 ** 10])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+    def test_readings_scale_exactly(self, gamma, lam):
+        for (want, want_runs, want_frame), (got, runs, frame) in zip(
+                stretched_tables(gamma, 1.0), stretched_tables(gamma, lam),
+                strict=True):
+            assert_bitwise(got.theta.theta, want.theta.theta)
+            assert got.angle_rate == want.angle_rate
+            assert got.residual == want.residual / lam
+            assert frame == want_frame / lam
+            for run, want_run in zip(runs, want_runs, strict=True):
+                assert run.convergence == want_run.convergence
+                for name in AmplitudeTrajectory.__slots__:
+                    assert_bitwise(getattr(run.amps, name),
+                                   getattr(want_run.amps, name))
 
 
 class TestConvergence:

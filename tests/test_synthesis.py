@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from conftest import (ae_setup, analytic_two_level_systems, path_eigenvalues,
-                      shifted_level, shortcut_table, table_eigenvalues,
-                      table_entries)
+from conftest import (ae_setup, analytic_two_level_systems, assert_bitwise,
+                      path_eigenvalues, shifted_level, shortcut_table,
+                      table_eigenvalues, table_entries)
 from nhsta import synthesis
 from nhsta.errors import InconsistentChoice, NonFinite
 from nhsta.experiments import POLICIES
@@ -18,15 +18,6 @@ from nhsta.two_level import (hamiltonian_entries, mixing_angle_path,
 from oracles import (EigenPath, counterdiabatic_generic,
                      differenced_frame_coupling, general_family, hamiltonian,
                      hermitian_closed_form_gplus, naive_cd, rotation)
-
-
-def assert_bitwise(got, want):
-    """Equal bit for bit, signed zeros included."""
-    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    g, w = got.view(float), want.view(float)
-    assert np.array_equal(g, w)
-    assert np.array_equal(np.signbit(g), np.signbit(w))
 
 
 def diagonal_freedom_cd(path):

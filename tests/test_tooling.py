@@ -147,7 +147,7 @@ def test_public_names_are_used_or_traced():
     unused = unused_public_names()
     assert [name for name in unused if name not in traced] == []
     assert unused == ["assemble_h1_series", "convergence_check",
-                      "gauge_simple", "integrate", "theta_at"]
+                      "integrate", "theta_at"]
 
 
 def package_records():
