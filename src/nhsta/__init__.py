@@ -20,10 +20,9 @@ from .synthesis import (assemble_h1_series, closed_form_gplus,
                         frame_coupling, general_family_omega_zero,
                         hermitian_realizable, matched_gauge, naive_cd_entries,
                         nullification_residual)
-from .two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
-                        PulseSpec, allen_eberly, classify_regime,
-                        eigenvalue_path, frame_diagonal, mixing_angle_path,
-                        radicand)
+from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
+                        allen_eberly, classify_regime, eigenvalue_path,
+                        frame_diagonal, mixing_angle_path, radicand)
 from .experiments import (ShortcutRun, ShortcutTable, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 

@@ -16,8 +16,7 @@ from .errors import ConfigError
 from .grids import TimeGrid
 from .propagation import INITIAL_EIGEN_PLUS
 from .synthesis import POLICY_HERMITIAN
-from .two_level import (AllenEberlyParams, PulseSpec, allen_eberly,
-                        classify_regime)
+from .two_level import PulseSpec, allen_eberly, classify_regime
 from .experiments import INITIAL_STATES, POLICIES
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -40,8 +39,10 @@ def _refuse_repeats(what: str, values: tuple) -> None:
 
 
 def _parse_gamma_list(text: str) -> tuple:
+    """The decay rates of a comma list, -0 read as 0 so that it names its
+    table, row and checks as 0 does."""
     try:
-        return tuple(float(part) for part in _comma_list(text))
+        return tuple(float(part) + 0.0 for part in _comma_list(text))
     except ValueError as exc:
         raise ConfigError(f"bad gamma list {text!r}: {exc}") from None
 
@@ -180,16 +181,9 @@ class ExperimentConfig:
         """Pulse for one decay rate: sech/tanh by default, else the pulse
         file's cubic splines with their exact derivatives, and constant gamma."""
         if self.pulse_file is None:
-            return allen_eberly(AllenEberlyParams(self.omega0, self.delta0,
-                                                  self.tau, gamma))
+            return allen_eberly(self.omega0, self.delta0, self.tau, gamma)
         (omega_r, d_omega_r), (delta, d_delta) = self.pulse_splines
-
-        def gamma_fn(t):
-            return np.full_like(np.asarray(t, dtype=float), gamma)
-
-        return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma_fn,
-                         d_omega_r=d_omega_r, d_delta=d_delta,
-                         d_gamma=np.zeros_like)
+        return PulseSpec(omega_r, delta, d_omega_r, d_delta, gamma)
 
 
 def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple:

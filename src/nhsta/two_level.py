@@ -2,9 +2,11 @@
 
 The Hamiltonian (hbar = 1, rates in 1/tau)
 
-    H0(t) = 0.5 * [[-Delta,  Omega_R], [Omega_R, Delta - i*gamma]]
+    H0(t) = 0.5 * [[-Delta,  Omega_R], [Omega_R, Delta - i*gamma]],
 
-has complex eigenvalues E_pm = (-i*gamma ± sqrt(Z))/4 with radicand
+with controls Omega_R(t), Delta(t) and one constant decay rate gamma (a
+number on the pulse, which every reader broadcasts), has complex
+eigenvalues E_pm = (-i*gamma ± sqrt(Z))/4 with radicand
 Z = -(gamma + 2i*Delta)^2 + 4*Omega_R^2, and eigenvectors parameterized by a
 complex mixing angle theta,
 
@@ -36,48 +38,22 @@ ControlFn = Callable[[np.ndarray], np.ndarray]
 
 
 class PulseSpec:
-    """Time-dependent controls and their exact time derivatives ``d_*``,
-    which give the mixing angle's rate; callables must accept scalar or
-    ndarray t."""
+    """Time-dependent controls Omega_R(t), Delta(t), their exact time
+    derivatives ``d_*``, which give the mixing angle's rate, and the
+    constant decay rate ``gamma``.  The callables must accept scalar or
+    ndarray t; gamma is refused once, here, unless finite and >= 0."""
 
-    __slots__ = ("omega_r", "delta", "gamma", "d_omega_r", "d_delta",
-                 "d_gamma")
+    __slots__ = ("omega_r", "delta", "d_omega_r", "d_delta", "gamma")
 
-    def __init__(self, omega_r: ControlFn, delta: ControlFn, gamma: ControlFn,
-                 d_omega_r: ControlFn, d_delta: ControlFn,
-                 d_gamma: ControlFn):
-        self.omega_r, self.delta, self.gamma = omega_r, delta, gamma
-        self.d_omega_r, self.d_delta = d_omega_r, d_delta
-        self.d_gamma = d_gamma
-
-
-class AllenEberlyParams:
-    """Sech-amplitude / tanh-chirp pulse with constant decay rate.
-
-    omega0: pulse amplitude (1/tau), delta0: chirp range (1/tau),
-    tau: characteristic duration, gamma: decay rate (1/tau).  The window
-    a pulse is run on is the run grid's (``grids.TimeGrid``).
-    """
-
-    __slots__ = ("omega0", "delta0", "tau", "gamma")
-
-    def __init__(self, omega0: float, delta0: float, tau: float = 1.0,
-                 gamma: float = 0.0):
-        for name, value in zip(self.__slots__, (omega0, delta0, tau, gamma)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if omega0 <= 0:
-            raise ValueError("omega0 must be positive")
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+    def __init__(self, omega_r: ControlFn, delta: ControlFn,
+                 d_omega_r: ControlFn, d_delta: ControlFn, gamma: float):
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must be finite, got {gamma}")
         if gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if abs(gamma - 2.0 * omega0) <= 1e-12:
-            raise DegenerateRegime(
-                f"gamma = 2*omega0 = {gamma}: spectrum degenerates at t = 0"
-            )
-        self.omega0, self.delta0, self.tau = omega0, delta0, tau
-        self.gamma = gamma
+        self.omega_r, self.delta = omega_r, delta
+        self.d_omega_r, self.d_delta = d_omega_r, d_delta
+        self.gamma = float(gamma)
 
 
 class BranchRegime(Enum):
@@ -191,21 +167,22 @@ def classify_regime(omega0: float, gamma: float) -> BranchRegime:
 
 
 def _controls(pulse: PulseSpec, t, rates: bool = False) -> tuple:
-    """(Omega_R, Delta, gamma) at t as float arrays, or with ``rates`` their
-    time derivatives; raises NonFinite naming the first t at which one of
-    them is not finite."""
-    fns = ((pulse.d_omega_r, pulse.d_delta, pulse.d_gamma) if rates
-           else (pulse.omega_r, pulse.delta, pulse.gamma))
-    om, dl, gm = (np.asarray(fn(t), dtype=float) for fn in fns)
-    _raise_at_first(t, ~(np.isfinite(om) & np.isfinite(dl) & np.isfinite(gm)),
+    """(Omega_R, Delta, gamma) at t, Omega_R and Delta as float arrays and
+    the constant gamma as a float, or with ``rates`` the time derivatives
+    of Omega_R and Delta; raises NonFinite naming the first t at which one
+    of the sampled functions is not finite."""
+    fns = ((pulse.d_omega_r, pulse.d_delta) if rates
+           else (pulse.omega_r, pulse.delta))
+    om, dl = (np.asarray(fn(t), dtype=float) for fn in fns)
+    _raise_at_first(t, ~(np.isfinite(om) & np.isfinite(dl)),
                     f"control {'rate' if rates else 'value'}")
-    return om, dl, gm
+    return (om, dl) if rates else (om, dl, pulse.gamma)
 
 
 def sample_controls(pulse: PulseSpec, grid: TimeGrid) -> tuple:
-    """(t, Omega_R, Delta, gamma) on the samples t of ``grid``: one
-    evaluation of the pulse's values, which :func:`mixing_angle_path` and
-    :func:`hamiltonian_entries` can share."""
+    """(t, Omega_R, Delta, gamma) on the samples t of ``grid``, gamma a
+    float: one evaluation of the pulse's values, which
+    :func:`mixing_angle_path` and :func:`hamiltonian_entries` can share."""
     ts = grid.samples
     return (ts,) + _controls(pulse, ts)
 
@@ -213,10 +190,10 @@ def sample_controls(pulse: PulseSpec, grid: TimeGrid) -> tuple:
 def hamiltonian_entries(controls: tuple) -> tuple:
     """Entries (h00, h01, h10, h11) of the bare-basis Hamiltonian
     0.5*[[-Delta, Om],[Om, Delta - i*gamma]] from ``controls`` = (Omega_R,
-    Delta, gamma) sampled at some t, each shaped like t.  The real entries
-    stay real: h00 = -Delta/2 and h01 = h10 = Om/2 (one array) are float,
-    and only h11 is complex; adding them to complex values gives the same
-    bits as their complex form, whose imaginary parts are +0."""
+    Delta, gamma) sampled at some t, each entry shaped like t.  The real
+    entries stay real: h00 = -Delta/2 and h01 = h10 = Om/2 (one array) are
+    float, and only h11 is complex; adding them to complex values gives
+    the same bits as their complex form, whose imaginary parts are +0."""
     om, dl, gm = controls
     h01 = 0.5 * om
     return -0.5 * dl, h01, h01, 0.5 * (dl - 1j * gm)
@@ -264,7 +241,7 @@ def _factors(t, om, dl, gm) -> tuple:
     naming the first t at which they overflow, as Z does."""
     half = 0.5 * gm
     p_im = np.negative(om + half)
-    q_im = np.subtract(om, half, out=half)
+    q_im = om - half
     with np.errstate(over="ignore"):
         dl2 = dl * dl
         d1 = p_im * p_im
@@ -320,9 +297,6 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
     """
     ts, om, dl, gm = samples or sample_controls(pulse, grid)
     controls = om, dl, gm
-    if np.any(gm < 0):
-        raise ValueError("gamma(t) must be non-negative on the grid")
-
     factors = _factors(ts, om, dl, gm)
     with np.errstate(over="ignore"):  # |a^2 + Omega_R^2|^2 = |P|^2 |Q|^2
         modulus_sq = factors[2] * factors[3]
@@ -351,18 +325,18 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
 def mixing_angle_rate(pulse: PulseSpec, t, controls: tuple):
     """dtheta/dt = N/D with N = Omega*da/dt - dOmega/dt*a, D = a^2 + Omega^2
     and a = Delta - i*gamma/2, on an array of times t, from ``controls`` =
-    (Omega_R, Delta, gamma) sampled there and the pulse's derivatives.  N
-    and D are formed part by part, Re D in factored form for its digits near
-    the exceptional point, and N/D = N*conj(D)/|D|^2 with D scaled by its
-    larger part against overflow; a lossless rate is real exactly."""
+    (Omega_R, Delta, gamma) sampled there and the rates of Omega_R and
+    Delta (gamma is constant, so da/dt = dDelta/dt).  N and D are formed
+    part by part, Re D in factored form for its digits near the exceptional
+    point, and N/D = N*conj(D)/|D|^2 with D scaled by its larger part
+    against overflow; a lossless rate is real exactly."""
     om, dl, gm = controls
-    d_om, d_dl, d_gm = _controls(pulse, t, rates=True)
+    d_om, d_dl = _controls(pulse, t, rates=True)
     n_re = om * d_dl
     n_re -= d_om * dl
     n_im = d_om * gm
-    n_im -= om * d_gm
     n_im *= 0.5
-    del d_om, d_dl, d_gm
+    del d_om, d_dl
     half = 0.5 * gm
     d_re = om + half
     d_re *= om - half
@@ -398,41 +372,51 @@ def angle_rate_defect(path: MixingAnglePath) -> float:
 def theta_at(pulse: PulseSpec, t: float, reference: complex) -> complex:
     """theta at arbitrary t: principal representative branch-matched to a
     nearby reference value from a tracked path."""
-    om, dl, gm = (np.atleast_1d(c) for c in _controls(pulse, t))
+    om, dl, gm = _controls(pulse, t)
+    om, dl = np.atleast_1d(om, dl)
     x, y = _principal_theta(om, dl, gm, _factors(t, om, dl, gm))
     principal = complex(x[0], y[0])
     return principal + np.pi * round((reference - principal).real / np.pi)
 
 
-def allen_eberly(params: AllenEberlyParams) -> PulseSpec:
-    """Pulse Omega_R = omega0*sech(t/tau), Delta = delta0*tanh(t/tau), constant
-    gamma, with analytic derivatives.  Past |t|/tau of about 355 (710 for
+def allen_eberly(omega0: float, delta0: float, tau: float = 1.0,
+                 gamma: float = 0.0) -> PulseSpec:
+    """Pulse Omega_R = omega0*sech(t/tau), Delta = delta0*tanh(t/tau), with
+    analytic derivatives, and constant decay rate gamma: omega0 the pulse
+    amplitude, delta0 the chirp range and gamma in 1/tau, tau the
+    characteristic duration.  The window a pulse is run on is the run
+    grid's (``grids.TimeGrid``).  Past |t|/tau of about 355 (710 for
     Omega_R) cosh, or its square, overflows to inf on the way to the exact
-    limit sech = 0, so those overflows are not warned about."""
-    om0, dl0, tau, gm = params.omega0, params.delta0, params.tau, params.gamma
+    limit sech = 0, so those overflows are not warned about.  The pulse
+    record refuses a non-finite or negative gamma."""
+    for name, value in zip(("omega0", "delta0", "tau"), (omega0, delta0, tau)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if omega0 <= 0:
+        raise ValueError("omega0 must be positive")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if abs(gamma - 2.0 * omega0) <= 1e-12:
+        raise DegenerateRegime(
+            f"gamma = 2*omega0 = {gamma}: spectrum degenerates at t = 0"
+        )
 
     def omega_r(t):
         with np.errstate(over="ignore"):
-            return om0 / np.cosh(np.asarray(t) / tau)
+            return omega0 / np.cosh(np.asarray(t) / tau)
 
     def delta(t):
-        return dl0 * np.tanh(np.asarray(t) / tau)
-
-    def gamma(t):
-        return np.full_like(np.asarray(t, dtype=float), gm)
+        return delta0 * np.tanh(np.asarray(t) / tau)
 
     def d_omega_r(t):
         x = np.asarray(t) / tau
         with np.errstate(over="ignore"):
-            return -(om0 / tau) * np.tanh(x) / np.cosh(x)
+            return -(omega0 / tau) * np.tanh(x) / np.cosh(x)
 
     def d_delta(t):
         x = np.asarray(t) / tau
         with np.errstate(over="ignore"):
-            return (dl0 / tau) / np.cosh(x) ** 2
+            return (delta0 / tau) / np.cosh(x) ** 2
 
-    def d_gamma(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    return PulseSpec(omega_r=omega_r, delta=delta, gamma=gamma,
-                     d_omega_r=d_omega_r, d_delta=d_delta, d_gamma=d_gamma)
+    return PulseSpec(omega_r=omega_r, delta=delta, d_omega_r=d_omega_r,
+                     d_delta=d_delta, gamma=gamma)

@@ -4,8 +4,8 @@ import pytest
 
 from nhsta.experiments import run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (AllenEberlyParams, MixingAnglePath, PulseSpec,
-                             allen_eberly, eigenvalue_path, frame_diagonal,
+from nhsta.two_level import (MixingAnglePath, PulseSpec, allen_eberly,
+                             eigenvalue_path, frame_diagonal,
                              hamiltonian_entries, mixing_angle_path,
                              sample_controls)
 
@@ -13,13 +13,14 @@ OMEGA0 = 1.0
 DELTA0 = 9.0
 
 
-def ae_params(gamma: float, omega0: float = OMEGA0) -> AllenEberlyParams:
-    return AllenEberlyParams(omega0=omega0, delta0=DELTA0, tau=1.0,
-                             gamma=gamma)
+def ae_pulse(gamma: float, omega0: float = OMEGA0) -> PulseSpec:
+    """The sech/tanh pulse at one decay rate, tau = 1."""
+    return allen_eberly(omega0=omega0, delta0=DELTA0, tau=1.0, gamma=gamma)
 
 
 def with_controls(pulse: PulseSpec, **controls) -> PulseSpec:
-    """``pulse`` with the named control or rate functions swapped."""
+    """``pulse`` with the named control or rate functions, or its decay
+    rate ``gamma``, swapped."""
     kept = {name: getattr(pulse, name) for name in PulseSpec.__slots__}
     return PulseSpec(**{**kept, **controls})
 
@@ -27,7 +28,7 @@ def with_controls(pulse: PulseSpec, **controls) -> PulseSpec:
 def ae_setup(gamma: float, steps: int, t_f: float = 1.0):
     """(pulse, run grid) of the sech/tanh pulse at one decay rate on
     [-t_f, t_f]."""
-    return allen_eberly(ae_params(gamma)), TimeGrid(-t_f, t_f, steps)
+    return ae_pulse(gamma), TimeGrid(-t_f, t_f, steps)
 
 
 def shortcut_table(pulse, grid, policy="hermitian-realizable"):
@@ -124,7 +125,7 @@ def theta_paths():
     def get(gamma, steps=4000):
         key = (gamma, steps)
         if key not in cache:
-            pulse = allen_eberly(ae_params(gamma))
+            pulse = ae_pulse(gamma)
             grid = TimeGrid(-1.0, 1.0, steps)
             cache[key] = (pulse, mixing_angle_path(pulse, grid))
         return cache[key]

@@ -208,7 +208,7 @@ def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
     """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) at any t, the root on the
     regime's branch."""
     sq = branch_sqrt(radicand(pulse, t), regime)
-    gm = pulse.gamma(t)
+    gm = pulse.gamma
     return 0.25 * (-1j * gm + sq), 0.25 * (-1j * gm - sq)
 
 
@@ -301,26 +301,25 @@ def angle_functions_mp(pulse: PulseSpec, ts: np.ndarray,
                        theta: np.ndarray, digits: int = 40) -> dict:
     """theta, dtheta and sin/cos of theta and theta/2 at the samples ``ts``,
     evaluated with mpmath at ``digits`` significant digits from the float64
-    controls and rates the pulse returns there.  theta = ln(P/Q)/(2i),
-    P, Q = a -/+ i*Omega_R, is taken on the branch of the tracked ``theta``
-    (nearest multiple of pi); dtheta = (Omega*da - dOmega*a)/(a^2 + Omega^2).
+    controls and rates the pulse returns there and its decay rate.
+    theta = ln(P/Q)/(2i), P, Q = a -/+ i*Omega_R, is taken on the branch of
+    the tracked ``theta`` (nearest multiple of pi);
+    dtheta = (Omega*da - dOmega*a)/(a^2 + Omega^2), da = dDelta.
     Each entry is a complex array, rounded once from the exact value."""
     import mpmath
 
     columns = [np.asarray(fn(ts), dtype=float) for fn in (
-        pulse.omega_r, pulse.delta, pulse.gamma,
-        pulse.d_omega_r, pulse.d_delta, pulse.d_gamma)]
+        pulse.omega_r, pulse.delta, pulse.d_omega_r, pulse.d_delta)]
     names = ("theta", "dtheta", "sin", "cos", "sin_half", "cos_half")
     out = {name: np.empty(len(ts), dtype=complex) for name in names}
     with mpmath.workdps(digits):
         for k in range(len(ts)):
-            om, dl, gm, d_om, d_dl, d_gm = (mpmath.mpf(float(c[k]))
-                                            for c in columns)
-            a = dl - 0.5j * gm
+            om, dl, d_om, d_dl = (mpmath.mpf(float(c[k])) for c in columns)
+            a = dl - 0.5j * mpmath.mpf(pulse.gamma)
             th = mpmath.log((a - 1j * om) / (a + 1j * om)) / 2j
             th += mpmath.pi * mpmath.nint(
                 (mpmath.mpc(complex(theta[k])) - th).real / mpmath.pi)
-            dth = (om * (d_dl - 0.5j * d_gm) - d_om * a) / (a * a + om * om)
+            dth = (om * d_dl - d_om * a) / (a * a + om * om)
             values = (th, dth, mpmath.sin(th), mpmath.cos(th),
                       mpmath.sin(th / 2), mpmath.cos(th / 2))
             for name, value in zip(names, values):

@@ -6,13 +6,13 @@ verbose run reads as a pass/fail report.
 import numpy as np
 import pytest
 
-from conftest import analytic_two_level_systems, ae_params, path_eigenvalues
+from conftest import analytic_two_level_systems, ae_pulse, path_eigenvalues
 from nhsta.biorthogonal import decompose, reconstruct
 from nhsta.errors import DegenerateRegime, DegenerateSpectrum
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import assemble_h1_series, hermitian_realizable
-from nhsta.two_level import allen_eberly, classify_regime, radicand
+from nhsta.two_level import classify_regime, radicand
 from oracles import (EigenPath, counterdiabatic_generic,
                      left_right_derivative_identity, rotation)
 
@@ -69,11 +69,11 @@ def test_criterion_3_population_inversion(shortcut_run):
 def test_criterion_4_branch_regimes():
     """Radicand stays right of the cut sub-critically, crosses it above."""
     grid = TimeGrid(-1.0, 1.0, 4000)
-    z_sub = radicand(allen_eberly(ae_params(0.3)), grid.samples)
+    z_sub = radicand(ae_pulse(0.3), grid.samples)
     report("min Re Z (gamma=0.3)", float(np.min(z_sub.real)), 0.0)
     assert np.min(z_sub.real) > 0.0
 
-    z_sup = radicand(allen_eberly(ae_params(3.0)), grid.samples)
+    z_sup = radicand(ae_pulse(3.0), grid.samples)
     mid = grid.index_of(0.0)
     report("Re Z(0) (gamma=3)", float(z_sup.real[mid]), 0.0)
     assert z_sup.real[mid] < 0.0

@@ -2,11 +2,10 @@
 import numpy as np
 import pytest
 
-from conftest import ae_params, analytic_two_level_systems, path_eigenvalues
+from conftest import ae_pulse, analytic_two_level_systems, path_eigenvalues
 from nhsta.biorthogonal import BiorthogonalSystem, decompose, reconstruct
 from nhsta.errors import DegenerateSpectrum, NonFinite
 from nhsta.grids import TimeGrid
-from nhsta.two_level import allen_eberly
 from oracles import (EigenPath, adiabatic_frame_generic,
                      counterdiabatic_generic, hamiltonian,
                      left_right_derivative_identity)
@@ -45,7 +44,7 @@ class TestDecompose:
         assert np.max(np.abs(reconstruct(decompose(m)) - m)) < 1e-14
 
     def test_two_level_lossy_eigenvalues(self):
-        pulse = allen_eberly(ae_params(gamma=0.3))
+        pulse = ae_pulse(gamma=0.3)
         sys_ = decompose(hamiltonian(pulse, 0.0))
         expected = 0.25 * np.sqrt(3.91)
         got = sorted(sys_.eigenvalues, key=lambda z: z.real)

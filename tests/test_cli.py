@@ -602,10 +602,10 @@ class TestFigure4:
         assert data["p0_plus_p1"][0] == pytest.approx(
             data["p0"][0] + data["p1"][0])
         # initial bare-ground weight equals the eigenstate overlap
-        from conftest import ae_params
+        from conftest import ae_pulse
         from nhsta.grids import TimeGrid
-        from nhsta.two_level import allen_eberly, mixing_angle_path
-        path = mixing_angle_path(allen_eberly(ae_params(1.0)),
+        from nhsta.two_level import mixing_angle_path
+        path = mixing_angle_path(ae_pulse(1.0),
                                  TimeGrid(-1.0, 1.0, 4000))
         overlap = np.abs(np.cos(path.theta[0] / 2.0)) ** 2
         assert data["p0"][0] == pytest.approx(overlap, abs=1e-12)
@@ -759,6 +759,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"configuration error: {message}"]
         assert not out.exists()
+
+    def test_negative_zero_decay_rate_is_named_as_zero(self, tmp_path,
+                                                       capsys):
+        # -0 is read as 0 where a gamma list is parsed, so it names its
+        # table, row and checks as 0 does, and repeats 0
+        steps = ["--steps", "400"]
+        assert main(["figure3", "--gamma=-0", *steps,
+                     "--out", str(tmp_path / "f")]) == 0
+        assert sorted(p.name for p in (tmp_path / "f").glob("*.csv")) == [
+            "figure3_gamma0.csv"]
+        assert main(["sweep", "--gamma=-0,1", "--policy", "naive-cd", *steps,
+                     "--out", str(tmp_path / "s")]) == 0
+        rows = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+        main(["verify", "--gamma=-0", *steps, "--out", str(tmp_path / "v")])
+        out = capsys.readouterr().out
+        assert "[gamma=0]" in out and "[gamma=-0]" not in out
+        assert main(["sweep", "--gamma", "0,-0", *steps,
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: gamma list repeats 0.0"]
+        assert not (tmp_path / "r").exists()
 
     def test_critical_decay_rate_exits_numerical(self, tmp_path):
         assert main(["figure3", "--gamma", "2.0", "--out", str(tmp_path)]) == 3

@@ -87,7 +87,16 @@ def test_tabulated_pulse_carries_the_splines_and_a_constant_gamma(tmp_path):
     # the rates' error is third order in the spacing, largest at the ends
     assert np.max(np.abs(pulse.d_omega_r(t) + np.tanh(t) / np.cosh(t))) < 2e-6
     assert np.max(np.abs(pulse.d_delta(t) - 9.0 / np.cosh(t) ** 2)) < 2e-6
-    assert np.array_equal(pulse.gamma(t), np.full_like(t, 0.7))
-    assert np.array_equal(pulse.d_gamma(t), np.zeros_like(t))
+    assert type(pulse.gamma) is float and pulse.gamma == 0.7
     # every decay rate's pulse shares the one fit
     assert cfg.pulse_for(3.0).omega_r is pulse.omega_r
+
+
+def test_config_file_reads_negative_zero_decay_rate_as_zero(tmp_path):
+    # the flag and the config file share the gamma list's parser
+    from nhsta.config import parse_config_file
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("gamma = -0, 1e-300, -0.0\n")
+    gammas = parse_config_file(str(cfg))["gamma_list"]
+    assert [np.copysign(1.0, g) for g in gammas] == [1.0, 1.0, 1.0]
+    assert gammas == (0.0, 1e-300, 0.0)

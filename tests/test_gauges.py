@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid, quad
 
-from conftest import (ae_params, ae_setup, analytic_two_level_systems,
+from conftest import (ae_pulse, ae_setup, analytic_two_level_systems,
                       assert_bitwise, path_eigenvalues, shifted_level,
                       shortcut_table, table_eigenvalues, table_entries)
 from nhsta import experiments, gauges
@@ -12,8 +12,8 @@ from nhsta.gauges import matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import POLICY_NAIVE, hermitian_realizable, matched_gauge
-from nhsta.two_level import (MixingAnglePath, PulseSpec, allen_eberly,
-                             frame_diagonal, mixing_angle_path, theta_at)
+from nhsta.two_level import (MixingAnglePath, PulseSpec, frame_diagonal,
+                             mixing_angle_path, theta_at)
 from oracles import (EigenPath, adiabatic_frame_generic, adiabatic_frame_h0,
                      rotation)
 
@@ -100,7 +100,7 @@ class TestGaugeShortcut:
 
     def test_endpoint_matches_adaptive_quadrature(self):
         gamma = 1.0
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
@@ -132,7 +132,7 @@ class TestGaugeShortcut:
     def test_removable_point_takes_the_neighbours_limit(self):
         # gamma > 2*omega0 makes theta(0) purely imaginary: Re[sin theta]
         # and Im[dtheta] vanish together there, but delta does not
-        pulse = allen_eberly(ae_params(3.0))
+        pulse = ae_pulse(3.0)
         grid = TimeGrid(-1.0, 1.0, 4000)
         path = mixing_angle_path(pulse, grid)
         delta = matched_delta(path)
@@ -212,10 +212,9 @@ class TestFrameMatrix:
         pulse = PulseSpec(
             omega_r=lambda t: np.full_like(np.asarray(t, dtype=float), 1.3),
             delta=lambda t: np.full_like(np.asarray(t, dtype=float), 0.4),
-            gamma=lambda t: np.full_like(np.asarray(t, dtype=float), 0.2),
             d_omega_r=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             d_delta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            d_gamma=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            gamma=0.2,
         )
         grid = TimeGrid(0.0, 1.0, 100)
         path = mixing_angle_path(pulse, grid)
@@ -258,7 +257,7 @@ class TestFrameMatrix:
         # generic finite-difference frame on the f_n-scaled vectors agrees
         # with the closed-form matrix
         gamma = 1.0
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         grid = TimeGrid(-1.0, 1.0, 64000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
@@ -276,7 +275,7 @@ class TestFrameMatrix:
     def test_adiabatic_prediction_reproduced_by_frame_propagation(self):
         # slow strong pulse: couplings under 1% of the diagonal gap, so the
         # decoupled exponential solution should track |g+| to within 2%
-        pulse = allen_eberly(ae_params(gamma=0.1, omega0=50.0))
+        pulse = ae_pulse(gamma=0.1, omega0=50.0)
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)

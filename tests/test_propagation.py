@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from conftest import (DELTA0, OMEGA0, ae_params, ae_setup, assert_bitwise,
+from conftest import (DELTA0, OMEGA0, ae_pulse, ae_setup, assert_bitwise,
                       path_eigenvalues, shortcut_table, state_trajectory)
 from nhsta import experiments
 from nhsta.errors import NonFinite
@@ -20,9 +20,9 @@ from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                _block_size, amplitudes, convergence_check,
                                integrate, phase_table, scan_table)
 from nhsta.synthesis import matched_gauge
-from nhsta.two_level import (AllenEberlyParams, _controls, _factors,
-                             _principal_theta, allen_eberly,
-                             mixing_angle_path, mixing_angle_rate)
+from nhsta.two_level import (_controls, _factors, _principal_theta,
+                             allen_eberly, mixing_angle_path,
+                             mixing_angle_rate)
 from oracles import hamiltonian
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,7 +80,7 @@ def per_step_rk4(h_total, psi0, grid):
 
 def lossy_chirp(gamma):
     """Time-dependent non-Hermitian H(t): the bare generator of a pulse."""
-    pulse = allen_eberly(ae_params(gamma))
+    pulse = ae_pulse(gamma)
     return lambda t: hamiltonian(pulse, t)
 
 
@@ -90,7 +90,7 @@ def hermitian_shortcut_h(gamma, path):
     representative branch-matched to the tracked path (as ``theta_at``
     takes it), in one array pass; the callable looks up each time's
     sample."""
-    pulse = allen_eberly(ae_params(gamma))
+    pulse = ae_pulse(gamma)
     ts = path.grid.refine(4).samples
     ref = (np.interp(ts, path.grid.samples, path.theta.real)
            + 1j * np.interp(ts, path.grid.samples, path.theta.imag))
@@ -216,7 +216,7 @@ class TestIntegrate:
     def test_norm_decay_balances_excited_population(self):
         # d/dt |psi|^2 = -gamma |psi_1|^2 for the lossy two-level generator
         gamma = 1.0
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         grid = TimeGrid(-1.0, 1.0, 4000)
 
         def h_total(t):
@@ -326,7 +326,7 @@ class TestAmplitudes:
             AmplitudeTrajectory.__slots__)
 
     def test_slow_lossless_sweep_stays_adiabatic(self):
-        pulse = allen_eberly(ae_params(gamma=0.0, omega0=20.0))
+        pulse = ae_pulse(gamma=0.0, omega0=20.0)
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
@@ -394,8 +394,8 @@ def stretched_tables(gamma, lam):
     policy at 1000 steps, for the default pulse with time stretched by
     ``lam``: tau and the window times lam, omega0, delta0 and gamma over
     lam."""
-    pulse = allen_eberly(AllenEberlyParams(
-        omega0=OMEGA0 / lam, delta0=DELTA0 / lam, tau=lam, gamma=gamma / lam))
+    pulse = allen_eberly(omega0=OMEGA0 / lam, delta0=DELTA0 / lam, tau=lam,
+                         gamma=gamma / lam)
     return [(table, [table.run(s) for s in INITIAL_STATES],
              table.frame_check())
             for table in shortcut_tables(pulse, TimeGrid(-lam, lam, 1000))]

@@ -17,7 +17,7 @@ import pytest
 from conftest import ae_setup, with_controls
 import nhsta
 import nhsta.cli
-from nhsta import experiments, propagation, two_level
+from nhsta import config, experiments, propagation, two_level
 from nhsta.grids import TimeGrid
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
@@ -276,10 +276,11 @@ def test_one_propagation_path(monkeypatch):
 
 
 def test_one_control_sampler():
-    # Omega_R, Delta, gamma and their rates are read off a pulse in one
-    # place, so every reader gets the same finiteness check
+    # Omega_R, Delta and their rates are read off a pulse in one place, so
+    # every reader gets the same finiteness check; the decay rate is a
+    # number, passed on as a float and never filled into an array
     tree = ast.parse(Path(two_level.__file__).read_text())
-    controls = ("omega_r", "delta", "gamma", "d_omega_r", "d_delta", "d_gamma")
+    controls = ("omega_r", "delta", "d_omega_r", "d_delta")
     samplers = {(fn.name, node.attr) for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef)
                 for node in ast.walk(fn)
@@ -287,6 +288,13 @@ def test_one_control_sampler():
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "pulse" and node.attr in controls}
     assert samplers == {("_controls", name) for name in controls}
+    fillers = [(module.__name__, node.attr) for module in (two_level, config)
+               for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("full_like", "zeros_like")]
+    assert fillers == []
+    pulse, grid = ae_setup(0.3, 100)
+    assert type(two_level.sample_controls(pulse, grid)[3]) is float
 
 
 def test_controls_sampled_once_per_pulse():

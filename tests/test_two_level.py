@@ -5,19 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import OMEGA0, ae_params, path_eigenvalues, with_controls
+from conftest import OMEGA0, ae_pulse, path_eigenvalues, with_controls
 from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.experiments import POLICIES, run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (AllenEberlyParams, BranchRegime, MixingAnglePath,
-                             PulseSpec, _controls, allen_eberly,
+from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
+                             _controls, allen_eberly,
                              angle_rate_defect, classify_regime,
                              complex_array, hamiltonian_entries,
                              mixing_angle_path, mixing_angle_rate, radicand,
                              sample_controls, theta_at)
 from oracles import (angle_functions_mp, branch_sqrt, eigenvalues,
-                     eigenvectors, hamiltonian)
+                     eigenvectors, entry_matrices, hamiltonian)
 
 #: the trigonometric functions of theta a path carries, each with the cached
 #: value it is read from: the half angle's two are evaluated together
@@ -29,10 +29,9 @@ def constant_pulse(omega, delta, gamma):
     return PulseSpec(
         omega_r=lambda t: np.full_like(np.asarray(t, dtype=float), omega),
         delta=lambda t: np.full_like(np.asarray(t, dtype=float), delta),
-        gamma=lambda t: np.full_like(np.asarray(t, dtype=float), gamma),
         d_omega_r=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         d_delta=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d_gamma=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        gamma=gamma,
     )
 
 
@@ -82,7 +81,7 @@ class TestHamiltonian:
         assert np.all(h == 0)
 
     def test_chirped_pulse_center_matrix(self):
-        pulse = allen_eberly(ae_params(gamma=1.0))
+        pulse = ae_pulse(gamma=1.0)
         h = hamiltonian(pulse, 0.0)
         expected = 0.5 * np.array([[0.0, 1.0], [1.0, -1.0j]])
         assert np.max(np.abs(h - expected)) < 1e-15
@@ -95,10 +94,11 @@ class TestHamiltonian:
             hamiltonian(bad, 0.0)
 
     def test_sign_flipped_decay_is_the_adjoint(self):
-        p_loss = constant_pulse(0.7, -1.2, 0.4)
-        p_gain = constant_pulse(0.7, -1.2, -0.4)
-        h = hamiltonian(p_loss, 0.0)
-        assert np.max(np.abs(hamiltonian(p_gain, 0.0) - h.conj().T)) == 0.0
+        # a gain, gamma < 0, is no pulse's decay rate: the entries are
+        # formed from the controls directly
+        loss, gain = (entry_matrices(hamiltonian_entries((0.7, -1.2, gm)))
+                      for gm in (0.4, -0.4))
+        assert np.max(np.abs(gain - loss.conj().T)) == 0.0
 
 
 class TestRadicand:
@@ -107,13 +107,13 @@ class TestRadicand:
         assert z == pytest.approx(4 * 1.5**2)
 
     def test_chirp_center_value(self):
-        pulse = allen_eberly(ae_params(gamma=0.3))
+        pulse = ae_pulse(gamma=0.3)
         z = radicand(pulse, 0.0)
         assert z == pytest.approx(-0.3**2 + 4.0, abs=1e-14)  # 3.91
         assert z.imag == 0.0
 
     def test_subcritical_keeps_positive_real_part(self):
-        pulse = allen_eberly(ae_params(gamma=0.3))
+        pulse = ae_pulse(gamma=0.3)
         z = radicand(pulse, TimeGrid(-1.0, 1.0, 2000).samples)
         assert np.min(z.real) > 0.0
 
@@ -124,10 +124,10 @@ class TestRadicand:
         lambda p, g: mixing_angle_path(p, g),
     ], ids=["radicand", "mixing_angle_path"])
     def test_overflow_named_by_every_reader(self, read):
-        # (gamma + 2i*Delta)^2 overflows once gamma exceeds about 1.3e154
-        pulse = allen_eberly(ae_params(gamma=0.3))
-        huge = with_controls(pulse, gamma=lambda t: np.where(
-            np.asarray(t) > 0.5, 1e160, pulse.gamma(t)))
+        # (gamma + 2i*Delta)^2 overflows once Delta exceeds about 6.7e153
+        pulse = ae_pulse(gamma=0.3)
+        huge = with_controls(pulse, delta=lambda t: np.where(
+            np.asarray(t) > 0.5, 1e160, pulse.delta(t)))
         with pytest.raises(NonFinite, match=r"^radicand not finite at t=0\.51$"):
             read(huge, TimeGrid(-1.0, 1.0, 200))
 
@@ -139,7 +139,7 @@ class TestControlSampling:
         lambda p, g: mixing_angle_path(p, g),
     ], ids=["hamiltonian_entries", "radicand", "mixing_angle_path"])
     def test_non_finite_control_named_by_every_reader(self, read):
-        pulse = allen_eberly(ae_params(gamma=0.3))
+        pulse = ae_pulse(gamma=0.3)
         bad = with_controls(pulse, omega_r=lambda t: np.where(
             np.asarray(t) > 0.5, np.nan, pulse.omega_r(t)))
         with pytest.raises(NonFinite, match=r"value not finite at t=0\.51$"):
@@ -147,12 +147,12 @@ class TestControlSampling:
 
     @staticmethod
     def nan_rate_pulse(name):
-        pulse = allen_eberly(ae_params(gamma=0.3))
+        pulse = ae_pulse(gamma=0.3)
         rate = getattr(pulse, name)
         return with_controls(pulse, **{name: lambda t: np.where(
             np.asarray(t) > 0.5, np.nan, rate(t))})
 
-    @pytest.mark.parametrize("name", ["d_omega_r", "d_delta", "d_gamma"])
+    @pytest.mark.parametrize("name", ["d_omega_r", "d_delta"])
     @pytest.mark.parametrize("read", [
         lambda p, g: mixing_angle_rate(p, g.samples,
                                        _controls(p, g.samples)),
@@ -215,7 +215,7 @@ class TestEigenvalues:
         assert e_minus == pytest.approx(-1.0)
 
     def test_chirp_center_values(self):
-        pulse = allen_eberly(ae_params(gamma=0.3))
+        pulse = ae_pulse(gamma=0.3)
         e_plus, e_minus = eigenvalues_at(pulse, 0.0)
         expected = 0.25 * cmath.sqrt(3.91)  # = 0.494343
         assert abs(e_plus - (expected - 0.075j)) < 1e-12
@@ -230,7 +230,7 @@ class TestEigenvalues:
             assert abs((e_plus + e_minus) - (-0.5j * gm)) < 1e-14
 
     def test_path_continuity_supercritical(self):
-        pulse = allen_eberly(ae_params(gamma=3.0))
+        pulse = ae_pulse(gamma=3.0)
         grid = TimeGrid(-1.0, 1.0, 4000)
         e_plus, e_minus = path_eigenvalues(pulse,
                                            mixing_angle_path(pulse, grid))
@@ -267,7 +267,7 @@ class TestMixingAngle:
     def test_tangent_relation_holds_pointwise(self, theta_paths):
         pulse, path = theta_paths(1.0)
         ts = path.grid.samples
-        a = pulse.delta(ts) - 0.5j * pulse.gamma(ts)
+        a = pulse.delta(ts) - 0.5j * pulse.gamma
         target = -pulse.omega_r(ts) / a
         rel = np.abs(np.tan(path.theta) - target) / np.abs(target)
         assert np.max(rel) < 1e-10
@@ -286,10 +286,10 @@ class TestMixingAngle:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 3.0])
     def test_branch_tracking_equals_sample_by_sample_loop(self, gamma):
         from nhsta.two_level import _factors, _principal_theta
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         grid = TimeGrid(-1.0, 1.0, 16000)
         ts = grid.samples
-        om, dl, gm = pulse.omega_r(ts), pulse.delta(ts), pulse.gamma(ts)
+        om, dl, gm = pulse.omega_r(ts), pulse.delta(ts), pulse.gamma
         x, y = _principal_theta(om, dl, gm, _factors(ts, om, dl, gm))
         principal = x + 1j * y
         want = np.empty_like(principal)
@@ -302,7 +302,7 @@ class TestMixingAngle:
 
     @pytest.mark.parametrize("gamma, t0, t_f", ACCURACY_WINDOWS)
     def test_angle_and_rate_match_mpmath(self, gamma, t0, t_f):
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         path = mixing_angle_path(pulse, TimeGrid(t0, t_f, 200))
         ts = path.grid.samples
         ref = angle_functions_mp(pulse, ts, path.theta)
@@ -311,7 +311,7 @@ class TestMixingAngle:
         at = [theta_at(pulse, t, th) for t, th in zip(ts[::20], path.theta[::20])]
         assert_accurate("theta_at", np.array(at), ref["theta"][::20])
         # the complex two-lane arctangent this replaced, for comparison
-        a = pulse.delta(ts) - 0.5j * pulse.gamma(ts)
+        a = pulse.delta(ts) - 0.5j * pulse.gamma
         old = two_lane_principal_theta(pulse.omega_r(ts), a)
         old += np.pi * np.round((path.theta - old).real / np.pi)
         print(f"  [diagnostic] gamma={gamma:g} t0={t0:g}: theta error "
@@ -332,7 +332,7 @@ class TestMixingAngle:
 
     @pytest.mark.parametrize("gamma, t0, t_f", ACCURACY_WINDOWS)
     def test_path_trig_matches_mpmath(self, gamma, t0, t_f):
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         path = mixing_angle_path(pulse, TimeGrid(t0, t_f, 200))
         ref = angle_functions_mp(pulse, path.grid.samples, path.theta)
         cached = list(TRIG_FIELDS.values())
@@ -345,7 +345,7 @@ class TestMixingAngle:
             assert_accurate(name, value, ref[name])
 
     def test_half_angle_functions_share_one_evaluation(self, monkeypatch):
-        path = mixing_angle_path(allen_eberly(ae_params(3.0)),
+        path = mixing_angle_path(ae_pulse(3.0),
                                  TimeGrid(-1.0, 1.0, 400))
         x, y = 0.5 * path.theta.real, 0.5 * path.theta.imag
         # each function evaluated on its own, as sin(theta/2) and
@@ -367,7 +367,7 @@ class TestMixingAngle:
         assert np.array_equal(sin_half, want_sin)
 
     def test_coarse_grid_near_critical_decay_raises_branch_jump(self):
-        pulse = allen_eberly(ae_params(gamma=1.99))
+        pulse = ae_pulse(gamma=1.99)
         with pytest.raises(BranchJump):
             mixing_angle_path(pulse, TimeGrid(-1.0, 1.0, 4))
 
@@ -395,7 +395,7 @@ class TestAngleRateDefect:
     def test_quarter_grid_defect_converges_at_sixth_order(self):
         # near critical decay the crossing needs many samples; from 1000
         # run steps on, the defect falls 64x per doubling
-        pulse = allen_eberly(ae_params(1.9))
+        pulse = ae_pulse(1.9)
         defects = [angle_rate_defect(mixing_angle_path(
             pulse, TimeGrid(-1.0, 1.0, 4 * steps)))
             for steps in (1000, 2000, 4000)]
@@ -406,7 +406,7 @@ class TestAngleRateDefect:
     def test_scaled_rate_fails_the_check(self, gamma):
         # dtheta off by a factor 1 + 1e-6 reads about 1e-6 against the
         # verify bound 1e-8; the tracked rate reads round-off
-        path = mixing_angle_path(allen_eberly(ae_params(gamma)),
+        path = mixing_angle_path(ae_pulse(gamma),
                                  TimeGrid(-1.0, 1.0, 16000))
         assert angle_rate_defect(path) <= 1e-12
         scaled = MixingAnglePath(path.grid, path.theta,
@@ -414,7 +414,7 @@ class TestAngleRateDefect:
         assert 0.5e-6 <= angle_rate_defect(scaled) <= 2e-6
 
     def test_every_table_keeps_the_quarter_grid_defect(self):
-        pulse, grid = allen_eberly(ae_params(1.0)), TimeGrid(-1.0, 1.0, 400)
+        pulse, grid = ae_pulse(1.0), TimeGrid(-1.0, 1.0, 400)
         want = angle_rate_defect(mixing_angle_path(pulse, grid.refine(4)))
         assert [table.angle_rate for table in shortcut_tables(pulse, grid)
                 ] == [want] * len(POLICIES)
@@ -495,7 +495,7 @@ class TestEigenConsistency:
             self, gamma):
         # on [-1, 1] the tracked angle and the regime's cut of sqrt(Z) pick
         # the same root, so reading E_+- off theta moves them by round-off
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         grid = TimeGrid(-1.0, 1.0, 4000)
         ep, em = path_eigenvalues(pulse, mixing_angle_path(pulse, grid))
         want_p, want_m = eigenvalues(pulse, grid.samples,
@@ -511,7 +511,7 @@ class TestEigenConsistency:
         # a window that starts at Delta > 0 anchors theta near 0: |+> is
         # the bare ground state and E_+ the root near -Delta/2, which the
         # sub-critical cut of sqrt(Z) would call E_-
-        pulse = allen_eberly(ae_params(gamma))
+        pulse = ae_pulse(gamma)
         grid = TimeGrid(t0, 1.0, 400)
         path = mixing_angle_path(pulse, grid)
         ep, em = path_eigenvalues(pulse, path)
@@ -531,28 +531,27 @@ class TestEigenConsistency:
 
 class TestAllenEberly:
     def test_center_values(self):
-        pulse = allen_eberly(ae_params(gamma=0.0))
+        pulse = ae_pulse(gamma=0.0)
         assert pulse.omega_r(0.0) == pytest.approx(OMEGA0)
         assert pulse.delta(0.0) == pytest.approx(0.0)
         assert pulse.d_omega_r(0.0) == pytest.approx(0.0)
 
     def test_chirp_value_one_duration_out(self):
-        pulse = allen_eberly(ae_params(gamma=0.0))
+        pulse = ae_pulse(gamma=0.0)
         assert pulse.delta(1.0) == pytest.approx(9.0 * np.tanh(1.0))
 
     def test_analytic_derivatives_match_finite_differences(self):
-        pulse = allen_eberly(ae_params(gamma=0.7))
+        pulse = ae_pulse(gamma=0.7)
         ts = np.linspace(-0.9, 0.9, 17)
         h = 1e-6
         for fn, dfn in ((pulse.omega_r, pulse.d_omega_r),
-                        (pulse.delta, pulse.d_delta),
-                        (pulse.gamma, pulse.d_gamma)):
+                        (pulse.delta, pulse.d_delta)):
             fd = (fn(ts + h) - fn(ts - h)) / (2 * h)
             assert np.max(np.abs(fd - dfn(ts))) < 1e-6
 
     def test_critical_decay_rejected_at_construction(self):
         with pytest.raises(DegenerateRegime):
-            ae_params(gamma=2.0 * OMEGA0)
+            ae_pulse(gamma=2.0 * OMEGA0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["omega0", "delta0", "tau", "gamma"])
@@ -561,7 +560,35 @@ class TestAllenEberly:
         kwargs = dict(omega0=1.0, delta0=9.0, tau=1.0, gamma=0.3)
         kwargs[name] = value
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            AllenEberlyParams(**kwargs)
+            allen_eberly(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(omega0=0.0), "omega0 must be positive"),
+        (dict(omega0=-1.0), "omega0 must be positive"),
+        (dict(tau=0.0), "tau must be positive"),
+        (dict(gamma=-0.3), "gamma must be non-negative")])
+    def test_out_of_range_parameter_rejected_at_construction(self, kwargs,
+                                                             message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            allen_eberly(**{**dict(omega0=1.0, delta0=9.0), **kwargs})
+
+
+class TestPulseSpec:
+    @pytest.mark.parametrize("gamma, message", [
+        (math.nan, "gamma must be finite, got nan"),
+        (math.inf, "gamma must be finite, got inf"),
+        (-math.inf, "gamma must be finite, got -inf"),
+        (-0.3, "gamma must be non-negative"),
+        (-1e-300, "gamma must be non-negative")])
+    def test_bad_decay_rate_refused_at_construction(self, gamma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            constant_pulse(1.0, 0.0, gamma)
+
+    @pytest.mark.parametrize("gamma", [0, -0.0, 0.3, np.float64(2.5)])
+    def test_decay_rate_is_kept_as_a_float(self, gamma):
+        pulse = constant_pulse(1.0, 0.0, gamma)
+        assert type(pulse.gamma) is float
+        assert pulse.gamma == gamma
 
 
 class TestRecordIdentity:
@@ -569,7 +596,7 @@ class TestRecordIdentity:
     ``==`` would ask numpy for the truth value of an array."""
 
     def test_equal_paths_hash_and_compare(self):
-        pulse = allen_eberly(ae_params(gamma=1.0))
+        pulse = ae_pulse(gamma=1.0)
         grid = TimeGrid(-1.0, 1.0, 200)
         a, b = mixing_angle_path(pulse, grid), mixing_angle_path(pulse, grid)
         assert np.array_equal(a.theta, b.theta)
