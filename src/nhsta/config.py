@@ -137,6 +137,15 @@ class ExperimentConfig:
                     f"pulse file {self.pulse_file!r} covers t in "
                     f"[{float(ts[0])}, {float(ts[-1])}], not the run window "
                     f"[{t0}, {t_f}]")
+            # the not-a-knot spline can undershoot between knots >= 0, so
+            # read it where a run does, on the run grid refined 4x
+            quarter = self.grid.refine(4).samples
+            negative = self.pulse_splines[0][0](quarter) < 0
+            if np.any(negative):
+                raise ConfigError(
+                    f"pulse file {self.pulse_file!r}: the spline through its "
+                    f"Omega_R is negative at "
+                    f"t={quarter[np.argmax(negative)]:g}")
         for g in gammas:
             if g < 0:
                 raise ConfigError(f"gamma must be >= 0, got {g}")

@@ -4,14 +4,16 @@ H is tabulated in the kernel's layout (:func:`phase_table`): entry c of H
 at t_k + p*h/P is ``h[c, p, k]``, so the stage matrices of every step, at
 t_k, t_k + h/2 and t_k + h, are contiguous rows.  RK4 is linear in psi: its
 stages collapse into one 2x2 transfer matrix per step, formed with batched
-numpy.  A blocked prefix scan multiplies them (Blelloch 1990): the products
-inside blocks of about sqrt(steps)/2 steps are vectorized across all
-blocks, and a state needs only a short scalar loop over the block ends.
-The scan does not depend on psi0, so several initial states share it.  Step
-adequacy is certified by a half-step rerun on a quarter-step table: its two
-steps per run interval are multiplied into one matrix, so the rerun shares
-the run's blocks, scan and state loop and yields the run's samples, where
-the two are compared.  Callables H(t) are sampled onto such tables first.
+numpy.  A blocked prefix scan multiplies them: the products inside blocks
+of about sqrt(steps)/2 steps are vectorized across all blocks (Blelloch
+1990), and the products of the block ends before each block, its start
+propagator, in log-depth vectorized passes across them (Hillis & Steele
+1986).  The scan does not depend on psi0, so several initial states share
+it, and a state's samples are two broadcast products.  Step adequacy is
+certified by a half-step rerun on a quarter-step table: its two steps per
+run interval are multiplied into one matrix, so the rerun shares the run's
+blocks and scan and yields the run's samples, where the two are compared.
+Callables H(t) are sampled onto such tables first.
 """
 from __future__ import annotations
 
@@ -117,18 +119,14 @@ def phase_table(steps: int, h, h1=None) -> np.ndarray:
     ``grid.refine(phases)``, phases*steps + 1 samples each (an entry of
     ``h1`` may be a scalar).  Entry c = 2i + j at t_k + p*step/phases lands
     in ``[c, p, k]``; the phases past the last sample are zero, never read.
+    The sum is formed in sample order, then copied once into the layout.
     """
-    def by_phase(x):  # (phases, steps) view of all but the last sample
-        return x[:-1].reshape(steps, -1).T if np.ndim(x) else x
-
     out = np.empty((4, (len(h[0]) - 1) // steps, steps + 1), dtype=complex)
     out[:, 1:, steps] = 0.0
     for dst, x, y in zip(out, h, h1 or (None,) * 4):
-        if y is None:
-            dst[:, :steps], dst[0, steps] = by_phase(x), x[-1]
-        else:
-            np.add(by_phase(x), by_phase(y), out=dst[:, :steps])
-            dst[0, steps] = x[-1] + (y[-1] if np.ndim(y) else y)
+        if y is not None:
+            x = x + y
+        dst[:, :steps], dst[0, steps] = x[:-1].reshape(steps, -1).T, x[-1]
     return out
 
 
@@ -155,8 +153,11 @@ def _transfer(h: np.ndarray, substeps, step: float, count: int):
 
 
 def _block_size(steps: int) -> int:
-    """Block length b of the scan: about sqrt(steps)/2 balances its b
-    vectorized in-block iterations against a state's steps/b block ends."""
+    """Block length b of the scan, about sqrt(steps)/2.  The scan costs b - 1
+    vectorized in-block iterations over all blocks and ceil(log2(blocks -
+    1)) vectorized passes over the steps/b block ends, once per table; an
+    apply loops over neither.  Another b would regroup the products and so
+    move every emitted value by rounding."""
     return max(1, round(np.sqrt(steps) / 2))
 
 
@@ -167,22 +168,23 @@ class PrefixScan:
     certifying scan, its paired half-step rerun.  Each set's intervals are
     cut into blocks of ``b``; ``prefix[j, :, :, s*blocks + i]`` is the
     product of the matrices of intervals i*b .. i*b + j of set s (identities
-    pad the last block).  A state is carried across the block ends by the
-    last row, then every sample is one product of a prefix with its block's
-    start state, so each state costs only about steps/b scalar products per
-    set.
+    pad the last block), and ``starts[:, s*blocks + i]`` holds the entries
+    of the product of all of set s before block i.  A state's samples are
+    then two broadcast products: the starts applied to psi0, and the
+    prefixes to those.
     """
 
     # weak references let a caller check that a dropped table frees its scan
-    __slots__ = ("grid", "h", "sets", "prefix", "__weakref__")
+    __slots__ = ("grid", "h", "sets", "prefix", "starts", "__weakref__")
 
     def __init__(self, grid: TimeGrid, h: np.ndarray, sets: tuple,
-                 prefix: np.ndarray):
+                 prefix: np.ndarray, starts: np.ndarray):
         self.grid = grid
         self.h = h  # kept to name the failing step of a blow-up
         # per set, the (phase, shift) stage rows of its substeps
         self.sets = sets
         self.prefix = prefix  # (b, 2, 2, len(sets) * blocks)
+        self.starts = starts  # (4, len(sets) * blocks)
 
     def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
         """RK4 trajectory of each set from a two-component psi0 (the run
@@ -193,21 +195,13 @@ class PrefixScan:
         b, width = len(self.prefix), self.prefix.shape[-1]
         blocks = width // len(self.sets)
         pre = self.prefix.reshape(b, 4, width)
-        ends = pre[-1].tolist()
-        start0, start1 = [], []
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, width, blocks):
-                s0, s1 = complex(psi[0]), complex(psi[1])
-                start0.append(s0)
-                start1.append(s1)
-                for m00, m01, m10, m11 in zip(*(e[lo:lo + blocks - 1]
-                                                for e in ends)):
-                    s0, s1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
-                    start0.append(s0)
-                    start1.append(s1)
-            del ends  # freed before the state columns are allocated
-            cols = _apply(pre.transpose(1, 0, 2),
-                          (np.array(start0), np.array(start1)))
+            starts = _apply(self.starts, psi)
+            if not all(np.isfinite(x).all() for x in starts):
+                # a start propagator overflows where psi0 is exactly 0 or
+                # the state blows up: carry psi0 across the block ends
+                starts = self._carry(pre[-1].tolist(), psi, blocks)
+            cols = _apply(pre.transpose(1, 0, 2), starts)
         runs = []
         for lo, substeps in zip(range(0, width, blocks), self.sets):
             # component-major, padded to whole blocks; psi is a view of it
@@ -219,6 +213,20 @@ class PrefixScan:
             self._check_finite(out, substeps)
             runs.append(StateTrajectory(grid=self.grid, psi=out))
         return tuple(runs)
+
+    @staticmethod
+    def _carry(ends, psi, blocks: int) -> np.ndarray:
+        """Start states of the blocks, (2, width): psi carried across each
+        set's block ends ``ends`` (entry lists) one scalar product at a time,
+        so an entry that overflows meets only states that reach it."""
+        starts = np.empty((2, len(ends[0])), dtype=complex)
+        for lo in range(0, starts.shape[1], blocks):
+            s0, s1 = complex(psi[0]), complex(psi[1])
+            for i in range(lo, lo + blocks):
+                starts[:, i] = s0, s1
+                s0, s1 = (ends[0][i] * s0 + ends[1][i] * s1,
+                          ends[2][i] * s0 + ends[3][i] * s1)
+        return starts
 
     def _check_finite(self, out: np.ndarray, substeps) -> None:
         """Raise NonFinite naming the first sample at which a step's stages
@@ -281,7 +289,20 @@ def scan_table(h: np.ndarray, grid: TimeGrid, certify: bool = False
             np.multiply(x[:, 0, None], y[0], out=r)
             np.multiply(x[:, 1, None], y[1], out=t)
             np.add(r, t, out=x)
-    return PrefixScan(grid=grid, h=h, sets=sets, prefix=q)
+        # each block's start: the exclusive product of its set's block ends,
+        # in ceil(log2(blocks - 1)) passes s[i] = s[i] @ s[i - d] (Hillis &
+        # Steele 1986) that never cross from one set into the other
+        ends = q[-1].reshape(2, 2, len(sets), blocks)
+        s = np.empty_like(ends)
+        s[..., 0] = np.eye(2)[..., None]
+        s[..., 1:] = ends[..., :-1]
+        d = 1
+        while d < blocks - 1:
+            x, y = s[..., d:], s[..., :-d]
+            x[...] = x[:, 0, None] * y[0] + x[:, 1, None] * y[1]
+            d *= 2
+    return PrefixScan(grid=grid, h=h, sets=sets, prefix=q,
+                      starts=s.reshape(4, -1))
 
 
 def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int

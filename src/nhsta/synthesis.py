@@ -60,9 +60,10 @@ def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
 def _entries(grid: TimeGrid, delta: np.ndarray, omega: np.ndarray) -> tuple:
     """Entries (h00, h01, h10, h11) of 0.5*[[delta, W],[conj(W), -delta]],
     W an array or a scalar; a non-finite coefficient raises NonFinite
-    naming its first t."""
+    naming its first t (the grid's samples are formed only then)."""
     for name, arr in (("delta", delta), ("omega", omega)):
-        _raise_at_first(grid.samples, ~np.isfinite(arr), name)
+        if not np.isfinite(arr).all():
+            _raise_at_first(grid.samples, ~np.isfinite(arr), name)
     return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
 
 

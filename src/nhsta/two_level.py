@@ -309,7 +309,11 @@ def mixing_angle_path(pulse: PulseSpec, grid: TimeGrid,
     del factors
     turns = -np.cumsum(np.round(np.diff(x) / np.pi))
     x += np.pi * np.concatenate(([0.0], turns))
-    jump = np.hypot(np.diff(x), np.diff(y)) >= 0.5 * np.pi
+    dx, dy = np.diff(x), np.diff(y)
+    dx *= dx
+    dx += dy * dy  # |step|^2, without hypot's slower libm call
+    jump = dx >= (0.5 * np.pi) ** 2
+    del dx, dy
     if np.any(jump):
         k = int(np.argmax(jump)) + 1
         raise BranchJump(

@@ -974,6 +974,26 @@ class TestExitCodes:
             f"[{first}, {last}], not the run window [-1.0, 1.0]"]
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pulse_file_spline_driving_a_negative_rabi_frequency_exits_config(
+            self, tmp_path, capsys, command):
+        # every knot is >= 0.002, but the not-a-knot spline undershoots the
+        # kinks: on the 4000-step run's quarter grid it dips to -0.0061,
+        # first negative at t = -0.49325, where the run would drive with a
+        # sign-flipped Omega_R
+        ts = np.linspace(-1.0, 1.0, 41)
+        omega = np.maximum(0.0, 2.0 / np.cosh(3.0 * ts) - 1.0) + 0.002
+        pulse_file = tmp_path / "pulse.csv"
+        np.savetxt(pulse_file, np.column_stack([ts, omega, 9.0 * np.tanh(ts)]),
+                   delimiter=",")
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--pulse-file",
+                     str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: pulse file {str(pulse_file)!r}: the spline "
+            f"through its Omega_R is negative at t=-0.49325"]
+        assert list(out.glob("*")) == []
+
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_pulse_file_with_fewer_than_four_rows_exits_config(

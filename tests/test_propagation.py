@@ -194,6 +194,16 @@ class TestIntegrate:
         assert 8.0 <= e1 / e2 <= 32.0
         assert 8.0 <= e2 / e3 <= 32.0
 
+    def test_runaway_gain_of_a_zero_amplitude_stays_zero(self):
+        # the block-start products overflow in the gain direction, where
+        # psi0 is exactly 0: the state never grows and the run is finite
+        h = np.array([[0, 0], [0, 2000j]], dtype=complex)
+        grid = TimeGrid(0, 2, 2000)
+        psi0 = np.array([1, 0], dtype=complex)
+        traj = integrate(lambda t: h, psi0, grid)
+        assert np.array_equal(traj.psi, np.tile(psi0, (grid.n_points, 1)))
+        assert convergence_check(lambda t: h, psi0, grid) == 0.0
+
     def test_runaway_gain_raises(self):
         h = np.array([[0, 0], [0, 2000j]], dtype=complex)
         with pytest.raises(NonFinite):
@@ -256,7 +266,10 @@ class TestPropagate:
 
     # 2 and 3: one step per block; 899/900/901: one step short of a whole
     # number of blocks, exactly, one past; 997 prime; 8000 the sweep's rerun.
-    @pytest.mark.parametrize("steps", [2, 3, 899, 900, 901, 997, 8000])
+    # 2, 3, 4, 9, 15, 18, 48, 65 steps make 2, 3, 4, 5, 8, 9, 16, 17 blocks,
+    # the edges of the log-depth pass over the block ends.
+    @pytest.mark.parametrize("steps", [2, 3, 4, 9, 15, 18, 48, 65, 899, 900,
+                                       901, 997, 8000])
     def test_blocked_scan_matches_per_step_rk4(self, steps):
         assert 900 % _block_size(900) == 0
         assert _block_size(899) == _block_size(901) == _block_size(900) > 1
