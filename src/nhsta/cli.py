@@ -29,7 +29,7 @@ from . import __version__
 from .biorthogonal import decompose, reconstruct
 from .config import OPTIONS, ExperimentConfig, build_config
 from .errors import ConfigError, NhStaError
-from .experiments import (CONVERGENCE_BOUND, RESIDUAL_BOUND, run_shortcut,
+from .experiments import (CERTIFIED_BY, RUN_CHECKS, run_shortcut,
                           shortcut_tables, theta_series, zplane_series)
 from .grids import TimeGrid
 from .propagation import integrate  # noqa: F401
@@ -219,12 +219,11 @@ def _flag_uncertified(gamma: float, policy: str, initial: str,
     """Print one stderr line for an uncertified run; True if it was."""
     if metrics["certified"]:
         return False
+    readings = " ".join(f"{key}={metrics[key]:.3e} "
+                        f"(bound {RUN_CHECKS[name][0]:g})"
+                        for key, name in CERTIFIED_BY.items())
     print(f"uncertified: gamma={gamma:g} policy={policy} "
-          f"initial_state={initial} "
-          f"convergence={metrics['convergence']:.3e} "
-          f"(bound {CONVERGENCE_BOUND:g}) "
-          f"max_residual={metrics['max_residual']:.3e} "
-          f"(bound {RESIDUAL_BOUND:g})", file=sys.stderr)
+          f"initial_state={initial} {readings}", file=sys.stderr)
     return True
 
 
@@ -246,9 +245,10 @@ def _population_figure(cfg: ExperimentConfig, command: str,
         run = run_shortcut(pulse, grid, policy=policy, initial_state=initial)
         elapsed = time.perf_counter() - started
         out.emit(name, header, [run.table.grid.samples] + columns(run.amps))
+        metrics = run.metrics
         out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                    wall_time_s=elapsed, regime=regime.value, **run.metrics)
-        uncertified += _flag_uncertified(gamma, policy, initial, run.metrics)
+                    wall_time_s=elapsed, regime=regime.value, **metrics)
+        uncertified += _flag_uncertified(gamma, policy, initial, metrics)
         del run  # free it before the next decay rate's run is built
     out.write_manifest()
     return 1 if uncertified else 0
@@ -308,18 +308,16 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     """
     gammas = cfg.gammas()  # no default decay rates: refuses a missing list
     out = OutputSet(cfg, "sweep")
-    header = ["gamma", "policy", "initial_state", "regime", "g_plus_sq_final",
-              "p0_renorm_final", "p1_final", "max_abs_g_minus", "max_residual",
-              "convergence", "certified"]
     rows: list = []
     uncertified = 0
     for gamma in gammas:
         for policy, initial, elapsed, m in _shared_table_runs(cfg, gamma):
-            rows.append([gamma, policy, initial]
-                        + [m[name] for name in header[3:]])
+            rows.append([gamma, policy, initial, *m.values()])
             out.add_run(gamma=gamma, policy=policy, initial_state=initial,
                         wall_time_s=elapsed, **m)
             uncertified += _flag_uncertified(gamma, policy, initial, m)
+    # the columns after the labels are the metrics, led by the regime
+    header = ["gamma", "policy", "initial_state", *m]
     out.emit("sweep", header, list(map(list, zip(*rows))))
     out.write_manifest()
     return 1 if uncertified else 0
@@ -389,24 +387,8 @@ def _verify_checks(cfg: ExperimentConfig):
     for gamma in cfg.gammas(VERIFY_DEFAULT_GAMMAS):
         run = run_shortcut(cfg.pulse_for(gamma), cfg.grid,
                            policy=POLICY_HERMITIAN)
-        tag = f"gamma={gamma:g}"
-        res = run.table.residual
-        yield (f"nullification-residual[{tag}]", res, RESIDUAL_BOUND,
-               res <= RESIDUAL_BOUND)
-        coupling = run.table.frame_check()
-        yield f"frame-coupling-21[{tag}]", coupling, 1e-6, coupling <= 1e-6
-        rate = run.table.angle_rate
-        yield f"angle-rate[{tag}]", rate, 1e-8, rate <= 1e-8
-        gm = float(np.max(np.abs(run.amps.g_minus)))
-        yield f"max-abs-g-minus[{tag}]", gm, 1e-5, gm <= 1e-5
-        gp_dev = float(np.max(np.abs(run.amps.pop_phi_plus - 1.0)))
-        yield f"g-plus-sq-dev[{tag}]", gp_dev, 0.05, gp_dev <= 0.05
-        closed = float(np.max(np.abs(run.amps.g_plus
-                                     - run.table.closed_form())))
-        yield f"closed-form-vs-ode[{tag}]", closed, 1e-5, closed <= 1e-5
-        conv = run.convergence
-        yield (f"convergence[{tag}]", conv, CONVERGENCE_BOUND,
-               conv <= CONVERGENCE_BOUND)
+        for name, measured, bound, ok in run.checks():
+            yield f"{name}[gamma={gamma:g}]", measured, bound, ok
         del run  # free it before the next decay rate's run is built
 
 

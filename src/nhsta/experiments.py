@@ -5,17 +5,13 @@ grid (so the RK4 stages of the run and of its half-step certification rerun
 are all tabulated), synthesizes the requested supplement policy, writes
 H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
 matrices of the run and of its rerun together.  The angle path, its
-trigonometric functions and H0 do not depend on the policy, so the tables
-of several policies for one pulse share them, and the eigenvalues the first
-table reads off that angle and H0 after its scan.  The shared quarter-grid
-path keeps only dtheta and, if a requested policy reads it, sin(theta);
-the later tables form their checks before their scan, so their run-grid
-H1 is freed first.  The last table of a pulse frees the quarter-grid angle
-path once its supplement is formed and H0 once its kernel table is
-written, so its scan and runs hold only run-grid data and that table.  A
-run applies a table to one initial state: it propagates the bare-basis
+trigonometric functions, H0 and the eigenvalues do not depend on the
+policy, so the tables of several policies for one pulse share them
+(:func:`shortcut_tables` says what each table holds and frees, and when).
+A run applies a table to one initial state: it propagates the bare-basis
 state and keeps the raw/modified amplitudes and populations projected
-from it.
+from it.  :data:`RUN_CHECKS` is the one place a run's checks live: their
+names, bounds and readings, which ``verify`` and a run's ``metrics`` read.
 """
 from __future__ import annotations
 
@@ -47,10 +43,22 @@ from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 POLICIES = (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO)
 INITIAL_STATES = (INITIAL_EIGEN_PLUS, INITIAL_BARE_GROUND)
 
-#: a run is certified when its step-halving gap and its nullification
-#: residual are within these bounds
-CONVERGENCE_BOUND = 1e-7
-RESIDUAL_BOUND = 1e-10
+#: The per-run checks in the order ``verify`` prints them: name -> (bound,
+#: reading of a ShortcutRun).  A check measures its reading's largest
+#: modulus; only ``verify`` asks for the frame check and the closed form.
+RUN_CHECKS = {
+    "nullification-residual": (1e-10, lambda run: run.table.residual),
+    "frame-coupling-21": (1e-6, lambda run: run.table.frame_check()),
+    "angle-rate": (1e-8, lambda run: run.table.angle_rate),
+    "max-abs-g-minus": (1e-5, lambda run: run.amps.g_minus),
+    "g-plus-sq-dev": (0.05, lambda run: run.amps.pop_phi_plus - 1.0),
+    "closed-form-vs-ode": (1e-5, lambda run: run.amps.g_plus
+                           - run.table.closed_form()),
+    "convergence": (1e-7, lambda run: run.convergence),
+}
+#: the checks a certified run passes: metrics key -> check, in print order
+CERTIFIED_BY = {"convergence": "convergence",
+                "max_residual": "nullification-residual"}
 
 
 class ShortcutTable:
@@ -112,20 +120,30 @@ class ShortcutRun:
                  convergence: float):
         self.table, self.amps, self.convergence = table, amps, convergence
 
+    def measure(self, name: str) -> float:
+        """Check ``name`` of :data:`RUN_CHECKS` measured on this run."""
+        return float(np.abs(RUN_CHECKS[name][1](self)).max())
+
+    def checks(self) -> Iterator[tuple]:
+        """Each of RUN_CHECKS in order as (name, measured, bound, passed)."""
+        for name, (bound, _) in RUN_CHECKS.items():
+            measured = self.measure(name)
+            yield name, measured, bound, measured <= bound
+
     @property
     def metrics(self) -> dict:
         """End-of-run scalars for sweep tables and manifests."""
-        residual = self.table.residual
-        return {
+        metrics = {
             "g_plus_sq_final": float(np.abs(self.amps.g_plus[-1]) ** 2),
             "p0_renorm_final": float(self.amps.pop_bare_0_renorm[-1]),
             "p1_final": float(self.amps.pop_bare_1[-1]),
-            "max_abs_g_minus": float(np.max(np.abs(self.amps.g_minus))),
-            "max_residual": residual,
-            "convergence": self.convergence,
-            "certified": bool(self.convergence <= CONVERGENCE_BOUND
-                              and residual <= RESIDUAL_BOUND),
+            "max_abs_g_minus": self.measure("max-abs-g-minus"),
+            "max_residual": self.measure("nullification-residual"),
+            "convergence": self.measure("convergence"),
         }
+        metrics["certified"] = all(metrics[key] <= RUN_CHECKS[name][0]
+                                   for key, name in CERTIFIED_BY.items())
+        return metrics
 
 
 def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
@@ -253,7 +271,7 @@ def theta_series(pulse: PulseSpec, grid: TimeGrid) -> dict:
 
 
 __all__ = [
-    "POLICIES", "INITIAL_STATES", "CONVERGENCE_BOUND",
-    "RESIDUAL_BOUND", "ShortcutRun", "ShortcutTable", "shortcut_tables",
-    "run_shortcut", "zplane_series", "theta_series",
+    "POLICIES", "INITIAL_STATES", "RUN_CHECKS", "CERTIFIED_BY",
+    "ShortcutRun", "ShortcutTable", "shortcut_tables", "run_shortcut",
+    "zplane_series", "theta_series",
 ]

@@ -2,6 +2,7 @@
 import ast
 import hashlib
 import json
+import re
 import sys
 from hashlib import sha256
 from pathlib import Path
@@ -28,6 +29,20 @@ def read_csv(path):
                 cols[name].append(cell)
     return {k: (np.array(v) if not isinstance(v[0], str) else v)
             for k, v in cols.items()}
+
+
+def assert_uncertified_line(line, gamma, policy, initial, run):
+    """``line`` is the whole stderr line of one uncertified run: its labels,
+    then the gap and the residual at %.3e with their bounds, as in the
+    manifest entry ``run``."""
+    number = r"(\d\.\d{3}e[+-]\d{2})"
+    match = re.fullmatch(
+        rf"uncertified: gamma={re.escape(gamma)} policy={policy} "
+        rf"initial_state={initial} convergence={number} \(bound 1e-07\) "
+        rf"max_residual={number} \(bound 1e-10\)", line)
+    assert match, line
+    assert match.groups() == (f"{run['convergence']:.3e}",
+                              f"{run['max_residual']:.3e}")
 
 
 def closed_form_callers(monkeypatch):
@@ -575,9 +590,8 @@ class TestFigure3:
         assert [e["path"] for e in manifest["files"]] == ["figure3_gamma2.1.csv"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("uncertified: gamma=2.1 "
-                                 "policy=hermitian-realizable "
-                                 "initial_state=eigen-plus ")
+        assert_uncertified_line(err[0], "2.1", "hermitian-realizable",
+                                "eigen-plus", manifest["runs"][0])
 
     def test_window_after_the_crossing_keeps_g_plus_at_one(self, tmp_path,
                                                           capsys):
@@ -659,8 +673,8 @@ class TestSweep:
         assert [run["certified"] for run in runs] == [True, False]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("uncertified: gamma=2.1 "
-                                 "policy=hermitian-realizable")
+        assert_uncertified_line(err[0], "2.1", "hermitian-realizable",
+                                "eigen-plus", runs[1])
 
     def test_supercritical_row_emitted(self, tmp_path):
         # 2000 steps certify gamma = 3 (1000 leave a step-halving gap of

@@ -1,5 +1,6 @@
-"""The README's library quick start runs as written, and its example
-configuration file is one the CLI reads."""
+"""The README's library quick start runs as written, its example
+configuration file is one the CLI reads, and its table of run checks and
+its certified rule are the package's."""
 import contextlib
 import io
 import re
@@ -37,3 +38,19 @@ def test_example_config_parses_validates_and_names_options(tmp_path):
     keys = [line.split("=", 1)[0].strip()
             for line in block.group(1).splitlines()[1:] if line.strip()]
     assert keys and set(keys) <= {name for name, *_ in OPTIONS}
+
+
+def test_run_checks_table_and_certified_rule_match_the_package():
+    from nhsta.experiments import CERTIFIED_BY, RUN_CHECKS
+    text = README.read_text()
+    table = text[text.index("| check | bound | what it reads |"):]
+    rows = re.findall(r"^\| `([a-z0-9-]+)\[gamma=…\]` \| ([^ |]+) \|",
+                      table.split("\n\n")[0], re.MULTILINE)
+    assert [(name, float(bound)) for name, bound in rows] == [
+        (name, bound) for name, (bound, _) in RUN_CHECKS.items()]
+    start = text.index("A run is *certified* when")
+    rule = text[start:text.index(";", start)]
+    named = re.findall(r"`([a-z0-9-]+)` check.*?is at most (\S+)", rule,
+                       re.DOTALL)
+    assert [(name, float(bound)) for name, bound in named] == [
+        (name, RUN_CHECKS[name][0]) for name in CERTIFIED_BY.values()]

@@ -2,11 +2,13 @@
 it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
-names are spelled in one module, no run takes a branch regime, and every
-record field is read somewhere in the package."""
+names and the run check names are each spelled in one module, no run takes
+a branch regime, and every record field is read somewhere in the
+package."""
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 from collections import Counter
 from pathlib import Path
@@ -21,15 +23,22 @@ from nhsta import config, experiments, propagation, two_level
 from nhsta.grids import TimeGrid
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
+COMPARE_TREES = (Path(__file__).resolve().parents[1] / "tools"
+                 / "compare_trees.py")
 MODULES = [importlib.import_module(f"nhsta.{info.name}")
            for info in pkgutil.iter_modules(nhsta.__path__)]
 
 
-def load_patches():
-    spec = importlib.util.spec_from_file_location("trace_child", TRACE_CHILD)
+def load_script(path):
+    """The script at ``path``, imported as a module of its own name."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.PATCHES
+    return module
+
+
+def load_patches():
+    return load_script(TRACE_CHILD).PATCHES
 
 
 def test_trace_patches_resolve():
@@ -223,6 +232,35 @@ def test_policy_names_are_spelled_once():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and any(name in node.value for name in names)]
     assert sorted(found) == sorted(("nhsta.synthesis", name) for name in names)
+
+
+def test_run_check_names_are_spelled_once():
+    # the seven per-run check names are string literals in experiments,
+    # in its table of checks, and every other module reads that table
+    names = ("nullification-residual", "frame-coupling-21", "angle-rate",
+             "max-abs-g-minus", "g-plus-sq-dev", "closed-form-vs-ode",
+             "convergence")
+    found = {(module.__name__, name) for module in [nhsta] + MODULES
+             for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             for name in names
+             if node.value == name or node.value.startswith(name + "[")}
+    assert found == {("nhsta.experiments", name) for name in names}
+    assert tuple(experiments.RUN_CHECKS) == names
+
+
+def test_benchmark_certifies_rows_with_the_run_check_bounds():
+    # bench/run.py keeps its own copies of the two bounds that certify a
+    # row; they must stay those of the table
+    tree = ast.parse((TRACE_CHILD.parent / "run.py").read_text())
+    found = {target.id: node.value.value for node in tree.body
+             if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant)
+             for target in node.targets if isinstance(target, ast.Name)}
+    bounds = {name: experiments.RUN_CHECKS[name][0]
+              for name in experiments.CERTIFIED_BY.values()}
+    assert bounds == {"convergence": found["CONVERGENCE_BOUND"],
+                      "nullification-residual": found["RESIDUAL_BOUND"]}
 
 
 def test_one_propagation_path(monkeypatch):
@@ -420,3 +458,48 @@ def test_no_numeric_theta_rate_and_no_scipy():
               for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
               if isinstance(node, ast.Attribute) and node.attr == "gradient"]
     assert found == []
+
+
+def write_outputs(path, cell, manifest_extra):
+    """A hand-made output directory: one CSV table whose middle cell of
+    ``x`` is ``cell``, and a manifest."""
+    path.mkdir()
+    (path / "t.csv").write_text(f"t,x,label\n0,1.5,a\n1,{cell},b\n"
+                                "2,nan,c\n")
+    (path / "t_manifest.json").write_text(json.dumps(
+        {"config": {"steps": 4000, **manifest_extra},
+         "runs": [{"gamma": 1.0, **manifest_extra}]}))
+
+
+def test_compare_trees_reports_only_what_moved(tmp_path):
+    tool = load_script(COMPARE_TREES)
+    write_outputs(tmp_path / "parent", "-2", {"wall_time_s": 0.1,
+                                              "out": "a"})
+    # another run time and output directory alone are no difference
+    write_outputs(tmp_path / "same", "-2", {"wall_time_s": 0.2, "out": "b"})
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "same") == []
+    write_outputs(tmp_path / "moved", "-2.5", {"wall_time_s": 0.1,
+                                               "out": "a", "seed": 1})
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "moved") == [
+        "t.csv: column x: max abs move 5.000e-01, max rel move 2.500e-01",
+        "t_manifest.json: .config.seed differs",
+        "t_manifest.json: .runs[0].seed differs"]
+    (tmp_path / "moved" / "extra.csv").write_text("t\n0\n")
+    assert "extra.csv: only in change" in tool.compare_dirs(
+        tmp_path / "parent", tmp_path / "moved")
+
+
+def test_compare_trees_reports_status_streams_and_checks():
+    tool = load_script(COMPARE_TREES)
+    parent = (1, "PASS  a[gamma=1]  measured=1e-12  bound=1e-10\n"
+                 "FAIL  b[gamma=1]  measured=1e-03  bound=1e-06\n", "")
+    assert tool.compare_runs(parent, parent) == []
+    change = (0, parent[1].replace("FAIL  b", "PASS  b"), "note\n")
+    assert tool.compare_runs(parent, change) == [
+        "exit status 1 -> 0", "check b[gamma=1]: FAIL -> PASS",
+        "stdout: 1 line(s) differ, first ['FAIL  b[gamma=1]  measured=1e-03"
+        "  bound=1e-06'] -> ['PASS  b[gamma=1]  measured=1e-03  "
+        "bound=1e-06']",
+        "stderr: 1 line(s) differ, first [] -> ['note']"]
+    # every corpus invocation is a command the CLI knows
+    assert {args[0] for args in tool.CORPUS} <= set(nhsta.cli.COMMANDS)
