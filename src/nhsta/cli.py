@@ -8,8 +8,9 @@ other package error (non-finite values, branch tracking, degeneracy, ...).
 module does not): see :func:`_tune_process`.  ``json`` and the SHA-256 of
 the tables the manifest lists (:func:`_sha256`, the interpreter's built-in
 module, so OpenSSL is never loaded) are imported where a file is written,
-so ``verify`` loads neither.  A CSV table is formatted, written and hashed
-in blocks of rows, so its text is never held whole.
+so ``verify`` loads neither.  A CSV table is formatted by one ``%`` per
+block of rows, and written and hashed block by block, so its text is never
+held whole.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import gc
 import random
 import sys
 import time
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -44,14 +45,6 @@ FIGURE4_DEFAULT_GAMMAS = (1.0,)
 VERIFY_DEFAULT_GAMMAS = (0.1, 0.3, 1.0, 3.0)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(value)
-    return f"{float(value):.17g}"
-
-
 def _sha256():
     """A new SHA-256 hasher.
 
@@ -71,21 +64,25 @@ def _sha256():
 
 
 #: rows of a CSV table formatted, written and hashed at a time
-CSV_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 1024
 
 
 def _csv_blocks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
     """The bytes of a CSV table in blocks of up to CSV_BLOCK_ROWS rows, the
-    header line leading the first, so no block is empty."""
-    rows = zip(*columns)
-    lines = [",".join(header)]
+    header line leading the first, so no block is empty.  A block is one
+    ``%`` operation; a column's cells share the format of its first: ``%s``
+    for text, integers and Python bools, ``%.17g`` for other numbers."""
+    line = ",".join("%s" if isinstance(v, (str, int, np.integer)) else "%.17g"
+                    for v in next(zip(*columns), ())) + "\n"
+    rows, lines = zip(*columns), line * CSV_BLOCK_ROWS
+    text = ",".join(header) + "\n"
     while True:
-        lines += (",".join(_fmt(v) for v in row)
-                  for row in islice(rows, CSV_BLOCK_ROWS))
-        if not lines:
+        cells = tuple(chain.from_iterable(islice(rows, CSV_BLOCK_ROWS)))
+        text += lines[:len(cells) // len(columns) * len(line)] % cells
+        if not text:
             return
-        yield ("\n".join(lines) + "\n").encode()
-        lines = []
+        yield text.encode()
+        text = ""
 
 
 def _write(path: Path, blocks: Iterable[bytes], what: str,
@@ -121,16 +118,16 @@ class OutputSet:
 
     def emit(self, name: str, header: Sequence[str], columns: Sequence) -> Path:
         """Write one table, a CSV streamed in blocks, and record its
-        SHA-256 for the manifest."""
-        cols = [np.asarray(c) if not isinstance(c, (list, tuple)) else c
-                for c in columns]
+        SHA-256 for the manifest.  The cells of a column share one type."""
         path = self.dir / f"{name}.{self.fmt}"
         if self.fmt == "csv":
-            blocks = _csv_blocks(header, cols)
+            blocks = _csv_blocks(header, columns)
         else:
             import json
-            rows = [[v if isinstance(v, (str, bool)) else float(v)
-                     for v in row] for row in zip(*cols)]
+            # text, Python bools and floats kept; other numbers made floats
+            rows = list(zip(*(
+                c if not len(c) or isinstance(c[0], (str, bool, float))
+                else np.asarray(c, dtype=float) for c in columns)))
             blocks = [(json.dumps({"columns": list(header), "rows": rows},
                                   indent=1) + "\n").encode()]
         digest = _sha256()

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhsta.cli import COMMANDS, _fmt, build_parser, main
+from nhsta.cli import CSV_BLOCK_ROWS, COMMANDS, OutputSet, build_parser, main
 from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
                           parse_config_file)
 from nhsta.errors import ConfigError, NhStaError
@@ -146,6 +146,67 @@ def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
     assert digests("fallback") == digests("builtin")
 
 
+def fmt_cell(value) -> str:
+    """One CSV cell formatted on its own: the reference for the bytes of the
+    block format.  Text and integers (Python bools included) as ``str``
+    writes them, any other number as ``%.17g`` of its float value."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return f"{float(value):.17g}"
+
+
+def one_shot_csv(header, columns) -> bytes:
+    """A whole CSV table, every cell formatted by :func:`fmt_cell`."""
+    lines = [",".join(header)]
+    lines += [",".join(map(fmt_cell, row)) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+EDGE_FLOATS = [-0.0, np.inf, -np.inf, np.nan, 5e-324,
+               1.7976931348623157e308, 0.1]
+
+
+def every_cell_type(rows):
+    """Header and columns of a table with one column per cell type a table
+    may hold, each cycling through its own values."""
+    def cycle(values):
+        return [values[i % len(values)] for i in range(rows)]
+    columns = {
+        "label%s": cycle(["sub-critical", "50%", "%.17g"]),
+        "flag": cycle([True, False]),
+        "count": cycle([0, -3, 2 ** 70]),
+        "count64": np.array(cycle([0, -7, 2 ** 63 - 1]), dtype=np.int64),
+        "flag_np": np.array(cycle([True, False]), dtype=np.bool_),
+        "x": cycle(EDGE_FLOATS),
+        "y": np.array(cycle(EDGE_FLOATS[::-1]), dtype=np.float64),
+    }
+    return list(columns), list(columns.values())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS + 1],
+                         ids=["header-only", "one-row", "block-plus-one"])
+def test_every_cell_type_is_written_as_cell_by_cell(tmp_path, fmt, rows):
+    # the CSV bytes are those of each cell formatted on its own; the JSON
+    # bytes those of json.dumps of every number but a bool made a float
+    header, columns = every_cell_type(rows)
+    cfg = build_config(out=str(tmp_path), format=fmt)
+    out = OutputSet(cfg, "cells")
+    path = out.emit("cells", header, columns)
+    if fmt == "csv":
+        want = one_shot_csv(header, columns)
+    else:
+        table = [[v if isinstance(v, (str, bool)) else float(v) for v in row]
+                 for row in zip(*columns)]
+        want = (json.dumps({"columns": header, "rows": table}, indent=1)
+                + "\n").encode()
+    assert path.read_bytes() == want
+    assert out.files == [{"path": f"cells.{fmt}",
+                          "sha256": sha256(want).hexdigest()}]
+
+
 class TestStreamedTables:
     """A CSV table is formatted, written and hashed in blocks of rows; its
     bytes and digest are those of the whole table encoded at once."""
@@ -156,11 +217,6 @@ class TestStreamedTables:
     def columns(rows):
         t = np.linspace(-1.0, 1.0, rows)
         return [t, np.sin(7.0 * t) * 1e-3, ["sub-critical"] * rows]
-
-    def one_shot(self, columns):
-        lines = [",".join(self.HEADER)]
-        lines += [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-        return ("\n".join(lines) + "\n").encode()
 
     @pytest.mark.parametrize("blocks", [0, 1, 2, 2.5],
                              ids=["header-only", "one-block", "two-blocks",
@@ -182,7 +238,7 @@ class TestStreamedTables:
         monkeypatch.setattr(cli, "_write", counted)
         out = cli.OutputSet(cfg, "stream")
         path = out.emit("table", self.HEADER, columns)
-        want = self.one_shot(columns)
+        want = one_shot_csv(self.HEADER, columns)
         assert path.read_bytes() == want
         assert out.files == [{"path": "table.csv",
                               "sha256": sha256(want).hexdigest()}]

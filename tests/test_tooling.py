@@ -489,6 +489,33 @@ def test_compare_trees_reports_only_what_moved(tmp_path):
         tmp_path / "parent", tmp_path / "moved")
 
 
+def write_json_table(path, cell, label):
+    """A hand-made output directory holding one JSON table whose middle
+    cell of ``x`` is ``cell`` and whose last label is ``label``."""
+    path.mkdir()
+    (path / "t.json").write_text(json.dumps(
+        {"columns": ["t", "x", "label", "ok"],
+         "rows": [[0.0, 1.5, "a", True], [1.0, cell, "b", False],
+                  [2.0, float("nan"), label, True]]}, indent=1) + "\n")
+
+
+def test_compare_trees_reads_json_tables_by_column(tmp_path):
+    tool = load_script(COMPARE_TREES)
+    write_json_table(tmp_path / "parent", -2.0, "c")
+    write_json_table(tmp_path / "same", -2.0, "c")
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "same") == []
+    write_json_table(tmp_path / "moved", -2.5, "d")
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "moved") == [
+        "t.json: column x: max abs move 5.000e-01, max rel move 2.500e-01",
+        "t.json: column label: 1 cell(s) differ"]
+    # the same values spelled otherwise are no move, but still bytes
+    (tmp_path / "spelled").mkdir()
+    (tmp_path / "spelled" / "t.json").write_text(
+        (tmp_path / "parent" / "t.json").read_text().replace("-2.0", "-2"))
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "spelled") == [
+        "t.json: bytes differ"]
+
+
 def test_compare_trees_reports_status_streams_and_checks():
     tool = load_script(COMPARE_TREES)
     parent = (1, "PASS  a[gamma=1]  measured=1e-12  bound=1e-10\n"

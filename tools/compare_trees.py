@@ -8,10 +8,10 @@ under ``src/``).  Every invocation of :data:`CORPUS` runs as a child
 process in both trees, one at a time, each in its own empty working
 directory with ``--out out``.  The report names, per invocation, a
 differing exit status, stdout, stderr and ``verify`` PASS/FAIL line, and
-for every emitted table whose bytes differ, the largest absolute and
-relative move per column.  Manifests are compared as JSON without their
-``wall_time_s`` and ``out`` entries.  The exit status is 0 when nothing
-differs and 1 otherwise.  Only the stdlib and numpy are used.
+for every emitted table, CSV or JSON, whose bytes differ, the largest
+absolute and relative move per column.  Manifests are compared as JSON
+without their ``wall_time_s`` and ``out`` entries.  The exit status is 0
+when nothing differs and 1 otherwise.  Only the stdlib and numpy are used.
 """
 import json
 import os
@@ -53,6 +53,9 @@ CORPUS = [
     ["sweep", "--gamma", "0.3,1,3", *ALL_POLICIES],  # the sweep18 workload
     ["sweep", "--gamma", "2.1,2.5,18,20,25,30", *ALL_POLICIES],
     ["verify"],
+    # the JSON emitter's dense, population and sweep tables
+    ["figure1", "--format", "json"], ["figure3", "--format", "json"],
+    ["sweep", "--gamma", "0.3,1,3", *ALL_POLICIES, "--format", "json"],
     *([command, *flags] for flags in GAP_TABLE
       for command in ("figure3", "verify")),
 ]
@@ -132,12 +135,22 @@ def _csv_columns(text: str) -> tuple:
     return lines[0].split(","), len(cells), list(zip(*cells))
 
 
-def column_moves(parent: str, change: str) -> list:
-    """Per column of two CSV tables with one header: the largest absolute
-    and relative move of a numeric column, or the count of differing cells
-    of a text column."""
-    (head_a, rows_a, cols_a), (head_b, rows_b, cols_b) = (
-        _csv_columns(parent), _csv_columns(change))
+def _json_columns(text: str) -> tuple:
+    """(header, rows, columns) of a JSON table, from its ``columns`` and
+    ``rows``."""
+    table = json.loads(text)
+    return table["columns"], len(table["rows"]), list(zip(*table["rows"]))
+
+
+#: file suffix -> reader of a table's (header, rows, columns)
+TABLE_READERS = {".csv": _csv_columns, ".json": _json_columns}
+
+
+def column_moves(parent: tuple, change: tuple) -> list:
+    """Per column of two tables, each (header, rows, columns) with one
+    header: the largest absolute and relative move of a numeric column, or
+    the count of differing cells of a text column."""
+    (head_a, rows_a, cols_a), (head_b, rows_b, cols_b) = parent, change
     if head_a != head_b:
         return [f"header {head_a} -> {head_b}"]
     if rows_a != rows_b:
@@ -181,8 +194,9 @@ def compare_dirs(parent: Path, change: Path) -> list:
             if len(paths) > 3:
                 diffs.append(f"{name}: {len(paths) - 3} more entries differ")
         elif a != b:
-            moves = (column_moves(a.decode(), b.decode())
-                     if name.endswith(".csv") else [])
+            read = TABLE_READERS.get(Path(name).suffix)
+            moves = (column_moves(read(a.decode()), read(b.decode()))
+                     if read else [])
             diffs += [f"{name}: {m}" for m in moves or ["bytes differ"]]
     return diffs
 
