@@ -5,7 +5,8 @@ closed early, 2 configuration error (non-finite numbers included), 3 any
 other package error (non-finite values, branch tracking, degeneracy, ...).
 
 ``main`` also tunes its own process before the command runs (importing this
-module does not): see :func:`_tune_process`.  ``json`` and the SHA-256 of
+module does not; importing the package only pauses the collector, see
+``nhsta``): see :func:`_tune_process`.  ``json`` and the SHA-256 of
 the tables the manifest lists (:func:`_sha256`, the interpreter's built-in
 module, so OpenSSL is never loaded) are imported where a file is written,
 so ``verify`` loads neither.  A CSV table is formatted by one ``%`` per
@@ -438,13 +439,15 @@ def _tune_process() -> None:
 
     ``gc.freeze()`` moves every object alive now (numpy, argparse and the
     package, about 22k objects) into the permanent generation, so neither
-    the run's own collections nor the final one at exit traverse them.  It
-    runs only while nothing is frozen: a second ``main`` in one process
-    would otherwise freeze whatever its caller left alive, garbage
-    included, never to be collected.  On glibc, raising the trim and mmap
-    thresholds keeps the pages freed with one table mapped for the next,
-    instead of returning them to the kernel and faulting them in again.
-    Where the C library has no ``mallopt`` that step is skipped.
+    the run's own collections nor the final one at exit traverse them.
+    The package's import has already moved its objects to the oldest
+    generation, so the cycles numpy's import left unreachable are frozen
+    here too.  It runs only while nothing is frozen: a second ``main`` in
+    one process would otherwise freeze whatever its caller left alive,
+    garbage included, never to be collected.  On glibc, raising the trim
+    and mmap thresholds keeps the pages freed with one table mapped for the
+    next, instead of returning them to the kernel and faulting them in
+    again.  Where the C library has no ``mallopt`` that step is skipped.
     """
     if not gc.get_freeze_count():
         gc.freeze()
@@ -472,7 +475,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The reader closed stdout early (e.g. `nh-sta verify | head`): send
         # what is still buffered to devnull so the exit flush stays quiet.
         import os
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -306,6 +306,20 @@ def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
     assert b"BrokenPipeError" not in stderr
 
 
+def test_closed_stdout_leaks_no_descriptor(tmp_path, monkeypatch):
+    import os
+    fds = Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count descriptors")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = len(list(fds.iterdir()))
+        status = main(["verify", "--gamma", "0.3", "--out", str(tmp_path)])
+        assert (status, len(list(fds.iterdir()))) == (1, before)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
 def test_manifest_lists_files_with_checksums(tmp_path, command, fmt):
@@ -333,14 +347,52 @@ class TestProcessTuning:
         status = main(self.SWEEP + ["--out", str(out)])
         return status, (out / "sweep.csv").read_bytes()
 
-    def test_import_freezes_nothing(self):
+    @staticmethod
+    def child(code):
+        """What a fresh interpreter running ``code`` prints, stripped."""
         import subprocess
         import sys
-        code = ("import nhsta, nhsta.cli, gc; "
-                "print(gc.get_freeze_count())")
-        done = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "0"
+        return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    def test_import_freezes_nothing(self):
+        code = "import nhsta, nhsta.cli, gc; print(gc.get_freeze_count())"
+        assert self.child(code) == "0"
+
+    def test_import_makes_no_collector_pass(self):
+        code = ("import gc\n"
+                "passes = []\n"
+                "gc.callbacks.append(lambda phase, info: passes.append(phase))\n"
+                "import nhsta\n"
+                "print(passes.count('start'))")
+        assert self.child(code) == "0"
+
+    @pytest.mark.parametrize("setup", ["", "gc.disable()",
+                                       "gc.set_threshold(500, 5, 5)"])
+    def test_import_leaves_the_collector_as_found(self, setup):
+        code = (f"import gc\n{setup}\n"
+                "before = gc.isenabled(), gc.get_threshold()\n"
+                "import nhsta\n"
+                "print(before == (gc.isenabled(), gc.get_threshold()),"
+                " gc.get_freeze_count())")
+        assert self.child(code) == "True 0"
+
+    def test_import_keeps_a_callers_frozen_objects(self):
+        code = ("import gc\n"
+                "gc.freeze()\n"
+                "frozen = gc.get_freeze_count()\n"
+                "import nhsta\n"
+                "print(frozen > 0, gc.get_freeze_count() == frozen)")
+        assert self.child(code) == "True True"
+
+    def test_failed_import_reenables_the_collector(self):
+        code = ("import gc, sys\n"
+                "sys.modules['nhsta.synthesis'] = None\n"
+                "try:\n"
+                "    import nhsta\n"
+                "except ImportError:\n"
+                "    print(gc.isenabled())")
+        assert self.child(code) == "True"
 
     def test_child_process_sweep_matches_in_process(self, tmp_path):
         import subprocess

@@ -3,8 +3,8 @@ it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
 names and the run check names are each spelled in one module, no run takes
-a branch regime, and every record field is read somewhere in the
-package."""
+a branch regime, every record field is read somewhere in the package, and
+the garbage collector is tuned in two places only."""
 import ast
 import importlib
 import importlib.util
@@ -87,6 +87,36 @@ def test_import_runs_no_generated_code(cli_import_modules):
                if isinstance(value, type)
                and hasattr(value, "__dataclass_fields__")]
     assert records == []
+
+
+def collector_uses(module):
+    """The enclosing function (None at module level) of each attribute read
+    on the ``gc`` module, under any name it is imported as, and of each
+    ``from gc import`` in ``module``."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             for alias in node.names if alias.name == "gc"}
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) in names
+                or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return set(visit(tree, None))
+
+
+def test_collector_is_tuned_in_two_places():
+    # the process-tuning policy the README documents lives in the import
+    # guard of nhsta/__init__.py and in cli._tune_process, nowhere else
+    uses = {(module.__name__, function) for module in [nhsta] + MODULES
+            for function in collector_uses(module)}
+    assert uses == {("nhsta", None), ("nhsta.cli", "_tune_process")}
 
 
 def kept_imports(module):
