@@ -1,13 +1,13 @@
 """Experiment configuration.  ``OPTIONS`` declares each option once; the
 CLI's flags, the keys of a flat ``key = value`` file, ``ExperimentConfig``'s
-fields and the manifest's echo of them all come from it."""
+fields and the manifest's echo of them all come from it.  The file readers
+live in :mod:`nhsta.readers`, loaded for ``--pulse-file`` or ``--config``."""
 from __future__ import annotations
 
 import math
 import os
-import warnings
-from functools import cached_property, partial
-from pathlib import Path
+import sys
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .grids import TimeGrid
 from .propagation import INITIAL_EIGEN_PLUS
 from .synthesis import POLICY_HERMITIAN
-from .two_level import PulseSpec, allen_eberly, classify_regime
+from .two_level import BranchRegime, PulseSpec, allen_eberly, classify_regime
 from .experiments import INITIAL_STATES, POLICIES
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -120,7 +120,7 @@ class ExperimentConfig:
             _refuse_repeats(what, values)
         # gammas() refuses an explicit empty list; defaults need no check
         gammas = () if self.gamma_list is None else self.gammas()
-        # the comparisons above let NaN and +inf through, and classify_regime
+        # the comparisons above let NaN and +inf through, and regime_for
         # below raises ValueError on them
         numbers = [("omega0", self.omega0), ("delta0", self.delta0),
                    ("tau", self.tau), ("t0", t0), ("t_final", t_f)]
@@ -149,8 +149,7 @@ class ExperimentConfig:
         for g in gammas:
             if g < 0:
                 raise ConfigError(f"gamma must be >= 0, got {g}")
-            # surfaces DegenerateRegime for gamma on the critical line
-            classify_regime(self.peak_omega, g)
+            self.regime_for(g)  # DegenerateRegime on the critical line
 
     @property
     def policies(self) -> tuple:
@@ -171,7 +170,8 @@ class ExperimentConfig:
     @cached_property
     def pulse_table(self) -> np.ndarray:
         """Columns (t, Omega_R, Delta) of the pulse file, read once."""
-        return load_pulse_file(self.pulse_file)
+        # looked up on the module, where the benchmark tracer wraps it
+        return sys.modules[__name__].load_pulse_file(self.pulse_file)
 
     @property
     def peak_omega(self) -> float:
@@ -183,6 +183,7 @@ class ExperimentConfig:
     @cached_property
     def pulse_splines(self) -> tuple:
         """(value, rate) of the splines through Omega_R and Delta, fitted once."""
+        from .readers import cubic_spline
         ts, oms, dls = self.pulse_table
         return cubic_spline(ts, oms), cubic_spline(ts, dls)
 
@@ -194,117 +195,10 @@ class ExperimentConfig:
         (omega_r, d_omega_r), (delta, d_delta) = self.pulse_splines
         return PulseSpec(omega_r, delta, d_omega_r, d_delta, gamma)
 
-
-def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple:
-    """(value, rate) functions of the not-a-knot cubic spline through (x, y),
-    for at least four increasing knots (de Boor, *A Practical Guide to
-    Splines*, 1978).  A Thomas recurrence solves the tridiagonal system for
-    the knot slopes s; its pivots stay positive for any knot spacing."""
-    h = np.diff(x)
-    m = np.diff(y) / h  # chord slopes
-    d0, d1 = h[0] + h[1], h[-1] + h[-2]
-    sub = np.r_[h[1:], d1].tolist()  # coefficient of s[i - 1] in row i
-    diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]].tolist()
-    sup = np.r_[d0, h[:-1]].tolist()  # coefficient of s[i + 1] in row i
-    s = np.r_[((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
-              3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
-              (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
-              ].tolist()
-    for i in range(1, len(s)):
-        w = sub[i - 1] / diag[i - 1]
-        diag[i] -= w * sup[i - 1]
-        s[i] -= w * s[i - 1]
-    s[-1] /= diag[-1]
-    for i in range(len(s) - 2, -1, -1):
-        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
-    s = np.array(s)
-    # piece k is y[k] + s[k]*u + c2[k]*u**2 + c3[k]*u**3 with u = t - x[k];
-    # the last knot's piece is its tangent, so every knot is read at u = 0
-    c2 = np.r_[(3.0 * m - 2.0 * s[:-1] - s[1:]) / h, 0.0]
-    c3 = np.r_[(s[:-1] + s[1:] - 2.0 * m) / h**2, 0.0]
-
-    def spline(t, order):
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(h))
-        u = t - x[k]
-        if order:
-            return s[k] + u * (2.0 * c2[k] + 3.0 * u * c3[k])
-        return y[k] + u * (s[k] + u * (c2[k] + u * c3[k]))
-
-    return partial(spline, order=0), partial(spline, order=1)
-
-
-def load_pulse_file(path: str) -> np.ndarray:
-    """The checked columns (t, Omega_R, Delta) of a three-column pulse
-    table, shape (3, rows)."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"pulse file {path!r} not found")
-    if not p.is_file():
-        raise ConfigError(f"pulse file {path!r} is not a file")
-    try:
-        with warnings.catch_warnings():  # an empty table is refused below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(p, delimiter=",", ndmin=2)
-            except ValueError:
-                data = np.loadtxt(p, ndmin=2)
-    except ValueError:
-        raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
-                          f"or a header row") from None
-    except OSError as exc:
-        raise ConfigError(f"pulse file {path!r} cannot be read: "
-                          f"{exc.strerror}") from None
-    if data.size == 0:
-        raise ConfigError(f"pulse file {path!r} holds no rows")
-    if data.shape[1] < 3:
-        raise ConfigError(f"pulse file {path!r} must have columns t, Omega_R, Delta")
-    if len(data) < 4:  # a not-a-knot cubic spline needs four knots
-        raise ConfigError(f"pulse file {path!r} needs at least 4 rows for a "
-                          f"cubic spline, got {len(data)}")
-    ts, oms, dls = data[:, 0], data[:, 1], data[:, 2]
-    if np.any(np.diff(ts) <= 0):
-        raise ConfigError("pulse file times must be strictly increasing")
-    if np.any(oms < 0):
-        raise ConfigError("pulse file Rabi frequencies must be >= 0")
-    if not np.all(np.isfinite(data[:, :3])):
-        raise ConfigError(f"pulse file {path!r} holds a non-finite value")
-    return data[:, :3].T
-
-
-def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment; unknown keys error."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path!r} not found")
-    if not p.is_file():
-        raise ConfigError(f"config file {path!r} is not a file")
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"config file {path!r} cannot be read: "
-                          f"{exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"config file {path!r} is not UTF-8 text") from None
-    values: dict = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, text = (part.strip() for part in line.split("=", 1))
-        if key not in ExperimentConfig.READERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field, kind = ExperimentConfig.READERS[key]
-        try:
-            values[field] = kind(text)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
-                from None
-        except ConfigError as exc:  # a list reader names its own fault
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return values
+    def regime_for(self, gamma: float) -> BranchRegime:
+        """The branch regime that labels a decay rate's runs, picked by the
+        peak Rabi frequency (:attr:`peak_omega`)."""
+        return classify_regime(self.peak_omega, gamma)
 
 
 def build_config(config_path: Optional[str] = None, **overrides) -> ExperimentConfig:
@@ -312,6 +206,7 @@ def build_config(config_path: Optional[str] = None, **overrides) -> ExperimentCo
     each named by its option and read as its type when given as text."""
     values: dict = {}
     if config_path is not None:
+        from .readers import parse_config_file
         values.update(parse_config_file(config_path))
     env_out = os.environ.get("NH_STA_OUT")
     if env_out:
@@ -324,3 +219,10 @@ def build_config(config_path: Optional[str] = None, **overrides) -> ExperimentCo
         field, kind = ExperimentConfig.READERS[name]
         values[field] = kind(value) if isinstance(value, str) else value
     return ExperimentConfig(**values)
+
+
+def __getattr__(name: str):  # the readers' names, on first use (PEP 562)
+    if name not in ("cubic_spline", "load_pulse_file", "parse_config_file"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import readers
+    return getattr(readers, name)

@@ -30,11 +30,11 @@ from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
                         general_family_omega_zero, hermitian_realizable,
                         matched_gauge, naive_cd_entries,
                         nullification_residual)
-from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                        angle_rate_defect, branch_argument, eigenvalue_path,
-                        frame_diagonal, hamiltonian_entries,
-                        mixing_angle_path, radicand, sample_controls)
+from .two_level import (MixingAnglePath, PulseSpec, angle_rate_defect,
+                        eigenvalue_path, frame_diagonal, hamiltonian_entries,
+                        mixing_angle_path, sample_controls)
 # Not used here; bench/trace_child.py still patches these names on this module.
+from .two_level import branch_argument, radicand  # noqa: F401
 from .propagation import convergence_check, integrate  # noqa: F401
 from .synthesis import assemble_h1_series  # noqa: F401
 from .synthesis import matched_gauge as gauge_simple  # noqa: F401
@@ -248,30 +248,7 @@ def run_shortcut(pulse: PulseSpec, grid: TimeGrid,
     return next(shortcut_tables(pulse, grid, (policy,))).run(initial_state)
 
 
-def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime) -> dict:
-    """Radicand trajectory columns for the branch-cut figure."""
-    ts = grid.samples
-    z = radicand(pulse, ts)
-    return {
-        "t": ts,
-        "re_z": z.real,
-        "im_z": z.imag,
-        "eta": branch_argument(z, regime),
-    }
-
-
-def theta_series(pulse: PulseSpec, grid: TimeGrid) -> dict:
-    """Mixing-angle trajectory columns for the complex-angle figure."""
-    path = mixing_angle_path(pulse, grid)
-    return {
-        "t": grid.samples,
-        "re_theta": path.theta.real,
-        "im_theta": path.theta.imag,
-    }
-
-
 __all__ = [
     "POLICIES", "INITIAL_STATES", "RUN_CHECKS", "CERTIFIED_BY",
     "ShortcutRun", "ShortcutTable", "shortcut_tables", "run_shortcut",
-    "zplane_series", "theta_series",
 ]

@@ -1,0 +1,146 @@
+"""The figure commands ``figure1``–``figure4``: one table per decay rate.
+
+``nhsta.cli`` imports this module only when a figure command runs.
+"""
+from __future__ import annotations
+
+import time
+from typing import Sequence
+
+import numpy as np
+
+from .config import ExperimentConfig
+from .errors import ConfigError
+from .experiments import run_shortcut
+from .grids import TimeGrid
+from .output import OutputSet, flag_uncertified
+from .two_level import (BranchRegime, PulseSpec, branch_argument,
+                        mixing_angle_path, radicand)
+
+FIGURE1_DEFAULT_GAMMAS = (0.3, 3.0)
+FIGURE2_DEFAULT_GAMMAS = (0.3, 3.0, 0.0)
+FIGURE3_DEFAULT_GAMMAS = (0.1, 0.3, 1.0)
+FIGURE4_DEFAULT_GAMMAS = (1.0,)
+
+
+def _tables(cfg: ExperimentConfig, command: str, default: tuple) -> dict:
+    """Table name -> decay rate of a figure command, in order.  A name
+    carries the rate at %g precision, so two rates that print alike would
+    write one file: ConfigError names both, before any file is written."""
+    tables: dict = {}
+    for gamma in cfg.gammas(default):
+        name = f"{command}_gamma{gamma:g}".replace("-", "m")
+        if name in tables:
+            raise ConfigError(
+                f"decay rates {tables[name]!r} and {gamma!r} would both "
+                f"write {name}.{cfg.format}")
+        tables[name] = gamma
+    return tables
+
+
+def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime) -> dict:
+    """Radicand trajectory columns for the branch-cut figure."""
+    ts = grid.samples
+    z = radicand(pulse, ts)
+    return {
+        "t": ts,
+        "re_z": z.real,
+        "im_z": z.imag,
+        "eta": branch_argument(z, regime),
+    }
+
+
+def theta_series(pulse: PulseSpec, grid: TimeGrid) -> dict:
+    """Mixing-angle trajectory columns for the complex-angle figure."""
+    path = mixing_angle_path(pulse, grid)
+    return {
+        "t": grid.samples,
+        "re_theta": path.theta.real,
+        "im_theta": path.theta.imag,
+    }
+
+
+def _single(values: tuple, what: str) -> str:
+    if len(values) != 1:
+        raise ConfigError(f"this command takes a single {what}, got {values}")
+    return values[0]
+
+
+def cmd_figure1(cfg: ExperimentConfig) -> int:
+    """Radicand trajectories (t, Re Z, Im Z, eta, regime) per decay rate."""
+    tables = _tables(cfg, "figure1", FIGURE1_DEFAULT_GAMMAS)
+    out = OutputSet(cfg, "figure1")
+    grid = cfg.grid
+    for name, gamma in tables.items():
+        pulse, regime = cfg.pulse_for(gamma), cfg.regime_for(gamma)
+        series = zplane_series(pulse, grid, regime)
+        out.emit(name, ["t", "re_z", "im_z", "eta", "regime"],
+                 [series["t"], series["re_z"], series["im_z"], series["eta"],
+                  [regime.value] * grid.n_points])
+        out.add_run(gamma=gamma, regime=regime.value)
+    out.write_manifest()
+    return 0
+
+
+def cmd_figure2(cfg: ExperimentConfig) -> int:
+    """Complex mixing angle (t, Re theta, Im theta) per decay rate."""
+    tables = _tables(cfg, "figure2", FIGURE2_DEFAULT_GAMMAS)
+    out = OutputSet(cfg, "figure2")
+    grid = cfg.grid
+    for name, gamma in tables.items():
+        series = theta_series(cfg.pulse_for(gamma), grid)
+        out.emit(name, ["t", "re_theta", "im_theta"],
+                 [series["t"], series["re_theta"], series["im_theta"]])
+        out.add_run(gamma=gamma)
+    out.write_manifest()
+    return 0
+
+
+def _population_figure(cfg: ExperimentConfig, command: str,
+                       default_gammas: tuple, header: Sequence[str],
+                       columns) -> int:
+    """One certified shortcut run per decay rate, emitted as ``header``
+    with t followed by ``columns(amps)``; status 1 if any run is
+    uncertified (every table and the manifest are still written)."""
+    tables = _tables(cfg, command, default_gammas)
+    policy = _single(cfg.policies, "policy")
+    initial = _single(cfg.initial_states, "initial state")
+    out = OutputSet(cfg, command)
+    grid = cfg.grid
+    uncertified = 0
+    for name, gamma in tables.items():
+        pulse, regime = cfg.pulse_for(gamma), cfg.regime_for(gamma)
+        started = time.perf_counter()
+        run = run_shortcut(pulse, grid, policy=policy, initial_state=initial)
+        elapsed = time.perf_counter() - started
+        out.emit(name, header, [run.table.grid.samples] + columns(run.amps))
+        metrics = run.metrics
+        out.add_run(gamma=gamma, policy=policy, initial_state=initial,
+                    wall_time_s=elapsed, regime=regime.value, **metrics)
+        uncertified += flag_uncertified(gamma, policy, initial, metrics)
+        del run  # free it before the next decay rate's run is built
+    out.write_manifest()
+    return 1 if uncertified else 0
+
+
+def cmd_figure3(cfg: ExperimentConfig) -> int:
+    """Raw and modified eigenstate populations for the shortcut pipeline."""
+    return _population_figure(
+        cfg, "figure3", FIGURE3_DEFAULT_GAMMAS,
+        ["t", "c_plus_sq", "c_minus_sq", "g_plus_sq", "g_minus_sq"],
+        lambda a: [np.abs(a.c_plus) ** 2, np.abs(a.c_minus) ** 2,
+                   a.pop_phi_plus, a.pop_phi_minus])
+
+
+def cmd_figure4(cfg: ExperimentConfig) -> int:
+    """Bare-state populations, raw and renormalized."""
+    return _population_figure(
+        cfg, "figure4", FIGURE4_DEFAULT_GAMMAS,
+        ["t", "p0", "p1", "p0_plus_p1", "p0_renorm", "p1_renorm"],
+        lambda a: [a.pop_bare_0, a.pop_bare_1, a.pop_bare_0 + a.pop_bare_1,
+                   a.pop_bare_0_renorm, a.pop_bare_1_renorm])
+
+
+#: command name -> its function, run through ``nhsta.cli.COMMANDS``
+COMMANDS = {"figure1": cmd_figure1, "figure2": cmd_figure2,
+            "figure3": cmd_figure3, "figure4": cmd_figure4}

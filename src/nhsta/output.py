@@ -1,0 +1,203 @@
+"""What every command writes: tables, manifests, ``uncertified:`` lines.
+
+A table is formatted by one ``%`` per block of rows, and written and hashed
+(by the interpreter's built-in SHA-256, so OpenSSL is never loaded) block by
+block.  A JSON table and the manifest share one layout, the bytes of
+``json.dumps(..., indent=1, default=str)``, so no command imports ``json``.
+This module never imports ``cli``, which ``python -m nhsta.cli`` runs as
+``__main__``."""
+from __future__ import annotations
+
+import sys
+from itertools import chain, islice
+from pathlib import Path
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
+
+from . import __version__
+from .config import ExperimentConfig
+from .errors import ConfigError
+from .experiments import CERTIFIED_BY, RUN_CHECKS
+
+#: ``float.__repr__`` of a non-finite float -> its JSON spelling
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _sha256():
+    """A new SHA-256 hasher.
+
+    Taken from the interpreter's built-in module (``_sha2`` on Python
+    3.12+, ``_sha256`` before): ``hashlib`` maps OpenSSL's libcrypto, about
+    3.5 MB of resident memory, to hash a few kilobytes.  ``hashlib`` serves
+    only an interpreter built without either module; the digest is the same.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256()
+
+
+def _json_quote():
+    """``_json``'s C encoder of text as an ASCII JSON string, else ``json``'s
+    Python one, which writes the same; imported where a file is written."""
+    try:
+        from _json import encode_basestring_ascii as quote
+    except ImportError:
+        from json.encoder import py_encode_basestring_ascii as quote
+    return quote
+
+
+def _json_text(value, indent: str = "\n", quote=None) -> str:
+    """``value`` as ``json.dumps(value, indent=1, default=str)`` writes it,
+    its nested lines led by ``indent``: text ASCII-escaped by ``quote``,
+    None, bools and ints as JSON spells them, floats by ``float.__repr__``
+    (NaN, Infinity and -Infinity when not finite), lists, tuples and dicts
+    with text keys one item a line, any other value as its ``str``."""
+    quote = quote or _json_quote()
+    if isinstance(value, str):
+        return quote(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, (int, float)):
+        spelled = (int if isinstance(value, int) else float).__repr__(value)
+        return _NON_FINITE.get(spelled, spelled)
+    inner = indent + " "
+    if isinstance(value, dict):
+        items = [f"{quote(key)}: {_json_text(item, inner, quote)}"
+                 for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner, quote) for item in value]
+    else:
+        return quote(str(value))
+    ends = "{}" if isinstance(value, dict) else "[]"
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
+
+
+#: rows of a table formatted, written and hashed at a time
+CSV_BLOCK_ROWS = 1024
+
+
+def _csv_blocks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
+    """The bytes of a CSV table in blocks of up to CSV_BLOCK_ROWS rows, the
+    header line leading the first, so no block is empty.  A block is one
+    ``%`` operation; a column's cells share the format of its first: ``%s``
+    for text, integers and Python bools, ``%.17g`` for other numbers."""
+    line = ",".join("%s" if isinstance(v, (str, int, np.integer)) else "%.17g"
+                    for v in next(zip(*columns), ())) + "\n"
+    rows, lines = zip(*columns), line * CSV_BLOCK_ROWS
+    text = ",".join(header) + "\n"
+    while True:
+        cells = tuple(chain.from_iterable(islice(rows, CSV_BLOCK_ROWS)))
+        text += lines[:len(cells) // len(columns) * len(line)] % cells
+        if not text:
+            return
+        yield text.encode()
+        text = ""
+
+
+def _json_blocks(header: Sequence[str], columns: Sequence) -> Iterator[bytes]:
+    """The bytes of the JSON table ``{"columns": header, "rows": rows}`` in
+    :func:`_json_text`'s layout, in blocks of up to CSV_BLOCK_ROWS rows,
+    each one ``%`` operation.  Text, Python bools and floats are kept; a
+    column of other numbers is made float64 first, so an integer reads
+    ``5.0``.  A column's cells are spelled by the rule of its first."""
+    cells, quote = [], _json_quote()
+    for c in columns:
+        if len(c) and not isinstance(c[0], (str, bool, float)):
+            c = np.asarray(c, dtype=float)
+        first = c[0] if len(c) else 0.0
+        cells.append(map(quote, c) if isinstance(first, str)
+                     else map(("false", "true").__getitem__, c)
+                     if isinstance(first, bool) else map(float.__repr__, c))
+    rows = zip(*cells)
+    line = ",\n  [" + ",".join(["\n   %s"] * len(columns)) + "\n  ]"
+    lines, skip = line * CSV_BLOCK_ROWS, 1  # no comma before the first row
+    text = ('{\n "columns": ' + _json_text(list(header), "\n ", quote)
+            + ',\n "rows": [')
+    while block := tuple(chain.from_iterable(islice(rows, CSV_BLOCK_ROWS))):
+        text += lines[skip:len(block) // len(columns) * len(line)] % block
+        # a float is the only cell whose line does not start with a quote
+        for spelled, name in _NON_FINITE.items():
+            text = text.replace("\n   " + spelled, "\n   " + name)
+        yield text.encode()
+        text, skip = "", 0
+    yield (text + ("]" if skip else "\n ]") + "\n}\n").encode()
+
+
+def _write(path: Path, blocks: Iterable[bytes], what: str,
+           digest=None) -> None:
+    """Write ``blocks`` to ``path`` in order, each also fed to the hasher
+    ``digest`` if one is given, raising an OSError as a ConfigError."""
+    try:
+        with path.open("wb") as f:
+            for block in blocks:
+                f.write(block)
+                if digest is not None:
+                    digest.update(block)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {str(path)!r}: "
+                          f"{exc.strerror}") from None
+
+
+class OutputSet:
+    """Collects emitted tables plus run metadata into a manifest."""
+
+    def __init__(self, cfg: ExperimentConfig, command: str):
+        self.dir = Path(cfg.out)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise ConfigError(f"cannot create output directory {cfg.out!r}: "
+                              f"{exc.strerror}") from None
+        self.fmt = cfg.format
+        self.command = command
+        self.config_echo = {name: getattr(cfg, name) for name in cfg.FIELDS}
+        self.files: list = []
+        self.runs: list = []
+
+    def emit(self, name: str, header: Sequence[str], columns: Sequence) -> Path:
+        """Write one table, streamed in blocks, and record its SHA-256 for
+        the manifest.  The cells of a column share one type."""
+        path = self.dir / f"{name}.{self.fmt}"
+        blocks = (_csv_blocks if self.fmt == "csv" else _json_blocks)(
+            header, columns)
+        digest = _sha256()
+        _write(path, blocks, "table", digest)
+        self.files.append({"path": path.name,
+                           "sha256": digest.hexdigest()})
+        return path
+
+    def add_run(self, **meta) -> None:
+        self.runs.append(meta)
+
+    def write_manifest(self) -> Path:
+        path = self.dir / f"{self.command}_manifest.json"
+        payload = {
+            "command": self.command,
+            "version": __version__,
+            "config": self.config_echo,
+            "runs": self.runs,
+            "files": self.files,
+        }
+        _write(path, [(_json_text(payload) + "\n").encode()], "manifest")
+        return path
+
+
+def flag_uncertified(gamma: float, policy: str, initial: str,
+                      metrics: dict) -> bool:
+    """Print one stderr line for an uncertified run; True if it was."""
+    if metrics["certified"]:
+        return False
+    readings = " ".join(f"{key}={metrics[key]:.3e} "
+                        f"(bound {RUN_CHECKS[name][0]:g})"
+                        for key, name in CERTIFIED_BY.items())
+    print(f"uncertified: gamma={gamma:g} policy={policy} "
+          f"initial_state={initial} {readings}", file=sys.stderr)
+    return True

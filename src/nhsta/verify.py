@@ -1,0 +1,106 @@
+"""The ``verify`` command: the self-verification suite.
+
+Checks the biorthogonal decomposition on a random corpus, RK4's order and
+exactness on a constant H, and each decay rate's certified run through
+:data:`nhsta.experiments.RUN_CHECKS`.  ``nhsta.cli`` imports this module
+only when ``verify`` runs, and it is the only command module that imports
+:mod:`nhsta.biorthogonal`.
+"""
+from __future__ import annotations
+
+import random
+
+import numpy as np
+
+from .biorthogonal import decompose, reconstruct
+from .config import ExperimentConfig
+from .experiments import run_shortcut
+from .grids import TimeGrid
+from .propagation import scan_table
+from .synthesis import POLICY_HERMITIAN
+
+VERIFY_DEFAULT_GAMMAS = (0.1, 0.3, 1.0, 3.0)
+
+H_RABI = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
+H_DECAY = 0.5 * np.array([[0, 0], [0, -1j]], dtype=complex)
+
+
+def _propagate_constant(h: np.ndarray, psi0, grid: TimeGrid):
+    """RK4 trajectory of a constant H from one broadcast kernel table."""
+    table = np.broadcast_to(h.reshape(4, 1, 1), (4, 2, grid.steps + 1))
+    return scan_table(table, grid).apply(psi0)[0]
+
+
+def rabi_error(steps: int) -> float:
+    """Final-state error of RK4 for resonant Rabi flopping over t in [0, 10]."""
+    traj = _propagate_constant(H_RABI, [1, 0], TimeGrid(0.0, 10.0, steps))
+    exact = np.array([np.cos(5.0), -1j * np.sin(5.0)])
+    return float(np.max(np.abs(traj.psi[-1] - exact)))
+
+
+def decay_error(steps: int) -> float:
+    """Relative error of RK4 for pure exponential decay over t in [0, 2]."""
+    traj = _propagate_constant(H_DECAY, [0, 1], TimeGrid(0.0, 2.0, steps))
+    return abs(abs(traj.psi[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
+
+
+def random_corpus():
+    """Yield (stack, decomposition) for 60 random dense matrices, one stack
+    per dimension 2, 3 and 4, each decomposed in one call.
+
+    Dimensions are uniform in 2..4 and entries uniform in [-1, 1] + i[-1, 1],
+    drawn from the stdlib ``random.Random(7)``: numpy's own imports load
+    ``random`` already, while importing ``numpy.random`` costs tens of
+    milliseconds.  This seed draws no near-degenerate matrix (its smallest
+    eigenvalue gap is 0.76); one would raise DegenerateSpectrum.
+    """
+    rng = random.Random(7)
+    drawn: dict = {2: [], 3: [], 4: []}
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        drawn[dim].append([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                           for _ in range(dim * dim)])
+    for dim, entries in drawn.items():
+        stack = np.array(entries).reshape(-1, dim, dim)
+        yield stack, decompose(stack, degeneracy_threshold=1e-6)
+
+
+def _verify_checks(cfg: ExperimentConfig):
+    """Yield (name, measured, bound, ok) for the self-verification suite."""
+    bio = comp = rtrip = 0.0
+    for m, sys_ in random_corpus():
+        bio = max(bio, sys_.biorthogonality_defect())
+        comp = max(comp, sys_.completeness_defect())
+        rtrip = max(rtrip, float(np.max(np.abs(reconstruct(sys_) - m))))
+    yield "biorthogonality[random-corpus]", bio, 1e-10, bio <= 1e-10
+    yield "completeness[random-corpus]", comp, 1e-10, comp <= 1e-10
+    yield "round-trip[random-corpus]", rtrip, 1e-10, rtrip <= 1e-10
+
+    ratio = rabi_error(500) / rabi_error(1000)
+    yield "rk4-order[rabi]", ratio, "within [8, 32]", 8.0 <= ratio <= 32.0
+
+    rel = decay_error(4000)
+    yield "decay-exact[relative]", rel, 1e-8, rel <= 1e-8
+
+    for gamma in cfg.gammas(VERIFY_DEFAULT_GAMMAS):
+        run = run_shortcut(cfg.pulse_for(gamma), cfg.grid,
+                           policy=POLICY_HERMITIAN)
+        for name, measured, bound, ok in run.checks():
+            yield f"{name}[gamma={gamma:g}]", measured, bound, ok
+        del run  # free it before the next decay rate's run is built
+
+
+def cmd_verify(cfg: ExperimentConfig) -> int:
+    """Run the invariant suite; nonzero exit status on any failure."""
+    failures = 0
+    for name, measured, bound, ok in _verify_checks(cfg):
+        status = "PASS" if ok else "FAIL"
+        failures += 0 if ok else 1
+        print(f"{status}  {name}  measured={measured:.3e}  bound={bound}")
+    total = "all checks passed" if failures == 0 else f"{failures} check(s) FAILED"
+    print(f"verify: {total}")
+    return 0 if failures == 0 else 1
+
+
+#: command name -> its function, run through ``nhsta.cli.COMMANDS``
+COMMANDS = {"verify": cmd_verify}

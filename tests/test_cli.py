@@ -11,10 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhsta.cli import CSV_BLOCK_ROWS, COMMANDS, OutputSet, build_parser, main
+from nhsta.cli import COMMANDS, OutputSet, build_parser, main
 from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
                           parse_config_file)
 from nhsta.errors import ConfigError, NhStaError
+from nhsta.output import CSV_BLOCK_ROWS
 
 
 def read_csv(path):
@@ -123,8 +124,144 @@ def test_file_writing_commands_load_no_openssl(tmp_path, argv,
     assert list(tmp_path.glob(f"{argv[0]}_manifest.json"))
 
 
+def loaded_by(code, names):
+    """The modules of ``names`` that a child interpreter holds after running
+    ``code``, sorted."""
+    import subprocess
+    code += f"; print(sorted(m for m in {names!r} if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", "import sys; " + code],
+                          capture_output=True, text=True, check=True)
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def command_loads(argv, out, names):
+    """The modules of ``names`` that a child holds after ``main(argv)``."""
+    return loaded_by(f"from nhsta.cli import main; "
+                     f"main({argv + ['--out', str(out)]!r})", names)
+
+
+COMMAND_MODULES = ("nhsta.biorthogonal", "nhsta.figures", "nhsta.readers",
+                   "nhsta.verify", "json")
+
+
+def test_sweep_loads_only_its_own_code(tmp_path, numpy_only_modules):
+    # sweep runs no figure, verify or reader code, decomposes no matrix and
+    # writes its manifest without json; compared with the numpy-only child
+    loaded = command_loads(["sweep", "--gamma", "0.3", "--steps", "200"],
+                           tmp_path, COMMAND_MODULES)
+    assert loaded == sorted(m for m in COMMAND_MODULES
+                            if m in numpy_only_modules)
+
+
+def test_verify_loads_its_module_and_no_figure_or_reader(tmp_path,
+                                                          numpy_only_modules):
+    loaded = command_loads(["verify", "--gamma", "0.3", "--steps", "400"],
+                           tmp_path, COMMAND_MODULES)
+    assert loaded == sorted({"nhsta.biorthogonal", "nhsta.verify"}
+                            | {m for m in COMMAND_MODULES
+                               if m in numpy_only_modules})
+
+
+def test_figure1_loads_its_module_and_no_verify_code(tmp_path,
+                                                     numpy_only_modules):
+    loaded = command_loads(["figure1", "--gamma", "0.3"], tmp_path,
+                           COMMAND_MODULES)
+    assert loaded == sorted({"nhsta.figures"}
+                            | {m for m in COMMAND_MODULES
+                               if m in numpy_only_modules})
+
+
+def test_module_run_imports_no_second_cli(tmp_path):
+    # python -m nhsta.cli runs cli as __main__; the command modules it
+    # imports reach the shared writers without importing nhsta.cli again
+    script = (
+        "import runpy, sys\n"
+        "out = sys.argv[1]\n"
+        "for command in ('figure3', 'verify', 'sweep'):\n"
+        "    sys.argv = ['nhsta', command, '--gamma', '0.3', '--out', out]\n"
+        "    try:\n"
+        "        runpy.run_module('nhsta.cli', run_name='__main__')\n"
+        "    except SystemExit as exit:\n"
+        "        assert exit.code == 0, (command, exit.code)\n"
+        "print(sorted(m for m in ('nhsta.cli', 'nhsta.figures',"
+        " 'nhsta.verify') if m in sys.modules))\n")
+    import subprocess
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "['nhsta.figures', 'nhsta.verify']"
+
+
+def test_package_import_defers_the_biorthogonal_api():
+    # the names resolve on first use, and a star import binds them all
+    names = ("nhsta.biorthogonal",)
+    assert loaded_by("import nhsta", names) == []
+    import nhsta
+    from nhsta import biorthogonal
+    assert (nhsta.decompose, nhsta.reconstruct, nhsta.BiorthogonalSystem,
+            nhsta.biorthogonal) == (biorthogonal.decompose,
+                                    biorthogonal.reconstruct,
+                                    biorthogonal.BiorthogonalSystem,
+                                    biorthogonal)
+    star: dict = {}
+    exec("from nhsta import *", star)
+    assert set(nhsta.__all__) <= set(star)
+    assert {"BiorthogonalSystem", "decompose", "reconstruct"} <= set(star)
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        nhsta.missing
+
+
+def test_config_and_cli_resolve_the_moved_names():
+    from nhsta import biorthogonal, cli, config, readers
+    assert (cli.decompose, cli.reconstruct) == (biorthogonal.decompose,
+                                                biorthogonal.reconstruct)
+    assert (config.cubic_spline, config.load_pulse_file,
+            config.parse_config_file) == (readers.cubic_spline,
+                                          readers.load_pulse_file,
+                                          readers.parse_config_file)
+    for module in (cli, config):
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            module.missing
+
+
+def adversarial_manifest(tmp_path):
+    """An OutputSet whose --out path and runs hold every value kind the
+    manifest layout must spell as json.dumps does."""
+    out = tmp_path / 'q"b\\s\tc\x01 \u00e9\u2028 \U0001d50a'
+    out_set = OutputSet(build_config(out=str(out)), "adversarial")
+    out_set.add_run(
+        floats=[float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+                1.7976931348623157e308, 0.1, np.float64(1e16),
+                np.float64("nan")],
+        numpy=[np.bool_(True), np.int64(-7), np.float32(0.5)],
+        plain=[None, True, False, 0, -3, 2 ** 70, "", "\x7f\u0000"],
+        nested=((1, (2.5, ("x", ()))), [[], {}], {"k": {"j": []}}),
+        empty_list=[], empty_dict={}, path=Path("a/b"))
+    out_set.add_run()
+    return out_set
+
+
+def test_manifest_is_written_as_json_dumps_writes_it(tmp_path):
+    from nhsta import __version__
+    out = adversarial_manifest(tmp_path)
+    path = out.write_manifest()
+    payload = {"command": "adversarial", "version": __version__,
+               "config": out.config_echo, "runs": out.runs,
+               "files": out.files}
+    want = json.dumps(payload, indent=1, default=str) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert json.loads(want)["config"]["out"] == str(out.dir)
+
+
+def test_manifest_layout_without_the_c_string_encoder(tmp_path, monkeypatch):
+    # the stdlib's Python encoder writes the same bytes
+    out = adversarial_manifest(tmp_path)
+    want = out.write_manifest().read_bytes()
+    monkeypatch.setitem(sys.modules, "_json", None)
+    assert out.write_manifest().read_bytes() == want
+
+
 def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
-    from nhsta import cli
+    from nhsta import output
     argv = ["figure3", "--gamma", "0.3", "--steps", "200"]
     assert main(argv + ["--out", str(tmp_path / "builtin")]) == 0
     monkeypatch.setitem(sys.modules, "_sha2", None)
@@ -132,7 +269,7 @@ def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch):
     hashed = []
     monkeypatch.setattr(hashlib, "sha256",
                         lambda *data: hashed.append(data) or sha256(*data))
-    digest = cli._sha256()
+    digest = output._sha256()
     digest.update(b"abc")
     assert digest.hexdigest() == sha256(b"abc").hexdigest()
     assert main(argv + ["--out", str(tmp_path / "fallback")]) == 0
@@ -223,46 +360,80 @@ class TestStreamedTables:
                                   "longer"])
     def test_blocks_equal_the_one_shot_table(self, tmp_path, monkeypatch,
                                              blocks):
-        from nhsta import cli
+        from nhsta import output
         cfg = build_config(out=str(tmp_path))
-        rows = int(blocks * cli.CSV_BLOCK_ROWS)
+        rows = int(blocks * CSV_BLOCK_ROWS)
         columns = self.columns(rows)
         writes = []
-        original = cli._write
+        original = output._write
 
         def counted(path, parts, what, digest=None):
             parts = list(parts)
             writes.append([len(part) for part in parts])
             return original(path, parts, what, digest)
 
-        monkeypatch.setattr(cli, "_write", counted)
-        out = cli.OutputSet(cfg, "stream")
+        monkeypatch.setattr(output, "_write", counted)
+        out = OutputSet(cfg, "stream")
         path = out.emit("table", self.HEADER, columns)
         want = one_shot_csv(self.HEADER, columns)
         assert path.read_bytes() == want
         assert out.files == [{"path": "table.csv",
                               "sha256": sha256(want).hexdigest()}]
         # a whole number of blocks leaves no empty write behind
-        assert len(writes[0]) == max(1, -(-rows // cli.CSV_BLOCK_ROWS))
+        assert len(writes[0]) == max(1, -(-rows // CSV_BLOCK_ROWS))
         assert all(writes[0])
 
-    def test_emit_peak_does_not_grow_with_the_rows(self, tmp_path):
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS,
+                                      CSV_BLOCK_ROWS + 1],
+                             ids=["header-only", "one-row", "one-block",
+                                  "block-plus-one"])
+    def test_json_blocks_equal_the_one_shot_table(self, tmp_path,
+                                                  monkeypatch, rows):
+        from nhsta import output
+        cfg = build_config(out=str(tmp_path), format="json")
+        columns = self.columns(rows)
+        writes = []
+        original = output._write
+
+        def counted(path, parts, what, digest=None):
+            parts = list(parts)
+            writes.append([len(part) for part in parts])
+            return original(path, parts, what, digest)
+
+        monkeypatch.setattr(output, "_write", counted)
+        out = OutputSet(cfg, "stream")
+        path = out.emit("table", self.HEADER, columns)
+        want = (json.dumps({"columns": self.HEADER,
+                            "rows": list(zip(*columns))}, indent=1)
+                + "\n").encode()
+        assert path.read_bytes() == want
+        assert out.files == [{"path": "table.json",
+                              "sha256": sha256(want).hexdigest()}]
+        # one write per block of rows, and the closing brackets
+        assert len(writes[0]) == 1 + -(-rows // CSV_BLOCK_ROWS)
+        assert all(writes[0])
+
+    def emit_peak(self, tmp_path, fmt, rows):
+        """The traced peak of emitting a table of ``rows`` rows, above what
+        was allocated before."""
         import tracemalloc
-        from nhsta import cli
-        cfg = build_config(out=str(tmp_path))
-        out = cli.OutputSet(cfg, "stream")
+        out = OutputSet(build_config(out=str(tmp_path), format=fmt), "stream")
+        columns = self.columns(rows)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out.emit(f"rows{rows}", self.HEADER, columns)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
 
-        def peak(rows):
-            columns = self.columns(rows)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                out.emit(f"rows{rows}", self.HEADER, columns)
-                return tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+    def test_emit_peak_does_not_grow_with_the_rows(self, tmp_path):
+        assert (self.emit_peak(tmp_path, "csv", 50_000)
+                <= 1.5 * self.emit_peak(tmp_path, "csv", 5_000))
 
-        assert peak(50_000) <= 1.5 * peak(5_000)
+    def test_json_emit_peak_does_not_grow_with_the_rows(self, tmp_path):
+        assert (self.emit_peak(tmp_path, "json", 50_000)
+                <= 1.5 * self.emit_peak(tmp_path, "json", 5_000))
 
 
 @pytest.mark.parametrize("command", ["verify", "figure3"])
@@ -270,7 +441,8 @@ def test_one_shortcut_run_alive_at_a_time(tmp_path, command):
     # each decay rate's run is freed before the next is built, so a second
     # decay rate adds nothing to the traced peak
     import tracemalloc
-    from nhsta.cli import _verify_checks, cmd_figure3
+    from nhsta.figures import cmd_figure3
+    from nhsta.verify import _verify_checks
     call = {"verify": lambda cfg: list(_verify_checks(cfg)),
             "figure3": cmd_figure3}[command]
 
@@ -295,13 +467,13 @@ def test_closed_stdout_exits_without_traceback(tmp_path, unbuffered):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered  # each print writes at once
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "nhsta.cli", "verify", "--gamma", "0.3",
-         "--out", str(tmp_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()  # the reader is gone before the first write
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    with subprocess.Popen(
+            [sys.executable, "-m", "nhsta.cli", "verify", "--gamma", "0.3",
+             "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # the reader is gone before the first write
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert b"Traceback" not in stderr
     assert b"BrokenPipeError" not in stderr
 
@@ -1331,7 +1503,7 @@ class TestVerify:
         assert "DegenerateRegime" in err
 
     def test_constant_h_tables_match_callable_integration(self, monkeypatch):
-        from nhsta import cli
+        from nhsta import verify
         from nhsta.grids import TimeGrid
         from nhsta.propagation import integrate
 
@@ -1339,17 +1511,18 @@ class TestVerify:
             return integrate(lambda t: h, psi0, grid)
 
         grid = TimeGrid(0.0, 10.0, 500)
-        assert (cli._propagate_constant(cli.H_RABI, [1, 0], grid).psi.tobytes()
-                == sampled(cli.H_RABI, [1, 0], grid).psi.tobytes())
-        errors = [cli.rabi_error(500), cli.rabi_error(1000),
-                  cli.decay_error(4000)]
-        monkeypatch.setattr(cli, "_propagate_constant", sampled)
-        assert [cli.rabi_error(500), cli.rabi_error(1000),
-                cli.decay_error(4000)] == errors
+        assert (verify._propagate_constant(verify.H_RABI, [1, 0], grid)
+                .psi.tobytes()
+                == sampled(verify.H_RABI, [1, 0], grid).psi.tobytes())
+        errors = [verify.rabi_error(500), verify.rabi_error(1000),
+                  verify.decay_error(4000)]
+        monkeypatch.setattr(verify, "_propagate_constant", sampled)
+        assert [verify.rabi_error(500), verify.rabi_error(1000),
+                verify.decay_error(4000)] == errors
 
     def test_corpus_decomposes_one_stack_per_dimension(self, tmp_path,
                                                         monkeypatch):
-        from nhsta import cli
+        from nhsta import verify
         from nhsta.biorthogonal import decompose
         shapes = []
 
@@ -1357,7 +1530,7 @@ class TestVerify:
             shapes.append(np.shape(m))
             return decompose(m, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "decompose", counted)
+        monkeypatch.setattr(verify, "decompose", counted)
         assert main(["verify", "--gamma", "0.3", "--out", str(tmp_path)]) == 0
         assert [shape[1:] for shape in shapes] == [(2, 2), (3, 3), (4, 4)]
         assert sum(shape[0] for shape in shapes) == 60
@@ -1365,14 +1538,14 @@ class TestVerify:
     def test_closed_form_formed_once_per_decay_rate(self, tmp_path,
                                                     monkeypatch, capsys):
         # where the check reads it, from the run's table
-        from nhsta.cli import VERIFY_DEFAULT_GAMMAS
+        from nhsta.verify import VERIFY_DEFAULT_GAMMAS
         callers = closed_form_callers(monkeypatch)
         assert main(["verify", "--out", str(tmp_path)]) == 0
         assert "closed-form-vs-ode[gamma=1]" in capsys.readouterr().out
         assert callers == ["closed_form"] * len(VERIFY_DEFAULT_GAMMAS)
 
     def test_corpus_keeps_its_coverage(self):
-        from nhsta.cli import random_corpus
+        from nhsta.verify import random_corpus
         corpus = list(random_corpus())
         # one stack per dimension, 60 matrices in all
         assert [m.shape[1:] for m, _ in corpus] == [(2, 2), (3, 3), (4, 4)]
@@ -1469,12 +1642,12 @@ class TestFormatsAndPulseFile:
         assert rows["certified"] == ["True"] * 2
 
     def test_pulse_file_parsed_once_per_command(self, tmp_path, monkeypatch):
-        from nhsta import config
+        from nhsta import readers
 
         # comma-separated, so each parse is one np.loadtxt call
         pulse = self.strong_pulse(tmp_path / "pulse.csv", delimiter=",")
         loadtxt, reads = np.loadtxt, []
-        cubic_spline, fits = config.cubic_spline, []
+        cubic_spline, fits = readers.cubic_spline, []
 
         def counted(*args, **kwargs):
             reads.append(args[0])
@@ -1485,7 +1658,7 @@ class TestFormatsAndPulseFile:
             return cubic_spline(*args)
 
         monkeypatch.setattr(np, "loadtxt", counted)
-        monkeypatch.setattr(config, "cubic_spline", counted_fit)
+        monkeypatch.setattr(readers, "cubic_spline", counted_fit)
         # verify builds a pulse for each of its four default decay rates,
         # all from one read and one spline fit per column; the splines
         # carry exact derivatives, so the tabulated pulse passes every check

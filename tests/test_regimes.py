@@ -9,9 +9,10 @@ flip it; a change that flips a row on purpose edits that row.
 """
 import pytest
 
-from nhsta.cli import VERIFY_DEFAULT_GAMMAS, build_parser
+from nhsta.cli import build_parser
 from nhsta.config import build_config
 from nhsta.experiments import run_shortcut
+from nhsta.verify import VERIFY_DEFAULT_GAMMAS
 
 OK = (True, set())
 CLOSED_FORM = {"closed-form-vs-ode"}

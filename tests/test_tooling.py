@@ -19,6 +19,8 @@ import pytest
 from conftest import ae_setup, with_controls
 import nhsta
 import nhsta.cli
+import nhsta.output
+import nhsta.verify
 from nhsta import config, experiments, propagation, two_level
 from nhsta.grids import TimeGrid
 
@@ -309,7 +311,7 @@ def test_one_propagation_path(monkeypatch):
 
     # every entry point reaches that scan and its apply
     assert experiments.scan_table is propagation.scan_table
-    assert nhsta.cli.scan_table is propagation.scan_table
+    assert nhsta.verify.scan_table is propagation.scan_table
     calls = Counter()
     scan, apply = propagation.scan_table, propagation.PrefixScan.apply
 
@@ -323,14 +325,14 @@ def test_one_propagation_path(monkeypatch):
 
     monkeypatch.setattr(propagation, "scan_table", counted_scan)
     monkeypatch.setattr(experiments, "scan_table", counted_scan)
-    monkeypatch.setattr(nhsta.cli, "scan_table", counted_scan)
+    monkeypatch.setattr(nhsta.verify, "scan_table", counted_scan)
     monkeypatch.setattr(propagation.PrefixScan, "apply", counted_apply)
     grid = TimeGrid(0.0, 1.0, 100)
     h = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
     psi0 = np.array([1, 0], dtype=complex)
     pulse, run_grid = ae_setup(1.0, 400)
     entry_points = {
-        "cli.rabi_error": lambda: nhsta.cli.rabi_error(100),
+        "verify.rabi_error": lambda: nhsta.verify.rabi_error(100),
         "integrate": lambda: propagation.integrate(lambda t: h, psi0, grid),
         "convergence_check": lambda: propagation.convergence_check(
             lambda t: h, psi0, grid),
@@ -473,8 +475,8 @@ def test_file_writers_are_imported_lazily():
     assert [entry for entry in found if entry[2] is None
             and entry[1] in ("hashlib", "_hashlib", "json")] == []
     assert [(module, fn) for module, name, fn in found
-            if name in ("hashlib", "_hashlib")] == [("nhsta.cli", "_sha256")]
-    assert [name for name, fn in imports(nhsta.cli) if fn == "_sha256"] == [
+            if name in ("hashlib", "_hashlib")] == [("nhsta.output", "_sha256")]
+    assert [name for name, fn in imports(nhsta.output) if fn == "_sha256"] == [
         "_sha2", "_sha256", "hashlib"]
 
 
@@ -544,6 +546,36 @@ def test_compare_trees_reads_json_tables_by_column(tmp_path):
         (tmp_path / "parent" / "t.json").read_text().replace("-2.0", "-2"))
     assert tool.compare_dirs(tmp_path / "parent", tmp_path / "spelled") == [
         "t.json: bytes differ"]
+
+
+def test_compare_trees_reads_manifest_bytes_past_ignored_entries(tmp_path):
+    # a manifest whose entries match but whose layout moved differs; the
+    # values of wall_time_s and out alone are no difference
+    tool = load_script(COMPARE_TREES)
+    for name, out, wall, indent in (("parent", 'a "b\\"', 0.5, 1),
+                                    ("same", "c", 1e-05, 1),
+                                    ("spelled", 'a "b\\"', 0.5, 2)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "t_manifest.json").write_text(json.dumps(
+            {"config": {"out": out, "steps": 4000},
+             "runs": [{"wall_time_s": wall, "gamma": 1.0}]},
+            indent=indent) + "\n")
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "same") == []
+    assert tool.compare_dirs(tmp_path / "parent", tmp_path / "spelled") == [
+        "t_manifest.json: bytes differ"]
+
+
+def test_compare_trees_writes_its_input_files():
+    # the pulse table is seeded, covers the default window and has a
+    # non-negative Omega_R; the config file is one the CLI reads
+    tool = load_script(COMPARE_TREES)
+    files = tool.inputs()
+    assert files == tool.inputs()
+    table = np.loadtxt(files["pulse.csv"].splitlines(), delimiter=",")
+    assert (table[0, 0], table[-1, 0]) == (-1.0, 1.0)
+    assert np.all(table[:, 1] > 0)
+    args = [arg for args in tool.CORPUS for arg in args]
+    assert {"pulse.csv", "run.cfg"} <= set(args)
 
 
 def test_compare_trees_reports_status_streams_and_checks():

@@ -5,13 +5,15 @@
 
 PARENT and CHANGE are checkouts of this repository (each with the package
 under ``src/``).  Every invocation of :data:`CORPUS` runs as a child
-process in both trees, one at a time, each in its own empty working
-directory with ``--out out``.  The report names, per invocation, a
+process in both trees, one at a time, each in its own working directory
+holding only the input files of :func:`inputs` (a seeded pulse table and a
+config file) with ``--out out``.  The report names, per invocation, a
 differing exit status, stdout, stderr and ``verify`` PASS/FAIL line, and
 for every emitted table, CSV or JSON, whose bytes differ, the largest
 absolute and relative move per column.  Manifests are compared as JSON
-without their ``wall_time_s`` and ``out`` entries.  The exit status is 0
-when nothing differs and 1 otherwise.  Only the stdlib and numpy are used.
+without their ``wall_time_s`` and ``out`` entries, then byte for byte with
+those two values left out.  The exit status is 0 when nothing differs and
+1 otherwise.  Only the stdlib and numpy are used.
 """
 import json
 import os
@@ -58,11 +60,43 @@ CORPUS = [
     ["sweep", "--gamma", "0.3,1,3", *ALL_POLICIES, "--format", "json"],
     *([command, *flags] for flags in GAP_TABLE
       for command in ("figure3", "verify")),
+    # the file readers: a tabulated pulse and a config file
+    ["figure3", "--pulse-file", "pulse.csv"],
+    ["sweep", "--gamma", "0.3,1", *ALL_POLICIES, "--pulse-file",
+     "pulse.csv"],
+    ["figure3", "--config", "run.cfg"],
 ]
 
 #: manifest entries that differ from run to run or from tree to tree
 IGNORED_KEYS = {"wall_time_s", "out"}
+#: a manifest's IGNORED_KEYS entries with their values, as JSON spells them
+IGNORED_ENTRY = re.compile(
+    rb'"(?:wall_time_s|out)": (?:"(?:[^"\\]|\\.)*"|[^,\n}\]]*)')
 CHECK_LINE = re.compile(r"(PASS|FAIL)  (\S+)  ")
+
+
+def inputs(seed: int = 35, points: int = 401) -> dict:
+    """File name -> text of the input files every invocation finds in its
+    working directory.  ``pulse.csv`` is the default sech/tanh pulse on
+    [-1, 1] at ``points`` times, each control times a seeded smooth wiggle
+    of at most 3%; ``run.cfg`` sets options through a config file."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(-1.0, 1.0, points)
+    k = np.arange(1, 4)[:, None]
+
+    def wiggle():
+        amp = rng.uniform(-0.01, 0.01, (3, 1))
+        phase = rng.uniform(0.0, 2.0 * np.pi, (3, 1))
+        return 1.0 + np.sum(amp * np.sin(0.5 * np.pi * k * (t + 1.0) + phase),
+                            axis=0)
+
+    table = np.column_stack([t, wiggle() / np.cosh(t),
+                             9.0 * wiggle() * np.tanh(t)])
+    return {"pulse.csv": "".join("%.17g,%.17g,%.17g\n" % tuple(row)
+                                 for row in table),
+            "run.cfg": "# options read from a file\ngamma = 0.3, 1\n"
+                       "steps = 2000\npolicy = naive-cd\n"
+                       "initial_state = bare-ground\nformat = json\n"}
 
 
 def run_cli(tree: Path, args: list, cwd: Path) -> tuple:
@@ -188,11 +222,14 @@ def compare_dirs(parent: Path, change: Path) -> list:
         a, b = (Path(parent) / name).read_bytes(), (Path(change) / name
                                                     ).read_bytes()
         if name.endswith("_manifest.json"):
-            a, b = (_without(json.loads(x), IGNORED_KEYS) for x in (a, b))
-            paths = _json_paths(a, b)
+            paths = _json_paths(*(_without(json.loads(x), IGNORED_KEYS)
+                                  for x in (a, b)))
             diffs += [f"{name}: {path} differs" for path in paths[:3]]
             if len(paths) > 3:
                 diffs.append(f"{name}: {len(paths) - 3} more entries differ")
+            if not paths and (IGNORED_ENTRY.sub(b"", a)
+                              != IGNORED_ENTRY.sub(b"", b)):
+                diffs.append(f"{name}: bytes differ")
         elif a != b:
             read = TABLE_READERS.get(Path(name).suffix)
             moves = (column_moves(read(a.decode()), read(b.decode()))
@@ -207,13 +244,15 @@ def main(argv=None) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     trees = [Path(t) for t in argv]
-    differing, files = 0, 0
+    differing, files, files_in = 0, 0, inputs()
     with tempfile.TemporaryDirectory(prefix="compare-trees-") as scratch:
         for i, args in enumerate(CORPUS):
             cwds = [Path(scratch) / f"{side}{i}" for side in ("a", "b")]
             results = []
             for tree, cwd in zip(trees, cwds):
                 cwd.mkdir()
+                for name, text in files_in.items():
+                    (cwd / name).write_text(text)
                 results.append(run_cli(tree, args, cwd))
             outs = [cwd / "out" for cwd in cwds]
             diffs = compare_runs(*results)
