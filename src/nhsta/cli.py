@@ -8,9 +8,11 @@ other package error (non-finite values, branch tracking, degeneracy, ...).
 A command compiles only the code it runs: ``figure1``–``figure4`` live in
 :mod:`nhsta.figures` and ``verify`` (the one user of
 :mod:`nhsta.biorthogonal`) in :mod:`nhsta.verify`, each imported when its
-command runs.  ``main`` also tunes its own process before the command runs
-(importing this module does not; importing the package only pauses the
-collector, see ``nhsta``): see :func:`_tune_process`.
+command runs, and the writers of :mod:`nhsta.output` load with ``sweep``
+or a figure command, never with ``verify``.  ``main`` also tunes its own
+process before the command runs (importing this module does not;
+importing the package only pauses the collector, see ``nhsta``): see
+:func:`_tune_process`.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from typing import Optional, Sequence
 from .config import OPTIONS, ExperimentConfig, build_config
 from .errors import ConfigError, NhStaError
 from .experiments import shortcut_tables
-from .output import OutputSet, flag_uncertified
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .experiments import run_shortcut  # noqa: F401
 from .propagation import integrate  # noqa: F401
@@ -66,6 +67,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     Uncertified rows are flagged in the table and on stderr, and make the
     exit status 1 (the table and manifest are still written).
     """
+    from .output import OutputSet, flag_uncertified
     gammas = cfg.gammas()  # no default decay rates: refuses a missing list
     out = OutputSet(cfg, "sweep")
     rows: list = []
@@ -180,7 +182,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 #: names of the command modules resolved here on first use (PEP 562)
 _DEFERRED = {"decompose": "biorthogonal", "reconstruct": "biorthogonal",
-             "theta_series": "figures", "zplane_series": "figures"}
+             "theta_series": "figures", "zplane_series": "figures",
+             "OutputSet": "output"}
 
 
 def __getattr__(name: str):

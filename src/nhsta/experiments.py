@@ -216,9 +216,9 @@ def _policy_table(policy, theta, shared, eigen, last,
     if eigen:
         checks = _checks(policy, theta, h1, eigen)
         del h1
-        scan = scan_table(h, grid, certify=True)
+        scan = scan_table(h, grid)
     else:
-        scan = scan_table(h, grid, certify=True)
+        scan = scan_table(h, grid)
         # after the scan: the run-grid cos/sin of theta that the
         # eigenvalues cache on the shared path, and E_+, E_- themselves,
         # outweigh the copies of H0 a last table holds through it

@@ -9,11 +9,14 @@ of about sqrt(steps)/2 steps are vectorized across all blocks (Blelloch
 1990), and the products of the block ends before each block, its start
 propagator, in log-depth vectorized passes across them (Hillis & Steele
 1986).  The scan does not depend on psi0, so several initial states share
-it, and a state's samples are two broadcast products.  Step adequacy is
-certified by a half-step rerun on a quarter-step table: its two steps per
-run interval are multiplied into one matrix, so the rerun shares the run's
-blocks and scan and yields the run's samples, where the two are compared.
-Callables H(t) are sampled onto such tables first.
+it, and a state's samples are two broadcast products.  A table's phase
+count decides what its scan holds: a half-step (2-phase) table the run
+alone, a quarter-step (4-phase) table also the half-step rerun that
+certifies it, its two steps per run interval multiplied into one matrix,
+so the rerun shares the run's blocks and scan and yields the run's
+samples, where the two are compared.  The scan keeps its table for the
+frame check and to name the step of a blow-up.  Callables H(t) are
+sampled onto such tables first.
 """
 from __future__ import annotations
 
@@ -161,49 +164,53 @@ def _block_size(steps: int) -> int:
     return max(1, round(np.sqrt(steps) / 2))
 
 
+#: per phase count of a table, the trajectories its scan holds (the run
+#: first), each as the (phase, shift) stage rows of its substeps; each
+#: substep of a run interval reads rows at t, t + h/2, t + h of it
+_SETS = {2: ((((0, 0), (1, 0), (0, 1)),),),
+         4: ((((0, 0), (2, 0), (0, 1)),),
+             (((0, 0), (1, 0), (2, 0)), ((2, 0), (3, 0), (0, 1))))}
+
+
 class PrefixScan:
     """RK4 transfer-matrix prefix products of one table, for any psi0.
 
-    It holds one set of transfer matrices per trajectory: the run and, for a
-    certifying scan, its paired half-step rerun.  Each set's intervals are
-    cut into blocks of ``b``; ``prefix[j, :, :, s*blocks + i]`` is the
-    product of the matrices of intervals i*b .. i*b + j of set s (identities
-    pad the last block), and ``starts[:, s*blocks + i]`` holds the entries
-    of the product of all of set s before block i.  A state's samples are
-    then two broadcast products: the starts applied to psi0, and the
-    prefixes to those.
+    It holds one set of transfer matrices per trajectory of
+    ``_SETS[phases]``: the run and, for a 4-phase table, its paired
+    half-step rerun.  Each set's intervals are cut into blocks of ``b``;
+    ``prefix[j, :, :, s*blocks + i]`` is the product of the matrices of
+    intervals i*b .. i*b + j of set s (identities pad the last block), and
+    ``starts[:, s*blocks + i]`` holds the entries of the product of all of
+    set s before block i.  A state's samples are then two broadcast
+    products: the starts applied to psi0, and the prefixes to those.  The
+    table ``h`` is kept for the frame check and to name a blow-up.
     """
 
     # weak references let a caller check that a dropped table frees its scan
-    __slots__ = ("grid", "h", "sets", "prefix", "starts", "__weakref__")
+    __slots__ = ("grid", "h", "prefix", "starts", "__weakref__")
 
-    def __init__(self, grid: TimeGrid, h: np.ndarray, sets: tuple,
-                 prefix: np.ndarray, starts: np.ndarray):
+    def __init__(self, grid: TimeGrid, h: np.ndarray, prefix: np.ndarray,
+                 starts: np.ndarray):
         self.grid = grid
-        self.h = h  # kept to name the failing step of a blow-up
-        # per set, the (phase, shift) stage rows of its substeps
-        self.sets = sets
+        self.h = h
         self.prefix = prefix  # (b, 2, 2, len(sets) * blocks)
         self.starts = starts  # (4, len(sets) * blocks)
 
     def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
         """RK4 trajectory of each set from a two-component psi0 (the run
-        first); a blow-up raises NonFinite naming the step where it starts."""
+        first); a state that is not finite raises NonFinite naming the step
+        where it blows up."""
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (2,):
             raise ValueError("psi0 must be a two-component vector")
+        sets = _SETS[self.h.shape[1]]
         b, width = len(self.prefix), self.prefix.shape[-1]
-        blocks = width // len(self.sets)
-        pre = self.prefix.reshape(b, 4, width)
+        blocks = width // len(sets)
         with np.errstate(over="ignore", invalid="ignore"):
-            starts = _apply(self.starts, psi)
-            if not all(np.isfinite(x).all() for x in starts):
-                # a start propagator overflows where psi0 is exactly 0 or
-                # the state blows up: carry psi0 across the block ends
-                starts = self._carry(pre[-1].tolist(), psi, blocks)
-            cols = _apply(pre.transpose(1, 0, 2), starts)
+            cols = _apply(self.prefix.reshape(b, 4, width).transpose(1, 0, 2),
+                          _apply(self.starts, psi))
         runs = []
-        for lo, substeps in zip(range(0, width, blocks), self.sets):
+        for lo, substeps in zip(range(0, width, blocks), sets):
             # component-major, padded to whole blocks; psi is a view of it
             out = np.empty((2, 1 + blocks * b), dtype=complex)
             out[:, 0] = psi
@@ -213,20 +220,6 @@ class PrefixScan:
             self._check_finite(out, substeps)
             runs.append(StateTrajectory(grid=self.grid, psi=out))
         return tuple(runs)
-
-    @staticmethod
-    def _carry(ends, psi, blocks: int) -> np.ndarray:
-        """Start states of the blocks, (2, width): psi carried across each
-        set's block ends ``ends`` (entry lists) one scalar product at a time,
-        so an entry that overflows meets only states that reach it."""
-        starts = np.empty((2, len(ends[0])), dtype=complex)
-        for lo in range(0, starts.shape[1], blocks):
-            s0, s1 = complex(psi[0]), complex(psi[1])
-            for i in range(lo, lo + blocks):
-                starts[:, i] = s0, s1
-                s0, s1 = (ends[0][i] * s0 + ends[1][i] * s1,
-                          ends[2][i] * s0 + ends[3][i] * s1)
-        return starts
 
     def _check_finite(self, out: np.ndarray, substeps) -> None:
         """Raise NonFinite naming the first sample at which a step's stages
@@ -252,25 +245,19 @@ class PrefixScan:
         raise NonFinite(f"state blew up near t={t:g}")
 
 
-def scan_table(h: np.ndarray, grid: TimeGrid, certify: bool = False
-               ) -> PrefixScan:
+def scan_table(h: np.ndarray, grid: TimeGrid) -> PrefixScan:
     """Blocked prefix scan of the RK4 transfer matrices of a table.
 
     ``h`` is H on ``grid`` in the kernel's layout (:func:`phase_table`),
-    with 2 phases (half steps) or 4 (quarter steps).  With ``certify`` (4
-    phases) the scan also holds the half-step rerun, its two steps per run
-    interval multiplied into one matrix, so both sets share the blocks and
-    the b - 1 vectorized in-block iterations.
+    with 2 phases (half steps) or 4 (quarter steps); its phase count picks
+    the trajectories of ``_SETS``.  The sets share the blocks and the
+    b - 1 vectorized in-block iterations.
     """
     n = grid.steps
     phases = h.shape[1] if h.ndim == 3 else 0
-    if (h.shape != (4, phases, n + 1) or phases not in (2, 4)
-            or (certify and phases != 4)):
+    if h.shape != (4, phases, n + 1) or phases not in _SETS:
         raise ValueError("h must hold H in the kernel's layout on the grid")
-    # each substep of a run interval reads rows at t, t + h/2, t + h of it
-    run = (((0, 0), (phases // 2, 0), (0, 1)),)
-    rerun = (((0, 0), (1, 0), (2, 0)), ((2, 0), (3, 0), (0, 1)))
-    sets = (run, rerun) if certify else (run,)
+    sets = _SETS[phases]
     b = _block_size(n)
     blocks, (full, rest) = -(-n // b), divmod(n, b)
     p = np.empty((b, 4, len(sets) * blocks), dtype=complex)
@@ -301,8 +288,7 @@ def scan_table(h: np.ndarray, grid: TimeGrid, certify: bool = False
             x, y = s[..., d:], s[..., :-d]
             x[...] = x[:, 0, None] * y[0] + x[:, 1, None] * y[1]
             d *= 2
-    return PrefixScan(grid=grid, h=h, sets=sets, prefix=q,
-                      starts=s.reshape(4, -1))
+    return PrefixScan(grid=grid, h=h, prefix=q, starts=s.reshape(4, -1))
 
 
 def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
@@ -356,5 +342,5 @@ def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,
     refinement, sampled at the shared points.  Certifies step adequacy."""
     if grid.steps % 2 != 0:
         raise ValueError("convergence check expects an even number of steps")
-    scan = scan_table(_tabulate(h_total, grid, 4), grid, certify=True)
+    scan = scan_table(_tabulate(h_total, grid, 4), grid)
     return step_halving_gap(*scan.apply(psi0))

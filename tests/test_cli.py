@@ -11,11 +11,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nhsta.cli import COMMANDS, OutputSet, build_parser, main
+from nhsta.cli import COMMANDS, build_parser, main
 from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
                           parse_config_file)
 from nhsta.errors import ConfigError, NhStaError
-from nhsta.output import CSV_BLOCK_ROWS
+from nhsta.output import CSV_BLOCK_ROWS, OutputSet
 
 
 def read_csv(path):
@@ -140,8 +140,8 @@ def command_loads(argv, out, names):
                      f"main({argv + ['--out', str(out)]!r})", names)
 
 
-COMMAND_MODULES = ("nhsta.biorthogonal", "nhsta.figures", "nhsta.readers",
-                   "nhsta.verify", "json")
+COMMAND_MODULES = ("nhsta.biorthogonal", "nhsta.figures", "nhsta.output",
+                   "nhsta.readers", "nhsta.verify", "json")
 
 
 def test_sweep_loads_only_its_own_code(tmp_path, numpy_only_modules):
@@ -149,8 +149,9 @@ def test_sweep_loads_only_its_own_code(tmp_path, numpy_only_modules):
     # writes its manifest without json; compared with the numpy-only child
     loaded = command_loads(["sweep", "--gamma", "0.3", "--steps", "200"],
                            tmp_path, COMMAND_MODULES)
-    assert loaded == sorted(m for m in COMMAND_MODULES
-                            if m in numpy_only_modules)
+    assert loaded == sorted({"nhsta.output"}
+                            | {m for m in COMMAND_MODULES
+                               if m in numpy_only_modules})
 
 
 def test_verify_loads_its_module_and_no_figure_or_reader(tmp_path,
@@ -166,7 +167,7 @@ def test_figure1_loads_its_module_and_no_verify_code(tmp_path,
                                                      numpy_only_modules):
     loaded = command_loads(["figure1", "--gamma", "0.3"], tmp_path,
                            COMMAND_MODULES)
-    assert loaded == sorted({"nhsta.figures"}
+    assert loaded == sorted({"nhsta.figures", "nhsta.output"}
                             | {m for m in COMMAND_MODULES
                                if m in numpy_only_modules})
 
@@ -211,9 +212,10 @@ def test_package_import_defers_the_biorthogonal_api():
 
 
 def test_config_and_cli_resolve_the_moved_names():
-    from nhsta import biorthogonal, cli, config, readers
+    from nhsta import biorthogonal, cli, config, output, readers
     assert (cli.decompose, cli.reconstruct) == (biorthogonal.decompose,
                                                 biorthogonal.reconstruct)
+    assert cli.OutputSet is output.OutputSet
     assert (config.cubic_spline, config.load_pulse_file,
             config.parse_config_file) == (readers.cubic_spline,
                                           readers.load_pulse_file,

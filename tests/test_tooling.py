@@ -8,6 +8,7 @@ the garbage collector is tuned in two places only."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import pkgutil
 from collections import Counter
@@ -308,6 +309,16 @@ def test_one_propagation_path(monkeypatch):
                         and getattr(c.func, "id", None) == "PrefixScan"
                         for c in ast.walk(d))]
     assert builders == ["scan_table"]
+    # a table's phase count, not an option, decides what its scan holds:
+    # the run and its half-step rerun from 4 phases, the run from 2
+    assert list(inspect.signature(propagation.scan_table).parameters) == [
+        "h", "grid"]
+    grid = TimeGrid(0.0, 1.0, 10)
+    for phases, count in ((4, 2), (2, 1)):
+        table = np.zeros((4, phases, grid.n_points), dtype=complex)
+        runs = propagation.scan_table(table, grid).apply([1, 0])
+        assert len(runs) == count
+        assert all(np.array_equal(run.psi[-1], [1, 0]) for run in runs)
 
     # every entry point reaches that scan and its apply
     assert experiments.scan_table is propagation.scan_table
@@ -592,3 +603,22 @@ def test_compare_trees_reports_status_streams_and_checks():
         "stderr: 1 line(s) differ, first [] -> ['note']"]
     # every corpus invocation is a command the CLI knows
     assert {args[0] for args in tool.CORPUS} <= set(nhsta.cli.COMMANDS)
+
+
+def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys):
+    # the corpus compares each exit status the CLI documents, not only
+    # the runs that succeed
+    tool = load_script(COMPARE_TREES)
+    want = [(3, "numerical error: DegenerateRegime: "),
+            (3, "numerical error: ZeroGauge: "),
+            (3, "numerical error: SinThetaSingular: "),
+            (3, "numerical error: InconsistentChoice: "),
+            (3, "numerical error: NonFinite: "),
+            (2, "configuration error: "),
+            (1, "uncertified: gamma=3 ")]
+    assert all(args in tool.CORPUS for args in tool.ERROR_PATHS)
+    got = []
+    for args, (_, start) in zip(tool.ERROR_PATHS, want):
+        status = nhsta.cli.main([*args, "--out", str(tmp_path)])
+        got.append((status, capsys.readouterr().err[:len(start)]))
+    assert got == want

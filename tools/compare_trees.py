@@ -50,6 +50,19 @@ GAP_TABLE = [
     *(_rescaled(k) for k in range(2, 7)),
 ]
 
+#: invocations that fail: exit 3 with each named error, exit 2, and exit 1
+#: for an uncertified row
+ERROR_PATHS = [
+    ["figure3", "--gamma", "2"],  # DegenerateRegime
+    ["figure3", "--gamma", "1000"],  # ZeroGauge
+    ["sweep", "--gamma", "1e4", *ALL_POLICIES],  # SinThetaSingular
+    ["figure3", "--gamma", "3", "--policy", "general-omega-zero", "--tau",
+     "0.01"],  # InconsistentChoice
+    ["figure1", "--gamma", "1e160"],  # NonFinite
+    ["figure3", "--steps", "50"],  # a configuration error
+    ["figure3", "--gamma", "3", "--tau", "0.01"],  # uncertified
+]
+
 CORPUS = [
     ["figure1"], ["figure2"], ["figure3"], ["figure4"],
     ["sweep", "--gamma", "0.3,1,3", *ALL_POLICIES],  # the sweep18 workload
@@ -65,6 +78,7 @@ CORPUS = [
     ["sweep", "--gamma", "0.3,1", *ALL_POLICIES, "--pulse-file",
      "pulse.csv"],
     ["figure3", "--config", "run.cfg"],
+    *ERROR_PATHS,
 ]
 
 #: manifest entries that differ from run to run or from tree to tree
