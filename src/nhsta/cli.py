@@ -9,7 +9,10 @@ A command compiles only the code it runs: ``figure1``–``figure4`` live in
 :mod:`nhsta.figures` and ``verify`` (the one user of
 :mod:`nhsta.biorthogonal`) in :mod:`nhsta.verify`, each imported when its
 command runs, and the writers of :mod:`nhsta.output` load with ``sweep``
-or a figure command, never with ``verify``.  ``main`` also tunes its own
+or a figure command, never with ``verify``.  ``sweep``, ``figure3`` and
+``figure4`` build, run, record and flag their shortcut runs through one
+loop, :meth:`nhsta.output.OutputSet.record_runs`, which also counts the
+uncertified runs that set the exit status.  ``main`` also tunes its own
 process before the command runs (importing this module does not;
 importing the package only pauses the collector, see ``nhsta``): see
 :func:`_tune_process`.
@@ -20,69 +23,34 @@ import argparse
 import ctypes
 import gc
 import sys
-import time
 from importlib import import_module
 from typing import Optional, Sequence
 
 from .config import OPTIONS, ExperimentConfig, build_config
 from .errors import ConfigError, NhStaError
-from .experiments import shortcut_tables
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .experiments import run_shortcut  # noqa: F401
 from .propagation import integrate  # noqa: F401
 from .two_level import classify_regime  # noqa: F401
 
 
-def _shared_table_runs(cfg: ExperimentConfig, gamma: float):
-    """(policy, initial state, wall time, metrics led by the regime label)
-    of every policy and initial state of one decay rate.  The policies
-    share one angle path and H0, and each policy's initial states share one
-    certified table.  Each wall time includes an equal share of its table's
-    build time and of the decay rate's shared build time."""
-    started = time.perf_counter()
-    pulse, regime = cfg.pulse_for(gamma), cfg.regime_for(gamma)
-    tables = shortcut_tables(pulse, cfg.grid, cfg.policies)
-    n_states = len(cfg.initial_states)
-    gamma_share = ((time.perf_counter() - started)
-                   / (len(cfg.policies) * n_states))
-    runs = []
-    for policy in cfg.policies:
-        started = time.perf_counter()
-        table = next(tables)
-        share = gamma_share + (time.perf_counter() - started) / n_states
-        for initial in cfg.initial_states:
-            started = time.perf_counter()
-            metrics = {"regime": regime.value, **table.run(initial).metrics}
-            runs.append((policy, initial, share + time.perf_counter() - started,
-                         metrics))
-        del table  # free it before the next policy's table is built
-    return runs
-
-
 def cmd_sweep(cfg: ExperimentConfig) -> int:
-    """Cross-product gamma x policy x initial state, one metrics row each.
+    """Cross-product gamma x policy x initial state, one metrics row each:
+    a row is its run's manifest entry without ``wall_time_s``.
 
-    The policies of each gamma share one angle path and H0; each (gamma,
-    policy) table is built once and run from every initial state.
     Uncertified rows are flagged in the table and on stderr, and make the
     exit status 1 (the table and manifest are still written).
     """
-    from .output import OutputSet, flag_uncertified
+    from .output import OutputSet
     gammas = cfg.gammas()  # no default decay rates: refuses a missing list
     out = OutputSet(cfg, "sweep")
-    rows: list = []
-    uncertified = 0
     for gamma in gammas:
-        for policy, initial, elapsed, m in _shared_table_runs(cfg, gamma):
-            rows.append([gamma, policy, initial, *m.values()])
-            out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                        wall_time_s=elapsed, **m)
-            uncertified += flag_uncertified(gamma, policy, initial, m)
-    # the columns after the labels are the metrics, led by the regime
-    header = ["gamma", "policy", "initial_state", *m]
-    out.emit("sweep", header, list(map(list, zip(*rows))))
+        out.record_runs(cfg, gamma)
+    header = [key for key in out.runs[0] if key != "wall_time_s"]
+    out.emit("sweep", header, [[run[key] for run in out.runs]
+                               for key in header])
     out.write_manifest()
-    return 1 if uncertified else 0
+    return 1 if out.uncertified else 0
 
 
 def _deferred(module: str, command: str):

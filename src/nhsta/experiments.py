@@ -199,7 +199,9 @@ def _policy_table(policy, theta, shared, eigen, last,
     The eigenvalues are read into the empty list ``eigen`` by the first
     table of a pulse, from every 4th sample of H0, after its scan, and
     shared by the rest, which form their level, gauges and residual before
-    their scan and so hold no run-grid H1 through it."""
+    their scan and so hold no run-grid H1 through it.  The last table
+    empties ``eigen`` too, so a caller that keeps the generator through
+    its runs holds no E_+, E_- but what the table itself keeps."""
     grid = theta.grid
     theta_q, h0_q = shared
     if last:
@@ -225,6 +227,8 @@ def _policy_table(policy, theta, shared, eigen, last,
         eigen.extend(eigenvalue_path(h0, theta))
         del h0
         checks = _checks(policy, theta, h1, eigen)
+    if last:
+        eigen.clear()
     return ShortcutTable(theta, *checks, angle_rate, scan)
 
 

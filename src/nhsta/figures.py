@@ -1,19 +1,21 @@
 """The figure commands ``figure1``–``figure4``: one table per decay rate.
 
+``figure3`` and ``figure4`` take their one run per decay rate from
+:meth:`nhsta.output.OutputSet.record_runs`, the loop ``sweep`` runs too,
+and write each rate's table from that run before it is recorded.
+
 ``nhsta.cli`` imports this module only when a figure command runs.
 """
 from __future__ import annotations
 
-import time
 from typing import Sequence
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .experiments import run_shortcut
 from .grids import TimeGrid
-from .output import OutputSet, flag_uncertified
+from .output import OutputSet
 from .two_level import (BranchRegime, PulseSpec, branch_argument,
                         mixing_angle_path, radicand)
 
@@ -60,12 +62,6 @@ def theta_series(pulse: PulseSpec, grid: TimeGrid) -> dict:
     }
 
 
-def _single(values: tuple, what: str) -> str:
-    if len(values) != 1:
-        raise ConfigError(f"this command takes a single {what}, got {values}")
-    return values[0]
-
-
 def cmd_figure1(cfg: ExperimentConfig) -> int:
     """Radicand trajectories (t, Re Z, Im Z, eta, regime) per decay rate."""
     tables = _tables(cfg, "figure1", FIGURE1_DEFAULT_GAMMAS)
@@ -103,24 +99,17 @@ def _population_figure(cfg: ExperimentConfig, command: str,
     with t followed by ``columns(amps)``; status 1 if any run is
     uncertified (every table and the manifest are still written)."""
     tables = _tables(cfg, command, default_gammas)
-    policy = _single(cfg.policies, "policy")
-    initial = _single(cfg.initial_states, "initial state")
+    for values, what in ((cfg.policies, "policy"),
+                         (cfg.initial_states, "initial state")):
+        if len(values) != 1:
+            raise ConfigError(
+                f"this command takes a single {what}, got {values}")
     out = OutputSet(cfg, command)
-    grid = cfg.grid
-    uncertified = 0
     for name, gamma in tables.items():
-        pulse, regime = cfg.pulse_for(gamma), cfg.regime_for(gamma)
-        started = time.perf_counter()
-        run = run_shortcut(pulse, grid, policy=policy, initial_state=initial)
-        elapsed = time.perf_counter() - started
-        out.emit(name, header, [run.table.grid.samples] + columns(run.amps))
-        metrics = run.metrics
-        out.add_run(gamma=gamma, policy=policy, initial_state=initial,
-                    wall_time_s=elapsed, regime=regime.value, **metrics)
-        uncertified += flag_uncertified(gamma, policy, initial, metrics)
-        del run  # free it before the next decay rate's run is built
+        out.record_runs(cfg, gamma, lambda run: out.emit(
+            name, header, [run.table.grid.samples] + columns(run.amps)))
     out.write_manifest()
-    return 1 if uncertified else 0
+    return 1 if out.uncertified else 0
 
 
 def cmd_figure3(cfg: ExperimentConfig) -> int:

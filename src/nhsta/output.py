@@ -1,4 +1,6 @@
-"""What every command writes: tables, manifests, ``uncertified:`` lines.
+"""What every command writes: tables, manifests, ``uncertified:`` lines,
+and the one loop that builds, runs, records and flags the shortcut runs of
+``sweep``, ``figure3`` and ``figure4`` (:meth:`OutputSet.record_runs`).
 
 A table is formatted by one ``%`` per block of rows, and written and hashed
 (by the interpreter's built-in SHA-256, so OpenSSL is never loaded) block by
@@ -9,6 +11,7 @@ This module never imports ``cli``, which ``python -m nhsta.cli`` runs as
 from __future__ import annotations
 
 import sys
+import time
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -18,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .experiments import CERTIFIED_BY, RUN_CHECKS
+from .experiments import CERTIFIED_BY, RUN_CHECKS, shortcut_tables
 
 #: ``float.__repr__`` of a non-finite float -> its JSON spelling
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -147,7 +150,8 @@ def _write(path: Path, blocks: Iterable[bytes], what: str,
 
 
 class OutputSet:
-    """Collects emitted tables plus run metadata into a manifest."""
+    """Collects emitted tables plus run metadata into a manifest, and
+    counts the uncertified runs it records."""
 
     def __init__(self, cfg: ExperimentConfig, command: str):
         self.dir = Path(cfg.out)
@@ -161,6 +165,7 @@ class OutputSet:
         self.config_echo = {name: getattr(cfg, name) for name in cfg.FIELDS}
         self.files: list = []
         self.runs: list = []
+        self.uncertified = 0
 
     def emit(self, name: str, header: Sequence[str], columns: Sequence) -> Path:
         """Write one table, streamed in blocks, and record its SHA-256 for
@@ -177,6 +182,44 @@ class OutputSet:
     def add_run(self, **meta) -> None:
         self.runs.append(meta)
 
+    def record_runs(self, cfg: ExperimentConfig, gamma: float,
+                    emit=None) -> None:
+        """Run every policy and initial state of one decay rate, passing
+        each :class:`~nhsta.experiments.ShortcutRun` to ``emit`` if given,
+        then record each run's manifest entry and flag it if uncertified.
+
+        The policies share one angle path and H0, and each policy's table
+        is run from every initial state, then freed before the next is
+        built.  A run's ``wall_time_s`` is its own run and metrics, plus an
+        equal share of its table's build and of the decay rate's shared
+        build.  The ``uncertified:`` lines follow every run of the decay
+        rate, so a failure in a later table prints none of them."""
+        started = time.perf_counter()
+        pulse, regime = cfg.pulse_for(gamma), cfg.regime_for(gamma)
+        tables = shortcut_tables(pulse, cfg.grid, cfg.policies)
+        n_states = len(cfg.initial_states)
+        gamma_share = ((time.perf_counter() - started)
+                       / (len(cfg.policies) * n_states))
+        runs = []
+        for policy in cfg.policies:
+            started = time.perf_counter()
+            table = next(tables)
+            share = gamma_share + (time.perf_counter() - started) / n_states
+            for initial in cfg.initial_states:
+                started = time.perf_counter()
+                run = table.run(initial)
+                metrics = run.metrics
+                runs.append({"gamma": gamma, "policy": policy,
+                             "initial_state": initial, "wall_time_s":
+                             share + time.perf_counter() - started,
+                             "regime": regime.value, **metrics})
+                if emit is not None:
+                    emit(run)
+                del run  # free it before the next state's run is built
+            del table  # free it before the next policy's table is built
+        self.runs += runs
+        self.uncertified += sum(map(_flag_uncertified, runs))
+
     def write_manifest(self) -> Path:
         path = self.dir / f"{self.command}_manifest.json"
         payload = {
@@ -190,14 +233,14 @@ class OutputSet:
         return path
 
 
-def flag_uncertified(gamma: float, policy: str, initial: str,
-                      metrics: dict) -> bool:
-    """Print one stderr line for an uncertified run; True if it was."""
-    if metrics["certified"]:
+def _flag_uncertified(run: dict) -> bool:
+    """Print one stderr line for an uncertified manifest entry; True if it
+    was."""
+    if run["certified"]:
         return False
-    readings = " ".join(f"{key}={metrics[key]:.3e} "
+    readings = " ".join(f"{key}={run[key]:.3e} "
                         f"(bound {RUN_CHECKS[name][0]:g})"
                         for key, name in CERTIFIED_BY.items())
-    print(f"uncertified: gamma={gamma:g} policy={policy} "
-          f"initial_state={initial} {readings}", file=sys.stderr)
+    print(f"uncertified: gamma={run['gamma']:g} policy={run['policy']} "
+          f"initial_state={run['initial_state']} {readings}", file=sys.stderr)
     return True

@@ -74,12 +74,11 @@ class MixingAnglePath:
     """Branch-continuous complex mixing angle and its rate on a grid.
 
     ``cos_half``, ``sin_half``, ``sin`` and ``cos`` are cos(theta/2),
-    sin(theta/2), sin(theta) and cos(theta) on the grid, from the real
-    functions of theta = x + iy: sin(theta) = sin x cosh y + i cos x sinh y
-    and cos(theta) = cos x cosh y - i sin x sinh y, each part written in
-    place.  Each is evaluated on first read (the half angle's two together)
-    and kept, so every consumer of a path reads the same values and a path
-    pays only for the functions that are read.
+    sin(theta/2), sin(theta) and cos(theta) on the grid, each pair from
+    :func:`_cos_sin`.  Each is evaluated on first read (the half angle's
+    two together) and kept, so every consumer of a path reads the same
+    values and a path pays only for the functions that are read; sin and
+    cos are kept apart, so a path that keeps sin holds no cos.
     """
 
     def __init__(self, grid: TimeGrid, theta: np.ndarray, dtheta: np.ndarray):
@@ -96,39 +95,32 @@ class MixingAnglePath:
             self.sin  # noqa: B018 - cached before theta goes
         self.theta = None
 
-    @cached_property
-    def _half(self) -> tuple:
-        """cos and sin of theta/2 from one pass of each real function."""
-        x, y = 0.5 * self.theta.real, 0.5 * self.theta.imag
-        sin_x, sinh_y = np.sin(x), np.sinh(y)
-        cos_x, cosh_y = np.cos(x, out=x), np.cosh(y, out=y)
-        c, s = np.empty((2,) + x.shape, dtype=complex)
-        np.multiply(cos_x, cosh_y, out=c.real)
-        np.multiply(sin_x, sinh_y, out=c.imag)
-        np.negative(c.imag, out=c.imag)
-        np.multiply(sin_x, cosh_y, out=s.real)
-        np.multiply(cos_x, sinh_y, out=s.imag)
-        return c, s
-
+    _half = cached_property(lambda self: _cos_sin(
+        0.5 * self.theta.real, 0.5 * self.theta.imag))
     cos_half = property(lambda self: self._half[0])
     sin_half = property(lambda self: self._half[1])
+    sin = cached_property(
+        lambda self: _cos_sin(self.theta.real, self.theta.imag)[1])
+    cos = cached_property(
+        lambda self: _cos_sin(self.theta.real, self.theta.imag)[0])
 
-    @cached_property
-    def sin(self) -> np.ndarray:
-        x, y = self.theta.real, self.theta.imag
-        out = np.empty(np.shape(x), dtype=complex)
-        np.multiply(np.sin(x), np.cosh(y), out=out.real)
-        np.multiply(np.cos(x), np.sinh(y), out=out.imag)
-        return out
 
-    @cached_property
-    def cos(self) -> np.ndarray:
-        x, y = self.theta.real, self.theta.imag
-        out = np.empty(np.shape(x), dtype=complex)
-        np.multiply(np.cos(x), np.cosh(y), out=out.real)
-        np.multiply(np.sin(x), np.sinh(y), out=out.imag)
-        np.negative(out.imag, out=out.imag)
-        return out
+def _cos_sin(x: np.ndarray, y: np.ndarray) -> tuple:
+    """cos(x + iy) = cos x cosh y - i sin x sinh y and sin(x + iy) =
+    sin x cosh y + i cos x sinh y from one pass of each real function.
+    Each function is written into a part of the result and multiplied
+    there in place, so one real temporary (sin x sinh y) is all the work
+    space beyond the result; ``x`` and ``y`` are only read."""
+    c = np.empty(np.shape(x), dtype=complex)
+    s = np.empty_like(c)
+    sin_x, cos_x = np.sin(x, out=s.real), np.cos(x, out=c.real)
+    sinh_y, cosh_y = np.sinh(y, out=s.imag), np.cosh(y, out=c.imag)
+    sin_sinh = sin_x * sinh_y
+    np.multiply(sin_x, cosh_y, out=s.real)
+    np.multiply(cos_x, sinh_y, out=s.imag)
+    np.multiply(cos_x, cosh_y, out=c.real)
+    np.negative(sin_sinh, out=c.imag)
+    return c, s
 
 
 def complex_array(re, im) -> np.ndarray:

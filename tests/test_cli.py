@@ -914,12 +914,18 @@ class TestFigure4:
 
 
 class TestSweep:
-    def test_rows_match_figure_pipelines_bitwise(self, tmp_path):
+    def test_rows_match_figure_pipelines_bitwise(self, tmp_path, capsys):
+        # figure3 and sweep record their runs through one loop: the same
+        # manifest entries, the same stderr lines, and a sweep row is its
+        # manifest entry without the wall time (2.1 is uncertified)
         fig_dir, sweep_dir = tmp_path / "fig", tmp_path / "sweep"
-        assert main(["figure3", "--out", str(fig_dir)]) == 0
+        gammas = ["--gamma", "0.1,0.3,1,2.1"]
+        assert main(["figure3", *gammas, "--out", str(fig_dir)]) == 1
+        fig3_err = capsys.readouterr().err
         assert main(["figure4", "--out", str(fig_dir)]) == 0
-        assert main(["sweep", "--gamma", "0.1,0.3,1", "--out",
-                     str(sweep_dir)]) == 0
+        assert main(["sweep", *gammas, "--out", str(sweep_dir)]) == 1
+        assert capsys.readouterr().err == fig3_err
+        assert len(fig3_err.splitlines()) == 1
         rows = read_csv(sweep_dir / "sweep.csv")
         fig3 = json.loads((fig_dir / "figure3_manifest.json").read_text())
         for i, meta in enumerate(fig3["runs"]):
@@ -928,9 +934,21 @@ class TestSweep:
             assert rows["max_abs_g_minus"][i] == meta["max_abs_g_minus"]
         fig4 = json.loads((fig_dir / "figure4_manifest.json").read_text())
         assert rows["p0_renorm_final"][2] == fig4["runs"][0]["p0_renorm_final"]
-        assert rows["certified"] == ["True"] * 3
+        assert rows["certified"] == ["True"] * 3 + ["False"]
         sweep = json.loads((sweep_dir / "sweep_manifest.json").read_text())
-        assert [run["certified"] for run in sweep["runs"]] == [True] * 3
+        assert [run["certified"] for run in sweep["runs"]] == [True] * 3 + [
+            False]
+
+        def untimed(runs):
+            return [{k: v for k, v in run.items() if k != "wall_time_s"}
+                    for run in runs]
+
+        entries = untimed(sweep["runs"])
+        assert untimed(fig3["runs"]) == entries
+        assert list(rows) == list(entries[0])
+        for key, column in rows.items():
+            assert list(column) == [str(run[key]) if isinstance(
+                run[key], (str, bool)) else run[key] for run in entries], key
 
     def test_rows_form_no_closed_form(self, tmp_path, monkeypatch):
         # only verify checks g_+ against its closed form, so a sweep over

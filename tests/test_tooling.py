@@ -457,6 +457,30 @@ def test_one_validation_site():
     assert callers == {("nhsta.cli", "main")}
 
 
+def test_one_loop_records_the_shortcut_runs():
+    # sweep, figure3 and figure4 build, run, record and flag their runs
+    # through OutputSet.record_runs; verify runs its own, one per decay rate
+    callers = set()
+    for name in ("cli", "figures", "output", "verify"):
+        tree = ast.parse(Path(importlib.import_module(
+            f"nhsta.{name}").__file__).read_text())
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in methods:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                scope = ".".join([name] + [node.name] * (fn is not node)
+                                 + [fn.name])
+                callers |= {(getattr(call.func, "id", None)
+                             or getattr(call.func, "attr", None), scope)
+                            for call in ast.walk(fn)
+                            if isinstance(call, ast.Call)}
+    assert sorted(c for c in callers
+                  if c[0] in ("shortcut_tables", "run_shortcut")) == [
+        ("run_shortcut", "verify._verify_checks"),
+        ("shortcut_tables", "output.OutputSet.record_runs")]
+
+
 def imports(module):
     """(top-level imported name, innermost enclosing function or None) of
     every absolute import in a module."""

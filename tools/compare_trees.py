@@ -78,6 +78,8 @@ CORPUS = [
     ["sweep", "--gamma", "0.3,1", *ALL_POLICIES, "--pulse-file",
      "pulse.csv"],
     ["figure3", "--config", "run.cfg"],
+    # one uncertified run after a certified one, in a figure and a sweep
+    ["figure4", "--gamma", "0.3,2.1"], ["sweep", "--gamma", "0.3,2.1"],
     *ERROR_PATHS,
 ]
 
