@@ -20,9 +20,31 @@ from .errors import NonFinite, SinThetaSingular, ZeroGauge
 from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath
 
-#: below this, a vanishing Re[sin theta] is treated as removable iff the
-#: numerator Im[dtheta] vanishes with it: below this times max|dtheta|
+#: a denominator below this is guarded, and removable iff its numerator
+#: is below this times max|dtheta|
 EPS_SINGULAR = 1e-9
+
+
+def _guarded_ratio(theta_path: MixingAnglePath, num: np.ndarray,
+                   den: np.ndarray, error: type, message: str) -> np.ndarray:
+    """num/den on ``theta_path``'s grid, the diagonal split of both
+    realizable supplements.  Samples with |den| < EPS_SINGULAR are guarded;
+    removable ones (|num| <= EPS_SINGULAR*max|dtheta| too) take the linear
+    interpolation of the unguarded samples (0 if all are guarded); any other
+    raises ``error`` with ``message`` formatted with its ``num`` and ``t``."""
+    small = np.abs(den) < EPS_SINGULAR
+    out = np.where(small, 0.0, num / np.where(small, 1.0, den))
+    if not np.any(small):
+        return out
+    scale = np.max(np.abs(theta_path.dtheta))
+    bad = small & (np.abs(num) > EPS_SINGULAR * scale)
+    ts = theta_path.grid.samples
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise error(message.format(num=num[k], t=ts[k]))
+    if not np.all(small):
+        out[small] = np.interp(ts[small], ts[~small], out[~small])
+    return out
 
 
 class GaugeFunctions:
@@ -59,33 +81,13 @@ def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
 
 
 def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
-    """Real diagonal split delta(t) = Im[dtheta]/Re[sin theta].
-
-    This is the diagonal entry delta of the realizable supplement
-    0.5*[[delta, W], [conj(W), -delta]] that removes the amplitude flow out
-    of the reference eigenstate.  Points where Re[sin theta] and Im[dtheta]
-    vanish together are removable: they take the limit of their neighbours,
-    interpolated linearly over the unguarded samples (0 if every sample is
-    guarded).  Im[dtheta] vanishes when it is below EPS_SINGULAR times
-    max|dtheta|, the rate's own scale, which grows as the pulse shortens.
-    A vanishing denominator with a surviving numerator raises
-    SinThetaSingular.
+    """Real diagonal split delta(t) = Im[dtheta]/Re[sin theta], the diagonal
+    entry of the realizable supplement 0.5*[[delta, W], [conj(W), -delta]]
+    that removes the amplitude flow out of the reference eigenstate.
+    Samples where Re[sin theta] ~ 0 follow :func:`_guarded_ratio`; one whose
+    Im[dtheta] survives there raises SinThetaSingular.
     """
-    re_sin = theta_path.sin.real
-    num = theta_path.dtheta.imag
-    small = np.abs(re_sin) < EPS_SINGULAR
-    delta = np.where(small, 0.0, num / np.where(small, 1.0, re_sin))
-    if not np.any(small):
-        return delta
-    scale = np.max(np.abs(theta_path.dtheta))
-    bad = small & (np.abs(num) > EPS_SINGULAR * scale)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise SinThetaSingular(
-            f"Re[sin theta] ~ 0 with Im[dtheta] = {num[k]:.3e} at "
-            f"t={theta_path.grid.samples[k]:g}"
-        )
-    if not np.all(small):
-        ts = theta_path.grid.samples
-        delta[small] = np.interp(ts[small], ts[~small], delta[~small])
-    return delta
+    return _guarded_ratio(
+        theta_path, theta_path.dtheta.imag, theta_path.sin.real,
+        SinThetaSingular,
+        "Re[sin theta] ~ 0 with Im[dtheta] = {num:.3e} at t={t:g}")

@@ -40,7 +40,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InconsistentChoice
-from .gauges import GaugeFunctions, gauge_from_integrands, matched_delta
+from .gauges import (GaugeFunctions, _guarded_ratio, gauge_from_integrands,
+                     matched_delta)
 from .grids import TimeGrid, cumulative_trapezoid
 from .two_level import MixingAnglePath, _raise_at_first, complex_array
 
@@ -86,19 +87,15 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> tuple:
     term's diagonal is; added into H0 + H1 they give the bits of a zero
     array.
 
-    Raises InconsistentChoice where sin(theta) vanishes but dtheta does not,
-    since no diagonal split cancels the leak there.
+    A guarded sample follows ``gauges._guarded_ratio``, ``matched_delta``'s
+    rule: where sin(theta) ~ 0 and dtheta survives against max|dtheta|, no
+    diagonal split cancels the leak and InconsistentChoice is raised.
     """
-    dth, sin_th = theta_path.dtheta, theta_path.sin
-    tiny = np.abs(sin_th) < 1e-12
-    bad = tiny & (np.abs(dth) >= 1e-12)
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise InconsistentChoice(
-            f"sin(theta) ~ 0 with lam != 0 at t={theta_path.grid.samples[k]:g}: "
-            f"diagonal split underdetermined"
-        )
-    delta = np.where(tiny, 0.0, -1j * dth / np.where(tiny, 1.0, sin_th))
+    delta = _guarded_ratio(
+        theta_path, -1j * theta_path.dtheta, theta_path.sin,
+        InconsistentChoice,
+        "sin(theta) ~ 0 with lam != 0 at t={t:g}: diagonal split "
+        "underdetermined")
     return _entries(theta_path.grid, delta, 0.0)
 
 

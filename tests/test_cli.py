@@ -875,6 +875,20 @@ class TestFigure3:
         assert_uncertified_line(err[0], "2.1", "hermitian-realizable",
                                 "eigen-plus", manifest["runs"][0])
 
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "3", "--tau", "0.01", "--steps", "20000"],
+        ["--gamma", "1", "--t-final", "30", "--steps", "30000"]])
+    def test_zero_drive_certifies_where_sin_theta_vanishes_removably(
+            self, tmp_path, capsys, flags):
+        # a short pulse or a long window drives sin(theta) and dtheta to
+        # ~0 together in the tails; there delta = -i*dtheta/sin(theta)
+        # keeps its limit, so the run neither refuses a sample nor jumps
+        assert main(["figure3", *flags, "--policy", "general-omega-zero",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "figure3_manifest.json").read_text())
+        assert [run["certified"] for run in manifest["runs"]] == [True]
+        assert capsys.readouterr().err == ""
+
     def test_window_after_the_crossing_keeps_g_plus_at_one(self, tmp_path,
                                                           capsys):
         # Delta > 0 on the whole window: theta starts near 0, so |+> is the

@@ -7,15 +7,24 @@ from conftest import (ae_pulse, ae_setup, analytic_two_level_systems,
                       assert_bitwise, path_eigenvalues, shifted_level,
                       shortcut_table, table_eigenvalues, table_entries)
 from nhsta import experiments, gauges
-from nhsta.errors import SinThetaSingular, ZeroGauge
+from nhsta.errors import InconsistentChoice, SinThetaSingular, ZeroGauge
 from nhsta.gauges import matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
-from nhsta.synthesis import POLICY_NAIVE, hermitian_realizable, matched_gauge
-from nhsta.two_level import (MixingAnglePath, PulseSpec, frame_diagonal,
-                             mixing_angle_path, theta_at)
+from nhsta.synthesis import (POLICY_NAIVE, general_family_omega_zero,
+                             hermitian_realizable, matched_gauge)
+from nhsta.two_level import (MixingAnglePath, PulseSpec, allen_eberly,
+                             frame_diagonal, mixing_angle_path, theta_at)
 from oracles import (EigenPath, adiabatic_frame_generic, adiabatic_frame_h0,
                      rotation)
+
+
+#: (diagonal split of a path, the error its unguardable sample raises) of
+#: both realizable policies, which share one removable-point rule
+DIAGONAL_SPLITS = [
+    pytest.param(matched_delta, SinThetaSingular, id="hermitian"),
+    pytest.param(lambda path: 2 * general_family_omega_zero(path)[0],
+                 InconsistentChoice, id="omega-zero")]
 
 
 class TestGaugeSimple:
@@ -142,33 +151,54 @@ class TestGaugeShortcut:
         assert delta[k] < -16.0
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
-    def test_unguardable_singularity_raises(self, scale):
+    @pytest.mark.parametrize("split, error", DIAGONAL_SPLITS)
+    def test_unguardable_singularity_raises(self, split, error, scale):
         grid = TimeGrid(0.0, 1.0, 4)
-        theta = np.zeros(5, dtype=complex)  # Re[sin theta] = 0 everywhere
+        theta = np.zeros(5, dtype=complex)  # sin theta = 0 everywhere
         # with a surviving numerator, however small or large the rate
         dtheta = np.full(5, 1j * scale, dtype=complex)
         path = MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta)
-        with pytest.raises(SinThetaSingular):
-            matched_delta(path)
+        with pytest.raises(error):
+            split(path)
 
     @pytest.mark.parametrize("im_dtheta, removable", [(1e-6, True),
                                                       (1e-4, False)])
+    @pytest.mark.parametrize("split, error", DIAGONAL_SPLITS)
     def test_vanishing_numerator_is_measured_against_the_rate(
-            self, im_dtheta, removable):
-        # beside a rate of 1e4, Im[dtheta] = 1e-6 vanishes with Re[sin theta]
+            self, split, error, im_dtheta, removable):
+        # beside a rate of 1e4, Im[dtheta] = 1e-6 vanishes with sin theta
         # (below 1e-9 * 1e4) and the point takes its neighbours' mean; 1e-4
-        # survives and raises
+        # survives and raises.  At samples 1 to 3 -i*dtheta = Im[dtheta]
+        # and sin theta is real, so both policies' splits agree there
         grid = TimeGrid(0.0, 1.0, 4)
         theta = np.array([0.1, 0.2, 0.0, 0.2, 0.1], dtype=complex)
         dtheta = np.array([1e4, 0.5j, 1j * im_dtheta, 0.3j, 1e4])
         path = MixingAnglePath(grid=grid, theta=theta, dtheta=dtheta)
         if not removable:
-            with pytest.raises(SinThetaSingular, match="t=0.5$"):
-                matched_delta(path)
+            with pytest.raises(error, match=r"t=0\.5(:|$)"):
+                split(path)
             return
-        delta = matched_delta(path)
+        delta = split(path)
         assert delta[2] == pytest.approx(0.5 * (delta[1] + delta[3]))
         assert delta[1] == pytest.approx(0.5 / np.sin(0.2))
+
+    def test_zero_drive_split_takes_the_ratio_where_both_are_tiny(self):
+        # at tau = 0.01 and gamma = 3, |sin theta| and |dtheta| fall below
+        # 1e-12 together on most of the quarter grid, and
+        # -i*dtheta/sin(theta) tends to -+i/tau in the tails: the split
+        # keeps that ratio, neither refusing the samples nor writing 0
+        pulse = allen_eberly(omega0=1.0, delta0=9.0, tau=0.01, gamma=3.0)
+        quarter = TimeGrid(-1.0, 1.0, 4000).refine(4)
+        path = mixing_angle_path(pulse, quarter)
+        delta = 2 * general_family_omega_zero(path)[0]
+        tiny = np.abs(path.sin) < 1e-12
+        assert np.count_nonzero(tiny) > 10000
+        assert np.all(np.isfinite(delta))
+        ratio = -1j * path.dtheta[tiny] / path.sin[tiny]
+        assert np.max(np.abs(delta[tiny] - ratio)) <= 1e-10
+        ts = quarter.samples
+        for side, limit in ((ts < -0.5, -100j), (ts > 0.5, 100j)):
+            assert np.max(np.abs(delta[side] - limit)) <= 1e-10
 
 
 class TestRotation:

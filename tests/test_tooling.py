@@ -602,7 +602,7 @@ def test_compare_trees_reads_manifest_bytes_past_ignored_entries(tmp_path):
 
 def test_compare_trees_writes_its_input_files():
     # the pulse table is seeded, covers the default window and has a
-    # non-negative Omega_R; the config file is one the CLI reads
+    # non-negative Omega_R; every input file is read by an invocation
     tool = load_script(COMPARE_TREES)
     files = tool.inputs()
     assert files == tool.inputs()
@@ -610,7 +610,7 @@ def test_compare_trees_writes_its_input_files():
     assert (table[0, 0], table[-1, 0]) == (-1.0, 1.0)
     assert np.all(table[:, 1] > 0)
     args = [arg for args in tool.CORPUS for arg in args]
-    assert {"pulse.csv", "run.cfg"} <= set(args)
+    assert set(files) <= set(args)
 
 
 def test_compare_trees_reports_status_streams_and_checks():
@@ -629,10 +629,14 @@ def test_compare_trees_reports_status_streams_and_checks():
     assert {args[0] for args in tool.CORPUS} <= set(nhsta.cli.COMMANDS)
 
 
-def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys):
+def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
+                                                   monkeypatch):
     # the corpus compares each exit status the CLI documents, not only
-    # the runs that succeed
+    # the runs that succeed, each run beside the tool's input files
     tool = load_script(COMPARE_TREES)
+    for name, text in tool.inputs().items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     want = [(3, "numerical error: DegenerateRegime: "),
             (3, "numerical error: ZeroGauge: "),
             (3, "numerical error: SinThetaSingular: "),
@@ -643,6 +647,6 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys):
     assert all(args in tool.CORPUS for args in tool.ERROR_PATHS)
     got = []
     for args, (_, start) in zip(tool.ERROR_PATHS, want):
-        status = nhsta.cli.main([*args, "--out", str(tmp_path)])
+        status = nhsta.cli.main([*args, "--out", "out"])
         got.append((status, capsys.readouterr().err[:len(start)]))
     assert got == want

@@ -56,8 +56,8 @@ ERROR_PATHS = [
     ["figure3", "--gamma", "2"],  # DegenerateRegime
     ["figure3", "--gamma", "1000"],  # ZeroGauge
     ["sweep", "--gamma", "1e4", *ALL_POLICIES],  # SinThetaSingular
-    ["figure3", "--gamma", "3", "--policy", "general-omega-zero", "--tau",
-     "0.01"],  # InconsistentChoice
+    ["figure3", "--gamma", "0.3", "--policy", "general-omega-zero",
+     "--pulse-file", "ramp.csv"],  # InconsistentChoice
     ["figure1", "--gamma", "1e160"],  # NonFinite
     ["figure3", "--steps", "50"],  # a configuration error
     ["figure3", "--gamma", "3", "--tau", "0.01"],  # uncertified
@@ -80,6 +80,11 @@ CORPUS = [
     ["figure3", "--config", "run.cfg"],
     # one uncertified run after a certified one, in a figure and a sweep
     ["figure4", "--gamma", "0.3,2.1"], ["sweep", "--gamma", "0.3,2.1"],
+    # the zero-drive split where sin(theta) and dtheta vanish together
+    ["figure3", "--gamma", "3", "--policy", "general-omega-zero", "--tau",
+     "0.01"],
+    ["figure3", "--gamma", "1", "--policy", "general-omega-zero",
+     "--t-final", "30", "--steps", "30000"],
     *ERROR_PATHS,
 ]
 
@@ -95,7 +100,9 @@ def inputs(seed: int = 35, points: int = 401) -> dict:
     """File name -> text of the input files every invocation finds in its
     working directory.  ``pulse.csv`` is the default sech/tanh pulse on
     [-1, 1] at ``points`` times, each control times a seeded smooth wiggle
-    of at most 3%; ``run.cfg`` sets options through a config file."""
+    of at most 3%; ``ramp.csv`` is Omega_R = (1 + t)/2, Delta = 9t on the
+    same times, whose sin(theta) = 0 at t = -1 refuses the zero-drive
+    split; ``run.cfg`` sets options through a config file."""
     rng = np.random.default_rng(seed)
     t = np.linspace(-1.0, 1.0, points)
     k = np.arange(1, 4)[:, None]
@@ -106,10 +113,13 @@ def inputs(seed: int = 35, points: int = 401) -> dict:
         return 1.0 + np.sum(amp * np.sin(0.5 * np.pi * k * (t + 1.0) + phase),
                             axis=0)
 
-    table = np.column_stack([t, wiggle() / np.cosh(t),
-                             9.0 * wiggle() * np.tanh(t)])
-    return {"pulse.csv": "".join("%.17g,%.17g,%.17g\n" % tuple(row)
-                                 for row in table),
+    def table(omega_r, delta):
+        return "".join("%.17g,%.17g,%.17g\n" % row
+                       for row in zip(t, omega_r, delta))
+
+    return {"pulse.csv": table(wiggle() / np.cosh(t),
+                               9.0 * wiggle() * np.tanh(t)),
+            "ramp.csv": table(0.5 * (1.0 + t), 9.0 * t),
             "run.cfg": "# options read from a file\ngamma = 0.3, 1\n"
                        "steps = 2000\npolicy = naive-cd\n"
                        "initial_state = bare-ground\nformat = json\n"}
