@@ -29,9 +29,14 @@ def _guarded_ratio(theta_path: MixingAnglePath, num: np.ndarray,
                    den: np.ndarray, error: type, message: str) -> np.ndarray:
     """num/den on ``theta_path``'s grid, the diagonal split of both
     realizable supplements.  Samples with |den| < EPS_SINGULAR are guarded;
-    removable ones (|num| <= EPS_SINGULAR*max|dtheta| too) take the linear
-    interpolation of the unguarded samples (0 if all are guarded); any other
-    raises ``error`` with ``message`` formatted with its ``num`` and ``t``."""
+    any with |num| > EPS_SINGULAR*max|dtheta| raises ``error`` with
+    ``message`` formatted with its ``num`` and ``t``.  The rest are
+    removable.  An isolated one, k with 2 <= k <= n - 3 whose samples
+    k +- 1 and k +- 2 are unguarded, takes the four-point cubic
+    (-r[k-2] + 4r[k-1] + 4r[k+1] - r[k+2])/6 of those ratios r, whose
+    error is fourth order like the steps that read it; any other takes
+    the linear interpolation of the unguarded samples (0 if all are
+    guarded)."""
     small = np.abs(den) < EPS_SINGULAR
     out = np.where(small, 0.0, num / np.where(small, 1.0, den))
     if not np.any(small):
@@ -44,6 +49,10 @@ def _guarded_ratio(theta_path: MixingAnglePath, num: np.ndarray,
         raise error(message.format(num=num[k], t=ts[k]))
     if not np.all(small):
         out[small] = np.interp(ts[small], ts[~small], out[~small])
+        k = np.flatnonzero(small[2:-2]) + 2
+        k = k[~(small[k - 2] | small[k - 1] | small[k + 1] | small[k + 2])]
+        out[k] = (-out[k - 2] + 4 * out[k - 1] + 4 * out[k + 1]
+                  - out[k + 2]) / 6
     return out
 
 

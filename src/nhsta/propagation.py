@@ -9,14 +9,13 @@ of about sqrt(steps)/2 steps are vectorized across all blocks (Blelloch
 1990), and the products of the block ends before each block, its start
 propagator, in log-depth vectorized passes across them (Hillis & Steele
 1986).  The scan does not depend on psi0, so several initial states share
-it, and a state's samples are two broadcast products.  A table's phase
-count decides what its scan holds: a half-step (2-phase) table the run
-alone, a quarter-step (4-phase) table also the half-step rerun that
-certifies it, its two steps per run interval multiplied into one matrix,
-so the rerun shares the run's blocks and scan and yields the run's
-samples, where the two are compared.  The scan keeps its table for the
-frame check and to name the step of a blow-up.  Callables H(t) are
-sampled onto such tables first.
+it, and a state's samples are two broadcast products.  Every kernel table
+is quarter-step (4 phases), and its scan yields the run and the half-step
+rerun that certifies it, the rerun's two steps per run interval
+multiplied into one matrix, so it shares the run's blocks and scan and
+yields the run's samples, where the two are compared.  The scan keeps its
+table for the frame check and to name the step of a blow-up.  Callables
+H(t) are sampled onto such a table first.
 """
 from __future__ import annotations
 
@@ -116,7 +115,8 @@ def _rk4_step(a, h: float, y, k1):
 
 
 def phase_table(steps: int, h, h1=None) -> np.ndarray:
-    """H (plus H1 when given) in the kernel's layout, (4, phases, steps + 1).
+    """H (plus H1 when given) in the kernel's layout, (4, phases, steps + 1);
+    :func:`scan_table` reads quarter-step tables, phases = 4.
 
     ``h`` and ``h1`` are the entries (h00, h01, h10, h11) of 2x2 series on
     ``grid.refine(phases)``, phases*steps + 1 samples each (an entry of
@@ -164,24 +164,22 @@ def _block_size(steps: int) -> int:
     return max(1, round(np.sqrt(steps) / 2))
 
 
-#: per phase count of a table, the trajectories its scan holds (the run
-#: first), each as the (phase, shift) stage rows of its substeps; each
-#: substep of a run interval reads rows at t, t + h/2, t + h of it
-_SETS = {2: ((((0, 0), (1, 0), (0, 1)),),),
-         4: ((((0, 0), (2, 0), (0, 1)),),
-             (((0, 0), (1, 0), (2, 0)), ((2, 0), (3, 0), (0, 1))))}
+#: the trajectories a scan holds, the run and its half-step rerun, each as
+#: the (phase, shift) stage rows of its substeps; each substep of a run
+#: interval reads rows at t, t + h/2, t + h of it
+_SETS = ((((0, 0), (2, 0), (0, 1)),),
+         (((0, 0), (1, 0), (2, 0)), ((2, 0), (3, 0), (0, 1))))
 
 
 class PrefixScan:
     """RK4 transfer-matrix prefix products of one table, for any psi0.
 
-    It holds one set of transfer matrices per trajectory of
-    ``_SETS[phases]``: the run and, for a 4-phase table, its paired
-    half-step rerun.  Each set's intervals are cut into blocks of ``b``;
-    ``prefix[j, :, :, s*blocks + i]`` is the product of the matrices of
-    intervals i*b .. i*b + j of set s (identities pad the last block), and
-    ``starts[:, s*blocks + i]`` holds the entries of the product of all of
-    set s before block i.  A state's samples are then two broadcast
+    It holds one set of transfer matrices per trajectory of ``_SETS``: the
+    run and its paired half-step rerun.  Each set's intervals are cut into
+    blocks of ``b``; ``prefix[j, :, :, s*blocks + i]`` is the product of the
+    matrices of intervals i*b .. i*b + j of set s (identities pad the last
+    block), and ``starts[:, s*blocks + i]`` holds the entries of the product
+    of all of set s before block i.  A state's samples are then two broadcast
     products: the starts applied to psi0, and the prefixes to those.  The
     table ``h`` is kept for the frame check and to name a blow-up.
     """
@@ -193,24 +191,22 @@ class PrefixScan:
                  starts: np.ndarray):
         self.grid = grid
         self.h = h
-        self.prefix = prefix  # (b, 2, 2, len(sets) * blocks)
-        self.starts = starts  # (4, len(sets) * blocks)
+        self.prefix = prefix  # (b, 2, 2, 2 * blocks)
+        self.starts = starts  # (4, 2 * blocks)
 
     def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
-        """RK4 trajectory of each set from a two-component psi0 (the run
-        first); a state that is not finite raises NonFinite naming the step
-        where it blows up."""
+        """The run and its rerun from a two-component psi0; a state that is
+        not finite raises NonFinite naming the step where it blows up."""
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (2,):
             raise ValueError("psi0 must be a two-component vector")
-        sets = _SETS[self.h.shape[1]]
         b, width = len(self.prefix), self.prefix.shape[-1]
-        blocks = width // len(sets)
+        blocks = width // 2
         with np.errstate(over="ignore", invalid="ignore"):
             cols = _apply(self.prefix.reshape(b, 4, width).transpose(1, 0, 2),
                           _apply(self.starts, psi))
         runs = []
-        for lo, substeps in zip(range(0, width, blocks), sets):
+        for lo, substeps in zip((0, blocks), _SETS):
             # component-major, padded to whole blocks; psi is a view of it
             out = np.empty((2, 1 + blocks * b), dtype=complex)
             out[:, 0] = psi
@@ -248,21 +244,18 @@ class PrefixScan:
 def scan_table(h: np.ndarray, grid: TimeGrid) -> PrefixScan:
     """Blocked prefix scan of the RK4 transfer matrices of a table.
 
-    ``h`` is H on ``grid`` in the kernel's layout (:func:`phase_table`),
-    with 2 phases (half steps) or 4 (quarter steps); its phase count picks
-    the trajectories of ``_SETS``.  The sets share the blocks and the
-    b - 1 vectorized in-block iterations.
+    ``h`` is H on ``grid`` in the kernel's layout (:func:`phase_table`)
+    at the quarter steps.  The run and its rerun (``_SETS``) share the
+    blocks and the b - 1 vectorized in-block iterations.
     """
     n = grid.steps
-    phases = h.shape[1] if h.ndim == 3 else 0
-    if h.shape != (4, phases, n + 1) or phases not in _SETS:
+    if h.shape != (4, 4, n + 1):
         raise ValueError("h must hold H in the kernel's layout on the grid")
-    sets = _SETS[phases]
     b = _block_size(n)
     blocks, (full, rest) = -(-n // b), divmod(n, b)
-    p = np.empty((b, 4, len(sets) * blocks), dtype=complex)
+    p = np.empty((b, 4, 2 * blocks), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, substeps in zip(range(0, p.shape[-1], blocks), sets):
+        for lo, substeps in zip((0, blocks), _SETS):
             for c, m in enumerate(_transfer(h, substeps, grid.step, n)):
                 dst = p[:, c, lo:lo + blocks]
                 dst[:, :full] = m[:full * b].reshape(full, b).T
@@ -279,7 +272,7 @@ def scan_table(h: np.ndarray, grid: TimeGrid) -> PrefixScan:
         # each block's start: the exclusive product of its set's block ends,
         # in ceil(log2(blocks - 1)) passes s[i] = s[i] @ s[i - d] (Hillis &
         # Steele 1986) that never cross from one set into the other
-        ends = q[-1].reshape(2, 2, len(sets), blocks)
+        ends = q[-1].reshape(2, 2, 2, blocks)
         s = np.empty_like(ends)
         s[..., 0] = np.eye(2)[..., None]
         s[..., 1:] = ends[..., :-1]
@@ -291,19 +284,17 @@ def scan_table(h: np.ndarray, grid: TimeGrid) -> PrefixScan:
     return PrefixScan(grid=grid, h=h, prefix=q, starts=s.reshape(4, -1))
 
 
-def _tabulate(h_total: HamiltonianFn, grid: TimeGrid, phases: int
-              ) -> np.ndarray:
-    """A callable H(t) on ``grid.refine(phases)``, in the kernel's layout."""
-    h = np.array([h_total(t) for t in grid.refine(phases).samples],
-                 dtype=complex)
+def _tabulate(h_total: HamiltonianFn, grid: TimeGrid) -> np.ndarray:
+    """A callable H(t) on ``grid.refine(4)``, in the kernel's layout."""
+    h = np.array([h_total(t) for t in grid.refine(4).samples], dtype=complex)
     return phase_table(grid.steps, h.reshape(-1, 4).T)
 
 
 def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid
               ) -> StateTrajectory:
-    """RK4 for a callable H(t), sampled at the half steps; see
+    """RK4 for a callable H(t): the run of its scan; see
     :meth:`PrefixScan.apply`."""
-    return scan_table(_tabulate(h_total, grid, 2), grid).apply(psi0)[0]
+    return scan_table(_tabulate(h_total, grid), grid).apply(psi0)[0]
 
 
 def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
@@ -342,5 +333,5 @@ def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,
     refinement, sampled at the shared points.  Certifies step adequacy."""
     if grid.steps % 2 != 0:
         raise ValueError("convergence check expects an even number of steps")
-    scan = scan_table(_tabulate(h_total, grid, 4), grid)
-    return step_halving_gap(*scan.apply(psi0))
+    return step_halving_gap(*scan_table(_tabulate(h_total, grid), grid)
+                            .apply(psi0))

@@ -864,15 +864,17 @@ class TestFigure3:
 
     def test_uncertified_run_exits_one_and_still_writes(self, tmp_path,
                                                        capsys):
-        assert main(["figure3", "--gamma", "2.1", "--out", str(tmp_path)]) == 1
-        data = read_csv(tmp_path / "figure3_gamma2.1.csv")
+        assert main(["figure3", "--gamma", "2.05",
+                     "--out", str(tmp_path)]) == 1
+        data = read_csv(tmp_path / "figure3_gamma2.05.csv")
         assert len(data["t"]) == 4001
         manifest = json.loads((tmp_path / "figure3_manifest.json").read_text())
         assert [run["certified"] for run in manifest["runs"]] == [False]
-        assert [e["path"] for e in manifest["files"]] == ["figure3_gamma2.1.csv"]
+        assert [e["path"] for e in manifest["files"]] == [
+            "figure3_gamma2.05.csv"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert_uncertified_line(err[0], "2.1", "hermitian-realizable",
+        assert_uncertified_line(err[0], "2.05", "hermitian-realizable",
                                 "eigen-plus", manifest["runs"][0])
 
     @pytest.mark.parametrize("flags", [
@@ -931,9 +933,9 @@ class TestSweep:
     def test_rows_match_figure_pipelines_bitwise(self, tmp_path, capsys):
         # figure3 and sweep record their runs through one loop: the same
         # manifest entries, the same stderr lines, and a sweep row is its
-        # manifest entry without the wall time (2.1 is uncertified)
+        # manifest entry without the wall time (2.05 is uncertified)
         fig_dir, sweep_dir = tmp_path / "fig", tmp_path / "sweep"
-        gammas = ["--gamma", "0.1,0.3,1,2.1"]
+        gammas = ["--gamma", "0.1,0.3,1,2.05"]
         assert main(["figure3", *gammas, "--out", str(fig_dir)]) == 1
         fig3_err = capsys.readouterr().err
         assert main(["figure4", "--out", str(fig_dir)]) == 0
@@ -979,7 +981,8 @@ class TestSweep:
         # just above gamma = 2*omega0 the default grid under-resolves the
         # supplement: the rows are still written, but flagged, and the
         # exit status is 1
-        assert main(["sweep", "--gamma", "0.3,2.1", "--out", str(tmp_path)]) == 1
+        assert main(["sweep", "--gamma", "0.3,2.05",
+                     "--out", str(tmp_path)]) == 1
         rows = read_csv(tmp_path / "sweep.csv")
         assert rows["certified"] == ["True", "False"]
         assert rows["convergence"][1] > 1e-7
@@ -987,12 +990,12 @@ class TestSweep:
         assert [run["certified"] for run in runs] == [True, False]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert_uncertified_line(err[0], "2.1", "hermitian-realizable",
+        assert_uncertified_line(err[0], "2.05", "hermitian-realizable",
                                 "eigen-plus", runs[1])
 
     def test_supercritical_row_emitted(self, tmp_path):
-        # 2000 steps certify gamma = 3 (1000 leave a step-halving gap of
-        # about 1.2e-7, above the bound)
+        # 2000 steps certify gamma = 3 (so do 1000, at a step-halving gap
+        # of about 5.6e-10)
         assert main(["sweep", "--gamma", "3", "--steps", "2000",
                      "--initial-state", "eigen-plus,bare-ground",
                      "--out", str(tmp_path)]) == 0
@@ -1537,22 +1540,26 @@ class TestVerify:
         assert "DegenerateRegime" in err
 
     def test_constant_h_tables_match_callable_integration(self, monkeypatch):
+        # verify's broadcast tables scan as a callable H sampled on the
+        # quarter grid: the same run and rerun, so the same readings
         from nhsta import verify
         from nhsta.grids import TimeGrid
-        from nhsta.propagation import integrate
+        from nhsta.propagation import _tabulate, integrate, scan_table
 
         def sampled(h, psi0, grid):
-            return integrate(lambda t: h, psi0, grid)
+            return scan_table(_tabulate(lambda t: h, grid), grid).apply(psi0)
 
         grid = TimeGrid(0.0, 10.0, 500)
-        assert (verify._propagate_constant(verify.H_RABI, [1, 0], grid)
-                .psi.tobytes()
-                == sampled(verify.H_RABI, [1, 0], grid).psi.tobytes())
-        errors = [verify.rabi_error(500), verify.rabi_error(1000),
-                  verify.decay_error(4000)]
+        run, rerun = verify._propagate_constant(verify.H_RABI, [1, 0], grid)
+        want = sampled(verify.H_RABI, [1, 0], grid)
+        assert [run.psi.tobytes(), rerun.psi.tobytes()] == [
+            traj.psi.tobytes() for traj in want]
+        assert (run.psi.tobytes()
+                == integrate(lambda t: verify.H_RABI, [1, 0], grid)
+                .psi.tobytes())
+        errors = [*verify.rabi_errors(500), verify.decay_error(2000)]
         monkeypatch.setattr(verify, "_propagate_constant", sampled)
-        assert [verify.rabi_error(500), verify.rabi_error(1000),
-                verify.decay_error(4000)] == errors
+        assert [*verify.rabi_errors(500), verify.decay_error(2000)] == errors
 
     def test_corpus_decomposes_one_stack_per_dimension(self, tmp_path,
                                                         monkeypatch):

@@ -140,15 +140,54 @@ class TestGaugeShortcut:
 
     def test_removable_point_takes_the_neighbours_limit(self):
         # gamma > 2*omega0 makes theta(0) purely imaginary: Re[sin theta]
-        # and Im[dtheta] vanish together there, but delta does not
+        # and Im[dtheta] vanish together there, but delta does not; the
+        # isolated sample takes the four-point cubic of its neighbours
         pulse = ae_pulse(3.0)
         grid = TimeGrid(-1.0, 1.0, 4000)
         path = mixing_angle_path(pulse, grid)
         delta = matched_delta(path)
         k = grid.index_of(0.0)
         assert abs(np.sin(path.theta[k]).real) < 1e-9
-        assert delta[k] == pytest.approx(0.5 * (delta[k - 1] + delta[k + 1]))
+        assert delta[k] == pytest.approx(
+            (-delta[k - 2] + 4 * delta[k - 1] + 4 * delta[k + 1]
+             - delta[k + 2]) / 6)
         assert delta[k] < -16.0
+
+    @staticmethod
+    def guarded_cubic(guarded, n=12):
+        """The guarded ratio of the cubic r(t) = 2 - t + 3t^2 - 5t^3 on n
+        samples of [0, 1], whose denominator vanishes at ``guarded``."""
+        grid = TimeGrid(0.0, 1.0, n - 1)
+        ts = grid.samples
+        den = np.ones(n)
+        den[list(guarded)] = 0.0
+        num = (2 - ts + 3 * ts**2 - 5 * ts**3) * den
+        path = MixingAnglePath(grid=grid, theta=np.zeros(n, dtype=complex),
+                               dtheta=np.ones(n, dtype=complex))
+        return ts, gauges._guarded_ratio(path, num, den, SinThetaSingular,
+                                         "{num} {t}")
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_isolated_removable_point_is_exact_for_a_cubic(self, k):
+        ts, r = self.guarded_cubic([k])
+        assert r[k] == pytest.approx(2 - ts[k] + 3 * ts[k]**2 - 5 * ts[k]**3,
+                                     rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("guarded, linear", [
+        ([1], [1]), ([10], [10]), ([5, 6], [5, 6]), ([4, 6], [4, 6]),
+        ([0, 5], [0])],
+        ids=["edge", "last-but-one", "pair", "two-apart", "edge-and-inner"])
+    def test_removable_point_stays_linear_near_an_edge_or_a_guard(
+            self, guarded, linear):
+        # within two samples of an edge or of another guarded sample the
+        # four-point rule lacks its neighbours: linear interpolation stays
+        ts, r = self.guarded_cubic(guarded)
+        free = [i for i in range(len(ts)) if i not in guarded]
+        want = np.interp(ts[linear], ts[free], r[free])
+        assert np.array_equal(r[linear], want)
+        for k in set(guarded) - set(linear):
+            assert r[k] == pytest.approx(
+                (-r[k - 2] + 4 * r[k - 1] + 4 * r[k + 1] - r[k + 2]) / 6)
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
     @pytest.mark.parametrize("split, error", DIAGONAL_SPLITS)
@@ -167,9 +206,10 @@ class TestGaugeShortcut:
     def test_vanishing_numerator_is_measured_against_the_rate(
             self, split, error, im_dtheta, removable):
         # beside a rate of 1e4, Im[dtheta] = 1e-6 vanishes with sin theta
-        # (below 1e-9 * 1e4) and the point takes its neighbours' mean; 1e-4
-        # survives and raises.  At samples 1 to 3 -i*dtheta = Im[dtheta]
-        # and sin theta is real, so both policies' splits agree there
+        # (below 1e-9 * 1e4) and the isolated point takes the four-point
+        # cubic of its neighbours; 1e-4 survives and raises.  At samples 1
+        # to 3 -i*dtheta = Im[dtheta] and sin theta is real, so both
+        # policies' splits agree there
         grid = TimeGrid(0.0, 1.0, 4)
         theta = np.array([0.1, 0.2, 0.0, 0.2, 0.1], dtype=complex)
         dtheta = np.array([1e4, 0.5j, 1j * im_dtheta, 0.3j, 1e4])
@@ -179,7 +219,8 @@ class TestGaugeShortcut:
                 split(path)
             return
         delta = split(path)
-        assert delta[2] == pytest.approx(0.5 * (delta[1] + delta[3]))
+        assert delta[2] == pytest.approx(
+            (-delta[0] + 4 * delta[1] + 4 * delta[3] - delta[4]) / 6)
         assert delta[1] == pytest.approx(0.5 / np.sin(0.2))
 
     def test_zero_drive_split_takes_the_ratio_where_both_are_tiny(self):

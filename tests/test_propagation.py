@@ -10,7 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from conftest import (DELTA0, OMEGA0, ae_pulse, ae_setup, assert_bitwise,
                       path_eigenvalues, shortcut_table, state_trajectory)
-from nhsta import experiments
+from nhsta import experiments, propagation
 from nhsta.errors import NonFinite
 
 from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
@@ -28,9 +28,10 @@ from oracles import hamiltonian
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def half_step_scan(h_half, grid):
-    """scan_table of H at the half steps, shape (2*steps + 1, 2, 2)."""
-    return scan_table(phase_table(grid.steps, h_half.reshape(-1, 4).T), grid)
+def quarter_step_scan(h_total, grid):
+    """scan_table of an array-valued H(t) at the quarter steps of ``grid``."""
+    h = h_total(grid.refine(4).samples)
+    return scan_table(phase_table(grid.steps, h.reshape(-1, 4).T), grid)
 
 
 def half_step_samples(h_total, grid):
@@ -52,8 +53,13 @@ def half_step_samples(h_total, grid):
 def per_step_rk4(h_total, psi0, grid):
     """Reference: the step-by-step RK4 loop with stage times t, t + h/2,
     t + h, on Python complex scalars over H sampled once."""
-    a00, a01, a10, a11 = (x.tolist() for x in
-                          half_step_samples(h_total, grid).reshape(-1, 4).T)
+    return per_step_rk4_of(half_step_samples(h_total, grid), psi0, grid)
+
+
+def per_step_rk4_of(h_half, psi0, grid):
+    """:func:`per_step_rk4` over H given at the half steps of ``grid``,
+    shape (2*steps + 1, 2, 2)."""
+    a00, a01, a10, a11 = (x.tolist() for x in h_half.reshape(-1, 4).T)
     ts, h = grid.samples, grid.step
     p0, p1 = (complex(x) for x in psi0)
     out = [(p0, p1)]
@@ -253,10 +259,11 @@ class TestPropagate:
         h_total = lossy_chirp(gamma)
         grid = TimeGrid(-1.0, 1.0, 4000)
         psi0 = np.array([0.6, 0.8j])
+        run, rerun = quarter_step_scan(h_total, grid).apply(psi0)
         want = per_step_rk4(h_total, psi0, grid)
-        scan = half_step_scan(h_total(grid.refine(2).samples), grid)
-        got, = scan.apply(psi0)
-        assert np.max(np.abs(got.psi - want)) <= 1e-13
+        assert np.max(np.abs(run.psi - want)) <= 1e-13
+        want = per_step_rk4(h_total, psi0, grid.refine(2))[::2]
+        assert np.max(np.abs(rerun.psi - want)) <= 1e-13
 
     def test_block_boundaries_are_seamless(self):
         # the scan's last block is padded with identities
@@ -278,21 +285,21 @@ class TestPropagate:
         h_total = lossy_chirp(3.0)
         grid = TimeGrid(-1.0, 1.0, steps)
         psi0 = np.array([0.6, 0.8j])
+        run, rerun = quarter_step_scan(h_total, grid).apply(psi0)
         want = per_step_rk4(h_total, psi0, grid)
-        scan = half_step_scan(h_total(grid.refine(2).samples), grid)
-        got, = scan.apply(psi0)
-        assert np.max(np.abs(got.psi - want)) <= 1e-13
+        assert np.max(np.abs(run.psi - want)) <= 1e-13
+        want = per_step_rk4(h_total, psi0, grid.refine(2))[::2]
+        assert np.max(np.abs(rerun.psi - want)) <= 1e-13
 
     def test_states_sharing_a_scan_equal_single_runs_bitwise(self):
         h_total = lossy_chirp(1.0)
         grid = TimeGrid(-1.0, 1.0, 4001)
-        h_half = h_total(grid.refine(2).samples)
-        scan = half_step_scan(h_half, grid)
+        scan = quarter_step_scan(h_total, grid)
         for psi0 in ([1, 0], [0, 1], [0.6, 0.8j], [1e-3, -2.0 + 1j]):
             psi0 = np.array(psi0, dtype=complex)
-            run, = scan.apply(psi0)
-            alone, = half_step_scan(h_half, grid).apply(psi0)
-            assert np.array_equal(run.psi, alone.psi)
+            alone = quarter_step_scan(h_total, grid).apply(psi0)
+            for shared, single in zip(scan.apply(psi0), alone, strict=True):
+                assert np.array_equal(shared.psi, single.psi)
 
     def test_rejects_table_of_wrong_length(self):
         # H on the run grid alone, where the half steps are needed
@@ -300,6 +307,16 @@ class TestPropagate:
         with pytest.raises(ValueError, match="kernel's layout"):
             scan_table(phase_table(grid.steps, np.zeros((4, grid.n_points))),
                        grid)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 11), (4, 3, 11), (4, 8, 11),
+                                       (4, 4, 10), (4, 4, 12), (2, 4, 11),
+                                       (4, 44)])
+    def test_scans_only_quarter_step_tables(self, shape):
+        # one table mode: a half-step table, whose scan could hold the run
+        # alone, is refused like any other shape but (4, 4, steps + 1)
+        grid = TimeGrid(0, 1, 10)
+        with pytest.raises(ValueError, match="kernel's layout"):
+            scan_table(np.zeros(shape, dtype=complex), grid)
 
     def test_trapezoid_helper_equals_scipy_bitwise(self):
         y = np.exp(1j * np.linspace(0, 3, 1001)) + np.linspace(0, 1, 1001)
@@ -618,24 +635,35 @@ class TestConvergence:
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0, 2.1])
     def test_paired_gap_equals_unpaired_half_step_gap(self, gamma, steps):
         # the rerun's two half steps per interval, multiplied into one
-        # matrix, against a separate scan of all half steps
+        # matrix, against the step-by-step RK4 loop over all half steps
         pulse, grid = ae_setup(gamma, steps)
         table = shortcut_table(pulse, grid)
         # [c, p, k] of the table is entry c of quarter-step row 4k + p
         h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
         h_quarter = h_quarter[:4 * steps + 1]
-        coarse = half_step_scan(h_quarter[::2], grid)
-        fine = half_step_scan(h_quarter, grid.refine(2))
         for state in INITIAL_STATES:
             run, traj = table.run(state), state_trajectory(table, state)
             amps = amplitudes(traj, table.theta, table.gauges)
             assert np.array_equal(run.amps.c_plus, amps.c_plus)
             psi0 = traj.psi[0]
-            alone, = coarse.apply(psi0)
-            assert np.array_equal(traj.psi, alone.psi)
-            rerun, = fine.apply(psi0)
-            want = np.max(np.abs(traj.psi - rerun.psi[::2]))
+            alone = per_step_rk4_of(h_quarter[::2], psi0, grid)
+            assert np.max(np.abs(traj.psi - alone)) <= 1e-13
+            rerun = per_step_rk4_of(h_quarter, psi0, grid.refine(2))
+            want = np.max(np.abs(traj.psi - rerun[::2]))
             assert abs(run.convergence - want) <= 1e-13
+
+    @pytest.mark.parametrize("gamma, steps", [
+        (2.1, 4000), (2.5, 4000), (2.5, 2100), (3.0, 4000), (3.0, 1000)])
+    def test_gap_bounds_the_error_at_a_removable_point(self, gamma, steps):
+        # gamma > 2*omega0 guards the sample t = 0 of the supplement: its
+        # fill must err at fourth order like the steps, or the run reads it
+        # with weight h/3 and the rerun h/6 and the gap sees half the error
+        pulse, grid = ae_setup(gamma, steps)
+        table = shortcut_table(pulse, grid)
+        run = table.run(INITIAL_STATES[0])
+        fine = state_trajectory(shortcut_table(pulse, grid.refine(16)))
+        error = np.max(np.abs(state_trajectory(table).psi - fine.psi[::16]))
+        assert error <= 1.1 * run.convergence
 
     def test_runaway_gain_through_a_certified_table_raises(self):
         h = np.array([[0, 0], [0, 2000j]], dtype=complex)
@@ -649,9 +677,9 @@ class TestConvergence:
         h = np.zeros((4, 4, grid.n_points), dtype=complex)
         h[3, 1::2] = 2000j
         psi0 = np.array([0, 1], dtype=complex)
-        # the 2-phase view of the run's own rows scans the run alone
-        run, = scan_table(h[:, ::2], grid).apply(psi0)
-        assert np.array_equal(run.psi[-1], psi0)
+        run_rows, rerun_rows = propagation._SETS
+        assert {p for rows in run_rows for p, _ in rows} == {0, 2}
+        assert {p for rows in rerun_rows for p, _ in rows} == {0, 1, 2, 3}
         with pytest.raises(NonFinite, match="blew up near t="):
             scan_table(h, grid).apply(psi0)
 

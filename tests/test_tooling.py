@@ -309,16 +309,17 @@ def test_one_propagation_path(monkeypatch):
                         and getattr(c.func, "id", None) == "PrefixScan"
                         for c in ast.walk(d))]
     assert builders == ["scan_table"]
-    # a table's phase count, not an option, decides what its scan holds:
-    # the run and its half-step rerun from 4 phases, the run from 2
+    # one table mode and no option: a quarter-step table's scan holds the
+    # run and its half-step rerun, and a half-step table is refused
     assert list(inspect.signature(propagation.scan_table).parameters) == [
         "h", "grid"]
     grid = TimeGrid(0.0, 1.0, 10)
-    for phases, count in ((4, 2), (2, 1)):
-        table = np.zeros((4, phases, grid.n_points), dtype=complex)
-        runs = propagation.scan_table(table, grid).apply([1, 0])
-        assert len(runs) == count
-        assert all(np.array_equal(run.psi[-1], [1, 0]) for run in runs)
+    table = np.zeros((4, 4, grid.n_points), dtype=complex)
+    runs = propagation.scan_table(table, grid).apply([1, 0])
+    assert len(runs) == 2
+    assert all(np.array_equal(run.psi[-1], [1, 0]) for run in runs)
+    with pytest.raises(ValueError):
+        propagation.scan_table(table[:, ::2], grid)
 
     # every entry point reaches that scan and its apply
     assert experiments.scan_table is propagation.scan_table
@@ -343,7 +344,7 @@ def test_one_propagation_path(monkeypatch):
     psi0 = np.array([1, 0], dtype=complex)
     pulse, run_grid = ae_setup(1.0, 400)
     entry_points = {
-        "verify.rabi_error": lambda: nhsta.verify.rabi_error(100),
+        "verify.rabi_errors": lambda: nhsta.verify.rabi_errors(100),
         "integrate": lambda: propagation.integrate(lambda t: h, psi0, grid),
         "convergence_check": lambda: propagation.convergence_check(
             lambda t: h, psi0, grid),

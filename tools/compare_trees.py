@@ -79,7 +79,7 @@ CORPUS = [
      "pulse.csv"],
     ["figure3", "--config", "run.cfg"],
     # one uncertified run after a certified one, in a figure and a sweep
-    ["figure4", "--gamma", "0.3,2.1"], ["sweep", "--gamma", "0.3,2.1"],
+    ["figure4", "--gamma", "0.3,2.05"], ["sweep", "--gamma", "0.3,2.05"],
     # the zero-drive split where sin(theta) and dtheta vanish together
     ["figure3", "--gamma", "3", "--policy", "general-omega-zero", "--tau",
      "0.01"],
