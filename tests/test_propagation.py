@@ -10,7 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from conftest import (DELTA0, OMEGA0, ae_pulse, ae_setup, assert_bitwise,
                       path_eigenvalues, shortcut_table, state_trajectory)
-from nhsta import experiments, propagation
+from nhsta import experiments
 from nhsta.errors import NonFinite
 
 from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
@@ -302,21 +302,17 @@ class TestPropagate:
                 assert np.array_equal(shared.psi, single.psi)
 
     def test_rejects_table_of_wrong_length(self):
-        # H on the run grid alone, where the half steps are needed
+        # H on the run grid alone, where the quarter steps are needed; one
+        # table mode: a half-step table, whose scan could hold the run
+        # alone, is refused like any other shape but (4, 4, steps + 1)
         grid = TimeGrid(0, 1, 10)
         with pytest.raises(ValueError, match="kernel's layout"):
             scan_table(phase_table(grid.steps, np.zeros((4, grid.n_points))),
                        grid)
-
-    @pytest.mark.parametrize("shape", [(4, 2, 11), (4, 3, 11), (4, 8, 11),
-                                       (4, 4, 10), (4, 4, 12), (2, 4, 11),
-                                       (4, 44)])
-    def test_scans_only_quarter_step_tables(self, shape):
-        # one table mode: a half-step table, whose scan could hold the run
-        # alone, is refused like any other shape but (4, 4, steps + 1)
-        grid = TimeGrid(0, 1, 10)
-        with pytest.raises(ValueError, match="kernel's layout"):
-            scan_table(np.zeros(shape, dtype=complex), grid)
+        for shape in [(4, 2, 11), (4, 3, 11), (4, 8, 11), (4, 4, 10),
+                      (4, 4, 12), (2, 4, 11), (4, 44)]:
+            with pytest.raises(ValueError, match="kernel's layout"):
+                scan_table(np.zeros(shape, dtype=complex), grid)
 
     def test_trapezoid_helper_equals_scipy_bitwise(self):
         y = np.exp(1j * np.linspace(0, 3, 1001)) + np.linspace(0, 1, 1001)
@@ -635,17 +631,22 @@ class TestConvergence:
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0, 2.1])
     def test_paired_gap_equals_unpaired_half_step_gap(self, gamma, steps):
         # the rerun's two half steps per interval, multiplied into one
-        # matrix, against the step-by-step RK4 loop over all half steps
+        # matrix, against the step-by-step RK4 loop over all half steps;
+        # the run is a scan of its own rows alone, bit for bit
         pulse, grid = ae_setup(gamma, steps)
         table = shortcut_table(pulse, grid)
         # [c, p, k] of the table is entry c of quarter-step row 4k + p
         h_quarter = table.scan.h.transpose(2, 1, 0).reshape(-1, 2, 2)
         h_quarter = h_quarter[:4 * steps + 1]
+        run_rows_only = table.scan.h.copy()
+        run_rows_only[:, 1::2] = 0.0  # the rows only the rerun reads
+        run_rows_only = scan_table(run_rows_only, grid)
         for state in INITIAL_STATES:
             run, traj = table.run(state), state_trajectory(table, state)
             amps = amplitudes(traj, table.theta, table.gauges)
             assert np.array_equal(run.amps.c_plus, amps.c_plus)
             psi0 = traj.psi[0]
+            assert np.array_equal(run_rows_only.apply(psi0)[0].psi, traj.psi)
             alone = per_step_rk4_of(h_quarter[::2], psi0, grid)
             assert np.max(np.abs(traj.psi - alone)) <= 1e-13
             rerun = per_step_rk4_of(h_quarter, psi0, grid.refine(2))
@@ -672,14 +673,17 @@ class TestConvergence:
                               TimeGrid(0, 2, 2000))
 
     def test_blow_up_of_the_rerun_alone_raises(self):
-        # gain at the odd quarter steps only, which the run never reads
+        # gain at the odd quarter steps only, which the run never reads: a
+        # mild one moves the rerun and leaves the run at psi0
         grid = TimeGrid(0, 2, 2000)
         h = np.zeros((4, 4, grid.n_points), dtype=complex)
-        h[3, 1::2] = 2000j
+        h[3, 1::2] = 1j
         psi0 = np.array([0, 1], dtype=complex)
-        run_rows, rerun_rows = propagation._SETS
-        assert {p for rows in run_rows for p, _ in rows} == {0, 2}
-        assert {p for rows in rerun_rows for p, _ in rows} == {0, 1, 2, 3}
+        run, rerun = scan_table(h, grid).apply(psi0)
+        assert np.array_equal(run.psi[-1], psi0)
+        assert np.all(np.isfinite(rerun.psi))
+        assert not np.array_equal(rerun.psi[-1], psi0)
+        h[3, 1::2] = 2000j
         with pytest.raises(NonFinite, match="blew up near t="):
             scan_table(h, grid).apply(psi0)
 

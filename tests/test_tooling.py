@@ -310,7 +310,7 @@ def test_one_propagation_path(monkeypatch):
                         for c in ast.walk(d))]
     assert builders == ["scan_table"]
     # one table mode and no option: a quarter-step table's scan holds the
-    # run and its half-step rerun, and a half-step table is refused
+    # run and its half-step rerun
     assert list(inspect.signature(propagation.scan_table).parameters) == [
         "h", "grid"]
     grid = TimeGrid(0.0, 1.0, 10)
@@ -318,8 +318,6 @@ def test_one_propagation_path(monkeypatch):
     runs = propagation.scan_table(table, grid).apply([1, 0])
     assert len(runs) == 2
     assert all(np.array_equal(run.psi[-1], [1, 0]) for run in runs)
-    with pytest.raises(ValueError):
-        propagation.scan_table(table[:, ::2], grid)
 
     # every entry point reaches that scan and its apply
     assert experiments.scan_table is propagation.scan_table
