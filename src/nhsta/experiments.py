@@ -6,8 +6,9 @@ are all tabulated), synthesizes the requested supplement policy, writes
 H0 + H1 once in the propagation kernel's layout, and scans the RK4 transfer
 matrices of the run and of its rerun together.  The angle path, its
 trigonometric functions, H0 and the eigenvalues do not depend on the
-policy, so the tables of several policies for one pulse share them
-(:func:`shortcut_tables` says what each table holds and frees, and when).
+policy, so the tables of several policies for one pulse share them; every
+table is built in the same order (:func:`_tables` says what each holds and
+frees, and when).
 A run applies a table to one initial state: it propagates the bare-basis
 state and keeps the raw/modified amplitudes and populations projected
 from it.  :data:`RUN_CHECKS` is the one place a run's checks live: their
@@ -150,15 +151,14 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
                     policies: tuple = POLICIES) -> Iterator[ShortcutTable]:
     """One :class:`ShortcutTable` per policy, in order, for one pulse.
 
-    The policy-independent part is built here, once: the angle path and its
-    trigonometric functions and H0 on the quarter-step grid, from one sample
-    of the pulse, the path's angle-rate defect, and E_+, E_- on the run grid
-    (after the first table's scan).  Each policy's table is built only when
-    the generator is advanced, so at most one is alive at a time when the
-    caller drops each before asking for the next.  The quarter-grid angle
-    path drops theta once its defect and run-grid samples are taken, and
-    lives until the last table's supplement is formed, and H0 until its
-    kernel table is written; neither is held through its scan.
+    The policy-independent part is built here, once, so its errors raise at
+    the call: the angle path and its trigonometric functions and H0 on the
+    quarter-step grid, from one sample of the pulse, the path's angle-rate
+    defect and its run-grid samples.  The quarter-grid path drops theta
+    once its defect and run-grid samples are taken.  Each policy's table
+    is built only when the returned generator is advanced (see
+    :func:`_tables`), so at most one is alive at a time when the caller
+    drops each before asking for the next.
     """
     quarter = grid.refine(4)
     samples = sample_controls(pulse, quarter)
@@ -168,11 +168,8 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
                             theta_q.dtheta[::4].copy())
     # every supplement but the naive one reads sin(theta); none reads theta
     theta_q.free_theta(keep_sin=any(p != POLICY_NAIVE for p in policies))
-    shared = [theta_q, hamiltonian_entries(samples[1:])]
-    eigen: list = []  # (E_+, E_-), filled by the first table
-    last = len(policies) - 1
-    return (_policy_table(policy, theta, shared, eigen, i == last, angle_rate)
-            for i, policy in enumerate(policies))
+    return _tables(policies, theta, angle_rate, theta_q,
+                   hamiltonian_entries(samples[1:]))
 
 
 def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
@@ -186,62 +183,43 @@ def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
 
 
-def _policy_table(policy, theta, shared, eigen, last,
-                  angle_rate) -> ShortcutTable:
-    """One policy's supplement, H0 + H1 table, scan, gauges and checks on
-    the run grid of ``theta``.  The quarter-grid supplement is freed before
-    the scan, and the other temporaries on return.
-
-    ``shared`` holds the pulse's quarter-grid angle path and H0 entries.
-    The ``last`` table of a pulse empties it, so it frees the path once
-    its supplement is formed and H0 once its phase table is written, and
-    its scan, runs and checks hold only run-grid data and the kernel table.
-    The eigenvalues are read into the empty list ``eigen`` by the first
-    table of a pulse, from every 4th sample of H0, after its scan, and
-    shared by the rest, which form their level, gauges and residual before
-    their scan and so hold no run-grid H1 through it.  The last table
-    empties ``eigen`` too, so a caller that keeps the generator through
-    its runs holds no E_+, E_- but what the table itself keeps."""
-    grid = theta.grid
-    theta_q, h0_q = shared
-    if last:
-        shared.clear()
-    h1_q = _supplement(policy, theta_q)
-    del theta_q
-    h1 = tuple(x[::4].copy() if np.ndim(x) else x for x in h1_q)
-    h = phase_table(grid.steps, h0_q, h1_q)
-    # the eigenvalues' run-grid samples of H0: views while ``shared`` keeps
-    # H0 for the next table, copies when this table frees it
-    h0 = None if eigen else tuple(x[::4].copy() if last else x[::4]
-                                  for x in h0_q)
-    del h0_q, h1_q  # H1, and a last table's H0, go before the scan
-    if eigen:
-        checks = _checks(policy, theta, h1, eigen)
+def _tables(policies, theta, angle_rate, theta_q, h0_q):
+    """Each policy's table on the run grid of ``theta``, in one order: its
+    supplement on the quarter grid of ``theta_q``, run-grid copies of it,
+    the H0 + H1 kernel table, then (first table only) E_+, E_- from views
+    of every 4th sample of the quarter-grid H0 ``h0_q``, then the level
+    E_+ + d_+ (the naive term has no adiabatic-frame diagonal, d_+ = 0),
+    the gauges and the residual, and last the scan.  The quarter-grid
+    supplement is freed once the kernel table is written and its run-grid
+    copies before the scan.  The last table frees the quarter-grid path
+    once its supplement is formed, H0 once its kernel table is written
+    and E_+, E_- once its checks are formed, so its scan, its runs and its
+    checks hold only run-grid data and the kernel table.  Between tables
+    this frame holds nothing of the last one yielded."""
+    grid, last = theta.grid, len(policies) - 1
+    for i, policy in enumerate(policies):
+        h1_q = _supplement(policy, theta_q)
+        if i == last:
+            del theta_q
+        h1 = tuple(x[::4].copy() if np.ndim(x) else x for x in h1_q)
+        h = phase_table(grid.steps, h0_q, h1_q)
+        del h1_q
+        if i == 0:
+            e_plus, e_minus = eigenvalue_path(tuple(x[::4] for x in h0_q),
+                                              theta)
+        if i == last:
+            del h0_q
+        level = (e_plus if policy == POLICY_NAIVE
+                 else e_plus + frame_diagonal(h1, theta))
+        gauges = matched_gauge(level, e_minus, grid)
+        residual = nullification_residual(theta, h1)
         del h1
-        scan = scan_table(h, grid)
-    else:
-        scan = scan_table(h, grid)
-        # after the scan: the run-grid cos/sin of theta that the
-        # eigenvalues cache on the shared path, and E_+, E_- themselves,
-        # outweigh the copies of H0 a last table holds through it
-        eigen.extend(eigenvalue_path(h0, theta))
-        del h0
-        checks = _checks(policy, theta, h1, eigen)
-    if last:
-        eigen.clear()
-    return ShortcutTable(theta, *checks, angle_rate, scan)
-
-
-def _checks(policy, theta, h1, eigen) -> tuple:
-    """(gauges, level, residual) of a policy's run-grid H1 entries ``h1``
-    and the pulse's ``eigen`` = (E_+, E_-): the level E_+ + d_+, formed
-    once for the gauge and kept for the closed form (the naive term has no
-    adiabatic-frame diagonal, d_+ = 0)."""
-    e_plus, e_minus = eigen
-    level = (e_plus if policy == POLICY_NAIVE
-             else e_plus + frame_diagonal(h1, theta))
-    return (matched_gauge(level, e_minus, theta.grid), level,
-            nullification_residual(theta, h1))
+        if i == last:
+            del e_plus, e_minus
+        table = [ShortcutTable(theta, gauges, level, residual, angle_rate,
+                               scan_table(h, grid))]
+        del h, level, gauges
+        yield table.pop()  # held by no name of this frame once yielded
 
 
 def run_shortcut(pulse: PulseSpec, grid: TimeGrid,

@@ -122,14 +122,19 @@ def phase_table(steps: int, h, h1=None) -> np.ndarray:
     ``grid.refine(phases)``, phases*steps + 1 samples each (an entry of
     ``h1`` may be a scalar).  Entry c = 2i + j at t_k + p*step/phases lands
     in ``[c, p, k]``; the phases past the last sample are zero, never read.
-    The sum is formed in sample order, then copied once into the layout.
+    H is written into the layout one phase row at a time and H1 added to
+    that row in place: the same sums as in sample order, with no temporary
+    the size of a series.
     """
-    out = np.empty((4, (len(h[0]) - 1) // steps, steps + 1), dtype=complex)
+    phases = (len(h[0]) - 1) // steps
+    out = np.empty((4, phases, steps + 1), dtype=complex)
     out[:, 1:, steps] = 0.0
     for dst, x, y in zip(out, h, h1 or (None,) * 4):
-        if y is not None:
-            x = x + y
-        dst[:, :steps], dst[0, steps] = x[:-1].reshape(steps, -1).T, x[-1]
+        for p in range(phases):
+            row = dst[p, :steps + (p == 0)]  # phase 0 holds the last sample
+            row[...] = x[p::phases]
+            if y is not None:
+                row += y[p::phases] if np.ndim(y) else y
     return out
 
 

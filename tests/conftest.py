@@ -50,7 +50,7 @@ def state_trajectory(table, initial_state: str = "eigen-plus"):
 def table_entries(pulse, grid, policy="hermitian-realizable") -> tuple:
     """The run-grid entries (h00, h01, h10, h11) of a policy's H1 as its
     table reads them: every 4th sample of the quarter-grid supplement.
-    Mirrors the sampling in ``experiments._policy_table``; change the two
+    Mirrors the sampling in ``experiments._tables``; change the two
     together."""
     from nhsta.experiments import _supplement
     h1 = _supplement(policy, mixing_angle_path(pulse, grid.refine(4)))
@@ -67,7 +67,7 @@ def path_eigenvalues(pulse: PulseSpec, path: MixingAnglePath) -> tuple:
 def table_eigenvalues(pulse: PulseSpec, table) -> tuple:
     """(E_+, E_-) as a table reads them: from H0 at every 4th sample of the
     quarter grid, on the table's angle path.  Mirrors the eigenvalue read
-    in ``experiments._policy_table``; change the two together."""
+    in ``experiments._tables``; change the two together."""
     h0 = hamiltonian_entries(sample_controls(pulse, table.grid.refine(4))[1:])
     return eigenvalue_path(tuple(x[::4] for x in h0), table.theta)
 

@@ -21,8 +21,9 @@ from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
                                integrate, phase_table, scan_table)
 from nhsta.synthesis import matched_gauge
 from nhsta.two_level import (_controls, _factors, _principal_theta,
-                             allen_eberly, mixing_angle_path,
-                             mixing_angle_rate)
+                             allen_eberly, hamiltonian_entries,
+                             mixing_angle_path, mixing_angle_rate,
+                             sample_controls)
 from oracles import hamiltonian
 
 SIGMA_X = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,6 +33,28 @@ def quarter_step_scan(h_total, grid):
     """scan_table of an array-valued H(t) at the quarter steps of ``grid``."""
     h = h_total(grid.refine(4).samples)
     return scan_table(phase_table(grid.steps, h.reshape(-1, 4).T), grid)
+
+
+def sample_order_table(steps, h, h1=None):
+    """:func:`phase_table` with H + H1 summed in sample order and then
+    copied into the kernel's layout: the reference its per-phase sums
+    must equal bit for bit."""
+    out = np.empty((4, (len(h[0]) - 1) // steps, steps + 1), dtype=complex)
+    out[:, 1:, steps] = 0.0
+    for dst, x, y in zip(out, h, h1 or (None,) * 4):
+        if y is not None:
+            x = x + y
+        dst[:, :steps], dst[0, steps] = x[:-1].reshape(steps, -1).T, x[-1]
+    return out
+
+
+def pipeline_entries(pulse, grid, policy):
+    """(H0, H1) entries on ``grid`` as a table build forms them on its
+    quarter grid: H0 from the pulse's samples, H1 from its supplement."""
+    samples = sample_controls(pulse, grid)
+    path = mixing_angle_path(pulse, grid, samples)
+    return (hamiltonian_entries(samples[1:]),
+            experiments._supplement(policy, path))
 
 
 def half_step_samples(h_total, grid):
@@ -314,6 +337,58 @@ class TestPropagate:
             with pytest.raises(ValueError, match="kernel's layout"):
                 scan_table(np.zeros(shape, dtype=complex), grid)
 
+    @pytest.mark.parametrize("phases", [1, 4])
+    def test_phase_table_equals_the_sample_order_sum_bitwise(self, phases):
+        # random entries with signed zeros in both parts: real + real, real
+        # + complex, complex + real, and H1's scalar 0.0 entries placed as
+        # naive-cd and general-omega-zero place them; then each policy's
+        # H0 + H1 as a table build forms them on a grid of that many phases
+        steps = 50
+        rng = np.random.default_rng(40)
+
+        def real():
+            x = rng.normal(size=phases * steps + 1)
+            x[::3] = rng.choice([0.0, -0.0], size=x[::3].size)
+            return x
+
+        def cplx():
+            x = np.empty(phases * steps + 1, dtype=complex)
+            x.real, x.imag = real(), real()
+            return x
+
+        h0 = (real(), real(), real(), cplx())
+        for h, h1 in [(h0, None), (h0, (real(), real(), real(), real())),
+                      (h0, (cplx(), cplx(), cplx(), cplx())),
+                      (h0, (0.0, cplx(), cplx(), 0.0)),
+                      (h0, (cplx(), 0.0, 0.0, cplx())),
+                      ((cplx(), cplx(), cplx(), cplx()),
+                       (real(), 0.0, -0.0, real()))]:
+            assert_bitwise(phase_table(steps, h, h1),
+                           sample_order_table(steps, h, h1))
+        pulse, grid = ae_setup(1.0, 400)
+        grid = grid.refine(phases)
+        for policy in POLICIES:
+            h, h1 = pipeline_entries(pulse, grid, policy)
+            assert_bitwise(phase_table(400, h, h1),
+                           sample_order_table(400, h, h1))
+
+    def test_phase_table_transient_below_one_quarter_grid_array(self):
+        # each phase row takes H0 and then H1 in place, so writing a table
+        # makes no temporary the size of a quarter-grid series
+        pulse, grid = ae_setup(1.0, 4000)
+        quarter = grid.refine(4)
+        for policy in POLICIES:
+            h, h1 = pipeline_entries(pulse, quarter, policy)
+            phase_table(grid.steps, h, h1)  # one-time allocations
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = phase_table(grid.steps, h, h1)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes < 16 * quarter.n_points
+
     def test_trapezoid_helper_equals_scipy_bitwise(self):
         y = np.exp(1j * np.linspace(0, 3, 1001)) + np.linspace(0, 1, 1001)
         assert np.array_equal(trapezoid(y, 0.37),
@@ -548,13 +623,14 @@ class TestConvergence:
                                                    policies):
         # the quarter-grid angle path and H0 are built once per pulse and
         # shared by its tables.  The path drops theta before the first
-        # supplement, since none reads it; the last table frees the path
-        # once its supplement is formed and H0 once its phase table is
-        # written, so they are dead when its scan starts.  Every table
-        # after a pulse's first forms its checks before its scan, so its
-        # run-grid copies of H1 are dead through it.  Only weak references
-        # are kept.
-        refs, theta_q, h1_copies = {}, [], []
+        # supplement, since none reads it.  Every table forms its checks
+        # before its scan, so its run-grid copies of H1 are dead through
+        # it, and writes its kernel table before either, so its quarter-
+        # grid supplement is dead too.  The last table frees the path once
+        # its supplement is formed and H0 once its kernel table is written,
+        # so no quarter-grid array is alive when its scan starts.  Only
+        # weak references are kept.
+        refs, theta_q, quarter_h1, h1_copies = {}, [], [], []
 
         def record(name, arrays):
             fn = getattr(experiments, name)
@@ -575,33 +651,37 @@ class TestConvergence:
         supplements, phases, scans = [], [], []
         original_supplement = experiments._supplement
         original_phase_table = experiments.phase_table
+        original_residual = experiments.nullification_residual
         original_scan = experiments.scan_table
-        original_checks = experiments._checks
 
         def supplement(policy, path):
             supplements.append(path is refs["mixing_angle_path"][0]())
-            return original_supplement(policy, path)
+            h1 = original_supplement(policy, path)
+            quarter_h1.extend(weakref.ref(x) for x in h1 if np.ndim(x))
+            return h1
 
         def phase(steps, h0, h1):
             phases.append(all(x is r() for x, r in
                               zip(h0, refs["hamiltonian_entries"])))
             return original_phase_table(steps, h0, h1)
 
-        def checks(policy, theta, h1, eigen):
+        def residual(theta, h1):
             h1_copies.append([weakref.ref(x) for x in h1 if np.ndim(x)])
-            return original_checks(policy, theta, h1, eigen)
+            return original_residual(theta, h1)
 
         def scan(*args, **kwargs):
             scans.append(([r() is not None
                            for found in refs.values() for r in found],
-                          theta_q[0]() is not None, len(h1_copies),
+                          theta_q[0]() is not None,
+                          any(r() is not None for r in quarter_h1),
+                          len(h1_copies),
                           any(r() is not None
                               for copies in h1_copies for r in copies)))
             return original_scan(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "_supplement", supplement)
         monkeypatch.setattr(experiments, "phase_table", phase)
-        monkeypatch.setattr(experiments, "_checks", checks)
+        monkeypatch.setattr(experiments, "nullification_residual", residual)
         monkeypatch.setattr(experiments, "scan_table", scan)
         pulse, grid = ae_setup(1.0, 400)
         for table in shortcut_tables(pulse, grid, policies):
@@ -609,15 +689,45 @@ class TestConvergence:
             del table
         assert supplements == phases == [True] * len(policies)
         assert len(scans) == len(policies)
-        shared, theta_alive, checked, h1_alive = zip(*scans)
+        shared, theta_alive, h1_q_alive, checked, h1_alive = zip(*scans)
         assert all(all(alive) for alive in shared[:-1])
         assert not any(shared[-1])
         assert not any(theta_alive)
-        # the first table forms its checks after its scan, the rest before
-        assert checked == (0,) + tuple(range(2, len(policies) + 1))
+        assert not any(h1_q_alive)
+        assert all(quarter_h1)
+        # every table, the first included, forms its checks before its scan
+        assert checked == tuple(range(1, len(policies) + 1))
         assert not any(h1_alive)
         assert len(h1_copies) == len(policies)
         assert all(h1_copies)
+
+    @pytest.mark.parametrize("policies", [(POLICIES[1],), POLICIES],
+                             ids=["naive-cd", "three-policies"])
+    def test_held_generator_keeps_no_dropped_table(self, monkeypatch,
+                                                   policies):
+        # a caller that drops each table but holds the generator through
+        # the last one's runs, as record_runs does, frees that table's scan
+        # and the pulse's E_+, E_- (a naive table's level is E_+ itself)
+        eigen = []
+        original = experiments.eigenvalue_path
+
+        def eigenvalues(*args):
+            out = original(*args)
+            eigen.extend(weakref.ref(x) for x in out)
+            return out
+
+        monkeypatch.setattr(experiments, "eigenvalue_path", eigenvalues)
+        pulse, grid = ae_setup(1.0, 400)
+        tables = shortcut_tables(pulse, grid, policies)
+        for _ in policies:
+            table = next(tables)
+            scan = weakref.ref(table.scan)
+            table.run(INITIAL_STATES[0])
+            del table
+            assert scan() is None
+        assert len(eigen) == 2
+        assert not any(r() is not None for r in eigen)
+        assert next(tables, None) is None
 
     def test_run_path_is_quarter_path_every_fourth_sample(self):
         pulse, grid = ae_setup(3.0, 1000)
@@ -705,7 +815,11 @@ class TestConvergence:
         # 4,201,079 bytes.  Verify's one run with its frame check and
         # closed form peaked at 3,177,143 bytes in the differenced frame
         # check, and at 3,051,177 bytes with the check in closed form
-        # (Python 3.11, numpy 2.4); each bound is the latest peak plus 2%.
+        # (Python 3.11, numpy 2.4); the bounds are 3,051,129, 3,051,177
+        # and 4,201,079 bytes plus 2%.  With every table built in one order,
+        # the first holding its level, gauges and E_+, E_- through its scan
+        # where it held its run-grid H1, the three peaks read 3,083,719,
+        # 3,082,871 and 4,236,167 bytes, the last in the first table's scan.
         pulse, grid = ae_setup(1.0, 4000)
         build_and_run(pulse, grid)  # one-time allocations stay out of the peak
         gc.collect()
