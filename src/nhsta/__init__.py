@@ -23,14 +23,14 @@ try:
     from .errors import (BranchJump, ConfigError, DegenerateRegime,
                          DegenerateSpectrum, InconsistentChoice, NhStaError,
                          NonFinite, SinThetaSingular, TanPole, ZeroGauge)
-    from .gauges import GaugeFunctions, matched_delta
     from .grids import TimeGrid
-    from .propagation import (AmplitudeTrajectory, StateTrajectory,
-                              amplitudes, convergence_check, integrate)
-    from .synthesis import (assemble_h1_series, closed_form_gplus,
+    from .propagation import StateTrajectory, convergence_check, integrate
+    from .synthesis import (AmplitudeTrajectory, GaugeFunctions, amplitudes,
+                            assemble_h1_series, closed_form_gplus,
                             frame_coupling, general_family_omega_zero,
-                            hermitian_realizable, matched_gauge,
-                            naive_cd_entries, nullification_residual)
+                            hermitian_realizable, matched_delta,
+                            matched_gauge, naive_cd_entries,
+                            nullification_residual)
     from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                             allen_eberly, classify_regime, eigenvalue_path,
                             frame_diagonal, mixing_angle_path, radicand)

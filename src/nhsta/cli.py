@@ -5,7 +5,10 @@ Exit statuses: 0 success, 1 check failure, uncertified run or stdout
 closed early, 2 configuration error (non-finite numbers included), 3 any
 other package error (non-finite values, branch tracking, degeneracy, ...).
 
-A command compiles only the code it runs: ``figure1``–``figure4`` live in
+A command compiles only the code it runs.  Importing this module loads
+the shared core: ``config``, ``experiments`` and the modules under them,
+``synthesis`` (the adiabatic frame), ``propagation``, ``two_level``,
+``grids`` and ``errors``.  ``figure1``–``figure4`` live in
 :mod:`nhsta.figures` and ``verify`` (the one user of
 :mod:`nhsta.biorthogonal`) in :mod:`nhsta.verify`, each imported when its
 command runs, and the writers of :mod:`nhsta.output` load with ``sweep``

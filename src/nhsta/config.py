@@ -14,10 +14,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import TimeGrid
-from .propagation import INITIAL_EIGEN_PLUS
 from .synthesis import POLICY_HERMITIAN
 from .two_level import BranchRegime, PulseSpec, allen_eberly, classify_regime
-from .experiments import INITIAL_STATES, POLICIES
+from .experiments import INITIAL_EIGEN_PLUS, INITIAL_STATES, POLICIES
 
 OUTPUT_FORMATS = ("csv", "json")
 MIN_STEPS = 100

@@ -14,11 +14,11 @@ class DegenerateSpectrum(NhStaError):
 
 
 class DegenerateRegime(NhStaError):
-    """Decay rate sits on the critical line gamma = 2*omega0 (or |Z| ~ 0)."""
+    """Decay rate sits on the critical line gamma = 2*omega0."""
 
 
 class BranchJump(NhStaError):
-    """Branch-continuous tracking failed (grid too coarse or cut conflict)."""
+    """Branch-continuous tracking failed (grid too coarse)."""
 
 
 class TanPole(NhStaError):
@@ -26,7 +26,7 @@ class TanPole(NhStaError):
 
 
 class SinThetaSingular(NhStaError):
-    """Unguardable 0/0 in the gauge/supplement ratio Im[dtheta]/Re[sin theta]."""
+    """Re[sin theta] ~ 0 where Im[dtheta] survives: no hermitian split."""
 
 
 class ZeroGauge(NhStaError):
@@ -34,7 +34,7 @@ class ZeroGauge(NhStaError):
 
 
 class InconsistentChoice(NhStaError):
-    """User-supplied family functions make the pointwise system unsolvable."""
+    """sin(theta) ~ 0 where dtheta survives: no zero-drive split."""
 
 
 class ConfigError(NhStaError):

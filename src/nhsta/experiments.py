@@ -9,9 +9,10 @@ trigonometric functions, H0 and the eigenvalues do not depend on the
 policy, so the tables of several policies for one pulse share them; every
 table is built in the same order (:func:`_tables` says what each holds and
 frees, and when).
-A run applies a table to one initial state: it propagates the bare-basis
-state and keeps the raw/modified amplitudes and populations projected
-from it.  :data:`RUN_CHECKS` is the one place a run's checks live: their
+A run applies a table to one of :data:`INITIAL_STATES`, named here: it
+propagates the bare-basis state and keeps the raw/modified amplitudes and
+populations that ``synthesis.amplitudes`` projects from it.
+:data:`RUN_CHECKS` is the one place a run's checks live: their
 names, bounds and readings, which ``verify`` and a run's ``metrics`` read.
 """
 from __future__ import annotations
@@ -21,12 +22,11 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError
-from .gauges import GaugeFunctions
 from .grids import TimeGrid
-from .propagation import (INITIAL_BARE_GROUND, INITIAL_EIGEN_PLUS,
-                          AmplitudeTrajectory, PrefixScan, amplitudes,
-                          phase_table, scan_table, step_halving_gap)
+from .propagation import (PrefixScan, phase_table, scan_table,
+                          step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
+                        AmplitudeTrajectory, GaugeFunctions, amplitudes,
                         closed_form_gplus, frame_coupling,
                         general_family_omega_zero, hermitian_realizable,
                         matched_gauge, naive_cd_entries,
@@ -42,6 +42,8 @@ from .synthesis import matched_gauge as gauge_simple  # noqa: F401
 from .two_level import mixing_angle_rate, theta_at  # noqa: F401
 
 POLICIES = (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO)
+INITIAL_BARE_GROUND = "bare-ground"
+INITIAL_EIGEN_PLUS = "eigen-plus"
 INITIAL_STATES = (INITIAL_EIGEN_PLUS, INITIAL_BARE_GROUND)
 
 #: The per-run checks in the order ``verify`` prints them: name -> (bound,

@@ -15,7 +15,9 @@ rerun that certifies it, the rerun's two steps per run interval
 multiplied into one matrix, so it shares the run's blocks and scan and
 yields the run's samples, where the two are compared.  The scan keeps its
 table for the frame check and to name the step of a blow-up.  Callables
-H(t) are sampled onto such a table first.
+H(t) are sampled onto such a table first.  The module knows only tables
+and bare-basis states; ``synthesis.amplitudes`` projects a state onto the
+gauge-scaled eigenbasis.
 """
 from __future__ import annotations
 
@@ -24,14 +26,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite
-from .gauges import GaugeFunctions
 from .grids import TimeGrid
-from .two_level import MixingAnglePath, complex_array
 
 HamiltonianFn = Callable[[float], np.ndarray]
 
-INITIAL_BARE_GROUND = "bare-ground"
-INITIAL_EIGEN_PLUS = "eigen-plus"
 
 class StateTrajectory:
     """Bare-basis state samples psi(t_k) on a grid."""
@@ -43,34 +41,6 @@ class StateTrajectory:
             raise ValueError("one state per grid point required")
         self.grid = grid
         self.psi = psi  # (n_points, dim)
-
-
-class AmplitudeTrajectory:
-    """Eigenstate amplitudes and populations derived from a trajectory.
-
-    c_n = <n~|psi> are the raw biorthogonal amplitudes (|c_n|^2 is not
-    bounded by one under decay); g_n = c_n/f_n are the gauge-modified
-    amplitudes whose squared moduli act as populations.  Bare populations
-    P_m = |<m|psi>|^2 are kept raw; the populations |g_n|^2 and P_m
-    renormalized by their sum are formed on each read.
-    """
-
-    __slots__ = ("c_plus", "c_minus", "g_plus", "g_minus", "pop_bare_0",
-                 "pop_bare_1")
-
-    def __init__(self, c_plus: np.ndarray, c_minus: np.ndarray,
-                 g_plus: np.ndarray, g_minus: np.ndarray,
-                 pop_bare_0: np.ndarray, pop_bare_1: np.ndarray):
-        self.c_plus, self.c_minus = c_plus, c_minus
-        self.g_plus, self.g_minus = g_plus, g_minus
-        self.pop_bare_0, self.pop_bare_1 = pop_bare_0, pop_bare_1
-
-    pop_phi_plus = property(lambda self: np.abs(self.g_plus) ** 2)
-    pop_phi_minus = property(lambda self: np.abs(self.g_minus) ** 2)
-    pop_bare_0_renorm = property(
-        lambda self: self.pop_bare_0 / (self.pop_bare_0 + self.pop_bare_1))
-    pop_bare_1_renorm = property(
-        lambda self: self.pop_bare_1 / (self.pop_bare_0 + self.pop_bare_1))
 
 
 # The kernels below sum into their own temporaries (np.add(x, t, out=t) is
@@ -300,30 +270,6 @@ def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid
     """RK4 for a callable H(t): the run of its scan; see
     :meth:`PrefixScan.apply`."""
     return scan_table(_tabulate(h_total, grid), grid).apply(psi0)[0]
-
-
-def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
-               gauges: GaugeFunctions) -> AmplitudeTrajectory:
-    """Project a trajectory onto the instantaneous eigenbasis.
-
-    Uses the left eigenvectors, so c_+ = cos(theta/2)psi_0 + sin(theta/2)psi_1
-    and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise, then divides
-    their parts by the real gauge factors.
-    """
-    if traj.grid != theta_path.grid or traj.grid != gauges.grid:
-        raise ValueError("trajectory, theta path, and gauges must share the grid")
-    if traj.psi.shape[1] != 2:
-        raise ValueError("two-level trajectories only")
-    c, s = theta_path.cos_half, theta_path.sin_half
-    psi0, psi1 = traj.psi[:, 0], traj.psi[:, 1]
-    c_plus = c * psi0 + s * psi1
-    c_minus = s * psi0 - c * psi1
-    g_plus = complex_array(c_plus.real / gauges.f_plus,
-                           c_plus.imag / gauges.f_plus)
-    g_minus = complex_array(c_minus.real / gauges.f_minus,
-                            c_minus.imag / gauges.f_minus)
-    return AmplitudeTrajectory(c_plus, c_minus, g_plus, g_minus,
-                               np.abs(psi0) ** 2, np.abs(psi1) ** 2)
 
 
 def step_halving_gap(run: StateTrajectory, rerun: StateTrajectory) -> float:

@@ -1,4 +1,6 @@
-"""Supplementary Hamiltonians that suppress non-adiabatic amplitude flow.
+"""The adiabatic frame: supplementary Hamiltonians that suppress
+non-adiabatic amplitude flow, the frame's gauge, and the projection of a
+state onto the gauge-scaled frame.
 
 Three policies are provided for the two-level model, each in closed form
 and each returning the entries (h00, h01, h10, h11) of its H1 on the grid
@@ -17,15 +19,21 @@ of the angle path it is given:
   of such supplements that needs no extra drive field at all.
 
 The last two have the form 0.5*[[delta, W],[conj(W), -delta]], so
-delta = 2*h00 and W = 2*h01.  Every policy's gauge, closed-form surviving
-amplitude and leak residual read those four entries: the gauge and the
-closed form follow from one level E_+ + d_+, with d_+ the supplement's
-adiabatic-frame diagonal (``two_level.frame_diagonal``, the formula that
-also gives E_+ from H0; 0 for the naive term).  That gauge,
-``matched_gauge``, is the package's only one: for the naive term it is the
-simple gauge, and ``experiments.gauge_simple`` is its alias for the
-benchmark tracer.  The residual is twice the cancellation condition
-<-~|H1|+> + i*dtheta/2 = 0.  The frame check
+delta = 2*h00 and W = 2*h01; both diagonal splits delta share one
+removable-point rule, :func:`_guarded_ratio`.  The gauge rescales the
+eigenvectors, phi_n = f_n |n> and phi_n~ = |n~>/conj(f_n): the set stays
+biorthonormal, and the amplitudes g_n = <phi_n~|psi> = c_n/f_n that
+:func:`amplitudes` projects act as populations under decay.  Every
+policy's gauge, closed-form surviving amplitude and leak residual read its
+four entries: the gauge and the closed form follow from one level
+E_+ + d_+, with d_+ the supplement's adiabatic-frame diagonal
+(``two_level.frame_diagonal``, the formula that also gives E_+ from H0; 0
+for the naive term).  That gauge, ``matched_gauge``, is the package's only
+one: its real factors f_n = exp(int u_n dt), u_+ = Im[E_+ + d_+] and
+u_- = Im[E_-], keep |g_+| exactly one along the engineered evolution.  For
+the naive term it is the simple gauge, and ``experiments.gauge_simple`` is
+its alias for the benchmark tracer.  The residual is twice the
+cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  The frame check
 (``frame_coupling``) is that expression for H0 + H1 times f_+/(2 f_-).
 For the form above, with lam = delta*sin(theta) and zeta = Re[W]*cos(theta),
 the condition reads
@@ -39,16 +47,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InconsistentChoice
-from .gauges import (GaugeFunctions, _guarded_ratio, gauge_from_integrands,
-                     matched_delta)
+from .errors import InconsistentChoice, NonFinite, SinThetaSingular, ZeroGauge
 from .grids import TimeGrid, cumulative_trapezoid
+from .propagation import StateTrajectory
 from .two_level import MixingAnglePath, _raise_at_first, complex_array
 
 POLICY_NAIVE = "naive-cd"
 POLICY_HERMITIAN = "hermitian-realizable"
 #: general-family preset with zero coupling drive
 POLICY_OMEGA_ZERO = "general-omega-zero"
+
+#: a denominator below this is guarded, and removable iff its numerator
+#: is below this times max|dtheta|
+EPS_SINGULAR = 1e-9
+
+
+def _guarded_ratio(theta_path: MixingAnglePath, num: np.ndarray,
+                   den: np.ndarray, error: type, message: str) -> np.ndarray:
+    """num/den on ``theta_path``'s grid, the diagonal split of both
+    realizable supplements.  Samples with |den| < EPS_SINGULAR are guarded;
+    any with |num| > EPS_SINGULAR*max|dtheta| raises ``error`` with
+    ``message`` formatted with its ``num`` and ``t``.  The rest are
+    removable.  An isolated one, k with 2 <= k <= n - 3 whose samples
+    k +- 1 and k +- 2 are unguarded, takes the four-point cubic
+    (-r[k-2] + 4r[k-1] + 4r[k+1] - r[k+2])/6 of those ratios r, whose
+    error is fourth order like the steps that read it; any other takes
+    the linear interpolation of the unguarded samples (0 if all are
+    guarded)."""
+    small = np.abs(den) < EPS_SINGULAR
+    out = np.where(small, 0.0, num / np.where(small, 1.0, den))
+    if not np.any(small):
+        return out
+    scale = np.max(np.abs(theta_path.dtheta))
+    bad = small & (np.abs(num) > EPS_SINGULAR * scale)
+    ts = theta_path.grid.samples
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise error(message.format(num=num[k], t=ts[k]))
+    if not np.all(small):
+        out[small] = np.interp(ts[small], ts[~small], out[~small])
+        k = np.flatnonzero(small[2:-2]) + 2
+        k = k[~(small[k - 2] | small[k - 1] | small[k + 1] | small[k + 2])]
+        out[k] = (-out[k - 2] + 4 * out[k - 1] + 4 * out[k + 1]
+                  - out[k + 2]) / 6
+    return out
 
 
 def naive_cd_entries(theta_path: MixingAnglePath) -> tuple:
@@ -66,6 +108,19 @@ def _entries(grid: TimeGrid, delta: np.ndarray, omega: np.ndarray) -> tuple:
         if not np.isfinite(arr).all():
             _raise_at_first(grid.samples, ~np.isfinite(arr), name)
     return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
+
+
+def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
+    """Real diagonal split delta(t) = Im[dtheta]/Re[sin theta], the diagonal
+    entry of the realizable supplement 0.5*[[delta, W], [conj(W), -delta]]
+    that removes the amplitude flow out of the reference eigenstate.
+    Samples where Re[sin theta] ~ 0 follow :func:`_guarded_ratio`; one whose
+    Im[dtheta] survives there raises SinThetaSingular.
+    """
+    return _guarded_ratio(
+        theta_path, theta_path.dtheta.imag, theta_path.sin.real,
+        SinThetaSingular,
+        "Re[sin theta] ~ 0 with Im[dtheta] = {num:.3e} at t={t:g}")
 
 
 def hermitian_realizable(theta_path: MixingAnglePath) -> tuple:
@@ -87,7 +142,7 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> tuple:
     term's diagonal is; added into H0 + H1 they give the bits of a zero
     array.
 
-    A guarded sample follows ``gauges._guarded_ratio``, ``matched_delta``'s
+    A guarded sample follows :func:`_guarded_ratio`, ``matched_delta``'s
     rule: where sin(theta) ~ 0 and dtheta survives against max|dtheta|, no
     diagonal split cancels the leak and InconsistentChoice is raised.
     """
@@ -107,6 +162,39 @@ def assemble_h1_series(h1: tuple) -> np.ndarray:
     for c, x in enumerate(h1):
         out[:, c] = x
     return out.reshape(n, 2, 2)
+
+
+class GaugeFunctions:
+    """Real gauge factors f_+ and f_- on a grid, f_+(t0) = f_-(t0) = 1
+    exactly; nothing reads the integrands u_n, so none are kept."""
+
+    __slots__ = ("grid", "f_plus", "f_minus")
+
+    def __init__(self, grid: TimeGrid, f_plus: np.ndarray,
+                 f_minus: np.ndarray):
+        for name, arr in (("f_plus", f_plus), ("f_minus", f_minus)):
+            if len(arr) != grid.n_points:
+                raise ValueError(f"{name} length must match grid")
+            zero = arr == 0
+            if np.any(zero):
+                raise ZeroGauge(f"{name} vanished at "
+                                f"t={grid.samples[np.argmax(zero)]:g}")
+        self.grid = grid
+        self.f_plus, self.f_minus = f_plus, f_minus
+
+
+def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:
+    if not np.all(np.isfinite(integrand)):
+        raise NonFinite("gauge integrand contains NaN/Inf")
+    return np.exp(cumulative_trapezoid(integrand, step))
+
+
+def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
+                          u_minus: np.ndarray) -> GaugeFunctions:
+    """Build gauge factors f_n = exp(cumulative trapezoid of u_n) from real
+    integrands u_n, so the factors are real."""
+    return GaugeFunctions(grid, _cumexp(u_plus, grid.step),
+                          _cumexp(u_minus, grid.step))
 
 
 def matched_gauge(level: np.ndarray, e_minus: np.ndarray,
@@ -152,6 +240,58 @@ def _frame_coupling(theta_path, h_total, gauges):
     the :func:`_leak` of H times f_+/f_-."""
     return (np.abs(_leak(theta_path, h_total)) * gauges.f_plus
             / (2.0 * gauges.f_minus))
+
+
+class AmplitudeTrajectory:
+    """Eigenstate amplitudes and populations derived from a trajectory.
+
+    c_n = <n~|psi> are the raw biorthogonal amplitudes (|c_n|^2 is not
+    bounded by one under decay); g_n = c_n/f_n are the gauge-modified
+    amplitudes whose squared moduli act as populations.  Bare populations
+    P_m = |<m|psi>|^2 are kept raw; the populations |g_n|^2 and P_m
+    renormalized by their sum are formed on each read.
+    """
+
+    __slots__ = ("c_plus", "c_minus", "g_plus", "g_minus", "pop_bare_0",
+                 "pop_bare_1")
+
+    def __init__(self, c_plus: np.ndarray, c_minus: np.ndarray,
+                 g_plus: np.ndarray, g_minus: np.ndarray,
+                 pop_bare_0: np.ndarray, pop_bare_1: np.ndarray):
+        self.c_plus, self.c_minus = c_plus, c_minus
+        self.g_plus, self.g_minus = g_plus, g_minus
+        self.pop_bare_0, self.pop_bare_1 = pop_bare_0, pop_bare_1
+
+    pop_phi_plus = property(lambda self: np.abs(self.g_plus) ** 2)
+    pop_phi_minus = property(lambda self: np.abs(self.g_minus) ** 2)
+    pop_bare_0_renorm = property(
+        lambda self: self.pop_bare_0 / (self.pop_bare_0 + self.pop_bare_1))
+    pop_bare_1_renorm = property(
+        lambda self: self.pop_bare_1 / (self.pop_bare_0 + self.pop_bare_1))
+
+
+def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
+               gauges: GaugeFunctions) -> AmplitudeTrajectory:
+    """Project a trajectory onto the instantaneous eigenbasis.
+
+    Uses the left eigenvectors, so c_+ = cos(theta/2)psi_0 + sin(theta/2)psi_1
+    and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise, then divides
+    their parts by the real gauge factors.
+    """
+    if traj.grid != theta_path.grid or traj.grid != gauges.grid:
+        raise ValueError("trajectory, theta path, and gauges must share the grid")
+    if traj.psi.shape[1] != 2:
+        raise ValueError("two-level trajectories only")
+    c, s = theta_path.cos_half, theta_path.sin_half
+    psi0, psi1 = traj.psi[:, 0], traj.psi[:, 1]
+    c_plus = c * psi0 + s * psi1
+    c_minus = s * psi0 - c * psi1
+    g_plus = complex_array(c_plus.real / gauges.f_plus,
+                           c_plus.imag / gauges.f_plus)
+    g_minus = complex_array(c_minus.real / gauges.f_minus,
+                            c_minus.imag / gauges.f_minus)
+    return AmplitudeTrajectory(c_plus, c_minus, g_plus, g_minus,
+                               np.abs(psi0) ** 2, np.abs(psi1) ** 2)
 
 
 def closed_form_gplus(level: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -23,9 +23,8 @@ import numpy as np
 from nhsta.biorthogonal import (DEFAULT_DEGENERACY_THRESHOLD,
                                 BiorthogonalSystem, decompose)
 from nhsta.errors import BranchJump, InconsistentChoice, ZeroGauge
-from nhsta.gauges import GaugeFunctions
 from nhsta.grids import TimeGrid, cumulative_trapezoid
-from nhsta.synthesis import naive_cd_entries
+from nhsta.synthesis import GaugeFunctions, naive_cd_entries
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                              _controls, hamiltonian_entries, radicand)
 

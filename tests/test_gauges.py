@@ -6,13 +6,13 @@ from scipy.integrate import cumulative_trapezoid, quad
 from conftest import (ae_pulse, ae_setup, analytic_two_level_systems,
                       assert_bitwise, path_eigenvalues, shifted_level,
                       shortcut_table, table_eigenvalues, table_entries)
-from nhsta import experiments, gauges
+from nhsta import experiments, synthesis
 from nhsta.errors import InconsistentChoice, SinThetaSingular, ZeroGauge
-from nhsta.gauges import matched_delta
 from nhsta.grids import TimeGrid
 from nhsta.propagation import integrate
 from nhsta.synthesis import (POLICY_NAIVE, general_family_omega_zero,
-                             hermitian_realizable, matched_gauge)
+                             hermitian_realizable, matched_delta,
+                             matched_gauge)
 from nhsta.two_level import (MixingAnglePath, PulseSpec, allen_eberly,
                              frame_diagonal, mixing_angle_path, theta_at)
 from oracles import (EigenPath, adiabatic_frame_generic, adiabatic_frame_h0,
@@ -69,9 +69,9 @@ class TestGaugeSimple:
 
     def test_one_gauge_under_the_traced_name(self):
         # the benchmark tracer wraps ``experiments.gauge_simple``; it names
-        # the package's one gauge, and ``gauges`` defines no second formula
+        # the package's one gauge, and ``synthesis`` defines no second formula
         assert experiments.gauge_simple is matched_gauge
-        assert not hasattr(gauges, "gauge_simple")
+        assert not hasattr(synthesis, "gauge_simple")
 
 
 class TestGaugeShortcut:
@@ -164,8 +164,8 @@ class TestGaugeShortcut:
         num = (2 - ts + 3 * ts**2 - 5 * ts**3) * den
         path = MixingAnglePath(grid=grid, theta=np.zeros(n, dtype=complex),
                                dtheta=np.ones(n, dtype=complex))
-        return ts, gauges._guarded_ratio(path, num, den, SinThetaSingular,
-                                         "{num} {t}")
+        return ts, synthesis._guarded_ratio(path, num, den, SinThetaSingular,
+                                            "{num} {t}")
 
     @pytest.mark.parametrize("k", [2, 5, 9])
     def test_isolated_removable_point_is_exact_for_a_cubic(self, k):
@@ -269,7 +269,7 @@ class TestRotation:
             rotation(0.5, (0.0, 1.0))
 
     def test_vanishing_gauge_factor_rejected_at_construction(self):
-        from nhsta.gauges import GaugeFunctions
+        from nhsta.synthesis import GaugeFunctions
         grid = TimeGrid(0.0, 1.0, 2)
         ones = np.ones(3, dtype=complex)
         dead = ones.copy()

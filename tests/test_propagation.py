@@ -16,10 +16,10 @@ from nhsta.errors import NonFinite
 from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
                                run_shortcut, shortcut_tables)
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
-from nhsta.propagation import (AmplitudeTrajectory, StateTrajectory,
-                               _block_size, amplitudes, convergence_check,
-                               integrate, phase_table, scan_table)
-from nhsta.synthesis import matched_gauge
+from nhsta.propagation import (StateTrajectory, _block_size,
+                               convergence_check, integrate, phase_table,
+                               scan_table)
+from nhsta.synthesis import AmplitudeTrajectory, amplitudes, matched_gauge
 from nhsta.two_level import (_controls, _factors, _principal_theta,
                              allen_eberly, hamiltonian_entries,
                              mixing_angle_path, mixing_angle_rate,

@@ -2,9 +2,10 @@
 it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
-names and the run check names are each spelled in one module, no run takes
-a branch regime, every record field is read somewhere in the package, and
-the garbage collector is tuned in two places only."""
+names, the initial-state names and the run check names are each spelled
+in one module, propagation imports only the grid and the errors, no run
+takes a branch regime, every record field is read somewhere in the
+package, and the garbage collector is tuned in two places only."""
 import ast
 import importlib
 import importlib.util
@@ -22,7 +23,7 @@ import nhsta
 import nhsta.cli
 import nhsta.output
 import nhsta.verify
-from nhsta import config, experiments, propagation, two_level
+from nhsta import config, experiments, propagation, synthesis, two_level
 from nhsta.grids import TimeGrid
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
@@ -265,6 +266,36 @@ def test_policy_names_are_spelled_once():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and any(name in node.value for name in names)]
     assert sorted(found) == sorted(("nhsta.synthesis", name) for name in names)
+
+
+def test_state_names_are_spelled_once():
+    # the two initial-state names are string literals in experiments, next
+    # to INITIAL_STATES and the psi0 each selects, and every other module
+    # imports the constants
+    names = ("bare-ground", "eigen-plus")
+    found = [(module.__name__, node.value) for module in [nhsta] + MODULES
+             for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(name in node.value for name in names)]
+    assert sorted(found) == sorted(("nhsta.experiments", name)
+                                   for name in names)
+
+
+def relative_imports(module):
+    """The package modules ``module`` imports from, at any depth
+    (``from .name import ...`` or ``from . import name``)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    return {node.module or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+
+
+def test_propagation_knows_only_tables_and_states():
+    # the RK4 module reads H as a table and psi as bare-basis states; the
+    # gauge and the frame projection live in synthesis, which sits below
+    # the pipeline and the configuration
+    assert relative_imports(propagation) == {"errors", "grids"}
+    assert relative_imports(synthesis) & {"experiments", "config"} == set()
 
 
 def test_run_check_names_are_spelled_once():

@@ -591,6 +591,24 @@ class TestPulseSpec:
         assert pulse.gamma == gamma
 
 
+def identity_records():
+    """Names "module.Class" of every plain class the package defines, its
+    slotted records among them, except ``TimeGrid``, which compares by
+    value."""
+    import importlib
+    import pkgutil
+
+    import nhsta
+    names = []
+    for info in pkgutil.iter_modules(nhsta.__path__):
+        module = importlib.import_module(f"nhsta.{info.name}")
+        names += [f"{info.name}.{name}" for name, value in vars(module).items()
+                  if isinstance(value, type) and value.__bases__ == (object,)
+                  and value.__module__ == module.__name__
+                  and name != "TimeGrid"]
+    return names
+
+
 class TestRecordIdentity:
     """Records holding arrays compare and hash by identity: a field-wise
     ``==`` would ask numpy for the truth value of an array."""
@@ -607,10 +625,17 @@ class TestRecordIdentity:
         assert a in {a}
         assert b not in {a}
 
-    @pytest.mark.parametrize("name", [
-        "propagation.StateTrajectory", "propagation.AmplitudeTrajectory",
-        "gauges.GaugeFunctions", "two_level.MixingAnglePath",
-        "experiments.ShortcutTable", "biorthogonal.BiorthogonalSystem"])
+    def test_every_record_is_listed(self):
+        # the list below is read off the package: a slotted record is in it
+        # wherever it lives, and TimeGrid is the one record left out
+        names = {name.rpartition(".")[2] for name in identity_records()}
+        assert {"StateTrajectory", "AmplitudeTrajectory", "GaugeFunctions",
+                "MixingAnglePath", "ShortcutTable", "ShortcutRun",
+                "PrefixScan", "PulseSpec", "BiorthogonalSystem",
+                "ExperimentConfig"} <= names
+        assert "TimeGrid" not in names
+
+    @pytest.mark.parametrize("name", identity_records())
     def test_array_records_use_identity(self, name):
         import importlib
         module, _, cls = name.rpartition(".")
