@@ -3,8 +3,9 @@
 Builds realizable supplementary Hamiltonians that pin a lossy two-level
 system to one instantaneous eigenstate of a chirped pulse, verifies the
 construction by direct propagation, and exposes the biorthogonal
-decomposition behind it.  The biorthogonal API and the figure series are
-imported on first use (PEP 562), so a command compiles only what it runs.
+decomposition behind it.  The package loads neither that decomposition
+(:mod:`nhsta.biorthogonal`) nor the figure series (:mod:`nhsta.figures`):
+import them from their modules, so a command compiles only what it runs.
 
 Importing the package pauses the garbage collector while numpy and the
 package's modules load, then, unless the caller has frozen objects, moves
@@ -43,18 +44,4 @@ finally:
     if _collecting:
         _gc.enable()
 
-#: names imported on first use -> their module
-_DEFERRED = {"BiorthogonalSystem": "biorthogonal", "biorthogonal": None,
-             "decompose": "biorthogonal", "reconstruct": "biorthogonal",
-             "theta_series": "figures", "zplane_series": "figures"}
-
-__all__ = sorted({name for name in dir() if not name.startswith("_")}
-                 | set(_DEFERRED))
-
-
-def __getattr__(name: str):
-    if name not in _DEFERRED:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    module = import_module(f"{__name__}.{_DEFERRED[name] or name}")
-    return getattr(module, name) if _DEFERRED[name] else module
+__all__ = sorted(name for name in dir() if not name.startswith("_"))

@@ -1,5 +1,4 @@
-"""Command-line driver: the parser, process tuning, ``sweep`` and the
-command table.
+"""Command-line driver: the parser, process tuning and the command table.
 
 Exit statuses: 0 success, 1 check failure, uncertified run or stdout
 closed early, 2 configuration error (non-finite numbers included), 3 any
@@ -8,17 +7,16 @@ other package error (non-finite values, branch tracking, degeneracy, ...).
 A command compiles only the code it runs.  Importing this module loads
 the shared core: ``config``, ``experiments`` and the modules under them,
 ``synthesis`` (the adiabatic frame), ``propagation``, ``two_level``,
-``grids`` and ``errors``.  ``figure1``–``figure4`` live in
-:mod:`nhsta.figures` and ``verify`` (the one user of
-:mod:`nhsta.biorthogonal`) in :mod:`nhsta.verify`, each imported when its
-command runs, and the writers of :mod:`nhsta.output` load with ``sweep``
-or a figure command, never with ``verify``.  ``sweep``, ``figure3`` and
-``figure4`` build, run, record and flag their shortcut runs through one
-loop, :meth:`nhsta.output.OutputSet.record_runs`, which also counts the
-uncertified runs that set the exit status.  ``main`` also tunes its own
-process before the command runs (importing this module does not;
-importing the package only pauses the collector, see ``nhsta``): see
-:func:`_tune_process`.
+``grids`` and ``errors``.  Command ``X`` runs ``cmd_X`` of the module
+``COMMANDS[X]`` names, imported when the command runs: ``figure1``–
+``figure4`` in :mod:`nhsta.figures`, ``verify`` (the one user of
+:mod:`nhsta.biorthogonal`) in :mod:`nhsta.verify` and ``sweep`` in
+:mod:`nhsta.output`, beside :meth:`~nhsta.output.OutputSet.record_runs`,
+the loop that builds, runs, records and flags the shortcut runs of
+``sweep``, ``figure3`` and ``figure4``; ``verify`` never loads those
+writers.  ``main`` also tunes its own process before the command runs
+(importing this module does not; importing the package only pauses the
+collector, see ``nhsta``): see :func:`_tune_process`.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ import sys
 from importlib import import_module
 from typing import Optional, Sequence
 
-from .config import OPTIONS, ExperimentConfig, build_config
+from .config import OPTIONS, build_config
 from .errors import ConfigError, NhStaError
 # Not used here; bench/trace_child.py still patches these names on this module.
 from .experiments import run_shortcut  # noqa: F401
@@ -37,41 +35,10 @@ from .propagation import integrate  # noqa: F401
 from .two_level import classify_regime  # noqa: F401
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    """Cross-product gamma x policy x initial state, one metrics row each:
-    a row is its run's manifest entry without ``wall_time_s``.
-
-    Uncertified rows are flagged in the table and on stderr, and make the
-    exit status 1 (the table and manifest are still written).
-    """
-    from .output import OutputSet
-    gammas = cfg.gammas()  # no default decay rates: refuses a missing list
-    out = OutputSet(cfg, "sweep")
-    for gamma in gammas:
-        out.record_runs(cfg, gamma)
-    header = [key for key in out.runs[0] if key != "wall_time_s"]
-    out.emit("sweep", header, [[run[key] for run in out.runs]
-                               for key in header])
-    out.write_manifest()
-    return 1 if out.uncertified else 0
-
-
-def _deferred(module: str, command: str):
-    """The command ``command`` of ``nhsta.<module>``'s own ``COMMANDS``,
-    a module imported only when the command runs."""
-    def run(cfg: ExperimentConfig) -> int:
-        return import_module(f"nhsta.{module}").COMMANDS[command](cfg)
-    return run
-
-
-COMMANDS = {
-    "figure1": _deferred("figures", "figure1"),
-    "figure2": _deferred("figures", "figure2"),
-    "figure3": _deferred("figures", "figure3"),
-    "figure4": _deferred("figures", "figure4"),
-    "verify": _deferred("verify", "verify"),
-    "sweep": cmd_sweep,
-}
+#: command name -> the module, under ``nhsta``, whose ``cmd_<command>`` runs
+#: it, imported only when the command runs
+COMMANDS = {"figure1": "figures", "figure2": "figures", "figure3": "figures",
+            "figure4": "figures", "verify": "verify", "sweep": "output"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +97,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = build_config(overrides.pop("config"), **overrides)
         cfg.validate()
-        status = COMMANDS[command](cfg)
+        module = import_module(f"nhsta.{COMMANDS[command]}")
+        status = getattr(module, f"cmd_{command}")(cfg)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return status
     except BrokenPipeError:

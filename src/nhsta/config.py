@@ -117,10 +117,9 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"unknown {what} {value!r}; choose from {known}")
             _refuse_repeats(what, values)
-        # gammas() refuses an explicit empty list; defaults need no check
-        gammas = () if self.gamma_list is None else self.gammas()
+        gammas = self.gamma_list or ()
         # the comparisons above let NaN and +inf through, and regime_for
-        # below raises ValueError on them
+        # (in gammas() below) raises ValueError on them
         numbers = [("omega0", self.omega0), ("delta0", self.delta0),
                    ("tau", self.tau), ("t0", t0), ("t_final", t_f)]
         numbers += [("gamma", g) for g in gammas]
@@ -148,7 +147,8 @@ class ExperimentConfig:
         for g in gammas:
             if g < 0:
                 raise ConfigError(f"gamma must be >= 0, got {g}")
-            self.regime_for(g)  # DegenerateRegime on the critical line
+        if self.gamma_list is not None:
+            self.gammas()  # an empty list, or a rate on the critical line
 
     @property
     def policies(self) -> tuple:
@@ -159,11 +159,14 @@ class ExperimentConfig:
         return _comma_list(self.initial_state)
 
     def gammas(self, default: tuple = ()) -> tuple:
-        """The configured decay rates, else the command's ``default``;
-        raises ConfigError when that leaves none."""
+        """The configured decay rates, else the command's ``default``, the
+        ones a command runs; raises ConfigError when that leaves none, and
+        DegenerateRegime when one sits on the critical line."""
         gammas = self.gamma_list if self.gamma_list is not None else default
         if not gammas:
             raise ConfigError("gamma list must not be empty")
+        for gamma in gammas:
+            self.regime_for(gamma)
         return gammas
 
     @cached_property

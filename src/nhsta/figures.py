@@ -4,7 +4,7 @@
 :meth:`nhsta.output.OutputSet.record_runs`, the loop ``sweep`` runs too,
 and write each rate's table from that run before it is recorded.
 
-``nhsta.cli`` imports this module only when a figure command runs.
+``nhsta.cli`` imports it only when figure command ``X`` runs its ``cmd_X``.
 """
 from __future__ import annotations
 
@@ -128,8 +128,3 @@ def cmd_figure4(cfg: ExperimentConfig) -> int:
         ["t", "p0", "p1", "p0_plus_p1", "p0_renorm", "p1_renorm"],
         lambda a: [a.pop_bare_0, a.pop_bare_1, a.pop_bare_0 + a.pop_bare_1,
                    a.pop_bare_0_renorm, a.pop_bare_1_renorm])
-
-
-#: command name -> its function, run through ``nhsta.cli.COMMANDS``
-COMMANDS = {"figure1": cmd_figure1, "figure2": cmd_figure2,
-            "figure3": cmd_figure3, "figure4": cmd_figure4}

@@ -1,6 +1,8 @@
 """What every command writes: tables, manifests, ``uncertified:`` lines,
 and the one loop that builds, runs, records and flags the shortcut runs of
 ``sweep``, ``figure3`` and ``figure4`` (:meth:`OutputSet.record_runs`).
+Beside that loop sits the ``sweep`` command it drives, :func:`cmd_sweep`.
+This module loads with ``sweep`` or a figure command, never ``verify``.
 
 A table is formatted by one ``%`` per block of rows, and written and hashed
 (by the interpreter's built-in SHA-256, so OpenSSL is never loaded) block by
@@ -231,6 +233,24 @@ class OutputSet:
         }
         _write(path, [(_json_text(payload) + "\n").encode()], "manifest")
         return path
+
+
+def cmd_sweep(cfg: ExperimentConfig) -> int:
+    """Cross-product gamma x policy x initial state, one metrics row each:
+    a row is its run's manifest entry without ``wall_time_s``.
+
+    Uncertified rows are flagged in the table and on stderr, and make the
+    exit status 1 (the table and manifest are still written).
+    """
+    gammas = cfg.gammas()  # no default decay rates: refuses a missing list
+    out = OutputSet(cfg, "sweep")
+    for gamma in gammas:
+        out.record_runs(cfg, gamma)
+    header = [key for key in out.runs[0] if key != "wall_time_s"]
+    out.emit("sweep", header, [[run[key] for run in out.runs]
+                               for key in header])
+    out.write_manifest()
+    return 1 if out.uncertified else 0
 
 
 def _flag_uncertified(run: dict) -> bool:

@@ -4,8 +4,8 @@ Checks the biorthogonal decomposition on a random corpus, RK4's order and
 exactness on a constant H, and each decay rate's certified run through
 :data:`nhsta.experiments.RUN_CHECKS`.  The RK4 checks read the pair that
 certifies every emitted row: a scan's run and its half-step rerun.
-``nhsta.cli`` imports this module only when ``verify`` runs, and it is the
-only command module that imports :mod:`nhsta.biorthogonal`.
+``nhsta.cli`` imports this module only to run its :func:`cmd_verify`; it
+is the only command module that imports :mod:`nhsta.biorthogonal`.
 """
 from __future__ import annotations
 
@@ -70,7 +70,9 @@ def random_corpus():
 
 
 def _verify_checks(cfg: ExperimentConfig):
-    """Yield (name, measured, bound, ok) for the self-verification suite."""
+    """Yield (name, measured, bound, ok) for the self-verification suite;
+    its decay rates are read first, so a refused one prints no check."""
+    gammas = cfg.gammas(VERIFY_DEFAULT_GAMMAS)
     bio = comp = rtrip = 0.0
     for m, sys_ in random_corpus():
         bio = max(bio, sys_.biorthogonality_defect())
@@ -87,7 +89,7 @@ def _verify_checks(cfg: ExperimentConfig):
     rel = decay_error(2000)
     yield "decay-exact[relative]", rel, 1e-8, rel <= 1e-8
 
-    for gamma in cfg.gammas(VERIFY_DEFAULT_GAMMAS):
+    for gamma in gammas:
         run = run_shortcut(cfg.pulse_for(gamma), cfg.grid,
                            policy=POLICY_HERMITIAN)
         for name, measured, bound, ok in run.checks():
@@ -105,7 +107,3 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     total = "all checks passed" if failures == 0 else f"{failures} check(s) FAILED"
     print(f"verify: {total}")
     return 0 if failures == 0 else 1
-
-
-#: command name -> its function, run through ``nhsta.cli.COMMANDS``
-COMMANDS = {"verify": cmd_verify}

@@ -14,7 +14,7 @@ import pytest
 from nhsta.cli import COMMANDS, build_parser, main
 from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
                           parse_config_file)
-from nhsta.errors import ConfigError, NhStaError
+from nhsta.errors import ConfigError, DegenerateRegime, NhStaError
 from nhsta.output import CSV_BLOCK_ROWS, OutputSet
 
 
@@ -193,20 +193,24 @@ def test_module_run_imports_no_second_cli(tmp_path):
 
 
 def test_package_import_defers_the_biorthogonal_api():
-    # the names resolve on first use, and a star import binds them all
+    # the package neither loads nor re-exports the biorthogonal API or the
+    # figure series: they are imported from their own modules
     names = ("nhsta.biorthogonal",)
     assert loaded_by("import nhsta", names) == []
+    moved = ["BiorthogonalSystem", "biorthogonal", "decompose", "reconstruct",
+             "theta_series", "zplane_series"]
+    import subprocess
+    done = subprocess.run(
+        [sys.executable, "-c", f"import nhsta; "
+                               f"print([n for n in {moved!r} if hasattr(nhsta, n)])"],
+        capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
     import nhsta
-    from nhsta import biorthogonal
-    assert (nhsta.decompose, nhsta.reconstruct, nhsta.BiorthogonalSystem,
-            nhsta.biorthogonal) == (biorthogonal.decompose,
-                                    biorthogonal.reconstruct,
-                                    biorthogonal.BiorthogonalSystem,
-                                    biorthogonal)
     star: dict = {}
     exec("from nhsta import *", star)
     assert set(nhsta.__all__) <= set(star)
-    assert {"BiorthogonalSystem", "decompose", "reconstruct"} <= set(star)
+    assert set(moved).isdisjoint(nhsta.__all__)
+    assert set(moved).isdisjoint(star)
     with pytest.raises(AttributeError, match="no attribute 'missing'"):
         nhsta.missing
 
@@ -1116,6 +1120,24 @@ class TestExitCodes:
     def test_critical_decay_rate_exits_numerical(self, tmp_path):
         assert main(["figure3", "--gamma", "2.0", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("command, omega0", [
+        ("figure1", 1.5), ("figure2", 1.5), ("figure3", 0.15),
+        ("figure4", 0.5), ("verify", 0.5)])
+    def test_critical_default_decay_rate_exits_before_any_output(
+            self, tmp_path, capsys, command, omega0):
+        # a default rate on 2*omega0 is refused as an explicit one is: no
+        # table of an earlier rate, no manifest and no check line
+        from nhsta.two_level import classify_regime
+        with pytest.raises(DegenerateRegime) as refused:
+            classify_regime(omega0, 2 * omega0)
+        out = tmp_path / "out"
+        assert main([command, "--omega0", str(omega0), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"numerical error: DegenerateRegime: {refused.value}"]
+        assert not out.exists()
+
     def test_bad_config_file_exits_config(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense_key = 3\n")
@@ -1404,12 +1426,10 @@ class TestExitCodes:
         ids=lambda e: e.__name__)
     def test_package_error_in_a_command_exits_numerical(self, tmp_path, capsys,
                                                         monkeypatch, error):
-        from nhsta import cli
-
         def command(cfg):
             raise error("raised inside the command")
 
-        monkeypatch.setitem(cli.COMMANDS, "figure1", command)
+        monkeypatch.setattr("nhsta.figures.cmd_figure1", command)
         assert main(["figure1", "--out", str(tmp_path)]) == 3
         assert capsys.readouterr().err.splitlines() == [
             f"numerical error: {error.__name__}: raised inside the command"]

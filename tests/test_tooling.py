@@ -3,9 +3,10 @@ it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
 names, the initial-state names and the run check names are each spelled
-in one module, propagation imports only the grid and the errors, no run
-takes a branch regime, every record field is read somewhere in the
-package, and the garbage collector is tuned in two places only."""
+in one module, propagation imports only the grid and the errors, a
+command runs by one dispatch rule, no run takes a branch regime, every
+record field is read somewhere in the package, and the garbage collector
+is tuned in two places only."""
 import ast
 import importlib
 import importlib.util
@@ -163,8 +164,11 @@ def used_names(stmt):
 
 def unused_public_names():
     """Public top-level functions and classes of the package that no other
-    statement in it reads (imports and ``__all__`` do not count)."""
-    defined, used = set(), set()
+    statement in it reads (imports and ``__all__`` do not count).  The
+    command functions count as read: ``cli.main`` runs ``cmd_<key>`` for
+    each key of ``cli.COMMANDS``."""
+    defined = set()
+    used = {f"cmd_{command}" for command in nhsta.cli.COMMANDS}
     for module in MODULES:
         for stmt in ast.parse(Path(module.__file__).read_text()).body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
@@ -511,6 +515,28 @@ def test_one_loop_records_the_shortcut_runs():
         ("shortcut_tables", "output.OutputSet.record_runs")]
 
 
+def test_one_dispatch_rule():
+    # command X runs cmd_X of the module cli.COMMANDS[X] names; those are
+    # the package's only cmd_* functions, and no module but cli binds a
+    # COMMANDS table of its own
+    wanted = {(f"nhsta.{module}", f"cmd_{command}")
+              for command, module in nhsta.cli.COMMANDS.items()}
+    for module, name in wanted:
+        assert callable(getattr(importlib.import_module(module), name))
+    found, tables = set(), set()
+    for module in [nhsta] + MODULES:
+        for stmt in ast.parse(Path(module.__file__).read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith(
+                    "cmd_"):
+                found.add((module.__name__, stmt.name))
+            if isinstance(stmt, ast.Assign) and "COMMANDS" in {
+                    getattr(t, "id", None) for t in stmt.targets}:
+                tables.add(module.__name__)
+    assert found == wanted
+    assert [name for module, name in found if module == "nhsta.cli"] == []
+    assert tables == {"nhsta.cli"}
+
+
 def imports(module):
     """(top-level imported name, innermost enclosing function or None) of
     every absolute import in a module."""
@@ -668,6 +694,7 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     want = [(3, "numerical error: DegenerateRegime: "),
+            (3, "numerical error: DegenerateRegime: "),
             (3, "numerical error: ZeroGauge: "),
             (3, "numerical error: SinThetaSingular: "),
             (3, "numerical error: InconsistentChoice: "),

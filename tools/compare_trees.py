@@ -50,10 +50,11 @@ GAP_TABLE = [
     *(_rescaled(k) for k in range(2, 7)),
 ]
 
-#: invocations that fail: exit 3 with each named error, exit 2, and exit 1
-#: for an uncertified row
+#: invocations that fail: exit 3 with each named error (one of them at a
+#: command's default decay rate), exit 2, and exit 1 for an uncertified row
 ERROR_PATHS = [
     ["figure3", "--gamma", "2"],  # DegenerateRegime
+    ["figure1", "--omega0", "1.5"],  # DegenerateRegime at a default rate
     ["figure3", "--gamma", "1000"],  # ZeroGauge
     ["sweep", "--gamma", "1e4", *ALL_POLICIES],  # SinThetaSingular
     ["figure3", "--gamma", "0.3", "--policy", "general-omega-zero",
