@@ -2,7 +2,8 @@
 
 Exit statuses: 0 success, 1 check failure, uncertified run or stdout
 closed early, 2 configuration error (non-finite numbers included), 3 any
-other package error (non-finite values, branch tracking, degeneracy, ...).
+other package error (non-finite values, branch tracking, degeneracy, ...)
+or a run too large to allocate.
 
 A command compiles only the code it runs.  Importing this module loads
 the shared core: ``config``, ``experiments`` and the modules under them,
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import gc
+import re
 import sys
 from importlib import import_module
 from typing import Optional, Sequence
@@ -39,6 +41,10 @@ from .two_level import classify_regime  # noqa: F401
 #: it, imported only when the command runs
 COMMANDS = {"figure1": "figures", "figure2": "figures", "figure3": "figures",
             "figure4": "figures", "verify": "verify", "sweep": "output"}
+#: the flags of the float options; argparse before Python 3.13 reads a
+#: negative number in exponent form, such as -1e-3, as an option
+_FLOAT_FLAGS = {"--" + name.replace("_", "-") for name, kind, _, _ in OPTIONS
+               if kind is float}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,6 +98,11 @@ def _tune_process() -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _tune_process()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # --t0 -1e-3 as --t0=-1e-3
+        if argv[i - 1] in _FLOAT_FLAGS and re.fullmatch(
+                r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     overrides = vars(build_parser().parse_args(argv))
     command = overrides.pop("command")
     try:
@@ -116,6 +127,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except NhStaError as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,8 +10,8 @@ policy, so the tables of several policies for one pulse share them; every
 table is built in the same order (:func:`_tables` says what each holds and
 frees, and when).
 A run applies a table to one of :data:`INITIAL_STATES`, named here: it
-propagates the bare-basis state and keeps the raw/modified amplitudes and
-populations that ``synthesis.amplitudes`` projects from it.
+propagates the bare-basis state and keeps, as its own fields, the
+amplitudes and populations ``synthesis.amplitudes`` projects from it.
 :data:`RUN_CHECKS` is the one place a run's checks live: their
 names, bounds and readings, which ``verify`` and a run's ``metrics`` read.
 """
@@ -26,11 +26,10 @@ from .grids import TimeGrid
 from .propagation import (PrefixScan, phase_table, scan_table,
                           step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
-                        AmplitudeTrajectory, GaugeFunctions, amplitudes,
-                        closed_form_gplus, frame_coupling,
-                        general_family_omega_zero, hermitian_realizable,
-                        matched_gauge, naive_cd_entries,
-                        nullification_residual)
+                        GaugeFunctions, amplitudes, closed_form_gplus,
+                        frame_coupling, general_family_omega_zero,
+                        hermitian_realizable, matched_gauge,
+                        naive_cd_entries, nullification_residual)
 from .two_level import (MixingAnglePath, PulseSpec, angle_rate_defect,
                         eigenvalue_path, frame_diagonal, hamiltonian_entries,
                         mixing_angle_path, sample_controls)
@@ -53,9 +52,9 @@ RUN_CHECKS = {
     "nullification-residual": (1e-10, lambda run: run.table.residual),
     "frame-coupling-21": (1e-6, lambda run: run.table.frame_check()),
     "angle-rate": (1e-8, lambda run: run.table.angle_rate),
-    "max-abs-g-minus": (1e-5, lambda run: run.amps.g_minus),
-    "g-plus-sq-dev": (0.05, lambda run: run.amps.pop_phi_plus - 1.0),
-    "closed-form-vs-ode": (1e-5, lambda run: run.amps.g_plus
+    "max-abs-g-minus": (1e-5, lambda run: run.g_minus),
+    "g-plus-sq-dev": (0.05, lambda run: run.pop_phi_plus - 1.0),
+    "closed-form-vs-ode": (1e-5, lambda run: run.g_plus
                            - run.table.closed_form()),
     "convergence": (1e-7, lambda run: run.convergence),
 }
@@ -96,10 +95,10 @@ class ShortcutTable:
                             dtype=complex)
         else:
             psi0 = np.array([1.0, 0.0], dtype=complex)
-        traj, rerun = self.scan.apply(psi0)
-        gap = step_halving_gap(traj, rerun)
+        psi, rerun = self.scan.apply(psi0)
+        gap = step_halving_gap(psi, rerun)
         del rerun  # freed before the amplitudes are allocated
-        return ShortcutRun(self, amplitudes(traj, self.theta, self.gauges),
+        return ShortcutRun(self, amplitudes(psi, self.theta, self.gauges),
                            gap)
 
     def frame_check(self) -> float:
@@ -114,14 +113,26 @@ class ShortcutTable:
 
 
 class ShortcutRun:
-    """A shortcut table run from one initial state: the table, and the
-    amplitudes and step-halving gap of that state."""
+    """A shortcut table run from one initial state: the table, the step-
+    halving gap, and the six arrays ``amps`` of ``synthesis.amplitudes``:
+    the raw amplitudes c_n (|c_n|^2 is not bounded by one under decay), the
+    gauge-modified g_n = c_n/f_n and the bare populations P_m.  |g_n|^2,
+    which act as populations, and P_m over their sum are formed on read."""
 
-    __slots__ = ("table", "amps", "convergence")
+    __slots__ = ("table", "c_plus", "c_minus", "g_plus", "g_minus",
+                 "pop_bare_0", "pop_bare_1", "convergence")
 
-    def __init__(self, table: ShortcutTable, amps: AmplitudeTrajectory,
-                 convergence: float):
-        self.table, self.amps, self.convergence = table, amps, convergence
+    def __init__(self, table: ShortcutTable, amps: tuple, convergence: float):
+        self.table, self.convergence = table, convergence
+        (self.c_plus, self.c_minus, self.g_plus, self.g_minus,
+         self.pop_bare_0, self.pop_bare_1) = amps
+
+    pop_phi_plus = property(lambda self: np.abs(self.g_plus) ** 2)
+    pop_phi_minus = property(lambda self: np.abs(self.g_minus) ** 2)
+    pop_bare_0_renorm = property(
+        lambda self: self.pop_bare_0 / (self.pop_bare_0 + self.pop_bare_1))
+    pop_bare_1_renorm = property(
+        lambda self: self.pop_bare_1 / (self.pop_bare_0 + self.pop_bare_1))
 
     def measure(self, name: str) -> float:
         """Check ``name`` of :data:`RUN_CHECKS` measured on this run."""
@@ -137,9 +148,9 @@ class ShortcutRun:
     def metrics(self) -> dict:
         """End-of-run scalars for sweep tables and manifests."""
         metrics = {
-            "g_plus_sq_final": float(np.abs(self.amps.g_plus[-1]) ** 2),
-            "p0_renorm_final": float(self.amps.pop_bare_0_renorm[-1]),
-            "p1_final": float(self.amps.pop_bare_1[-1]),
+            "g_plus_sq_final": float(np.abs(self.g_plus[-1]) ** 2),
+            "p0_renorm_final": float(self.pop_bare_0_renorm[-1]),
+            "p1_final": float(self.pop_bare_1[-1]),
             "max_abs_g_minus": self.measure("max-abs-g-minus"),
             "max_residual": self.measure("nullification-residual"),
             "convergence": self.measure("convergence"),

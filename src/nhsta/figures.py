@@ -96,7 +96,7 @@ def _population_figure(cfg: ExperimentConfig, command: str,
                        default_gammas: tuple, header: Sequence[str],
                        columns) -> int:
     """One certified shortcut run per decay rate, emitted as ``header``
-    with t followed by ``columns(amps)``; status 1 if any run is
+    with t followed by ``columns(run)``; status 1 if any run is
     uncertified (every table and the manifest are still written)."""
     tables = _tables(cfg, command, default_gammas)
     for values, what in ((cfg.policies, "policy"),
@@ -107,7 +107,7 @@ def _population_figure(cfg: ExperimentConfig, command: str,
     out = OutputSet(cfg, command)
     for name, gamma in tables.items():
         out.record_runs(cfg, gamma, lambda run: out.emit(
-            name, header, [run.table.grid.samples] + columns(run.amps)))
+            name, header, [run.table.grid.samples] + columns(run)))
     out.write_manifest()
     return 1 if out.uncertified else 0
 
@@ -117,8 +117,8 @@ def cmd_figure3(cfg: ExperimentConfig) -> int:
     return _population_figure(
         cfg, "figure3", FIGURE3_DEFAULT_GAMMAS,
         ["t", "c_plus_sq", "c_minus_sq", "g_plus_sq", "g_minus_sq"],
-        lambda a: [np.abs(a.c_plus) ** 2, np.abs(a.c_minus) ** 2,
-                   a.pop_phi_plus, a.pop_phi_minus])
+        lambda r: [np.abs(r.c_plus) ** 2, np.abs(r.c_minus) ** 2,
+                   r.pop_phi_plus, r.pop_phi_minus])
 
 
 def cmd_figure4(cfg: ExperimentConfig) -> int:
@@ -126,5 +126,5 @@ def cmd_figure4(cfg: ExperimentConfig) -> int:
     return _population_figure(
         cfg, "figure4", FIGURE4_DEFAULT_GAMMAS,
         ["t", "p0", "p1", "p0_plus_p1", "p0_renorm", "p1_renorm"],
-        lambda a: [a.pop_bare_0, a.pop_bare_1, a.pop_bare_0 + a.pop_bare_1,
-                   a.pop_bare_0_renorm, a.pop_bare_1_renorm])
+        lambda r: [r.pop_bare_0, r.pop_bare_1, r.pop_bare_0 + r.pop_bare_1,
+                   r.pop_bare_0_renorm, r.pop_bare_1_renorm])

@@ -16,8 +16,8 @@ multiplied into one matrix, so it shares the run's blocks and scan and
 yields the run's samples, where the two are compared.  The scan keeps its
 table for the frame check and to name the step of a blow-up.  Callables
 H(t) are sampled onto such a table first.  The module knows only tables
-and bare-basis states; ``synthesis.amplitudes`` projects a state onto the
-gauge-scaled eigenbasis.
+and bare-basis states: a trajectory is a plain (n_points, 2) array, which
+``synthesis.amplitudes`` projects onto the gauge-scaled eigenbasis.
 """
 from __future__ import annotations
 
@@ -29,18 +29,6 @@ from .errors import NonFinite
 from .grids import TimeGrid
 
 HamiltonianFn = Callable[[float], np.ndarray]
-
-
-class StateTrajectory:
-    """Bare-basis state samples psi(t_k) on a grid."""
-
-    __slots__ = ("grid", "psi")
-
-    def __init__(self, grid: TimeGrid, psi: np.ndarray):
-        if psi.shape[0] != grid.n_points:
-            raise ValueError("one state per grid point required")
-        self.grid = grid
-        self.psi = psi  # (n_points, dim)
 
 
 # The kernels below sum into their own temporaries (np.add(x, t, out=t) is
@@ -169,9 +157,10 @@ class PrefixScan:
         self.prefix = prefix  # (b, 2, 2, 2 * blocks)
         self.starts = starts  # (4, 2 * blocks)
 
-    def apply(self, psi0: np.ndarray) -> tuple[StateTrajectory, ...]:
-        """The run and its rerun from a two-component psi0; a state that is
-        not finite raises NonFinite naming the step where it blows up."""
+    def apply(self, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The run and its rerun, (n_points, 2) arrays, from a two-component
+        psi0; a state that is not finite raises NonFinite naming the step
+        where it blows up."""
         psi = np.asarray(psi0, dtype=complex)
         if psi.shape != (2,):
             raise ValueError("psi0 must be a two-component vector")
@@ -182,14 +171,14 @@ class PrefixScan:
                           _apply(self.starts, psi))
         runs = []
         for lo, substeps in zip((0, blocks), _SETS):
-            # component-major, padded to whole blocks; psi is a view of it
+            # component-major, padded to whole blocks; a run is a view of it
             out = np.empty((2, 1 + blocks * b), dtype=complex)
             out[:, 0] = psi
             for row, val in zip(out, cols):
                 row[1:].reshape(blocks, b)[...] = val[:, lo:lo + blocks].T
             out = out[:, :self.grid.n_points].T
             self._check_finite(out, substeps)
-            runs.append(StateTrajectory(grid=self.grid, psi=out))
+            runs.append(out)
         return tuple(runs)
 
     def _check_finite(self, out: np.ndarray, substeps) -> None:
@@ -266,16 +255,16 @@ def _tabulate(h_total: HamiltonianFn, grid: TimeGrid) -> np.ndarray:
 
 
 def integrate(h_total: HamiltonianFn, psi0: np.ndarray, grid: TimeGrid
-              ) -> StateTrajectory:
+              ) -> np.ndarray:
     """RK4 for a callable H(t): the run of its scan; see
     :meth:`PrefixScan.apply`."""
     return scan_table(_tabulate(h_total, grid), grid).apply(psi0)[0]
 
 
-def step_halving_gap(run: StateTrajectory, rerun: StateTrajectory) -> float:
+def step_halving_gap(run: np.ndarray, rerun: np.ndarray) -> float:
     """Max-norm gap between a run and its half-step rerun at the run's
     samples (the two trajectories of a certifying scan)."""
-    return float(np.max(np.abs(run.psi - rerun.psi)))
+    return float(np.max(np.abs(run - rerun)))
 
 
 def convergence_check(h_total: HamiltonianFn, psi0: np.ndarray,

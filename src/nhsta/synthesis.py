@@ -1,6 +1,6 @@
 """The adiabatic frame: supplementary Hamiltonians that suppress
-non-adiabatic amplitude flow, the frame's gauge, and the projection of a
-state onto the gauge-scaled frame.
+non-adiabatic amplitude flow, the frame's gauge, and the projection of
+an (n_points, 2) array of bare-basis states onto the gauge-scaled frame.
 
 Three policies are provided for the two-level model, each in closed form
 and each returning the entries (h00, h01, h10, h11) of its H1 on the grid
@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import InconsistentChoice, NonFinite, SinThetaSingular, ZeroGauge
 from .grids import TimeGrid, cumulative_trapezoid
-from .propagation import StateTrajectory
 from .two_level import MixingAnglePath, _raise_at_first, complex_array
 
 POLICY_NAIVE = "naive-cd"
@@ -242,56 +241,29 @@ def _frame_coupling(theta_path, h_total, gauges):
             / (2.0 * gauges.f_minus))
 
 
-class AmplitudeTrajectory:
-    """Eigenstate amplitudes and populations derived from a trajectory.
+def amplitudes(psi: np.ndarray, theta_path: MixingAnglePath,
+               gauges: GaugeFunctions) -> tuple:
+    """Project bare-basis states ``psi``, shape (n_points, 2), onto the
+    instantaneous eigenbasis: (c_+, c_-, g_+, g_-, P_0, P_1).
 
-    c_n = <n~|psi> are the raw biorthogonal amplitudes (|c_n|^2 is not
-    bounded by one under decay); g_n = c_n/f_n are the gauge-modified
-    amplitudes whose squared moduli act as populations.  Bare populations
-    P_m = |<m|psi>|^2 are kept raw; the populations |g_n|^2 and P_m
-    renormalized by their sum are formed on each read.
+    The left eigenvectors give c_+ = cos(theta/2)psi_0 + sin(theta/2)psi_1
+    and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise; g_n = c_n/f_n
+    divides their parts by the real gauge factors, and P_m = |psi_m|^2.
     """
-
-    __slots__ = ("c_plus", "c_minus", "g_plus", "g_minus", "pop_bare_0",
-                 "pop_bare_1")
-
-    def __init__(self, c_plus: np.ndarray, c_minus: np.ndarray,
-                 g_plus: np.ndarray, g_minus: np.ndarray,
-                 pop_bare_0: np.ndarray, pop_bare_1: np.ndarray):
-        self.c_plus, self.c_minus = c_plus, c_minus
-        self.g_plus, self.g_minus = g_plus, g_minus
-        self.pop_bare_0, self.pop_bare_1 = pop_bare_0, pop_bare_1
-
-    pop_phi_plus = property(lambda self: np.abs(self.g_plus) ** 2)
-    pop_phi_minus = property(lambda self: np.abs(self.g_minus) ** 2)
-    pop_bare_0_renorm = property(
-        lambda self: self.pop_bare_0 / (self.pop_bare_0 + self.pop_bare_1))
-    pop_bare_1_renorm = property(
-        lambda self: self.pop_bare_1 / (self.pop_bare_0 + self.pop_bare_1))
-
-
-def amplitudes(traj: StateTrajectory, theta_path: MixingAnglePath,
-               gauges: GaugeFunctions) -> AmplitudeTrajectory:
-    """Project a trajectory onto the instantaneous eigenbasis.
-
-    Uses the left eigenvectors, so c_+ = cos(theta/2)psi_0 + sin(theta/2)psi_1
-    and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise, then divides
-    their parts by the real gauge factors.
-    """
-    if traj.grid != theta_path.grid or traj.grid != gauges.grid:
-        raise ValueError("trajectory, theta path, and gauges must share the grid")
-    if traj.psi.shape[1] != 2:
-        raise ValueError("two-level trajectories only")
+    if psi.shape != (theta_path.grid.n_points, 2):
+        raise ValueError("psi must hold a two-level state per grid point")
+    if gauges.grid != theta_path.grid:
+        raise ValueError("theta path and gauges must share the grid")
     c, s = theta_path.cos_half, theta_path.sin_half
-    psi0, psi1 = traj.psi[:, 0], traj.psi[:, 1]
+    psi0, psi1 = psi[:, 0], psi[:, 1]
     c_plus = c * psi0 + s * psi1
     c_minus = s * psi0 - c * psi1
     g_plus = complex_array(c_plus.real / gauges.f_plus,
                            c_plus.imag / gauges.f_plus)
     g_minus = complex_array(c_minus.real / gauges.f_minus,
                             c_minus.imag / gauges.f_minus)
-    return AmplitudeTrajectory(c_plus, c_minus, g_plus, g_minus,
-                               np.abs(psi0) ** 2, np.abs(psi1) ** 2)
+    return (c_plus, c_minus, g_plus, g_minus,
+            np.abs(psi0) ** 2, np.abs(psi1) ** 2)
 
 
 def closed_form_gplus(level: np.ndarray, grid: TimeGrid) -> np.ndarray:

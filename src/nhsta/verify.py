@@ -37,15 +37,15 @@ def rabi_errors(steps: int) -> list:
     """Final-state errors of RK4 at ``steps`` steps and of its rerun, for
     resonant Rabi flopping over t in [0, 10]."""
     exact = np.array([np.cos(5.0), -1j * np.sin(5.0)])
-    return [float(np.max(np.abs(traj.psi[-1] - exact))) for traj in
+    return [float(np.max(np.abs(psi[-1] - exact))) for psi in
             _propagate_constant(H_RABI, [1, 0], TimeGrid(0.0, 10.0, steps))]
 
 
 def decay_error(steps: int) -> float:
     """Relative error of the rerun of RK4 at ``steps`` steps (step 1/steps)
     for pure exponential decay over t in [0, 2]."""
-    _, traj = _propagate_constant(H_DECAY, [0, 1], TimeGrid(0.0, 2.0, steps))
-    return abs(abs(traj.psi[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
+    _, psi = _propagate_constant(H_DECAY, [0, 1], TimeGrid(0.0, 2.0, steps))
+    return abs(abs(psi[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
 
 
 def random_corpus():

@@ -38,7 +38,8 @@ def shortcut_table(pulse, grid, policy="hermitian-realizable"):
 
 def state_trajectory(table, initial_state: str = "eigen-plus"):
     """The run-grid trajectory behind ``table.run(initial_state)``, which a
-    run does not keep: the table's scan applied to the state's psi0.
+    run does not keep: the run, shape (n_points, 2), of the table's scan
+    applied to the state's psi0.
     Mirrors the choice of psi0 in ``ShortcutTable.run``; change the two
     together."""
     th = table.theta

@@ -39,9 +39,9 @@ def test_criterion_2_reference_amplitude_trapped(shortcut_run):
     """|g-| <= 1e-5, |g+|^2 in [0.95, 1.05], closed form vs ODE <= 1e-5."""
     for gamma in GAMMAS:
         run = shortcut_run(gamma)
-        g_minus = float(np.max(np.abs(run.amps.g_minus)))
-        g_plus_sq = run.amps.pop_phi_plus
-        closed_dev = float(np.max(np.abs(run.amps.g_plus
+        g_minus = float(np.max(np.abs(run.g_minus)))
+        g_plus_sq = run.pop_phi_plus
+        closed_dev = float(np.max(np.abs(run.g_plus
                                          - run.table.closed_form())))
         report(f"gamma={gamma} max |g-|", g_minus, 1e-5)
         report(f"gamma={gamma} closed-form deviation", closed_dev, 1e-5)
@@ -57,8 +57,8 @@ def test_criterion_2_reference_amplitude_trapped(shortcut_run):
 def test_criterion_3_population_inversion(shortcut_run):
     """Renormalized ground weight <= 0.01 at the end, excited weight > 0."""
     run = shortcut_run(1.0)
-    p0 = run.amps.pop_bare_0_renorm[-1]
-    p1 = run.amps.pop_bare_1[-1]
+    p0 = run.pop_bare_0_renorm[-1]
+    p1 = run.pop_bare_1[-1]
     report("renormalized P0(t_f)", p0, 0.01)
     report("P1(t_f)", p1, 0.0)
     assert p0 <= 0.01
@@ -223,7 +223,7 @@ def test_criterion_8_integrator_certification(shortcut_run):
     def rabi_error(steps):
         traj = integrate(lambda t: h_rabi, psi0, TimeGrid(0.0, 10.0, steps))
         exact = np.array([np.cos(5.0), -1j * np.sin(5.0)])
-        return float(np.max(np.abs(traj.psi[-1] - exact)))
+        return float(np.max(np.abs(traj[-1] - exact)))
 
     e1, e2, e3 = rabi_error(250), rabi_error(500), rabi_error(1000)
     for ratio in (e1 / e2, e2 / e3):
@@ -233,7 +233,7 @@ def test_criterion_8_integrator_certification(shortcut_run):
     h_decay = 0.5 * np.array([[0, 0], [0, -1j]], dtype=complex)
     traj = integrate(lambda t: h_decay, np.array([0, 1], dtype=complex),
                      TimeGrid(0.0, 2.0, 4000))
-    rel = abs(abs(traj.psi[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
+    rel = abs(abs(traj[-1, 1]) - np.exp(-1.0)) / np.exp(-1.0)
     report("exponential decay relative error", rel, 1e-8)
     assert rel <= 1e-8
 

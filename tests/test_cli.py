@@ -692,6 +692,24 @@ class TestParser:
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
+    @pytest.mark.parametrize("flag, value", [("--t0", "-1e-3"),
+                                             ("--delta0", "-9e0")])
+    def test_negative_exponent_value_follows_its_flag(
+            self, tmp_path, monkeypatch, flag, value):
+        # argparse before Python 3.13 reads -1e-3 as an option; a float
+        # option takes it as the next token as it does after "="
+        written = []
+        for name, args in (("spaced", [flag, value]),
+                           ("joined", [f"{flag}={value}"])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["figure2", "--steps", "100", *args,
+                         "--out", "out"]) == 0
+            written.append({p.name: p.read_bytes()
+                            for p in Path("out").iterdir()})
+        assert written[0] == written[1]
+        assert len(written[0]) == 4
+
 
 class TestConfig:
     def test_file_parsing_with_comments(self, tmp_path):
@@ -1094,6 +1112,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"configuration error: {message}"]
         assert not out.exists()
+
+    def test_run_too_large_to_allocate_exits_three(self, tmp_path, capsys):
+        # 10**17 steps pass validate, under MAX_STEPS, and numpy refuses the
+        # exabytes of their quarter grid at once; a size near the host's
+        # memory would instead start to fill it
+        assert main(["figure3", "--steps", str(10 ** 17),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_negative_zero_decay_rate_is_named_as_zero(self, tmp_path,
                                                        capsys):
@@ -1572,11 +1601,11 @@ class TestVerify:
         grid = TimeGrid(0.0, 10.0, 500)
         run, rerun = verify._propagate_constant(verify.H_RABI, [1, 0], grid)
         want = sampled(verify.H_RABI, [1, 0], grid)
-        assert [run.psi.tobytes(), rerun.psi.tobytes()] == [
-            traj.psi.tobytes() for traj in want]
-        assert (run.psi.tobytes()
+        assert [run.tobytes(), rerun.tobytes()] == [
+            traj.tobytes() for traj in want]
+        assert (run.tobytes()
                 == integrate(lambda t: verify.H_RABI, [1, 0], grid)
-                .psi.tobytes())
+                .tobytes())
         errors = [*verify.rabi_errors(500), verify.decay_error(2000)]
         monkeypatch.setattr(verify, "_propagate_constant", sampled)
         assert [*verify.rabi_errors(500), verify.decay_error(2000)] == errors

@@ -374,5 +374,5 @@ class TestFrameMatrix:
         exponent = cumulative_trapezoid(e_plus - 1j * u[0],
                                         dx=grid.step, initial=0.0)
         predicted = np.abs(np.exp(-1j * exponent))
-        assert np.max(np.abs(np.abs(traj.psi[:, 0]) - predicted)) < 0.02
+        assert np.max(np.abs(np.abs(traj[:, 0]) - predicted)) < 0.02
 

@@ -302,7 +302,7 @@ class TestClosedForm:
         run = shortcut_run(gamma, policy)
         closed = run.table.closed_form()
         assert np.max(np.abs(np.abs(closed) - 1.0)) <= 1e-15
-        assert np.max(np.abs(run.amps.g_plus - closed)) <= 1e-5
+        assert np.max(np.abs(run.g_plus - closed)) <= 1e-5
 
     @pytest.mark.parametrize("gamma", [0.0, 0.1, 0.3, 1.0, 3.0, 10.0])
     def test_hermitian_equals_delta_cos_theta_form(self, theta_paths, gamma):

@@ -3,7 +3,8 @@ it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
 names, the initial-state names and the run check names are each spelled
-in one module, propagation imports only the grid and the errors, a
+in one module, propagation imports only the grid and the errors and
+synthesis does not import propagation, a trajectory is a plain array, a
 command runs by one dispatch rule, no run takes a branch regime, every
 record field is read somewhere in the package, and the garbage collector
 is tuned in two places only."""
@@ -30,6 +31,7 @@ from nhsta.grids import TimeGrid
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
 COMPARE_TREES = (Path(__file__).resolve().parents[1] / "tools"
                  / "compare_trees.py")
+COUNT_LINES = COMPARE_TREES.with_name("count_lines.py")
 MODULES = [importlib.import_module(f"nhsta.{info.name}")
            for info in pkgutil.iter_modules(nhsta.__path__)]
 
@@ -297,9 +299,19 @@ def relative_imports(module):
 def test_propagation_knows_only_tables_and_states():
     # the RK4 module reads H as a table and psi as bare-basis states; the
     # gauge and the frame projection live in synthesis, which sits below
-    # the pipeline and the configuration
+    # the pipeline and the configuration and knows nothing of propagation:
+    # a trajectory is a plain array, wrapped in no record
     assert relative_imports(propagation) == {"errors", "grids"}
-    assert relative_imports(synthesis) & {"experiments", "config"} == set()
+    assert relative_imports(synthesis) & {"experiments", "config",
+                                          "propagation"} == set()
+    assert not [(module.__name__, name) for module in [nhsta] + MODULES
+                for name in ("StateTrajectory", "AmplitudeTrajectory")
+                if hasattr(module, name)]
+    grid = TimeGrid(0.0, 1.0, 10)
+    table = np.zeros((4, 4, grid.n_points), dtype=complex)
+    runs = propagation.scan_table(table, grid).apply([1, 0])
+    assert [(type(run), run.shape) for run in runs] == [
+        (np.ndarray, (grid.n_points, 2))] * 2
 
 
 def test_run_check_names_are_spelled_once():
@@ -352,7 +364,7 @@ def test_one_propagation_path(monkeypatch):
     table = np.zeros((4, 4, grid.n_points), dtype=complex)
     runs = propagation.scan_table(table, grid).apply([1, 0])
     assert len(runs) == 2
-    assert all(np.array_equal(run.psi[-1], [1, 0]) for run in runs)
+    assert all(np.array_equal(run[-1], [1, 0]) for run in runs)
 
     # every entry point reaches that scan and its apply
     assert experiments.scan_table is propagation.scan_table
@@ -699,6 +711,7 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
             (3, "numerical error: SinThetaSingular: "),
             (3, "numerical error: InconsistentChoice: "),
             (3, "numerical error: NonFinite: "),
+            (3, "error: out of memory: "),
             (2, "configuration error: "),
             (1, "uncertified: gamma=3 ")]
     assert all(args in tool.CORPUS for args in tool.ERROR_PATHS)
@@ -707,3 +720,27 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
         status = nhsta.cli.main([*args, "--out", "out"])
         got.append((status, capsys.readouterr().err[:len(start)]))
     assert got == want
+
+
+def test_count_lines_skips_comments_docstrings_and_blank_lines():
+    # docstrings of the module, a class and a function, comments and blank
+    # lines are not code; a string that is no docstring is, on every line
+    # it spans, as is each line of a bracketed expression
+    tool = load_script(COUNT_LINES)
+    source = (
+        '"""Module docstring\nover two lines."""\n'
+        "import os  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "class A:\n"
+        "    '''Class docstring.'''\n"
+        "    x = '''not a\n"
+        "docstring'''\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        '        docstring."""\n'
+        "        return (1,\n"
+        "                2)\n")
+    assert tool.docstring_lines(source) == {1, 2, 7, 12, 13}
+    assert tool.code_lines(source) == 7

@@ -629,10 +629,9 @@ class TestRecordIdentity:
         # the list below is read off the package: a slotted record is in it
         # wherever it lives, and TimeGrid is the one record left out
         names = {name.rpartition(".")[2] for name in identity_records()}
-        assert {"StateTrajectory", "AmplitudeTrajectory", "GaugeFunctions",
-                "MixingAnglePath", "ShortcutTable", "ShortcutRun",
-                "PrefixScan", "PulseSpec", "BiorthogonalSystem",
-                "ExperimentConfig"} <= names
+        assert {"GaugeFunctions", "MixingAnglePath", "ShortcutTable",
+                "ShortcutRun", "PrefixScan", "PulseSpec",
+                "BiorthogonalSystem", "ExperimentConfig"} <= names
         assert "TimeGrid" not in names
 
     @pytest.mark.parametrize("name", identity_records())
