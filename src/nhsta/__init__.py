@@ -26,11 +26,10 @@ try:
                          NonFinite, SinThetaSingular, TanPole, ZeroGauge)
     from .grids import TimeGrid
     from .propagation import convergence_check, integrate
-    from .synthesis import (GaugeFunctions, amplitudes, assemble_h1_series,
-                            closed_form_gplus, frame_coupling,
-                            general_family_omega_zero, hermitian_realizable,
-                            matched_delta, matched_gauge, naive_cd_entries,
-                            nullification_residual)
+    from .synthesis import (amplitudes, assemble_h1_series, closed_form_gplus,
+                            frame_coupling, general_family_omega_zero,
+                            hermitian_realizable, matched_gauge,
+                            naive_cd_entries, nullification_residual)
     from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                             allen_eberly, classify_regime, eigenvalue_path,
                             frame_diagonal, mixing_angle_path, radicand)

@@ -41,10 +41,10 @@ from .two_level import classify_regime  # noqa: F401
 #: it, imported only when the command runs
 COMMANDS = {"figure1": "figures", "figure2": "figures", "figure3": "figures",
             "figure4": "figures", "verify": "verify", "sweep": "output"}
-#: the flags of the float options; argparse before Python 3.13 reads a
+#: every flag -> its option's type; argparse before Python 3.13 reads a
 #: negative number in exponent form, such as -1e-3, as an option
-_FLOAT_FLAGS = {"--" + name.replace("_", "-") for name, kind, _, _ in OPTIONS
-               if kind is float}
+_FLAGS = {"--" + name.replace("_", "-"): kind for name, kind, _, _ in OPTIONS}
+_FLAGS.update({"--config": str, "--help": None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,9 +100,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _tune_process()
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # --t0 -1e-3 as --t0=-1e-3
-        if argv[i - 1] in _FLOAT_FLAGS and re.fullmatch(
+        flag = argv[i - 1]  # read as argparse does: exact, else a prefix
+        kinds = [_FLAGS[flag]] if flag in _FLAGS else [
+            kind for name, kind in _FLAGS.items() if name.startswith(flag)]
+        if kinds == [float] and re.fullmatch(
                 r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", argv[i]):
-            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+            argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     overrides = vars(build_parser().parse_args(argv))
     command = overrides.pop("command")
     try:

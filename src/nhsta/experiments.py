@@ -8,7 +8,8 @@ matrices of the run and of its rerun together.  The angle path, its
 trigonometric functions, H0 and the eigenvalues do not depend on the
 policy, so the tables of several policies for one pulse share them; every
 table is built in the same order (:func:`_tables` says what each holds and
-frees, and when).
+frees, and when).  A table keeps its gauge as the two real factor arrays
+``f_plus`` and ``f_minus``, which its runs and its frame check read.
 A run applies a table to one of :data:`INITIAL_STATES`, named here: it
 propagates the bare-basis state and keeps, as its own fields, the
 amplitudes and populations ``synthesis.amplitudes`` projects from it.
@@ -26,10 +27,10 @@ from .grids import TimeGrid
 from .propagation import (PrefixScan, phase_table, scan_table,
                           step_halving_gap)
 from .synthesis import (POLICY_HERMITIAN, POLICY_NAIVE, POLICY_OMEGA_ZERO,
-                        GaugeFunctions, amplitudes, closed_form_gplus,
-                        frame_coupling, general_family_omega_zero,
-                        hermitian_realizable, matched_gauge,
-                        naive_cd_entries, nullification_residual)
+                        amplitudes, closed_form_gplus, frame_coupling,
+                        general_family_omega_zero, hermitian_realizable,
+                        matched_gauge, naive_cd_entries,
+                        nullification_residual)
 from .two_level import (MixingAnglePath, PulseSpec, angle_rate_defect,
                         eigenvalue_path, frame_diagonal, hamiltonian_entries,
                         mixing_angle_path, sample_controls)
@@ -66,20 +67,22 @@ CERTIFIED_BY = {"convergence": "convergence",
 class ShortcutTable:
     """The state-independent part of a shortcut run for one pulse and policy.
 
-    Holds the angle path, the level E_+ + d_+, the gauges and the largest
-    leak residual of the supplement on the run grid, the angle-rate defect,
-    and the RK4 prefix scan of the run and of its certification rerun.
-    :meth:`run` applies it to one initial state; every state run from the
-    same table shares this work.
+    Holds the angle path, the level E_+ + d_+, the gauge factors f_+ and f_-
+    and the largest leak residual of the supplement on the run grid, the
+    angle-rate defect, and the RK4 prefix scan of the run and of its
+    certification rerun.  :meth:`run` applies it to one initial state;
+    every state run from the same table shares this work.
     """
 
-    __slots__ = ("theta", "gauges", "level", "residual", "angle_rate", "scan")
+    __slots__ = ("theta", "f_plus", "f_minus", "level", "residual",
+                 "angle_rate", "scan")
 
-    def __init__(self, theta: MixingAnglePath, gauges: GaugeFunctions,
-                 level: np.ndarray, residual: float, angle_rate: float,
-                 scan: PrefixScan):
-        self.theta, self.gauges, self.level = theta, gauges, level
-        self.residual, self.angle_rate, self.scan = residual, angle_rate, scan
+    def __init__(self, theta: MixingAnglePath, f_plus: np.ndarray,
+                 f_minus: np.ndarray, level: np.ndarray, residual: float,
+                 angle_rate: float, scan: PrefixScan):
+        self.theta, self.f_plus, self.f_minus = theta, f_plus, f_minus
+        self.level, self.residual = level, residual
+        self.angle_rate, self.scan = angle_rate, scan
 
     grid = property(lambda self: self.theta.grid)  # the run grid
 
@@ -98,13 +101,14 @@ class ShortcutTable:
         psi, rerun = self.scan.apply(psi0)
         gap = step_halving_gap(psi, rerun)
         del rerun  # freed before the amplitudes are allocated
-        return ShortcutRun(self, amplitudes(psi, self.theta, self.gauges),
-                           gap)
+        return ShortcutRun(self, amplitudes(psi, self.theta, self.f_plus,
+                                            self.f_minus), gap)
 
     def frame_check(self) -> float:
         """The largest adiabatic-frame coupling (2,1), in closed form from
         the table's own H0 + H1 on the run grid on each call."""
-        return frame_coupling(self.theta, self.scan.h[:, 0], self.gauges)
+        return frame_coupling(self.theta, self.scan.h[:, 0], self.f_plus,
+                              self.f_minus)
 
     def closed_form(self) -> np.ndarray:
         """g_+ in closed form from the table's level on the run grid, which
@@ -202,7 +206,7 @@ def _tables(policies, theta, angle_rate, theta_q, h0_q):
     the H0 + H1 kernel table, then (first table only) E_+, E_- from views
     of every 4th sample of the quarter-grid H0 ``h0_q``, then the level
     E_+ + d_+ (the naive term has no adiabatic-frame diagonal, d_+ = 0),
-    the gauges and the residual, and last the scan.  The quarter-grid
+    the gauge factors and the residual, and last the scan.  The quarter-grid
     supplement is freed once the kernel table is written and its run-grid
     copies before the scan.  The last table frees the quarter-grid path
     once its supplement is formed, H0 once its kernel table is written
@@ -224,14 +228,14 @@ def _tables(policies, theta, angle_rate, theta_q, h0_q):
             del h0_q
         level = (e_plus if policy == POLICY_NAIVE
                  else e_plus + frame_diagonal(h1, theta))
-        gauges = matched_gauge(level, e_minus, grid)
+        f_plus, f_minus = matched_gauge(level, e_minus, grid)
         residual = nullification_residual(theta, h1)
         del h1
         if i == last:
             del e_plus, e_minus
-        table = [ShortcutTable(theta, gauges, level, residual, angle_rate,
-                               scan_table(h, grid))]
-        del h, level, gauges
+        table = [ShortcutTable(theta, f_plus, f_minus, level, residual,
+                               angle_rate, scan_table(h, grid))]
+        del h, level, f_plus, f_minus
         yield table.pop()  # held by no name of this frame once yielded
 
 

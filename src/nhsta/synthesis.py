@@ -30,9 +30,11 @@ E_+ + d_+, with d_+ the supplement's adiabatic-frame diagonal
 (``two_level.frame_diagonal``, the formula that also gives E_+ from H0; 0
 for the naive term).  That gauge, ``matched_gauge``, is the package's only
 one: its real factors f_n = exp(int u_n dt), u_+ = Im[E_+ + d_+] and
-u_- = Im[E_-], keep |g_+| exactly one along the engineered evolution.  For
-the naive term it is the simple gauge, and ``experiments.gauge_simple`` is
-its alias for the benchmark tracer.  The residual is twice the
+u_- = Im[E_-], keep |g_+| exactly one along the engineered evolution.  A
+gauge is the pair of arrays (f_+, f_-), refused by the one function that
+forms it, ``gauge_from_integrands``, if either vanishes.  For the naive
+term it is the simple gauge, and ``experiments.gauge_simple`` is its alias
+for the benchmark tracer.  The residual is twice the
 cancellation condition <-~|H1|+> + i*dtheta/2 = 0.  The frame check
 (``frame_coupling``) is that expression for H0 + H1 times f_+/(2 f_-).
 For the form above, with lam = delta*sin(theta) and zeta = Re[W]*cos(theta),
@@ -109,26 +111,16 @@ def _entries(grid: TimeGrid, delta: np.ndarray, omega: np.ndarray) -> tuple:
     return 0.5 * delta, 0.5 * omega, 0.5 * np.conj(omega), 0.5 * -delta
 
 
-def matched_delta(theta_path: MixingAnglePath) -> np.ndarray:
-    """Real diagonal split delta(t) = Im[dtheta]/Re[sin theta], the diagonal
-    entry of the realizable supplement 0.5*[[delta, W], [conj(W), -delta]]
-    that removes the amplitude flow out of the reference eigenstate.
-    Samples where Re[sin theta] ~ 0 follow :func:`_guarded_ratio`; one whose
-    Im[dtheta] survives there raises SinThetaSingular.
-    """
-    return _guarded_ratio(
-        theta_path, theta_path.dtheta.imag, theta_path.sin.real,
-        SinThetaSingular,
-        "Re[sin theta] ~ 0 with Im[dtheta] = {num:.3e} at t={t:g}")
-
-
 def hermitian_realizable(theta_path: MixingAnglePath) -> tuple:
     """Entries of the Hermitian supplement cancelling the reference-state leak.
 
     delta = Im[dtheta]/Re[sin theta] and the drive quadrature
     Im[W] = -Re[dtheta] - delta*Im[sin theta] with Re[W] = 0.
     """
-    delta = matched_delta(theta_path)
+    delta = _guarded_ratio(
+        theta_path, theta_path.dtheta.imag, theta_path.sin.real,
+        SinThetaSingular,
+        "Re[sin theta] ~ 0 with Im[dtheta] = {num:.3e} at t={t:g}")
     omega_a = -theta_path.dtheta.real - delta * theta_path.sin.imag
     return _entries(theta_path.grid, delta, 1j * omega_a)
 
@@ -141,7 +133,7 @@ def general_family_omega_zero(theta_path: MixingAnglePath) -> tuple:
     term's diagonal is; added into H0 + H1 they give the bits of a zero
     array.
 
-    A guarded sample follows :func:`_guarded_ratio`, ``matched_delta``'s
+    A guarded sample follows :func:`_guarded_ratio`, the Hermitian split's
     rule: where sin(theta) ~ 0 and dtheta survives against max|dtheta|, no
     diagonal split cancels the leak and InconsistentChoice is raised.
     """
@@ -163,41 +155,23 @@ def assemble_h1_series(h1: tuple) -> np.ndarray:
     return out.reshape(n, 2, 2)
 
 
-class GaugeFunctions:
-    """Real gauge factors f_+ and f_- on a grid, f_+(t0) = f_-(t0) = 1
-    exactly; nothing reads the integrands u_n, so none are kept."""
-
-    __slots__ = ("grid", "f_plus", "f_minus")
-
-    def __init__(self, grid: TimeGrid, f_plus: np.ndarray,
-                 f_minus: np.ndarray):
-        for name, arr in (("f_plus", f_plus), ("f_minus", f_minus)):
-            if len(arr) != grid.n_points:
-                raise ValueError(f"{name} length must match grid")
-            zero = arr == 0
-            if np.any(zero):
-                raise ZeroGauge(f"{name} vanished at "
-                                f"t={grid.samples[np.argmax(zero)]:g}")
-        self.grid = grid
-        self.f_plus, self.f_minus = f_plus, f_minus
-
-
-def _cumexp(integrand: np.ndarray, step: float) -> np.ndarray:
-    if not np.all(np.isfinite(integrand)):
-        raise NonFinite("gauge integrand contains NaN/Inf")
-    return np.exp(cumulative_trapezoid(integrand, step))
-
-
 def gauge_from_integrands(grid: TimeGrid, u_plus: np.ndarray,
-                          u_minus: np.ndarray) -> GaugeFunctions:
-    """Build gauge factors f_n = exp(cumulative trapezoid of u_n) from real
-    integrands u_n, so the factors are real."""
-    return GaugeFunctions(grid, _cumexp(u_plus, grid.step),
-                          _cumexp(u_minus, grid.step))
+                          u_minus: np.ndarray) -> tuple:
+    """(f_+, f_-), f_n = exp(cumulative trapezoid of real u_n), f_n(t0) = 1;
+    a non-finite u_n raises NonFinite, then a zero f_n ZeroGauge."""
+    if not (np.all(np.isfinite(u_plus)) and np.all(np.isfinite(u_minus))):
+        raise NonFinite("gauge integrand contains NaN/Inf")
+    factors = (np.exp(cumulative_trapezoid(u_plus, grid.step)),
+               np.exp(cumulative_trapezoid(u_minus, grid.step)))
+    for name, f in zip(("f_plus", "f_minus"), factors):
+        if not f.all():
+            t = grid.samples[np.argmax(f == 0)]
+            raise ZeroGauge(f"{name} vanished at t={t:g}")
+    return factors
 
 
 def matched_gauge(level: np.ndarray, e_minus: np.ndarray,
-                  grid: TimeGrid) -> GaugeFunctions:
+                  grid: TimeGrid) -> tuple:
     """Gauge whose f_+ absorbs the decay of ``level`` = E_+ + d_+, d_+ the
     supplement's ``two_level.frame_diagonal``, so |g_+| = 1 along a
     leak-cancelling evolution: u_+ = Im[E_+ + d_+] and u_- = Im[E_-].
@@ -223,45 +197,46 @@ def nullification_residual(theta_path: MixingAnglePath, h1: tuple) -> float:
 
 
 def frame_coupling(theta_path: MixingAnglePath, h_total: np.ndarray,
-                   gauges: GaugeFunctions) -> float:
+                   f_plus: np.ndarray, f_minus: np.ndarray) -> float:
     """Largest |entry (2,1)| of H0 + H1 in the adiabatic frame, the cancelled
     coupling (the reverse entry (1,2) survives by design), from the entries
-    ``h_total`` (h00, h01, h10, h11) of H0 + H1 on the grid, shape (4, n)."""
+    ``h_total`` (h00, h01, h10, h11) of H0 + H1 on the grid, shape (4, n),
+    and the gauge factors ``f_plus``, ``f_minus``."""
     if np.shape(h_total) != (4, theta_path.grid.n_points):
         raise ValueError("h_total must hold H's 4 entries per grid point")
-    return float(np.max(_frame_coupling(theta_path, h_total, gauges)))
+    return float(np.max(_frame_coupling(theta_path, h_total, f_plus,
+                                        f_minus)))
 
 
-def _frame_coupling(theta_path, h_total, gauges):
+def _frame_coupling(theta_path, h_total, f_plus, f_minus):
     """|(R~^dag H R - i R~^dag dR/dt)[1, 0]| per sample for H with entries
     ``h_total``: column 0 of R is f_+ |+> and row 1 of R~^dag is <-~|/f_-,
     and <-~|+> = 0, so the entry is (f_+/f_-)(<-~|H|+> + i*dtheta/2), half
     the :func:`_leak` of H times f_+/f_-."""
-    return (np.abs(_leak(theta_path, h_total)) * gauges.f_plus
-            / (2.0 * gauges.f_minus))
+    return np.abs(_leak(theta_path, h_total)) * f_plus / (2.0 * f_minus)
 
 
 def amplitudes(psi: np.ndarray, theta_path: MixingAnglePath,
-               gauges: GaugeFunctions) -> tuple:
+               f_plus: np.ndarray, f_minus: np.ndarray) -> tuple:
     """Project bare-basis states ``psi``, shape (n_points, 2), onto the
-    instantaneous eigenbasis: (c_+, c_-, g_+, g_-, P_0, P_1).
+    instantaneous eigenbasis scaled by the gauge factors ``f_plus``,
+    ``f_minus``, shape (n_points,): (c_+, c_-, g_+, g_-, P_0, P_1).
 
     The left eigenvectors give c_+ = cos(theta/2)psi_0 + sin(theta/2)psi_1
     and c_- = sin(theta/2)psi_0 - cos(theta/2)psi_1 pointwise; g_n = c_n/f_n
     divides their parts by the real gauge factors, and P_m = |psi_m|^2.
     """
-    if psi.shape != (theta_path.grid.n_points, 2):
+    n = theta_path.grid.n_points
+    if psi.shape != (n, 2):
         raise ValueError("psi must hold a two-level state per grid point")
-    if gauges.grid != theta_path.grid:
-        raise ValueError("theta path and gauges must share the grid")
+    if np.shape(f_plus) != (n,) or np.shape(f_minus) != (n,):
+        raise ValueError("f_plus and f_minus must hold one per grid point")
     c, s = theta_path.cos_half, theta_path.sin_half
     psi0, psi1 = psi[:, 0], psi[:, 1]
     c_plus = c * psi0 + s * psi1
     c_minus = s * psi0 - c * psi1
-    g_plus = complex_array(c_plus.real / gauges.f_plus,
-                           c_plus.imag / gauges.f_plus)
-    g_minus = complex_array(c_minus.real / gauges.f_minus,
-                            c_minus.imag / gauges.f_minus)
+    g_plus = complex_array(c_plus.real / f_plus, c_plus.imag / f_plus)
+    g_minus = complex_array(c_minus.real / f_minus, c_minus.imag / f_minus)
     return (c_plus, c_minus, g_plus, g_minus,
             np.abs(psi0) ** 2, np.abs(psi1) ** 2)
 

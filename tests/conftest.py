@@ -138,7 +138,7 @@ def analytic_two_level_systems(theta: MixingAnglePath, e_plus, e_minus,
                                gauge=None):
     """Biorthonormal systems built from the closed-form eigenvector pair,
     one per sample, as views of stacks built in one array pass.  With a
-    ``gauge``, the right vectors are scaled by its (f_plus, f_minus) and
+    ``gauge`` (f_plus, f_minus), the right vectors are scaled by it and
     the left ones by the inverse conjugates, so they stay biorthonormal."""
     from nhsta.biorthogonal import BiorthogonalSystem
 
@@ -149,7 +149,7 @@ def analytic_two_level_systems(theta: MixingAnglePath, e_plus, e_minus,
     th = np.asarray(theta.theta, dtype=complex)
     right, left = pairs(th), pairs(np.conj(th))
     if gauge is not None:
-        f = np.stack([gauge.f_plus, gauge.f_minus], axis=-1)[:, None, :]
+        f = np.stack(gauge, axis=-1)[:, None, :]
         right, left = right * f, left / np.conj(f)
     eigenvalues = np.stack([e_plus, e_minus], axis=-1)
     return [BiorthogonalSystem(eigenvalues=w, right=r, left=l)

@@ -24,7 +24,7 @@ from nhsta.biorthogonal import (DEFAULT_DEGENERACY_THRESHOLD,
                                 BiorthogonalSystem, decompose)
 from nhsta.errors import BranchJump, InconsistentChoice, ZeroGauge
 from nhsta.grids import TimeGrid, cumulative_trapezoid
-from nhsta.synthesis import GaugeFunctions, naive_cd_entries
+from nhsta.synthesis import naive_cd_entries
 from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
                              _controls, hamiltonian_entries, radicand)
 
@@ -379,23 +379,24 @@ def rotation(theta, f: tuple) -> FrameRotation:
 
 
 def adiabatic_frame_h0(pulse: PulseSpec, theta_path: MixingAnglePath,
-                       gauges: GaugeFunctions, u: tuple, k) -> np.ndarray:
+                       f: tuple, u: tuple, k) -> np.ndarray:
     """Adiabatic-frame matrix of the bare Hamiltonian at grid point k.
 
     diag(E_+, E_-) - i * [[u_+, dtheta*f_-/(2 f_+)],
                           [-dtheta*f_+/(2 f_-), u_-]]
-    with u = (u_+, u_-) the exact integrands (df_n/dt)/f_n the gauges were
-    built from (hbar = 1).  The off-diagonal entries are the non-adiabatic
-    couplings.  An index array k gives one (2, 2) matrix per index.
+    with u = (u_+, u_-) the exact integrands (df_n/dt)/f_n the gauge factors
+    f = (f_+, f_-) were built from (hbar = 1).  The off-diagonal entries
+    are the non-adiabatic couplings.  An index array k gives one (2, 2)
+    matrix per index.
     """
     n = theta_path.grid.n_points
     if np.any(np.asarray(k) < 0) or np.any(np.asarray(k) >= n):
         raise IndexError(f"index {k} outside grid of {n} points")
-    if gauges.grid != theta_path.grid:
-        raise ValueError("gauges and theta path must share the grid")
+    if np.shape(f) != (2, n):
+        raise ValueError("f must hold both gauge factors per grid point")
     t = theta_path.grid.samples[k]
     e_plus, e_minus = paired_eigenvalues(pulse, t, theta_path.theta[k])
-    fp, fm = gauges.f_plus[k], gauges.f_minus[k]
+    fp, fm = f[0][k], f[1][k]
     if np.any(fp == 0) or np.any(fm == 0):
         raise ZeroGauge("gauge factor vanished")
     dth = theta_path.dtheta[k]
@@ -407,7 +408,7 @@ def adiabatic_frame_h0(pulse: PulseSpec, theta_path: MixingAnglePath,
 
 def differenced_frame_coupling(theta_path: MixingAnglePath,
                                h_total: np.ndarray,
-                               gauges: GaugeFunctions) -> np.ndarray:
+                               f: tuple) -> np.ndarray:
     """|K_21| per sample with the frame derivative differenced: the frame
     check's earlier form, kept as a reference for the closed form.
 
@@ -415,14 +416,14 @@ def differenced_frame_coupling(theta_path: MixingAnglePath,
     extrapolation of central differences on the grid, so only the interior
     samples 2 .. n-3 are formed and the two samples at each edge read 0.
     Row 1 of R~^dag is (s, -c)/f_-; H has the entries ``h_total``, shape
-    (4, n).
+    (4, n), and f = (f_+, f_-) are the gauge factors.
     """
     grid = theta_path.grid
     h = grid.step
     inner = slice(2, grid.n_points - 2)
     c, s = theta_path.cos_half, theta_path.sin_half
-    col = (gauges.f_plus * c, gauges.f_plus * s)
-    f_minus = gauges.f_minus[inner]
+    col = (f[0] * c, f[0] * s)
+    f_minus = f[1][inner]
     row = (s[inner] / f_minus, -c[inner] / f_minus)
     h_tot = h_total[:, inner]
     h_col = [h_tot[2 * i] * col[0][inner] + h_tot[2 * i + 1] * col[1][inner]

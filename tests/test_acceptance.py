@@ -152,7 +152,7 @@ def test_criterion_6_biorthogonal_formalism(shortcut_run, theta_paths):
         table = shortcut_run(gamma).table
         for k in range(0, table.grid.n_points, 10):
             fr = rotation(table.theta.theta[k],
-                          (table.gauges.f_plus[k], table.gauges.f_minus[k]))
+                          (table.f_plus[k], table.f_minus[k]))
             worst_inv = max(worst_inv, fr.inverse_defect())
     report("frame inverse defect", worst_inv, 1e-12)
     assert worst_inv <= 1e-12

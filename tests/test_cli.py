@@ -692,23 +692,52 @@ class TestParser:
         assert ((tmp_path / "a" / "sweep.csv").read_bytes()
                 == (tmp_path / "b" / "sweep.csv").read_bytes())
 
-    @pytest.mark.parametrize("flag, value", [("--t0", "-1e-3"),
-                                             ("--delta0", "-9e0")])
-    def test_negative_exponent_value_follows_its_flag(
-            self, tmp_path, monkeypatch, flag, value):
-        # argparse before Python 3.13 reads -1e-3 as an option; a float
-        # option takes it as the next token as it does after "="
+    @staticmethod
+    def figure2_tables(tmp_path, monkeypatch, spaced, joined):
+        """The files ``figure2 --steps 100`` writes with the options
+        ``spaced``, then with ``joined``, each in its own directory."""
         written = []
-        for name, args in (("spaced", [flag, value]),
-                           ("joined", [f"{flag}={value}"])):
+        for name, args in (("spaced", spaced), ("joined", joined)):
             (tmp_path / name).mkdir()
             monkeypatch.chdir(tmp_path / name)
             assert main(["figure2", "--steps", "100", *args,
                          "--out", "out"]) == 0
             written.append({p.name: p.read_bytes()
                             for p in Path("out").iterdir()})
+        return written
+
+    @pytest.mark.parametrize("flag, value", [("--t0", "-1e-3"),
+                                             ("--delta0", "-9e0")])
+    def test_negative_exponent_value_follows_its_flag(
+            self, tmp_path, monkeypatch, flag, value):
+        # argparse before Python 3.13 reads -1e-3 as an option; a float
+        # option takes it as the next token as it does after "="
+        written = self.figure2_tables(tmp_path, monkeypatch, [flag, value],
+                                      [f"{flag}={value}"])
         assert written[0] == written[1]
         assert len(written[0]) == 4
+
+    def test_negative_exponent_value_follows_an_abbreviated_flag(
+            self, tmp_path, monkeypatch):
+        # argparse reads an unambiguous prefix as its flag, so the value
+        # joins onto --delta as it does onto --delta0
+        written = self.figure2_tables(tmp_path, monkeypatch,
+                                      ["--delta", "-9e0"], ["--delta0=-9e0"])
+        assert written[0] == written[1]
+        assert len(written[0]) == 4
+
+    def test_abbreviated_flag_value_reaches_the_configuration(self, capsys):
+        assert main(["figure2", "--steps", "100", "--omega", "-1e-1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: omega0 must be positive"]
+
+    def test_ambiguous_abbreviation_stays_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure2", "--t", "-1e-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "nh-sta: error: ambiguous option: --t could match --tau, --t0, "
+            "--t-final")
 
 
 class TestConfig:

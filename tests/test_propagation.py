@@ -401,16 +401,25 @@ class TestAmplitudes:
     def test_reference_state_form_projects_cleanly(self, theta_paths):
         pulse, path = theta_paths(0.3)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, path.grid)
+        f_plus, f_minus = matched_gauge(e_plus, e_minus, path.grid)
         rng = np.random.default_rng(77)
         gp = np.exp(1j * rng.uniform(0, 2 * np.pi, path.grid.n_points))
         c, s = np.cos(path.theta / 2), np.sin(path.theta / 2)
-        psi = (g.f_plus * gp)[:, None] * np.stack([c, s], axis=1)
-        c_plus, c_minus, g_plus, g_minus, _, _ = amplitudes(psi, path, g)
-        assert np.max(np.abs(c_plus - g.f_plus * gp)) < 1e-12
+        psi = (f_plus * gp)[:, None] * np.stack([c, s], axis=1)
+        c_plus, c_minus, g_plus, g_minus, _, _ = amplitudes(psi, path, f_plus,
+                                                            f_minus)
+        assert np.max(np.abs(c_plus - f_plus * gp)) < 1e-12
         assert np.max(np.abs(c_minus)) < 1e-12
         assert np.max(np.abs(g_minus)) < 1e-12
-        assert np.max(np.abs(g_plus * g.f_plus - c_plus)) <= 1e-12
+        assert np.max(np.abs(g_plus * f_plus - c_plus)) <= 1e-12
+
+    def test_states_and_factors_must_fill_the_grid(self, theta_paths):
+        _, path = theta_paths(0.3)
+        n = path.grid.n_points
+        psi, f = np.zeros((n, 2), dtype=complex), np.ones(n)
+        for args in ((psi[1:], f, f), (psi, f[1:], f), (psi, f, f[:, None])):
+            with pytest.raises(ValueError, match="per grid point"):
+                amplitudes(args[0], path, *args[1:])
 
     def test_populations_formed_on_read_equal_the_stored_formulas(self):
         # |g_n|^2 and P_m/(P_0 + P_1) are properties of the stored
@@ -434,7 +443,7 @@ class TestAmplitudes:
         grid = TimeGrid(-1.0, 1.0, 8000)
         path = mixing_angle_path(pulse, grid)
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, grid)
+        f_plus, f_minus = matched_gauge(e_plus, e_minus, grid)
 
         def h_total(t):
             om, dl = float(pulse.omega_r(t)), float(pulse.delta(t))
@@ -442,7 +451,8 @@ class TestAmplitudes:
 
         th0 = path.theta[0]
         psi0 = np.array([np.cos(th0 / 2), np.sin(th0 / 2)], dtype=complex)
-        g_plus = amplitudes(integrate(h_total, psi0, grid), path, g)[2]
+        g_plus = amplitudes(integrate(h_total, psi0, grid), path, f_plus,
+                            f_minus)[2]
         assert np.max(np.abs(np.abs(g_plus) ** 2 - 1.0)) < 0.01
 
     def test_bare_generator_alone_loses_raw_weight(self, theta_paths):
@@ -452,7 +462,7 @@ class TestAmplitudes:
         pulse, path = theta_paths(gamma)
         grid = path.grid
         e_plus, e_minus = path_eigenvalues(pulse, path)
-        g = matched_gauge(e_plus, e_minus, grid)
+        f_plus, f_minus = matched_gauge(e_plus, e_minus, grid)
 
         def h_total(t):
             om, dl = float(pulse.omega_r(t)), float(pulse.delta(t))
@@ -462,7 +472,7 @@ class TestAmplitudes:
         th0 = path.theta[0]
         psi0 = np.array([np.cos(th0 / 2), np.sin(th0 / 2)], dtype=complex)
         traj = integrate(h_total, psi0, grid)
-        c_plus, _, g_plus = amplitudes(traj, path, g)[:3]
+        c_plus, _, g_plus = amplitudes(traj, path, f_plus, f_minus)[:3]
         assert np.abs(c_plus[-1]) ** 2 < 0.5
         assert np.max(np.abs(g_plus) ** 2) > 0.8
 
@@ -753,7 +763,8 @@ class TestConvergence:
         run_rows_only = scan_table(run_rows_only, grid)
         for state in INITIAL_STATES:
             run, traj = table.run(state), state_trajectory(table, state)
-            c_plus = amplitudes(traj, table.theta, table.gauges)[0]
+            c_plus = amplitudes(traj, table.theta, table.f_plus,
+                                table.f_minus)[0]
             assert np.array_equal(run.c_plus, c_plus)
             psi0 = traj[0]
             assert np.array_equal(run_rows_only.apply(psi0)[0], traj)
@@ -832,8 +843,13 @@ class TestConvergence:
             tracemalloc.stop()
         assert peak <= bound
 
-    def test_odd_step_count_rejected(self):
-        with pytest.raises(ValueError):
-            convergence_check(lambda t: SIGMA_X,
-                              np.array([1, 0], dtype=complex),
-                              TimeGrid(0, 1, 101))
+    def test_odd_step_count_is_checked(self):
+        # the rerun halves the steps of the same quarter-step table, so an
+        # odd count is certified as an even one is: against two RK4 loops
+        h_total = lambda t: 2 * SIGMA_X  # sigma_x
+        psi0 = np.array([1, 0], dtype=complex)
+        grid = TimeGrid(0, 1, 101)
+        want = np.max(np.abs(per_step_rk4(h_total, psi0, grid) - per_step_rk4(
+            h_total, psi0, grid.refine(2))[::2]))
+        assert want > 1e-11
+        assert abs(convergence_check(h_total, psi0, grid) - want) <= 1e-13

@@ -210,8 +210,7 @@ class TestNullificationReport:
         path = table.theta
         k = path.grid.index_of(0.25)
         h = path.grid.step
-        rots = [rotation(path.theta[j], (table.gauges.f_plus[j],
-                                         table.gauges.f_minus[j]))
+        rots = [rotation(path.theta[j], (table.f_plus[j], table.f_minus[j]))
                 for j in (k - 1, k, k + 1)]
         d_r = (rots[2].r - rots[0].r) / (2 * h)
         h_tot = table.scan.h[:, 0, k].reshape(2, 2)  # H0 + H1 at t_k
@@ -226,12 +225,12 @@ class TestNullificationReport:
         # column 0 of R, f_+ (c, s), differentiated analytically:
         # f_+' (c, s) + f_+ (dtheta/2) (-s, c), f_+' = Im(level) f_+
         table = shortcut_run(gamma).table
-        th, g = table.theta, table.gauges
-        rot = rotation(th.theta, (g.f_plus, g.f_minus))
+        th, g = table.theta, (table.f_plus, table.f_minus)
+        rot = rotation(th.theta, g)
         c, s = np.cos(th.theta / 2.0), np.sin(th.theta / 2.0)
-        d_col = (np.stack([c, s], -1) * (table.level.imag * g.f_plus)[:, None]
+        d_col = (np.stack([c, s], -1) * (table.level.imag * g[0])[:, None]
                  + np.stack([-s, c], -1)
-                 * (0.5 * g.f_plus * th.dtheta)[:, None])
+                 * (0.5 * g[0] * th.dtheta)[:, None])
         row = rot.r_tilde.conj()[:, :, 1]  # row 1 of R~^dag
         pulse, grid = ae_setup(gamma, 4000)
         h0 = np.array(np.broadcast_arrays(*hamiltonian_entries(
@@ -242,14 +241,14 @@ class TestNullificationReport:
             h_mat = h_total.T.reshape(-1, 2, 2)
             image = (h_mat @ rot.r[:, :, :1])[:, :, 0] - 1j * d_col
             want = np.abs(np.sum(row * image, axis=-1))
-            got = synthesis._frame_coupling(th, h_total, g)
+            got = synthesis._frame_coupling(th, h_total, *g)
             assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0,
                                                              np.max(want))
             # the frame check reports the largest of them
-            assert frame_coupling(th, h_total, g) == np.max(got)
+            assert frame_coupling(th, h_total, *g) == np.max(got)
         assert np.max(want) > 1.0
         with pytest.raises(ValueError, match="4 entries per grid point"):
-            frame_coupling(th, h0[:, 1:], g)
+            frame_coupling(th, h0[:, 1:], *g)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.9, 3.0])
     def test_differenced_coupling_converges_to_closed_form(self, gamma):
@@ -261,10 +260,9 @@ class TestNullificationReport:
         for steps in (2000, 4000, 8000):
             table = shortcut_table(*ae_setup(gamma, steps))
             h_total = table.scan.h[:, 0]
-            closed = synthesis._frame_coupling(table.theta, h_total,
-                                               table.gauges)
-            old = differenced_frame_coupling(table.theta, h_total,
-                                             table.gauges)
+            g = table.f_plus, table.f_minus
+            closed = synthesis._frame_coupling(table.theta, h_total, *g)
+            old = differenced_frame_coupling(table.theta, h_total, g)
             assert np.max(closed) <= 1e-13
             errors.append(np.max(np.abs(old - closed)[2:-2]))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
@@ -276,10 +274,11 @@ class TestNullificationReport:
         # 2e-6 f_+/f_- against the bound 1e-6
         table = shortcut_run(gamma).table
         h_total = np.array(table.scan.h[:, 0])
-        assert frame_coupling(table.theta, h_total, table.gauges) <= 1e-6
+        g = table.f_plus, table.f_minus
+        assert frame_coupling(table.theta, h_total, *g) <= 1e-6
         h_total[1] += 2e-6j  # h01 = W/2
         h_total[2] -= 2e-6j  # h10 = conj(W)/2
-        assert frame_coupling(table.theta, h_total, table.gauges) > 1e-6
+        assert frame_coupling(table.theta, h_total, *g) > 1e-6
 
 
 class TestClosedForm:
@@ -366,9 +365,9 @@ class TestSingleDeltaForm:
         seen = []
         kernel = synthesis._frame_coupling
 
-        def record(theta_path, h_total, gauges):
+        def record(theta_path, h_total, f_plus, f_minus):
             seen.append(np.array(h_total))
-            return kernel(theta_path, h_total, gauges)
+            return kernel(theta_path, h_total, f_plus, f_minus)
 
         monkeypatch.setattr(synthesis, "_frame_coupling", record)
         pulse, grid = ae_setup(1.0, steps)

@@ -257,10 +257,10 @@ def test_records_keep_only_fields_the_package_reads():
     assert unread == []
     # the collector sees the records and the reads it checks
     records = {cls.__name__ for cls, _ in package_records()}
-    assert {"ShortcutTable", "GaugeFunctions", "TimeGrid"} <= records
+    assert {"ShortcutTable", "PrefixScan", "TimeGrid"} <= records
     reads = attributes_loaded()
-    assert {(None, "f_plus"), (None, "residual"), ("ShortcutTable", "scan"),
-            ("TimeGrid", "t_f")} <= reads
+    assert {("ShortcutTable", "f_plus"), (None, "residual"),
+            ("ShortcutTable", "scan"), ("TimeGrid", "t_f")} <= reads
 
 
 def test_policy_names_are_spelled_once():
@@ -300,13 +300,20 @@ def test_propagation_knows_only_tables_and_states():
     # the RK4 module reads H as a table and psi as bare-basis states; the
     # gauge and the frame projection live in synthesis, which sits below
     # the pipeline and the configuration and knows nothing of propagation:
-    # a trajectory is a plain array, wrapped in no record
+    # a trajectory is a plain array and a gauge two, wrapped in no record
     assert relative_imports(propagation) == {"errors", "grids"}
     assert relative_imports(synthesis) & {"experiments", "config",
                                           "propagation"} == set()
     assert not [(module.__name__, name) for module in [nhsta] + MODULES
-                for name in ("StateTrajectory", "AmplitudeTrajectory")
+                for name in ("StateTrajectory", "AmplitudeTrajectory",
+                             "GaugeFunctions", "matched_delta")
                 if hasattr(module, name)]
+    slots = experiments.ShortcutTable.__slots__
+    assert {"f_plus", "f_minus"} <= set(slots) and "gauges" not in slots
+    level = np.linspace(0.0, -1j, 11)
+    gauge = synthesis.matched_gauge(level, level, TimeGrid(0.0, 1.0, 10))
+    assert [(type(f), f.dtype, f.shape, f[0]) for f in gauge] == [
+        (np.ndarray, np.float64, (11,), 1.0)] * 2
     grid = TimeGrid(0.0, 1.0, 10)
     table = np.zeros((4, 4, grid.n_points), dtype=complex)
     runs = propagation.scan_table(table, grid).apply([1, 0])
@@ -713,11 +720,15 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
             (3, "numerical error: NonFinite: "),
             (3, "error: out of memory: "),
             (2, "configuration error: "),
+            (2, "usage: nh-sta "),
             (1, "uncertified: gamma=3 ")]
     assert all(args in tool.CORPUS for args in tool.ERROR_PATHS)
     got = []
     for args, (_, start) in zip(tool.ERROR_PATHS, want):
-        status = nhsta.cli.main([*args, "--out", "out"])
+        try:
+            status = nhsta.cli.main([*args, "--out", "out"])
+        except SystemExit as exc:  # argparse's usage error
+            status = exc.code
         got.append((status, capsys.readouterr().err[:len(start)]))
     assert got == want
 

@@ -629,7 +629,7 @@ class TestRecordIdentity:
         # the list below is read off the package: a slotted record is in it
         # wherever it lives, and TimeGrid is the one record left out
         names = {name.rpartition(".")[2] for name in identity_records()}
-        assert {"GaugeFunctions", "MixingAnglePath", "ShortcutTable",
+        assert {"MixingAnglePath", "ShortcutTable",
                 "ShortcutRun", "PrefixScan", "PulseSpec",
                 "BiorthogonalSystem", "ExperimentConfig"} <= names
         assert "TimeGrid" not in names
