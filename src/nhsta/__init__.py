@@ -25,14 +25,13 @@ try:
                          DegenerateSpectrum, InconsistentChoice, NhStaError,
                          NonFinite, SinThetaSingular, TanPole, ZeroGauge)
     from .grids import TimeGrid
-    from .propagation import convergence_check, integrate
-    from .synthesis import (amplitudes, assemble_h1_series, closed_form_gplus,
-                            frame_coupling, general_family_omega_zero,
-                            hermitian_realizable, matched_gauge,
-                            naive_cd_entries, nullification_residual)
-    from .two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                            allen_eberly, classify_regime, eigenvalue_path,
-                            frame_diagonal, mixing_angle_path, radicand)
+    from .synthesis import (amplitudes, closed_form_gplus, frame_coupling,
+                            general_family_omega_zero, hermitian_realizable,
+                            matched_gauge, naive_cd_entries,
+                            nullification_residual)
+    from .two_level import (MixingAnglePath, PulseSpec, allen_eberly,
+                            classify_regime, eigenvalue_path, frame_diagonal,
+                            mixing_angle_path, radicand)
     from .experiments import (ShortcutRun, ShortcutTable, run_shortcut,
                               shortcut_tables)
     if not _frozen:

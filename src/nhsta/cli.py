@@ -41,10 +41,14 @@ from .two_level import classify_regime  # noqa: F401
 #: it, imported only when the command runs
 COMMANDS = {"figure1": "figures", "figure2": "figures", "figure3": "figures",
             "figure4": "figures", "verify": "verify", "sweep": "output"}
-#: every flag -> its option's type; argparse before Python 3.13 reads a
-#: negative number in exponent form, such as -1e-3, as an option
+#: every flag -> its option's type
 _FLAGS = {"--" + name.replace("_", "-"): kind for name, kind, _, _ in OPTIONS}
 _FLAGS.update({"--config": str, "--help": None})
+#: option type -> the negative values that argparse before Python 3.13 reads
+#: as an option, such as -1e-3 or the gamma list -0,0.3: a number in exponent
+#: form, or a comma list led by a negative number
+_NEGATIVE = {float: r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"}
+_NEGATIVE[_FLAGS["--gamma"]] = _NEGATIVE[float] + "(,.*)?"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,8 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flag = argv[i - 1]  # read as argparse does: exact, else a prefix
         kinds = [_FLAGS[flag]] if flag in _FLAGS else [
             kind for name, kind in _FLAGS.items() if name.startswith(flag)]
-        if kinds == [float] and re.fullmatch(
-                r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", argv[i]):
+        if len(kinds) == 1 and kinds[0] in _NEGATIVE and re.fullmatch(
+                _NEGATIVE[kinds[0]], argv[i]):
             argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     overrides = vars(build_parser().parse_args(argv))
     command = overrides.pop("command")

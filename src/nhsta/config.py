@@ -1,7 +1,8 @@
 """Experiment configuration.  ``OPTIONS`` declares each option once; the
 CLI's flags, the keys of a flat ``key = value`` file, ``ExperimentConfig``'s
 fields and the manifest's echo of them all come from it.  The file readers
-live in :mod:`nhsta.readers`, loaded for ``--pulse-file`` or ``--config``."""
+live in :mod:`nhsta.readers`, loaded for ``--pulse-file`` or ``--config``;
+``load_pulse_file`` resolves here too (PEP 562), for the benchmark tracer."""
 from __future__ import annotations
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .grids import TimeGrid
 from .synthesis import POLICY_HERMITIAN
-from .two_level import BranchRegime, PulseSpec, allen_eberly, classify_regime
+from .two_level import PulseSpec, allen_eberly, classify_regime
 from .experiments import INITIAL_EIGEN_PLUS, INITIAL_STATES, POLICIES
 
 OUTPUT_FORMATS = ("csv", "json")
@@ -197,7 +198,7 @@ class ExperimentConfig:
         (omega_r, d_omega_r), (delta, d_delta) = self.pulse_splines
         return PulseSpec(omega_r, delta, d_omega_r, d_delta, gamma)
 
-    def regime_for(self, gamma: float) -> BranchRegime:
+    def regime_for(self, gamma: float) -> str:
         """The branch regime that labels a decay rate's runs, picked by the
         peak Rabi frequency (:attr:`peak_omega`)."""
         return classify_regime(self.peak_omega, gamma)
@@ -223,8 +224,8 @@ def build_config(config_path: Optional[str] = None, **overrides) -> ExperimentCo
     return ExperimentConfig(**values)
 
 
-def __getattr__(name: str):  # the readers' names, on first use (PEP 562)
-    if name not in ("cubic_spline", "load_pulse_file", "parse_config_file"):
+def __getattr__(name: str):  # the pulse reader, on first use (PEP 562)
+    if name != "load_pulse_file":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import readers
-    return getattr(readers, name)
+    from .readers import load_pulse_file
+    return load_pulse_file

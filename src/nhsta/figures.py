@@ -1,5 +1,7 @@
 """The figure commands ``figure1``–``figure4``: one table per decay rate.
 
+A series of ``figure1`` or ``figure2`` is its list of columns, emitted as
+:func:`zplane_series` or :func:`theta_series` returns it.
 ``figure3`` and ``figure4`` take their one run per decay rate from
 :meth:`nhsta.output.OutputSet.record_runs`, the loop ``sweep`` runs too,
 and write each rate's table from that run before it is recorded.
@@ -16,8 +18,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .grids import TimeGrid
 from .output import OutputSet
-from .two_level import (BranchRegime, PulseSpec, branch_argument,
-                        mixing_angle_path, radicand)
+from .two_level import PulseSpec, branch_argument, mixing_angle_path, radicand
 
 FIGURE1_DEFAULT_GAMMAS = (0.3, 3.0)
 FIGURE2_DEFAULT_GAMMAS = (0.3, 3.0, 0.0)
@@ -40,26 +41,19 @@ def _tables(cfg: ExperimentConfig, command: str, default: tuple) -> dict:
     return tables
 
 
-def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: BranchRegime) -> dict:
-    """Radicand trajectory columns for the branch-cut figure."""
+def zplane_series(pulse: PulseSpec, grid: TimeGrid, regime: str) -> list:
+    """Radicand trajectory columns [t, Re Z, Im Z, eta] for the branch-cut
+    figure."""
     ts = grid.samples
     z = radicand(pulse, ts)
-    return {
-        "t": ts,
-        "re_z": z.real,
-        "im_z": z.imag,
-        "eta": branch_argument(z, regime),
-    }
+    return [ts, z.real, z.imag, branch_argument(z, regime)]
 
 
-def theta_series(pulse: PulseSpec, grid: TimeGrid) -> dict:
-    """Mixing-angle trajectory columns for the complex-angle figure."""
-    path = mixing_angle_path(pulse, grid)
-    return {
-        "t": grid.samples,
-        "re_theta": path.theta.real,
-        "im_theta": path.theta.imag,
-    }
+def theta_series(pulse: PulseSpec, grid: TimeGrid) -> list:
+    """Mixing-angle trajectory columns [t, Re theta, Im theta] for the
+    complex-angle figure."""
+    theta = mixing_angle_path(pulse, grid).theta
+    return [grid.samples, theta.real, theta.imag]
 
 
 def cmd_figure1(cfg: ExperimentConfig) -> int:
@@ -69,11 +63,10 @@ def cmd_figure1(cfg: ExperimentConfig) -> int:
     grid = cfg.grid
     for name, gamma in tables.items():
         pulse, regime = cfg.pulse_for(gamma), cfg.regime_for(gamma)
-        series = zplane_series(pulse, grid, regime)
         out.emit(name, ["t", "re_z", "im_z", "eta", "regime"],
-                 [series["t"], series["re_z"], series["im_z"], series["eta"],
-                  [regime.value] * grid.n_points])
-        out.add_run(gamma=gamma, regime=regime.value)
+                 zplane_series(pulse, grid, regime)
+                 + [[regime] * grid.n_points])
+        out.runs.append({"gamma": gamma, "regime": regime})
     out.write_manifest()
     return 0
 
@@ -82,12 +75,10 @@ def cmd_figure2(cfg: ExperimentConfig) -> int:
     """Complex mixing angle (t, Re theta, Im theta) per decay rate."""
     tables = _tables(cfg, "figure2", FIGURE2_DEFAULT_GAMMAS)
     out = OutputSet(cfg, "figure2")
-    grid = cfg.grid
     for name, gamma in tables.items():
-        series = theta_series(cfg.pulse_for(gamma), grid)
         out.emit(name, ["t", "re_theta", "im_theta"],
-                 [series["t"], series["re_theta"], series["im_theta"]])
-        out.add_run(gamma=gamma)
+                 theta_series(cfg.pulse_for(gamma), cfg.grid))
+        out.runs.append({"gamma": gamma})
     out.write_manifest()
     return 0
 

@@ -1,4 +1,4 @@
-"""Uniform time grids shared by paths, gauges, and the integrator."""
+"""Uniform time grids: plain records that paths, gauges and runs share."""
 from __future__ import annotations
 
 import math
@@ -10,8 +10,7 @@ class TimeGrid:
     """Uniform grid of ``steps`` intervals (``steps + 1`` samples) on [t0, t_f].
 
     Samples are built as the exact affine blend ((steps-k)*t0 + k*t_f)/steps so
-    that a symmetric window [-T, T] contains t = 0.0 exactly.  Grids compare
-    and hash by value, so records built separately on one window match.
+    that a symmetric window [-T, T] contains t = 0.0 exactly.
     """
 
     __slots__ = ("t0", "t_f", "steps")
@@ -24,17 +23,6 @@ class TimeGrid:
         if steps < 2:
             raise ValueError(f"need steps >= 2, got {steps}")
         self.t0, self.t_f, self.steps = t0, t_f, steps
-
-    def _key(self) -> tuple:
-        return self.t0, self.t_f, self.steps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return (f"TimeGrid(t0={self.t0!r}, t_f={self.t_f!r}, "

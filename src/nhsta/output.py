@@ -181,9 +181,6 @@ class OutputSet:
                            "sha256": digest.hexdigest()})
         return path
 
-    def add_run(self, **meta) -> None:
-        self.runs.append(meta)
-
     def record_runs(self, cfg: ExperimentConfig, gamma: float,
                     emit=None) -> None:
         """Run every policy and initial state of one decay rate, passing
@@ -214,7 +211,7 @@ class OutputSet:
                 runs.append({"gamma": gamma, "policy": policy,
                              "initial_state": initial, "wall_time_s":
                              share + time.perf_counter() - started,
-                             "regime": regime.value, **metrics})
+                             "regime": regime, **metrics})
                 if emit is not None:
                     emit(run)
                 del run  # free it before the next state's run is built

@@ -18,14 +18,14 @@ level crossing, carrying |+> from the bare ground state to the bare excited
 state.  Left (biorthogonal) partners are the same expressions evaluated at
 conj(theta).  The tracked angle fixes which root is E_+: the one of |+>,
 E_+ = <+~|H0|+> (:func:`eigenvalue_path`), so no branch cut of sqrt(Z)
-enters a run; the cut only places eta = arg Z for the branch-cut figure.
+enters a run; the cut only places eta = arg Z for the branch-cut figure,
+and its regime is a plain name, SUB_CRITICAL or SUPER_CRITICAL.
 The angle, its rate and its trigonometric functions are formed from real
 parts, never with numpy's complex transcendental functions.
 """
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import cached_property
 from typing import Callable
 
@@ -54,20 +54,6 @@ class PulseSpec:
         self.omega_r, self.delta = omega_r, delta
         self.d_omega_r, self.d_delta = d_omega_r, d_delta
         self.gamma = float(gamma)
-
-
-class BranchRegime(Enum):
-    """Branch-cut placement for the radicand's argument eta, which figure1
-    plots and whose name labels a run's row.
-
-    Sub-critical decay keeps Re[Z] > 0, so the cut sits just below the
-    negative real axis (argument in (-pi, pi]).  Super-critical trajectories
-    cross the negative real axis, so the cut moves just below the positive
-    real axis (argument in [0, 2*pi)).
-    """
-
-    SUB_CRITICAL = "sub-critical"
-    SUPER_CRITICAL = "super-critical"
 
 
 class MixingAnglePath:
@@ -141,8 +127,16 @@ def frame_diagonal(h: tuple, theta_path: MixingAnglePath):
             + (h01 + h10) * (0.5 * theta_path.sin))
 
 
-def classify_regime(omega0: float, gamma: float) -> BranchRegime:
-    """Pick the branch regime from the peak Rabi frequency and decay rate."""
+#: The branch regimes: they place the cut of figure1's eta = arg Z and label
+#: a run's row.  Sub-critical decay keeps Re[Z] > 0, so the cut sits just
+#: below the negative real axis (eta in (-pi, pi]); super-critical paths
+#: cross it, so the cut moves just below the positive one (eta in [0, 2pi)).
+SUB_CRITICAL = "sub-critical"
+SUPER_CRITICAL = "super-critical"
+
+
+def classify_regime(omega0: float, gamma: float) -> str:
+    """The branch regime of a peak Rabi frequency and a decay rate."""
     if not (math.isfinite(omega0) and math.isfinite(gamma)):
         raise ValueError(f"need finite omega0 and gamma, got {omega0}, {gamma}")
     if omega0 <= 0:
@@ -154,8 +148,8 @@ def classify_regime(omega0: float, gamma: float) -> BranchRegime:
             f"gamma = {gamma} sits on the critical line 2*omega0 = {2 * omega0}"
         )
     if gamma < 2.0 * omega0:
-        return BranchRegime.SUB_CRITICAL
-    return BranchRegime.SUPER_CRITICAL
+        return SUB_CRITICAL
+    return SUPER_CRITICAL
 
 
 def _controls(pulse: PulseSpec, t, rates: bool = False) -> tuple:
@@ -208,11 +202,11 @@ def radicand(pulse: PulseSpec, t):
     return z[()] if z.ndim == 0 else z
 
 
-def branch_argument(z, regime: BranchRegime):
+def branch_argument(z, regime: str):
     """Argument eta of array Z in the regime's range ((-pi, pi] or [0, 2pi))."""
     z = np.asarray(z, dtype=complex)
     eta = np.angle(z)
-    if regime is BranchRegime.SUPER_CRITICAL:
+    if regime == SUPER_CRITICAL:
         eta = np.mod(eta, 2.0 * np.pi)
     return eta
 

@@ -25,7 +25,7 @@ from nhsta.biorthogonal import (DEFAULT_DEGENERACY_THRESHOLD,
 from nhsta.errors import BranchJump, InconsistentChoice, ZeroGauge
 from nhsta.grids import TimeGrid, cumulative_trapezoid
 from nhsta.synthesis import naive_cd_entries
-from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
+from nhsta.two_level import (SUB_CRITICAL, MixingAnglePath, PulseSpec,
                              _controls, hamiltonian_entries, radicand)
 
 #: largest scaled violation of Im[dtheta] = Re[lam] - Re[zeta] that
@@ -192,10 +192,10 @@ def hamiltonian(pulse: PulseSpec, t) -> np.ndarray:
     return entry_matrices(hamiltonian_entries(_controls(pulse, t)))
 
 
-def branch_sqrt(z, regime: BranchRegime):
+def branch_sqrt(z, regime: str):
     """sqrt(Z) = |Z|^(1/2) exp(i*eta/2) with eta taken in the regime's cut."""
     z = np.asarray(z, dtype=complex)
-    if regime is BranchRegime.SUB_CRITICAL:
+    if regime == SUB_CRITICAL:
         out = np.sqrt(z)
     else:
         eta = np.mod(np.angle(z), 2.0 * np.pi)
@@ -203,7 +203,7 @@ def branch_sqrt(z, regime: BranchRegime):
     return out[()] if out.ndim == 0 else out
 
 
-def eigenvalues(pulse: PulseSpec, t, regime: BranchRegime):
+def eigenvalues(pulse: PulseSpec, t, regime: str):
     """(E_+, E_-) = ((-i*gamma ± sqrt(Z))/4) at any t, the root on the
     regime's branch."""
     sq = branch_sqrt(radicand(pulse, t), regime)
@@ -215,7 +215,7 @@ def paired_eigenvalues(pulse: PulseSpec, t, theta) -> tuple:
     """(E_+, E_-) at t: the two roots (-i*gamma ± sqrt(Z))/4, ordered so
     that E_+ is the one whose eigenvector is |+> of ``theta``.  Equal-length
     arrays t and theta pair every sample at once."""
-    e_a, e_b = eigenvalues(pulse, t, BranchRegime.SUB_CRITICAL)
+    e_a, e_b = eigenvalues(pulse, t, SUB_CRITICAL)
     (plus, _), _ = eigenvectors(theta)  # components first: (2,) or (2, n)
     h = hamiltonian(pulse, t)
     h_plus = np.einsum("...ij,j...->i...", h, plus)

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from nhsta.cli import COMMANDS, build_parser, main
-from nhsta.config import (OPTIONS, ExperimentConfig, build_config,
-                          parse_config_file)
+from nhsta.config import OPTIONS, ExperimentConfig, build_config
 from nhsta.errors import ConfigError, DegenerateRegime, NhStaError
 from nhsta.output import CSV_BLOCK_ROWS, OutputSet
+from nhsta.readers import parse_config_file
 
 
 def read_csv(path):
@@ -220,10 +220,9 @@ def test_config_and_cli_resolve_the_moved_names():
     assert (cli.decompose, cli.reconstruct) == (biorthogonal.decompose,
                                                 biorthogonal.reconstruct)
     assert cli.OutputSet is output.OutputSet
-    assert (config.cubic_spline, config.load_pulse_file,
-            config.parse_config_file) == (readers.cubic_spline,
-                                          readers.load_pulse_file,
-                                          readers.parse_config_file)
+    assert config.load_pulse_file is readers.load_pulse_file
+    with pytest.raises(AttributeError, match="no attribute 'cubic_spline'"):
+        config.cubic_spline
     for module in (cli, config):
         with pytest.raises(AttributeError, match="no attribute 'missing'"):
             module.missing
@@ -234,15 +233,15 @@ def adversarial_manifest(tmp_path):
     manifest layout must spell as json.dumps does."""
     out = tmp_path / 'q"b\\s\tc\x01 \u00e9\u2028 \U0001d50a'
     out_set = OutputSet(build_config(out=str(out)), "adversarial")
-    out_set.add_run(
+    out_set.runs.append(dict(
         floats=[float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
                 1.7976931348623157e308, 0.1, np.float64(1e16),
                 np.float64("nan")],
         numpy=[np.bool_(True), np.int64(-7), np.float32(0.5)],
         plain=[None, True, False, 0, -3, 2 ** 70, "", "\x7f\u0000"],
         nested=((1, (2.5, ("x", ()))), [[], {}], {"k": {"j": []}}),
-        empty_list=[], empty_dict={}, path=Path("a/b"))
-    out_set.add_run()
+        empty_list=[], empty_dict={}, path=Path("a/b")))
+    out_set.runs.append({})
     return out_set
 
 
@@ -730,6 +729,25 @@ class TestParser:
         assert main(["figure2", "--steps", "100", "--omega", "-1e-1"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: omega0 must be positive"]
+
+    def test_gamma_list_led_by_a_negative_number_follows_its_flag(
+            self, tmp_path, monkeypatch):
+        # argparse reads -0,0.3 as an option too; the gamma list takes it
+        # as the next token as it does after "=", -0 naming the rate 0
+        written = self.figure2_tables(tmp_path, monkeypatch,
+                                      ["--gamma", "-0,0.3"],
+                                      ["--gamma=-0,0.3"])
+        assert written[0] == written[1]
+        assert sorted(written[0]) == ["figure2_gamma0.3.csv",
+                                      "figure2_gamma0.csv",
+                                      "figure2_manifest.json"]
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--gam"])
+    def test_negative_decay_rate_reaches_the_configuration(self, capsys,
+                                                           flag):
+        assert main(["figure3", "--steps", "100", flag, "-1e-3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: gamma must be >= 0, got -0.001"]
 
     def test_ambiguous_abbreviation_stays_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

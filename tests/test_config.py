@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from nhsta.config import ExperimentConfig, cubic_spline
+from nhsta.config import ExperimentConfig
+from nhsta.readers import cubic_spline
 
 
 def uneven_knots(rng, n, span=(-1.0, 1.0)):
@@ -94,7 +95,7 @@ def test_tabulated_pulse_carries_the_splines_and_a_constant_gamma(tmp_path):
 
 def test_config_file_reads_negative_zero_decay_rate_as_zero(tmp_path):
     # the flag and the config file share the gamma list's parser
-    from nhsta.config import parse_config_file
+    from nhsta.readers import parse_config_file
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("gamma = -0, 1e-300, -0.0\n")
     gammas = parse_config_file(str(cfg))["gamma_list"]

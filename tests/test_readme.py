@@ -29,7 +29,8 @@ def test_library_quick_start_runs_as_written():
 
 
 def test_example_config_parses_validates_and_names_options(tmp_path):
-    from nhsta.config import OPTIONS, ExperimentConfig, parse_config_file
+    from nhsta.config import OPTIONS, ExperimentConfig
+    from nhsta.readers import parse_config_file
     text = README.read_text()
     block = re.search(r"```\n(# example\.cfg\n.*?)```", text, re.DOTALL)
     path = tmp_path / "example.cfg"

@@ -2,12 +2,12 @@
 it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
-names, the initial-state names and the run check names are each spelled
-in one module, propagation imports only the grid and the errors and
-synthesis does not import propagation, a trajectory is a plain array, a
-command runs by one dispatch rule, no run takes a branch regime, every
-record field is read somewhere in the package, and the garbage collector
-is tuned in two places only."""
+names, the initial-state names, the branch regime names and the run check
+names are each spelled in one module, no class is an Enum, propagation
+imports only the grid and the errors and synthesis does not import
+propagation, a trajectory is a plain array, a command runs by one dispatch
+rule, no run takes a branch regime, every record field is read somewhere
+in the package, and the garbage collector is tuned in two places only."""
 import ast
 import importlib
 import importlib.util
@@ -285,6 +285,23 @@ def test_state_names_are_spelled_once():
              and any(name in node.value for name in names)]
     assert sorted(found) == sorted(("nhsta.experiments", name)
                                    for name in names)
+
+
+def test_regime_names_are_spelled_once():
+    # the two branch regimes are plain names, string literals in two_level
+    # next to classify_regime, and no package class is an Enum
+    names = ("sub-critical", "super-critical")
+    found = [(module.__name__, node.value) for module in [nhsta] + MODULES
+             for node in ast.walk(ast.parse(Path(module.__file__).read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(name in node.value for name in names)]
+    assert sorted(found) == sorted(("nhsta.two_level", name)
+                                   for name in names)
+    from enum import Enum
+    assert not [(module.__name__, name) for module in MODULES
+                for name, value in vars(module).items()
+                if isinstance(value, type) and issubclass(value, Enum)
+                and value.__module__ == module.__name__]
 
 
 def relative_imports(module):
@@ -720,6 +737,7 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
             (3, "numerical error: NonFinite: "),
             (3, "error: out of memory: "),
             (2, "configuration error: "),
+            (2, "configuration error: gamma must be >= 0, got -0.001"),
             (2, "usage: nh-sta "),
             (1, "uncertified: gamma=3 ")]
     assert all(args in tool.CORPUS for args in tool.ERROR_PATHS)

@@ -10,8 +10,8 @@ from nhsta.biorthogonal import decompose
 from nhsta.errors import BranchJump, DegenerateRegime, NonFinite, TanPole
 from nhsta.experiments import POLICIES, run_shortcut, shortcut_tables
 from nhsta.grids import TimeGrid
-from nhsta.two_level import (BranchRegime, MixingAnglePath, PulseSpec,
-                             _controls, allen_eberly,
+from nhsta.two_level import (SUB_CRITICAL, SUPER_CRITICAL, MixingAnglePath,
+                             PulseSpec, _controls, allen_eberly,
                              angle_rate_defect, classify_regime,
                              complex_array, hamiltonian_entries,
                              mixing_angle_path, mixing_angle_rate, radicand,
@@ -175,11 +175,11 @@ class TestControlSampling:
 class TestRegime:
     def test_subcritical_classification_and_cut(self):
         regime = classify_regime(OMEGA0, 0.3)
-        assert regime is BranchRegime.SUB_CRITICAL
+        assert regime == SUB_CRITICAL
 
     def test_supercritical_classification_and_cut(self):
         regime = classify_regime(OMEGA0, 3.0)
-        assert regime is BranchRegime.SUPER_CRITICAL
+        assert regime == SUPER_CRITICAL
 
     def test_critical_line_rejected(self):
         with pytest.raises(DegenerateRegime):
@@ -196,14 +196,14 @@ class TestRegime:
 
     def test_branch_sqrt_obeys_each_cut(self):
         z = -5.0 + 0.0j
-        assert branch_sqrt(z, BranchRegime.SUB_CRITICAL) == pytest.approx(
+        assert branch_sqrt(z, SUB_CRITICAL) == pytest.approx(
             1j * np.sqrt(5.0))
-        assert branch_sqrt(z, BranchRegime.SUPER_CRITICAL) == pytest.approx(
+        assert branch_sqrt(z, SUPER_CRITICAL) == pytest.approx(
             1j * np.sqrt(5.0))
         z_below = -5.0 - 1e-9j
         # below the negative real axis the two conventions part ways
-        sub = branch_sqrt(z_below, BranchRegime.SUB_CRITICAL)
-        sup = branch_sqrt(z_below, BranchRegime.SUPER_CRITICAL)
+        sub = branch_sqrt(z_below, SUB_CRITICAL)
+        sup = branch_sqrt(z_below, SUPER_CRITICAL)
         assert sub.imag < 0
         assert sup.imag > 0
 
@@ -465,7 +465,7 @@ class TestEigenConsistency:
             assert np.max(np.abs(h @ plus - e_plus * plus)) < 1e-10
             assert np.max(np.abs(h @ minus - e_minus * minus)) < 1e-10
             # and the pair coincides with the branch-cut eigenvalue formula
-            ep, em = eigenvalues(pulse, 0.0, BranchRegime.SUB_CRITICAL)
+            ep, em = eigenvalues(pulse, 0.0, SUB_CRITICAL)
             assert min(abs(e_plus - ep), abs(e_plus - em)) < 1e-10
 
     def test_matches_generic_decomposition(self, theta_paths):
@@ -524,7 +524,7 @@ class TestEigenConsistency:
         assert worst <= 1e-12
         if gamma < 2.0:
             cut_p, cut_m = eigenvalues(pulse, grid.samples,
-                                       BranchRegime.SUB_CRITICAL)
+                                       SUB_CRITICAL)
             assert np.max(np.abs(ep - cut_m)) <= 1e-12
             assert np.max(np.abs(em - cut_p)) <= 1e-12
 
@@ -593,8 +593,7 @@ class TestPulseSpec:
 
 def identity_records():
     """Names "module.Class" of every plain class the package defines, its
-    slotted records among them, except ``TimeGrid``, which compares by
-    value."""
+    slotted records among them."""
     import importlib
     import pkgutil
 
@@ -604,8 +603,7 @@ def identity_records():
         module = importlib.import_module(f"nhsta.{info.name}")
         names += [f"{info.name}.{name}" for name, value in vars(module).items()
                   if isinstance(value, type) and value.__bases__ == (object,)
-                  and value.__module__ == module.__name__
-                  and name != "TimeGrid"]
+                  and value.__module__ == module.__name__]
     return names
 
 
@@ -627,12 +625,11 @@ class TestRecordIdentity:
 
     def test_every_record_is_listed(self):
         # the list below is read off the package: a slotted record is in it
-        # wherever it lives, and TimeGrid is the one record left out
+        # wherever it lives, TimeGrid too
         names = {name.rpartition(".")[2] for name in identity_records()}
         assert {"MixingAnglePath", "ShortcutTable",
                 "ShortcutRun", "PrefixScan", "PulseSpec",
-                "BiorthogonalSystem", "ExperimentConfig"} <= names
-        assert "TimeGrid" not in names
+                "BiorthogonalSystem", "ExperimentConfig", "TimeGrid"} <= names
 
     @pytest.mark.parametrize("name", identity_records())
     def test_array_records_use_identity(self, name):

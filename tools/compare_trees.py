@@ -52,8 +52,9 @@ GAP_TABLE = [
 
 #: invocations that fail: exit 3 with each named error (one of them at a
 #: command's default decay rate) and for a run too large to allocate, exit
-#: 2 for a configuration error and for a flag abbreviation that argparse
-#: finds ambiguous, and exit 1 for an uncertified row
+#: 2 for a configuration error (one of them a negative decay rate in
+#: exponent form) and for a flag abbreviation that argparse finds
+#: ambiguous, and exit 1 for an uncertified row
 ERROR_PATHS = [
     ["figure3", "--gamma", "2"],  # DegenerateRegime
     ["figure1", "--omega0", "1.5"],  # DegenerateRegime at a default rate
@@ -64,6 +65,7 @@ ERROR_PATHS = [
     ["figure1", "--gamma", "1e160"],  # NonFinite
     ["figure3", "--steps", "100000000000000000"],  # out of memory
     ["figure3", "--steps", "50"],  # a configuration error
+    ["figure3", "--steps", "100", "--gamma", "-1e-3"],  # a negative rate
     ["figure2", "--t", "-1e-3"],  # an ambiguous abbreviation
     ["figure3", "--gamma", "3", "--tau", "0.01"],  # uncertified
 ]
@@ -84,9 +86,10 @@ CORPUS = [
      "pulse.csv"],
     ["figure3", "--config", "run.cfg"],
     # a negative value in exponent form as the token after its flag, and
-    # after an abbreviation of it
+    # after an abbreviation of it, and a gamma list led by a negative number
     ["figure2", "--t0", "-1e-3"],
     ["figure2", "--steps", "100", "--delta", "-9e0"],
+    ["figure2", "--steps", "100", "--gamma", "-0,0.3"],
     # one uncertified run after a certified one, in a figure and a sweep
     ["figure4", "--gamma", "0.3,2.05"], ["sweep", "--gamma", "0.3,2.05"],
     # the zero-drive split where sin(theta) and dtheta vanish together
