@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import gc
-import re
 import sys
 from importlib import import_module
 from typing import Optional, Sequence
@@ -41,14 +40,10 @@ from .two_level import classify_regime  # noqa: F401
 #: it, imported only when the command runs
 COMMANDS = {"figure1": "figures", "figure2": "figures", "figure3": "figures",
             "figure4": "figures", "verify": "verify", "sweep": "output"}
-#: every flag -> its option's type
-_FLAGS = {"--" + name.replace("_", "-"): kind for name, kind, _, _ in OPTIONS}
-_FLAGS.update({"--config": str, "--help": None})
-#: option type -> the negative values that argparse before Python 3.13 reads
-#: as an option, such as -1e-3 or the gamma list -0,0.3: a number in exponent
-#: form, or a comma list led by a negative number
-_NEGATIVE = {float: r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"}
-_NEGATIVE[_FLAGS["--gamma"]] = _NEGATIVE[float] + "(,.*)?"
+#: every flag -> whether it takes a value (all but --help do)
+_FLAGS = dict.fromkeys(["--config"] + [
+    "--" + name.replace("_", "-") for name, _, _, _ in OPTIONS], True)
+_FLAGS["--help"] = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,10 +100,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):  # --t0 -1e-3 as --t0=-1e-3
         flag = argv[i - 1]  # read as argparse does: exact, else a prefix
-        kinds = [_FLAGS[flag]] if flag in _FLAGS else [
-            kind for name, kind in _FLAGS.items() if name.startswith(flag)]
-        if len(kinds) == 1 and kinds[0] in _NEGATIVE and re.fullmatch(
-                _NEGATIVE[kinds[0]], argv[i]):
+        takes = [_FLAGS[flag]] if flag in _FLAGS else [
+            value for name, value in _FLAGS.items() if name.startswith(flag)]
+        dash_led = argv[i].startswith("-") and argv[i][:2] not in ("--", "-h")
+        if takes == [True] and dash_led:  # the reader judges the value
             argv[i - 1:i + 1] = [f"{flag}={argv[i]}"]
     overrides = vars(build_parser().parse_args(argv))
     command = overrides.pop("command")

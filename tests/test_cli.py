@@ -706,11 +706,13 @@ class TestParser:
         return written
 
     @pytest.mark.parametrize("flag, value", [("--t0", "-1e-3"),
-                                             ("--delta0", "-9e0")])
+                                             ("--delta0", "-9e0"),
+                                             ("--delta0", "-1_0")])
     def test_negative_exponent_value_follows_its_flag(
             self, tmp_path, monkeypatch, flag, value):
-        # argparse before Python 3.13 reads -1e-3 as an option; a float
-        # option takes it as the next token as it does after "="
+        # argparse before Python 3.13 reads -1e-3 as an option, and every
+        # version reads -1_0 as one; a flag that takes a value takes a
+        # dash-led token as it does after "="
         written = self.figure2_tables(tmp_path, monkeypatch, [flag, value],
                                       [f"{flag}={value}"])
         assert written[0] == written[1]
@@ -748,6 +750,32 @@ class TestParser:
         assert main(["figure3", "--steps", "100", flag, "-1e-3"]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "configuration error: gamma must be >= 0, got -0.001"]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t0", "-inf"), ("--delta0", "-Infinity"), ("--gamma", "-nan"),
+        ("--steps", "-1_0"), ("--t0", "-x"), ("--format", "-json")])
+    def test_dash_led_value_reaches_its_reader(self, capsys, flag, value):
+        # argparse's int or float, the gamma list or the configuration
+        # check refuses the value after its flag as it does after "="
+        outcomes = []
+        for args in ([flag, value], [f"{flag}={value}"]):
+            try:
+                status = main(["figure2", "--steps", "100", *args])
+            except SystemExit as exc:
+                status = exc.code
+            outcomes.append((status, capsys.readouterr().err.splitlines()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+
+    @pytest.mark.parametrize("flag, token", [("--t0", "--steps"),
+                                             ("--out", "-h")])
+    def test_flag_or_help_after_a_flag_stays_a_usage_error(self, capsys,
+                                                          flag, token):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure2", "--steps", "100", flag, token])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"nh-sta: error: argument {flag}: expected one argument")
 
     def test_ambiguous_abbreviation_stays_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -85,11 +85,14 @@ CORPUS = [
     ["sweep", "--gamma", "0.3,1", *ALL_POLICIES, "--pulse-file",
      "pulse.csv"],
     ["figure3", "--config", "run.cfg"],
-    # a negative value in exponent form as the token after its flag, and
-    # after an abbreviation of it, and a gamma list led by a negative number
+    # a dash-led value as the token after its flag, and after an
+    # abbreviation of it: numbers in exponent form, with an underscore and
+    # not finite, and a gamma list led by a negative number
     ["figure2", "--t0", "-1e-3"],
     ["figure2", "--steps", "100", "--delta", "-9e0"],
     ["figure2", "--steps", "100", "--gamma", "-0,0.3"],
+    ["figure2", "--steps", "100", "--delta0", "-1_0"],
+    ["figure2", "--steps", "100", "--t0", "-inf"],
     # one uncertified run after a certified one, in a figure and a sweep
     ["figure4", "--gamma", "0.3,2.05"], ["sweep", "--gamma", "0.3,2.05"],
     # the zero-drive split where sin(theta) and dtheta vanish together
