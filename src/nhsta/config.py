@@ -2,7 +2,10 @@
 CLI's flags, the keys of a flat ``key = value`` file, ``ExperimentConfig``'s
 fields and the manifest's echo of them all come from it.  The file readers
 live in :mod:`nhsta.readers`, loaded for ``--pulse-file`` or ``--config``;
-``load_pulse_file`` resolves here too (PEP 562), for the benchmark tracer."""
+``load_pulse_file`` resolves here too (PEP 562), for the benchmark tracer.
+:meth:`ExperimentConfig.single_run` is the one rule of the commands that
+run one policy from one initial state, ``verify``, ``figure3`` and
+``figure4``: a list of either is refused."""
 from __future__ import annotations
 
 import math
@@ -158,6 +161,16 @@ class ExperimentConfig:
     @property
     def initial_states(self) -> tuple:
         return _comma_list(self.initial_state)
+
+    def single_run(self) -> tuple:
+        """The (policy, initial state) of a command that runs one of each;
+        raises ConfigError when either is a list."""
+        for values, what in ((self.policies, "policy"),
+                             (self.initial_states, "initial state")):
+            if len(values) != 1:
+                raise ConfigError(
+                    f"this command takes a single {what}, got {values}")
+        return self.policies[0], self.initial_states[0]
 
     def gammas(self, default: tuple = ()) -> tuple:
         """The configured decay rates, else the command's ``default``, the

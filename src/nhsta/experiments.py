@@ -11,10 +11,12 @@ table is built in the same order (:func:`_tables` says what each holds and
 frees, and when).  A table keeps its gauge as the two real factor arrays
 ``f_plus`` and ``f_minus``, which its runs and its frame check read.
 A run applies a table to one of :data:`INITIAL_STATES`, named here: it
-propagates the bare-basis state and keeps, as its own fields, the
-amplitudes and populations ``synthesis.amplitudes`` projects from it.
-:data:`RUN_CHECKS` is the one place a run's checks live: their
-names, bounds and readings, which ``verify`` and a run's ``metrics`` read.
+propagates the bare-basis state and keeps, as its own fields, that state
+and the amplitudes and populations ``synthesis.amplitudes`` projects from
+it.  :data:`RUN_CHECKS` is the one place a run's checks live: their names,
+bounds, readings and the initial states each applies to.  A run's
+``checks()`` yields those that apply to its state, which ``verify``
+prints; its ``metrics`` read the readings, whatever the state.
 """
 from __future__ import annotations
 
@@ -46,18 +48,21 @@ INITIAL_BARE_GROUND = "bare-ground"
 INITIAL_EIGEN_PLUS = "eigen-plus"
 INITIAL_STATES = (INITIAL_EIGEN_PLUS, INITIAL_BARE_GROUND)
 
+_EVERY, _EIGEN = INITIAL_STATES, (INITIAL_EIGEN_PLUS,)
 #: The per-run checks in the order ``verify`` prints them: name -> (bound,
-#: reading of a ShortcutRun).  A check measures its reading's largest
-#: modulus; only ``verify`` asks for the frame check and the closed form.
+#: reading of a ShortcutRun, the initial states it applies to).  A check
+#: measures its reading's largest modulus; only ``verify`` asks for the
+#: frame check and the closed form.  The eigen-plus checks assume a run
+#: that starts in the eigenstate |+>; a bare-ground run does not.
 RUN_CHECKS = {
-    "nullification-residual": (1e-10, lambda run: run.table.residual),
-    "frame-coupling-21": (1e-6, lambda run: run.table.frame_check()),
-    "angle-rate": (1e-8, lambda run: run.table.angle_rate),
-    "max-abs-g-minus": (1e-5, lambda run: run.g_minus),
-    "g-plus-sq-dev": (0.05, lambda run: run.pop_phi_plus - 1.0),
+    "nullification-residual": (1e-10, lambda run: run.table.residual, _EVERY),
+    "frame-coupling-21": (1e-6, lambda run: run.table.frame_check(), _EVERY),
+    "angle-rate": (1e-8, lambda run: run.table.angle_rate, _EVERY),
+    "max-abs-g-minus": (1e-5, lambda run: run.g_minus, _EIGEN),
+    "g-plus-sq-dev": (0.05, lambda run: run.pop_phi_plus - 1.0, _EIGEN),
     "closed-form-vs-ode": (1e-5, lambda run: run.g_plus
-                           - run.table.closed_form()),
-    "convergence": (1e-7, lambda run: run.convergence),
+                           - run.table.closed_form(), _EIGEN),
+    "convergence": (1e-7, lambda run: run.convergence, _EVERY),
 }
 #: the checks a certified run passes: metrics key -> check, in print order
 CERTIFIED_BY = {"convergence": "convergence",
@@ -88,7 +93,7 @@ class ShortcutTable:
 
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
         """Propagate one initial state: its amplitudes and the step-halving
-        gap."""
+        gap, on a run that keeps the state's name."""
         if initial_state not in INITIAL_STATES:
             raise ConfigError(
                 f"unknown initial state {initial_state!r}; expected one of "
@@ -101,8 +106,8 @@ class ShortcutTable:
         psi, rerun = self.scan.apply(psi0)
         gap = step_halving_gap(psi, rerun)
         del rerun  # freed before the amplitudes are allocated
-        return ShortcutRun(self, amplitudes(psi, self.theta, self.f_plus,
-                                            self.f_minus), gap)
+        return ShortcutRun(self, initial_state, amplitudes(
+            psi, self.theta, self.f_plus, self.f_minus), gap)
 
     def frame_check(self) -> float:
         """The largest adiabatic-frame coupling (2,1), in closed form from
@@ -117,17 +122,20 @@ class ShortcutTable:
 
 
 class ShortcutRun:
-    """A shortcut table run from one initial state: the table, the step-
-    halving gap, and the six arrays ``amps`` of ``synthesis.amplitudes``:
-    the raw amplitudes c_n (|c_n|^2 is not bounded by one under decay), the
-    gauge-modified g_n = c_n/f_n and the bare populations P_m.  |g_n|^2,
-    which act as populations, and P_m over their sum are formed on read."""
+    """A shortcut table run from one initial state: the table, the state's
+    name, the step-halving gap, and the six arrays ``amps`` of
+    ``synthesis.amplitudes``: the raw amplitudes c_n (|c_n|^2 is not bounded
+    by one under decay), the gauge-modified g_n = c_n/f_n and the bare
+    populations P_m.  |g_n|^2, which act as populations, and P_m over their
+    sum are formed on read."""
 
-    __slots__ = ("table", "c_plus", "c_minus", "g_plus", "g_minus",
-                 "pop_bare_0", "pop_bare_1", "convergence")
+    __slots__ = ("table", "initial_state", "c_plus", "c_minus", "g_plus",
+                 "g_minus", "pop_bare_0", "pop_bare_1", "convergence")
 
-    def __init__(self, table: ShortcutTable, amps: tuple, convergence: float):
-        self.table, self.convergence = table, convergence
+    def __init__(self, table: ShortcutTable, initial_state: str, amps: tuple,
+                 convergence: float):
+        self.table, self.initial_state = table, initial_state
+        self.convergence = convergence
         (self.c_plus, self.c_minus, self.g_plus, self.g_minus,
          self.pop_bare_0, self.pop_bare_1) = amps
 
@@ -143,10 +151,12 @@ class ShortcutRun:
         return float(np.abs(RUN_CHECKS[name][1](self)).max())
 
     def checks(self) -> Iterator[tuple]:
-        """Each of RUN_CHECKS in order as (name, measured, bound, passed)."""
-        for name, (bound, _) in RUN_CHECKS.items():
-            measured = self.measure(name)
-            yield name, measured, bound, measured <= bound
+        """Each of RUN_CHECKS that applies to the run's initial state, in
+        order, as (name, measured, bound, passed)."""
+        for name, (bound, _, states) in RUN_CHECKS.items():
+            if self.initial_state in states:
+                measured = self.measure(name)
+                yield name, measured, bound, measured <= bound
 
     @property
     def metrics(self) -> dict:

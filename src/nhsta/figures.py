@@ -4,7 +4,9 @@ A series of ``figure1`` or ``figure2`` is its list of columns, emitted as
 :func:`zplane_series` or :func:`theta_series` returns it.
 ``figure3`` and ``figure4`` take their one run per decay rate from
 :meth:`nhsta.output.OutputSet.record_runs`, the loop ``sweep`` runs too,
-and write each rate's table from that run before it is recorded.
+and write each rate's table from that run before it is recorded.  They
+refuse a list of policies or initial states through
+:meth:`nhsta.config.ExperimentConfig.single_run`, as ``verify`` does.
 
 ``nhsta.cli`` imports it only when figure command ``X`` runs its ``cmd_X``.
 """
@@ -90,11 +92,7 @@ def _population_figure(cfg: ExperimentConfig, command: str,
     with t followed by ``columns(run)``; status 1 if any run is
     uncertified (every table and the manifest are still written)."""
     tables = _tables(cfg, command, default_gammas)
-    for values, what in ((cfg.policies, "policy"),
-                         (cfg.initial_states, "initial state")):
-        if len(values) != 1:
-            raise ConfigError(
-                f"this command takes a single {what}, got {values}")
+    cfg.single_run()
     out = OutputSet(cfg, command)
     for name, gamma in tables.items():
         out.record_runs(cfg, gamma, lambda run: out.emit(

@@ -1,9 +1,13 @@
 """The ``verify`` command: the self-verification suite.
 
 Checks the biorthogonal decomposition on a random corpus, RK4's order and
-exactness on a constant H, and each decay rate's certified run through
-:data:`nhsta.experiments.RUN_CHECKS`.  The RK4 checks read the pair that
-certifies every emitted row: a scan's run and its half-step rerun.
+exactness on a constant H, and each decay rate's run of the configured
+policy from the configured initial state (the configuration's defaults
+name the hermitian supplement and the eigenstate |+>) through the
+:data:`nhsta.experiments.RUN_CHECKS` that apply to that state.  A list of
+policies or states is refused, as ``figure3`` and ``figure4`` refuse it.
+The RK4 checks read the pair that certifies every emitted row: a scan's
+run and its half-step rerun.
 ``nhsta.cli`` imports this module only to run its :func:`cmd_verify`; it
 is the only command module that imports :mod:`nhsta.biorthogonal`.
 """
@@ -18,7 +22,6 @@ from .config import ExperimentConfig
 from .experiments import run_shortcut
 from .grids import TimeGrid
 from .propagation import scan_table
-from .synthesis import POLICY_HERMITIAN
 
 VERIFY_DEFAULT_GAMMAS = (0.1, 0.3, 1.0, 3.0)
 
@@ -71,8 +74,10 @@ def random_corpus():
 
 def _verify_checks(cfg: ExperimentConfig):
     """Yield (name, measured, bound, ok) for the self-verification suite;
-    its decay rates are read first, so a refused one prints no check."""
+    its decay rates, policy and state are read first, so a refused one
+    prints no check."""
     gammas = cfg.gammas(VERIFY_DEFAULT_GAMMAS)
+    policy, initial_state = cfg.single_run()
     bio = comp = rtrip = 0.0
     for m, sys_ in random_corpus():
         bio = max(bio, sys_.biorthogonality_defect())
@@ -90,8 +95,8 @@ def _verify_checks(cfg: ExperimentConfig):
     yield "decay-exact[relative]", rel, 1e-8, rel <= 1e-8
 
     for gamma in gammas:
-        run = run_shortcut(cfg.pulse_for(gamma), cfg.grid,
-                           policy=POLICY_HERMITIAN)
+        run = run_shortcut(cfg.pulse_for(gamma), cfg.grid, policy,
+                           initial_state)
         for name, measured, bound, ok in run.checks():
             yield f"{name}[gamma={gamma:g}]", measured, bound, ok
         del run  # free it before the next decay rate's run is built

@@ -1651,6 +1651,47 @@ class TestVerify:
             assert measured.startswith("measured=")
             assert bound == "bound=1e-08"
 
+    def test_checks_the_configured_policy(self, tmp_path, capsys):
+        # the naive term cancels the leak exactly, where the hermitian
+        # supplement, verify's default, leaves round-off
+        assert main(["verify", "--gamma", "0.3", "--policy", "naive-cd",
+                     "--out", str(tmp_path)]) == 0
+        assert ("PASS  nullification-residual[gamma=0.3]  measured=0.000e+00"
+                "  bound=1e-10") in capsys.readouterr().out.splitlines()
+
+    def test_bare_ground_prints_the_checks_of_every_state(self, tmp_path,
+                                                          capsys):
+        # the five suite checks, then only the run checks that apply to a
+        # bare-ground run
+        assert main(["verify", "--gamma", "0.3", "--initial-state",
+                     "bare-ground", "--out", str(tmp_path)]) == 0
+        *lines, total = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[:2] for line in lines] == [
+            ["PASS", name] for name in (
+                "biorthogonality[random-corpus]",
+                "completeness[random-corpus]", "round-trip[random-corpus]",
+                "rk4-order[rabi]", "decay-exact[relative]",
+                "nullification-residual[gamma=0.3]",
+                "frame-coupling-21[gamma=0.3]", "angle-rate[gamma=0.3]",
+                "convergence[gamma=0.3]")]
+        assert total == "verify: all checks passed"
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--policy", "naive-cd,general-omega-zero"),
+        ("--initial-state", "eigen-plus,bare-ground")])
+    def test_a_list_of_policies_or_states_exits_config(self, tmp_path,
+                                                       capsys, flag, text):
+        # refused before any check runs, as figure3 and figure4 refuse it
+        assert main(["verify", flag, text, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(
+            "configuration error: this command takes a single ")
+        for command in ("figure3", "figure4"):
+            assert main([command, flag, text,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == err
+
     def test_coarse_grid_fails_convergence_gate(self, tmp_path, capsys):
         assert main(["verify", "--gamma", "0.3", "--steps", "100",
                      "--out", str(tmp_path)]) == 1

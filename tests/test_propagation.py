@@ -13,8 +13,9 @@ from conftest import (DELTA0, OMEGA0, ae_pulse, ae_setup, assert_bitwise,
 from nhsta import experiments
 from nhsta.errors import NonFinite
 
-from nhsta.experiments import (INITIAL_STATES, POLICIES, ShortcutTable,
-                               run_shortcut, shortcut_tables)
+from nhsta.experiments import (CERTIFIED_BY, INITIAL_STATES, POLICIES,
+                               RUN_CHECKS, ShortcutTable, run_shortcut,
+                               shortcut_tables)
 from nhsta.grids import TimeGrid, cumulative_trapezoid as trapezoid
 from nhsta.propagation import (_block_size, convergence_check, integrate,
                                phase_table, scan_table)
@@ -500,6 +501,27 @@ class TestShortcutInvariants:
         bare = shortcut_run(1.0, initial_state="bare-ground")
         assert bare.pop_bare_0[0] == 1.0
         assert bare.pop_bare_1[0] == 0.0
+        assert bare.initial_state == "bare-ground"
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_a_run_yields_the_checks_of_its_state(self, shortcut_run,
+                                                  policy, gamma):
+        # an eigen-plus run of every policy yields and passes all seven
+        # checks; the same table run from bare-ground yields only the four
+        # that apply to every state, in order, and passes them
+        eigen = shortcut_run(gamma, policy)
+        bare = eigen.table.run("bare-ground")
+        assert [(name, ok) for name, _, _, ok in eigen.checks()] == [
+            (name, True) for name in RUN_CHECKS]
+        assert [(name, ok) for name, _, _, ok in bare.checks()] == [
+            ("nullification-residual", True), ("frame-coupling-21", True),
+            ("angle-rate", True), ("convergence", True)]
+
+    def test_certified_reads_only_checks_of_every_state(self):
+        # so no row is certified on a check that does not apply to it
+        for name in CERTIFIED_BY.values():
+            assert set(RUN_CHECKS[name][2]) == set(INITIAL_STATES)
 
 
 def stretched_tables(gamma, lam):

@@ -53,8 +53,9 @@ GAP_TABLE = [
 #: invocations that fail: exit 3 with each named error (one of them at a
 #: command's default decay rate) and for a run too large to allocate, exit
 #: 2 for a configuration error (one of them a negative decay rate in
-#: exponent form) and for a flag abbreviation that argparse finds
-#: ambiguous, and exit 1 for an uncertified row
+#: exponent form, one a list of policies where one is taken) and for a
+#: flag abbreviation that argparse finds ambiguous, and exit 1 for an
+#: uncertified row
 ERROR_PATHS = [
     ["figure3", "--gamma", "2"],  # DegenerateRegime
     ["figure1", "--omega0", "1.5"],  # DegenerateRegime at a default rate
@@ -66,6 +67,7 @@ ERROR_PATHS = [
     ["figure3", "--steps", "100000000000000000"],  # out of memory
     ["figure3", "--steps", "50"],  # a configuration error
     ["figure3", "--steps", "100", "--gamma", "-1e-3"],  # a negative rate
+    ["verify", "--policy", "naive-cd,general-omega-zero"],  # a policy list
     ["figure2", "--t", "-1e-3"],  # an ambiguous abbreviation
     ["figure3", "--gamma", "3", "--tau", "0.01"],  # uncertified
 ]
@@ -75,6 +77,9 @@ CORPUS = [
     ["sweep", "--gamma", "0.3,1,3", *ALL_POLICIES],  # the sweep18 workload
     ["sweep", "--gamma", "2.1,2.5,18,20,25,30", *ALL_POLICIES],
     ["verify"],
+    # verify runs the configured policy from the configured state
+    ["verify", "--gamma", "0.3", "--policy", "naive-cd", "--initial-state",
+     "bare-ground"],
     # the JSON emitter's dense, population and sweep tables
     ["figure1", "--format", "json"], ["figure3", "--format", "json"],
     ["sweep", "--gamma", "0.3,1,3", *ALL_POLICIES, "--format", "json"],
