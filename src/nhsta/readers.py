@@ -1,6 +1,7 @@
 """The file readers: a ``--pulse-file`` table and its cubic splines, and a
-flat ``key = value`` ``--config`` file.  :mod:`nhsta.config` imports this
-module only when a run names one of those files."""
+flat ``key = value`` ``--config`` file, each found, opened and refused by
+``_read``.  :mod:`nhsta.config` imports this module only when a run names
+one of those files."""
 from __future__ import annotations
 
 import warnings
@@ -52,27 +53,38 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple:
     return partial(spline, order=0), partial(spline, order=1)
 
 
+def _read(kind: str, path: str, read, malformed: str):
+    """``read(Path(path))``; a missing, non-file or unreadable ``kind`` file,
+    or a ValueError from ``read`` (the file is ``malformed``), is refused."""
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"{kind} file {path!r} not found")
+    if not p.is_file():
+        raise ConfigError(f"{kind} file {path!r} is not a file")
+    try:
+        return read(p)
+    except ValueError:
+        raise ConfigError(f"{kind} file {path!r} {malformed}") from None
+    except OSError as exc:
+        raise ConfigError(f"{kind} file {path!r} cannot be read: "
+                          f"{exc.strerror}") from None
+
+
+def _load_table(p: Path) -> np.ndarray:
+    """The rows of a comma- or else whitespace-separated numeric table."""
+    with warnings.catch_warnings():  # load_pulse_file refuses an empty table
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(p, delimiter=",", ndmin=2)
+        except ValueError:
+            return np.loadtxt(p, ndmin=2)
+
+
 def load_pulse_file(path: str) -> np.ndarray:
     """The checked columns (t, Omega_R, Delta) of a three-column pulse
     table, shape (3, rows)."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"pulse file {path!r} not found")
-    if not p.is_file():
-        raise ConfigError(f"pulse file {path!r} is not a file")
-    try:
-        with warnings.catch_warnings():  # an empty table is refused below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                data = np.loadtxt(p, delimiter=",", ndmin=2)
-            except ValueError:
-                data = np.loadtxt(p, ndmin=2)
-    except ValueError:
-        raise ConfigError(f"pulse file {path!r} holds a non-numeric cell "
-                          f"or a header row") from None
-    except OSError as exc:
-        raise ConfigError(f"pulse file {path!r} cannot be read: "
-                          f"{exc.strerror}") from None
+    data = _read("pulse", path, _load_table,
+                 "holds a non-numeric cell or a header row")
     if data.size == 0:
         raise ConfigError(f"pulse file {path!r} holds no rows")
     if data.shape[1] < 3:
@@ -80,11 +92,11 @@ def load_pulse_file(path: str) -> np.ndarray:
     if len(data) < 4:  # a not-a-knot cubic spline needs four knots
         raise ConfigError(f"pulse file {path!r} needs at least 4 rows for a "
                           f"cubic spline, got {len(data)}")
-    ts, oms, dls = data[:, 0], data[:, 1], data[:, 2]
+    ts, oms = data[:, 0], data[:, 1]
     if np.any(np.diff(ts) <= 0):
-        raise ConfigError("pulse file times must be strictly increasing")
+        raise ConfigError(f"pulse file {path!r}: times must be strictly increasing")
     if np.any(oms < 0):
-        raise ConfigError("pulse file Rabi frequencies must be >= 0")
+        raise ConfigError(f"pulse file {path!r}: Rabi frequencies must be >= 0")
     if not np.all(np.isfinite(data[:, :3])):
         raise ConfigError(f"pulse file {path!r} holds a non-finite value")
     return data[:, :3].T
@@ -92,18 +104,9 @@ def load_pulse_file(path: str) -> np.ndarray:
 
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; '#' starts a comment; unknown keys error."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file {path!r} not found")
-    if not p.is_file():
-        raise ConfigError(f"config file {path!r} is not a file")
-    try:
-        lines = p.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"config file {path!r} cannot be read: "
-                          f"{exc.strerror}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"config file {path!r} is not UTF-8 text") from None
+    lines = _read("config", path,
+                  lambda p: p.read_text(encoding="utf-8").splitlines(),
+                  "is not UTF-8 text")
     values: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

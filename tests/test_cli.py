@@ -870,6 +870,22 @@ class TestOptionTable:
             "configuration error: format must be one of ('csv', 'json')"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", "0", "tau must be positive"),
+        ("--tau", "-1", "tau must be positive"),
+        ("--policy", "bogus", "unknown policy 'bogus'; choose from "
+         "('hermitian-realizable', 'naive-cd', 'general-omega-zero')"),
+        ("--initial-state", "bogus", "unknown initial state 'bogus'; choose "
+         "from ('eigen-plus', 'bare-ground')")],
+        ids=["tau-zero", "tau-negative", "policy", "initial-state"])
+    def test_out_of_range_option_exits_config(self, tmp_path, capsys, flag,
+                                              value, message):
+        out = tmp_path / "out"
+        assert main(["figure1", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {message}"]
+        assert not out.exists()
+
     def test_steps_numpy_cannot_size_exit_config(self, tmp_path, capsys):
         # numpy refuses a 4 * 10**20 + 1 sample grid before allocating
         out = tmp_path / "out"
@@ -1252,7 +1268,9 @@ class TestExitCodes:
         ("gamma = 0.3,abc", "bad gamma list '0.3,abc': could not convert "
                             "string to float: 'abc'"),
         ("steps = 2x", "bad value for steps: invalid literal for int() "
-                       "with base 10: '2x'")], ids=["gamma", "steps"])
+                       "with base 10: '2x'"),
+        ("gamma 0.3", "expected 'key = value'")],
+        ids=["gamma", "steps", "no-equals"])
     def test_bad_config_value_names_its_file_and_line(self, tmp_path, capsys,
                                                       line, message):
         bad = tmp_path / "bad.cfg"
@@ -1381,6 +1399,18 @@ class TestExitCodes:
         assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("flag", ["--pulse-file", "--config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_input_file_exits_config(self, tmp_path, capsys,
+                                             monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, flag, "missing.csv", "--gamma", "0.3",
+                     "--steps", "100", "--out", "out"]) == 2
+        kind = "pulse" if flag == "--pulse-file" else "config"
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: {kind} file 'missing.csv' not found"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--pulse-file", "--config"])
     def test_unreadable_input_file_exits_config(self, tmp_path, capsys,
                                                 monkeypatch, flag):
         def refused(*args, **kwargs):
@@ -1467,6 +1497,27 @@ class TestExitCodes:
             f"configuration error: pulse file {str(pulse_file)!r} needs at "
             f"least 4 rows for a cubic spline, got {rows}"]
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda table: table[:, :2], " must have columns t, Omega_R, Delta"),
+        (lambda table: table[[0, 1, 1, 2, 3, 4]],  # t = -0.5 twice
+         ": times must be strictly increasing"),
+        (lambda table: table * [1.0, -1.0, 1.0],
+         ": Rabi frequencies must be >= 0")],
+        ids=["two-columns", "repeated-time", "negative-rabi"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_pulse_table_out_of_shape_exits_config(self, tmp_path, capsys,
+                                                   command, edit, message):
+        ts = np.linspace(-1.0, 1.0, 5)
+        pulse_file = tmp_path / "pulse.csv"
+        np.savetxt(pulse_file, edit(np.column_stack(
+            [ts, 1.0 / np.cosh(ts), 9.0 * np.tanh(ts)])), delimiter=",")
+        out = tmp_path / "out"
+        assert main([command, "--gamma", "0.3", "--steps", "100",
+                     "--pulse-file", str(pulse_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"configuration error: pulse file {str(pulse_file)!r}{message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_file_not_utf8_exits_config(self, tmp_path, capsys,

@@ -11,7 +11,7 @@ from scipy.integrate import cumulative_trapezoid
 from conftest import (DELTA0, OMEGA0, ae_pulse, ae_setup, assert_bitwise,
                       path_eigenvalues, shortcut_table, state_trajectory)
 from nhsta import experiments
-from nhsta.errors import NonFinite
+from nhsta.errors import ConfigError, NonFinite
 
 from nhsta.experiments import (CERTIFIED_BY, INITIAL_STATES, POLICIES,
                                RUN_CHECKS, ShortcutTable, run_shortcut,
@@ -340,6 +340,12 @@ class TestPropagate:
             with pytest.raises(ValueError, match="kernel's layout"):
                 scan_table(np.zeros(shape, dtype=complex), grid)
 
+    def test_rejects_a_state_that_is_not_two_components(self):
+        scan = quarter_step_scan(lossy_chirp(1.0), TimeGrid(0, 1, 10))
+        with pytest.raises(ValueError,
+                           match="^psi0 must be a two-component vector$"):
+            scan.apply(np.array([1, 0, 0], dtype=complex))
+
     @pytest.mark.parametrize("phases", [1, 4])
     def test_phase_table_equals_the_sample_order_sum_bitwise(self, phases):
         # random entries with signed zeros in both parts: real + real, real
@@ -496,6 +502,18 @@ class TestShortcutInvariants:
         run = shortcut_run(1.0)
         assert run.pop_bare_0_renorm[-1] <= 0.01
         assert run.pop_bare_1[-1] > 0.0
+
+    @pytest.mark.parametrize("what, known, build", [
+        ("initial state", INITIAL_STATES,
+         lambda pulse, grid: shortcut_table(pulse, grid).run("bogus")),
+        ("policy", POLICIES,
+         lambda pulse, grid: next(shortcut_tables(pulse, grid, ("bogus",))))],
+        ids=["initial-state", "policy"])
+    def test_unknown_name_raises_config_error(self, what, known, build):
+        with pytest.raises(ConfigError) as refused:
+            build(*ae_setup(0.3, 100))
+        assert str(refused.value) == (
+            f"unknown {what} 'bogus'; expected one of {known}")
 
     def test_initial_condition_recorded(self, shortcut_run):
         bare = shortcut_run(1.0, initial_state="bare-ground")

@@ -737,13 +737,15 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
             (3, "numerical error: NonFinite: "),
             (3, "error: out of memory: "),
             (2, "configuration error: "),
+            (2, "configuration error: pulse file 'missing.csv' not found"),
             (2, "configuration error: gamma must be >= 0, got -0.001"),
             (2, "configuration error: this command takes a single policy"),
             (2, "usage: nh-sta "),
             (1, "uncertified: gamma=3 ")]
     assert all(args in tool.CORPUS for args in tool.ERROR_PATHS)
     got = []
-    for args, (_, start) in zip(tool.ERROR_PATHS, want):
+    # an error path without an expectation fails here
+    for args, (_, start) in zip(tool.ERROR_PATHS, want, strict=True):
         try:
             status = nhsta.cli.main([*args, "--out", "out"])
         except SystemExit as exc:  # argparse's usage error

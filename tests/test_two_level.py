@@ -194,6 +194,13 @@ class TestRegime:
         with pytest.raises(ValueError, match="need finite omega0 and gamma"):
             classify_regime(omega0, gamma)
 
+    @pytest.mark.parametrize("omega0, gamma, message", [
+        (0.0, 0.3, "omega0 must be positive"),
+        (1.0, -0.1, "gamma must be non-negative")])
+    def test_out_of_range_inputs_rejected(self, omega0, gamma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify_regime(omega0, gamma)
+
     def test_branch_sqrt_obeys_each_cut(self):
         z = -5.0 + 0.0j
         assert branch_sqrt(z, SUB_CRITICAL) == pytest.approx(
@@ -277,6 +284,13 @@ class TestMixingAngle:
         h = path.grid.step
         fd = (path.theta[2:] - path.theta[:-2]) / (2 * h)
         assert np.max(np.abs(fd - path.dtheta[1:-1])) < 5e-4
+
+    def test_path_must_fill_its_grid(self):
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(ValueError,
+                           match="^theta/dtheta length must match grid$"):
+            MixingAnglePath(grid, np.zeros(11, dtype=complex),
+                            np.zeros(10, dtype=complex))
 
     def test_exceptional_point_raises_tan_pole(self):
         with pytest.raises(TanPole):

@@ -52,10 +52,10 @@ GAP_TABLE = [
 
 #: invocations that fail: exit 3 with each named error (one of them at a
 #: command's default decay rate) and for a run too large to allocate, exit
-#: 2 for a configuration error (one of them a negative decay rate in
-#: exponent form, one a list of policies where one is taken) and for a
-#: flag abbreviation that argparse finds ambiguous, and exit 1 for an
-#: uncertified row
+#: 2 for a configuration error (one of them a missing input file, one a
+#: negative decay rate in exponent form, one a list of policies where one
+#: is taken) and for a flag abbreviation that argparse finds ambiguous, and
+#: exit 1 for an uncertified row
 ERROR_PATHS = [
     ["figure3", "--gamma", "2"],  # DegenerateRegime
     ["figure1", "--omega0", "1.5"],  # DegenerateRegime at a default rate
@@ -66,6 +66,7 @@ ERROR_PATHS = [
     ["figure1", "--gamma", "1e160"],  # NonFinite
     ["figure3", "--steps", "100000000000000000"],  # out of memory
     ["figure3", "--steps", "50"],  # a configuration error
+    ["figure3", "--pulse-file", "missing.csv"],  # a missing input file
     ["figure3", "--steps", "100", "--gamma", "-1e-3"],  # a negative rate
     ["verify", "--policy", "naive-cd,general-omega-zero"],  # a policy list
     ["figure2", "--t", "-1e-3"],  # an ambiguous abbreviation
