@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, refuse_unknown
 from .grids import TimeGrid
 from .synthesis import POLICY_HERMITIAN
 from .two_level import PulseSpec, allen_eberly, classify_regime
@@ -82,10 +82,10 @@ class ExperimentConfig:
     FIELDS = tuple(field for field, _ in READERS.values())
 
     def __init__(self, **values):
+        for name in values:
+            refuse_unknown("option", name, self.FIELDS)
         for field, (_, _, default, _) in zip(self.FIELDS, OPTIONS):
-            setattr(self, field, values.pop(field, default))
-        if values:
-            raise ConfigError(f"unknown option {next(iter(values))!r}")
+            setattr(self, field, values.get(field, default))
 
     @property
     def window(self) -> tuple:
@@ -109,17 +109,14 @@ class ExperimentConfig:
             raise ConfigError("omega0 must be positive")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
-        if self.format not in OUTPUT_FORMATS:
-            raise ConfigError(f"format must be one of {OUTPUT_FORMATS}")
+        refuse_unknown("format", self.format, OUTPUT_FORMATS)
         for what, values, known in (
                 ("policy", self.policies, POLICIES),
                 ("initial state", self.initial_states, INITIAL_STATES)):
             if not values:
                 raise ConfigError(f"{what} list must not be empty")
             for value in values:
-                if value not in known:
-                    raise ConfigError(
-                        f"unknown {what} {value!r}; choose from {known}")
+                refuse_unknown(what, value, known)
             _refuse_repeats(what, values)
         gammas = self.gamma_list or ()
         # the comparisons above let NaN and +inf through, and regime_for
@@ -230,8 +227,7 @@ def build_config(config_path: Optional[str] = None, **overrides) -> ExperimentCo
     for name, value in overrides.items():
         if value is None:
             continue
-        if name not in ExperimentConfig.READERS:
-            raise ConfigError(f"unknown option {name!r}")
+        refuse_unknown("option", name, tuple(ExperimentConfig.READERS))
         field, kind = ExperimentConfig.READERS[name]
         values[field] = kind(value) if isinstance(value, str) else value
     return ExperimentConfig(**values)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one refusal of an
+unknown name (:func:`refuse_unknown`)."""
 
 
 class NhStaError(Exception):
@@ -39,3 +40,10 @@ class InconsistentChoice(NhStaError):
 
 class ConfigError(NhStaError):
     """Invalid experiment configuration."""
+
+
+def refuse_unknown(what: str, name, known) -> None:
+    """Raise ConfigError naming ``name`` and the choices unless it is one
+    of ``known``."""
+    if name not in known:
+        raise ConfigError(f"unknown {what} {name!r}; choose from {known}")

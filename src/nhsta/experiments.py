@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import refuse_unknown
 from .grids import TimeGrid
 from .propagation import (PrefixScan, phase_table, scan_table,
                           step_halving_gap)
@@ -94,10 +94,7 @@ class ShortcutTable:
     def run(self, initial_state: str = INITIAL_EIGEN_PLUS) -> ShortcutRun:
         """Propagate one initial state: its amplitudes and the step-halving
         gap, on a run that keeps the state's name."""
-        if initial_state not in INITIAL_STATES:
-            raise ConfigError(
-                f"unknown initial state {initial_state!r}; expected one of "
-                f"{INITIAL_STATES}")
+        refuse_unknown("initial state", initial_state, INITIAL_STATES)
         if initial_state == INITIAL_EIGEN_PLUS:
             psi0 = np.array([self.theta.cos_half[0], self.theta.sin_half[0]],
                             dtype=complex)
@@ -201,13 +198,12 @@ def shortcut_tables(pulse: PulseSpec, grid: TimeGrid,
 
 def _supplement(policy: str, theta_q: MixingAnglePath) -> tuple:
     """The entries of the policy's H1 on the grid of ``theta_q``."""
+    refuse_unknown("policy", policy, POLICIES)
     if policy == POLICY_HERMITIAN:
         return hermitian_realizable(theta_q)
     if policy == POLICY_OMEGA_ZERO:
         return general_family_omega_zero(theta_q)
-    if policy == POLICY_NAIVE:
-        return naive_cd_entries(theta_q)
-    raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    return naive_cd_entries(theta_q)
 
 
 def _tables(policies, theta, angle_rate, theta_q, h0_q):

@@ -24,10 +24,6 @@ class TimeGrid:
             raise ValueError(f"need steps >= 2, got {steps}")
         self.t0, self.t_f, self.steps = t0, t_f, steps
 
-    def __repr__(self):
-        return (f"TimeGrid(t0={self.t0!r}, t_f={self.t_f!r}, "
-                f"steps={self.steps!r})")
-
     @property
     def step(self) -> float:
         return (self.t_f - self.t0) / self.steps
@@ -41,7 +37,7 @@ class TimeGrid:
         k = np.arange(self.steps + 1, dtype=float)
         return ((self.steps - k) * self.t0 + k * self.t_f) / self.steps
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
+    def refine(self, factor: int) -> "TimeGrid":
         """Same window with ``factor`` times as many intervals."""
         return TimeGrid(self.t0, self.t_f, self.steps * factor)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, refuse_unknown
 
 
 def cubic_spline(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -115,14 +115,13 @@ def parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in ExperimentConfig.READERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        field, kind = ExperimentConfig.READERS[key]
         try:
+            refuse_unknown("key", key, tuple(ExperimentConfig.READERS))
+            field, kind = ExperimentConfig.READERS[key]
             values[field] = kind(text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") \
                 from None
-        except ConfigError as exc:  # a list reader names its own fault
+        except ConfigError as exc:  # an unknown key or a list reader's fault
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values

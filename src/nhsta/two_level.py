@@ -378,18 +378,14 @@ def allen_eberly(omega0: float, delta0: float, tau: float = 1.0,
     grid's (``grids.TimeGrid``).  Past |t|/tau of about 355 (710 for
     Omega_R) cosh, or its square, overflows to inf on the way to the exact
     limit sech = 0, so those overflows are not warned about.  The pulse
-    record refuses a non-finite or negative gamma."""
+    record refuses a non-finite or negative gamma, and
+    :func:`classify_regime` refuses omega0 <= 0 and the critical line
+    gamma = 2*omega0, where the spectrum degenerates at t = 0."""
     for name, value in zip(("omega0", "delta0", "tau"), (omega0, delta0, tau)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if abs(gamma - 2.0 * omega0) <= 1e-12:
-        raise DegenerateRegime(
-            f"gamma = 2*omega0 = {gamma}: spectrum degenerates at t = 0"
-        )
 
     def omega_r(t):
         with np.errstate(over="ignore"):
@@ -408,5 +404,7 @@ def allen_eberly(omega0: float, delta0: float, tau: float = 1.0,
         with np.errstate(over="ignore"):
             return (delta0 / tau) / np.cosh(x) ** 2
 
-    return PulseSpec(omega_r=omega_r, delta=delta, d_omega_r=d_omega_r,
-                     d_delta=d_delta, gamma=gamma)
+    pulse = PulseSpec(omega_r=omega_r, delta=delta, d_omega_r=d_omega_r,
+                      d_delta=d_delta, gamma=gamma)
+    classify_regime(omega0, gamma)
+    return pulse

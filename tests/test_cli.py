@@ -867,7 +867,8 @@ class TestOptionTable:
         out = tmp_path / "out"
         assert main(["figure1", "--format", "xml", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "configuration error: format must be one of ('csv', 'json')"]
+            "configuration error: unknown format 'xml'; choose from "
+            "('csv', 'json')"]
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -1269,8 +1270,11 @@ class TestExitCodes:
                             "string to float: 'abc'"),
         ("steps = 2x", "bad value for steps: invalid literal for int() "
                        "with base 10: '2x'"),
-        ("gamma 0.3", "expected 'key = value'")],
-        ids=["gamma", "steps", "no-equals"])
+        ("gamma 0.3", "expected 'key = value'"),
+        ("bogus = 1", "unknown key 'bogus'; choose from ('omega0', 'delta0', "
+                      "'tau', 't0', 't_final', 'steps', 'gamma', 'policy', "
+                      "'initial_state', 'out', 'format', 'pulse_file')")],
+        ids=["gamma", "steps", "no-equals", "unknown-key"])
     def test_bad_config_value_names_its_file_and_line(self, tmp_path, capsys,
                                                       line, message):
         bad = tmp_path / "bad.cfg"

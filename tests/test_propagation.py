@@ -513,7 +513,7 @@ class TestShortcutInvariants:
         with pytest.raises(ConfigError) as refused:
             build(*ae_setup(0.3, 100))
         assert str(refused.value) == (
-            f"unknown {what} 'bogus'; expected one of {known}")
+            f"unknown {what} 'bogus'; choose from {known}")
 
     def test_initial_condition_recorded(self, shortcut_run):
         bare = shortcut_run(1.0, initial_state="bare-ground")

@@ -3,7 +3,8 @@ it wraps, every propagation goes through one RK4 scan, one routine samples
 a pulse's controls and their rates, a configuration is validated in one
 place, no module loads OpenSSL, theta's rate has one formula, the policy
 names, the initial-state names, the branch regime names and the run check
-names are each spelled in one module, no class is an Enum, propagation
+names are each spelled in one module, an unknown name and the critical line
+are each refused by one raise, no class is an Enum, propagation
 imports only the grid and the errors and synthesis does not import
 propagation, a trajectory is a plain array, a command runs by one dispatch
 rule, no run takes a branch regime, every record field is read somewhere
@@ -272,6 +273,37 @@ def test_policy_names_are_spelled_once():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and any(name in node.value for name in names)]
     assert sorted(found) == sorted(("nhsta.synthesis", name) for name in names)
+
+
+def test_unknown_names_and_the_critical_line_are_refused_once():
+    # errors.refuse_unknown is the one raise that refuses an unknown name,
+    # and classify_regime the one that refuses the critical line; each
+    # raise is placed in the innermost function that holds it
+    where = {}
+    for module in [nhsta] + MODULES:
+        tree = ast.parse(Path(module.__file__).read_text())
+        for scope in [tree] + [node for node in ast.walk(tree) if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef))]:
+            name = getattr(scope, "name", None)
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    where[node] = (module.__name__, name)
+
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", None)
+
+    def text(node):
+        return "".join(part.value for part in ast.walk(node.exc)
+                       if isinstance(part, ast.Constant)
+                       and isinstance(part.value, str))
+
+    unknown = [where[node] for node in where if raised(node) == "ConfigError"
+               and ("unknown " in text(node) or "choose from" in text(node))]
+    assert unknown == [("nhsta.errors", "refuse_unknown")]
+    critical = [where[node] for node in where
+                if raised(node) == "DegenerateRegime"]
+    assert critical == [("nhsta.two_level", "classify_regime")]
 
 
 def test_state_names_are_spelled_once():
@@ -737,6 +769,7 @@ def test_compare_trees_corpus_reaches_every_failure(tmp_path, capsys,
             (3, "numerical error: NonFinite: "),
             (3, "error: out of memory: "),
             (2, "configuration error: "),
+            (2, "configuration error: unknown format 'xml'"),
             (2, "configuration error: pulse file 'missing.csv' not found"),
             (2, "configuration error: gamma must be >= 0, got -0.001"),
             (2, "configuration error: this command takes a single policy"),

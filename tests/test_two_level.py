@@ -566,6 +566,12 @@ class TestAllenEberly:
     def test_critical_decay_rejected_at_construction(self):
         with pytest.raises(DegenerateRegime):
             ae_pulse(gamma=2.0 * OMEGA0)
+        # the pulse refuses the critical line with classify_regime's words
+        with pytest.raises(DegenerateRegime) as pulse:
+            allen_eberly(1.0, 9.0, 1.0, 2.0)
+        with pytest.raises(DegenerateRegime) as regime:
+            classify_regime(1.0, 2.0)
+        assert str(pulse.value) == str(regime.value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["omega0", "delta0", "tau", "gamma"])

@@ -66,6 +66,7 @@ ERROR_PATHS = [
     ["figure1", "--gamma", "1e160"],  # NonFinite
     ["figure3", "--steps", "100000000000000000"],  # out of memory
     ["figure3", "--steps", "50"],  # a configuration error
+    ["figure1", "--format", "xml"],  # an unknown name
     ["figure3", "--pulse-file", "missing.csv"],  # a missing input file
     ["figure3", "--steps", "100", "--gamma", "-1e-3"],  # a negative rate
     ["verify", "--policy", "naive-cd,general-omega-zero"],  # a policy list
